@@ -1,7 +1,7 @@
 .PHONY: all build test bench bench-prefer bench-micro bench-smoke \
 	bench-serve bench-persist bench-replica bench-cluster \
 	bench-concurrent bench-incremental crash-test chaos stress \
-	serve-smoke examples doc \
+	serve-smoke servebench-check examples doc \
 	clean fuzz
 
 # Single source of truth for the randomized suites: the FUZZ_ITERS-scaled
@@ -134,6 +134,13 @@ bench-smoke:
 serve-smoke:
 	dune build bench/serve.exe
 	timeout 5 ./_build/default/bench/serve.exe --smoke
+
+# The serving benchmark's determinism and correctness gate: every
+# workload twice per mode with one seed; both runs must print identical
+# deterministic counter blocks and pass the correctness checks.  See
+# servebench/README.md.
+servebench-check:
+	python3 servebench/run.py --self-test
 
 examples:
 	@for e in quickstart penguin loan colors kb_versioning legal deductive_db paper_tour preferences; do \

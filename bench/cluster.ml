@@ -205,38 +205,39 @@ let mix =
   |]
 
 (* hammer every node at once: per-node QPS under contention sums to the
-   aggregate a load balancer over the tree would see *)
+   aggregate a load balancer over the tree would see.  Every client
+   starts from one common instant; a node's QPS divides its requests by
+   the time until its own last client finished, so a slower node reads
+   slower instead of sharing the slowest node's elapsed time. *)
 let chain_reads ~clients ~per_client targets =
-  let results =
-    List.map (fun (target, addr) -> (target, addr, ref 0.)) targets
+  let finished = List.map (fun _ -> Array.make clients 0.) targets in
+  let t0 = Unix.gettimeofday () in
+  let threads =
+    List.concat
+      (List.map2
+         (fun (_, addr) fin ->
+           List.init clients (fun ci ->
+               Thread.create
+                 (fun () ->
+                   let c = connect addr in
+                   for i = 0 to per_client - 1 do
+                     ignore (roundtrip c mix.((ci + i) mod Array.length mix))
+                   done;
+                   Server.Client.close c;
+                   fin.(ci) <- Unix.gettimeofday ())
+                 ()))
+         targets finished)
   in
-  let elapsed =
-    time (fun () ->
-        let threads =
-          List.concat_map
-            (fun (_, addr, _) ->
-              List.init clients (fun ci ->
-                  Thread.create
-                    (fun () ->
-                      let c = connect addr in
-                      for i = 0 to per_client - 1 do
-                        ignore
-                          (roundtrip c mix.((ci + i) mod Array.length mix))
-                      done;
-                      Server.Client.close c)
-                    ()))
-            results
-        in
-        List.iter Thread.join threads)
-  in
-  List.map
-    (fun (target, _, _) ->
+  List.iter Thread.join threads;
+  List.map2
+    (fun (target, _) fin ->
+      let elapsed = Array.fold_left max t0 fin -. t0 in
       { target;
         clients;
         requests = clients * per_client;
         qps = float_of_int (clients * per_client) /. elapsed
       })
-    results
+    targets finished
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)

@@ -78,9 +78,9 @@ let enumerate kind engine ?stats g =
   let result =
     match kind, engine with
     | Af, `Pruned -> Ordered.Stable.assumption_free_models ?stats g
-    | Af, `Naive -> Ordered.Stable.Naive.assumption_free_models ?stats g
+    | Af, `Naive -> Oracle.Stable.assumption_free_models ?stats g
     | Total, `Pruned -> Ordered.Exhaustive.total_models ?stats g
-    | Total, `Naive -> Ordered.Exhaustive.Naive.total_models ?stats g
+    | Total, `Naive -> Oracle.Exhaustive.total_models ?stats g
   in
   List.length (B.value result)
 

@@ -110,7 +110,7 @@ let enumerate ~search engine ?stats spec =
       match search with
       | `Pruned -> Ordered.Stable.stable_models ?stats g
       | `Compiled -> Solve.Kernel.stable_models ?stats g)
-    | `Naive -> Prefer.Naive.preferred_models ?stats spec
+    | `Naive -> Oracle.Prefer.preferred_models ?stats spec
   in
   List.length (B.value result)
 

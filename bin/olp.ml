@@ -275,49 +275,29 @@ let models_cmd =
     Arg.(value & opt (some int) None
          & info [ "limit" ] ~docv:"N" ~doc:"Stop after N models.")
   in
-  let search =
-    Arg.(value
-         & opt
-             (enum
-                [ ("pruned", `Pruned); ("naive", `Naive);
-                  ("compiled", `Compiled)
-                ])
-             `Pruned
-         & info [ "search" ] ~docv:"SEARCH"
-             ~doc:"Enumeration engine: $(b,pruned) (branch-and-propagate, \
-                   default), $(b,naive) (leaf-check oracle) or \
-                   $(b,compiled) (flat-array kernel with watched-literal \
-                   propagation and conflict-driven nogood learning — same \
-                   models and order as $(b,pruned), fewer visited nodes).")
-  in
   let stats_flag =
     Arg.(value & flag
          & info [ "stats" ]
              ~doc:"Print search-effort counters (nodes, leaves, prunes, \
-                   forced, models; with $(b,--search compiled) also \
-                   propagations, conflicts, learned/evicted nogoods and \
-                   restarts) on stderr after the models.")
+                   forced, models, and the kernel's propagations, \
+                   conflicts, learned/evicted nogoods and restarts) on \
+                   stderr after the models.")
   in
   let prefer =
-    Arg.(value
-         & opt (some (enum [ ("compiled", `Compiled); ("naive", `Naive) ]))
-             None
-         & info [ "prefer" ] ~docv:"ENGINE"
+    Arg.(value & flag
+         & info [ "prefer" ]
              ~doc:"Enumerate only the $(i,preferred) stable models under \
-                   the file's $(b,prefer) declarations: $(b,compiled) \
-                   translates the preferences into fresh components and \
-                   runs the stable search chosen by $(b,--search) on the \
-                   compiled program; $(b,naive) is the reference oracle \
-                   on the original grounding (it ignores $(b,--search)).  \
+                   the file's $(b,prefer) declarations: the preferences \
+                   are translated into fresh components and the kernel \
+                   enumerates the stable models of the compiled program.  \
                    Stable models only.")
   in
   let run budget file comp depth relevant facts max_instances kind limit
-      search stats prefer =
+      stats prefer =
     governed budget @@ fun () ->
     let counters = Ordered.Counters.create () in
     let result =
-      match prefer with
-      | Some engine ->
+      if prefer then begin
         if kind <> `Stable then begin
           Printf.eprintf "--prefer applies to stable models only\n";
           exit exit_error
@@ -335,53 +315,25 @@ let models_cmd =
             prog facts
         in
         let spec = Prefer.Spec.make prog id prefs in
-        (match engine with
-        | `Compiled -> (
-          match
-            Prefer.Compile.gop ~budget ?max_instances
-              ~grounder:(grounder_of_flag relevant) ~depth
-              (Prefer.Compile.compile spec)
-          with
-          | g -> (
-            match search with
-            | `Pruned ->
-              Ordered.Stable.stable_models ?limit ~budget ~stats:counters g
-            | `Naive ->
-              Ordered.Stable.Naive.stable_models ?limit ~budget
-                ~stats:counters g
-            | `Compiled ->
-              Solve.Kernel.stable_models ?limit ~budget ~stats:counters g)
-          | exception Invalid_argument e ->
-            Printf.eprintf "%s\n" e;
-            exit exit_error)
-        | `Naive ->
-          Prefer.Naive.preferred_models ?limit ~budget ~stats:counters spec)
-      | None -> (
+        match
+          Prefer.Compile.gop ~budget ?max_instances
+            ~grounder:(grounder_of_flag relevant) ~depth
+            (Prefer.Compile.compile spec)
+        with
+        | g -> Solve.Kernel.stable_models ?limit ~budget ~stats:counters g
+        | exception Invalid_argument e ->
+          Printf.eprintf "%s\n" e;
+          exit exit_error
+      end
+      else
         let _, _, g =
           ground_view ~budget file comp depth relevant facts max_instances
         in
-        match kind, search with
-        | `Stable, `Pruned ->
-          Ordered.Stable.stable_models ?limit ~budget ~stats:counters g
-        | `Stable, `Naive ->
-          Ordered.Stable.Naive.stable_models ?limit ~budget ~stats:counters g
-        | `Af, `Pruned ->
-          Ordered.Stable.assumption_free_models ?limit ~budget ~stats:counters
-            g
-        | `Af, `Naive ->
-          Ordered.Stable.Naive.assumption_free_models ?limit ~budget
-            ~stats:counters g
-        | `Stable, `Compiled ->
-          Solve.Kernel.stable_models ?limit ~budget ~stats:counters g
-        | `Af, `Compiled ->
+        match kind with
+        | `Stable -> Solve.Kernel.stable_models ?limit ~budget ~stats:counters g
+        | `Af ->
           Solve.Kernel.assumption_free_models ?limit ~budget ~stats:counters g
-        | `Total, `Pruned ->
-          Ordered.Exhaustive.total_models ?limit ~budget ~stats:counters g
-        | `Total, `Naive ->
-          Ordered.Exhaustive.Naive.total_models ?limit ~budget ~stats:counters
-            g
-        | `Total, `Compiled ->
-          Solve.Kernel.total_models ?limit ~budget ~stats:counters g)
+        | `Total -> Solve.Kernel.total_models ?limit ~budget ~stats:counters g
     in
     let models = Ordered.Budget.value result in
     Format.printf "%d model(s)@." (List.length models);
@@ -404,7 +356,7 @@ let models_cmd =
              under the file's $(b,prefer) declarations).")
     Term.(const run $ budget_term $ file_arg $ component_arg $ depth_arg
           $ relevant_arg $ facts_arg $ max_instances_arg $ kind $ limit
-          $ search $ stats_flag $ prefer)
+          $ stats_flag $ prefer)
 
 let query_cmd =
   let mode =
@@ -690,20 +642,9 @@ let serve_cmd =
                    mutation is applied and locally durable, only its \
                    replication guarantee is degraded (default 5000).")
   in
-  let cache_eviction =
-    Arg.(value
-         & opt (enum [ ("delta", `Delta); ("wholesale", `Wholesale) ]) `Delta
-         & info [ "cache-eviction" ] ~docv:"POLICY"
-             ~doc:"Result-cache policy on writes: $(i,delta) (default) \
-                   repairs derived state incrementally and carries \
-                   forward every cached entry the mutation provably \
-                   cannot affect (see docs/INCREMENTAL.md); \
-                   $(i,wholesale) flushes the whole cache on every \
-                   mutation (the pre-incremental baseline).")
-  in
   let run socket port host workers parallel queue max_timeout max_steps_cap
       port_file data_dir no_fsync snapshot_every group_commit_ms replicate_on
-      replica_of sync_replicas sync_timeout cache_eviction file =
+      replica_of sync_replicas sync_timeout file =
     let usage msg =
       Printf.eprintf "olp serve: %s\n" msg;
       exit exit_error
@@ -775,9 +716,6 @@ let serve_cmd =
     | Some r, Some dir ->
       ignore (report_recovery ~prog:"olp serve" ~dir r : int)
     | _ -> ());
-    Kb.Session.set_eviction
-      (Server.Engine.session (Server.Daemon.engine daemon))
-      cache_eviction;
     Server.Daemon.install_signal_handlers daemon;
     (match file with
     | None -> ()
@@ -912,7 +850,7 @@ let serve_cmd =
           $ queue $ max_timeout $ max_steps_cap $ port_file $ data_dir_arg
           $ no_fsync_arg $ snapshot_every_arg $ group_commit_arg
           $ replicate_on $ replica_of $ sync_replicas $ sync_timeout
-          $ cache_eviction $ file)
+          $ file)
 
 let call_cmd =
   let retry =

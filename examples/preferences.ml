@@ -1,5 +1,5 @@
-(* Rule preferences, end to end: named rules, a prefer declaration, the
-   compiled translation and the naive oracle.
+(* Rule preferences, end to end: named rules, a prefer declaration and
+   the compiled translation.
 
    A default (birds fly) and an exception (penguins don't) living in the
    *same* component defeat each other, so the penguin's flying ability
@@ -43,11 +43,6 @@ let () =
   let compiled = Prefer.Compile.gop (Prefer.Compile.compile spec) in
   print_models "prefer nf > f (compiled)"
     (Ordered.Budget.value (Ordered.Stable.stable_models compiled));
-
-  (* The naive oracle refines the original grounding's defeat edges
-     directly and leaf-checks; it must agree with the compilation. *)
-  print_models "prefer nf > f (naive)"
-    (Ordered.Budget.value (Prefer.Naive.preferred_models spec));
 
   (* The combined rule order must stay a strict partial order: closing
      a cycle is a typed diagnostic, not a silent misbehaviour. *)

@@ -120,39 +120,3 @@ let total_models ?limit ?(budget = Budget.unlimited) ?stats (g : Gop.t) =
     node 0;
     Budget.Complete (List.rev !acc)
   with Budget.Exhausted r -> Budget.Partial (List.rev !acc, r)
-
-(* The pre-propagation enumerator over complete assignments — the
-   differential-testing oracle for the pruned search above and the
-   baseline of the benchmark trajectory, not dead code. *)
-module Naive = struct
-  let total_models ?limit ?(budget = Budget.unlimited) ?stats (g : Gop.t) =
-    let stats = match stats with Some s -> s | None -> Counters.create () in
-    let atoms = Array.of_list g.Gop.active_base in
-    let acc = ref [] in
-    let count = ref 0 in
-    let full () =
-      match limit with
-      | Some l -> !count >= l
-      | None -> false
-    in
-    let rec go i m =
-      Budget.tick budget;
-      stats.Counters.nodes <- stats.Counters.nodes + 1;
-      if not (full ()) then
-        if i >= Array.length atoms then begin
-          stats.leaves <- stats.leaves + 1;
-          if Model.is_model g m then begin
-            incr count;
-            stats.models <- stats.models + 1;
-            acc := m :: !acc
-          end
-        end
-        else begin
-          go (i + 1) (Interp.set m atoms.(i) true);
-          go (i + 1) (Interp.set m atoms.(i) false)
-        end
-    in
-    match go 0 Interp.empty with
-    | () -> Budget.Complete (List.rev !acc)
-    | exception Budget.Exhausted r -> Budget.Partial (List.rev !acc, r)
-end

@@ -43,15 +43,3 @@ val total_models :
     so [?limit:k] is the first [k] of the unlimited enumeration and a
     [Partial] result is a prefix of it.  [?stats] accumulates search
     effort ({!Counters.t}). *)
-
-(** The pre-propagation enumerator over complete assignments of the active
-    base — the differential-testing oracle for {!val:total_models} (same
-    model set, same counts under [?limit], different order) and the
-    baseline of the benchmark trajectory. *)
-module Naive : sig
-  val total_models :
-    ?limit:int -> ?budget:Budget.t -> ?stats:Counters.t -> Gop.t ->
-    Logic.Interp.t list Budget.anytime
-  (** Models in the naive search order: atoms in active-base order, true
-      before false. *)
-end

@@ -182,64 +182,6 @@ let maximal models =
 let stable_models ?limit ?budget ?stats g =
   Budget.map maximal (assumption_free_models ?limit ?budget ?stats g)
 
-(* The pre-propagation enumerator: assign every undecided head atom and
-   check [Model.is_assumption_free] only at complete leaves.  It visits
-   the full 3^n assignment tree, which is exactly why it stays: it is the
-   differential-testing oracle for the pruned search above (same model
-   sets, same counts under [?limit]) and the baseline of the benchmark
-   trajectory — not dead code. *)
-module Naive = struct
-  let assumption_free_models ?limit ?(budget = Budget.unlimited) ?stats
-      (g : Gop.t) =
-    let stats = match stats with Some s -> s | None -> Counters.create () in
-    let acc = ref [] in
-    let count = ref 0 in
-    try
-      let seed = Vfix.lfp ~budget g in
-      let branch = Array.of_list (branch_space g seed) in
-      let full () =
-        match limit with
-        | Some l -> !count >= l
-        | None -> false
-      in
-      let v = Gop.Values.copy seed in
-      let check () =
-        stats.leaves <- stats.leaves + 1;
-        let interp = Gop.Values.to_interp g v in
-        if Model.is_assumption_free g interp then begin
-          incr count;
-          stats.models <- stats.models + 1;
-          acc := interp :: !acc
-        end
-      in
-      let rec go i =
-        Budget.tick budget;
-        stats.nodes <- stats.nodes + 1;
-        if not (full ()) then
-          if i >= Array.length branch then check ()
-          else begin
-            let a, can_pos, can_neg = branch.(i) in
-            go (i + 1);
-            if can_pos then begin
-              Gop.Values.set v a true;
-              go (i + 1);
-              Gop.Values.unset v a
-            end;
-            if can_neg then begin
-              Gop.Values.set v a false;
-              go (i + 1);
-              Gop.Values.unset v a
-            end
-          end
-      in
-      go 0;
-      Budget.Complete (List.rev !acc)
-    with Budget.Exhausted r -> Budget.Partial (List.rev !acc, r)
-
-  let stable_models ?limit ?budget ?stats g =
-    Budget.map maximal (assumption_free_models ?limit ?budget ?stats g)
-end
-
 (* Boolean queries over the stable models are not anytime: an answer
    computed from a truncated enumeration would be unsound, so budget
    exhaustion propagates as [Budget.Exhausted]. *)

@@ -15,19 +15,18 @@
     subtree on a conflict — a derivation contradicting a decision, or a
     decided literal whose every potential supporting rule has died — long
     before a complete leaf.  Branching follows a fail-first heuristic
-    (most-mentioned atoms first).  {!Naive} keeps the pre-propagation
-    enumerator as a differential-testing oracle and benchmark baseline.
+    (most-mentioned atoms first).  The serving path runs the compiled
+    kernel ({!Solve.Kernel}) instead, which enumerates in exactly this
+    search's order; this search stays as the paper-level API and the
+    kernel's order reference.  The pre-propagation leaf-check oracle
+    lives in the test-only [oracle] library.
 
     {b Enumeration order.}  All enumeration entry points ({!val:assumption_free_models},
-    {!val:stable_models}, their {!Naive} counterparts and
-    {!Exhaustive.total_models}) return models in {e search order} — first
-    discovered first, a deterministic function of the ground program
-    alone.  Consequently [?limit:k] returns exactly the first [k] elements
-    of the unlimited enumeration, and the first assumption-free model is
-    always the least model.  The pruned and naive searches order their
-    branches differently, so they enumerate the {e same set} of models in
-    {e different} orders; only the search order of the enumerator actually
-    used is guaranteed.
+    {!val:stable_models} and {!Exhaustive.total_models}) return models in
+    {e search order} — first discovered first, a deterministic function
+    of the ground program alone.  Consequently [?limit:k] returns exactly
+    the first [k] elements of the unlimited enumeration, and the first
+    assumption-free model is always the least model.
 
     {b Anytime semantics.}  The enumerations take a {!Budget.t} and return
     a {!Budget.anytime} value: [Complete models] when the search finished,
@@ -59,23 +58,6 @@ val stable_models :
     enumeration (so with a limit the result may miss stable models but
     every returned model is assumption-free and maximal among those
     enumerated); the same caveat applies to [Partial] results. *)
-
-(** The pre-propagation enumerator: branch on every undecided head atom
-    and check assumption-freeness only at complete leaves.  Kept as the
-    differential-testing oracle for the pruned search — same model sets,
-    same counts under [?limit], vastly more search nodes — and as the
-    baseline of the benchmark trajectory. *)
-module Naive : sig
-  val assumption_free_models :
-    ?limit:int -> ?budget:Budget.t -> ?stats:Counters.t -> Gop.t ->
-    Logic.Interp.t list Budget.anytime
-  (** Same model set as {!val:Stable.assumption_free_models}, in the naive
-      search order (atom interning order, undefined/true/false). *)
-
-  val stable_models :
-    ?limit:int -> ?budget:Budget.t -> ?stats:Counters.t -> Gop.t ->
-    Logic.Interp.t list Budget.anytime
-end
 
 val is_stable : ?budget:Budget.t -> Gop.t -> Logic.Interp.t -> bool
 (** Assumption-free and not properly contained in another assumption-free

@@ -8,7 +8,8 @@
 
 include Store
 
-(** Memoizing sessions (structural-fingerprint result cache with
+(** Memoizing sessions (per-version snapshot views whose result caches
+    are carried across writes by delta eviction, with
     hit/miss/invalidation counters); see {!Session}. *)
 module Session = Session
 

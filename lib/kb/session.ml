@@ -1,7 +1,7 @@
 (* Memoizing sessions over a Store, with lock-free snapshot reads: the
    master store is mutated under a write lock, and every successful
-   mutation publishes an immutable [view] — (version, fingerprint, store
-   copy, caches) — through one atomic reference.  Readers pin the
+   mutation publishes an immutable [view] — (version, store copy,
+   caches) — through one atomic reference.  Readers pin the
    current view with a single [Atomic.get] and never take a lock.
 
    Since PR 10 a mutation no longer flushes the caches wholesale: the
@@ -18,16 +18,8 @@ module M = Governor.Metrics
 
 type op =
   | Least
-  | Models of {
-      kind : [ `Stable | `Af ];
-      limit : int option;
-      engine : [ `Pruned | `Naive | `Compiled ];
-    }
-  | Preferred of {
-      limit : int option;
-      engine : [ `Compiled | `Naive ];
-      search : [ `Pruned | `Naive | `Compiled ];
-    }
+  | Models of { kind : [ `Stable | `Af ]; limit : int option }
+  | Preferred of { limit : int option }
   | Explained of string  (* printed literal *)
 
 type entry =
@@ -63,7 +55,6 @@ module StrSet = Set.Make (String)
    dropped — either way readers only ever see complete maps). *)
 type view = {
   version : int;
-  fingerprint : string;
   vstore : Store.t;
   results : entry KeyMap.t Atomic.t;
   vgops : Inc.Reground.state StrMap.t Atomic.t;
@@ -92,43 +83,8 @@ type t = {
   mutable on_mutation : (Store.mutation -> unit) option;
 }
 
-(* The structural fingerprint: every object's name, parents and rules in
-   definition order.  '\x00'/'\x01' separators keep distinct structures
-   from serialising to the same string.  Computed once per publish, not
-   per lookup. *)
-let fingerprint_of_store store =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun name ->
-      Buffer.add_string buf name;
-      Buffer.add_char buf '\x00';
-      List.iter
-        (fun p ->
-          Buffer.add_string buf p;
-          Buffer.add_char buf '\x01')
-        (Store.parents store name);
-      Buffer.add_char buf '\x00';
-      List.iter
-        (fun r ->
-          Buffer.add_string buf (Logic.Rule.to_string r);
-          Buffer.add_char buf '\x01')
-        (Store.rules store name);
-      Buffer.add_char buf '\x00')
-    (Store.objects store);
-  (* the preference order is part of the structure: two KBs with the same
-     rules but different preferences answer differently *)
-  List.iter
-    (fun (a, b) ->
-      Buffer.add_string buf a;
-      Buffer.add_char buf '\x01';
-      Buffer.add_string buf b;
-      Buffer.add_char buf '\x00')
-    (Store.preferences store);
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
 let view_of ~version store =
   { version;
-    fingerprint = fingerprint_of_store store;
     vstore = Store.copy store;
     results = Atomic.make KeyMap.empty;
     vgops = Atomic.make StrMap.empty;
@@ -159,7 +115,6 @@ let store t = t.master
 let on_mutation t f = t.on_mutation <- Some f
 let current t = Atomic.get t.current
 let version t = (current t).version
-let fingerprint t = (current t).fingerprint
 let eviction t = t.eviction
 
 let inc_counter_names =
@@ -379,7 +334,6 @@ let publish_caches t c =
   let v = current t in
   Atomic.set t.current
     { version = v.version + 1;
-      fingerprint = fingerprint_of_store t.master;
       vstore = Store.copy t.master;
       results = Atomic.make c.c_results;
       vgops = Atomic.make c.c_gstates;
@@ -601,31 +555,9 @@ let query ?budget t ~obj l =
 let query_src ?budget t ~obj src =
   query ?budget t ~obj (Lang.Parser.parse_literal src)
 
-let models kind ?limit ?budget ?(engine = `Pruned) ?stats t ~obj =
+let models kind ?limit ?budget ?stats t ~obj =
   let v = current t in
-  let compute () =
-    let g = (gop_state ?budget v ~obj).Inc.Reground.gop in
-    let r =
-      match (kind, engine) with
-      | `Stable, `Pruned -> Ordered.Stable.stable_models ?limit ?budget ?stats g
-      | `Stable, `Naive ->
-        Ordered.Stable.Naive.stable_models ?limit ?budget ?stats g
-      | `Stable, `Compiled ->
-        Solve.Kernel.stable_models ?limit ?budget ?stats
-          ~flat:(flat_of t v.vflats ~obj g)
-          g
-      | `Af, `Pruned ->
-        Ordered.Stable.assumption_free_models ?limit ?budget ?stats g
-      | `Af, `Naive ->
-        Ordered.Stable.Naive.assumption_free_models ?limit ?budget ?stats g
-      | `Af, `Compiled ->
-        Solve.Kernel.assumption_free_models ?limit ?budget ?stats
-          ~flat:(flat_of t v.vflats ~obj g)
-          g
-    in
-    (r, E_models (B.value r))
-  in
-  let key = (obj, Models { kind; limit; engine }) in
+  let key = (obj, Models { kind; limit }) in
   match KeyMap.find_opt key (Atomic.get v.results) with
   | Some (E_models ms) ->
     record_hit t;
@@ -633,15 +565,21 @@ let models kind ?limit ?budget ?(engine = `Pruned) ?stats t ~obj =
   | Some _ -> assert false
   | None ->
     record_miss t;
-    let r, e = compute () in
-    if B.is_complete r then cache_result v key e;
+    let g = (gop_state ?budget v ~obj).Inc.Reground.gop in
+    let flat = flat_of t v.vflats ~obj g in
+    let r =
+      match kind with
+      | `Stable -> Solve.Kernel.stable_models ?limit ?budget ?stats ~flat g
+      | `Af -> Solve.Kernel.assumption_free_models ?limit ?budget ?stats ~flat g
+    in
+    if B.is_complete r then cache_result v key (E_models (B.value r));
     r
 
-let stable_models ?limit ?budget ?engine ?stats t ~obj =
-  models `Stable ?limit ?budget ?engine ?stats t ~obj
+let stable_models ?limit ?budget ?stats t ~obj =
+  models `Stable ?limit ?budget ?stats t ~obj
 
-let assumption_free_models ?limit ?budget ?engine ?stats t ~obj =
-  models `Af ?limit ?budget ?engine ?stats t ~obj
+let assumption_free_models ?limit ?budget ?stats t ~obj =
+  models `Af ?limit ?budget ?stats t ~obj
 
 (* ------------------------------------------------------------------ *)
 (* Preferred models                                                    *)
@@ -678,10 +616,9 @@ let prefer_gop ?budget ?metrics t ~obj =
   | None -> record_miss t);
   prefer_gop_of ?budget ?metrics v ~obj
 
-let preferred_models ?limit ?budget ?(engine = `Compiled) ?(search = `Pruned)
-    ?stats ?metrics t ~obj =
+let preferred_models ?limit ?budget ?stats ?metrics t ~obj =
   let v = current t in
-  let key = (obj, Preferred { limit; engine; search }) in
+  let key = (obj, Preferred { limit }) in
   match KeyMap.find_opt key (Atomic.get v.results) with
   | Some (E_models ms) ->
     record_hit t;
@@ -690,20 +627,11 @@ let preferred_models ?limit ?budget ?(engine = `Compiled) ?(search = `Pruned)
   | Some _ -> assert false
   | None ->
     record_miss t;
+    let g = prefer_gop_of ?budget ?metrics v ~obj in
     let r =
-      match engine with
-      | `Compiled -> (
-        let g = prefer_gop_of ?budget ?metrics v ~obj in
-        match search with
-        | `Pruned -> Ordered.Stable.stable_models ?limit ?budget ?stats g
-        | `Naive -> Ordered.Stable.Naive.stable_models ?limit ?budget ?stats g
-        | `Compiled ->
-          Solve.Kernel.stable_models ?limit ?budget ?stats
-            ~flat:(flat_of t v.vpflats ~obj g)
-            g)
-      | `Naive ->
-        Store.preferred_models ?limit ?budget ~engine:`Naive ?stats v.vstore
-          ~obj
+      Solve.Kernel.stable_models ?limit ?budget ?stats
+        ~flat:(flat_of t v.vpflats ~obj g)
+        g
     in
     if B.is_complete r then cache_result v key (E_models (B.value r));
     r

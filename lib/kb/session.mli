@@ -9,8 +9,8 @@
 
     {b Versions and snapshots.}  The session keeps one mutable master
     store, guarded by an internal write lock, and {e publishes} an
-    immutable snapshot view — a (version, fingerprint, store copy,
-    cache) tuple — through a single atomic reference after every
+    immutable snapshot view — a (version, store copy, cache) tuple —
+    through a single atomic reference after every
     successful mutation.  A query pins the current view with one atomic
     read and runs entirely against that frozen version: no lock, no
     interference from writers preparing the next version, and no torn
@@ -19,13 +19,14 @@
     concurrently; mutating operations serialize on the write lock.
 
     {b Keying.}  Within a view, cache entries are keyed by the viewpoint
-    object and the operation (including its [limit]/[engine]
-    parameters); the view itself carries the {e structural fingerprint}
-    of the knowledge base — a digest of every object's name, parents and
-    rules in definition order — computed once at publish time.  A hit is
-    only ever served from the view a mutation published, so it reflects
-    a KB whose rules and order are byte-identical to the ones the entry
-    was computed from.
+    object and the operation (including its [limit]).  Every mutation
+    publishes a new view, and a lookup only reads the caches of the view
+    it pinned, so a hit always answers from the store copy the entry was
+    computed against (or from an entry the delta eviction below proved
+    unaffected by the mutations since).  There is one engine per
+    question — the least fixpoint for [query], the compiled kernel
+    ({!Solve.Kernel}) on a per-view cached {!Solve.Flat} program for
+    every enumeration — so no engine choice enters the key.
 
     {b Invalidation: delta eviction.}  The mutating operations
     ({!define}, {!define_src}, {!load}, {!add_rule}, {!add_rule_src},
@@ -51,8 +52,8 @@
     - {!load} may rewire parents of existing objects, so it evicts
       everything.
 
-    {!set_eviction} [`Wholesale] restores the pre-PR-10 flush-on-write
-    behaviour (the benchmark baseline).  Repairs, fallbacks, evictions
+    {!set_eviction} [`Wholesale] restores flush-on-write (the baseline
+    of the incremental benchmark and the session tests).  Repairs, fallbacks, evictions
     and carried entries are counted in {!counters} and, when
     {!use_metrics} is wired, as [inc_repairs] / [inc_fallbacks] /
     [inc_evictions] / [cache_kept] server metrics.
@@ -124,10 +125,6 @@ val set_eviction : t -> [ `Delta | `Wholesale ] -> unit
 
 val eviction : t -> [ `Delta | `Wholesale ]
 
-val fingerprint : t -> string
-(** The current view's structural fingerprint (hex digest); equal
-    fingerprints mean structurally identical knowledge bases. *)
-
 val version : t -> int
 (** The current view's version number: 0 at creation, +1 per published
     mutation (including {!invalidate}).  Monotone — concurrent readers
@@ -146,8 +143,7 @@ val new_version : t -> ?rules:Logic.Rule.t list -> string -> string
 
 val set_preference : t -> rule:string -> over:string -> unit
 (** {!Store.set_preference} through the session: the pair is logged and
-    a fresh view published (the preference order is part of the
-    fingerprint).  A no-op repeat still publishes. *)
+    a fresh view published.  A no-op repeat still publishes. *)
 
 val clear_preference : t -> rule:string -> over:string -> bool
 (** Like {!remove_rule}: only a removal that actually happened is logged
@@ -205,7 +201,6 @@ val query_src :
 val stable_models :
   ?limit:int ->
   ?budget:Ordered.Budget.t ->
-  ?engine:[ `Pruned | `Naive | `Compiled ] ->
   ?stats:Ordered.Counters.t ->
   t ->
   obj:string ->
@@ -214,7 +209,6 @@ val stable_models :
 val assumption_free_models :
   ?limit:int ->
   ?budget:Ordered.Budget.t ->
-  ?engine:[ `Pruned | `Naive | `Compiled ] ->
   ?stats:Ordered.Counters.t ->
   t ->
   obj:string ->
@@ -238,14 +232,12 @@ val prefer_gop :
 val preferred_models :
   ?limit:int ->
   ?budget:Ordered.Budget.t ->
-  ?engine:[ `Compiled | `Naive ] ->
-  ?search:[ `Pruned | `Naive | `Compiled ] ->
   ?stats:Ordered.Counters.t ->
   ?metrics:Governor.Metrics.t ->
   t ->
   obj:string ->
   Logic.Interp.t list Ordered.Budget.anytime
 (** {!Store.preferred_models} through the per-view result cache (keyed
-    by [obj], [limit], [engine] and [search]; only complete enumerations
-    are cached).  [metrics] accounts compilations and cache hits as in
-    {!prefer_gop}. *)
+    by [obj] and [limit]; only complete enumerations are cached), run by
+    the kernel on a cached flat compile of {!prefer_gop}.  [metrics]
+    accounts compilations and cache hits as in {!prefer_gop}. *)

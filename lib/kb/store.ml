@@ -298,20 +298,12 @@ let query ?budget kb ~obj l =
 let query_src ?budget kb ~obj src =
   query ?budget kb ~obj (Lang.Parser.parse_literal src)
 
-let stable_models ?limit ?budget ?(engine = `Pruned) ?stats kb ~obj =
-  let g = gop ?budget kb ~obj in
-  match engine with
-  | `Pruned -> Ordered.Stable.stable_models ?limit ?budget ?stats g
-  | `Naive -> Ordered.Stable.Naive.stable_models ?limit ?budget ?stats g
-  | `Compiled -> Solve.Kernel.stable_models ?limit ?budget ?stats g
+let stable_models ?limit ?budget ?stats kb ~obj =
+  Solve.Kernel.stable_models ?limit ?budget ?stats (gop ?budget kb ~obj)
 
-let assumption_free_models ?limit ?budget ?(engine = `Pruned) ?stats kb ~obj =
-  let g = gop ?budget kb ~obj in
-  match engine with
-  | `Pruned -> Ordered.Stable.assumption_free_models ?limit ?budget ?stats g
-  | `Naive ->
-    Ordered.Stable.Naive.assumption_free_models ?limit ?budget ?stats g
-  | `Compiled -> Solve.Kernel.assumption_free_models ?limit ?budget ?stats g
+let assumption_free_models ?limit ?budget ?stats kb ~obj =
+  Solve.Kernel.assumption_free_models ?limit ?budget ?stats
+    (gop ?budget kb ~obj)
 
 let explain kb ~obj l = Ordered.Explain.explain (gop kb ~obj) l
 
@@ -324,8 +316,7 @@ let prefer_spec kb ~obj =
   let prog = to_program kb in
   Prefer.Spec.make prog (Ordered.Program.component_id_exn prog obj) kb.prefs
 
-(* The compiled grounding is cached like the plain one; the naive oracle
-   is a differential reference and always recomputes. *)
+(* The compiled grounding is cached like the plain one. *)
 let prefer_gop ?budget kb ~obj =
   ignore (find_exn kb obj);
   match List.assoc_opt obj kb.pcache with
@@ -337,14 +328,5 @@ let prefer_gop ?budget kb ~obj =
     kb.pcache <- (obj, g) :: kb.pcache;
     g
 
-let preferred_models ?limit ?budget ?(engine = `Compiled) ?(search = `Pruned)
-    ?stats kb ~obj =
-  match engine with
-  | `Compiled -> (
-    let g = prefer_gop ?budget kb ~obj in
-    match search with
-    | `Pruned -> Ordered.Stable.stable_models ?limit ?budget ?stats g
-    | `Naive -> Ordered.Stable.Naive.stable_models ?limit ?budget ?stats g
-    | `Compiled -> Solve.Kernel.stable_models ?limit ?budget ?stats g)
-  | `Naive ->
-    Prefer.Naive.preferred_models ?limit ?budget ?stats (prefer_spec kb ~obj)
+let preferred_models ?limit ?budget ?stats kb ~obj =
+  Solve.Kernel.stable_models ?limit ?budget ?stats (prefer_gop ?budget kb ~obj)

@@ -47,7 +47,7 @@ val rules : t -> string -> Logic.Rule.t list
     [set_preference ~rule:"a" ~over:"b"] makes rules named [a] overrule
     rules named [b] where they conflict, even inside one object (see
     {!Prefer}).  The pair set is part of the store's state — dumped,
-    fingerprinted, logged and replicated like the objects themselves. *)
+    logged and replicated like the objects themselves. *)
 
 val preferences : t -> (string * string) list
 (** The (preferred, over) pairs in declaration order. *)
@@ -154,52 +154,41 @@ val least_model :
 val stable_models :
   ?limit:int ->
   ?budget:Ordered.Budget.t ->
-  ?engine:[ `Pruned | `Naive | `Compiled ] ->
   ?stats:Ordered.Counters.t ->
   t ->
   obj:string ->
   Logic.Interp.t list Ordered.Budget.anytime
 (** Anytime, like {!Ordered.Stable.stable_models}: a [Partial] result
-    carries the stable models found before the budget ran out.
-    [engine] selects the branch-and-propagate search ([`Pruned], the
-    default), the leaf-check oracle ([`Naive]) — same model set,
-    different enumeration order — or the compiled flat-array kernel
-    ([`Compiled], {!Solve.Kernel}) — same model set {e and} same
-    enumeration order as [`Pruned], fewer visited nodes; [stats]
-    accumulates search effort. *)
+    carries the stable models found before the budget ran out.  The
+    compiled flat-array kernel ({!Solve.Kernel}) enumerates, so models
+    come in the pruned search's order; [stats] accumulates search
+    effort, solver counters included. *)
 
 val assumption_free_models :
   ?limit:int ->
   ?budget:Ordered.Budget.t ->
-  ?engine:[ `Pruned | `Naive | `Compiled ] ->
   ?stats:Ordered.Counters.t ->
   t ->
   obj:string ->
   Logic.Interp.t list Ordered.Budget.anytime
 (** All assumption-free models viewed from [obj] (the stable models are
-    their maximal elements); same [engine]/[stats]/anytime contract as
-    {!stable_models}. *)
+    their maximal elements); same engine, [stats] and anytime contract
+    as {!stable_models}. *)
 
 val explain : t -> obj:string -> Logic.Literal.t -> Ordered.Explain.t
 
 val preferred_models :
   ?limit:int ->
   ?budget:Ordered.Budget.t ->
-  ?engine:[ `Compiled | `Naive ] ->
-  ?search:[ `Pruned | `Naive | `Compiled ] ->
   ?stats:Ordered.Counters.t ->
   t ->
   obj:string ->
   Logic.Interp.t list Ordered.Budget.anytime
 (** The preferred models viewed from [obj] under the store's preference
-    pairs (with no pairs: exactly {!stable_models}).  [`Compiled] (the
-    default) evaluates the {!Prefer.Compile} translation; [`Naive] runs
-    the {!Prefer.Naive} oracle — same model set, different enumeration
-    order.  [search] picks the stable-model engine used on the compiled
-    translation ([`Pruned], the default; [`Compiled] for the flat-array
-    kernel — same models and order, fewer nodes); it is ignored by the
-    naive route.  Raises {!Ordered.Diag.Error} if a preference names a
-    rule absent from this view. *)
+    pairs (with no pairs: exactly {!stable_models}): the kernel's stable
+    models of the {!Prefer.Compile} translation.  Raises
+    {!Ordered.Diag.Error} if a preference names a rule absent from this
+    view. *)
 
 val prefer_spec : t -> obj:string -> Prefer.Spec.t
 (** The validated preference specification for the view from [obj]. *)

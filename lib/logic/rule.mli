@@ -11,7 +11,7 @@
     surface syntax) so that rule-preference declarations can refer to it.
     The name is part of the rule's identity: it participates in
     {!compare}/{!equal} and is printed by {!pp}, so named rules
-    round-trip through source text, fingerprints and the WAL. *)
+    round-trip through source text, dumps and the WAL. *)
 
 type t = private {
   name : string option;

@@ -156,11 +156,12 @@ let kind_to_string = function
   | `Stable -> "stable"
   | `Af -> "assumption-free"
 
-let prefer_to_string = function `Compiled -> "compiled" | `Naive -> "naive"
+(* Echoed on preferred answers: the value a client sends in
+   ["prefer"], so responses read the same to revision-7 clients. *)
+let prefer_name = Wire.String "compiled"
 
 (* Per-request solver counters, folded into the server metrics after the
-   search returns (only the compiled kernel sets them, so pruned/naive
-   traffic leaves the stats line untouched). *)
+   search returns. *)
 let record_solver t (c : Ordered.Counters.t) =
   if Ordered.Counters.has_solver c then begin
     M.add t.metrics "solver_propagations" c.propagations;
@@ -312,11 +313,11 @@ let serve t ~id req =
   | Wire.New_version _ | Wire.Set_preference _ | Wire.Clear_preference _
   | Wire.Batch _ ->
     assert false (* routed to serve_write / handle_batch *)
-  | Wire.Query { obj; lit; prefer = None; search = _ } ->
+  | Wire.Query { obj; lit; prefer = false } ->
     let l = Lang.Parser.parse_literal lit in
     let v = Kb.Session.query ~budget session ~obj l in
     Wire.ok ?id [ ("value", Wire.String (value_to_string v)) ]
-  | Wire.Query { obj; lit; prefer = Some engine; search } -> (
+  | Wire.Query { obj; lit; prefer = true } -> (
     (* skeptical reading: the value all preferred models agree on,
        [undefined] when they disagree.  Sound only over the complete
        enumeration, so a budget trip carries no value at all. *)
@@ -325,8 +326,8 @@ let serve t ~id req =
       invalid_arg "query: literal must be ground";
     let stats = Ordered.Counters.create () in
     let result =
-      Kb.Session.preferred_models ~budget ~engine ?search ~stats
-        ~metrics:t.metrics session ~obj
+      Kb.Session.preferred_models ~budget ~stats ~metrics:t.metrics session
+        ~obj
     in
     record_solver t stats;
     match result with
@@ -340,34 +341,28 @@ let serve t ~id req =
       in
       Wire.ok ?id
         [ ("value", Wire.String (value_to_string v));
-          ("prefer", Wire.String (prefer_to_string engine))
+          ("prefer", prefer_name)
         ]
     | B.Partial (_, reason) ->
       Wire.partial ?id ~reason:(B.reason_to_string reason) [])
-  | Wire.Models { obj; kind; limit; engine; prefer } ->
+  | Wire.Models { obj; kind; limit; prefer } ->
     let stats = Ordered.Counters.create () in
     let result =
-      match prefer with
-      | Some pengine ->
-        Kb.Session.preferred_models ?limit ~budget ~engine:pengine
-          ~search:engine ~stats ~metrics:t.metrics session ~obj
-      | None -> (
-        match kind with
-        | `Stable ->
-          Kb.Session.stable_models ?limit ~budget ~engine ~stats session ~obj
-        | `Af ->
-          Kb.Session.assumption_free_models ?limit ~budget ~engine ~stats
-            session ~obj)
+      match (prefer, kind) with
+      | true, _ ->
+        Kb.Session.preferred_models ?limit ~budget ~stats ~metrics:t.metrics
+          session ~obj
+      | false, `Stable ->
+        Kb.Session.stable_models ?limit ~budget ~stats session ~obj
+      | false, `Af ->
+        Kb.Session.assumption_free_models ?limit ~budget ~stats session ~obj
     in
     record_solver t stats;
     let ms = B.value result in
     let fields =
-      (match prefer with
-      | Some pengine ->
-        [ ("kind", Wire.String "preferred");
-          ("prefer", Wire.String (prefer_to_string pengine))
-        ]
-      | None -> [ ("kind", Wire.String (kind_to_string kind)) ])
+      (if prefer then
+         [ ("kind", Wire.String "preferred"); ("prefer", prefer_name) ]
+       else [ ("kind", Wire.String (kind_to_string kind)) ])
       @ [ ("count", Wire.Int (List.length ms));
           ("models", Wire.List (List.map json_of_model ms))
         ]

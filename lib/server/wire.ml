@@ -310,15 +310,13 @@ type verb =
   | Query of {
       obj : string;
       lit : string;
-      prefer : [ `Compiled | `Naive ] option;
-      search : [ `Pruned | `Naive | `Compiled ] option;
+      prefer : bool;
     }
   | Models of {
       obj : string;
       kind : [ `Stable | `Af ];
       limit : int option;
-      engine : [ `Pruned | `Naive | `Compiled ];
-      prefer : [ `Compiled | `Naive ] option;
+      prefer : bool;
     }
   | Set_preference of { rule : string; over : string }
   | Clear_preference of { rule : string; over : string }
@@ -350,8 +348,8 @@ and request = { id : int option; budget : budget_spec; verb : verb }
 
 and batch_item = (request, string) result
 
-let package_version = "1.7.0"
-let protocol_revision = 7
+let package_version = "1.8.0"
+let protocol_revision = 8
 let max_batch = 256
 
 exception Bad_request of string
@@ -392,29 +390,22 @@ let str_list_field o name =
   | Some Null | None -> []
   | Some _ -> reject "field %S must be a list of strings" name
 
-let prefer_field o =
-  match opt_str_field o "prefer" with
-  | None -> None
-  | Some "compiled" -> Some `Compiled
-  | Some "naive" -> Some `Naive
-  | Some p -> reject "unknown prefer engine %S" p
+(* One engine answers each question, so the fields that used to pick
+   one — [search], its legacy alias [engine], and [prefer] — accept only
+   the value naming it, ["compiled"] (what revision-7 clients send for
+   the kernel and the compiled preference translation).  [true] when the
+   field is present. *)
+let compiled_field o name ~what =
+  match opt_str_field o name with
+  | None -> false
+  | Some "compiled" -> true
+  | Some e -> reject "unknown %s %S" what e
 
-(* [search] is the canonical field naming the stable-model search
-   engine; [engine] is kept as a legacy alias (models only).  When both
-   appear they must agree. *)
-let search_field o =
-  let of_name field = function
-    | "pruned" -> `Pruned
-    | "naive" -> `Naive
-    | "compiled" -> `Compiled
-    | e -> reject "unknown %s %S" field e
-  in
-  match (opt_str_field o "search", opt_str_field o "engine") with
-  | Some s, Some e when s <> e ->
-    reject "\"search\" and legacy \"engine\" disagree (%S vs %S)" s e
-  | Some s, _ -> Some (of_name "search engine" s)
-  | None, Some e -> Some (of_name "engine" e)
-  | None, None -> None
+let engine_fields o =
+  let prefer = compiled_field o "prefer" ~what:"prefer engine" in
+  ignore (compiled_field o "search" ~what:"search engine" : bool);
+  ignore (compiled_field o "engine" ~what:"engine" : bool);
+  prefer
 
 let rec decode_verb o = function
   | "load" -> Load { src = str_field o "src" }
@@ -430,11 +421,8 @@ let rec decode_verb o = function
   | "new_version" ->
     New_version { name = str_field o "name"; rules = opt_str_field o "rules" }
   | "query" ->
-    let prefer = prefer_field o in
-    let search = search_field o in
-    if search <> None && prefer = None then
-      reject "\"search\" on a query requires \"prefer\"";
-    Query { obj = str_field o "obj"; lit = str_field o "lit"; prefer; search }
+    let prefer = engine_fields o in
+    Query { obj = str_field o "obj"; lit = str_field o "lit"; prefer }
   | "models" ->
     let kind =
       match opt_str_field o "kind" with
@@ -442,15 +430,13 @@ let rec decode_verb o = function
       | Some "assumption-free" -> `Af
       | Some k -> reject "unknown models kind %S" k
     in
-    let engine = Option.value ~default:`Pruned (search_field o) in
-    let prefer = prefer_field o in
-    if prefer <> None && kind = `Af then
+    let prefer = engine_fields o in
+    if prefer && kind = `Af then
       reject "\"prefer\" applies to stable models only (kind \"stable\")";
     Models
       { obj = str_field o "obj";
         kind;
         limit = opt_nat_field o "limit";
-        engine;
         prefer
       }
   | "set_preference" ->

@@ -62,31 +62,24 @@ type verb =
   | Add_rule of { obj : string; rule : string }
   | Remove_rule of { obj : string; rule : string }
   | New_version of { name : string; rules : string option }
-  | Query of {
-      obj : string;
-      lit : string;
-      prefer : [ `Compiled | `Naive ] option;
-      search : [ `Pruned | `Naive | `Compiled ] option;
-    }
-      (** with [prefer], the skeptical value of [lit] across the
-          preferred models (under the KB's preference pairs) instead of
-          its least-model value; [search] then picks the stable-model
-          engine used on the compiled preference translation (sending
-          it without [prefer] is a request error) *)
+  | Query of { obj : string; lit : string; prefer : bool }
+      (** with [prefer] (["prefer":"compiled"]), the skeptical value of
+          [lit] across the preferred models (under the KB's preference
+          pairs) instead of its least-model value *)
   | Models of {
       obj : string;
       kind : [ `Stable | `Af ];
       limit : int option;
-      engine : [ `Pruned | `Naive | `Compiled ];
-      prefer : [ `Compiled | `Naive ] option;
+      prefer : bool;
     }
-      (** [engine] comes from the canonical ["search"] field (legacy
-          alias ["engine"]; ["compiled"] selects the flat-array
-          kernel).  With [prefer] (["compiled"] or ["naive"]),
-          enumerate the preferred models through the chosen route —
-          ["search"] then applies to the compiled route's stable
-          search — and combining [prefer] with the assumption-free
-          kind is a request error *)
+      (** enumerated by the compiled kernel.  With [prefer]
+          (["prefer":"compiled"]), enumerate the preferred models of the
+          compiled preference translation instead; combining it with the
+          assumption-free kind is a request error.  The revision-7
+          engine selectors ["search"] and ["engine"] are still accepted
+          with the value ["compiled"] on query and models (and ignored);
+          any other value of ["search"], ["engine"] or ["prefer"] is a
+          request error *)
   | Set_preference of { rule : string; over : string }
       (** add one rule-preference pair (a write; replicates) *)
   | Clear_preference of { rule : string; over : string }

@@ -443,7 +443,7 @@ let search mode ?limit ?(budget = Budget.unlimited) ?stats ?flat (g : Gop.t) =
     let f = match flat with Some f -> f | None -> Flat.compile g in
     let na = f.Flat.n_atoms in
     let nr = f.Flat.n_rules in
-    let value = Array.make (max 1 na) 0 in
+    let value = Array.make na 0 in
     let vals = Gop.Values.of_codes value in
     let full () =
       match limit with Some l -> !count >= l | None -> false

@@ -283,12 +283,12 @@ let test_prefix_property_naive =
     (fun (n, k) ->
       let g = Ordered.Bridge.ground_ov (W.even_loops k) in
       let full =
-        match Ordered.Stable.Naive.assumption_free_models g with
+        match Oracle.Stable.assumption_free_models g with
         | B.Complete ms -> ms
         | B.Partial _ -> QCheck.Test.fail_report "unlimited run partial"
       in
       match
-        Ordered.Stable.Naive.assumption_free_models
+        Oracle.Stable.assumption_free_models
           ~budget:(B.make ~max_steps:n ())
           g
       with

@@ -3,7 +3,7 @@
    random (acyclicity-preserving) preference pairs:
 
    - [Prefer.Compile] (fresh per-rule components + pruned search) and
-     [Prefer.Naive] (directly refined adjacency + leaf-check search)
+     [Oracle.Prefer] (directly refined adjacency + leaf-check search)
      enumerate the same preferred-model sets;
    - with no preferences, both routes coincide with the plain stable
      semantics of the original program (the per-rule component splitting
@@ -136,7 +136,7 @@ let spec_of (p, prefs) = Prefer.Spec.make p 0 prefs
 let compiled spec =
   B.value (Prefer.Compile.preferred_models (Prefer.Compile.compile spec))
 
-let naive spec = B.value (Prefer.Naive.preferred_models spec)
+let naive spec = B.value (Oracle.Prefer.preferred_models spec)
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)

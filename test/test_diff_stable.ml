@@ -1,6 +1,6 @@
 (* Differential testing of the three enumeration engines — compiled
    ([Solve.Kernel]), pruned branch-and-propagate, and the leaf-check
-   oracles ([Stable.Naive], [Exhaustive.Naive]) — on random programs:
+   oracles ([Oracle.Stable], [Oracle.Exhaustive]) — on random programs:
 
    - same assumption-free / stable / total model sets across all three;
    - the compiled kernel reproduces the pruned enumeration {e order}
@@ -30,6 +30,7 @@ module B = Ordered.Budget
 module S = Ordered.Stable
 module E = Ordered.Exhaustive
 module K = Solve.Kernel
+module O = Oracle
 
 let iters name base =
   ignore name;
@@ -43,14 +44,22 @@ let iters name base =
 let gop_of p = Ordered.Gop.ground p 0
 
 let af_pruned ?limit g = B.value (S.assumption_free_models ?limit g)
-let af_naive ?limit g = B.value (S.Naive.assumption_free_models ?limit g)
+let af_naive ?limit g = B.value (O.Stable.assumption_free_models ?limit g)
 let af_comp ?limit ?stats g = B.value (K.assumption_free_models ?limit ?stats g)
 let st_pruned ?limit g = B.value (S.stable_models ?limit g)
-let st_naive ?limit g = B.value (S.Naive.stable_models ?limit g)
+let st_naive ?limit g = B.value (O.Stable.stable_models ?limit g)
 let st_comp ?limit g = B.value (K.stable_models ?limit g)
 let tot_pruned ?limit g = B.value (E.total_models ?limit g)
-let tot_naive ?limit g = B.value (E.Naive.total_models ?limit g)
+let tot_naive ?limit g = B.value (O.Exhaustive.total_models ?limit g)
 let tot_comp ?limit ?stats g = B.value (K.total_models ?limit ?stats g)
+
+(* The rule-less program: an empty grounding, whose least model {} is
+   its one assumption-free, stable and total model.  Mixed into every
+   random-program property below. *)
+let empty_program = Ordered.Program.make_exn [ ("c0", []) ] []
+
+let gen_program =
+  Gen.frequency [ (1, Gen.pure empty_program); (19, Test_props.gen_ordered 4) ]
 
 let interp_list_equal l1 l2 =
   List.length l1 = List.length l2 && List.for_all2 Interp.equal l1 l2
@@ -59,7 +68,7 @@ let prop_af_sets =
   qcheck
     ~count:(iters "af" 400)
     ~print:print_program "pruned = naive: assumption-free model sets"
-    (Test_props.gen_ordered 4)
+    gen_program
     (fun p ->
       let g = gop_of p in
       interp_set_equal (af_pruned g) (af_naive g))
@@ -68,7 +77,7 @@ let prop_stable_sets =
   qcheck
     ~count:(iters "stable" 250)
     ~print:print_program "pruned = naive: stable model sets"
-    (Test_props.gen_ordered 4)
+    gen_program
     (fun p ->
       let g = gop_of p in
       interp_set_equal (st_pruned g) (st_naive g))
@@ -77,7 +86,7 @@ let prop_total_sets =
   qcheck
     ~count:(iters "total" 250)
     ~print:print_program "pruned = naive: total model sets"
-    (Test_props.gen_ordered 4)
+    gen_program
     (fun p ->
       let g = gop_of p in
       interp_set_equal (tot_pruned g) (tot_naive g))
@@ -91,7 +100,7 @@ let prop_compiled_lists =
     ~count:(iters "compiled" 400)
     ~print:print_program
     "compiled = pruned: af/stable/total enumerations, in order"
-    (Test_props.gen_ordered 4)
+    gen_program
     (fun p ->
       let g = gop_of p in
       interp_list_equal (af_comp g) (af_pruned g)
@@ -102,7 +111,7 @@ let prop_compiled_nodes =
   qcheck
     ~count:(iters "compiled-nodes" 250)
     ~print:print_program "compiled visits no more nodes than pruned"
-    (Test_props.gen_ordered 4)
+    gen_program
     (fun p ->
       let g = gop_of p in
       let pruned = Ordered.Counters.create () in
@@ -141,7 +150,7 @@ let prop_limit_counts =
     ~print:(fun (p, k) -> Printf.sprintf "%s limit=%d" (print_program p) k)
     "pruned = naive: counts under ?limit"
     Gen.(
-      let* p = Test_props.gen_ordered 4 in
+      let* p = gen_program in
       let* k = int_bound 4 in
       return (p, k))
     (fun (p, k) ->
@@ -160,7 +169,7 @@ let prop_limit_prefix =
     ~print:(fun (p, k) -> Printf.sprintf "%s limit=%d" (print_program p) k)
     "?limit:k is the first k of each engine's own enumeration"
     Gen.(
-      let* p = Test_props.gen_ordered 4 in
+      let* p = gen_program in
       let* k = int_bound 4 in
       return (p, k))
     (fun (p, k) ->
@@ -183,7 +192,7 @@ let prop_stable_limit_consistent =
     ~print:(fun (p, k) -> Printf.sprintf "%s limit=%d" (print_program p) k)
     "stable ?limit = maximal of the same engine's limited enumeration"
     Gen.(
-      let* p = Test_props.gen_ordered 4 in
+      let* p = gen_program in
       let* k = int_bound 4 in
       return (p, k))
     (fun (p, k) ->
@@ -203,7 +212,7 @@ let prop_stable_limit_consistent =
 let prop_pruned_sound =
   qcheck ~count:150 ~print:print_program
     "pruned search emits assumption-free models, least model first"
-    (Test_props.gen_ordered 4)
+    gen_program
     (fun p ->
       let g = gop_of p in
       match af_pruned g with

@@ -1,8 +1,9 @@
 (* Golden enumeration tests: exact model *lists* (contents and order, not
    just counts or sets) for the paper's figure programs and a Section-5
    knowledge base, pinned for the branch-and-propagate search, the naive
-   oracle and the compiled flat-array kernel (whose contract is the
-   *pruned* order exactly).
+   oracle (test/oracle) and the compiled flat-array kernel (whose
+   contract is the *pruned* order exactly; it is the one engine behind
+   Kb, the session cache, the server and [olp models]).
 
    The lists encode the documented search-order contract — first
    discovered first, least model first for assumption-free enumerations —
@@ -15,6 +16,7 @@ open Helpers
 module S = Ordered.Stable
 module E = Ordered.Exhaustive
 module K = Solve.Kernel
+module O = Oracle
 
 let v = Ordered.Budget.value
 let check_list = Alcotest.check (Alcotest.list testable_interp)
@@ -23,13 +25,13 @@ let check_list = Alcotest.check (Alcotest.list testable_interp)
    return exactly that one model. *)
 let check_singleton name g m =
   check_list (name ^ ": af pruned") [ m ] (v (S.assumption_free_models g));
-  check_list (name ^ ": af naive") [ m ] (v (S.Naive.assumption_free_models g));
+  check_list (name ^ ": af naive") [ m ] (v (O.Stable.assumption_free_models g));
   check_list (name ^ ": af compiled") [ m ] (v (K.assumption_free_models g));
   check_list (name ^ ": stable pruned") [ m ] (v (S.stable_models g));
-  check_list (name ^ ": stable naive") [ m ] (v (S.Naive.stable_models g));
+  check_list (name ^ ": stable naive") [ m ] (v (O.Stable.stable_models g));
   check_list (name ^ ": stable compiled") [ m ] (v (K.stable_models g));
   check_list (name ^ ": total pruned") [ m ] (v (E.total_models g));
-  check_list (name ^ ": total naive") [ m ] (v (E.Naive.total_models g));
+  check_list (name ^ ": total naive") [ m ] (v (O.Exhaustive.total_models g));
   check_list (name ^ ": total compiled") [ m ] (v (K.total_models g))
 
 (* ------------------------------------------------------------------ *)
@@ -76,16 +78,16 @@ let test_fig2 () =
   check_list "P2/c1: af pruned" [ Interp.empty ]
     (v (S.assumption_free_models g));
   check_list "P2/c1: af naive" [ Interp.empty ]
-    (v (S.Naive.assumption_free_models g));
+    (v (O.Stable.assumption_free_models g));
   check_list "P2/c1: af compiled" [ Interp.empty ]
     (v (K.assumption_free_models g));
   check_list "P2/c1: stable pruned" [ Interp.empty ] (v (S.stable_models g));
   check_list "P2/c1: stable naive" [ Interp.empty ]
-    (v (S.Naive.stable_models g));
+    (v (O.Stable.stable_models g));
   check_list "P2/c1: stable compiled" [ Interp.empty ] (v (K.stable_models g));
   (* Example 4: P2 has no total model at all. *)
   check_list "P2/c1: total pruned" [] (v (E.total_models g));
-  check_list "P2/c1: total naive" [] (v (E.Naive.total_models g));
+  check_list "P2/c1: total naive" [] (v (O.Exhaustive.total_models g));
   check_list "P2/c1: total compiled" [] (v (K.total_models g))
 
 (* ------------------------------------------------------------------ *)
@@ -103,10 +105,10 @@ let loan_src facts =
 
 let check_af_and_stable name g m =
   check_list (name ^ ": af pruned") [ m ] (v (S.assumption_free_models g));
-  check_list (name ^ ": af naive") [ m ] (v (S.Naive.assumption_free_models g));
+  check_list (name ^ ": af naive") [ m ] (v (O.Stable.assumption_free_models g));
   check_list (name ^ ": af compiled") [ m ] (v (K.assumption_free_models g));
   check_list (name ^ ": stable pruned") [ m ] (v (S.stable_models g));
-  check_list (name ^ ": stable naive") [ m ] (v (S.Naive.stable_models g));
+  check_list (name ^ ": stable naive") [ m ] (v (O.Stable.stable_models g));
   check_list (name ^ ": stable compiled") [ m ] (v (K.stable_models g))
 
 let test_fig3 () =
@@ -139,24 +141,24 @@ let test_example5 () =
     (v (S.assumption_free_models g));
   check_list "P5: af naive (least model first, other order)"
     [ m_least; m_a; m_b ]
-    (v (S.Naive.assumption_free_models g));
+    (v (O.Stable.assumption_free_models g));
   (* the compiled kernel reproduces the pruned order exactly *)
   check_list "P5: af compiled (= pruned order)"
     [ m_least; m_b; m_a ]
     (v (K.assumption_free_models g));
   check_list "P5: stable pruned" [ m_b; m_a ] (v (S.stable_models g));
-  check_list "P5: stable naive" [ m_a; m_b ] (v (S.Naive.stable_models g));
+  check_list "P5: stable naive" [ m_a; m_b ] (v (O.Stable.stable_models g));
   check_list "P5: stable compiled (= pruned order)" [ m_b; m_a ]
     (v (K.stable_models g));
   check_list "P5: total pruned" [ m_b; m_a ] (v (E.total_models g));
-  check_list "P5: total naive" [ m_a; m_b ] (v (E.Naive.total_models g));
+  check_list "P5: total naive" [ m_a; m_b ] (v (O.Exhaustive.total_models g));
   check_list "P5: total compiled (= pruned order)" [ m_b; m_a ]
     (v (K.total_models g));
   (* limit = the first k of each engine's own order *)
   check_list "P5: af pruned limit 2" [ m_least; m_b ]
     (v (S.assumption_free_models ~limit:2 g));
   check_list "P5: af naive limit 2" [ m_least; m_a ]
-    (v (S.Naive.assumption_free_models ~limit:2 g));
+    (v (O.Stable.assumption_free_models ~limit:2 g));
   check_list "P5: af compiled limit 2" [ m_least; m_b ]
     (v (K.assumption_free_models ~limit:2 g))
 
@@ -180,15 +182,13 @@ let test_kb () =
         "remote(ann)"; "-remote(bob)"
       ]
   in
-  check_list "kb: af pruned" [ m_eng ]
+  let g = Kb.gop kb ~obj:"engineering" in
+  check_list "kb: af pruned" [ m_eng ] (v (S.assumption_free_models g));
+  check_list "kb: af naive" [ m_eng ] (v (O.Stable.assumption_free_models g));
+  check_list "kb: af (kernel)" [ m_eng ]
     (v (Kb.assumption_free_models kb ~obj:"engineering"));
-  check_list "kb: af naive" [ m_eng ]
-    (v (Kb.assumption_free_models ~engine:`Naive kb ~obj:"engineering"));
-  check_list "kb: af compiled" [ m_eng ]
-    (v (Kb.assumption_free_models ~engine:`Compiled kb ~obj:"engineering"));
-  check_list "kb: stable" [ m_eng ] (v (Kb.stable_models kb ~obj:"engineering"));
-  check_list "kb: stable compiled" [ m_eng ]
-    (v (Kb.stable_models ~engine:`Compiled kb ~obj:"engineering"));
+  check_list "kb: stable (kernel)" [ m_eng ]
+    (v (Kb.stable_models kb ~obj:"engineering"));
   (* A revision freezing bonuses overrules the inherited default. *)
   let v2 =
     Kb.new_version kb ~rules:[ r "-bonus(X) :- employee(X)." ] "engineering"
@@ -202,7 +202,16 @@ let test_kb () =
   check_list "kb: stable after revision" [ m_v2 ]
     (v (Kb.stable_models kb ~obj:v2));
   check_list "kb: stable after revision (naive)" [ m_v2 ]
-    (v (Kb.stable_models ~engine:`Naive kb ~obj:v2))
+    (v (O.Stable.stable_models (Kb.gop kb ~obj:v2)));
+  (* A rule-less object grounds to no atoms at all: the least model {}
+     is its one assumption-free, stable and total model, for every
+     engine and through the store. *)
+  Kb.define kb "blank" [];
+  check_singleton "kb: rule-less object" (Kb.gop kb ~obj:"blank") Interp.empty;
+  check_list "kb: rule-less object (kernel, via Kb)" [ Interp.empty ]
+    (v (Kb.stable_models kb ~obj:"blank"));
+  check_list "kb: rule-less object af (kernel, via Kb)" [ Interp.empty ]
+    (v (Kb.assumption_free_models kb ~obj:"blank"))
 
 let suite =
   [ Alcotest.test_case "F1: penguin model lists" `Quick test_fig1;

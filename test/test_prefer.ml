@@ -15,7 +15,7 @@ let spec_of ?(prefs = []) src =
   Prefer.Spec.make prog 0 prefs
 
 let compiled ?trace spec = v (Prefer.Compile.preferred_models (Prefer.Compile.compile ?trace spec))
-let naive spec = v (Prefer.Naive.preferred_models spec)
+let naive spec = v (Oracle.Prefer.preferred_models spec)
 
 (* ------------------------------------------------------------------ *)
 (* Surface syntax                                                      *)

@@ -108,10 +108,14 @@ let test_oversized () =
 (* ------------------------------------------------------------------ *)
 
 let test_decode_requests () =
+  (* revision 8: one engine per question, the selectors reduced to the
+     value naming it *)
+  Alcotest.(check int) "protocol revision" 8 W.protocol_revision;
+  Alcotest.(check string) "package version" "1.8.0" W.package_version;
   (match W.decode_request {|{"op":"query","obj":"c1","lit":"p","id":7}|} with
   | Ok
       { id = Some 7;
-        verb = W.Query { obj = "c1"; lit = "p"; prefer = None; search = None };
+        verb = W.Query { obj = "c1"; lit = "p"; prefer = false };
         _
       } -> ()
   | Ok _ -> Alcotest.fail "query decoded wrong"
@@ -121,19 +125,20 @@ let test_decode_requests () =
        {|{"op":"query","obj":"c1","lit":"p","prefer":"compiled",
           "search":"compiled"}|}
    with
-  | Ok { verb = W.Query { prefer = Some `Compiled; search = Some `Compiled; _ };
-         _
-       } -> ()
+  | Ok { verb = W.Query { prefer = true; _ }; _ } -> ()
   | Ok _ -> Alcotest.fail "query search decoded wrong"
   | Error e ->
     Alcotest.failf "query search rejected: %s" (W.error_to_string e));
+  (* a revision-7 client naming the kernel on a plain query *)
   (match
-     W.decode_request {|{"op":"query","obj":"c1","lit":"p","prefer":"naive"}|}
+     W.decode_request
+       {|{"op":"query","obj":"c1","lit":"p","search":"compiled",
+          "engine":"compiled"}|}
    with
-  | Ok { verb = W.Query { prefer = Some `Naive; _ }; _ } -> ()
+  | Ok { verb = W.Query { prefer = false; _ }; _ } -> ()
   | Ok _ -> Alcotest.fail "query prefer decoded wrong"
   | Error e ->
-    Alcotest.failf "query prefer rejected: %s" (W.error_to_string e));
+    Alcotest.failf "query search/engine rejected: %s" (W.error_to_string e));
   (match
      W.decode_request
        {|{"op":"models","obj":"o","prefer":"compiled","limit":2}|}
@@ -141,7 +146,7 @@ let test_decode_requests () =
   | Ok
       { verb =
           W.Models
-            { kind = `Stable; limit = Some 2; prefer = Some `Compiled; _ };
+            { kind = `Stable; limit = Some 2; prefer = true; _ };
         _
       } -> ()
   | Ok _ -> Alcotest.fail "models prefer decoded wrong"
@@ -164,28 +169,30 @@ let test_decode_requests () =
   (match
      W.decode_request
        {|{"op":"models","obj":"o","kind":"assumption-free","limit":2,
-          "engine":"naive","timeout_ms":50,"max_steps":100}|}
+          "engine":"compiled","timeout_ms":50,"max_steps":100}|}
    with
   | Ok
       { budget = { timeout_ms = Some 50; max_steps = Some 100 };
-        verb = W.Models { kind = `Af; limit = Some 2; engine = `Naive; _ };
+        verb = W.Models { kind = `Af; limit = Some 2; prefer = false; _ };
         _
       } -> ()
   | Ok _ -> Alcotest.fail "models decoded wrong"
   | Error e -> Alcotest.failf "models rejected: %s" (W.error_to_string e));
-  (* the canonical "search" field and its legacy "engine" alias *)
+  (* the revision-7 "search" field and its legacy "engine" alias still
+     decode when they name the one engine *)
   (match
      W.decode_request {|{"op":"models","obj":"o","search":"compiled"}|}
    with
-  | Ok { verb = W.Models { engine = `Compiled; _ }; _ } -> ()
+  | Ok { verb = W.Models { prefer = false; _ }; _ } -> ()
   | Ok _ -> Alcotest.fail "models search decoded wrong"
   | Error e ->
     Alcotest.failf "models search rejected: %s" (W.error_to_string e));
   (match
      W.decode_request
-       {|{"op":"models","obj":"o","search":"naive","engine":"naive"}|}
+       {|{"op":"models","obj":"o","search":"compiled","engine":"compiled",
+          "prefer":"compiled"}|}
    with
-  | Ok { verb = W.Models { engine = `Naive; _ }; _ } -> ()
+  | Ok { verb = W.Models { prefer = true; _ }; _ } -> ()
   | Ok _ -> Alcotest.fail "models search+engine decoded wrong"
   | Error e ->
     Alcotest.failf "models search+engine rejected: %s" (W.error_to_string e));
@@ -296,10 +303,15 @@ let test_decode_requests () =
   err {|{"op":"hello","seq":-1,"protocol":3}|};
   err {|{"op":"pull"}|} (* missing from *);
   err {|{"op":"models","obj":"o","search":"fastest"}|};
-  err {|{"op":"models","obj":"o","search":"compiled","engine":"pruned"}|}
-  (* canonical field and legacy alias must agree *);
-  err {|{"op":"query","obj":"o","lit":"p","search":"compiled"}|}
-  (* search on a query needs prefer *);
+  (* the engines revision 8 removed are unknown engines now *)
+  err {|{"op":"models","obj":"o","search":"pruned"}|};
+  err {|{"op":"models","obj":"o","search":"naive"}|};
+  err {|{"op":"models","obj":"o","engine":"pruned"}|};
+  err {|{"op":"models","obj":"o","engine":"naive"}|};
+  err {|{"op":"models","obj":"o","search":"compiled","engine":"pruned"}|};
+  err {|{"op":"models","obj":"o","prefer":"naive"}|};
+  err {|{"op":"query","obj":"o","lit":"p","prefer":"naive"}|};
+  err {|{"op":"query","obj":"o","lit":"p","search":"pruned"}|};
   err {|{"op":"stats","id":"seven"}|};
   err {|[1,2,3]|};
   err {|"stats"|}
@@ -315,11 +327,11 @@ let corpus =
     {|{"op":"remove_rule","obj":"x","rule":"p :- q."}|};
     {|{"op":"new_version","name":"x"}|};
     {|{"op":"query","obj":"c1","lit":"fly(penguin)","timeout_ms":100}|};
-    {|{"op":"models","obj":"c1","kind":"stable","limit":3,"engine":"pruned"}|};
+    {|{"op":"models","obj":"c1","kind":"stable","limit":3,"engine":"compiled"}|};
     {|{"op":"models","obj":"c1","kind":"stable","search":"compiled"}|};
     {|{"op":"models","obj":"c1","prefer":"compiled","limit":3}|};
     {|{"op":"query","obj":"c1","lit":"p","prefer":"compiled","search":"compiled"}|};
-    {|{"op":"query","obj":"c1","lit":"p","prefer":"naive"}|};
+    {|{"op":"query","obj":"c1","lit":"p","search":"compiled"}|};
     {|{"op":"set_preference","rule":"nf","over":"f"}|};
     {|{"op":"clear_preference","rule":"nf","over":"f"}|};
     {|{"op":"pull","from":4,"max":128,"addr":"127.0.0.1:7001"}|};

@@ -144,20 +144,20 @@ let test_handshake () =
     (contains ~needle:"revision" (error_message j));
   (* a replica ahead of the primary has a diverged history *)
   let j =
-    Engine.handle_line engine {|{"op":"hello","seq":99,"protocol":7}|}
+    Engine.handle_line engine {|{"op":"hello","seq":99,"protocol":8}|}
   in
   Alcotest.(check string) "diverged replica refused" "handshake"
     (error_kind j);
   (* the good case tells the replica to tail *)
   let j =
-    Engine.handle_line engine {|{"op":"hello","seq":0,"protocol":7}|}
+    Engine.handle_line engine {|{"op":"hello","seq":0,"protocol":8}|}
   in
   Alcotest.(check string) "hello ok" "ok" (status j);
   Alcotest.(check (option string)) "action is tail" (Some "tail")
     (str_member "action" j);
   (* replication verbs without a data directory are input errors *)
   let bare = Engine.create () in
-  let j = Engine.handle_line bare {|{"op":"hello","seq":0,"protocol":7}|} in
+  let j = Engine.handle_line bare {|{"op":"hello","seq":0,"protocol":8}|} in
   Alcotest.(check string) "hello without persistence" "input" (error_kind j)
 
 (* ------------------------------------------------------------------ *)
@@ -472,7 +472,7 @@ let test_fencing () =
     let j = Engine.handle_line e2 line in
     Alcotest.(check string) ("typed fence: " ^ line) "fenced" (error_kind j)
   in
-  fenced {|{"op":"hello","seq":0,"protocol":7,"epoch":1,"rid":"x"}|};
+  fenced {|{"op":"hello","seq":0,"protocol":8,"epoch":1,"rid":"x"}|};
   fenced {|{"op":"pull","from":0,"epoch":1,"rid":"x"}|};
   fenced {|{"op":"fetch_snapshot","epoch":1}|};
   (* a link over the promoted directory refuses to follow it *)

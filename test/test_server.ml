@@ -84,7 +84,7 @@ let test_concurrent_budgets () =
   let stable = {|{"op":"models","obj":"leaf","kind":"stable"}|} in
   let query = {|{"op":"query","obj":"leaf","lit":"q(1)"}|} in
   let tripped =
-    {|{"op":"models","obj":"leaf","kind":"assumption-free","engine":"naive","max_steps":1,"id":99}|}
+    {|{"op":"models","obj":"leaf","kind":"assumption-free","max_steps":1,"id":99}|}
   in
   let threads =
     [ client 0 [ stable; query; stable ];

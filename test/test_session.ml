@@ -31,7 +31,7 @@ let test_hit_after_repeat () =
   Alcotest.(check bool) "same models" true (interp_set_equal once again);
   (* distinct parameters are distinct keys, not hits *)
   ignore (KS.stable_models ~limit:1 s ~obj:"bot");
-  ignore (KS.stable_models ~engine:`Naive s ~obj:"bot");
+  ignore (KS.preferred_models s ~obj:"bot");
   ignore (KS.assumption_free_models s ~obj:"bot");
   check_counters "other keys" ~hits:1 ~misses:4 s;
   (* query and explain memoize too *)
@@ -141,16 +141,6 @@ let test_delta_eviction () =
   Alcotest.(check int) "wholesale: recompute is a miss" (m + 1)
     (KS.counters s).KS.misses
 
-let test_fingerprint_tracks_structure () =
-  let a = session_with demo_src in
-  let b = session_with demo_src in
-  Alcotest.(check string)
-    "identical KBs share a fingerprint" (KS.fingerprint a) (KS.fingerprint b);
-  KS.add_rule_src b ~obj:"bot" "swims(penguin).";
-  Alcotest.(check bool)
-    "mutation changes the fingerprint" false
-    (String.equal (KS.fingerprint a) (KS.fingerprint b))
-
 let test_partial_not_cached () =
   let s = session_with demo_src in
   (* a 1-step budget trips in grounding (raises) or in enumeration
@@ -170,7 +160,8 @@ let test_partial_not_cached () =
 
 (* Differential: session answers (first call and cached repeat) agree
    with a fresh uncached Kb on random ordered programs, across every
-   object, both model kinds and engines. *)
+   object and both model kinds, and enumerate in the pruned search's
+   order (the kernel's order contract, observed through the cache). *)
 let prop_cached_equals_uncached =
   qcheck ~count:60 ~print:print_program
     "session = fresh store on random KBs (and repeats hit)"
@@ -183,38 +174,30 @@ let prop_cached_equals_uncached =
       Kb.load fresh src;
       List.for_all
         (fun obj ->
-          List.for_all
-            (fun engine ->
-              let of_store f = B.value (f ()) in
-              let st_kb =
-                of_store (fun () -> Kb.stable_models ~engine fresh ~obj)
-              and af_kb =
-                of_store (fun () ->
-                    Kb.assumption_free_models ~engine fresh ~obj)
-              in
-              let st1 = of_store (fun () -> KS.stable_models ~engine s ~obj) in
-              let before = (KS.counters s).KS.hits in
-              let st2 = of_store (fun () -> KS.stable_models ~engine s ~obj) in
-              let hit = (KS.counters s).KS.hits = before + 1 in
-              let af = of_store (fun () ->
-                  KS.assumption_free_models ~engine s ~obj)
-              in
-              hit
-              && interp_set_equal st1 st_kb
-              && interp_set_equal st2 st_kb
-              && interp_set_equal af af_kb
-              && Interp.equal
-                   (KS.least_model s ~obj)
-                   (Kb.least_model fresh ~obj))
-            [ `Pruned; `Naive ])
+          let of_store f = B.value (f ()) in
+          let st_kb = of_store (fun () -> Kb.stable_models fresh ~obj)
+          and af_kb = of_store (fun () -> Kb.assumption_free_models fresh ~obj)
+          and st_ref =
+            of_store (fun () ->
+                Ordered.Stable.stable_models (Kb.gop fresh ~obj))
+          in
+          let st1 = of_store (fun () -> KS.stable_models s ~obj) in
+          let before = (KS.counters s).KS.hits in
+          let st2 = of_store (fun () -> KS.stable_models s ~obj) in
+          let hit = (KS.counters s).KS.hits = before + 1 in
+          let af = of_store (fun () -> KS.assumption_free_models s ~obj) in
+          hit
+          && List.equal Interp.equal st1 st_ref
+          && interp_set_equal st1 st_kb
+          && interp_set_equal st2 st_kb
+          && interp_set_equal af af_kb
+          && Interp.equal (KS.least_model s ~obj) (Kb.least_model fresh ~obj))
         (KS.objects s))
 
 let suite =
   [ Alcotest.test_case "hit after repeat" `Quick test_hit_after_repeat;
     Alcotest.test_case "delta eviction across mutations" `Quick
       test_delta_eviction;
-    Alcotest.test_case "fingerprint tracks structure" `Quick
-      test_fingerprint_tracks_structure;
     Alcotest.test_case "partial results are not cached" `Quick
       test_partial_not_cached;
     prop_cached_equals_uncached
