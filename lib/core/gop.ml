@@ -28,6 +28,61 @@ type t = {
 let dedup_body body =
   Literal.Set.elements (Literal.Set.of_list body)
 
+module Instance_tbl = Hashtbl.Make (struct
+  type t = Program.component_id * Rule.t
+
+  let equal (c, r) (c', r') = c = c' && Rule.equal r r'
+
+  let hash (c, (r : Rule.t)) =
+    List.fold_left
+      (fun h l -> (h * 31) + Literal.hash l)
+      ((c * 31) + Literal.hash r.head)
+      r.body
+end)
+
+(* One ground rule of a tagged view over the atom ids [intern] hands
+   out: the head first, then the deduplicated body in literal order —
+   the order that fixes scratch atom numbering. *)
+let grule_of intern (c, (r : Rule.t)) =
+  if not (Rule.is_ground r) then invalid_arg "Gop: non-ground rule in view";
+  let head = intern (Rule.head r).Literal.atom in
+  { head;
+    head_pol = Literal.is_positive (Rule.head r);
+    body =
+      Array.of_list
+        (List.map
+           (fun (l : Literal.t) -> (intern l.atom, l.pol))
+           (dedup_body (Rule.body r)));
+    comp = c;
+    name = Rule.name r
+  }
+
+(* Definition 2 for the rules whose head is one atom: they are the only
+   rules that can overrule, defeat or be suppressed by each other.
+   [here] is the atom's [by_head] row; the rows of its rules must start
+   empty. *)
+let suppression_rows poset rules ~overrulers ~defeaters ~suppresses here =
+  List.iter
+    (fun i ->
+      List.iter
+        (fun j ->
+          if rules.(i).head_pol <> rules.(j).head_pol then begin
+            (* j contradicts i.  Definition 2: j overrules i when
+               C(j) < C(i); j defeats i when C(j) <> C(i) or
+               C(j) = C(i). *)
+            let ci = rules.(i).comp and cj = rules.(j).comp in
+            if Poset.lt poset cj ci then begin
+              overrulers.(i) <- j :: overrulers.(i);
+              suppresses.(j) <- i :: suppresses.(j)
+            end
+            else if ci = cj || Poset.incomparable poset ci cj then begin
+              defeaters.(i) <- j :: defeaters.(i);
+              suppresses.(j) <- i :: suppresses.(j)
+            end
+          end)
+        here)
+    here
+
 let of_view ?(depth = 0) ?(extra_constants = []) program comp tagged =
   let untagged = List.map snd tagged in
   let sg = Herbrand.signature_of_rules untagged in
@@ -57,24 +112,7 @@ let of_view ?(depth = 0) ?(extra_constants = []) program comp tagged =
       incr n;
       i
   in
-  let rules =
-    List.map
-      (fun (c, (r : Rule.t)) ->
-        if not (Rule.is_ground r) then
-          invalid_arg "Gop.of_view: non-ground rule in view";
-        { head = intern (Rule.head r).Literal.atom;
-          head_pol = Literal.is_positive (Rule.head r);
-          body =
-            Array.of_list
-              (List.map
-                 (fun (l : Literal.t) -> (intern l.atom, l.pol))
-                 (dedup_body (Rule.body r)));
-          comp = c;
-          name = Rule.name r
-        })
-      tagged
-    |> Array.of_list
-  in
+  let rules = Array.of_list (List.map (grule_of intern) tagged) in
   let atoms = Array.of_list (List.rev !atoms) in
   let na = Array.length atoms in
   let nr = Array.length rules in
@@ -94,29 +132,9 @@ let of_view ?(depth = 0) ?(extra_constants = []) program comp tagged =
   let defeaters = Array.make nr [] in
   let suppresses = Array.make nr [] in
   let poset = Program.poset program in
-  for a = 0 to na - 1 do
-    let here = by_head.(a) in
-    List.iter
-      (fun i ->
-        List.iter
-          (fun j ->
-            if rules.(i).head_pol <> rules.(j).head_pol then begin
-              (* j contradicts i.  Definition 2: j overrules i when
-                 C(j) < C(i); j defeats i when C(j) <> C(i) or
-                 C(j) = C(i). *)
-              let ci = rules.(i).comp and cj = rules.(j).comp in
-              if Poset.lt poset cj ci then begin
-                overrulers.(i) <- j :: overrulers.(i);
-                suppresses.(j) <- i :: suppresses.(j)
-              end
-              else if ci = cj || Poset.incomparable poset ci cj then begin
-                defeaters.(i) <- j :: defeaters.(i);
-                suppresses.(j) <- i :: suppresses.(j)
-              end
-            end)
-          here)
-      here
-  done;
+  Array.iter
+    (suppression_rows poset rules ~overrulers ~defeaters ~suppresses)
+    by_head;
   let active =
     Array.to_list atoms |> Atom.Set.of_list |> Atom.Set.elements
   in
@@ -200,16 +218,16 @@ let ground_groups ?(budget = Budget.unlimited) ?max_instances
      order, so flattening the groups reproduces the deduplicated tagged
      list exactly — incremental re-grounding (lib/inc) relies on that to
      rebuild groundings bit-identical to a from-scratch [ground]. *)
-  let seen = Hashtbl.create 256 in
+  let seen = Instance_tbl.create 256 in
   List.map
     (fun (c, src, insts) ->
       let insts =
         List.filter
           (fun r ->
-            let key = (c, Rule.to_string r) in
-            if Hashtbl.mem seen key then false
+            let key = (c, r) in
+            if Instance_tbl.mem seen key then false
             else begin
-              Hashtbl.add seen key ();
+              Instance_tbl.add seen key ();
               true
             end)
           insts
@@ -285,6 +303,222 @@ let find_rule t comp (r : Rule.t) =
       else go (i + 1)
   in
   go 0
+
+(* ------------------------------------------------------------------ *)
+(* Splicing: repair an interned view by integer work                   *)
+(* ------------------------------------------------------------------ *)
+
+type edit =
+  | Keep of int
+  | Drop of int
+  | Insert of (Program.component_id * Rule.t) list
+
+(* The constants an atom mentions, as [Herbrand.signature_of_rules]
+   collects them: at depth 0 the universe of a ground view is the set of
+   constants its atoms mention ([a0] when there are none). *)
+let add_constants acc (a : Atom.t) =
+  let rec term acc = function
+    | Term.Var _ -> acc
+    | (Term.Int _ | Term.Sym _) as c -> Term.Set.add c acc
+    | Term.App (_, args) -> List.fold_left term acc args
+  in
+  List.fold_left term acc a.Atom.args
+
+(* Descending rule-index rows: [remap] the entries at or above [stable]
+   (they all sit at the front), share the unchanged tail. *)
+let rec remap_desc remap stable = function
+  | i :: rest when i >= stable ->
+    let rest = remap_desc remap stable rest in
+    let j = remap.(i) in
+    if j < 0 then rest else j :: rest
+  | l -> l
+
+let rec insert_desc i = function
+  | j :: rest when j > i -> j :: insert_desc i rest
+  | l -> i :: l
+
+let splice (t : t) ~program edits =
+  let na_old = Array.length t.atoms and nr_old = Array.length t.rules in
+  (* intern the inserted instances: known atoms keep their ids, unknown
+     ones get provisional ids from [na_old] in first-seen order *)
+  let fresh_ids = Atom.Tbl.create 16 in
+  let fresh = ref [] in
+  let nfresh = ref 0 in
+  let intern a =
+    match Atom.Tbl.find_opt t.ids a with
+    | Some i -> i
+    | None -> (
+      match Atom.Tbl.find_opt fresh_ids a with
+      | Some i -> i
+      | None ->
+        let i = na_old + !nfresh in
+        Atom.Tbl.add fresh_ids a i;
+        fresh := a :: !fresh;
+        incr nfresh;
+        i)
+  in
+  (* the new rule array, the old -> new index map ([-1]: dropped) and
+     the inserted index ranges *)
+  let remap = Array.make nr_old (-1) in
+  let pieces = ref [] and inserted = ref [] in
+  let src = ref 0 and dst = ref 0 in
+  List.iter
+    (function
+      | Keep k ->
+        for i = 0 to k - 1 do
+          remap.(!src + i) <- !dst + i
+        done;
+        pieces := Array.sub t.rules !src k :: !pieces;
+        src := !src + k;
+        dst := !dst + k
+      | Drop k -> src := !src + k
+      | Insert tagged ->
+        let gs = Array.of_list (List.map (grule_of intern) tagged) in
+        inserted := (!dst, Array.length gs) :: !inserted;
+        pieces := gs :: !pieces;
+        dst := !dst + Array.length gs)
+    edits;
+  if !src <> nr_old then invalid_arg "Gop.splice: edits do not cover the view";
+  let rules = Array.concat (List.rev !pieces) in
+  let nr = Array.length rules in
+  (* Scratch numbering hands out ids in first-occurrence order.  The old
+     ids survive exactly when the atoms still present first occur as
+     [0 .. m-1] and every fresh atom after them; anything else would
+     renumber existing atoms, and the caller re-interns instead. *)
+  let seen = Array.make (na_old + !nfresh) false in
+  let next_old = ref 0 and next_new = ref na_old and ok = ref true in
+  let see x =
+    if not seen.(x) then begin
+      seen.(x) <- true;
+      if x < na_old && x = !next_old && !next_new = na_old then incr next_old
+      else if x = !next_new then incr next_new
+      else ok := false
+    end
+  in
+  Array.iter
+    (fun r ->
+      see r.head;
+      Array.iter (fun (a, _) -> see a) r.body)
+    rules;
+  if not !ok then None
+  else begin
+    let m = !next_old in
+    let fresh = Array.of_list (List.rev !fresh) in
+    let shift = na_old - m in
+    if shift > 0 && Array.length fresh > 0 then
+      List.iter
+        (fun (off, len) ->
+          let fix a = if a >= na_old then a - shift else a in
+          for i = off to off + len - 1 do
+            let r = rules.(i) in
+            rules.(i) <-
+              { r with
+                head = fix r.head;
+                body = Array.map (fun (a, pol) -> (fix a, pol)) r.body
+              }
+          done)
+        !inserted;
+    let atoms_same = shift = 0 && Array.length fresh = 0 in
+    let atoms = Array.append (Array.sub t.atoms 0 m) fresh in
+    let na = Array.length atoms in
+    let universe =
+      if atoms_same then t.universe
+      else
+        match Term.Set.elements (Array.fold_left add_constants Term.Set.empty atoms) with
+        | [] -> [ Term.Sym "a0" ]
+        | u -> u
+    in
+    let ids =
+      if atoms_same then t.ids
+      else begin
+        let ids = Atom.Tbl.copy t.ids in
+        for a = m to na_old - 1 do
+          Atom.Tbl.remove ids t.atoms.(a)
+        done;
+        Array.iteri (fun k a -> Atom.Tbl.replace ids a (m + k)) fresh;
+        ids
+      end
+    in
+    (* atom rows: old rows remapped, inserted rules added in place *)
+    let stable = match edits with Keep k :: _ -> k | _ -> 0 in
+    let rows old =
+      Array.init na (fun a ->
+          if a < m then remap_desc remap stable old.(a) else [])
+    in
+    let by_head = rows t.by_head in
+    let by_body_pos = rows t.by_body_pos in
+    let by_body_neg = rows t.by_body_neg in
+    let touched = Array.make na false in
+    List.iter
+      (fun (off, len) ->
+        for i = off to off + len - 1 do
+          let r = rules.(i) in
+          by_head.(r.head) <- insert_desc i by_head.(r.head);
+          touched.(r.head) <- true;
+          Array.iter
+            (fun (a, pol) ->
+              if pol then by_body_pos.(a) <- insert_desc i by_body_pos.(a)
+              else by_body_neg.(a) <- insert_desc i by_body_neg.(a))
+            r.body
+        done)
+      !inserted;
+    for i = 0 to nr_old - 1 do
+      if remap.(i) < 0 && t.rules.(i).head < m then
+        touched.(t.rules.(i).head) <- true
+    done;
+    (* rule rows: an untouched head keeps its rules' rows, renumbered
+       (ascending, so renumbering preserves the order); a touched head's
+       rows are rebuilt from its new [by_head] row *)
+    let back = Array.make nr (-1) in
+    Array.iteri (fun i j -> if j >= 0 then back.(j) <- i) remap;
+    let renumber l =
+      if List.for_all (fun j -> j < stable) l then l
+      else List.map (fun j -> remap.(j)) l
+    in
+    let kept old =
+      Array.init nr (fun i ->
+          if touched.(rules.(i).head) then [] else renumber old.(back.(i)))
+    in
+    let overrulers = kept t.overrulers in
+    let defeaters = kept t.defeaters in
+    let suppresses = kept t.suppresses in
+    let poset = Program.poset program in
+    Array.iteri
+      (fun a here ->
+        if touched.(a) then
+          suppression_rows poset rules ~overrulers ~defeaters ~suppresses here)
+      by_head;
+    let active_base =
+      if atoms_same then t.active_base
+      else
+        List.merge Atom.compare
+          (List.filter
+             (fun a -> Atom.Tbl.find t.ids a < m)
+             t.active_base)
+          (List.sort Atom.compare (Array.to_list fresh))
+    in
+    let rec g =
+      { program;
+        comp = t.comp;
+        atoms;
+        ids;
+        rules;
+        by_head;
+        by_body_pos;
+        by_body_neg;
+        overrulers;
+        defeaters;
+        suppresses;
+        universe;
+        active_base;
+        full_base =
+          lazy
+            (Herbrand.base ~skip:Ground.Builtin.is_builtin
+               (Herbrand.signature_of_rules (List.init nr (rule_src g))))
+      }
+    in
+    Some g
+  end
 
 module Values = struct
   type gop = t

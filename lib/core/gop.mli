@@ -97,6 +97,34 @@ val of_view :
 (** Intern an explicitly-given tagged view (used by transformations that
     construct ground views directly). *)
 
+module Instance_tbl : Hashtbl.S with type key = Program.component_id * Logic.Rule.t
+(** Ground instances keyed structurally by (component, rule) — the
+    deduplication key of {!ground_groups}: two instances are the same
+    exactly when they come from the same component and are equal rules
+    (name included). *)
+
+type edit =
+  | Keep of int  (** the next [k] rules of the old grounding stay *)
+  | Drop of int  (** the next [k] rules of the old grounding go *)
+  | Insert of (Program.component_id * Logic.Rule.t) list
+      (** these tagged ground instances come in here *)
+
+val splice : t -> program:Program.t -> edit list -> t option
+(** [splice g ~program edits] is the grounding of the tagged view that
+    [edits] make of [g]'s (the edits walk [g]'s rules in order and must
+    cover all of them), built from [g] by integer work: kept atoms keep
+    their ids, atoms first seen in an inserted block are appended, atoms
+    that vanish with dropped rules are truncated, later rule indices
+    shift, the head, body and suppression rows are patched (the
+    suppression rows of a head atom are rebuilt only when a rule with
+    that head came or went, against [program]'s order) and [universe]
+    and [active_base] are carried over or adjusted.  When [g] was
+    interned at depth 0 with no extra constants (as {!ground} does by
+    default), the result is structurally equal to {!of_view} over the
+    edited tagged list.  [None] when that scratch numbering would
+    renumber an existing atom (or the universe cannot be told from a
+    constant-free placeholder): the caller re-interns with {!of_view}. *)
+
 val n_atoms : t -> int
 val n_rules : t -> int
 

@@ -1,49 +1,157 @@
-type t = { n : int; lt : bool array array }
+(* Each component keeps its declared parents and its strict ancestors
+   (every [b] with [a < b]) as sorted int arrays.  The ancestor arrays
+   are built by a memoised depth-first walk over the declared pairs, so
+   [make] costs O(n + pairs + sum of cone sizes) instead of the O(n^2)
+   space and up to O(n^3) time of a closed n x n matrix; [lt] is a binary
+   search in one cone. *)
+type t = {
+  n : int;
+  up : int array array;  (* declared parents, sorted, deduplicated *)
+  anc : int array array;  (* strict ancestors, sorted *)
+  has_below : bool array;  (* some declared pair has this id on top *)
+}
+
+let sort_uniq a =
+  let n = Array.length a in
+  if n <= 1 then a
+  else begin
+    Array.sort compare a;
+    let k = ref 1 in
+    for i = 1 to n - 1 do
+      if a.(i) <> a.(!k - 1) then begin
+        a.(!k) <- a.(i);
+        incr k
+      end
+    done;
+    Array.sub a 0 !k
+  end
+
+let mem sorted x =
+  let rec go lo hi =
+    lo < hi
+    &&
+    let mid = (lo + hi) lsr 1 in
+    let y = sorted.(mid) in
+    y = x || if y < x then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length sorted)
+
+(* [sorted] with [x] added in place ([x] is not in it). *)
+let insert x sorted =
+  let n = Array.length sorted in
+  let out = Array.make (n + 1) x in
+  let k = ref 0 in
+  while !k < n && sorted.(!k) < x do
+    out.(!k) <- sorted.(!k);
+    incr k
+  done;
+  Array.blit sorted !k out (!k + 1) (n - !k);
+  out
+
+(* The smallest id that reaches itself through the declared pairs — the
+   id the closure would report first.  Only runs on the error path. *)
+let first_on_cycle n up =
+  let reaches_itself i =
+    let seen = Array.make n false in
+    let rec go = function
+      | [] -> false
+      | x :: rest ->
+        x = i
+        || (if seen.(x) then go rest
+           else begin
+             seen.(x) <- true;
+             go (Array.fold_left (fun acc p -> p :: acc) rest up.(x))
+           end)
+    in
+    go (Array.to_list up.(i))
+  in
+  let rec find i = if reaches_itself i then i else find (i + 1) in
+  find 0
+
+exception Cycle
 
 let make ~n ~pairs =
-  let lt = Array.make_matrix n n false in
   let bad =
     List.find_opt (fun (a, b) -> a < 0 || a >= n || b < 0 || b >= n) pairs
   in
   match bad with
   | Some (a, b) -> Error (Printf.sprintf "order pair (%d, %d) out of range" a b)
-  | None ->
-    List.iter (fun (a, b) -> lt.(a).(b) <- true) pairs;
-    (* Warshall transitive closure. *)
-    for k = 0 to n - 1 do
-      for i = 0 to n - 1 do
-        if lt.(i).(k) then
-          for j = 0 to n - 1 do
-            if lt.(k).(j) then lt.(i).(j) <- true
-          done
+  | None -> (
+    let ups = Array.make n [] in
+    let has_below = Array.make n false in
+    List.iter
+      (fun (a, b) ->
+        ups.(a) <- b :: ups.(a);
+        has_below.(b) <- true)
+      pairs;
+    let up = Array.map (fun l -> sort_uniq (Array.of_list l)) ups in
+    let anc = Array.make n [||] in
+    let state = Array.make n 0 (* 0 unvisited, 1 on the stack, 2 done *) in
+    let rec visit a =
+      match state.(a) with
+      | 2 -> ()
+      | 1 -> raise Cycle
+      | _ ->
+        state.(a) <- 1;
+        Array.iter visit up.(a);
+        anc.(a) <-
+          (match up.(a) with
+          | [||] -> [||]
+          | [| p |] -> insert p anc.(p)
+          | ps ->
+            sort_uniq
+              (Array.concat (ps :: List.map (fun p -> anc.(p)) (Array.to_list ps))));
+        state.(a) <- 2
+    in
+    match
+      for a = 0 to n - 1 do
+        visit a
       done
-    done;
-    let cyclic = ref None in
-    for i = 0 to n - 1 do
-      if lt.(i).(i) && !cyclic = None then cyclic := Some i
-    done;
-    (match !cyclic with
-    | Some i ->
-      Error (Printf.sprintf "the component order has a cycle through id %d" i)
-    | None -> Ok { n; lt })
+    with
+    | () -> Ok { n; up; anc; has_below }
+    | exception Cycle ->
+      Error
+        (Printf.sprintf "the component order has a cycle through id %d"
+           (first_on_cycle n up)))
 
 let size t = t.n
-let lt t a b = t.lt.(a).(b)
-let leq t a b = a = b || t.lt.(a).(b)
-let incomparable t a b = a <> b && (not t.lt.(a).(b)) && not t.lt.(b).(a)
+let lt t a b = mem t.anc.(a) b
+let leq t a b = a = b || lt t a b
+let incomparable t a b = a <> b && (not (lt t a b)) && not (lt t b a)
 
-let above t a =
-  List.filter (fun b -> leq t a b) (List.init t.n Fun.id)
+let above t a = List.merge compare [ a ] (Array.to_list t.anc.(a))
 
-let below t a =
-  List.filter (fun b -> leq t b a) (List.init t.n Fun.id)
+let below t a = List.filter (fun b -> leq t b a) (List.init t.n Fun.id)
+let minimal t = List.filter (fun a -> not t.has_below.(a)) (List.init t.n Fun.id)
+let maximal t = List.filter (fun a -> t.anc.(a) = [||]) (List.init t.n Fun.id)
 
-let minimal t =
-  List.filter
-    (fun a -> not (List.exists (fun b -> t.lt.(b).(a)) (List.init t.n Fun.id)))
-    (List.init t.n Fun.id)
-
-let maximal t =
-  List.filter
-    (fun a -> not (List.exists (fun b -> t.lt.(a).(b)) (List.init t.n Fun.id)))
-    (List.init t.n Fun.id)
+(* Longest chains from [a] inside its cone.  A component lies strictly
+   below each of its ancestors, so it has strictly more of them: sorting
+   the cone by ancestor count, largest first, is a topological order for
+   the relaxation over declared pairs. *)
+let ranks_above t a =
+  let cone = Array.of_list (above t a) in
+  let pos b =
+    let rec go lo hi =
+      let mid = (lo + hi) lsr 1 in
+      if cone.(mid) = b then mid
+      else if cone.(mid) < b then go (mid + 1) hi
+      else go lo mid
+    in
+    go 0 (Array.length cone)
+  in
+  let order = Array.copy cone in
+  Array.stable_sort
+    (fun x y -> compare (Array.length t.anc.(y)) (Array.length t.anc.(x)))
+    order;
+  let rank = Array.make (Array.length cone) 0 in
+  Array.iter
+    (fun x ->
+      let rx = rank.(pos x) in
+      Array.iter
+        (fun p ->
+          let i = pos p in
+          if rank.(i) < rx + 1 then rank.(i) <- rx + 1)
+        t.up.(x))
+    order;
+  Array.to_list (Array.mapi (fun i b -> (b, rank.(i))) cone)

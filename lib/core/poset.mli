@@ -3,20 +3,24 @@
     Components are identified by dense integer ids.  [lt a b] is the
     paper's [a < b]: [a] is {e more specific} (lower) than [b] and inherits
     [b]'s rules; rules of [a] may overrule rules of [b].  The order is
-    strict: irreflexive, antisymmetric, transitive (we store the transitive
-    closure of the declared pairs and reject cycles). *)
+    strict: irreflexive, antisymmetric, transitive (we store, per
+    component, the sorted array of its strict ancestors — the transitive
+    closure cone by cone — and reject cycles). *)
 
 type t
 
 val make : n:int -> pairs:(int * int) list -> (t, string) result
 (** [make ~n ~pairs] builds the order over ids [0 .. n-1] from declared
     pairs [(lo, hi)] meaning [lo < hi].  Returns [Error _] if the closure
-    would make some [a < a] (a cycle), or if an id is out of range. *)
+    would make some [a < a] (a cycle; the message names the smallest such
+    id), or if an id is out of range (the first such pair).  Costs
+    O(n + pairs + the sum of the cone sizes). *)
 
 val size : t -> int
 
 val lt : t -> int -> int -> bool
-(** Strict order [a < b] (transitively closed). *)
+(** Strict order [a < b] (transitively closed): a binary search in [a]'s
+    cone. *)
 
 val leq : t -> int -> int -> bool
 (** [a < b] or [a = b]. *)
@@ -26,7 +30,8 @@ val incomparable : t -> int -> int -> bool
 
 val above : t -> int -> int list
 (** [above t a]: all [b] with [a <= b], ascending (includes [a]) — the
-    components whose rules are visible from [a] (used to form [C*]). *)
+    components whose rules are visible from [a] (used to form [C*]).
+    O(cone of [a]). *)
 
 val below : t -> int -> int list
 (** All [b] with [b <= a], ascending (includes [a]). *)
@@ -36,3 +41,10 @@ val minimal : t -> int list
 
 val maximal : t -> int list
 (** Ids with nothing above them (most general components). *)
+
+val ranks_above : t -> int -> (int * int) list
+(** [ranks_above t a]: every [b] of {!above}[ t a], ascending, paired with
+    its rank in [a]'s view — the length of the longest chain
+    [a = c0 < c1 < ... < ck = b] ([0] for [a] itself).  It depends only on
+    the components above [a], so it is unchanged by components added
+    anywhere else.  O(cone of [a] + the declared pairs inside it). *)

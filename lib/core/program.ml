@@ -103,10 +103,12 @@ let view t c =
 
 let all_rules t = List.concat (Array.to_list t.rules)
 
-let add_rules t c extra =
-  let rules = Array.copy t.rules in
-  rules.(c) <- rules.(c) @ extra;
-  { t with rules }
+let with_rules t c rules =
+  let all = Array.copy t.rules in
+  all.(c) <- rules;
+  { t with rules = all }
+
+let add_rules t c extra = with_rules t c (t.rules.(c) @ extra)
 
 let to_ast t =
   let comps =

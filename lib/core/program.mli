@@ -51,6 +51,10 @@ val view : t -> component_id -> (component_id * Logic.Rule.t) list
 val all_rules : t -> Logic.Rule.t list
 (** Every rule of every component (untagged). *)
 
+val with_rules : t -> component_id -> Logic.Rule.t list -> t
+(** A copy of the program with one component's local rules replaced;
+    the components and the order are shared. *)
+
 val add_rules : t -> component_id -> Logic.Rule.t list -> t
 (** A copy of the program with extra rules appended to one component
     (used to inject bulk EDB facts at a viewpoint). *)

@@ -170,17 +170,26 @@ let assumption_free_models ?limit ?(budget = Budget.unlimited) ?stats
     Budget.Complete (List.rev !acc)
   with Budget.Exhausted r -> Budget.Partial (List.rev !acc, r)
 
-let maximal models =
-  List.filter
-    (fun m ->
-      not
-        (List.exists
-           (fun m' -> (not (Interp.equal m m')) && Interp.subset m m')
-           models))
-    models
+let maximal ?(budget = Budget.unlimited) enumerated =
+  let models = Budget.value enumerated in
+  let acc = ref [] in
+  match
+    List.iter
+      (fun m ->
+        Budget.poll_deadline budget;
+        if
+          not
+            (List.exists
+               (fun m' -> (not (Interp.equal m m')) && Interp.subset m m')
+               models)
+        then acc := m :: !acc)
+      models
+  with
+  | () -> Budget.map (fun _ -> List.rev !acc) enumerated
+  | exception Budget.Exhausted r -> Budget.Partial (List.rev !acc, r)
 
 let stable_models ?limit ?budget ?stats g =
-  Budget.map maximal (assumption_free_models ?limit ?budget ?stats g)
+  maximal ?budget (assumption_free_models ?limit ?budget ?stats g)
 
 (* Boolean queries over the stable models are not anytime: an answer
    computed from a truncated enumeration would be unsound, so budget

@@ -59,6 +59,19 @@ val stable_models :
     every returned model is assumption-free and maximal among those
     enumerated); the same caveat applies to [Partial] results. *)
 
+val maximal :
+  ?budget:Budget.t ->
+  Logic.Interp.t list Budget.anytime ->
+  Logic.Interp.t list Budget.anytime
+(** The maximality filter behind every [stable_models]: the elements of
+    an assumption-free enumeration that no other element strictly
+    extends, in enumeration order.  The filter is quadratic, so it polls
+    the deadline and the cancellation flag once per candidate
+    ({!Budget.poll_deadline}: no steps; a step limit that cut the
+    enumeration leaves its prefix to be filtered).  When it trips, the
+    candidates already confirmed maximal come back as [Partial] with the
+    reason; otherwise the enumeration's own [Complete]/[Partial] stands. *)
+
 val is_stable : ?budget:Budget.t -> Gop.t -> Logic.Interp.t -> bool
 (** Assumption-free and not properly contained in another assumption-free
     model. *)

@@ -78,6 +78,8 @@ let check b =
   resume_spent b;
   poll b
 
+let poll_deadline = poll
+
 let cancel b = b.cancel_flag := true
 let steps b = b.steps
 let instances b = b.instances

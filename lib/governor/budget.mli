@@ -64,6 +64,12 @@ val check : t -> unit
 (** Poll the deadline and cancellation flag without consuming a step
     (always reads the clock; use at loop-round granularity). *)
 
+val poll_deadline : t -> unit
+(** Poll only the deadline and the cancellation flag: no step is used,
+    and a step or instance limit that already tripped does not re-raise
+    (unlike {!check}), so work that merely post-processes a step-limited
+    prefix can still finish while a deadline stops it. *)
+
 val cancel : t -> unit
 (** Flip the cooperative cancellation flag: the next {!tick}/{!check}
     raises [Exhausted Cancelled]. *)

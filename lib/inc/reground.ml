@@ -60,25 +60,30 @@ let rec ins_diff acc groups view =
   | gs, (c, r) :: vs -> ins_diff (`Add (c, r) :: acc) gs vs
   | _ :: _, [] -> None
 
-module StrSet = Set.Make (String)
-
-let inst_strings insts =
-  StrSet.of_list (List.map Rule.to_string insts)
+module Keys = Gop.Instance_tbl
 
 (* Could [cand] (a surviving view rule of the same component) produce any
    of the instances we are about to drop?  If so, a scratch grounding
    would re-attribute the instance to [cand] instead of dropping it —
    the repaired grounding would diverge, so the caller must fall back.
-   Instance strings carry the source rule's name, so only same-named
-   rules can ever collide; the head predicate prefilter skips the
+   Instance keys carry the source rule's name, so only same-named rules
+   can ever collide; the head predicate prefilter skips the
    re-instantiation in the common case.  The check itself is exact:
-   re-instantiate the candidate and intersect the printed instances. *)
-let could_produce ~budget ~universe ~dropped_heads ~dropped_strs cand =
+   re-instantiate the candidate and look its instances up. *)
+let could_produce ~budget ~universe ~dropped_heads ~dropped cand =
   let h = (Rule.head cand.src).Literal.atom in
   List.mem (h.Atom.pred, List.length h.Atom.args) dropped_heads
   && List.exists
-       (fun i -> StrSet.mem (Rule.to_string i) dropped_strs)
+       (fun i -> Keys.mem dropped (cand.comp, i))
        (Ground.Grounder.ground_rule_instances ~budget ~universe cand.src)
+
+(* The repaired grounding: spliced from the old one when the old atom
+   ids survive, re-interned from the groups otherwise — exact either
+   way. *)
+let regrounded ~program ~comp state edits groups =
+  match Gop.splice state.gop ~program edits with
+  | Some gop -> gop
+  | None -> Gop.of_view program comp (tagged_of_groups groups)
 
 let apply_deletion ~budget ~universe ~program ~comp state steps =
   let keeps = List.filter_map (function `Keep g -> Some g | _ -> None) steps in
@@ -86,7 +91,10 @@ let apply_deletion ~budget ~universe ~program ~comp state steps =
   let dropped = List.concat_map (fun g -> g.insts) drops in
   if dropped = [] then Ok ({ state with groups = keeps }, Delta.empty)
   else
-    let dropped_strs = inst_strings dropped in
+    let dropped_keys = Keys.create 16 in
+    List.iter
+      (fun g -> List.iter (fun i -> Keys.replace dropped_keys (g.comp, i) ()) g.insts)
+      drops;
     let dropped_heads =
       List.map
         (fun r ->
@@ -100,12 +108,20 @@ let apply_deletion ~budget ~universe ~program ~comp state steps =
       List.exists
         (fun g ->
           List.mem g.comp dropped_comps && dropped_name g
-          && could_produce ~budget ~universe ~dropped_heads ~dropped_strs g)
+          && could_produce ~budget ~universe ~dropped_heads
+               ~dropped:dropped_keys g)
         keeps
     in
     if shared then Error `Shared_instance
     else
-      let gop = Gop.of_view program comp (tagged_of_groups keeps) in
+      let edits =
+        List.map
+          (function
+            | `Keep g -> Gop.Keep (List.length g.insts)
+            | `Drop g -> Gop.Drop (List.length g.insts))
+          steps
+      in
+      let gop = regrounded ~program ~comp state edits keeps in
       Ok
         ( { state with gop; groups = keeps },
           { Delta.added = []; added_rules = []; removed_rules = dropped } )
@@ -114,23 +130,26 @@ let apply_insertion ~budget ~universe ~program ~comp state steps =
   (* Rebuild the group list in view order with the shared dedup discipline
      of [Gop.ground_groups]: existing groups feed the table as-is (they
      were deduplicated under the same prefix), fresh instances of an added
-     rule are kept only if unseen. *)
-  let seen = Hashtbl.create 64 in
+     rule are kept only if unseen.  Keys carry the component, so only the
+     groups of a component that receives a rule can matter. *)
+  let added_comps = List.filter_map (function `Add (c, _) -> Some c | _ -> None) steps in
+  let relevant g = List.mem g.comp added_comps in
+  let seen = Keys.create 64 in
   let tagged =
     List.map
       (function
         | `Keep g ->
-          List.iter (fun i -> Hashtbl.replace seen (g.comp, Rule.to_string i) ()) g.insts;
+          if relevant g then List.iter (fun i -> Keys.replace seen (g.comp, i) ()) g.insts;
           (g, false)
         | `Add (c, r) ->
           let raw = Ground.Grounder.ground_rule_instances ~budget ~universe r in
           let insts =
             List.filter
               (fun i ->
-                let k = (c, Rule.to_string i) in
-                if Hashtbl.mem seen k then false
+                let k = (c, i) in
+                if Keys.mem seen k then false
                 else begin
-                  Hashtbl.add seen k ();
+                  Keys.add seen k ();
                   true
                 end)
               raw
@@ -144,18 +163,18 @@ let apply_insertion ~budget ~universe ~program ~comp state steps =
      groundings would diverge.  Never reachable through the store (rules
      append at the end of their component block) but checked anyway. *)
   let stolen =
-    let arr = Array.of_list tagged in
-    let after = Hashtbl.create 64 in
-    let hit = ref false in
-    for i = Array.length arr - 1 downto 0 do
-      let g, is_add = arr.(i) in
-      if
-        is_add
-        && List.exists (fun x -> Hashtbl.mem after (g.comp, Rule.to_string x)) g.insts
-      then hit := true;
-      List.iter (fun x -> Hashtbl.replace after (g.comp, Rule.to_string x) ()) g.insts
-    done;
-    !hit
+    let after = Keys.create 64 in
+    List.fold_left
+      (fun hit (g, is_add) ->
+        if not (relevant g) then hit
+        else begin
+          let hit =
+            hit || (is_add && List.exists (fun x -> Keys.mem after (g.comp, x)) g.insts)
+          in
+          List.iter (fun x -> Keys.replace after (g.comp, x) ()) g.insts;
+          hit
+        end)
+      false (List.rev tagged)
   in
   if stolen then Error `Shared_instance
   else
@@ -165,7 +184,14 @@ let apply_insertion ~budget ~universe ~program ~comp state steps =
     let groups = List.map fst tagged in
     if added_rules = [] then Ok ({ state with groups }, Delta.empty)
     else
-      let gop = Gop.of_view program comp (tagged_of_groups groups) in
+      let edits =
+        List.map
+          (fun (g, is_add) ->
+            if is_add then Gop.Insert (List.map (fun i -> (g.comp, i)) g.insts)
+            else Gop.Keep (List.length g.insts))
+          tagged
+      in
+      let gop = regrounded ~program ~comp state edits groups in
       (* indices of the added instances in the flattened rule array *)
       let added = ref [] in
       let off = ref 0 in

@@ -6,10 +6,13 @@
     surviving ground instances per view rule — plus the schema universe
     the instances were enumerated over.  {!reground} aligns the cached
     groups against the mutated program's view, instantiates only the
-    added rule (or drops only the removed rule's groups) and re-interns;
-    by the shared-dedup discipline the result is {e bit-identical} to
-    grounding the new view from scratch, which preserves every
-    enumeration-order contract downstream.
+    added rule (or drops only the removed rule's groups), deduplicating
+    on structural (component, rule) keys, and splices the change into
+    the interned grounding ({!Ordered.Gop.splice}: integer work on atom
+    and rule ids), re-interning the groups only when scratch numbering
+    would renumber an existing atom.  By the shared-dedup discipline the
+    result is {e bit-identical} to grounding the new view from scratch,
+    which preserves every enumeration-order contract downstream.
 
     Repair refuses — [Error], the caller recomputes — whenever identity
     with scratch grounding cannot be guaranteed cheaply:

@@ -14,15 +14,34 @@ type t = {
   mutable cache : (string * Ordered.Gop.t) list;  (** invalidated on change *)
   mutable pcache : (string * Ordered.Gop.t) list;
       (** compiled preference groundings, invalidated on change *)
+  mutable program : Ordered.Program.t option;
+      (** {!to_program}, patched by rule edits, dropped on any other
+          change *)
 }
 
 let create () =
   { objs = []; latest = []; version_count = []; prefs = []; cache = [];
-    pcache = [] }
+    pcache = []; program = None }
 
 let invalidate kb =
   kb.cache <- [];
-  kb.pcache <- []
+  kb.pcache <- [];
+  kb.program <- None
+
+(* A rule edit keeps the objects, their numbering and the order, so the
+   cached program is patched in O(objects) array copying instead of
+   being rebuilt. *)
+let rules_changed kb o =
+  let program =
+    Option.map
+      (fun p ->
+        Ordered.Program.with_rules p
+          (Ordered.Program.component_id_exn p o.name)
+          o.rules)
+      kb.program
+  in
+  invalidate kb;
+  kb.program <- program
 
 let find kb name = List.find_opt (fun o -> String.equal o.name name) kb.objs
 
@@ -72,7 +91,7 @@ let load kb src =
 let add_rule kb ~obj r =
   let o = find_exn kb obj in
   o.rules <- o.rules @ [ r ];
-  invalidate kb
+  rules_changed kb o
 
 let add_rule_src kb ~obj src = add_rule kb ~obj (Lang.Parser.parse_rule src)
 let add_fact kb ~obj l = add_rule kb ~obj (Rule.fact l)
@@ -82,7 +101,7 @@ let remove_rule kb ~obj r =
   let before = List.length o.rules in
   o.rules <- List.filter (fun r' -> not (Rule.equal r r')) o.rules;
   let removed = List.length o.rules < before in
-  if removed then invalidate kb;
+  if removed then rules_changed kb o;
   removed
 
 let objects kb = List.rev_map (fun o -> o.name) kb.objs
@@ -144,14 +163,17 @@ let of_dump d =
     version_count = d.dump_counts;
     prefs = d.dump_prefs;
     cache = [];
-    pcache = []
+    pcache = [];
+    program = None
   }
 
 (* A deep copy down to the per-object mutable fields: the clone and the
    original share rule/parent list structure (immutable), but mutating
-   either store never changes what the other observes.  The gop cache is
-   not copied — it is an optimisation, not state. *)
-let copy kb = of_dump (dump kb)
+   either store never changes what the other observes.  The gop caches
+   are not copied — they are an optimisation, not state; the immutable
+   ordered program is shared, so a published copy grounds without
+   rebuilding it. *)
+let copy kb = { (of_dump (dump kb)) with program = kb.program }
 
 let restore kb d =
   let fresh = of_dump d in
@@ -251,15 +273,20 @@ let pp_mutation ppf =
 (* ------------------------------------------------------------------ *)
 
 let to_program kb =
-  let comps =
-    List.rev_map (fun o -> (o.name, o.rules)) kb.objs
-  in
-  let pairs =
-    List.concat_map
-      (fun o -> List.map (fun p -> (o.name, p)) o.parents)
-      (List.rev kb.objs)
-  in
-  Ordered.Program.make_exn comps pairs
+  match kb.program with
+  | Some p -> p
+  | None ->
+    let comps =
+      List.rev_map (fun o -> (o.name, o.rules)) kb.objs
+    in
+    let pairs =
+      List.concat_map
+        (fun o -> List.map (fun p -> (o.name, p)) o.parents)
+        (List.rev kb.objs)
+    in
+    let p = Ordered.Program.make_exn comps pairs in
+    kb.program <- Some p;
+    p
 
 let gop ?budget kb ~obj =
   ignore (find_exn kb obj);

@@ -53,29 +53,23 @@ let csr_of_lists n rows =
   done;
   (off, payload)
 
-(* Rank of a component in the order: 0 for minimal components, otherwise
-   one more than the highest-ranked component strictly below.  The rank
-   vector is what the kernel keeps of the component order at runtime —
-   the suppression edges already encode who beats whom, and the ranks
-   give each suppressor list a deterministic lowest-component-first
-   layout (overruling components sort before same-level defeaters). *)
-let ranks_of poset n =
-  let rank = Array.make n 0 in
-  (* ids are few; a fixpoint over the strict order terminates because the
-     order is acyclic *)
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for a = 0 to n - 1 do
-      for b = 0 to n - 1 do
-        if Ordered.Poset.lt poset a b && rank.(b) < rank.(a) + 1 then begin
-          rank.(b) <- rank.(a) + 1;
-          changed := true
-        end
-      done
-    done
-  done;
-  rank
+(* Rank of a component in the view: 0 for the viewpoint, otherwise the
+   length of the longest chain up to it from the viewpoint
+   ({!Ordered.Poset.ranks_above}).  The rank vector is what the kernel
+   keeps of the component order at runtime — the suppression edges
+   already encode who beats whom, and the ranks give each suppressor
+   list a deterministic lowest-component-first layout (overruling
+   components sort before same-level defeaters).  Ranks read only the
+   view's own cone, so a flat compiled from a carried grounding equals
+   the scratch compile whatever was defined outside the view. *)
+let view_ranks (g : Ordered.Gop.t) =
+  let ranks = Hashtbl.create 16 in
+  List.iter
+    (fun (c, r) -> Hashtbl.replace ranks c r)
+    (Ordered.Poset.ranks_above
+       (Ordered.Program.poset g.Ordered.Gop.program)
+       g.Ordered.Gop.comp);
+  Hashtbl.find ranks
 
 let compile (g : Ordered.Gop.t) =
   let n_atoms = Ordered.Gop.n_atoms g in
@@ -117,11 +111,10 @@ let compile (g : Ordered.Gop.t) =
   in
   (* component ranks, then suppressor lists lowest rank first (overrulers
      sit strictly below, so they come before same-level defeaters) *)
-  let poset = Ordered.Program.poset g.Ordered.Gop.program in
-  let comp_rank = ranks_of poset (Ordered.Poset.size poset) in
+  let comp_rank = view_ranks g in
   let rank =
     Array.init (max 1 n_rules) (fun i ->
-        if i < n_rules then comp_rank.(g.Ordered.Gop.rules.(i).comp) else 0)
+        if i < n_rules then comp_rank g.Ordered.Gop.rules.(i).comp else 0)
   in
   let sup_rows =
     Array.init (max 1 n_rules) (fun i ->

@@ -547,17 +547,9 @@ let search mode ?limit ?(budget = Budget.unlimited) ?stats ?flat (g : Gop.t) =
 let assumption_free_models ?limit ?budget ?stats ?flat g =
   search Af ?limit ?budget ?stats ?flat g
 
-let maximal models =
-  List.filter
-    (fun m ->
-      not
-        (List.exists
-           (fun m' -> (not (Interp.equal m m')) && Interp.subset m m')
-           models))
-    models
-
 let stable_models ?limit ?budget ?stats ?flat g =
-  Budget.map maximal (assumption_free_models ?limit ?budget ?stats ?flat g)
+  Ordered.Stable.maximal ?budget
+    (assumption_free_models ?limit ?budget ?stats ?flat g)
 
 let total_models ?limit ?budget ?stats ?flat g =
   search Total ?limit ?budget ?stats ?flat g

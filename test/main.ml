@@ -5,6 +5,7 @@ let () =
       ("ground", Test_ground.suite);
       ("datalog", Test_datalog.suite);
       ("ordered", Test_ordered.suite);
+      ("diff-poset", Test_diff_poset.suite);
       ("paper", Test_paper.suite);
       ("stable", Test_stable.suite);
       ("bridge", Test_bridge.suite);

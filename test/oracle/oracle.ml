@@ -3,14 +3,78 @@ module B = Ordered.Budget
 module C = Ordered.Counters
 module G = Ordered.Gop
 
-let maximal models =
-  List.filter
-    (fun m ->
-      not
-        (List.exists
-           (fun m' -> (not (Interp.equal m m')) && Interp.subset m m')
-           models))
-    models
+let is_maximal models m =
+  not
+    (List.exists
+       (fun m' -> (not (Interp.equal m m')) && Interp.subset m m')
+       models)
+
+let maximal models = List.filter (is_maximal models) models
+
+module Poset = struct
+  type t = { n : int; lt : bool array array }
+
+  (* The dense closure: Warshall over an n x n matrix. *)
+  let make ~n ~pairs =
+    let lt = Array.make_matrix n n false in
+    let bad =
+      List.find_opt (fun (a, b) -> a < 0 || a >= n || b < 0 || b >= n) pairs
+    in
+    match bad with
+    | Some (a, b) ->
+      Error (Printf.sprintf "order pair (%d, %d) out of range" a b)
+    | None -> (
+      List.iter (fun (a, b) -> lt.(a).(b) <- true) pairs;
+      for k = 0 to n - 1 do
+        for i = 0 to n - 1 do
+          if lt.(i).(k) then
+            for j = 0 to n - 1 do
+              if lt.(k).(j) then lt.(i).(j) <- true
+            done
+        done
+      done;
+      let cyclic = ref None in
+      for i = 0 to n - 1 do
+        if lt.(i).(i) && !cyclic = None then cyclic := Some i
+      done;
+      match !cyclic with
+      | Some i ->
+        Error
+          (Printf.sprintf "the component order has a cycle through id %d" i)
+      | None -> Ok { n; lt })
+
+  let ids t = List.init t.n Fun.id
+  let lt t a b = t.lt.(a).(b)
+  let leq t a b = a = b || t.lt.(a).(b)
+  let incomparable t a b = a <> b && (not t.lt.(a).(b)) && not t.lt.(b).(a)
+  let above t a = List.filter (fun b -> leq t a b) (ids t)
+  let below t a = List.filter (fun b -> leq t b a) (ids t)
+
+  let minimal t =
+    List.filter (fun a -> not (List.exists (fun b -> t.lt.(b).(a)) (ids t))) (ids t)
+
+  let maximal t =
+    List.filter (fun a -> not (List.exists (fun b -> t.lt.(a).(b)) (ids t))) (ids t)
+
+  (* The rank fixpoint the flat compiler used to run over the whole
+     order, restricted to the view of [v]: ranks only grow, and the order
+     is acyclic, so the loop terminates. *)
+  let ranks_above t v =
+    let rank = Array.make t.n 0 in
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      for a = 0 to t.n - 1 do
+        for b = 0 to t.n - 1 do
+          if leq t v a && lt t a b && rank.(b) < rank.(a) + 1 then begin
+            rank.(b) <- rank.(a) + 1;
+            changed := true
+          end
+        done
+      done
+    done;
+    List.map (fun b -> (b, rank.(b))) (above t v)
+end
 
 module Stable = struct
   (* Atoms that occur as rule heads, with the polarities they occur

@@ -58,3 +58,29 @@ module Prefer : sig
   (** {!Stable.stable_models} of {!refined_gop}: the same model set as
       the compiled translation, in the naive order. *)
 end
+
+val is_maximal : Logic.Interp.t list -> Logic.Interp.t -> bool
+(** [is_maximal models m]: no other element of [models] strictly extends
+    [m] — the naive subset test. *)
+
+val maximal : Logic.Interp.t list -> Logic.Interp.t list
+(** The elements of [models] that {!is_maximal} keeps, in order. *)
+
+(** The dense reference for {!Ordered.Poset}: the Warshall closure over an
+    n x n bool matrix, and the whole-order rank fixpoint restricted to
+    one view. *)
+module Poset : sig
+  type t
+
+  val make : n:int -> pairs:(int * int) list -> (t, string) result
+  val lt : t -> int -> int -> bool
+  val leq : t -> int -> int -> bool
+  val incomparable : t -> int -> int -> bool
+  val above : t -> int -> int list
+  val below : t -> int -> int list
+  val minimal : t -> int list
+  val maximal : t -> int list
+
+  val ranks_above : t -> int -> (int * int) list
+  (** Same contract as {!Ordered.Poset.ranks_above}. *)
+end

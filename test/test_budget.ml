@@ -331,6 +331,64 @@ let test_zero_budgets () =
   | B.Partial ([], B.Deadline) -> ()
   | _ -> Alcotest.fail "zero timeout must yield Partial ([], Deadline)"
 
+(* k independent even loops, each overruled towards falsity by a CWA
+   component above: 3^k assumption-free models, 2^k of them stable. *)
+let cwa_even_loops k =
+  let b = Buffer.create 256 in
+  Buffer.add_string b "component top {";
+  for i = 0 to k - 1 do
+    Printf.bprintf b " -p%d. -q%d." i i
+  done;
+  Buffer.add_string b " }\ncomponent main extends top {";
+  for i = 0 to k - 1 do
+    Printf.bprintf b " p%d :- -q%d. q%d :- -p%d." i i i i
+  done;
+  Buffer.add_string b " }\n";
+  let p = Ordered.Program.parse_exn (Buffer.contents b) in
+  Ordered.Gop.ground p (Ordered.Program.component_id_exn p "main")
+
+(* The maximality filter is quadratic in the assumption-free models (at
+   k = 8 it runs for seconds after a ~0.1 s enumeration): it must stop at
+   the deadline with the candidates it already confirmed, in order. *)
+let test_maximality_deadline () =
+  let g = cwa_even_loops 8 in
+  let t0 = Unix.gettimeofday () in
+  let r = Solve.Kernel.stable_models ~budget:(B.make ~timeout:0.5 ()) g in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  if elapsed >= 1.0 then
+    Alcotest.failf "filter ignored the deadline: %.2f s" elapsed;
+  match r with
+  | B.Partial (ms, B.Deadline) ->
+    let af = B.value (Solve.Kernel.assumption_free_models g) in
+    (* the oracle's stable list, taken only as far as [ms] reaches *)
+    let rec reference n = function
+      | [] -> []
+      | _ when n = 0 -> []
+      | m :: rest ->
+        if Oracle.is_maximal af m then m :: reference (n - 1) rest
+        else reference n rest
+    in
+    Alcotest.(check bool) "in-order prefix of the oracle's stable list" true
+      (is_prefix Interp.equal ms (reference (List.length ms) af))
+  | _ -> Alcotest.fail "expected Partial Deadline"
+
+let test_maximality_polls_deadline_only () =
+  let ms = B.value (Solve.Kernel.assumption_free_models (cwa_even_loops 2)) in
+  let stable = Oracle.maximal ms in
+  (* a spent step limit leaves the enumerated prefix to be filtered *)
+  let spent = B.make ~max_steps:0 () in
+  (try B.tick spent with B.Exhausted _ -> ());
+  (match Ordered.Stable.maximal ~budget:spent (B.Partial (ms, B.Steps)) with
+  | B.Partial (ms', B.Steps) ->
+    Alcotest.(check bool) "step-limited prefix filtered" true
+      (List.equal Interp.equal ms' stable)
+  | _ -> Alcotest.fail "expected Partial Steps");
+  let cancelled = B.make () in
+  B.cancel cancelled;
+  match Ordered.Stable.maximal ~budget:cancelled (B.Complete ms) with
+  | B.Partial ([], B.Cancelled) -> ()
+  | _ -> Alcotest.fail "expected Partial ([], Cancelled)"
+
 (* ------------------------------------------------------------------ *)
 (* Boolean queries are not anytime                                     *)
 (* ------------------------------------------------------------------ *)
@@ -469,6 +527,10 @@ let suite =
     QCheck_alcotest.to_alcotest test_prefix_property_naive;
     QCheck_alcotest.to_alcotest test_prefix_property_total;
     Alcotest.test_case "zero budgets" `Quick test_zero_budgets;
+    Alcotest.test_case "maximality filter honours the deadline" `Quick
+      test_maximality_deadline;
+    Alcotest.test_case "maximality filter polls deadline and cancel only"
+      `Quick test_maximality_polls_deadline_only;
     Alcotest.test_case "boolean queries raise" `Quick
       test_boolean_queries_raise;
     Alcotest.test_case "instance cap" `Quick test_instance_cap;

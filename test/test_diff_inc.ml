@@ -10,11 +10,16 @@
      [`Universe_changed] fallback) and rules with variables
      (exercising instantiation in [Reground]);
    - the direct [Inc] API: when [Reground.reground] accepts a
-     single-rule insertion, the repaired grounding is indistinguishable
-     from scratch grounding (same sizes, same least model, same stable
-     models) and [Repair.least_model] seeded with the old fixpoint
-     lands exactly on the scratch fixpoint; regrounding {e back} to the
-     original program exercises the deletion path the same way.
+     single-rule insertion, the repaired grounding is structurally equal
+     to scratch grounding (atoms in id order, every ground rule, every
+     adjacency row, universe and active base — the enumeration-order
+     contract rests on that bit-identity) and [Repair.least_model]
+     seeded with the old fixpoint lands exactly on the scratch fixpoint;
+     regrounding {e back} to the original program exercises the
+     deletion path the same way.  The session property checks the same
+     identity on every cached viewpoint, and that the compiled flat
+     program of a repaired grounding equals the scratch compile array by
+     array.
 
    Iteration counts scale with FUZZ_ITERS like the other fuzz suites
    (wired as diff-inc in the Makefile). *)
@@ -91,10 +96,58 @@ let apply_mut s kb fresh (k, a, b) =
     KS.add_fact s ~obj:(obj a) f;
     Kb.add_fact kb ~obj:(obj a) f
 
+(* ------------------------------------------------------------------ *)
+(* Structural identity of groundings and flat programs                 *)
+(* ------------------------------------------------------------------ *)
+
+module G = Ordered.Gop
+
+let grule_equal (a : G.grule) (b : G.grule) =
+  a.head = b.head && a.head_pol = b.head_pol && a.body = b.body
+  && a.comp = b.comp
+  && Option.equal String.equal a.name b.name
+
+let gop_equal (g1 : G.t) (g2 : G.t) =
+  g1.G.comp = g2.G.comp
+  && Array.length g1.G.atoms = Array.length g2.G.atoms
+  && Array.for_all2 Atom.equal g1.G.atoms g2.G.atoms
+  && Array.length g1.G.rules = Array.length g2.G.rules
+  && Array.for_all2 grule_equal g1.G.rules g2.G.rules
+  && g1.G.by_head = g2.G.by_head
+  && g1.G.by_body_pos = g2.G.by_body_pos
+  && g1.G.by_body_neg = g2.G.by_body_neg
+  && g1.G.overrulers = g2.G.overrulers
+  && g1.G.defeaters = g2.G.defeaters
+  && g1.G.suppresses = g2.G.suppresses
+  && List.equal Term.equal g1.G.universe g2.G.universe
+  && List.equal Atom.equal g1.G.active_base g2.G.active_base
+  && Array.for_all
+       (fun a -> G.atom_id g1 a = G.atom_id g2 a)
+       g1.G.atoms
+
+(* Every array the kernel reads; [gop] is compared by [gop_equal]. *)
+let flat_equal (f1 : Solve.Flat.t) (f2 : Solve.Flat.t) =
+  let open Solve.Flat in
+  f1.n_atoms = f2.n_atoms && f1.n_rules = f2.n_rules
+  && f1.head = f2.head && f1.head_pol = f2.head_pol
+  && f1.body_len = f2.body_len && f1.body_off = f2.body_off
+  && f1.body_atom = f2.body_atom && f1.body_pol = f2.body_pol
+  && f1.occ_off = f2.occ_off && f1.occ_rule = f2.occ_rule
+  && f1.by_head_off = f2.by_head_off && f1.by_head_rule = f2.by_head_rule
+  && f1.n_sup = f2.n_sup && f1.sup_of_off = f2.sup_of_off
+  && f1.sup_of_rule = f2.sup_of_rule
+  && f1.suppresses_off = f2.suppresses_off
+  && f1.suppresses_rule = f2.suppresses_rule
+  && f1.rank = f2.rank && f1.occ_score = f2.occ_score
+  && f1.head_pos = f2.head_pos && f1.head_neg = f2.head_neg
+
 let agree s kb =
   List.for_all
     (fun o ->
-      Interp.equal (KS.least_model s ~obj:o) (Kb.least_model kb ~obj:o)
+      let g = KS.gop s ~obj:o and g' = Kb.gop kb ~obj:o in
+      gop_equal g g'
+      && flat_equal (Solve.Flat.compile g) (Solve.Flat.compile g')
+      && Interp.equal (KS.least_model s ~obj:o) (Kb.least_model kb ~obj:o)
       && interp_set_equal
            (B.value (KS.stable_models s ~obj:o))
            (B.value (Kb.stable_models kb ~obj:o))
@@ -136,8 +189,7 @@ let prop_session_equals_scratch =
 (* ------------------------------------------------------------------ *)
 
 let gop_agrees g1 g2 =
-  Ordered.Gop.n_atoms g1 = Ordered.Gop.n_atoms g2
-  && Ordered.Gop.n_rules g1 = Ordered.Gop.n_rules g2
+  gop_equal g1 g2
   && Interp.equal (Ordered.Vfix.least_model g1) (Ordered.Vfix.least_model g2)
   && interp_set_equal
        (B.value (Ordered.Stable.stable_models g1))

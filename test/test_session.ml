@@ -194,8 +194,80 @@ let prop_cached_equals_uncached =
           && Interp.equal (KS.least_model s ~obj) (Kb.least_model fresh ~obj))
         (KS.objects s))
 
+(* ------------------------------------------------------------------ *)
+(* A write costs its cone, not the KB                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The serving benchmark's write-mix shape: a class chain k0 <- ... <- k5
+   and [n] individuals below k5, each with five entities and their trait
+   facts; eight individuals are warmed viewpoints, and the write adds a
+   rule to k5, which all eight see. *)
+let write_mix_kb n =
+  let b = Buffer.create (n * 256) in
+  Buffer.add_string b
+    "component k0 { alive(X) :- ent(X). f0(X) :- ent(X). pa(X) :- ent(X). \
+     pb(X) :- ent(X). }\n";
+  for i = 1 to 5 do
+    Printf.bprintf b
+      "component k%d extends k%d { f%d(X) :- f%d(X). -f%d(X) :- t%d(X). \
+       g%d(X) :- f%d(X), alive(X).%s }\n"
+      i (i - 1) i (i - 1) (i - 1) i i i
+      (if i = 1 then " -pa(X) :- pb(X). -pb(X) :- pa(X)." else "")
+  done;
+  for o = 0 to n - 1 do
+    Printf.bprintf b "component o%d extends k5 {" o;
+    for j = 1 to 5 do
+      Printf.bprintf b " ent(e%d_%d)." o j;
+      for t = 1 to 5 do
+        Printf.bprintf b " %st%d(e%d_%d)." (if t = j then "" else "-") t o j
+      done
+    done;
+    Buffer.add_string b " }\n"
+  done;
+  Buffer.contents b
+
+(* Words one [add_rule] allocates: minor words, plus the blocks too large
+   for the minor heap, which go straight to the major heap (major words
+   minus the promoted ones; the minor heap is emptied first, so every
+   promoted word was allocated by the write itself).  Allocation is a
+   deterministic stand-in for work. *)
+let write_words n =
+  let s = KS.create () in
+  KS.load s (write_mix_kb n);
+  let views = List.init 8 (fun i -> Printf.sprintf "o%d" (i * n / 8)) in
+  let warm () =
+    List.iter
+      (fun o ->
+        ignore (KS.least_model s ~obj:o);
+        ignore (KS.stable_models ~limit:4 s ~obj:o))
+      views
+  in
+  let r = rule "w0(X) :- f5(X), alive(X)." in
+  warm ();
+  (* one write and its undo first: the store builds its ordered program
+     once, on the first write after a load *)
+  KS.add_rule s ~obj:"k5" r;
+  ignore (KS.remove_rule s ~obj:"k5" r : bool);
+  warm ();
+  Gc.minor ();
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  KS.add_rule s ~obj:"k5" r;
+  let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+  let c = KS.counters s in
+  Alcotest.(check int) "no fallback" 0 c.KS.fallbacks;
+  minor1 -. minor0 +. (major1 -. promoted1 -. (major0 -. promoted0))
+
+let test_write_costs_its_cone () =
+  let small = write_words 200 and large = write_words 2000 in
+  if large > 2. *. small then
+    Alcotest.failf
+      "one write allocates %.0f words at 2000 objects, %.0f at 200 (bound: 2x)"
+      large small
+
 let suite =
   [ Alcotest.test_case "hit after repeat" `Quick test_hit_after_repeat;
+    Alcotest.test_case "a write costs its cone, not the KB" `Quick
+      test_write_costs_its_cone;
     Alcotest.test_case "delta eviction across mutations" `Quick
       test_delta_eviction;
     Alcotest.test_case "partial results are not cached" `Quick
