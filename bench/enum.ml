@@ -79,7 +79,7 @@ let enumerate kind engine ?stats g =
     match kind, engine with
     | Af, `Pruned -> Ordered.Stable.assumption_free_models ?stats g
     | Af, `Naive -> Oracle.Stable.assumption_free_models ?stats g
-    | Total, `Pruned -> Ordered.Exhaustive.total_models ?stats g
+    | Total, `Pruned -> Oracle.Pruned.total_models ?stats g
     | Total, `Naive -> Oracle.Exhaustive.total_models ?stats g
   in
   List.length (B.value result)

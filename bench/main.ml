@@ -5,11 +5,11 @@
    claims; EXPERIMENTS.md records paper-vs-measured for each).
 
    Part 2 times the algorithms on scaled synthetic workloads (experiments
-   B1-B9 in DESIGN.md): the two V-fixpoint engines, OV vs EV, naive vs
-   relevance-driven grounding, classical vs ordered stable enumeration,
-   well-founded vs ordered fixpoints, knowledge-base inheritance depth,
-   goal-directed proof vs materialisation, incremental maintenance vs
-   recomputation, and magic sets vs full bottom-up evaluation. *)
+   B1-B7 and B10 in DESIGN.md): the two V-fixpoint engines, OV vs EV,
+   naive vs relevance-driven grounding, classical vs ordered stable
+   enumeration, well-founded vs ordered fixpoints, knowledge-base
+   inheritance depth, goal-directed proof vs materialisation, and delta
+   repair vs rebuild at the ordered layer. *)
 
 open Bechamel
 open Toolkit
@@ -56,31 +56,34 @@ let regenerate_figures () =
 (* Part 2: timed experiments                                           *)
 (* ------------------------------------------------------------------ *)
 
-let vfix_engine ?viewpoint ~engine prog =
+let incremental g = Ordered.Vfix.lfp g
+let naive g = Ordered.Vfix.lfp_naive g
+
+let vfix_engine ?viewpoint ~lfp prog =
   let comp =
     match viewpoint with
     | Some name -> name
     | None -> Ordered.Program.component_name prog 0
   in
   let g = W.ground_at prog comp in
-  Staged.stage (fun () -> ignore (Ordered.Vfix.least_model ~engine g))
+  Staged.stage (fun () -> ignore (lfp g))
 
 (* B1: incremental vs naive V over suppression chains. *)
 let bench_vfix =
   let sizes = [ 50; 200; 800 ] in
   Test.make_grouped ~name:"vfix"
     [ Test.make_indexed ~name:"incremental" ~args:sizes (fun n ->
-          vfix_engine ~engine:`Incremental (W.chain n));
+          vfix_engine ~lfp:incremental (W.chain n));
       Test.make_indexed ~name:"naive" ~args:sizes (fun n ->
-          vfix_engine ~engine:`Naive (W.chain n))
+          vfix_engine ~lfp:naive (W.chain n))
     ]
 
 (* B1b: overruling towers (inheritance depth of the core engine). *)
 let bench_tower =
   Test.make_indexed ~name:"vfix/tower" ~args:[ 8; 32; 128 ] (fun d ->
       (* view from the most specific component, which sees all d layers *)
-      vfix_engine ~viewpoint:(Printf.sprintf "c%d" (d - 1))
-        ~engine:`Incremental (W.tower d))
+      vfix_engine ~viewpoint:(Printf.sprintf "c%d" (d - 1)) ~lfp:incremental
+        (W.tower d))
 
 (* B2: OV vs EV end-to-end (ground + solve) on ancestor chains. *)
 let bench_ov_ev =
@@ -156,40 +159,6 @@ let bench_prove =
                 (Logic.Interp.holds (Ordered.Vfix.least_model g) goal)))
     ]
 
-(* B8: incremental maintenance (DRed) vs from-scratch recomputation when
-   one edge of an n-node transitive closure flips. *)
-let bench_incremental =
-  let args = [ 16; 48 ] in
-  let setup n =
-    let consts = List.init n (fun i -> Logic.Term.Int i) in
-    let ground =
-      (Ground.Grounder.naive ~extra_constants:consts
-         (Lang.Parser.parse_rules
-            "t(X, Y) :- e(X, Y). t(X, Y) :- e(X, Z), t(Z, Y)."))
-        .Ground.Grounder.rules
-    in
-    let t = Datalog.Incremental.create ground in
-    for i = 0 to n - 2 do
-      Datalog.Incremental.add t
-        (Logic.Atom.make "e" [ Logic.Term.Int i; Logic.Term.Int (i + 1) ])
-    done;
-    t
-  in
-  let mid_edge n =
-    Logic.Atom.make "e" [ Logic.Term.Int (n / 2); Logic.Term.Int ((n / 2) + 1) ]
-  in
-  Test.make_grouped ~name:"incremental"
-    [ Test.make_indexed ~name:"dred_flip" ~args (fun n ->
-          let t = setup n in
-          let e = mid_edge n in
-          Staged.stage (fun () ->
-              Datalog.Incremental.remove t e;
-              Datalog.Incremental.add t e));
-      Test.make_indexed ~name:"recompute_flip" ~args (fun n ->
-          let t = setup n in
-          Staged.stage (fun () -> ignore (Datalog.Incremental.recompute t)))
-    ]
-
 (* B10: delta repair vs rebuild at the ordered layer (lib/inc) — add one
    universe-preserving rule to an n-fact component and either repair the
    cached grounding + least model from the delta or reground and re-solve
@@ -234,35 +203,6 @@ let bench_inc_repair =
               ignore (Ordered.Vfix.least_model (Ordered.Gop.ground p2 c))))
     ]
 
-(* B9: magic sets vs full bottom-up evaluation — transitive closure over
-   an n-node chain, queried from a node near the end. *)
-let bench_magic =
-  let args = [ 16; 48 ] in
-  let tc =
-    Lang.Parser.parse_rules "t(X, Y) :- e(X, Y). t(X, Y) :- e(X, Z), t(Z, Y)."
-  in
-  let prog n =
-    tc
-    @ List.init (n - 1) (fun i ->
-          Logic.Rule.fact
-            (Logic.Literal.pos
-               (Logic.Atom.make "e" [ Logic.Term.Int i; Logic.Term.Int (i + 1) ])))
-  in
-  let query n =
-    Logic.Atom.make "t" [ Logic.Term.Int (n - 4); Logic.Term.Var "Y" ]
-  in
-  Test.make_grouped ~name:"magic"
-    [ Test.make_indexed ~name:"magic_sets" ~args (fun n ->
-          let p = prog n and q = query n in
-          Staged.stage (fun () -> ignore (Datalog.Magic.answers p ~query:q)));
-      Test.make_indexed ~name:"full_bottom_up" ~args (fun n ->
-          let p = prog n in
-          Staged.stage (fun () ->
-              let ground = (Ground.Grounder.relevant ~naf:true p).Ground.Grounder.rules in
-              let np = Datalog.Nprog.of_rules ground in
-              ignore (Datalog.Consequence.lfp np)))
-    ]
-
 (* B5: knowledge-base query vs inheritance depth (ground + solve). *)
 let bench_kb =
   Test.make_indexed ~name:"kb/depth" ~args:[ 4; 16; 64 ] (fun d ->
@@ -293,8 +233,7 @@ let groups =
   [ ("figures", bench_figures); ("vfix", bench_vfix); ("tower", bench_tower);
     ("ov_ev", bench_ov_ev); ("ground", bench_grounding);
     ("stable", bench_stable); ("wfs", bench_wfs); ("kb", bench_kb);
-    ("prove", bench_prove); ("incremental", bench_incremental);
-    ("inc", bench_inc_repair); ("magic", bench_magic)
+    ("prove", bench_prove); ("inc", bench_inc_repair)
   ]
 
 (* Optional argv filters: `bench/main.exe vfix prove` runs only those

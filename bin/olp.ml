@@ -387,8 +387,8 @@ let query_cmd =
         Format.printf "%a@." Logic.Interp.pp_value
           (Ordered.Query.ask ~budget g l)
       | `Cautious ->
-        Format.printf "%b@." (Ordered.Stable.cautious ~budget g l)
-      | `Brave -> Format.printf "%b@." (Ordered.Stable.brave ~budget g l)
+        Format.printf "%b@." (Solve.Kernel.cautious ~budget g l)
+      | `Brave -> Format.printf "%b@." (Solve.Kernel.brave ~budget g l)
     else begin
       let instances = Ordered.Query.holds_instances ~budget g l in
       Format.printf "%d answer(s)@." (List.length instances);

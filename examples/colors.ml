@@ -25,7 +25,10 @@ let base = {|
 
 let run title facts =
   let rules = Lang.Parser.parse_rules (base ^ facts) in
-  let stables = Ordered.Negative.stable_models rules in
+  let stables =
+    Ordered.Budget.value
+      (Solve.Kernel.stable_models (Ordered.Negative.ground_3v rules))
+  in
   Format.printf "--- %s ---@." title;
   Format.printf "%d stable model(s)@." (List.length stables);
   List.iter

@@ -17,6 +17,11 @@ let show g q =
   Format.printf "  %-28s %a@." q Interp.pp_value
     (Interp.value_lit (Ordered.Vfix.least_model g) (lit q))
 
+(* Definition 10: the stable models of a negative program are those of
+   its 3-level version, grounded at the exceptions component. *)
+let negative_stable_models rs =
+  Ordered.Budget.value (Solve.Kernel.stable_models (Ordered.Negative.ground_3v rs))
+
 let p1_src =
   {| component c2 {
        bird(penguin). bird(pigeon).
@@ -87,7 +92,7 @@ let () =
   show gp2 "rich(mimmo)";
   show gp2 "free_ticket(mimmo)";
   Format.printf "  total models in c1: %d (the paper: none exists)@."
-    (List.length (Ordered.Budget.value (Ordered.Exhaustive.total_models gp2)));
+    (List.length (Ordered.Budget.value (Solve.Kernel.total_models gp2)));
 
   section "Figure 3" "the loan program";
   List.iter
@@ -120,7 +125,7 @@ let () =
     (Ordered.Vfix.least_model g5);
   List.iter
     (fun m -> Format.printf "  stable: %a@." Interp.pp m)
-    (Ordered.Budget.value (Ordered.Stable.stable_models g5));
+    (Ordered.Budget.value (Solve.Kernel.stable_models g5));
 
   section "Example 6" "OV(ancestor): explicit closed world";
   let anc =
@@ -157,7 +162,7 @@ let () =
   Format.printf "  two-level: fly(penguin) = %a (nothing can be said)@."
     Interp.pp_value
     (Interp.value_lit two_level (lit "fly(penguin)"));
-  let stable8 = Ordered.Negative.stable_models c8 in
+  let stable8 = negative_stable_models c8 in
   List.iter
     (fun s ->
       Format.printf "  3-level stable: fly(penguin) = %a, fly(pigeon) = %a@."
@@ -184,5 +189,5 @@ let () =
            ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
            Literal.pp)
         chosen)
-    (Ordered.Negative.stable_models c9);
+    (negative_stable_models c9);
   Format.printf "@.tour complete.@."

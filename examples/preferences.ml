@@ -35,14 +35,14 @@ let () =
   (* Without the preference the contradicting pair defeats itself. *)
   let g = Ordered.Gop.ground program main in
   print_models "no preference"
-    (Ordered.Budget.value (Ordered.Stable.stable_models g));
+    (Ordered.Budget.value (Solve.Kernel.stable_models g));
 
   (* The compiled route: translate, ground, enumerate — the solver is
      unchanged, the preference lives entirely in the component order. *)
   let spec = Prefer.Spec.make program main prefs in
   let compiled = Prefer.Compile.gop (Prefer.Compile.compile spec) in
   print_models "prefer nf > f (compiled)"
-    (Ordered.Budget.value (Ordered.Stable.stable_models compiled));
+    (Ordered.Budget.value (Solve.Kernel.stable_models compiled));
 
   (* The combined rule order must stay a strict partial order: closing
      a cycle is a typed diagnostic, not a silent misbehaviour. *)

@@ -54,7 +54,7 @@ let () =
      unique stable model. *)
   assert (Ordered.Model.is_model g m);
   assert (Ordered.Model.is_assumption_free g m);
-  (match Ordered.Budget.value (Ordered.Stable.stable_models g) with
+  (match Ordered.Budget.value (Solve.Kernel.stable_models g) with
   | [ s ] -> assert (Interp.equal s m)
   | other -> Format.printf "unexpected: %d stable models@." (List.length other));
   Format.printf "quickstart ok@."

@@ -46,77 +46,3 @@ let extend ?base ?budget g interp =
       if Interp.cardinal m > Interp.cardinal !best then best := m;
       true);
   !best
-
-(* Same fail-first ordering as the stable search: most-mentioned atoms
-   first, ties on the atom id, so the enumeration is deterministic. *)
-let order_atoms (g : Gop.t) atoms =
-  let occ = Array.make (Gop.n_atoms g) 0 in
-  Array.iter
-    (fun (r : Gop.grule) ->
-      occ.(r.head) <- occ.(r.head) + 1;
-      Array.iter (fun (a, _) -> occ.(a) <- occ.(a) + 1) r.body)
-    g.Gop.rules;
-  List.sort (fun a b -> compare (- occ.(a), a) (- occ.(b), b)) atoms
-
-let total_models ?limit ?(budget = Budget.unlimited) ?stats (g : Gop.t) =
-  (* Branch-and-propagate, like {!Stable.assumption_free_models}: a total
-     model is in particular a model, hence closed under [V] and a superset
-     of lfp(V), so the search seeds the assignment with the least fixpoint,
-     re-propagates after every decision, and prunes on conflict.  No
-     support pruning here — a total model may contain unsupported literals
-     (only condition (a) constrains them).  Anytime: a partial result is a
-     prefix of the unbudgeted enumeration. *)
-  let stats = match stats with Some s -> s | None -> Counters.create () in
-  let acc = ref [] in
-  let count = ref 0 in
-  try
-    let seed = Vfix.lfp ~budget g in
-    let branch =
-      Array.of_list
-        (order_atoms g
-           (List.filter
-              (fun a -> not (Gop.Values.defined seed a))
-              (List.init (Gop.n_atoms g) Fun.id)))
-    in
-    let dec = Gop.Values.copy seed in
-    let full () =
-      match limit with
-      | Some l -> !count >= l
-      | None -> false
-    in
-    let rec node i =
-      Budget.tick budget;
-      stats.Counters.nodes <- stats.Counters.nodes + 1;
-      if not (full ()) then
-        match Vfix.propagate ~budget g dec with
-        | Error _ -> stats.prunes <- stats.prunes + 1
-        | Ok v -> (
-          let rec next j =
-            if j >= Array.length branch then None
-            else if Gop.Values.defined v branch.(j) then begin
-              if not (Gop.Values.defined dec branch.(j)) then
-                stats.forced <- stats.forced + 1;
-              next (j + 1)
-            end
-            else Some j
-          in
-          match next i with
-          | None ->
-            stats.leaves <- stats.leaves + 1;
-            if Model.is_model_v g v then begin
-              incr count;
-              stats.models <- stats.models + 1;
-              acc := Gop.Values.to_interp g v :: !acc
-            end
-          | Some j ->
-            let a = branch.(j) in
-            Gop.Values.set dec a true;
-            node (j + 1);
-            Gop.Values.unset dec a;
-            Gop.Values.set dec a false;
-            node (j + 1);
-            Gop.Values.unset dec a)
-    in
-    node 0;
-    Budget.Complete (List.rev !acc)
-  with Budget.Exhausted r -> Budget.Partial (List.rev !acc, r)

@@ -32,14 +32,3 @@ val extend :
     (returns the input when it is already exhaustive).  Raises
     [Invalid_argument] if the input is not a model and [Budget.Exhausted]
     when the budget runs out. *)
-
-val total_models :
-  ?limit:int -> ?budget:Budget.t -> ?stats:Counters.t -> Gop.t ->
-  Logic.Interp.t list Budget.anytime
-(** All total models over the active base, by the branch-and-propagate
-    search (seeded with the least fixpoint of [V], conflict pruning via
-    {!Vfix.propagate}, fail-first atom order, true before false).  Models
-    come in {e search order} — first discovered first, deterministic —
-    so [?limit:k] is the first [k] of the unlimited enumeration and a
-    [Partial] result is a prefix of it.  [?stats] accumulates search
-    effort ({!Counters.t}). *)

@@ -26,9 +26,6 @@ let is_model ?depth rules interp = Model.is_model (ground_3v ?depth rules) inter
 let is_assumption_free ?depth rules interp =
   Model.is_assumption_free (ground_3v ?depth rules) interp
 
-let stable_models ?depth ?limit rules =
-  Budget.value (Stable.stable_models ?limit (ground_3v ?depth rules))
-
 let least_model ?depth rules = Vfix.least_model (ground_3v ?depth rules)
 
 (* ------------------------------------------------------------------ *)

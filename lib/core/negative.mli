@@ -32,11 +32,13 @@ val ground_3v :
   ?grounder:[ `Naive | `Relevant ] -> ?depth:int -> Logic.Rule.t list -> Gop.t
 (** [3V(C)] grounded at the exceptions component [C-]. *)
 
-(** {1 Definition 10 — semantics via the 3-level version} *)
+(** {1 Definition 10 — semantics via the 3-level version}
+
+    The stable models of [C] are those of {!ground_3v}; enumerate them
+    with [Solve.Kernel.stable_models (ground_3v rules)]. *)
 
 val is_model : ?depth:int -> Logic.Rule.t list -> Logic.Interp.t -> bool
 val is_assumption_free : ?depth:int -> Logic.Rule.t list -> Logic.Interp.t -> bool
-val stable_models : ?depth:int -> ?limit:int -> Logic.Rule.t list -> Logic.Interp.t list
 val least_model : ?depth:int -> Logic.Rule.t list -> Logic.Interp.t
 
 (** {1 Definition 11 — direct semantics}

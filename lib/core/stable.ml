@@ -190,38 +190,3 @@ let maximal ?(budget = Budget.unlimited) enumerated =
 
 let stable_models ?limit ?budget ?stats g =
   maximal ?budget (assumption_free_models ?limit ?budget ?stats g)
-
-(* Boolean queries over the stable models are not anytime: an answer
-   computed from a truncated enumeration would be unsound, so budget
-   exhaustion propagates as [Budget.Exhausted]. *)
-let all_stable ?budget g = Budget.complete_exn (stable_models ?budget g)
-
-let cautious ?budget g l =
-  List.for_all (fun m -> Interp.holds m l) (all_stable ?budget g)
-
-let brave ?budget g l =
-  List.exists (fun m -> Interp.holds m l) (all_stable ?budget g)
-
-let cautious_consequences ?budget g =
-  match all_stable ?budget g with
-  | [] -> Interp.empty (* unreachable: the least model is assumption-free *)
-  | m :: rest ->
-    List.fold_left
-      (fun acc m' ->
-        Interp.fold
-          (fun a b acc ->
-            match Interp.value m' a with
-            | Interp.True when b -> acc
-            | Interp.False when not b -> acc
-            | _ -> Interp.unset acc a)
-          acc acc)
-      m rest
-
-let is_stable ?budget g interp =
-  Model.is_assumption_free g interp
-  &&
-  let others = Budget.complete_exn (assumption_free_models ?budget g) in
-  not
-    (List.exists
-       (fun m -> (not (Interp.equal interp m)) && Interp.subset interp m)
-       others)

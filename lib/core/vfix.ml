@@ -152,10 +152,4 @@ let repair ?budget (g : Gop.t) ~seed =
   | Error _ -> `Recomputed (lfp ?budget g)
 let trace ?budget g = snd (run_incremental ?budget g)
 
-let least_model ?(engine = `Incremental) ?budget g =
-  let v =
-    match engine with
-    | `Incremental -> lfp ?budget g
-    | `Naive -> lfp_naive ?budget g
-  in
-  Gop.Values.to_interp g v
+let least_model ?budget g = Gop.Values.to_interp g (lfp ?budget g)

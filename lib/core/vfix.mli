@@ -77,10 +77,9 @@ val repair :
     recomputed from scratch and returned as [`Recomputed] — never a
     silent wrong answer.  [budget] is ticked as in {!lfp}. *)
 
-val least_model :
-  ?engine:[ `Incremental | `Naive ] -> ?budget:Budget.t -> Gop.t ->
-  Logic.Interp.t
-(** The least model [V^inf_{P,C}(0)] as a symbolic interpretation. *)
+val least_model : ?budget:Budget.t -> Gop.t -> Logic.Interp.t
+(** The least model [V^inf_{P,C}(0)] as a symbolic interpretation,
+    computed by {!lfp}. *)
 
 val trace : ?budget:Budget.t -> Gop.t -> (int * int) list
 (** Firing order of the incremental engine: [(rule index, round)] pairs in

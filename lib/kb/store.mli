@@ -158,11 +158,10 @@ val stable_models :
   t ->
   obj:string ->
   Logic.Interp.t list Ordered.Budget.anytime
-(** Anytime, like {!Ordered.Stable.stable_models}: a [Partial] result
-    carries the stable models found before the budget ran out.  The
-    compiled flat-array kernel ({!Solve.Kernel}) enumerates, so models
-    come in the pruned search's order; [stats] accumulates search
-    effort, solver counters included. *)
+(** Anytime, like {!Solve.Kernel.stable_models}, which enumerates: a
+    [Partial] result carries the stable models found before the budget
+    ran out.  Models come in the kernel's search order; [stats]
+    accumulates search effort, solver counters included. *)
 
 val assumption_free_models :
   ?limit:int ->

@@ -108,6 +108,3 @@ let project m =
   Interp.fold
     (fun a b acc -> if is_control a then acc else Interp.set acc a b)
     m Interp.empty
-
-let preferred_models ?limit ?budget ?stats t =
-  Ordered.Stable.stable_models ?limit ?budget ?stats (gop t)

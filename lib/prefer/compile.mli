@@ -7,9 +7,9 @@
     order is restricted to those singleton components, each
     [prefer a > b] becomes one more component-order edge [c(a) < c(b)],
     and an empty bottom component [#view] extends them all.  The stable
-    models of the compiled program at [#view] — enumerated by
-    {!Ordered.Stable}'s pruned search with zero solver changes — are
-    exactly the preferred models: the paper's overruling machinery
+    models of the compiled program at [#view] — enumerated by the
+    unmodified compiled kernel, [Solve.Kernel.stable_models (gop c)] —
+    are exactly the preferred models: the paper's overruling machinery
     (Definition 2) applied to the preference-refined rule order.
 
     With [~trace:true] the compilation also emits a fresh {e control
@@ -37,17 +37,9 @@ val gop :
   ?extra_constants:Logic.Term.t list ->
   t ->
   Ordered.Gop.t
-(** Ground the compiled program at [#view]. *)
-
-val preferred_models :
-  ?limit:int ->
-  ?budget:Ordered.Budget.t ->
-  ?stats:Ordered.Counters.t ->
-  t ->
-  Logic.Interp.t list Ordered.Budget.anytime
-(** The preferred models, in the pruned search's enumeration order
-    (anytime, like {!Ordered.Stable.stable_models}).  In trace mode the
-    models include the [ap@] control atoms; {!project} strips them. *)
+(** Ground the compiled program at [#view].  Its stable models are the
+    preferred models; in trace mode they include the [ap@] control
+    atoms, which {!project} strips. *)
 
 val project : Logic.Interp.t -> Logic.Interp.t
 (** Drop [ap@] control atoms from a model of a traced compilation. *)

@@ -1,10 +1,13 @@
 (** The compiled search kernel: flat-array propagation with trailed undo,
     conflict-driven nogood learning and deterministic restarts.
 
-    Drop-in replacements for the pruned enumerations — same model sets,
-    same enumeration order, same [?limit] prefixes and anytime
-    ([Partial]) semantics as {!Ordered.Stable.assumption_free_models} /
-    {!Ordered.Stable.stable_models} / {!Ordered.Exhaustive.total_models}.
+    The one production enumerator: the server, the sessions, the CLI and
+    the examples all search through it.  It enumerates the same model
+    sets in the same order as the pruned branch-and-propagate searches
+    ({!Ordered.Stable.assumption_free_models} /
+    {!Ordered.Stable.stable_models}, and the test oracle's pruned
+    total-model search), with the same [?limit] prefixes and anytime
+    ([Partial]) semantics.
     The difference is mechanical: the ground program is compiled once
     into flat arrays ({!Flat}), propagation is maintained incrementally
     across the search tree instead of re-run from scratch at every node,
@@ -44,3 +47,29 @@ val total_models :
   ?flat:Flat.t ->
   Ordered.Gop.t ->
   Logic.Interp.t list Ordered.Budget.anytime
+
+(** {1 Boolean queries}
+
+    Not anytime: an answer read off a truncated enumeration could flip,
+    so a spent budget raises [Budget.Exhausted] instead of returning. *)
+
+val is_stable :
+  ?budget:Ordered.Budget.t -> Ordered.Gop.t -> Logic.Interp.t -> bool
+(** Assumption-free and not properly contained in another assumption-free
+    model. *)
+
+val cautious :
+  ?budget:Ordered.Budget.t -> Ordered.Gop.t -> Logic.Literal.t -> bool
+(** Skeptical entailment: the ground literal holds in {e every} stable
+    model.  A stable model always exists (the least model is
+    assumption-free), so this is never vacuously true. *)
+
+val brave :
+  ?budget:Ordered.Budget.t -> Ordered.Gop.t -> Logic.Literal.t -> bool
+(** Credulous entailment: the ground literal holds in {e some} stable
+    model. *)
+
+val cautious_consequences :
+  ?budget:Ordered.Budget.t -> Ordered.Gop.t -> Logic.Interp.t
+(** The literals common to all stable models (always a superset of the
+    least model, by Theorem 1(b)). *)

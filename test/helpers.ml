@@ -15,6 +15,12 @@ let ground_at prog name =
 
 let least prog name = Ordered.Vfix.least_model (ground_at prog name)
 
+(* Definition 10: the stable models of a negative program are those of its
+   3-level version, enumerated by the kernel. *)
+let negative_stable_models rs =
+  Ordered.Budget.value
+    (Solve.Kernel.stable_models (Ordered.Negative.ground_3v rs))
+
 (* Alcotest testables *)
 
 let testable_term = Alcotest.testable Term.pp Term.equal

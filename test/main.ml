@@ -21,10 +21,8 @@ let () =
       ("query", Test_query.suite);
       ("analysis", Test_analysis.suite);
       ("stress", Test_stress.suite);
-      ("incremental", Test_incremental.suite);
       ("diff-inc", Test_diff_inc.suite);
       ("edb", Test_edb.suite);
-      ("magic", Test_magic.suite);
       ("budget", Test_budget.suite);
       ("fuzz", Test_fuzz.suite);
       ("proto", Test_proto.suite);

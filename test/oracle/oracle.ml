@@ -185,6 +185,85 @@ module Exhaustive = struct
     | exception B.Exhausted r -> B.Partial (List.rev !acc, r)
 end
 
+module Pruned = struct
+  module V = Ordered.Vfix
+
+  (* Same fail-first ordering as the stable search: most-mentioned atoms
+     first, ties on the atom id, so the enumeration is deterministic. *)
+  let order_atoms (g : G.t) atoms =
+    let occ = Array.make (G.n_atoms g) 0 in
+    Array.iter
+      (fun (r : G.grule) ->
+        occ.(r.head) <- occ.(r.head) + 1;
+        Array.iter (fun (a, _) -> occ.(a) <- occ.(a) + 1) r.body)
+      g.G.rules;
+    List.sort (fun a b -> compare (- occ.(a), a) (- occ.(b), b)) atoms
+
+  let total_models ?limit ?(budget = B.unlimited) ?stats (g : G.t) =
+    (* Branch-and-propagate, like {!Ordered.Stable.assumption_free_models}:
+       a total model is in particular a model, hence closed under [V] and
+       a superset of lfp(V), so the search seeds the assignment with the
+       least fixpoint, re-propagates after every decision, and prunes on
+       conflict.  No support pruning here — a total model may contain
+       unsupported literals (only condition (a) constrains them).
+       Anytime: a partial result is a prefix of the unbudgeted
+       enumeration. *)
+    let stats = match stats with Some s -> s | None -> C.create () in
+    let acc = ref [] in
+    let count = ref 0 in
+    try
+      let seed = V.lfp ~budget g in
+      let branch =
+        Array.of_list
+          (order_atoms g
+             (List.filter
+                (fun a -> not (G.Values.defined seed a))
+                (List.init (G.n_atoms g) Fun.id)))
+      in
+      let dec = G.Values.copy seed in
+      let full () =
+        match limit with
+        | Some l -> !count >= l
+        | None -> false
+      in
+      let rec node i =
+        B.tick budget;
+        stats.C.nodes <- stats.C.nodes + 1;
+        if not (full ()) then
+          match V.propagate ~budget g dec with
+          | Error _ -> stats.C.prunes <- stats.C.prunes + 1
+          | Ok v -> (
+            let rec next j =
+              if j >= Array.length branch then None
+              else if G.Values.defined v branch.(j) then begin
+                if not (G.Values.defined dec branch.(j)) then
+                  stats.C.forced <- stats.C.forced + 1;
+                next (j + 1)
+              end
+              else Some j
+            in
+            match next i with
+            | None ->
+              stats.C.leaves <- stats.C.leaves + 1;
+              if Ordered.Model.is_model_v g v then begin
+                incr count;
+                stats.C.models <- stats.C.models + 1;
+                acc := G.Values.to_interp g v :: !acc
+              end
+            | Some j ->
+              let a = branch.(j) in
+              G.Values.set dec a true;
+              node (j + 1);
+              G.Values.unset dec a;
+              G.Values.set dec a false;
+              node (j + 1);
+              G.Values.unset dec a)
+      in
+      node 0;
+      B.Complete (List.rev !acc)
+    with B.Exhausted r -> B.Partial (List.rev !acc, r)
+end
+
 module Prefer = struct
   module Spec = Prefer.Spec
 

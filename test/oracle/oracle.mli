@@ -1,13 +1,19 @@
-(** Differential oracles: the pre-propagation leaf-check enumerators.
+(** Differential oracles for the production search ({!Solve.Kernel}).
 
-    Each one visits the full assignment tree and applies the paper's
-    definitional test only at complete leaves, so it is slow on purpose
-    and shares no search machinery with the production engines
-    ({!Ordered.Stable}, {!Ordered.Exhaustive}, {!Solve.Kernel},
-    {!Prefer.Compile}).  The differential suites check the engines
-    against these (same model sets, same counts under [?limit]), and the
-    node-ratio benchmarks use them as the baseline.  Each enumerates in
-    its own documented naive order, which differs from the engines'. *)
+    Two kinds live here.  The {e leaf-check} enumerators ({!Stable},
+    {!Exhaustive}, {!Prefer}) visit the full assignment tree and apply the
+    paper's definitional test only at complete leaves, so they are slow
+    on purpose and share no search machinery with the kernel or with
+    {!Ordered.Stable}'s pruned search.  The differential suites check the
+    engines against them (same model sets, same counts under [?limit]),
+    and the node-ratio benchmarks use them as the baseline.  Each
+    enumerates in its own documented naive order, which differs from the
+    engines'.
+
+    {!Pruned} is the other kind: the branch-and-propagate total-model
+    search.  It enumerates in the kernel's order, so it is the reference
+    for that order ([test_diff_stable], [test_golden]) and the pruned
+    baseline of the enumeration benchmarks. *)
 
 module Stable : sig
   val assumption_free_models :
@@ -38,6 +44,22 @@ module Exhaustive : sig
     Logic.Interp.t list Ordered.Budget.anytime
   (** Every complete assignment of the active base that is a model, in
       the naive order: atoms in active-base order, true before false. *)
+end
+
+module Pruned : sig
+  val total_models :
+    ?limit:int ->
+    ?budget:Ordered.Budget.t ->
+    ?stats:Ordered.Counters.t ->
+    Ordered.Gop.t ->
+    Logic.Interp.t list Ordered.Budget.anytime
+  (** All total models over the active base, by branch-and-propagate:
+      seeded with the least fixpoint of [V], conflict pruning via
+      {!Ordered.Vfix.propagate}, fail-first atom order (most-mentioned
+      atoms first, ties on the atom id), true before false.  Models come
+      in search order — the order {!Solve.Kernel.total_models} must
+      reproduce — so [?limit:k] is the first [k] of the unlimited
+      enumeration and a [Partial] result is a prefix of it. *)
 end
 
 module Prefer : sig

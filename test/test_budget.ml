@@ -305,12 +305,12 @@ let test_prefix_property_total =
     (fun (n, k) ->
       let g = Ordered.Bridge.ground_ov (W.even_loops k) in
       let full =
-        match Ordered.Exhaustive.total_models g with
+        match Solve.Kernel.total_models g with
         | B.Complete ms -> ms
         | B.Partial _ -> QCheck.Test.fail_report "unlimited run partial"
       in
       match
-        Ordered.Exhaustive.total_models ~budget:(B.make ~max_steps:n ()) g
+        Solve.Kernel.total_models ~budget:(B.make ~max_steps:n ()) g
       with
       | B.Complete ms ->
         List.length ms = List.length full
@@ -396,10 +396,10 @@ let test_maximality_polls_deadline_only () =
 let test_boolean_queries_raise () =
   let g = af_gop () in
   let l = Lang.Parser.parse_literal "p0" in
-  (match Ordered.Stable.cautious ~budget:(B.make ~max_steps:4 ()) g l with
+  (match Solve.Kernel.cautious ~budget:(B.make ~max_steps:4 ()) g l with
   | exception B.Exhausted B.Steps -> ()
   | (_ : bool) -> Alcotest.fail "cautious under a tiny budget must raise");
-  match Ordered.Stable.brave ~budget:(B.make ~max_steps:4 ()) g l with
+  match Solve.Kernel.brave ~budget:(B.make ~max_steps:4 ()) g l with
   | exception B.Exhausted B.Steps -> ()
   | (_ : bool) -> Alcotest.fail "brave under a tiny budget must raise"
 

@@ -107,7 +107,7 @@ let test_def11b_negative_assumptions () =
   (* the unique stable model keeps the explicit fact *)
   Alcotest.check testable_interp_set "stable models"
     [ interp [ "p" ] ]
-    (Ordered.Negative.stable_models c);
+    (negative_stable_models c);
   Alcotest.check testable_interp_set "direct stable models agree"
     [ interp [ "p" ] ]
     (Ordered.Negative.direct_stable_models ground)

@@ -2,7 +2,7 @@
    naive oracle on random ordered programs with random named rules and
    random (acyclicity-preserving) preference pairs:
 
-   - [Prefer.Compile] (fresh per-rule components + pruned search) and
+   - [Prefer.Compile] (fresh per-rule components + the compiled kernel) and
      [Oracle.Prefer] (directly refined adjacency + leaf-check search)
      enumerate the same preferred-model sets;
    - with no preferences, both routes coincide with the plain stable
@@ -133,8 +133,10 @@ let print_case (p, prefs) =
 
 let spec_of (p, prefs) = Prefer.Spec.make p 0 prefs
 
-let compiled spec =
-  B.value (Prefer.Compile.preferred_models (Prefer.Compile.compile spec))
+let compiled ?trace spec =
+  B.value
+    (Solve.Kernel.stable_models
+       (Prefer.Compile.gop (Prefer.Compile.compile ?trace spec)))
 
 let naive spec = B.value (Oracle.Prefer.preferred_models spec)
 
@@ -168,11 +170,7 @@ let prop_trace =
     (gen_preferred 4)
     (fun case ->
       let spec = spec_of case in
-      let traced =
-        B.value
-          (Prefer.Compile.preferred_models
-             (Prefer.Compile.compile ~trace:true spec))
-      in
+      let traced = compiled ~trace:true spec in
       interp_set_equal
         (List.map Prefer.Compile.project traced)
         (compiled spec))

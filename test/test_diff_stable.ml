@@ -1,6 +1,7 @@
 (* Differential testing of the three enumeration engines — compiled
-   ([Solve.Kernel]), pruned branch-and-propagate, and the leaf-check
-   oracles ([Oracle.Stable], [Oracle.Exhaustive]) — on random programs:
+   ([Solve.Kernel]), pruned branch-and-propagate ([Ordered.Stable],
+   [Oracle.Pruned] for total models), and the leaf-check oracles
+   ([Oracle.Stable], [Oracle.Exhaustive]) — on random programs:
 
    - same assumption-free / stable / total model sets across all three;
    - the compiled kernel reproduces the pruned enumeration {e order}
@@ -15,7 +16,10 @@
    - the pruned search only emits assumption-free models and starts with
      the least model;
    - on compiled preference programs ([Prefer.Compile]), the compiled
-     kernel agrees with the pruned preferred-model route.
+     kernel agrees with the pruned search;
+   - the kernel's boolean queries (cautious, brave, cautious
+     consequences, is_stable) equal the values read off the leaf-check
+     oracle's stable models.
 
    The generators cover random ordered programs (up to 3 components,
    negative heads, overruling/defeating) and OV-transformed seminegative
@@ -28,7 +32,7 @@ open Helpers
 module Gen = QCheck2.Gen
 module B = Ordered.Budget
 module S = Ordered.Stable
-module E = Ordered.Exhaustive
+module E = Oracle.Pruned
 module K = Solve.Kernel
 module O = Oracle
 
@@ -223,9 +227,9 @@ let prop_pruned_sound =
 
 (* Preference programs exercise the compiled kernel on the gops the
    preferred-model route actually searches: per-rule components, control
-   atoms, deep component orders.  [Prefer.Compile.preferred_models] is
-   the pruned stable search on [Prefer.Compile.gop], so the compiled
-   kernel on the same gop must enumerate the same models. *)
+   atoms, deep component orders.  The preferred models are the stable
+   models of [Prefer.Compile.gop], so the kernel must enumerate them in
+   the pruned search's order there too. *)
 let prop_compiled_prefer =
   qcheck
     ~count:(iters "compiled-prefer" 300)
@@ -235,9 +239,54 @@ let prop_compiled_prefer =
     (fun case ->
       let c = Prefer.Compile.compile (Test_diff_prefer.spec_of case) in
       let g = Prefer.Compile.gop c in
-      interp_list_equal (st_comp g) (st_pruned g)
-      && interp_set_equal (st_comp g)
-           (B.value (Prefer.Compile.preferred_models c)))
+      interp_list_equal (st_comp g) (st_pruned g))
+
+(* The boolean queries against their definitions over the oracle's
+   stable models: every literal of the active base with both signs for
+   cautious/brave, and for is_stable every assumption-free model plus
+   every total model (models that need not be assumption-free).  Random
+   ordered programs and OV programs: the latter have many stable models
+   that disagree on an atom in either order, which is what separates
+   cautious consequences from the first model. *)
+let prop_boolean_queries =
+  let gen =
+    Gen.oneof
+      [ Gen.map (fun p -> `Ordered p) gen_program;
+        Gen.map (fun rs -> `Ov rs) gen_ov
+      ]
+  in
+  let print = function
+    | `Ordered p -> print_program p
+    | `Ov rs -> "OV of " ^ print_rules rs
+  in
+  qcheck
+    ~count:(iters "boolean" 300)
+    ~print "kernel boolean queries = oracle stable models" gen
+    (fun case ->
+      let g =
+        match case with
+        | `Ordered p -> gop_of p
+        | `Ov rs -> Ordered.Bridge.ground_ov rs
+      in
+      let stable = st_naive g in
+      let cautious l = List.for_all (fun m -> Interp.holds m l) stable in
+      let brave l = List.exists (fun m -> Interp.holds m l) stable in
+      let lits =
+        List.concat_map
+          (fun a -> [ Literal.pos a; Literal.neg_atom a ])
+          g.Ordered.Gop.active_base
+      in
+      let is_stable m = List.exists (Interp.equal m) stable in
+      List.for_all
+        (fun l ->
+          Bool.equal (K.cautious g l) (cautious l)
+          && Bool.equal (K.brave g l) (brave l))
+        lits
+      && Interp.equal (K.cautious_consequences g)
+           (Interp.of_literals (List.filter cautious lits))
+      && List.for_all
+           (fun m -> Bool.equal (K.is_stable g m) (is_stable m))
+           (Interp.empty :: (af_naive g @ tot_naive g)))
 
 let suite =
   [ prop_af_sets;
@@ -250,5 +299,6 @@ let suite =
     prop_limit_prefix;
     prop_stable_limit_consistent;
     prop_pruned_sound;
-    prop_compiled_prefer
+    prop_compiled_prefer;
+    prop_boolean_queries
   ]

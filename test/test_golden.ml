@@ -1,7 +1,8 @@
 (* Golden enumeration tests: exact model *lists* (contents and order, not
    just counts or sets) for the paper's figure programs and a Section-5
-   knowledge base, pinned for the branch-and-propagate search, the naive
-   oracle (test/oracle) and the compiled flat-array kernel (whose
+   knowledge base, pinned for the branch-and-propagate searches
+   ([Ordered.Stable], and [Oracle.Pruned] for total models), the naive
+   oracles (test/oracle) and the compiled flat-array kernel (whose
    contract is the *pruned* order exactly; it is the one engine behind
    Kb, the session cache, the server and [olp models]).
 
@@ -14,7 +15,7 @@
 open Logic
 open Helpers
 module S = Ordered.Stable
-module E = Ordered.Exhaustive
+module E = Oracle.Pruned
 module K = Solve.Kernel
 module O = Oracle
 

@@ -60,7 +60,7 @@ let test_example8_three_level () =
   Alcotest.check testable_value "fly(penguin) false already in the least model"
     Interp.False
     (Interp.value_lit m (lit "fly(penguin)"));
-  let stables = Neg.stable_models e8_rules in
+  let stables = negative_stable_models e8_rules in
   Alcotest.(check bool) "some stable model" true (stables <> []);
   List.iter
     (fun s ->
@@ -92,7 +92,7 @@ let chosen m =
 
 let test_example9_choice () =
   (* With two non-ugly colors, each stable model selects exactly one. *)
-  let stables = Neg.stable_models (colored_rules " color(red). color(green).") in
+  let stables = negative_stable_models (colored_rules " color(red). color(green).") in
   Alcotest.(check int) "two stable models" 2 (List.length stables);
   List.iter
     (fun m -> Alcotest.(check int) "exactly one chosen" 1 (List.length (chosen m)))
@@ -100,7 +100,7 @@ let test_example9_choice () =
 
 let test_example9_ugly_rejected () =
   let stables =
-    Neg.stable_models
+    negative_stable_models
       (colored_rules " color(red). color(brown). ugly_color(brown).")
   in
   List.iter
@@ -172,7 +172,7 @@ let test_theorem2_on_examples () =
         (all_interps atoms);
       Alcotest.check testable_interp_set
         ("stable models agree on " ^ src)
-        (Neg.stable_models c)
+        (negative_stable_models c)
         (Neg.direct_stable_models ground))
     srcs
 

@@ -152,8 +152,8 @@ let test_vfix_engines_agree () =
       let p = program src in
       let g = ground_at p (P.component_name p 0) in
       Alcotest.check testable_interp src
-        (Ordered.Vfix.least_model ~engine:`Naive g)
-        (Ordered.Vfix.least_model ~engine:`Incremental g))
+        (Ordered.Gop.Values.to_interp g (Ordered.Vfix.lfp_naive g))
+        (Ordered.Vfix.least_model g))
     [ p1_src;
       "component main { a :- b. -a :- b. b. }";
       "component a { p. q :- p. } component b extends a { -p. r :- -p. }";
@@ -279,7 +279,7 @@ let test_total_models_enumeration () =
      (a, -b) and (-a, -b). *)
   Alcotest.check testable_interp_set "total models"
     [ interp [ "a"; "-b" ]; interp [ "-a"; "-b" ] ]
-    (Ordered.Budget.value (Ordered.Exhaustive.total_models g))
+    (Ordered.Budget.value (Solve.Kernel.total_models g))
 
 let suite =
   [ Alcotest.test_case "poset closure" `Quick test_poset_closure;
@@ -378,14 +378,14 @@ let test_total_implies_exhaustive () =
         (Format.asprintf "%a exhaustive" Interp.pp m)
         true
         (Ordered.Exhaustive.is_exhaustive g m))
-    (Ordered.Budget.value (Ordered.Exhaustive.total_models g))
+    (Ordered.Budget.value (Solve.Kernel.total_models g))
 
 let test_nontotal_exhaustive_beside_total () =
   let p = program "component main { a :- b. -a :- b. }" in
   let g = ground_at p "main" in
   (* {a, -b} is total; {b} is exhaustive but not total *)
   Alcotest.(check bool) "a total model exists" true
-    (Ordered.Budget.value (Ordered.Exhaustive.total_models g) <> []);
+    (Ordered.Budget.value (Solve.Kernel.total_models g) <> []);
   let b_only = interp [ "b" ] in
   Alcotest.(check bool) "{b} is a model" true (Ordered.Model.is_model g b_only);
   Alcotest.(check bool) "{b} not total" false
@@ -399,7 +399,7 @@ let prop_total_implies_exhaustive =
       let g = Ordered.Gop.ground p 0 in
       List.for_all
         (Ordered.Exhaustive.is_exhaustive g)
-        (Ordered.Budget.value (Ordered.Exhaustive.total_models g)))
+        (Ordered.Budget.value (Solve.Kernel.total_models g)))
 
 let suite =
   suite

@@ -116,7 +116,7 @@ let test_fig2_no_total_model () =
   let p = program p2_src in
   let g = ground_at p "c1" in
   Alcotest.check testable_interp_set "no total model in c1" []
-    (Ordered.Budget.value (Ordered.Exhaustive.total_models g))
+    (Ordered.Budget.value (Solve.Kernel.total_models g))
 
 let test_fig2_rules_defeat_each_other () =
   (* Example 2's commentary: the two rules about mimmo defeat each other. *)

@@ -14,7 +14,8 @@ let spec_of ?(prefs = []) src =
   let prog = program src in
   Prefer.Spec.make prog 0 prefs
 
-let compiled ?trace spec = v (Prefer.Compile.preferred_models (Prefer.Compile.compile ?trace spec))
+let compiled ?trace spec =
+  v (Solve.Kernel.stable_models (Prefer.Compile.gop (Prefer.Compile.compile ?trace spec)))
 let naive spec = v (Oracle.Prefer.preferred_models spec)
 
 (* ------------------------------------------------------------------ *)

@@ -94,9 +94,7 @@ let prop_engines_agree =
   qcheck ~count:150 ~print:print_program "V: incremental = naive"
     (gen_ordered 4) (fun p ->
       let g = gop_of p in
-      Interp.equal
-        (Ordered.Vfix.least_model ~engine:`Incremental g)
-        (Ordered.Vfix.least_model ~engine:`Naive g))
+      Ordered.Gop.Values.equal (Ordered.Vfix.lfp g) (Ordered.Vfix.lfp_naive g))
 
 let prop_lemma1_monotone =
   qcheck ~count:150
@@ -312,7 +310,7 @@ let prop_thm2_stable =
   qcheck ~count:35 ~print:print_rules "Thm 2: Def 10 stable = Def 11 stable"
     (gen_rules gen_negative_rule 3) (fun rs ->
       interp_set_equal
-        (Ordered.Negative.stable_models rs)
+        (negative_stable_models rs)
         (Ordered.Negative.direct_stable_models
            (Ordered.Negative.ground_program rs)))
 
@@ -448,9 +446,7 @@ let prop_fo_engines_agree =
   qcheck ~count:120 ~print:print_program
     "non-ground: V engines agree after grounding" gen_fo_program (fun p ->
       let g = Ordered.Gop.ground p 0 in
-      Interp.equal
-        (Ordered.Vfix.least_model ~engine:`Incremental g)
-        (Ordered.Vfix.least_model ~engine:`Naive g))
+      Ordered.Gop.Values.equal (Ordered.Vfix.lfp g) (Ordered.Vfix.lfp_naive g))
 
 let prop_fo_lfp_is_af_model =
   qcheck ~count:120 ~print:print_program

@@ -25,9 +25,9 @@ let test_example5_assumption_free_non_stable () =
   let c_only = interp [ "c" ] in
   Alcotest.(check bool) "{c} assumption-free" true
     (Ordered.Model.is_assumption_free g c_only);
-  Alcotest.(check bool) "{c} not stable" false (Ordered.Stable.is_stable g c_only);
+  Alcotest.(check bool) "{c} not stable" false (Solve.Kernel.is_stable g c_only);
   Alcotest.(check bool) "{a, -b, c} stable" true
-    (Ordered.Stable.is_stable g (interp [ "a"; "-b"; "c" ]));
+    (Solve.Kernel.is_stable g (interp [ "a"; "-b"; "c" ]));
   (* {c} is the least model *)
   Alcotest.check testable_interp "{c} is the least model" c_only
     (Ordered.Vfix.least_model g)
@@ -85,13 +85,13 @@ let test_stable_models_are_assumption_free_models () =
 let test_cautious_brave () =
   let p = program p5_src in
   let g = ground_at p "c1" in
-  Alcotest.(check bool) "c cautious" true (Ordered.Stable.cautious g (lit "c"));
+  Alcotest.(check bool) "c cautious" true (Solve.Kernel.cautious g (lit "c"));
   Alcotest.(check bool) "a not cautious" false
-    (Ordered.Stable.cautious g (lit "a"));
-  Alcotest.(check bool) "a brave" true (Ordered.Stable.brave g (lit "a"));
-  Alcotest.(check bool) "-a brave" true (Ordered.Stable.brave g (lit "-a"));
-  Alcotest.(check bool) "-c not brave" false (Ordered.Stable.brave g (lit "-c"));
-  let cc = Ordered.Stable.cautious_consequences g in
+    (Solve.Kernel.cautious g (lit "a"));
+  Alcotest.(check bool) "a brave" true (Solve.Kernel.brave g (lit "a"));
+  Alcotest.(check bool) "-a brave" true (Solve.Kernel.brave g (lit "-a"));
+  Alcotest.(check bool) "-c not brave" false (Solve.Kernel.brave g (lit "-c"));
+  let cc = Solve.Kernel.cautious_consequences g in
   Alcotest.check testable_interp "cautious consequences" (interp [ "c" ]) cc;
   Alcotest.(check bool) "least model below cautious consequences" true
     (Interp.subset (Ordered.Vfix.least_model g) cc)
