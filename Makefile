@@ -90,7 +90,7 @@ bench-concurrent:
 	dune exec bench/concurrent.exe
 
 # The concurrency harness, with backtraces and a time box: the
-# parallel property suite (snapshot immutability, shard-lock overlap,
+# parallel property suite (snapshot immutability, writer overlap,
 # lock-free reads) and the randomized linearizability oracle, run
 # repeatedly to shake out schedules.
 stress:

@@ -112,8 +112,9 @@ let bench_grounding =
           Staged.stage (fun () -> ignore (Ground.Grounder.relevant rs)))
     ]
 
-(* B3: stable-model enumeration — classical GL solver vs the ordered
-   enumeration over OV(C) — on k independent even loops (2^k models). *)
+(* B3: stable-model enumeration — classical GL solver vs the compiled
+   kernel's ordered enumeration over OV(C) — on k independent even loops
+   (2^k models). *)
 let bench_stable =
   let sizes = [ 1; 2 ] in
   Test.make_grouped ~name:"stable"
@@ -122,7 +123,7 @@ let bench_stable =
           Staged.stage (fun () -> ignore (Datalog.Stable.enumerate np)));
       Test.make_indexed ~name:"ordered_ov" ~args:sizes (fun k ->
           let g = Ordered.Bridge.ground_ov (W.even_loops k) in
-          Staged.stage (fun () -> ignore (Ordered.Stable.stable_models g)))
+          Staged.stage (fun () -> ignore (Solve.Kernel.stable_models g)))
     ]
 
 (* B6: well-founded alternating fixpoint vs ordered V on win/move. *)

@@ -78,14 +78,14 @@ let workloads =
     ( "even-loops-6/stable",
       fun b ->
         models_detail
-          (Ordered.Stable.stable_models ~budget:b
+          (Solve.Kernel.stable_models ~budget:b
              (Ordered.Bridge.ground_ov (W.even_loops 6))) );
     ( "even-loops-14/assumption-free",
       (* deliberately too large for the budget: must surrender a partial
          prefix at the deadline, not run away *)
       fun b ->
         models_detail
-          (Ordered.Stable.assumption_free_models ~budget:b
+          (Solve.Kernel.assumption_free_models ~budget:b
              (Ordered.Bridge.ground_ov (W.even_loops 14))) );
     ( "win-move-1200/well-founded",
       (* large grounding: the deadline trips inside the grounder *)

@@ -389,11 +389,18 @@ let query_cmd =
       | `Cautious ->
         Format.printf "%b@." (Solve.Kernel.cautious ~budget g l)
       | `Brave -> Format.printf "%b@." (Solve.Kernel.brave ~budget g l)
-    else begin
-      let instances = Ordered.Query.holds_instances ~budget g l in
-      Format.printf "%d answer(s)@." (List.length instances);
-      List.iter (fun i -> Format.printf "%a@." Logic.Literal.pp i) instances
-    end
+    else
+      match mode with
+      | `Cautious | `Brave ->
+        Printf.eprintf
+          "error: --mode %s answers ground literals only; %s has variables\n"
+          (if mode = `Cautious then "cautious" else "brave")
+          lit_src;
+        exit exit_error
+      | `Least ->
+        let instances = Ordered.Query.holds_instances ~budget g l in
+        Format.printf "%d answer(s)@." (List.length instances);
+        List.iter (fun i -> Format.printf "%a@." Logic.Literal.pp i) instances
   in
   Cmd.v
     (Cmd.info "query"

@@ -1,17 +1,17 @@
 (* Memoizing sessions over a Store, with lock-free snapshot reads: the
    master store is mutated under a write lock, and every successful
    mutation publishes an immutable [view] — (version, store copy,
-   caches) — through one atomic reference.  Readers pin the
+   per-viewpoint cache) — through one atomic reference.  Readers pin the
    current view with a single [Atomic.get] and never take a lock.
 
-   Since PR 10 a mutation no longer flushes the caches wholesale: the
-   published caches are carried forward through delta eviction — only
-   entries whose object cone can see the mutated object are touched, and
-   for those the grounding and least model are {e repaired} through
-   [Inc] (incremental re-grounding + fixpoint repair) rather than
-   dropped whenever the repair is provably exact.  Every fallback to
-   recompute is counted, never silent.  See session.mli and
-   docs/INCREMENTAL.md for the contract. *)
+   A mutation does not flush the cache wholesale: the published cache is
+   carried forward through delta eviction — only the records of
+   viewpoints whose cone can see the mutated object are touched, and for
+   those the grounding and least model are {e repaired} through [Inc]
+   (incremental re-grounding + fixpoint repair) rather than dropped
+   whenever the repair is provably exact.  Every fallback to recompute
+   is counted, never silent.  See session.mli and docs/INCREMENTAL.md
+   for the contract. *)
 
 module B = Ordered.Budget
 module M = Governor.Metrics
@@ -38,33 +38,39 @@ type counters = {
   kept : int;
 }
 
-module Key = struct
-  type t = string * op  (* obj, op *)
+module OpMap = Map.Make (struct
+  type t = op
 
   let compare = Stdlib.compare
-end
+end)
 
-module KeyMap = Map.Make (Key)
 module StrMap = Map.Make (String)
 module StrSet = Set.Make (String)
 
+(* Everything a view caches for one viewpoint object: the grounding with
+   provenance, the compiled preference grounding, their flat-array
+   compiles, and the results computed from them. *)
+type vcache = {
+  gstate : Inc.Reground.state option;
+  flat : Solve.Flat.t option;  (** compiled from [gstate] *)
+  pgop : Ordered.Gop.t option;
+  pflat : Solve.Flat.t option;  (** compiled from [pgop] *)
+  results : entry OpMap.t;
+}
+
+let empty_vcache =
+  { gstate = None; flat = None; pgop = None; pflat = None;
+    results = OpMap.empty }
+
 (* One published KB version.  [vstore] is a private copy nothing ever
    mutates, so any number of readers may ground and solve against it
-   concurrently; the result caches are immutable maps swapped by CAS
-   (a racing insert retries on the fresh map, a duplicate insert is
-   dropped — either way readers only ever see complete maps). *)
+   concurrently; the cache is an immutable map swapped by CAS (a racing
+   insert retries on the fresh map, a duplicate insert is dropped —
+   either way readers only ever see complete maps). *)
 type view = {
   version : int;
   vstore : Store.t;
-  results : entry KeyMap.t Atomic.t;
-  vgops : Inc.Reground.state StrMap.t Atomic.t;
-      (** groundings with provenance, keyed by viewpoint object *)
-  vpgops : Ordered.Gop.t StrMap.t Atomic.t;
-      (** compiled preference groundings, keyed like [vgops] *)
-  vflats : Solve.Flat.t StrMap.t Atomic.t;
-      (** compiled flat-array programs for [vgops] entries *)
-  vpflats : Solve.Flat.t StrMap.t Atomic.t;
-      (** compiled flat-array programs for [vpgops] entries *)
+  cache : vcache StrMap.t Atomic.t;  (** keyed by viewpoint object *)
 }
 
 type t = {
@@ -83,20 +89,13 @@ type t = {
   mutable on_mutation : (Store.mutation -> unit) option;
 }
 
-let view_of ~version store =
-  { version;
-    vstore = Store.copy store;
-    results = Atomic.make KeyMap.empty;
-    vgops = Atomic.make StrMap.empty;
-    vpgops = Atomic.make StrMap.empty;
-    vflats = Atomic.make StrMap.empty;
-    vpflats = Atomic.make StrMap.empty
-  }
+let view_of ~version store cache =
+  { version; vstore = Store.copy store; cache = Atomic.make cache }
 
 let of_store store =
   { master = store;
     write_lock = Mutex.create ();
-    current = Atomic.make (view_of ~version:0 store);
+    current = Atomic.make (view_of ~version:0 store StrMap.empty);
     hits = Atomic.make 0;
     misses = Atomic.make 0;
     invalidations = Atomic.make 0;
@@ -128,11 +127,14 @@ let use_metrics t m =
   t.metrics <- Some m;
   List.iter (fun n -> M.add m n 0) inc_counter_names
 
+let count_entries c =
+  StrMap.fold (fun _ vc n -> n + OpMap.cardinal vc.results) c 0
+
 let counters t =
   { hits = Atomic.get t.hits;
     misses = Atomic.get t.misses;
     invalidations = Atomic.get t.invalidations;
-    entries = KeyMap.cardinal (Atomic.get (current t).results);
+    entries = count_entries (Atomic.get (current t).cache);
     repairs = Atomic.get t.repairs;
     fallbacks = Atomic.get t.fallbacks;
     evictions = Atomic.get t.evictions;
@@ -156,38 +158,6 @@ let note t cell name n =
 let bump_metric t name =
   match t.metrics with Some m -> M.incr m name | None -> ()
 
-(* The carried caches of a view as plain maps, while the write lock
-   keeps new inserts from racing the carry-forward. *)
-type caches = {
-  c_results : entry KeyMap.t;
-  c_gstates : Inc.Reground.state StrMap.t;
-  c_pgops : Ordered.Gop.t StrMap.t;
-  c_flats : Solve.Flat.t StrMap.t;
-  c_pflats : Solve.Flat.t StrMap.t;
-}
-
-let empty_caches =
-  { c_results = KeyMap.empty;
-    c_gstates = StrMap.empty;
-    c_pgops = StrMap.empty;
-    c_flats = StrMap.empty;
-    c_pflats = StrMap.empty
-  }
-
-let caches_of_view v =
-  { c_results = Atomic.get v.results;
-    c_gstates = Atomic.get v.vgops;
-    c_pgops = Atomic.get v.vpgops;
-    c_flats = Atomic.get v.vflats;
-    c_pflats = Atomic.get v.vpflats
-  }
-
-(* Every object some cache knows about. *)
-let viewpoints c =
-  let add m acc = StrMap.fold (fun k _ acc -> StrSet.add k acc) m acc in
-  KeyMap.fold (fun (o, _) _ acc -> StrSet.add o acc) c.c_results StrSet.empty
-  |> add c.c_gstates |> add c.c_pgops |> add c.c_flats |> add c.c_pflats
-
 (* Does [viewpoint]'s view [C*] contain [obj]?  The view walks the isa
    chain upward, so the cone of a viewpoint is itself plus its
    transitive parents. *)
@@ -203,158 +173,141 @@ let sees store ~viewpoint ~obj =
   in
   go StrSet.empty [ viewpoint ]
 
-let is_preferred_key ((_, op) : Key.t) = match op with Preferred _ -> true | _ -> false
-let key_of_obj w ((o, _) : Key.t) = String.equal o w
+let is_preferred = function Preferred _ -> true | _ -> false
 
-let count_keys p m = KeyMap.cardinal (KeyMap.filter (fun k _ -> p k) m)
+(* A record with nothing cached leaves the map, so later writes do not
+   visit its viewpoint. *)
+let put w vc c =
+  if Option.is_none vc.gstate && Option.is_none vc.flat
+     && Option.is_none vc.pgop && Option.is_none vc.pflat
+     && OpMap.is_empty vc.results
+  then StrMap.remove w c
+  else StrMap.add w vc c
 
-(* Repair or evict one viewpoint's cached state after a single-rule
-   mutation of [obj] that this viewpoint can see.  The compiled
-   preference program derives from the schema view, which changed, so
-   preference caches are always dropped here; plain entries survive
-   whenever the repair is provably exact. *)
-let repair_viewpoint t ~program c w =
-  let mine k = key_of_obj w k in
-  let plain k = mine k && not (is_preferred_key k) in
-  let drop_plain c =
-    note t t.evictions "inc_evictions" (count_keys plain c.c_results);
-    { c with
-      c_results = KeyMap.filter (fun k _ -> not (plain k)) c.c_results;
-      c_gstates = StrMap.remove w c.c_gstates;
-      c_flats = StrMap.remove w c.c_flats
-    }
+(* The compiled preference program derives from the rule order, so it
+   goes with every preferred-model entry (counted as evicted). *)
+let drop_preferred t vc =
+  let prefs, plain = OpMap.partition (fun op _ -> is_preferred op) vc.results in
+  note t t.evictions "inc_evictions" (OpMap.cardinal prefs);
+  { vc with pgop = None; pflat = None; results = plain }
+
+(* Repair or evict one viewpoint's record after a single-rule mutation
+   of an object this viewpoint can see.  Preference state is always
+   dropped; plain entries survive whenever the repair is provably
+   exact. *)
+let repair_viewpoint t ~program vc =
+  let vc = drop_preferred t vc in
+  let drop_plain () =
+    note t t.evictions "inc_evictions" (OpMap.cardinal vc.results);
+    { vc with gstate = None; flat = None; results = OpMap.empty }
   in
-  (* preference caches of this viewpoint go regardless *)
-  note t t.evictions "inc_evictions"
-    (count_keys (fun k -> mine k && is_preferred_key k) c.c_results);
-  let c =
-    { c with
-      c_results =
-        KeyMap.filter (fun k _ -> not (mine k && is_preferred_key k)) c.c_results;
-      c_pgops = StrMap.remove w c.c_pgops;
-      c_pflats = StrMap.remove w c.c_pflats
-    }
-  in
-  match StrMap.find_opt w c.c_gstates with
-  | None -> drop_plain c
+  match vc.gstate with
+  | None -> drop_plain ()
   | Some st -> (
     match Inc.Reground.reground st ~program:(Lazy.force program) with
     | Ok (st', d) when Inc.Delta.is_empty d ->
       (* the mutation did not change this viewpoint's grounding at all:
          every plain entry (and the compiled flat) is still exact *)
-      note t t.kept "cache_kept" (count_keys plain c.c_results);
-      { c with c_gstates = StrMap.add w st' c.c_gstates }
+      note t t.kept "cache_kept" (OpMap.cardinal vc.results);
+      { vc with gstate = Some st' }
     | Ok (st', d) ->
       note t t.repairs "inc_repairs" 1;
-      let c =
-        { c with
-          c_gstates = StrMap.add w st' c.c_gstates;
-          c_flats = StrMap.remove w c.c_flats
-        }
+      let results =
+        OpMap.filter_map
+          (fun op e ->
+            match (op, e) with
+            | Least, E_interp prev -> (
+              match
+                Inc.Repair.least_model ~previous:prev st'.Inc.Reground.gop d
+              with
+              | Inc.Repair.Repaired i ->
+                note t t.repairs "inc_repairs" 1;
+                Some (E_interp i)
+              | Inc.Repair.Recomputed i ->
+                note t t.fallbacks "inc_fallbacks" 1;
+                Some (E_interp i)
+              | Inc.Repair.Unchanged -> Some e)
+            | _ ->
+              note t t.evictions "inc_evictions" 1;
+              None)
+          vc.results
       in
-      let c_results =
-        KeyMap.filter_map
-          (fun ((_, op) as k) e ->
-            if not (plain k) then Some e
-            else
-              match (op, e) with
-              | Least, E_interp prev -> (
-                match
-                  Inc.Repair.least_model ~previous:prev st'.Inc.Reground.gop d
-                with
-                | Inc.Repair.Repaired i ->
-                  note t t.repairs "inc_repairs" 1;
-                  Some (E_interp i)
-                | Inc.Repair.Recomputed i ->
-                  note t t.fallbacks "inc_fallbacks" 1;
-                  Some (E_interp i)
-                | Inc.Repair.Unchanged -> Some e)
-              | _ ->
-                note t t.evictions "inc_evictions" 1;
-                None)
-          c.c_results
-      in
-      { c with c_results }
+      { vc with gstate = Some st'; flat = None; results }
     | Error _ ->
       note t t.fallbacks "inc_fallbacks" 1;
-      drop_plain c
+      drop_plain ()
     | exception _ ->
       (* a repair failure must never fail the write: evict and recount *)
       note t t.fallbacks "inc_fallbacks" 1;
-      drop_plain c)
+      drop_plain ())
 
-(* Transform the carried caches by one applied mutation.  Caller holds
+(* Transform the carried cache by one applied mutation.  Caller holds
    [write_lock] and has already applied [m] to [t.master]. *)
-let next_caches t (c : caches) (m : Store.mutation) =
+let next_cache t c (m : Store.mutation) =
   match t.eviction with
   | `Wholesale ->
-    note t t.evictions "inc_evictions" (KeyMap.cardinal c.c_results);
-    empty_caches
+    note t t.evictions "inc_evictions" (count_entries c);
+    StrMap.empty
   | `Delta -> (
     match m with
     | Store.Define _ | Store.New_version _ ->
       (* a fresh object: existing views cannot see it (isa edges point
          at pre-existing parents), and component numbering of existing
          objects is stable *)
-      note t t.kept "cache_kept" (KeyMap.cardinal c.c_results);
+      note t t.kept "cache_kept" (count_entries c);
       c
     | Store.Load _ ->
       (* load may rewire parents of existing objects and add
          preferences: no per-object cone is sound *)
-      note t t.evictions "inc_evictions" (KeyMap.cardinal c.c_results);
-      empty_caches
+      note t t.evictions "inc_evictions" (count_entries c);
+      StrMap.empty
     | Store.Set_preference _ | Store.Clear_preference _ ->
       (* rules and groundings are untouched; only preference-derived
          state can change *)
-      note t t.evictions "inc_evictions"
-        (count_keys is_preferred_key c.c_results);
-      note t t.kept "cache_kept"
-        (count_keys (fun k -> not (is_preferred_key k)) c.c_results);
-      { c with
-        c_results = KeyMap.filter (fun k _ -> not (is_preferred_key k)) c.c_results;
-        c_pgops = StrMap.empty;
-        c_pflats = StrMap.empty
-      }
+      StrMap.fold
+        (fun w vc c ->
+          let vc = drop_preferred t vc in
+          note t t.kept "cache_kept" (OpMap.cardinal vc.results);
+          put w vc c)
+        c c
     | Store.Add_rule { obj; _ } | Store.Remove_rule { obj; _ } ->
       let program = lazy (Store.to_program t.master) in
-      StrSet.fold
-        (fun w c ->
+      StrMap.fold
+        (fun w vc c ->
           if sees t.master ~viewpoint:w ~obj then
-            repair_viewpoint t ~program c w
+            put w (repair_viewpoint t ~program vc) c
           else begin
-            note t t.kept "cache_kept" (count_keys (key_of_obj w) c.c_results);
+            note t t.kept "cache_kept" (OpMap.cardinal vc.results);
             c
           end)
-        (viewpoints c) c)
+        c c)
 
 (* Publish the master's state as the next immutable version carrying
    [c].  Caller holds [write_lock], so version numbers are gapless and
    the swapped view is never older than a concurrent publisher's. *)
-let publish_caches t c =
-  let v = current t in
-  Atomic.set t.current
-    { version = v.version + 1;
-      vstore = Store.copy t.master;
-      results = Atomic.make c.c_results;
-      vgops = Atomic.make c.c_gstates;
-      vpgops = Atomic.make c.c_pgops;
-      vflats = Atomic.make c.c_flats;
-      vpflats = Atomic.make c.c_pflats
-    };
+let publish t c =
+  Atomic.set t.current (view_of ~version:(version t + 1) t.master c);
   ignore (Atomic.fetch_and_add t.invalidations 1 : int)
+
+let notify t m =
+  match t.on_mutation with Some f -> f m | None -> ()
+
+(* Log an applied mutation, then publish the view it produces.  The
+   observer runs {e before} the publish, so a logged mutation is durable
+   before any reader can observe it. *)
+let commit t m =
+  notify t m;
+  publish t (next_cache t (Atomic.get (current t).cache) m)
 
 let set_eviction t mode = locked t (fun () -> t.eviction <- mode)
 
-(* Run a mutating store operation; notify the observer (the write-ahead
-   log, when persistence is wired) and publish only if it succeeded — a
-   raising [define] etc. leaves the KB, the log and the published view
-   unchanged.  The observer runs {e before} the publish, so a logged
-   mutation is durable before any reader can observe it. *)
+(* Run a mutating store operation and commit it only if it succeeded —
+   a raising [define] etc. leaves the KB, the log and the published
+   view unchanged. *)
 let mutating t m f =
   locked t (fun () ->
       let r = f t.master in
-      (match t.on_mutation with Some notify -> notify m | None -> ());
-      publish_caches t (next_caches t (caches_of_view (current t)) m);
+      commit t m;
       r)
 
 let define t ?(isa = []) name rules =
@@ -377,13 +330,7 @@ let add_fact t ~obj l = add_rule t ~obj (Logic.Rule.fact l)
 let remove_rule t ~obj r =
   locked t (fun () ->
       let removed = Store.remove_rule t.master ~obj r in
-      if removed then begin
-        let m = Store.Remove_rule { obj; rule = r } in
-        (match t.on_mutation with
-        | Some notify -> notify m
-        | None -> ());
-        publish_caches t (next_caches t (caches_of_view (current t)) m)
-      end;
+      if removed then commit t (Store.Remove_rule { obj; rule = r });
       removed)
 
 let new_version t ?rules name =
@@ -401,13 +348,7 @@ let set_preference t ~rule ~over =
 let clear_preference t ~rule ~over =
   locked t (fun () ->
       let removed = Store.clear_preference t.master ~rule ~over in
-      if removed then begin
-        let m = Store.Clear_preference { rule; over } in
-        (match t.on_mutation with
-        | Some notify -> notify m
-        | None -> ());
-        publish_caches t (next_caches t (caches_of_view (current t)) m)
-      end;
+      if removed then commit t (Store.Clear_preference { rule; over });
       removed)
 
 (* Replication replay: apply a shipped mutation through the same
@@ -421,7 +362,7 @@ let apply t m = mutating t m (fun s -> Store.apply s m)
    the per-record observer calls (WAL appends) still happen in order,
    so durability ordering is exactly as if [apply] had run per record,
    but the store is copied once per batch instead of once per record.
-   The carried caches are folded through every record's delta before
+   The carried cache is folded through every record's delta before
    the single publish.  A record that raises publishes the prefix that
    did apply (each of those records is already in the observer's
    log). *)
@@ -430,25 +371,23 @@ let apply_batch t ms =
   | [] -> ()
   | ms ->
     locked t (fun () ->
-        let caches = ref (caches_of_view (current t)) in
+        let cache = ref (Atomic.get (current t).cache) in
         let applied = ref 0 in
         match
           List.iter
             (fun m ->
               Store.apply t.master m;
-              (match t.on_mutation with
-              | Some notify -> notify m
-              | None -> ());
-              caches := next_caches t !caches m;
+              notify t m;
+              cache := next_cache t !cache m;
               incr applied)
             ms
         with
-        | () -> publish_caches t !caches
+        | () -> publish t !cache
         | exception e ->
-          if !applied > 0 then publish_caches t !caches;
+          if !applied > 0 then publish t !cache;
           raise e)
 
-let invalidate t = locked t (fun () -> publish_caches t empty_caches)
+let invalidate t = locked t (fun () -> publish t StrMap.empty)
 
 (* ------------------------------------------------------------------ *)
 (* Read-only views                                                     *)
@@ -460,6 +399,8 @@ let rules t name = Store.rules (current t).vstore name
 let latest_version t name = Store.latest_version (current t).vstore name
 let versions t name = Store.versions (current t).vstore name
 let preferences t = Store.preferences (current t).vstore
+let to_program t = Store.to_program (current t).vstore
+let to_source t = Store.to_source (current t).vstore
 
 (* ------------------------------------------------------------------ *)
 (* Memoized queries                                                    *)
@@ -468,25 +409,35 @@ let preferences t = Store.preferences (current t).vstore
 let record_hit t = ignore (Atomic.fetch_and_add t.hits 1 : int)
 let record_miss t = ignore (Atomic.fetch_and_add t.misses 1 : int)
 
-(* Lock-free insert: retry the CAS against the freshest map; drop the
-   duplicate if somebody else cached the same key first.  The maps are
-   persistent, so a reader holding an older map still sees a complete,
-   valid index. *)
-let rec cas_add cell ~mem ~add key v =
-  let cur = Atomic.get cell in
-  if mem key cur then ()
-  else if not (Atomic.compare_and_set cell cur (add key v cur)) then
-    cas_add cell ~mem ~add key v
+let record_of c obj =
+  Option.value (StrMap.find_opt obj c) ~default:empty_vcache
 
-let cache_result v key e =
-  cas_add v.results ~mem:KeyMap.mem ~add:KeyMap.add key e
+let find v obj = record_of (Atomic.get v.cache) obj
+
+(* Lock-free update of one viewpoint's record: [f] returns [None] when
+   what it would add is already there (somebody else computed it
+   first), else the new record; a lost CAS retries on the fresh map.
+   The maps are persistent, so a reader holding an older map still sees
+   a complete, valid index. *)
+let rec update v obj f =
+  let cur = Atomic.get v.cache in
+  match f (record_of cur obj) with
+  | None -> ()
+  | Some vc' ->
+    if not (Atomic.compare_and_set v.cache cur (StrMap.add obj vc' cur)) then
+      update v obj f
+
+let cache_result v ~obj op e =
+  update v obj (fun vc ->
+      if OpMap.mem op vc.results then None
+      else Some { vc with results = OpMap.add op e vc.results })
 
 (* The grounding (with provenance) of one viewpoint in the pinned view.
    Internal: does not move the hit/miss counters — those count logical
    results, and one result computation may touch the grounding several
    times. *)
 let gop_state ?budget v ~obj =
-  match StrMap.find_opt obj (Atomic.get v.vgops) with
+  match (find v obj).gstate with
   | Some st -> st
   | None ->
     (* surface Store's unknown-object diagnostic before grounding *)
@@ -496,43 +447,49 @@ let gop_state ?budget v ~obj =
       Inc.Reground.ground ?budget prog
         (Ordered.Program.component_id_exn prog obj)
     in
-    cas_add v.vgops ~mem:StrMap.mem ~add:StrMap.add obj st;
+    update v obj (fun vc ->
+        if Option.is_some vc.gstate then None
+        else Some { vc with gstate = Some st });
     st
 
 let gop ?budget t ~obj =
   let v = current t in
-  (match StrMap.find_opt obj (Atomic.get v.vgops) with
+  (match (find v obj).gstate with
   | Some _ -> record_hit t
   | None -> record_miss t);
   (gop_state ?budget v ~obj).Inc.Reground.gop
 
-(* Compiled flat program for a grounding, cached per viewpoint in the
-   pinned view and invalidated through the same delta eviction. *)
-let flat_of t cell ~obj g =
-  match StrMap.find_opt obj (Atomic.get cell) with
+(* Compiled flat program for a grounding — the plain one or, with
+   [pref], the compiled preference one — cached in the viewpoint's
+   record and invalidated through the same delta eviction. *)
+let flat_of t v ~obj ~pref g =
+  let get vc = if pref then vc.pflat else vc.flat in
+  match get (find v obj) with
   | Some f ->
     bump_metric t "flat_cache_hits";
     f
   | None ->
     let f = Solve.Flat.compile g in
     bump_metric t "flat_compiles";
-    cas_add cell ~mem:StrMap.mem ~add:StrMap.add obj f;
+    update v obj (fun vc ->
+        if Option.is_some (get vc) then None
+        else if pref then Some { vc with pflat = Some f }
+        else Some { vc with flat = Some f });
     f
 
 (* Look up (obj, op) in the pinned view; on a miss run [compute] against
-   that same view, store the entry only when [cache] says the result is
-   complete. *)
-let lookup t ~obj op ~compute ~cache =
+   that same view and cache its result.  (Enumerations, which may come
+   back partial, cache only complete results; see [enumerate].) *)
+let lookup t ~obj op ~compute =
   let v = current t in
-  let key = (obj, op) in
-  match KeyMap.find_opt key (Atomic.get v.results) with
+  match OpMap.find_opt op (find v obj).results with
   | Some e ->
     record_hit t;
     e
   | None ->
     record_miss t;
     let e = compute v in
-    if cache e then cache_result v key e;
+    cache_result v ~obj op e;
     e
 
 let least_model ?budget t ~obj =
@@ -542,38 +499,42 @@ let least_model ?budget t ~obj =
         E_interp
           (Ordered.Vfix.least_model ?budget
              (gop_state ?budget v ~obj).Inc.Reground.gop))
-      ~cache:(fun _ -> true)
   with
   | E_interp i -> i
   | _ -> assert false
 
 let query ?budget t ~obj l =
   if not (Logic.Literal.is_ground l) then
-    invalid_arg "Kb.Session.query: literal must be ground";
+    invalid_arg "Kb.query: literal must be ground";
   Logic.Interp.value_lit (least_model ?budget t ~obj) l
 
 let query_src ?budget t ~obj src =
   query ?budget t ~obj (Lang.Parser.parse_literal src)
 
-let models kind ?limit ?budget ?stats t ~obj =
+(* Enumerations are anytime: only a complete result is cached, and a
+   hit returns it as [Complete]. *)
+let enumerate t ~obj op run =
   let v = current t in
-  let key = (obj, Models { kind; limit }) in
-  match KeyMap.find_opt key (Atomic.get v.results) with
+  match OpMap.find_opt op (find v obj).results with
   | Some (E_models ms) ->
     record_hit t;
+    if is_preferred op then bump_metric t "prefer_cache_hits";
     B.Complete ms
   | Some _ -> assert false
   | None ->
     record_miss t;
-    let g = (gop_state ?budget v ~obj).Inc.Reground.gop in
-    let flat = flat_of t v.vflats ~obj g in
-    let r =
+    let r = run v in
+    if B.is_complete r then cache_result v ~obj op (E_models (B.value r));
+    r
+
+let models kind ?limit ?budget ?stats t ~obj =
+  enumerate t ~obj (Models { kind; limit }) (fun v ->
+      let g = (gop_state ?budget v ~obj).Inc.Reground.gop in
+      let flat = flat_of t v ~obj ~pref:false g in
       match kind with
       | `Stable -> Solve.Kernel.stable_models ?limit ?budget ?stats ~flat g
-      | `Af -> Solve.Kernel.assumption_free_models ?limit ?budget ?stats ~flat g
-    in
-    if B.is_complete r then cache_result v key (E_models (B.value r));
-    r
+      | `Af ->
+        Solve.Kernel.assumption_free_models ?limit ?budget ?stats ~flat g)
 
 let stable_models ?limit ?budget ?stats t ~obj =
   models `Stable ?limit ?budget ?stats t ~obj
@@ -585,56 +546,38 @@ let assumption_free_models ?limit ?budget ?stats t ~obj =
 (* Preferred models                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let bump metrics name =
-  match metrics with Some m -> M.incr m name | None -> ()
-
 (* Compiled-grounding lookup in the pinned view.  A miss is one actual
    compilation+grounding; the observability counters distinguish those
    from cache hits, and the gauges track the size blow-up the per-rule
    component splitting costs. *)
-let prefer_gop_of ?budget ?metrics v ~obj =
-  match StrMap.find_opt obj (Atomic.get v.vpgops) with
+let prefer_gop_of ?budget t v ~obj =
+  match (find v obj).pgop with
   | Some g ->
-    bump metrics "prefer_cache_hits";
+    bump_metric t "prefer_cache_hits";
     g
   | None ->
-    let g = Store.prefer_gop ?budget v.vstore ~obj in
-    (match metrics with
+    let g =
+      Prefer.Compile.gop ?budget
+        (Prefer.Compile.compile (Store.prefer_spec v.vstore ~obj))
+    in
+    (match t.metrics with
     | Some m ->
       M.incr m "prefer_compilations";
       let s = Ordered.Gop.stats g in
       M.gauge_max m "prefer_gop_atoms" s.Ordered.Gop.atoms;
       M.gauge_max m "prefer_gop_rules" s.Ordered.Gop.rules
     | None -> ());
-    cas_add v.vpgops ~mem:StrMap.mem ~add:StrMap.add obj g;
+    update v obj (fun vc ->
+        if Option.is_some vc.pgop then None
+        else Some { vc with pgop = Some g });
     g
 
-let prefer_gop ?budget ?metrics t ~obj =
-  let v = current t in
-  (match StrMap.find_opt obj (Atomic.get v.vpgops) with
-  | Some _ -> record_hit t
-  | None -> record_miss t);
-  prefer_gop_of ?budget ?metrics v ~obj
-
-let preferred_models ?limit ?budget ?stats ?metrics t ~obj =
-  let v = current t in
-  let key = (obj, Preferred { limit }) in
-  match KeyMap.find_opt key (Atomic.get v.results) with
-  | Some (E_models ms) ->
-    record_hit t;
-    bump metrics "prefer_cache_hits";
-    B.Complete ms
-  | Some _ -> assert false
-  | None ->
-    record_miss t;
-    let g = prefer_gop_of ?budget ?metrics v ~obj in
-    let r =
+let preferred_models ?limit ?budget ?stats t ~obj =
+  enumerate t ~obj (Preferred { limit }) (fun v ->
+      let g = prefer_gop_of ?budget t v ~obj in
       Solve.Kernel.stable_models ?limit ?budget ?stats
-        ~flat:(flat_of t v.vpflats ~obj g)
-        g
-    in
-    if B.is_complete r then cache_result v key (E_models (B.value r));
-    r
+        ~flat:(flat_of t v ~obj ~pref:true g)
+        g)
 
 let explain t ~obj l =
   match
@@ -642,7 +585,6 @@ let explain t ~obj l =
       ~compute:(fun v ->
         E_explain
           (Ordered.Explain.explain (gop_state v ~obj).Inc.Reground.gop l))
-      ~cache:(fun _ -> true)
   with
   | E_explain e -> e
   | _ -> assert false

@@ -1,5 +1,7 @@
 (** Memoizing knowledge-base sessions: a {!Store} plus a result cache,
-    with lock-free snapshot reads.
+    with lock-free snapshot reads.  This is the one front end for
+    questions about a knowledge base ([Kb] includes it): the REPL, the
+    examples and the query server all ask through it.
 
     A session wraps a knowledge base for the repeated-query workload of a
     resident server: the ground program, least model, model enumerations
@@ -18,27 +20,29 @@
     master.  Any number of threads (or OCaml 5 domains) may query
     concurrently; mutating operations serialize on the write lock.
 
-    {b Keying.}  Within a view, cache entries are keyed by the viewpoint
-    object and the operation (including its [limit]).  Every mutation
-    publishes a new view, and a lookup only reads the caches of the view
-    it pinned, so a hit always answers from the store copy the entry was
-    computed against (or from an entry the delta eviction below proved
+    {b Keying.}  A view holds one cache map, from viewpoint object to
+    that viewpoint's record: its grounding, its compiled preference
+    grounding, the flat-array compiles of both, and its results keyed by
+    operation (including its [limit]).  Every mutation publishes a new
+    view, and a lookup only reads the cache of the view it pinned, so a
+    hit always answers from the store copy the entry was computed
+    against (or from an entry the delta eviction below proved
     unaffected by the mutations since).  There is one engine per
     question — the least fixpoint for [query], the compiled kernel
-    ({!Solve.Kernel}) on a per-view cached {!Solve.Flat} program for
+    ({!Solve.Kernel}) on the record's cached {!Solve.Flat} program for
     every enumeration — so no engine choice enters the key.
 
     {b Invalidation: delta eviction.}  The mutating operations
     ({!define}, {!define_src}, {!load}, {!add_rule}, {!add_rule_src},
     {!add_fact}, {!remove_rule} when it removes, {!new_version}) publish
     a fresh view and count one invalidation, but the new view {e carries
-    the old caches forward} through delta-aware eviction instead of
+    the old cache forward} through delta-aware eviction instead of
     starting empty (docs/INCREMENTAL.md):
 
     - {!define}/{!new_version} add a fresh object no existing view can
       see: everything is kept.
-    - {!add_rule}/{!remove_rule} on object [o] touch only the cached
-      viewpoints whose isa-cone contains [o].  For those, the grounding
+    - {!add_rule}/{!remove_rule} on object [o] touch only the records of
+      the viewpoints whose isa-cone contains [o].  For those, the grounding
       is {e repaired} incrementally ([Inc.Reground]); if the mutation
       turns out not to change the viewpoint's ground program, every
       entry is kept, otherwise the least model is repaired from the
@@ -53,17 +57,17 @@
       everything.
 
     {!set_eviction} [`Wholesale] restores flush-on-write (the baseline
-    of the incremental benchmark and the session tests).  Repairs, fallbacks, evictions
-    and carried entries are counted in {!counters} and, when
-    {!use_metrics} is wired, as [inc_repairs] / [inc_fallbacks] /
-    [inc_evictions] / [cache_kept] server metrics.
+    of the incremental benchmark and the session tests).  Repairs,
+    fallbacks, evictions and carried entries are counted in {!counters}
+    and, when {!use_metrics} is wired, as [inc_repairs] /
+    [inc_fallbacks] / [inc_evictions] / [cache_kept] server metrics.
 
-    {b Budgets.}  A cache miss computes under the caller's budget exactly
-    like the underlying {!Store} call, and only {e complete} results are
-    stored: a [Partial] enumeration or a raised [Budget.Exhausted]
-    leaves the cache untouched, so a later, better-funded call recomputes
-    rather than serving a truncated answer.  A hit returns the cached
-    complete result without consuming budget. *)
+    {b Budgets.}  A cache miss computes under the caller's budget, and
+    only {e complete} results are stored: a [Partial] enumeration or a
+    raised [Budget.Exhausted] leaves the cache untouched, so a later,
+    better-funded call recomputes rather than serving a truncated
+    answer.  A hit returns the cached complete result without consuming
+    budget. *)
 
 type t
 
@@ -116,7 +120,11 @@ val use_metrics : t -> Governor.Metrics.t -> unit
     [inc_repairs], [inc_fallbacks], [inc_evictions] and [cache_kept],
     and the flat-compile cache as [flat_compiles]/[flat_cache_hits];
     all six are registered immediately (at zero) so [stats] stays
-    deterministic. *)
+    deterministic.  Preferred-model queries count there too: one
+    [prefer_compilations] per compilation of a preference program, one
+    [prefer_cache_hits] per answer served from a cached compile or
+    result, and the compiled grounding's size as
+    [prefer_gop_atoms]/[prefer_gop_rules] high-water gauges. *)
 
 val set_eviction : t -> [ `Delta | `Wholesale ] -> unit
 (** Eviction policy on mutation: [`Delta] (default) carries caches
@@ -130,7 +138,7 @@ val version : t -> int
     mutation (including {!invalidate}).  Monotone — concurrent readers
     can use it to order the snapshots they observed. *)
 
-(** {1 Mutating operations} (see {!Store} for semantics) *)
+(** {1 Mutating operations} (see {!Store} for their semantics) *)
 
 val define : t -> ?isa:string list -> string -> Logic.Rule.t list -> unit
 val define_src : t -> ?isa:string list -> string -> string -> unit
@@ -180,13 +188,23 @@ val rules : t -> string -> Logic.Rule.t list
 val latest_version : t -> string -> string
 val versions : t -> string -> string list
 val preferences : t -> (string * string) list
+val to_program : t -> Ordered.Program.t
+val to_source : t -> string
 
-(** {1 Memoized queries} (see {!Store} for semantics) *)
+(** {1 Memoized queries}
+
+    Each question is answered from the view of one object [obj]: the
+    ground ordered program of [C*], the object with everything it
+    inherits.  Unknown objects raise [Invalid_argument]. *)
 
 val gop : ?budget:Ordered.Budget.t -> t -> obj:string -> Ordered.Gop.t
+(** The ground view from [obj] (the budget only governs a call that
+    actually grounds). *)
 
 val least_model :
   ?budget:Ordered.Budget.t -> t -> obj:string -> Logic.Interp.t
+(** The least model viewed from [obj] (the constructive,
+    assumption-free semantics of the paper's Section 2). *)
 
 val query :
   ?budget:Ordered.Budget.t ->
@@ -194,6 +212,11 @@ val query :
   obj:string ->
   Logic.Literal.t ->
   Logic.Interp.value
+(** Truth of a ground literal in the least model viewed from [obj].
+    [Logic.Interp.True] means the literal holds; querying [l] and [neg l]
+    distinguishes false from undefined.  [budget] governs grounding and
+    the fixpoint; exhaustion raises [Ordered.Budget.Exhausted].  Raises
+    [Invalid_argument] on a non-ground literal. *)
 
 val query_src :
   ?budget:Ordered.Budget.t -> t -> obj:string -> string -> Logic.Interp.value
@@ -205,6 +228,10 @@ val stable_models :
   t ->
   obj:string ->
   Logic.Interp.t list Ordered.Budget.anytime
+(** Anytime, like {!Solve.Kernel.stable_models}, which enumerates: a
+    [Partial] result carries the stable models found before the budget
+    ran out.  Models come in the kernel's search order; [stats]
+    accumulates search effort, solver counters included. *)
 
 val assumption_free_models :
   ?limit:int ->
@@ -213,31 +240,22 @@ val assumption_free_models :
   t ->
   obj:string ->
   Logic.Interp.t list Ordered.Budget.anytime
+(** All assumption-free models viewed from [obj] (the stable models are
+    their maximal elements); same engine, [stats] and anytime contract
+    as {!stable_models}. *)
 
 val explain : t -> obj:string -> Logic.Literal.t -> Ordered.Explain.t
-
-val prefer_gop :
-  ?budget:Ordered.Budget.t ->
-  ?metrics:Governor.Metrics.t ->
-  t ->
-  obj:string ->
-  Ordered.Gop.t
-(** The grounding of the compiled preference program for [obj], cached
-    per view like {!gop}.  [metrics] (when given) counts one
-    [prefer_compilations] per actual compilation, one
-    [prefer_cache_hits] per served cache hit, and tracks the compiled
-    grounding's size as [prefer_gop_atoms]/[prefer_gop_rules]
-    high-water gauges. *)
+(** Why a literal holds, fails or stays undefined viewed from [obj]. *)
 
 val preferred_models :
   ?limit:int ->
   ?budget:Ordered.Budget.t ->
   ?stats:Ordered.Counters.t ->
-  ?metrics:Governor.Metrics.t ->
   t ->
   obj:string ->
   Logic.Interp.t list Ordered.Budget.anytime
-(** {!Store.preferred_models} through the per-view result cache (keyed
-    by [obj] and [limit]; only complete enumerations are cached), run by
-    the kernel on a cached flat compile of {!prefer_gop}.  [metrics]
-    accounts compilations and cache hits as in {!prefer_gop}. *)
+(** The preferred models viewed from [obj] under the store's preference
+    pairs (with no pairs: exactly {!stable_models}): the kernel's stable
+    models of the {!Prefer.Compile} translation of {!Store.prefer_spec},
+    compiled once per view.  Raises {!Ordered.Diag.Error} if a
+    preference names a rule absent from this view. *)

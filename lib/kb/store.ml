@@ -11,37 +11,25 @@ type t = {
   mutable latest : (string * string) list;  (** base object -> latest version *)
   mutable version_count : (string * int) list;
   mutable prefs : (string * string) list;  (** (preferred, over), decl order *)
-  mutable cache : (string * Ordered.Gop.t) list;  (** invalidated on change *)
-  mutable pcache : (string * Ordered.Gop.t) list;
-      (** compiled preference groundings, invalidated on change *)
   mutable program : Ordered.Program.t option;
-      (** {!to_program}, patched by rule edits, dropped on any other
-          change *)
+      (** {!to_program}, patched by rule edits, dropped when objects or
+          parents change *)
 }
 
 let create () =
-  { objs = []; latest = []; version_count = []; prefs = []; cache = [];
-    pcache = []; program = None }
-
-let invalidate kb =
-  kb.cache <- [];
-  kb.pcache <- [];
-  kb.program <- None
+  { objs = []; latest = []; version_count = []; prefs = []; program = None }
 
 (* A rule edit keeps the objects, their numbering and the order, so the
    cached program is patched in O(objects) array copying instead of
    being rebuilt. *)
 let rules_changed kb o =
-  let program =
+  kb.program <-
     Option.map
       (fun p ->
         Ordered.Program.with_rules p
           (Ordered.Program.component_id_exn p o.name)
           o.rules)
       kb.program
-  in
-  invalidate kb;
-  kb.program <- program
 
 let find kb name = List.find_opt (fun o -> String.equal o.name name) kb.objs
 
@@ -55,7 +43,7 @@ let define kb ?(isa = []) name rules =
     invalid_arg (Printf.sprintf "Kb.define: duplicate object %S" name);
   List.iter (fun p -> ignore (find_exn kb p)) isa;
   kb.objs <- { name; parents = isa; rules } :: kb.objs;
-  invalidate kb
+  kb.program <- None
 
 let define_src kb ?isa name src =
   define kb ?isa name (Lang.Parser.parse_rules src)
@@ -86,7 +74,7 @@ let load kb src =
     Prefer.Spec.check_pairs (kb.prefs @ fresh);
     kb.prefs <- kb.prefs @ fresh
   end;
-  invalidate kb
+  kb.program <- None
 
 let add_rule kb ~obj r =
   let o = find_exn kb obj in
@@ -122,17 +110,13 @@ let set_preference kb ~rule ~over =
   let pair = (rule, over) in
   if not (List.mem pair kb.prefs) then begin
     Prefer.Spec.check_pairs (kb.prefs @ [ pair ]);
-    kb.prefs <- kb.prefs @ [ pair ];
-    invalidate kb
+    kb.prefs <- kb.prefs @ [ pair ]
   end
 
 let clear_preference kb ~rule ~over =
   let pair = (rule, over) in
   let present = List.mem pair kb.prefs in
-  if present then begin
-    kb.prefs <- List.filter (fun p -> p <> pair) kb.prefs;
-    invalidate kb
-  end;
+  if present then kb.prefs <- List.filter (fun p -> p <> pair) kb.prefs;
   present
 
 (* ------------------------------------------------------------------ *)
@@ -162,15 +146,12 @@ let of_dump d =
     latest = d.dump_latest;
     version_count = d.dump_counts;
     prefs = d.dump_prefs;
-    cache = [];
-    pcache = [];
     program = None
   }
 
 (* A deep copy down to the per-object mutable fields: the clone and the
    original share rule/parent list structure (immutable), but mutating
-   either store never changes what the other observes.  The gop caches
-   are not copied — they are an optimisation, not state; the immutable
+   either store never changes what the other observes.  The immutable
    ordered program is shared, so a published copy grounds without
    rebuilding it. *)
 let copy kb = { (of_dump (dump kb)) with program = kb.program }
@@ -181,7 +162,7 @@ let restore kb d =
   kb.latest <- fresh.latest;
   kb.version_count <- fresh.version_count;
   kb.prefs <- fresh.prefs;
-  invalidate kb
+  kb.program <- None
 
 (* ------------------------------------------------------------------ *)
 (* Versioning                                                          *)
@@ -269,7 +250,7 @@ let pp_mutation ppf =
     Format.fprintf ppf "clear_preference %s > %s" rule over
 
 (* ------------------------------------------------------------------ *)
-(* Queries                                                             *)
+(* Programs                                                            *)
 (* ------------------------------------------------------------------ *)
 
 let to_program kb =
@@ -288,19 +269,6 @@ let to_program kb =
     kb.program <- Some p;
     p
 
-let gop ?budget kb ~obj =
-  ignore (find_exn kb obj);
-  match List.assoc_opt obj kb.cache with
-  | Some g -> g
-  | None ->
-    let prog = to_program kb in
-    let g =
-      Ordered.Gop.ground ?budget prog
-        (Ordered.Program.component_id_exn prog obj)
-    in
-    kb.cache <- (obj, g) :: kb.cache;
-    g
-
 let to_source kb =
   let base = Format.asprintf "%a" Ordered.Program.pp (to_program kb) in
   match kb.prefs with
@@ -314,46 +282,26 @@ let to_source kb =
       prefs;
     Buffer.contents buf
 
-let least_model ?budget kb ~obj =
-  Ordered.Vfix.least_model ?budget (gop ?budget kb ~obj)
-
-let query ?budget kb ~obj l =
-  if not (Literal.is_ground l) then
-    invalid_arg "Kb.query: literal must be ground";
-  Interp.value_lit (least_model ?budget kb ~obj) l
-
-let query_src ?budget kb ~obj src =
-  query ?budget kb ~obj (Lang.Parser.parse_literal src)
-
-let stable_models ?limit ?budget ?stats kb ~obj =
-  Solve.Kernel.stable_models ?limit ?budget ?stats (gop ?budget kb ~obj)
-
-let assumption_free_models ?limit ?budget ?stats kb ~obj =
-  Solve.Kernel.assumption_free_models ?limit ?budget ?stats
-    (gop ?budget kb ~obj)
-
-let explain kb ~obj l = Ordered.Explain.explain (gop kb ~obj) l
-
-(* ------------------------------------------------------------------ *)
-(* Preferred models                                                    *)
-(* ------------------------------------------------------------------ *)
-
 let prefer_spec kb ~obj =
   ignore (find_exn kb obj);
   let prog = to_program kb in
   Prefer.Spec.make prog (Ordered.Program.component_id_exn prog obj) kb.prefs
 
-(* The compiled grounding is cached like the plain one. *)
-let prefer_gop ?budget kb ~obj =
-  ignore (find_exn kb obj);
-  match List.assoc_opt obj kb.pcache with
-  | Some g -> g
-  | None ->
-    let g =
-      Prefer.Compile.gop ?budget (Prefer.Compile.compile (prefer_spec kb ~obj))
-    in
-    kb.pcache <- (obj, g) :: kb.pcache;
-    g
+(* ------------------------------------------------------------------ *)
+(* From-scratch answers                                                *)
+(* ------------------------------------------------------------------ *)
 
-let preferred_models ?limit ?budget ?stats kb ~obj =
-  Solve.Kernel.stable_models ?limit ?budget ?stats (prefer_gop ?budget kb ~obj)
+(* Each call grounds the view afresh and caches nothing: these are the
+   reference answers the serving benchmark checks the server against. *)
+let ground ?budget kb ~obj =
+  ignore (find_exn kb obj);
+  let prog = to_program kb in
+  Ordered.Gop.ground ?budget prog (Ordered.Program.component_id_exn prog obj)
+
+let query ?budget kb ~obj l =
+  if not (Literal.is_ground l) then
+    invalid_arg "Kb.Store.query: literal must be ground";
+  Interp.value_lit (Ordered.Vfix.least_model ?budget (ground ?budget kb ~obj)) l
+
+let stable_models ?limit ?budget ?stats kb ~obj =
+  Solve.Kernel.stable_models ?limit ?budget ?stats (ground ?budget kb ~obj)

@@ -1,4 +1,4 @@
-(** Knowledge bases: the object-oriented reading of ordered logic
+(** Knowledge-base state: the object-oriented reading of ordered logic
     programming (paper, Section 5).
 
     An object is a component; [isa] parents place it {e below} them in the
@@ -8,10 +8,10 @@
     new version of a more general module": a new version of an object is a
     fresh component placed below the previous version.
 
-    Queries are answered against the least model of the ground ordered
-    program viewed from the queried object (the constructive,
-    assumption-free semantics of Section 2); [stable_models] exposes the
-    credulous alternatives. *)
+    A store holds state only: objects, isa links, rules, preferences and
+    version counters, with their mutations and dumps.  Questions are
+    answered by {!Session}, which memoizes them per viewpoint; the two
+    uncached functions at the end exist as the from-scratch reference. *)
 
 type t
 
@@ -94,7 +94,7 @@ val pp_mutation : Format.formatter -> mutation -> unit
     A [dump] is the full serialisable state of a store — objects with
     parents and rules in definition order, plus the versioning maps that
     {!to_source} loses.  [of_dump (dump kb)] is observationally equal to
-    [kb] (caches aside), which is what snapshots are made of. *)
+    [kb], which is what snapshots are made of. *)
 
 type dump = {
   dump_objs : (string * string list * Logic.Rule.t list) list;
@@ -115,8 +115,8 @@ val copy : t -> t
 
 val restore : t -> dump -> unit
 (** Replace the store's entire state with [dump] in place, keeping the
-    identity of [t] (every alias sees the new state; caches are
-    dropped).  Replication uses this for snapshot bootstrap. *)
+    identity of [t] (every alias sees the new state).  Replication uses
+    this for snapshot bootstrap. *)
 
 (** {1 Versioning} *)
 
@@ -132,69 +132,7 @@ val latest_version : t -> string -> string
 val versions : t -> string -> string list
 (** All versions, oldest first (starting with the base object). *)
 
-(** {1 Queries} *)
-
-val query :
-  ?budget:Ordered.Budget.t ->
-  t ->
-  obj:string ->
-  Logic.Literal.t ->
-  Logic.Interp.value
-(** Truth of a ground literal in the least model viewed from [obj].
-    [Logic.Interp.True] means the literal holds; querying [l] and [neg l]
-    distinguishes false from undefined.  [budget] governs grounding and
-    the fixpoint; exhaustion raises [Ordered.Budget.Exhausted]. *)
-
-val query_src :
-  ?budget:Ordered.Budget.t -> t -> obj:string -> string -> Logic.Interp.value
-
-val least_model :
-  ?budget:Ordered.Budget.t -> t -> obj:string -> Logic.Interp.t
-
-val stable_models :
-  ?limit:int ->
-  ?budget:Ordered.Budget.t ->
-  ?stats:Ordered.Counters.t ->
-  t ->
-  obj:string ->
-  Logic.Interp.t list Ordered.Budget.anytime
-(** Anytime, like {!Solve.Kernel.stable_models}, which enumerates: a
-    [Partial] result carries the stable models found before the budget
-    ran out.  Models come in the kernel's search order; [stats]
-    accumulates search effort, solver counters included. *)
-
-val assumption_free_models :
-  ?limit:int ->
-  ?budget:Ordered.Budget.t ->
-  ?stats:Ordered.Counters.t ->
-  t ->
-  obj:string ->
-  Logic.Interp.t list Ordered.Budget.anytime
-(** All assumption-free models viewed from [obj] (the stable models are
-    their maximal elements); same engine, [stats] and anytime contract
-    as {!stable_models}. *)
-
-val explain : t -> obj:string -> Logic.Literal.t -> Ordered.Explain.t
-
-val preferred_models :
-  ?limit:int ->
-  ?budget:Ordered.Budget.t ->
-  ?stats:Ordered.Counters.t ->
-  t ->
-  obj:string ->
-  Logic.Interp.t list Ordered.Budget.anytime
-(** The preferred models viewed from [obj] under the store's preference
-    pairs (with no pairs: exactly {!stable_models}): the kernel's stable
-    models of the {!Prefer.Compile} translation.  Raises
-    {!Ordered.Diag.Error} if a preference names a rule absent from this
-    view. *)
-
-val prefer_spec : t -> obj:string -> Prefer.Spec.t
-(** The validated preference specification for the view from [obj]. *)
-
-val prefer_gop : ?budget:Ordered.Budget.t -> t -> obj:string -> Ordered.Gop.t
-(** The cached grounding of the compiled preference program for [obj]
-    (reground on modification, like {!gop}). *)
+(** {1 Programs} *)
 
 val to_program : t -> Ordered.Program.t
 (** The underlying ordered program (rebuilt on demand). *)
@@ -204,6 +142,29 @@ val to_source : t -> string
     fresh KB reproduces the same objects, parents and rules (versioning
     counters are not serialised — versions reload as ordinary objects). *)
 
-val gop : ?budget:Ordered.Budget.t -> t -> obj:string -> Ordered.Gop.t
-(** The cached ground view from an object (reground on modification; the
-    budget only governs a call that actually regrounds). *)
+val prefer_spec : t -> obj:string -> Prefer.Spec.t
+(** The validated preference specification for the view from [obj]. *)
+
+(** {1 From-scratch answers}
+
+    Uncached: each call grounds the view from [obj] afresh.  They are
+    the reference the serving benchmark checks sampled server answers
+    against; {!Session} serves the same questions from its caches. *)
+
+val query :
+  ?budget:Ordered.Budget.t ->
+  t ->
+  obj:string ->
+  Logic.Literal.t ->
+  Logic.Interp.value
+(** Truth of a ground literal in the least model viewed from [obj];
+    raises [Invalid_argument] on a non-ground literal. *)
+
+val stable_models :
+  ?limit:int ->
+  ?budget:Ordered.Budget.t ->
+  ?stats:Ordered.Counters.t ->
+  t ->
+  obj:string ->
+  Logic.Interp.t list Ordered.Budget.anytime
+(** The kernel's stable models viewed from [obj] ({!Solve.Kernel}). *)

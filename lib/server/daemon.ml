@@ -87,6 +87,10 @@ let listen address =
   (fd, bound)
 
 let create config =
+  (* a write to a peer that already hung up must surface as the EPIPE
+     [send] drops, not as a SIGPIPE that kills the whole process — also
+     when the daemon runs inside a host program rather than [olp serve] *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let fd, bound = listen config.address in
   let repl =
     match config.replicate_on with
@@ -163,7 +167,6 @@ let stop t =
   with Unix.Unix_error _ -> ()
 
 let install_signal_handlers t =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let handler = Sys.Signal_handle (fun _ -> stop t) in
   Sys.set_signal Sys.sigint handler;
   Sys.set_signal Sys.sigterm handler

@@ -64,7 +64,9 @@ val create : config -> t
     address already in use).  With [persist] set, the KB is recovered
     from the data directory (raises {!Governor.Diag.Error} when that is
     impossible) and every mutation is logged before its response is
-    sent; otherwise the engine starts with an empty in-memory KB. *)
+    sent; otherwise the engine starts with an empty in-memory KB.
+    Ignores SIGPIPE process-wide, so a write to a disconnected peer
+    becomes an error handled per-connection. *)
 
 val address : t -> address
 (** The bound address — for TCP this resolves a requested port [0] to
@@ -96,5 +98,4 @@ val stop : t -> unit
 (** Request shutdown (thread- and signal-safe, idempotent). *)
 
 val install_signal_handlers : t -> unit
-(** SIGINT/SIGTERM trigger {!stop}; SIGPIPE is ignored (a write to a
-    disconnected client becomes an error handled per-connection). *)
+(** SIGINT/SIGTERM trigger {!stop}. *)

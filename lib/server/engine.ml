@@ -40,8 +40,7 @@ type t = {
   caps : caps;
   metrics : M.t;
   lock : Mutex.t;  (* the io lock: store apply + persistence/replication *)
-  shards : Shards.t;  (* striped write admission, per target object *)
-  writers : int Atomic.t;  (* writers inside a shard region right now *)
+  writers : int Atomic.t;  (* writers inside [handle_write] right now *)
   extra_stats : unit -> (string * Wire.json) list;
   persistence : persistence option;
   sync : sync option;
@@ -56,7 +55,7 @@ let create ?(caps = default_caps) ?(metrics = M.create ())
   in
   Kb.Session.use_metrics session metrics;
   { session; caps; metrics; lock = Mutex.create ();
-    shards = Shards.create (); writers = Atomic.make 0; extra_stats;
+    writers = Atomic.make 0; extra_stats;
     persistence; sync;
     acks = { ack_lock = Mutex.create (); ack_tbl = Hashtbl.create 8 };
     replication = None }
@@ -189,16 +188,6 @@ let is_io = function
     true
   | _ -> false
 
-(* The shard stripes a mutating verb must hold: the object it targets,
-   or every stripe for [load] (which may define any number of objects). *)
-let write_keys = function
-  (* a preference change refines the rule order of every view, so it
-     excludes all concurrent writers, like [load] *)
-  | Wire.Load _ | Wire.Set_preference _ | Wire.Clear_preference _ -> `All
-  | Wire.Define { name; _ } | Wire.New_version { name; _ } -> `Keys [ name ]
-  | Wire.Add_rule { obj; _ } | Wire.Remove_rule { obj; _ } -> `Keys [ obj ]
-  | _ -> `Keys []
-
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -244,13 +233,13 @@ let stats_response t ~id =
       | None -> [])
     @ [ ("server", server) ])
 
-(* Mutating verbs, called with the verb's shard stripes held: parse the
-   request's program text first (concurrent with other writers and every
-   reader), then apply to the session under the io lock — the only part
-   that serializes globally, and the part that keeps WAL append order
-   identical to apply order.  Returns the response and, for synchronous
-   commit, the WAL sequence this write reached (captured under the io
-   lock so the quorum wait targets exactly this mutation). *)
+(* Mutating verbs: parse the request's program text first (concurrent
+   with other writers and every reader), then apply to the session under
+   the io lock — the only part that serializes, and the part that keeps
+   WAL append order identical to apply order.  Returns the response
+   and, for synchronous commit, the WAL sequence this write reached
+   (captured under the io lock so the quorum wait targets exactly this
+   mutation). *)
 let serve_write t ~id verb =
   let session = t.session in
   let exclusively_seq f =
@@ -326,8 +315,7 @@ let serve t ~id req =
       invalid_arg "query: literal must be ground";
     let stats = Ordered.Counters.create () in
     let result =
-      Kb.Session.preferred_models ~budget ~stats ~metrics:t.metrics session
-        ~obj
+      Kb.Session.preferred_models ~budget ~stats session ~obj
     in
     record_solver t stats;
     match result with
@@ -350,8 +338,7 @@ let serve t ~id req =
     let result =
       match (prefer, kind) with
       | true, _ ->
-        Kb.Session.preferred_models ?limit ~budget ~stats ~metrics:t.metrics
-          session ~obj
+        Kb.Session.preferred_models ?limit ~budget ~stats session ~obj
       | false, `Stable ->
         Kb.Session.stable_models ?limit ~budget ~stats session ~obj
       | false, `Af ->
@@ -602,16 +589,15 @@ let handle_write t ~id verb =
           let primary = Option.value ~default:"unknown" (r.primary ()) in
           Governor.Diag.fail (Governor.Diag.Read_only { primary })
         | _ -> ());
-        Shards.with_keys t.shards (write_keys verb) (fun () ->
-            let n = Atomic.fetch_and_add t.writers 1 + 1 in
-            M.gauge_max t.metrics "writers_peak" n;
-            Fun.protect
-              ~finally:(fun () ->
-                ignore (Atomic.fetch_and_add t.writers (-1) : int))
-              (fun () ->
-                let resp, seq = serve_write t ~id verb in
-                sync_seq := seq;
-                resp)))
+        let n = Atomic.fetch_and_add t.writers 1 + 1 in
+        M.gauge_max t.metrics "writers_peak" n;
+        Fun.protect
+          ~finally:(fun () ->
+            ignore (Atomic.fetch_and_add t.writers (-1) : int))
+          (fun () ->
+            let resp, seq = serve_write t ~id verb in
+            sync_seq := seq;
+            resp))
   in
   (* durability is paid outside every lock, so concurrent writers pile
      into the same group-commit window instead of serializing their

@@ -1,5 +1,6 @@
 (** The request engine: one {!Kb.Session} serving decoded {!Wire}
-    requests — lock-free snapshot reads, shard-locked writes.
+    requests — lock-free snapshot reads, writes serialized on one io
+    lock.
 
     The engine owns everything between the wire and the solver: budget
     clamping, dispatch, response encoding, and the guarantee that {e no
@@ -21,11 +22,11 @@
     published snapshot with one atomic read and compute against that
     frozen version, so any number of workers — threads or domains —
     serve reads in parallel, unaffected by writers.  Mutating verbs
-    ([load]/[define]/[add_rule]/[remove_rule]/[new_version]) are
-    admitted through per-object {!Shards} stripes (disjoint objects
-    overlap in their parse phase; the ["writers_peak"] gauge records the
-    deepest overlap) and then serialize only their store-apply on the
-    engine's io lock, which also orders WAL appends; durability and
+    ([load]/[define]/[add_rule]/[remove_rule]/[new_version]) parse
+    their program text concurrently (the ["writers_peak"] gauge records
+    the deepest overlap of writers in flight) and then serialize only
+    their store-apply on the engine's io lock, which also orders WAL
+    appends; durability and
     synchronous-commit waits happen outside every lock.  Replication
     verbs ([hello]/[pull]/[fetch_snapshot]/[promote]/[snapshot]) take
     the io lock.  A [batch] frame runs each item through its verb's full

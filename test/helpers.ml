@@ -15,6 +15,18 @@ let ground_at prog name =
 
 let least prog name = Ordered.Vfix.least_model (ground_at prog name)
 
+(* From-scratch answers about a KB store, built directly from its
+   program — the reference the memoizing, incrementally repaired
+   Kb.Session is compared against. *)
+module Scratch = struct
+  let gop store ~obj = ground_at (Kb.Store.to_program store) obj
+  let least_model store ~obj = Ordered.Vfix.least_model (gop store ~obj)
+  let stable_models store ~obj = Solve.Kernel.stable_models (gop store ~obj)
+
+  let assumption_free_models store ~obj =
+    Solve.Kernel.assumption_free_models (gop store ~obj)
+end
+
 (* Definition 10: the stable models of a negative program are those of its
    3-level version, enumerated by the kernel. *)
 let negative_stable_models rs =

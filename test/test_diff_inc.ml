@@ -60,7 +60,8 @@ let rule_pool =
 let pool_rule i = rule rule_pool.(i mod Array.length rule_pool)
 
 (* One encoded mutation: kind + two free integers, resolved against the
-   current object list at apply time so sequences stay well-formed. *)
+   current object list at apply time so sequences stay well-formed.
+   [kb] is a plain store replaying the same sequence. *)
 let apply_mut s kb fresh (k, a, b) =
   let objs = KS.objects s in
   let obj i = List.nth objs (i mod List.length objs) in
@@ -68,7 +69,7 @@ let apply_mut s kb fresh (k, a, b) =
   | 0 ->
     let r = pool_rule b in
     KS.add_rule s ~obj:(obj a) r;
-    Kb.add_rule kb ~obj:(obj a) r
+    Kb.Store.add_rule kb ~obj:(obj a) r
   | 1 -> (
     let o = obj a in
     match KS.rules s o with
@@ -76,17 +77,17 @@ let apply_mut s kb fresh (k, a, b) =
     | rs ->
       let r = List.nth rs (b mod List.length rs) in
       let x = KS.remove_rule s ~obj:o r in
-      let y = Kb.remove_rule kb ~obj:o r in
+      let y = Kb.Store.remove_rule kb ~obj:o r in
       assert (x = y))
   | 2 ->
     incr fresh;
     let name = Printf.sprintf "m%d" !fresh in
     let r = pool_rule b in
     KS.define s ~isa:[ obj a ] name [ r ];
-    Kb.define kb ~isa:[ obj a ] name [ r ]
+    Kb.Store.define kb ~isa:[ obj a ] name [ r ]
   | 3 ->
     let x = KS.new_version s (obj a) in
-    let y = Kb.new_version kb (obj a) in
+    let y = Kb.Store.new_version kb (obj a) in
     assert (String.equal x y)
   | _ ->
     (* a fact about a constant: flips the viewpoint's Herbrand universe
@@ -94,7 +95,7 @@ let apply_mut s kb fresh (k, a, b) =
        recompute, and still agree with scratch *)
     let f = lit (if b mod 2 = 0 then "w(k9)" else "-v(k9)") in
     KS.add_fact s ~obj:(obj a) f;
-    Kb.add_fact kb ~obj:(obj a) f
+    Kb.Store.add_fact kb ~obj:(obj a) f
 
 (* ------------------------------------------------------------------ *)
 (* Structural identity of groundings and flat programs                 *)
@@ -144,16 +145,16 @@ let flat_equal (f1 : Solve.Flat.t) (f2 : Solve.Flat.t) =
 let agree s kb =
   List.for_all
     (fun o ->
-      let g = KS.gop s ~obj:o and g' = Kb.gop kb ~obj:o in
+      let g = KS.gop s ~obj:o and g' = Scratch.gop kb ~obj:o in
       gop_equal g g'
       && flat_equal (Solve.Flat.compile g) (Solve.Flat.compile g')
-      && Interp.equal (KS.least_model s ~obj:o) (Kb.least_model kb ~obj:o)
+      && Interp.equal (KS.least_model s ~obj:o) (Scratch.least_model kb ~obj:o)
       && interp_set_equal
            (B.value (KS.stable_models s ~obj:o))
-           (B.value (Kb.stable_models kb ~obj:o))
+           (B.value (Scratch.stable_models kb ~obj:o))
       && interp_set_equal
            (B.value (KS.assumption_free_models s ~obj:o))
-           (B.value (Kb.assumption_free_models kb ~obj:o)))
+           (B.value (Scratch.assumption_free_models kb ~obj:o)))
     (KS.objects s)
 
 let gen_muts =
@@ -173,8 +174,8 @@ let prop_session_equals_scratch =
       let src = print_program p in
       let s = KS.create () in
       KS.load s src;
-      let kb = Kb.create () in
-      Kb.load kb src;
+      let kb = Kb.Store.create () in
+      Kb.Store.load kb src;
       let fresh = ref 0 in
       agree s kb
       && List.for_all
@@ -182,7 +183,7 @@ let prop_session_equals_scratch =
              apply_mut s kb fresh m;
              agree s kb)
            muts
-      && List.equal String.equal (KS.objects s) (Kb.objects kb))
+      && List.equal String.equal (KS.objects s) (Kb.Store.objects kb))
 
 (* ------------------------------------------------------------------ *)
 (* The Inc API directly: repaired grounding ≡ scratch grounding        *)

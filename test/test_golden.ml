@@ -169,30 +169,32 @@ let test_example5 () =
 
 let test_kb () =
   let r = Lang.Parser.parse_rule in
-  let kb = Kb.create () in
-  Kb.define kb "policy"
+  let kb = Kb.Store.create () in
+  Kb.Store.define kb "policy"
     [ r "bonus(X) :- employee(X).";
       r "-remote(X) :- employee(X).";
       r "employee(ann).";
       r "employee(bob)."
     ];
-  Kb.define kb ~isa:[ "policy" ] "engineering" [ r "remote(ann)." ];
+  Kb.Store.define kb ~isa:[ "policy" ] "engineering" [ r "remote(ann)." ];
   let m_eng =
     interp
       [ "bonus(ann)"; "bonus(bob)"; "employee(ann)"; "employee(bob)";
         "remote(ann)"; "-remote(bob)"
       ]
   in
-  let g = Kb.gop kb ~obj:"engineering" in
+  let g = Scratch.gop kb ~obj:"engineering" in
   check_list "kb: af pruned" [ m_eng ] (v (S.assumption_free_models g));
   check_list "kb: af naive" [ m_eng ] (v (O.Stable.assumption_free_models g));
   check_list "kb: af (kernel)" [ m_eng ]
-    (v (Kb.assumption_free_models kb ~obj:"engineering"));
+    (v (Scratch.assumption_free_models kb ~obj:"engineering"));
   check_list "kb: stable (kernel)" [ m_eng ]
-    (v (Kb.stable_models kb ~obj:"engineering"));
+    (v (Scratch.stable_models kb ~obj:"engineering"));
   (* A revision freezing bonuses overrules the inherited default. *)
   let v2 =
-    Kb.new_version kb ~rules:[ r "-bonus(X) :- employee(X)." ] "engineering"
+    Kb.Store.new_version kb
+      ~rules:[ r "-bonus(X) :- employee(X)." ]
+      "engineering"
   in
   let m_v2 =
     interp
@@ -201,18 +203,19 @@ let test_kb () =
       ]
   in
   check_list "kb: stable after revision" [ m_v2 ]
-    (v (Kb.stable_models kb ~obj:v2));
+    (v (Scratch.stable_models kb ~obj:v2));
   check_list "kb: stable after revision (naive)" [ m_v2 ]
-    (v (O.Stable.stable_models (Kb.gop kb ~obj:v2)));
+    (v (O.Stable.stable_models (Scratch.gop kb ~obj:v2)));
   (* A rule-less object grounds to no atoms at all: the least model {}
      is its one assumption-free, stable and total model, for every
-     engine and through the store. *)
-  Kb.define kb "blank" [];
-  check_singleton "kb: rule-less object" (Kb.gop kb ~obj:"blank") Interp.empty;
-  check_list "kb: rule-less object (kernel, via Kb)" [ Interp.empty ]
-    (v (Kb.stable_models kb ~obj:"blank"));
-  check_list "kb: rule-less object af (kernel, via Kb)" [ Interp.empty ]
-    (v (Kb.assumption_free_models kb ~obj:"blank"))
+     engine. *)
+  Kb.Store.define kb "blank" [];
+  check_singleton "kb: rule-less object" (Scratch.gop kb ~obj:"blank")
+    Interp.empty;
+  check_list "kb: rule-less object (kernel)" [ Interp.empty ]
+    (v (Scratch.stable_models kb ~obj:"blank"));
+  check_list "kb: rule-less object af (kernel)" [ Interp.empty ]
+    (v (Scratch.assumption_free_models kb ~obj:"blank"))
 
 let suite =
   [ Alcotest.test_case "F1: penguin model lists" `Quick test_fig1;

@@ -1,5 +1,6 @@
-(* Knowledge-base layer: objects, inheritance, defaults/exceptions,
-   versioning, cache invalidation. *)
+(* Knowledge-base layer through its front end, [Kb] (the memoizing
+   session): objects, inheritance, defaults/exceptions, versioning,
+   cache invalidation. *)
 
 open Logic
 open Helpers

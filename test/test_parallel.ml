@@ -1,12 +1,11 @@
 (* The parallel-serving machinery, attacked directly: pinned session
    snapshots must be immutable while writers churn the master store,
-   shard locks must admit disjoint-object writers concurrently (and the
-   writers_peak gauge must prove the overlap), and read verbs must never
-   need the engine's io lock. *)
+   disjoint-object writers must run their parse phase concurrently (and
+   the writers_peak gauge must prove the overlap), and read verbs must
+   never need the engine's io lock. *)
 
 module W = Server.Wire
 module Engine = Server.Engine
-module Shards = Server.Shards
 module M = Governor.Metrics
 
 (* ------------------------------------------------------------------ *)
@@ -93,59 +92,18 @@ let test_new_version_churn () =
   | v :: _ -> Alcotest.failf "churn violation: %s" v
 
 (* ------------------------------------------------------------------ *)
-(* Shard locks                                                         *)
+(* Writers in flight                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let test_shards_basics () =
-  let sh = Shards.create ~shards:8 () in
-  Alcotest.(check int) "size" 8 (Shards.size sh);
-  List.iter
-    (fun k ->
-      let i = Shards.index sh k in
-      Alcotest.(check bool) "index in range" true (i >= 0 && i < 8))
-    [ "a"; "b"; ""; "long-object-name"; "x@2" ];
-  Alcotest.(check int) "stable hash" (Shards.index sh "a") (Shards.index sh "a");
-  (* reverse-order key sets cannot deadlock: acquisition is sorted *)
-  let stop = ref false in
-  let spin keys =
-    Thread.create
-      (fun () ->
-        while not !stop do
-          Shards.with_keys sh (`Keys keys) (fun () -> Thread.yield ())
-        done)
-      ()
-  in
-  let t1 = spin [ "a"; "b"; "c"; "d" ] and t2 = spin [ "d"; "c"; "b"; "a" ] in
-  let t3 = spin [] in
-  Thread.delay 0.05;
-  stop := true;
-  List.iter Thread.join [ t1; t2; t3 ];
-  (* [`All] nests every stripe and still releases them *)
-  Shards.with_keys sh `All (fun () -> ());
-  Shards.with_keys sh (`Keys [ "a" ]) (fun () -> ())
-
-(* Two writers on distinct objects must both pass shard admission while
-   the io lock is unavailable: hold the engine's io lock from the test,
-   fire two defines, and wait for the writers gauge to prove both are
-   inside their (disjoint) shard regions at once.  Deterministic — the
-   writers cannot finish while we hold the lock, and they cannot be
-   blocked by each other's stripe. *)
+(* Two writers on distinct objects must both get past their parse phase
+   while the io lock is unavailable: hold the engine's io lock from the
+   test, fire two defines, and wait for the writers gauge to prove both
+   are in flight at once.  Deterministic — the writers cannot finish
+   while we hold the lock, and nothing before it blocks them. *)
 let test_disjoint_writers_overlap () =
   let e = Engine.create () in
   let m = Engine.metrics e in
-  (* two objects on different stripes of the engine's shard table; the
-     shard count is an engine default, so probe via a scratch table of
-     the same size is not possible — instead just pick from a pool until
-     two distinct stripes are found *)
-  let sh = Shards.create () in
-  let names = List.init 64 (Printf.sprintf "obj%d") in
-  let a = List.hd names in
-  let b =
-    match List.find_opt (fun n -> Shards.index sh n <> Shards.index sh a) names
-    with
-    | Some b -> b
-    | None -> Alcotest.fail "no second stripe found"
-  in
+  let a = "obj0" and b = "obj1" in
   let spawn name =
     Thread.create
       (fun () ->
@@ -240,7 +198,6 @@ let suite =
       test_snapshot_prefix;
     Alcotest.test_case "new_version churn keeps views whole" `Quick
       test_new_version_churn;
-    Alcotest.test_case "shard lock ordering" `Quick test_shards_basics;
     Alcotest.test_case "disjoint writers overlap (writers_peak)" `Quick
       test_disjoint_writers_overlap;
     Alcotest.test_case "reads bypass the io lock" `Quick

@@ -159,7 +159,7 @@ let test_partial_not_cached () =
   | B.Partial _ -> Alcotest.fail "unlimited budget tripped"
 
 (* Differential: session answers (first call and cached repeat) agree
-   with a fresh uncached Kb on random ordered programs, across every
+   with from-scratch answers on random ordered programs, across every
    object and both model kinds, and enumerate in the pruned search's
    order (the kernel's order contract, observed through the cache). *)
 let prop_cached_equals_uncached =
@@ -170,16 +170,17 @@ let prop_cached_equals_uncached =
       let src = print_program p in
       let s = KS.create () in
       KS.load s src;
-      let fresh = Kb.create () in
-      Kb.load fresh src;
+      let fresh = Kb.Store.create () in
+      Kb.Store.load fresh src;
       List.for_all
         (fun obj ->
           let of_store f = B.value (f ()) in
-          let st_kb = of_store (fun () -> Kb.stable_models fresh ~obj)
-          and af_kb = of_store (fun () -> Kb.assumption_free_models fresh ~obj)
+          let st_kb = of_store (fun () -> Scratch.stable_models fresh ~obj)
+          and af_kb =
+            of_store (fun () -> Scratch.assumption_free_models fresh ~obj)
           and st_ref =
             of_store (fun () ->
-                Ordered.Stable.stable_models (Kb.gop fresh ~obj))
+                Ordered.Stable.stable_models (Scratch.gop fresh ~obj))
           in
           let st1 = of_store (fun () -> KS.stable_models s ~obj) in
           let before = (KS.counters s).KS.hits in
@@ -191,7 +192,8 @@ let prop_cached_equals_uncached =
           && interp_set_equal st1 st_kb
           && interp_set_equal st2 st_kb
           && interp_set_equal af af_kb
-          && Interp.equal (KS.least_model s ~obj) (Kb.least_model fresh ~obj))
+          && Interp.equal (KS.least_model s ~obj)
+               (Scratch.least_model fresh ~obj))
         (KS.objects s))
 
 (* ------------------------------------------------------------------ *)
