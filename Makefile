@@ -8,7 +8,7 @@
 # fuzzers as suite=iterations pairs (fuzz and chaos share the sweep
 # loop), and the fault-injection suites crash-test runs in order.
 FUZZ_SUITES = fuzz=5000 diff-stable=2000 diff-prefer=5000 diff-inc=1500 \
-	diff-poset=20000 proto=20000 \
+	diff-poset=20000 diff-print=20000 proto=20000 \
 	persist=20000 replica=2000
 CHAOS_FUZZ_SUITES = replica=2000 proto=20000 persist=20000
 CRASH_SUITES = crash replica linearize
@@ -125,7 +125,8 @@ bench-micro:
 	dune exec bench/main.exe
 
 # Run every bench workload under a 2s wall-clock budget and emit JSON;
-# fails if any workload overshoots its deadline instead of surrendering.
+# fails if any workload overshoots its deadline instead of surrendering,
+# or if a workload built to outrun the budget completes.
 bench-smoke:
 	dune exec bench/smoke.exe
 

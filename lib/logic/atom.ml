@@ -22,19 +22,27 @@ let rename f a = { a with args = List.map (Term.rename f) a.args }
    parser. *)
 let infix_preds = [ "<"; ">"; "<="; ">="; "="; "!=" ]
 
-let pp ppf a =
-  match a.pred, a.args with
-  | _, [] -> Format.pp_print_string ppf a.pred
-  | p, [ l; r ] when List.mem p infix_preds ->
-    Format.fprintf ppf "%a %s %a" Term.pp l p Term.pp r
-  | p, args ->
-    Format.fprintf ppf "%s(%a)" p
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-         Term.pp)
-      args
+let to_buffer buf a =
+  match a.args with
+  | [] -> Buffer.add_string buf a.pred
+  | [ l; r ] when List.mem a.pred infix_preds ->
+    Term.to_buffer buf l;
+    Buffer.add_char buf ' ';
+    Buffer.add_string buf a.pred;
+    Buffer.add_char buf ' ';
+    Term.to_buffer buf r
+  | args ->
+    Buffer.add_string buf a.pred;
+    Buffer.add_char buf '(';
+    Term.add_list buf Term.to_buffer args;
+    Buffer.add_char buf ')'
 
-let to_string a = Format.asprintf "%a" pp a
+let to_string a =
+  let buf = Buffer.create 32 in
+  to_buffer buf a;
+  Buffer.contents buf
+
+let pp ppf a = Format.pp_print_string ppf (to_string a)
 
 module Ord = struct
   type nonrec t = t

@@ -25,8 +25,16 @@ val add_vars : t -> string list -> string list
 val rename : (string -> string) -> t -> t
 (** Apply a renaming to every variable of the atom. *)
 
+(** One printer, in the parser's concrete syntax ([p], [p(t1, ..., tn)],
+    comparisons infix: [X > 11]).  {!to_string} runs it; {!pp} prints its
+    string as one token, so both give the same bytes in every [Format]
+    context. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+
+val to_buffer : Buffer.t -> t -> unit
+(** Append the printed atom to the buffer. *)
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

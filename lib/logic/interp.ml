@@ -117,11 +117,11 @@ let pp_value ppf = function
   | False -> Format.pp_print_string ppf "false"
   | Undefined -> Format.pp_print_string ppf "undefined"
 
-let pp ppf i =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-       Literal.pp)
-    (to_literals i)
+let to_string i =
+  let buf = Buffer.create 64 in
+  Buffer.add_char buf '{';
+  Term.add_list buf Literal.to_buffer (to_literals i);
+  Buffer.add_char buf '}';
+  Buffer.contents buf
 
-let to_string i = Format.asprintf "%a" pp i
+let pp ppf i = Format.pp_print_string ppf (to_string i)

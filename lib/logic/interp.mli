@@ -94,6 +94,11 @@ val value_conj : t -> Literal.t list -> value
 val compare_value : value -> value -> int
 (** Ordering [False < Undefined < True]. *)
 
+(** One printer, in the parser's concrete syntax ([{A, -B, ...}], in
+    atom order).  {!to_string} runs it; {!pp} prints its string as one
+    token, so both give the same bytes in every [Format] context,
+    however long the line. *)
+
 val pp : Format.formatter -> t -> unit
 val pp_value : Format.formatter -> value -> unit
 val to_string : t -> string

@@ -19,10 +19,16 @@ let vars l = Atom.vars l.atom
 let add_vars l acc = Atom.add_vars l.atom acc
 let rename f l = { l with atom = Atom.rename f l.atom }
 
-let pp ppf l =
-  if l.pol then Atom.pp ppf l.atom else Format.fprintf ppf "-%a" Atom.pp l.atom
+let to_buffer buf l =
+  if not l.pol then Buffer.add_char buf '-';
+  Atom.to_buffer buf l.atom
 
-let to_string l = Format.asprintf "%a" pp l
+let to_string l =
+  let buf = Buffer.create 32 in
+  to_buffer buf l;
+  Buffer.contents buf
+
+let pp ppf l = Format.pp_print_string ppf (to_string l)
 
 module Ord = struct
   type nonrec t = t

@@ -31,8 +31,15 @@ val vars : t -> string list
 val add_vars : t -> string list -> string list
 val rename : (string -> string) -> t -> t
 
+(** One printer, in the parser's concrete syntax ([A] or [-A]).
+    {!to_string} runs it; {!pp} prints its string as one token, so both
+    give the same bytes in every [Format] context. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+
+val to_buffer : Buffer.t -> t -> unit
+(** Append the printed literal to the buffer. *)
 
 module Set : sig
   include Set.S with type elt = t

@@ -48,20 +48,22 @@ let predicates r =
   in
   List.rev (List.fold_left add (add [] r.head) r.body)
 
-let pp ppf r =
+let to_string r =
+  let buf = Buffer.create 64 in
   (match r.name with
-  | Some n -> Format.fprintf ppf "%s : " n
+  | Some n ->
+    Buffer.add_string buf n;
+    Buffer.add_string buf " : "
   | None -> ());
-  match r.body with
-  | [] -> Format.fprintf ppf "%a." Literal.pp r.head
-  | body ->
-    Format.fprintf ppf "%a :- %a." Literal.pp r.head
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-         Literal.pp)
-      body
+  Literal.to_buffer buf r.head;
+  if r.body <> [] then begin
+    Buffer.add_string buf " :- ";
+    Term.add_list buf Literal.to_buffer r.body
+  end;
+  Buffer.add_char buf '.';
+  Buffer.contents buf
 
-let to_string r = Format.asprintf "%a" pp r
+let pp ppf r = Format.pp_print_string ppf (to_string r)
 
 module Set = Set.Make (struct
   type nonrec t = t

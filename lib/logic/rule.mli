@@ -58,9 +58,12 @@ val predicates : t -> (string * int) list
 (** Predicate symbols (with arity) occurring in the rule, duplicates
     removed. *)
 
-val pp : Format.formatter -> t -> unit
-(** Surface syntax: [head :- b1, ..., bn.] or [head.] for facts. *)
+(** One printer, in the parser's concrete syntax
+    ([name : head :- b1, ..., bn.], or [head.] for an unnamed fact).
+    {!to_string} runs it; {!pp} prints its string as one token, so both
+    give the same bytes in every [Format] context. *)
 
+val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 module Set : Set.S with type elt = t

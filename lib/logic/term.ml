@@ -66,28 +66,48 @@ let level_of = function
   | "*" | "/" | "mod" -> 2
   | _ -> 3
 
-let rec pp_prec level ppf = function
-  | Var v -> Format.pp_print_string ppf v
+let add_list buf add = function
+  | [] -> ()
+  | x :: xs ->
+    add buf x;
+    List.iter
+      (fun x ->
+        Buffer.add_string buf ", ";
+        add buf x)
+      xs
+
+let rec add_prec buf level = function
+  | Var s | Sym s -> Buffer.add_string buf s
   | Int n ->
-    if n < 0 && level > 0 then Format.fprintf ppf "(%d)" n
-    else Format.pp_print_int ppf n
-  | Sym s -> Format.pp_print_string ppf s
+    if n < 0 && level > 0 then Buffer.add_char buf '(';
+    Buffer.add_string buf (string_of_int n);
+    if n < 0 && level > 0 then Buffer.add_char buf ')'
   | App (("+" | "-" | "*" | "/" | "mod") as op, [ l; r ]) ->
     let my = level_of op in
-    if my < level then
-      Format.fprintf ppf "(%a %s %a)" (pp_prec my) l op (pp_prec (my + 1)) r
-    else Format.fprintf ppf "%a %s %a" (pp_prec my) l op (pp_prec (my + 1)) r
-  | App ("-", [ t ]) -> Format.fprintf ppf "-%a" (pp_prec 3) t
+    if my < level then Buffer.add_char buf '(';
+    add_prec buf my l;
+    Buffer.add_char buf ' ';
+    Buffer.add_string buf op;
+    Buffer.add_char buf ' ';
+    add_prec buf (my + 1) r;
+    if my < level then Buffer.add_char buf ')'
+  | App ("-", [ t ]) ->
+    Buffer.add_char buf '-';
+    add_prec buf 3 t
   | App (f, args) ->
-    Format.fprintf ppf "%s(%a)" f
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-         (pp_prec 0))
-      args
+    Buffer.add_string buf f;
+    Buffer.add_char buf '(';
+    add_list buf (fun buf t -> add_prec buf 0 t) args;
+    Buffer.add_char buf ')'
 
-let pp ppf t = pp_prec 0 ppf t
+let to_buffer buf t = add_prec buf 0 t
 
-let to_string t = Format.asprintf "%a" pp t
+let to_string t =
+  let buf = Buffer.create 16 in
+  to_buffer buf t;
+  Buffer.contents buf
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 module Ord = struct
   type nonrec t = t

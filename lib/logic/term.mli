@@ -46,10 +46,22 @@ val depth : t -> int
 val rename : (string -> string) -> t -> t
 (** [rename f t] applies [f] to every variable name in [t]. *)
 
-val pp : Format.formatter -> t -> unit
-(** Pretty-print in the surface syntax, e.g. [f(X, 3, a)]. *)
+(** One printer, in the parser's concrete syntax ([f(X, 3, a)];
+    arithmetic infix, parenthesised to re-parse to the same term, so
+    [(-1)] under an operator).  {!to_string} runs it; {!pp} prints its
+    string as one token, with no box and no break hint, so both give
+    the same bytes in every [Format] context. *)
 
+val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+
+val to_buffer : Buffer.t -> t -> unit
+(** Append the printed term to the buffer. *)
+
+val add_list : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a list -> unit
+(** [add_list buf add xs] appends the elements of [xs] with [add],
+    separated by [", "]: the list layout of every printer in this
+    library. *)
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

@@ -237,22 +237,32 @@ let parse ?(max_len = default_max_len) s =
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The escape of one byte, or [""] for a byte copied as it is: only
+   ['"'], ['\\'] and the control bytes below 0x20 are escaped. *)
+let escape = function
+  | '"' -> "\\\""
+  | '\\' -> "\\\\"
+  | '\n' -> "\\n"
+  | '\r' -> "\\r"
+  | '\t' -> "\\t"
+  | '\b' -> "\\b"
+  | '\012' -> "\\f"
+  | '\000' .. '\031' as c -> Printf.sprintf "\\u%04x" (Char.code c)
+  | _ -> ""
+
+(* Copies each run of bytes that needs no escaping in one piece. *)
 let add_escaped buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  let run = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let e = escape (String.unsafe_get s i) in
+    if String.length e > 0 then begin
+      Buffer.add_substring buf s !run (i - !run);
+      Buffer.add_string buf e;
+      run := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !run (String.length s - !run);
   Buffer.add_char buf '"'
 
 let rec add_json buf = function

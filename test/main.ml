@@ -6,6 +6,7 @@ let () =
       ("datalog", Test_datalog.suite);
       ("ordered", Test_ordered.suite);
       ("diff-poset", Test_diff_poset.suite);
+      ("diff-print", Test_diff_print.suite);
       ("paper", Test_paper.suite);
       ("stable", Test_stable.suite);
       ("bridge", Test_bridge.suite);

@@ -360,3 +360,103 @@ module Prefer = struct
   let preferred_models ?limit ?budget ?stats spec =
     Stable.stable_models ?limit ?budget ?stats (refined_gop spec)
 end
+
+(* The Format printers the logic library used before it printed into a
+   Buffer, copied verbatim: the byte-for-byte reference of the
+   diff-print suite. *)
+module Print = struct
+  open Logic
+
+  module Term = struct
+    open Term
+
+    let level_of = function
+      | "+" | "-" -> 1
+      | "*" | "/" | "mod" -> 2
+      | _ -> 3
+
+    let rec pp_prec level ppf = function
+      | Var v -> Format.pp_print_string ppf v
+      | Int n ->
+        if n < 0 && level > 0 then Format.fprintf ppf "(%d)" n
+        else Format.pp_print_int ppf n
+      | Sym s -> Format.pp_print_string ppf s
+      | App (("+" | "-" | "*" | "/" | "mod") as op, [ l; r ]) ->
+        let my = level_of op in
+        if my < level then
+          Format.fprintf ppf "(%a %s %a)" (pp_prec my) l op (pp_prec (my + 1)) r
+        else Format.fprintf ppf "%a %s %a" (pp_prec my) l op (pp_prec (my + 1)) r
+      | App ("-", [ t ]) -> Format.fprintf ppf "-%a" (pp_prec 3) t
+      | App (f, args) ->
+        Format.fprintf ppf "%s(%a)" f
+          (Format.pp_print_list
+             ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
+             (pp_prec 0))
+          args
+
+    let pp ppf t = pp_prec 0 ppf t
+
+    let to_string t = Format.asprintf "%a" pp t
+  end
+
+  module Atom = struct
+    open Atom
+
+    let infix_preds = [ "<"; ">"; "<="; ">="; "="; "!=" ]
+
+    let pp ppf a =
+      match a.pred, a.args with
+      | _, [] -> Format.pp_print_string ppf a.pred
+      | p, [ l; r ] when List.mem p infix_preds ->
+        Format.fprintf ppf "%a %s %a" Term.pp l p Term.pp r
+      | p, args ->
+        Format.fprintf ppf "%s(%a)" p
+          (Format.pp_print_list
+             ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
+             Term.pp)
+          args
+
+    let to_string a = Format.asprintf "%a" pp a
+  end
+
+  module Literal = struct
+    open Literal
+
+    let pp ppf l =
+      if l.pol then Atom.pp ppf l.atom else Format.fprintf ppf "-%a" Atom.pp l.atom
+
+    let to_string l = Format.asprintf "%a" pp l
+  end
+
+  module Rule = struct
+    open Rule
+
+    let pp ppf r =
+      (match r.name with
+      | Some n -> Format.fprintf ppf "%s : " n
+      | None -> ());
+      match r.body with
+      | [] -> Format.fprintf ppf "%a." Literal.pp r.head
+      | body ->
+        Format.fprintf ppf "%a :- %a." Literal.pp r.head
+          (Format.pp_print_list
+             ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
+             Literal.pp)
+          body
+
+    let to_string r = Format.asprintf "%a" pp r
+  end
+
+  module Interp = struct
+    open Interp
+
+    let pp ppf i =
+      Format.fprintf ppf "{%a}"
+        (Format.pp_print_list
+           ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
+           Literal.pp)
+        (to_literals i)
+
+    let to_string i = Format.asprintf "%a" pp i
+  end
+end

@@ -106,3 +106,35 @@ module Poset : sig
   val ranks_above : t -> int -> (int * int) list
   (** Same contract as {!Ordered.Poset.ranks_above}. *)
 end
+
+(** The [Format] printers of {!Logic.Term}, {!Logic.Atom},
+    {!Logic.Literal}, {!Logic.Rule} and {!Logic.Interp} as they were
+    before the library printed into a [Buffer], kept verbatim: the
+    reference the diff-print suite checks the production printers
+    against, byte for byte. *)
+module Print : sig
+  module Term : sig
+    val pp : Format.formatter -> Logic.Term.t -> unit
+    val to_string : Logic.Term.t -> string
+  end
+
+  module Atom : sig
+    val pp : Format.formatter -> Logic.Atom.t -> unit
+    val to_string : Logic.Atom.t -> string
+  end
+
+  module Literal : sig
+    val pp : Format.formatter -> Logic.Literal.t -> unit
+    val to_string : Logic.Literal.t -> string
+  end
+
+  module Rule : sig
+    val pp : Format.formatter -> Logic.Rule.t -> unit
+    val to_string : Logic.Rule.t -> string
+  end
+
+  module Interp : sig
+    val pp : Format.formatter -> Logic.Interp.t -> unit
+    val to_string : Logic.Interp.t -> string
+  end
+end

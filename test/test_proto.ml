@@ -61,6 +61,78 @@ let test_roundtrip () =
         (W.error_to_string e)
   done
 
+(* The encoder as it was when it escaped one byte at a time, kept as the
+   byte-for-byte reference for the run-copying escape. *)
+let ref_add_escaped buf s =
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\b' -> Buffer.add_string buf "\\b"
+      | '\012' -> Buffer.add_string buf "\\f"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"'
+
+let rec ref_add_json buf = function
+  | W.Null -> Buffer.add_string buf "null"
+  | W.Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | W.Int i -> Buffer.add_string buf (string_of_int i)
+  | W.Float f ->
+    if Float.is_finite f then begin
+      let s = Printf.sprintf "%.12g" f in
+      Buffer.add_string buf s;
+      if String.for_all (function '0' .. '9' | '-' -> true | _ -> false) s
+      then Buffer.add_string buf ".0"
+    end
+    else Buffer.add_string buf "null"
+  | W.String s -> ref_add_escaped buf s
+  | W.List items ->
+    Buffer.add_char buf '[';
+    List.iteri
+      (fun i v ->
+        if i > 0 then Buffer.add_char buf ',';
+        ref_add_json buf v)
+      items;
+    Buffer.add_char buf ']'
+  | W.Obj members ->
+    Buffer.add_char buf '{';
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then Buffer.add_char buf ',';
+        ref_add_escaped buf k;
+        Buffer.add_char buf ':';
+        ref_add_json buf v)
+      members;
+    Buffer.add_char buf '}'
+
+let ref_to_string v =
+  let buf = Buffer.create 128 in
+  ref_add_json buf v;
+  Buffer.contents buf
+
+let test_encode_bytes () =
+  let same v =
+    let got = W.to_string v and want = ref_to_string v in
+    if not (String.equal got want) then
+      Alcotest.failf "encoder output %S differs from the reference %S" got want
+  in
+  for _ = 1 to 500 do
+    same (gen_json 4)
+  done;
+  let every_byte = String.init 256 Char.chr in
+  same (W.String every_byte);
+  same (W.Obj [ (every_byte, W.String (every_byte ^ every_byte)) ]);
+  same (W.String "");
+  same (W.String "\"\"")
+
 let test_parse_values () =
   let ok s v =
     match W.parse s with
@@ -404,6 +476,8 @@ let test_corpus_decodes () =
 
 let suite =
   [ Alcotest.test_case "encode/parse round-trip" `Quick test_roundtrip;
+    Alcotest.test_case "encoder bytes = per-byte reference" `Quick
+      test_encode_bytes;
     Alcotest.test_case "parse values and syntax errors" `Quick
       test_parse_values;
     Alcotest.test_case "oversized frames" `Quick test_oversized;

@@ -266,10 +266,61 @@ let test_write_costs_its_cone () =
       "one write allocates %.0f words at 2000 objects, %.0f at 200 (bound: 2x)"
       large small
 
+(* ------------------------------------------------------------------ *)
+(* A models hit costs its bytes                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A warmed [models] request on the same KB shape, through the server's
+   whole read path: decode, the session's cache hit, the literal printer
+   and the JSON encoder.  A hit does no search, so what it allocates is
+   the answer's text; the bound is per literal in the response.  Format
+   on this path costs several hundred words a literal. *)
+let test_models_hit_costs_its_bytes () =
+  let module W = Server.Wire in
+  let e = Server.Engine.create () in
+  let call fields =
+    W.to_string (Server.Engine.handle_line e (W.to_string (W.Obj fields)))
+  in
+  ignore (call [ ("op", W.String "load"); ("src", W.String (write_mix_kb 16)) ]);
+  let models () =
+    call
+      [ ("op", W.String "models"); ("obj", W.String "o5");
+        ("kind", W.String "stable"); ("limit", W.Int 4) ]
+  in
+  ignore (models ());
+  ignore (models ());
+  let hits = (KS.counters (Server.Engine.session e)).KS.hits in
+  Gc.minor ();
+  let w0 = Gc.minor_words () in
+  let out = models () in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "answered from the cache" (hits + 1)
+    (KS.counters (Server.Engine.session e)).KS.hits;
+  let literals =
+    match W.parse out with
+    | Ok j -> (
+      match W.member "models" j with
+      | Some (W.List ms) ->
+        List.fold_left
+          (fun n m -> match m with W.List ls -> n + List.length ls | _ -> n)
+          0 ms
+      | _ -> Alcotest.failf "no models in %s" out)
+    | Error e -> Alcotest.failf "unparsable response: %s" (W.error_to_string e)
+  in
+  if literals < 100 then Alcotest.failf "only %d literals in %s" literals out;
+  let per_literal = words /. float_of_int literals in
+  if per_literal > 80. then
+    Alcotest.failf
+      "a models hit allocates %.0f minor words for %d literals (%.1f a \
+       literal; bound: 80)"
+      words literals per_literal
+
 let suite =
   [ Alcotest.test_case "hit after repeat" `Quick test_hit_after_repeat;
     Alcotest.test_case "a write costs its cone, not the KB" `Quick
       test_write_costs_its_cone;
+    Alcotest.test_case "a models hit costs its bytes" `Quick
+      test_models_hit_costs_its_bytes;
     Alcotest.test_case "delta eviction across mutations" `Quick
       test_delta_eviction;
     Alcotest.test_case "partial results are not cached" `Quick
