@@ -24,24 +24,15 @@ let support_of (g : Gop.t) i =
     component = Program.component_name g.Gop.program g.Gop.rules.(i).comp
   }
 
-let lit_value (g : Gop.t) v (l : Literal.t) =
-  match Gop.atom_id g l.atom with
-  | None -> Interp.Undefined
-  | Some a -> (
-    match Gop.Values.value v a, l.pol with
-    | Interp.Undefined, _ -> Interp.Undefined
-    | Interp.True, true | Interp.False, false -> Interp.True
-    | _ -> Interp.False)
-
 let obstacles_of (g : Gop.t) v i =
   let r = g.Gop.rules.(i) in
   let body_lits =
     Array.to_list (Array.map (fun (a, pol) -> Literal.make pol g.Gop.atoms.(a)) r.body)
   in
   let blocked_lit =
-    List.find_opt (fun l -> lit_value g v l = Interp.False) body_lits
+    List.find_opt (fun l -> Gop.Values.value_lit g v l = Interp.False) body_lits
   in
-  let unmet = List.filter (fun l -> lit_value g v l <> Interp.True) body_lits in
+  let unmet = List.filter (fun l -> Gop.Values.value_lit g v l <> Interp.True) body_lits in
   let over =
     List.filter_map
       (fun j ->
@@ -65,7 +56,7 @@ let obstacles_of (g : Gop.t) v i =
 
 let explain (g : Gop.t) (l : Literal.t) =
   let v = Vfix.lfp g in
-  match lit_value g v l with
+  match Gop.Values.value_lit g v l with
   | Interp.True ->
     (* Find an applied, unsuppressed rule with this head. *)
     let a = Option.get (Gop.atom_id g l.atom) in

@@ -421,11 +421,23 @@ let splice (t : t) ~program edits =
     let atoms_same = shift = 0 && Array.length fresh = 0 in
     let atoms = Array.append (Array.sub t.atoms 0 m) fresh in
     let na = Array.length atoms in
+    (* With no atom gone ([shift = 0]) the old constants all stay, and
+       the fresh atoms can only add theirs — unless the old universe is
+       the [a0] placeholder, which cannot be told from a real [a0]. *)
+    let placeholder = [ Term.Sym "a0" ] in
     let universe =
       if atoms_same then t.universe
+      else if shift = 0 && not (List.equal Term.equal t.universe placeholder) then
+        let extra =
+          Term.Set.filter
+            (fun c -> not (List.exists (Term.equal c) t.universe))
+            (Array.fold_left add_constants Term.Set.empty fresh)
+        in
+        if Term.Set.is_empty extra then t.universe
+        else Term.Set.elements (Term.Set.union extra (Term.Set.of_list t.universe))
       else
         match Term.Set.elements (Array.fold_left add_constants Term.Set.empty atoms) with
-        | [] -> [ Term.Sym "a0" ]
+        | [] -> placeholder
         | u -> u
     in
     let ids =
@@ -492,9 +504,8 @@ let splice (t : t) ~program edits =
       if atoms_same then t.active_base
       else
         List.merge Atom.compare
-          (List.filter
-             (fun a -> Atom.Tbl.find t.ids a < m)
-             t.active_base)
+          (if shift = 0 then t.active_base
+           else List.filter (fun a -> Atom.Tbl.find t.ids a < m) t.active_base)
           (List.sort Atom.compare (Array.to_list fresh))
     in
     let rec g =
@@ -544,6 +555,33 @@ module Values = struct
   let equal (a : t) (b : t) = a = b
 
   let of_codes (a : int array) : t = a
+
+  let value_lit (g : gop) (v : t) (l : Literal.t) =
+    match atom_id g l.atom with
+    | None -> Interp.Undefined
+    | Some i ->
+      if v.(i) = 0 then Interp.Undefined
+      else if v.(i) = 1 = l.pol then Interp.True
+      else Interp.False
+
+  (* Atoms keep their ids across a splice as long as they are the very
+     same (shared) values, so the common prefix is one blit; the rest is
+     looked up by atom. *)
+  let carry ~(from : gop) (v : t) (g : gop) =
+    let na = Array.length g.atoms in
+    let out = Array.make na 0 in
+    let n = min na (Array.length from.atoms) in
+    let k = ref 0 in
+    while !k < n && g.atoms.(!k) == from.atoms.(!k) do
+      incr k
+    done;
+    Array.blit v 0 out 0 !k;
+    for i = !k to na - 1 do
+      match Atom.Tbl.find_opt from.ids g.atoms.(i) with
+      | Some j -> out.(i) <- v.(j)
+      | None -> ()
+    done;
+    out
 
   let of_interp (g : gop) interp =
     let v = create g in

@@ -185,4 +185,15 @@ module Values : sig
       the codes in range. *)
 
   val to_interp : gop -> t -> Logic.Interp.t
+
+  val value_lit : gop -> t -> Logic.Literal.t -> Logic.Interp.value
+  (** The value of a ground literal: [Undefined] for an atom the ground
+      program does not mention. *)
+
+  val carry : from:gop -> t -> gop -> t
+  (** [carry ~from v g]: a fresh assignment over [g]'s atoms giving each
+      the value [v] gives it over [from]'s ([Undefined] when [from] does
+      not mention it).  The prefix of atom ids [g] shares with [from] —
+      all the old atoms a {!splice} kept — is copied in one blit; the
+      other atoms are looked up by value.  [v] is not modified. *)
 end

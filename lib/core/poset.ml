@@ -68,6 +68,13 @@ let first_on_cycle n up =
   let rec find i = if reaches_itself i then i else find (i + 1) in
   find 0
 
+(* A component's strict ancestors: its declared parents and theirs. *)
+let cone anc up =
+  match up with
+  | [||] -> [||]
+  | [| p |] -> insert p anc.(p)
+  | ps -> sort_uniq (Array.concat (ps :: List.map (fun p -> anc.(p)) (Array.to_list ps)))
+
 exception Cycle
 
 let make ~n ~pairs =
@@ -94,13 +101,7 @@ let make ~n ~pairs =
       | _ ->
         state.(a) <- 1;
         Array.iter visit up.(a);
-        anc.(a) <-
-          (match up.(a) with
-          | [||] -> [||]
-          | [| p |] -> insert p anc.(p)
-          | ps ->
-            sort_uniq
-              (Array.concat (ps :: List.map (fun p -> anc.(p)) (Array.to_list ps))));
+        anc.(a) <- cone anc up.(a);
         state.(a) <- 2
     in
     match
@@ -113,6 +114,18 @@ let make ~n ~pairs =
       Error
         (Printf.sprintf "the component order has a cycle through id %d"
            (first_on_cycle n up)))
+
+let extend t ~parents =
+  if List.exists (fun p -> p < 0 || p >= t.n) parents then
+    invalid_arg "Poset.extend: parent out of range";
+  let up = sort_uniq (Array.of_list parents) in
+  let has_below = Array.append t.has_below [| false |] in
+  Array.iter (fun p -> has_below.(p) <- true) up;
+  { n = t.n + 1;
+    up = Array.append t.up [| up |];
+    anc = Array.append t.anc [| cone t.anc up |];
+    has_below
+  }
 
 let size t = t.n
 let lt t a b = mem t.anc.(a) b

@@ -16,6 +16,14 @@ val make : n:int -> pairs:(int * int) list -> (t, string) result
     id), or if an id is out of range (the first such pair).  Costs
     O(n + pairs + the sum of the cone sizes). *)
 
+val extend : t -> parents:int list -> t
+(** [extend t ~parents] is [t] with one more id, [size t], placed below
+    [parents] (declared pairs [(size t, p)]) — equal to {!make} over the
+    old pairs and the new ones.  Nothing lies below a fresh id, so no
+    cycle can arise; its cone is read off its parents' cones, and the
+    rows of the other ids are shared.  O(size + the new cone).  Raises
+    [Invalid_argument] if a parent is out of range. *)
+
 val size : t -> int
 
 val lt : t -> int -> int -> bool

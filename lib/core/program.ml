@@ -2,40 +2,43 @@ open Logic
 
 type component_id = int
 
+module StrMap = Map.Make (String)
+
 type t = {
   names : string array;
+  index : component_id StrMap.t;  (** name -> id *)
   rules : Rule.t list array;
   poset : Poset.t;
 }
 
+let resolve index name =
+  match StrMap.find_opt name index with
+  | Some i -> Ok i
+  | None -> Error (Printf.sprintf "unknown component %S in order" name)
+
+let resolve_pair index (lo, hi) =
+  Result.bind (resolve index lo) (fun a ->
+      Result.map (fun b -> (a, b)) (resolve index hi))
+
+let rec resolve_all f acc = function
+  | [] -> Ok (List.rev acc)
+  | x :: rest -> (
+    match f x with
+    | Ok y -> resolve_all f (y :: acc) rest
+    | Error e -> Error e)
+
 let make components order =
   let names = Array.of_list (List.map fst components) in
-  let seen = Hashtbl.create 8 in
-  let dup = ref None in
-  Array.iter
-    (fun n ->
-      if Hashtbl.mem seen n && !dup = None then dup := Some n
-      else Hashtbl.add seen n ())
-    names;
-  match !dup with
-  | Some n -> Error (Printf.sprintf "duplicate component name %S" n)
-  | None -> (
-    let index = Hashtbl.create 8 in
-    Array.iteri (fun i n -> Hashtbl.replace index n i) names;
-    let resolve (lo, hi) =
-      match Hashtbl.find_opt index lo, Hashtbl.find_opt index hi with
-      | Some a, Some b -> Ok (a, b)
-      | None, _ -> Error (Printf.sprintf "unknown component %S in order" lo)
-      | _, None -> Error (Printf.sprintf "unknown component %S in order" hi)
-    in
-    let rec resolve_all acc = function
-      | [] -> Ok (List.rev acc)
-      | p :: rest -> (
-        match resolve p with
-        | Ok q -> resolve_all (q :: acc) rest
-        | Error e -> Error e)
-    in
-    match resolve_all [] order with
+  let rec index_from i index =
+    if i = Array.length names then Ok index
+    else if StrMap.mem names.(i) index then
+      Error (Printf.sprintf "duplicate component name %S" names.(i))
+    else index_from (i + 1) (StrMap.add names.(i) i index)
+  in
+  match index_from 0 StrMap.empty with
+  | Error e -> Error e
+  | Ok index -> (
+    match resolve_all (resolve_pair index) [] order with
     | Error e -> Error e
     | Ok pairs -> (
       match Poset.make ~n:(Array.length names) ~pairs with
@@ -43,9 +46,25 @@ let make components order =
       | Ok poset ->
         Ok
           { names;
+            index;
             rules = Array.of_list (List.map snd components);
             poset
           }))
+
+let extend t name ~parents rules =
+  if StrMap.mem name t.index then
+    Error (Printf.sprintf "duplicate component name %S" name)
+  else
+    match resolve_all (resolve t.index) [] parents with
+    | Error e -> Error e
+    | Ok parents ->
+      let id = Array.length t.names in
+      Ok
+        { names = Array.append t.names [| name |];
+          index = StrMap.add name id t.index;
+          rules = Array.append t.rules [| rules |];
+          poset = Poset.extend t.poset ~parents
+        }
 
 let make_exn components order =
   match make components order with
@@ -79,13 +98,7 @@ let parse_exn src =
 let n_components t = Array.length t.names
 let component_names t = Array.copy t.names
 
-let component_id t name =
-  let rec find i =
-    if i >= Array.length t.names then None
-    else if String.equal t.names.(i) name then Some i
-    else find (i + 1)
-  in
-  find 0
+let component_id t name = StrMap.find_opt name t.index
 
 let component_id_exn t name =
   match component_id t name with

@@ -19,6 +19,15 @@ val make :
     and [(lower, higher)] order pairs.  Errors on duplicate component
     names, unknown names in order pairs, or a cyclic order. *)
 
+val extend :
+  t -> string -> parents:string list -> Logic.Rule.t list -> (t, string) result
+(** [extend t name ~parents rules] is [t] with one more component [name],
+    placed below [parents], holding [rules] — equal to {!make} over [t]'s
+    components followed by the new one, with the same ids for the old
+    ones.  Errors on a duplicate name or an unknown parent.  The old
+    components' rows are shared; O(components) array copying plus the
+    new component's cone (see {!Poset.extend}). *)
+
 val make_exn :
   (string * Logic.Rule.t list) list -> (string * string) list -> t
 (** Like {!make}; raises [Invalid_argument] on error. *)
@@ -37,6 +46,8 @@ val parse_exn : string -> t
 val n_components : t -> int
 val component_names : t -> string array
 val component_id : t -> string -> component_id option
+(** A map lookup: O(log components). *)
+
 val component_id_exn : t -> string -> component_id
 val component_name : t -> component_id -> string
 val rules_of : t -> component_id -> Logic.Rule.t list

@@ -42,7 +42,7 @@ let ground ?budget program comp =
    view is the old one with pure insertions or pure deletions; anything
    else is a shape mismatch and falls back to scratch grounding. *)
 
-let heads_match g (c, r) = g.comp = c && Rule.compare g.src r = 0
+let heads_match g (c, r) = g.comp = c && (g.src == r || Rule.compare g.src r = 0)
 
 (* new view ⊆ old groups: unmatched groups are deletions *)
 let rec del_diff acc groups view =
@@ -208,17 +208,56 @@ let apply_insertion ~budget ~universe ~program ~comp state steps =
             removed_rules = []
           } )
 
+(* The constants a rule mentions, as [Herbrand.signature_of_rules]
+   collects them (without its [a0] placeholder). *)
+let rule_constants (r : Rule.t) =
+  let rec term acc = function
+    | Term.Var _ -> acc
+    | (Term.Int _ | Term.Sym _) as c -> Term.Set.add c acc
+    | Term.App (_, args) -> List.fold_left term acc args
+  in
+  List.fold_left
+    (fun acc (l : Literal.t) -> List.fold_left term acc l.Literal.atom.Atom.args)
+    Term.Set.empty
+    (Rule.head r :: Rule.body r)
+
+(* Does the edit keep the view's schema universe?  At depth 0 the
+   universe is the view's constants, or [a0] when it has none, so the
+   edit alone decides two cases exactly: an insertion whose constants
+   are all in the old universe adds none (with the [a0] placeholder the
+   only constant it can bring is [a0] itself), and a deletion of
+   constant-free rules removes none.  Any other edit compares against
+   the universe recomputed over the whole new view. *)
+let universe_kept ~program ~comp state = function
+  | `Inserted rules
+    when List.for_all
+           (fun r ->
+             Term.Set.for_all
+               (fun c -> List.exists (Term.equal c) state.universe)
+               (rule_constants r))
+           rules ->
+    true
+  | `Deleted rules
+    when List.for_all (fun r -> Term.Set.is_empty (rule_constants r)) rules ->
+    true
+  | _ ->
+    List.equal Term.equal (Gop.schema_universe program comp) state.universe
+
 let reground ?(budget = Budget.unlimited) state ~program =
   let comp = state.gop.Gop.comp in
   let view = Program.view program comp in
-  let universe = Gop.schema_universe program comp in
-  if not (List.equal Term.equal universe state.universe) then
-    Error `Universe_changed
-  else
-    match del_diff [] state.groups view with
-    | Some steps -> apply_deletion ~budget ~universe ~program ~comp state steps
-    | None -> (
-      match ins_diff [] state.groups view with
-      | Some steps ->
-        apply_insertion ~budget ~universe ~program ~comp state steps
-      | None -> Error `View_mismatch)
+  let universe = state.universe in
+  let kept edit = universe_kept ~program ~comp state edit in
+  match del_diff [] state.groups view with
+  | Some steps ->
+    let dropped = List.filter_map (function `Drop g -> Some g.src | _ -> None) steps in
+    if not (kept (`Deleted dropped)) then Error `Universe_changed
+    else apply_deletion ~budget ~universe ~program ~comp state steps
+  | None -> (
+    match ins_diff [] state.groups view with
+    | Some steps ->
+      let added = List.filter_map (function `Add (_, r) -> Some r | _ -> None) steps in
+      if not (kept (`Inserted added)) then Error `Universe_changed
+      else apply_insertion ~budget ~universe ~program ~comp state steps
+    | None ->
+      if kept `Other then Error `View_mismatch else Error `Universe_changed)

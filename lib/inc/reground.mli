@@ -20,7 +20,10 @@
     - [`Universe_changed]: the mutation changed the view's Herbrand
       universe (a new or vanished constant), so {e other} rules'
       instances change too.  This is why adding a fact about a fresh
-      constant never repairs.
+      constant never repairs.  The edit decides it where that is exact —
+      an insertion whose constants the universe already has, or a
+      deletion of constant-free rules, keeps it — so the usual write
+      does not recompute the universe over the whole view.
     - [`Shared_instance]: a dropped ground instance is also producible
       by a surviving same-component rule of the same name (or an added
       instance collides with a later group) — scratch grounding would

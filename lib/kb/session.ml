@@ -23,7 +23,9 @@ type op =
   | Explained of string  (* printed literal *)
 
 type entry =
-  | E_interp of Logic.Interp.t
+  | E_least of Ordered.Gop.t * Ordered.Gop.Values.t
+      (** the least model as codes over the atom ids of the grounding
+          it was computed on; never mutated once cached *)
   | E_models of Logic.Interp.t list
   | E_explain of Ordered.Explain.t
 
@@ -45,7 +47,6 @@ module OpMap = Map.Make (struct
 end)
 
 module StrMap = Map.Make (String)
-module StrSet = Set.Make (String)
 
 (* Everything a view caches for one viewpoint object: the grounding with
    provenance, the compiled preference grounding, their flat-array
@@ -158,21 +159,6 @@ let note t cell name n =
 let bump_metric t name =
   match t.metrics with Some m -> M.incr m name | None -> ()
 
-(* Does [viewpoint]'s view [C*] contain [obj]?  The view walks the isa
-   chain upward, so the cone of a viewpoint is itself plus its
-   transitive parents. *)
-let sees store ~viewpoint ~obj =
-  let rec go seen = function
-    | [] -> false
-    | x :: rest ->
-      if String.equal x obj then true
-      else if StrSet.mem x seen then go seen rest
-      else
-        go (StrSet.add x seen)
-          (List.rev_append (Store.parents store x) rest)
-  in
-  go StrSet.empty [ viewpoint ]
-
 let is_preferred = function Preferred _ -> true | _ -> false
 
 (* A record with nothing cached leaves the map, so later writes do not
@@ -204,7 +190,7 @@ let repair_viewpoint t ~program vc =
   match vc.gstate with
   | None -> drop_plain ()
   | Some st -> (
-    match Inc.Reground.reground st ~program:(Lazy.force program) with
+    match Inc.Reground.reground st ~program with
     | Ok (st', d) when Inc.Delta.is_empty d ->
       (* the mutation did not change this viewpoint's grounding at all:
          every plain entry (and the compiled flat) is still exact *)
@@ -216,16 +202,15 @@ let repair_viewpoint t ~program vc =
         OpMap.filter_map
           (fun op e ->
             match (op, e) with
-            | Least, E_interp prev -> (
-              match
-                Inc.Repair.least_model ~previous:prev st'.Inc.Reground.gop d
-              with
-              | Inc.Repair.Repaired i ->
+            | Least, E_least (old, previous) -> (
+              let g = st'.Inc.Reground.gop in
+              match Inc.Repair.least_codes ~old ~previous g d with
+              | Inc.Repair.Repaired v ->
                 note t t.repairs "inc_repairs" 1;
-                Some (E_interp i)
-              | Inc.Repair.Recomputed i ->
+                Some (E_least (g, v))
+              | Inc.Repair.Recomputed v ->
                 note t t.fallbacks "inc_fallbacks" 1;
-                Some (E_interp i)
+                Some (E_least (g, v))
               | Inc.Repair.Unchanged -> Some e)
             | _ ->
               note t t.evictions "inc_evictions" 1;
@@ -270,17 +255,36 @@ let next_cache t c (m : Store.mutation) =
           note t t.kept "cache_kept" (OpMap.cardinal vc.results);
           put w vc c)
         c c
-    | Store.Add_rule { obj; _ } | Store.Remove_rule { obj; _ } ->
-      let program = lazy (Store.to_program t.master) in
-      StrMap.fold
-        (fun w vc c ->
-          if sees t.master ~viewpoint:w ~obj then
-            put w (repair_viewpoint t ~program vc) c
-          else begin
-            note t t.kept "cache_kept" (OpMap.cardinal vc.results);
-            c
-          end)
-        c c)
+    | Store.Add_rule { obj; _ } | Store.Remove_rule { obj; _ } -> (
+      (* Records exist only for views grounded against a valid order, and
+         only a load (which empties the cache) can make it invalid; a
+         failure here is evicted like any other, so the write stands. *)
+      match
+        if StrMap.is_empty c then None
+        else
+          let program = Store.to_program t.master in
+          Some (program, Ordered.Program.component_id_exn program obj)
+      with
+      | None -> c
+      | exception _ ->
+        note t t.evictions "inc_evictions" (count_entries c);
+        StrMap.empty
+      | Some (program, o) ->
+        (* [w]'s view [C*] contains [obj] iff [w <= obj] in the order *)
+        let poset = Ordered.Program.poset program in
+        let sees w =
+          match Ordered.Program.component_id program w with
+          | Some i -> Ordered.Poset.leq poset i o
+          | None -> true
+        in
+        StrMap.fold
+          (fun w vc c ->
+            if sees w then put w (repair_viewpoint t ~program vc) c
+            else begin
+              note t t.kept "cache_kept" (OpMap.cardinal vc.results);
+              c
+            end)
+          c c))
 
 (* Publish the master's state as the next immutable version carrying
    [c].  Caller holds [write_lock], so version numbers are gapless and
@@ -492,21 +496,26 @@ let lookup t ~obj op ~compute =
     cache_result v ~obj op e;
     e
 
-let least_model ?budget t ~obj =
+(* The cached least model: codes over the atom ids of its grounding. *)
+let least ?budget t ~obj =
   match
     lookup t ~obj Least
       ~compute:(fun v ->
-        E_interp
-          (Ordered.Vfix.least_model ?budget
-             (gop_state ?budget v ~obj).Inc.Reground.gop))
+        let g = (gop_state ?budget v ~obj).Inc.Reground.gop in
+        E_least (g, Ordered.Vfix.lfp ?budget g))
   with
-  | E_interp i -> i
+  | E_least (g, codes) -> (g, codes)
   | _ -> assert false
+
+let least_model ?budget t ~obj =
+  let g, codes = least ?budget t ~obj in
+  Ordered.Gop.Values.to_interp g codes
 
 let query ?budget t ~obj l =
   if not (Logic.Literal.is_ground l) then
     invalid_arg "Kb.query: literal must be ground";
-  Logic.Interp.value_lit (least_model ?budget t ~obj) l
+  let g, codes = least ?budget t ~obj in
+  Ordered.Gop.Values.value_lit g codes l
 
 let query_src ?budget t ~obj src =
   query ?budget t ~obj (Lang.Parser.parse_literal src)

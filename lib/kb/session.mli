@@ -204,7 +204,9 @@ val gop : ?budget:Ordered.Budget.t -> t -> obj:string -> Ordered.Gop.t
 val least_model :
   ?budget:Ordered.Budget.t -> t -> obj:string -> Logic.Interp.t
 (** The least model viewed from [obj] (the constructive,
-    assumption-free semantics of the paper's Section 2). *)
+    assumption-free semantics of the paper's Section 2).  The cache
+    keeps it as codes over the grounding's atom ids, repaired in place
+    of the old codes by a write; each call decodes it. *)
 
 val query :
   ?budget:Ordered.Budget.t ->
@@ -212,7 +214,8 @@ val query :
   obj:string ->
   Logic.Literal.t ->
   Logic.Interp.value
-(** Truth of a ground literal in the least model viewed from [obj].
+(** Truth of a ground literal in the least model viewed from [obj]: one
+    atom-id lookup in the cached codes.
     [Logic.Interp.True] means the literal holds; querying [l] and [neg l]
     distinguishes false from undefined.  [budget] governs grounding and
     the fixpoint; exhaustion raises [Ordered.Budget.Exhausted].  Raises

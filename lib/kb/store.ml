@@ -12,12 +12,26 @@ type t = {
   mutable version_count : (string * int) list;
   mutable prefs : (string * string) list;  (** (preferred, over), decl order *)
   mutable program : Ordered.Program.t option;
-      (** {!to_program}, patched by rule edits, dropped when objects or
-          parents change *)
+      (** {!to_program}: built when a load or a dump sets the objects,
+          patched by rule edits and new objects; [None] while the order
+          is invalid *)
 }
 
+(* The ordered program of the objects (reverse definition order). *)
+let build objs =
+  Ordered.Program.make
+    (List.rev_map (fun o -> (o.name, o.rules)) objs)
+    (List.concat_map
+       (fun o -> List.map (fun p -> (o.name, p)) o.parents)
+       (List.rev objs))
+
 let create () =
-  { objs = []; latest = []; version_count = []; prefs = []; program = None }
+  { objs = [];
+    latest = [];
+    version_count = [];
+    prefs = [];
+    program = Result.to_option (build [])
+  }
 
 (* A rule edit keeps the objects, their numbering and the order, so the
    cached program is patched in O(objects) array copying instead of
@@ -43,7 +57,12 @@ let define kb ?(isa = []) name rules =
     invalid_arg (Printf.sprintf "Kb.define: duplicate object %S" name);
   List.iter (fun p -> ignore (find_exn kb p)) isa;
   kb.objs <- { name; parents = isa; rules } :: kb.objs;
-  kb.program <- None
+  (* a fresh object takes the next component id below existing ones, so
+     the cached program extends by one row; should that ever fail, the
+     program is rebuilt (and the failure reported) on the next read *)
+  kb.program <-
+    Option.bind kb.program (fun p ->
+        Result.to_option (Ordered.Program.extend p name ~parents:isa rules))
 
 let define_src kb ?isa name src =
   define kb ?isa name (Lang.Parser.parse_rules src)
@@ -74,7 +93,8 @@ let load kb src =
     Prefer.Spec.check_pairs (kb.prefs @ fresh);
     kb.prefs <- kb.prefs @ fresh
   end;
-  kb.program <- None
+  (* an invalid order fails at the first read, as {!to_program} says *)
+  kb.program <- Result.to_option (build kb.objs)
 
 let add_rule kb ~obj r =
   let o = find_exn kb obj in
@@ -139,22 +159,28 @@ let dump kb =
   }
 
 let of_dump d =
-  { objs =
-      List.rev_map
-        (fun (name, parents, rules) -> { name; parents; rules })
-        d.dump_objs;
+  let objs =
+    List.rev_map
+      (fun (name, parents, rules) -> { name; parents; rules })
+      d.dump_objs
+  in
+  { objs;
     latest = d.dump_latest;
     version_count = d.dump_counts;
     prefs = d.dump_prefs;
-    program = None
+    program = Result.to_option (build objs)
   }
 
 (* A deep copy down to the per-object mutable fields: the clone and the
    original share rule/parent list structure (immutable), but mutating
    either store never changes what the other observes.  The immutable
    ordered program is shared, so a published copy grounds without
-   rebuilding it. *)
-let copy kb = { (of_dump (dump kb)) with program = kb.program }
+   rebuilding it.  One record per object: O(objects). *)
+let copy kb =
+  { kb with
+    objs =
+      List.map (fun o -> { name = o.name; parents = o.parents; rules = o.rules }) kb.objs
+  }
 
 let restore kb d =
   let fresh = of_dump d in
@@ -162,7 +188,7 @@ let restore kb d =
   kb.latest <- fresh.latest;
   kb.version_count <- fresh.version_count;
   kb.prefs <- fresh.prefs;
-  kb.program <- None
+  kb.program <- fresh.program
 
 (* ------------------------------------------------------------------ *)
 (* Versioning                                                          *)
@@ -256,18 +282,12 @@ let pp_mutation ppf =
 let to_program kb =
   match kb.program with
   | Some p -> p
-  | None ->
-    let comps =
-      List.rev_map (fun o -> (o.name, o.rules)) kb.objs
-    in
-    let pairs =
-      List.concat_map
-        (fun o -> List.map (fun p -> (o.name, p)) o.parents)
-        (List.rev kb.objs)
-    in
-    let p = Ordered.Program.make_exn comps pairs in
-    kb.program <- Some p;
-    p
+  | None -> (
+    match build kb.objs with
+    | Ok p ->
+      kb.program <- Some p;
+      p
+    | Error e -> invalid_arg ("Program.make: " ^ e))
 
 let to_source kb =
   let base = Format.asprintf "%a" Ordered.Program.pp (to_program kb) in

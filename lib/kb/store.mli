@@ -108,10 +108,11 @@ val dump : t -> dump
 val of_dump : dump -> t
 
 val copy : t -> t
-(** [of_dump (dump kb)]: an independent store with the same objects,
-    parents, rules and version counters.  Mutating the original never
-    changes what the copy observes (and vice versa) — {!Kb.Session}
-    publishes copies as immutable read snapshots. *)
+(** An independent store with the same objects, parents, rules, version
+    counters and (shared, immutable) ordered program, like
+    [of_dump (dump kb)].  Mutating the original never changes what the
+    copy observes (and vice versa) — {!Kb.Session} publishes copies as
+    immutable read snapshots.  One record per object: O(objects). *)
 
 val restore : t -> dump -> unit
 (** Replace the store's entire state with [dump] in place, keeping the
@@ -135,7 +136,11 @@ val versions : t -> string -> string list
 (** {1 Programs} *)
 
 val to_program : t -> Ordered.Program.t
-(** The underlying ordered program (rebuilt on demand). *)
+(** The underlying ordered program.  It is built when a load, a dump or
+    {!create} sets the objects, patched by rule edits, and extended by
+    {!define} and {!new_version}, so this is a field read.  A store
+    whose order is invalid (a load closed a cycle) holds none: then
+    every call raises [Invalid_argument]. *)
 
 val to_source : t -> string
 (** The knowledge base in surface syntax; {!load} of the result into a

@@ -15,11 +15,21 @@ let ground_at prog name =
 
 let least prog name = Ordered.Vfix.least_model (ground_at prog name)
 
-(* From-scratch answers about a KB store, built directly from its
-   program — the reference the memoizing, incrementally repaired
-   Kb.Session is compared against. *)
+(* From-scratch answers about a KB store — the reference the memoizing,
+   incrementally repaired Kb.Session is compared against.  The ordered
+   program is rebuilt from the store's objects, parents and rules, so the
+   reference never reads the program the store keeps patched across
+   rule edits and defines. *)
 module Scratch = struct
-  let gop store ~obj = ground_at (Kb.Store.to_program store) obj
+  let program store =
+    let objs = Kb.Store.objects store in
+    Ordered.Program.make_exn
+      (List.map (fun o -> (o, Kb.Store.rules store o)) objs)
+      (List.concat_map
+         (fun o -> List.map (fun p -> (o, p)) (Kb.Store.parents store o))
+         objs)
+
+  let gop store ~obj = ground_at (program store) obj
   let least_model store ~obj = Ordered.Vfix.least_model (gop store ~obj)
   let stable_models store ~obj = Solve.Kernel.stable_models (gop store ~obj)
 

@@ -19,7 +19,16 @@
      deletion path the same way.  The session property checks the same
      identity on every cached viewpoint, and that the compiled flat
      program of a repaired grounding equals the scratch compile array by
-     array.
+     array;
+   - the cached least model, kept as codes over the grounding's atom
+     ids, equals the scratch fixpoint after every mutation, through each
+     way a write reaches it: an insertion whose constants the view
+     already has (repaired on the spliced ids), one that brings a fresh
+     constant and the deletion of the last rule mentioning a constant
+     (both change the universe: recomputed), an insertion the splice
+     declines (re-interned: the codes are carried over by atom), and an
+     insertion of a constant only a builtin mentioned (the schema
+     universe stays; the spliced grounding's universe grows).
 
    Iteration counts scale with FUZZ_ITERS like the other fuzz suites
    (wired as diff-inc in the Makefile). *)
@@ -229,4 +238,83 @@ let prop_reground_exact =
                ~previous:(Ordered.Vfix.least_model state2.Inc.Reground.gop)
                state1'.Inc.Reground.gop delta'))
 
-let suite = [ prop_session_equals_scratch; prop_reground_exact ]
+(* ------------------------------------------------------------------ *)
+(* The cached least model through each repair path                     *)
+(* ------------------------------------------------------------------ *)
+
+let test_least_codes_paths () =
+  let s = KS.create () in
+  KS.load s
+    "component top { w(k1). v(X) :- w(X). }\n\
+     component bot extends top { u :- v(k1). }\n\
+     component aux { w(k1). r :- k1 != k2. }";
+  let kb = Kb.Store.create () in
+  Kb.Store.load kb (Kb.Store.to_source (KS.store s));
+  let ids obj =
+    let g = KS.gop s ~obj in
+    Array.to_list (Array.mapi (fun i a -> (a, i)) g.G.atoms)
+  in
+  (* one write on both stores, then the cached model against the scratch
+     fixpoint.  [repaired]: the write repaired the cached model, so the
+     read is a hit; otherwise the write refused the repair (a changed
+     universe) and the read recomputes.  [renumbered]: the repaired
+     grounding moved some old atom to a new id (the declined splice). *)
+  let step ?(obj = "bot") ~what ~repaired ?(renumbered = false) write =
+    ignore (KS.least_model s ~obj : Interp.t);
+    let before = ids obj in
+    let c0 = KS.counters s in
+    write ();
+    let c1 = KS.counters s in
+    let m = KS.least_model s ~obj in
+    let c2 = KS.counters s in
+    let g = Scratch.gop kb ~obj in
+    Alcotest.(check bool) (what ^ ": grounding = scratch") true
+      (gop_equal (KS.gop s ~obj) g);
+    Alcotest.(check testable_interp)
+      (what ^ ": cached = scratch lfp")
+      (G.Values.to_interp g (Ordered.Vfix.lfp g))
+      m;
+    Alcotest.(check bool) (what ^ ": served from the cache") repaired
+      (c2.KS.hits = c1.KS.hits + 1);
+    Alcotest.(check int) (what ^ ": fallbacks") (if repaired then 0 else 1)
+      (c1.KS.fallbacks - c0.KS.fallbacks);
+    if repaired then begin
+      let after = ids obj in
+      Alcotest.(check bool) (what ^ ": old atoms renumbered") renumbered
+        (List.exists
+           (fun (a, i) ->
+             match List.assoc_opt a after with Some j -> i <> j | None -> false)
+           before)
+    end
+  in
+  let add o src () =
+    KS.add_rule s ~obj:o (rule src);
+    Kb.Store.add_rule kb ~obj:o (rule src)
+  in
+  let remove o src () =
+    assert (KS.remove_rule s ~obj:o (rule src));
+    assert (Kb.Store.remove_rule kb ~obj:o (rule src))
+  in
+  step ~what:"insertion over known constants" ~repaired:true
+    (add "bot" "x(k1) :- v(k1).");
+  step ~what:"insertion of a fresh constant" ~repaired:false (add "top" "w(k2).");
+  step ~what:"deletion of a constant's last rule" ~repaired:false
+    (remove "top" "w(k2).");
+  step ~what:"insertion the splice declines" ~repaired:true ~renumbered:true
+    (add "top" "y :- z.");
+  step ~what:"deletion of a constant-free rule" ~repaired:true ~renumbered:true
+    (remove "top" "y :- z.");
+  step ~what:"deletion of a rule whose constants stay" ~repaired:true
+    (remove "bot" "x(k1) :- v(k1).");
+  (* [k2] is in the schema universe through the builtin only: the
+     insertion keeps that universe, and the splice adds [k2] to the
+     grounding's *)
+  step ~obj:"aux" ~what:"insertion of a constant only a builtin mentioned"
+    ~repaired:true (add "aux" "w(k2).")
+
+let suite =
+  [ prop_session_equals_scratch;
+    prop_reground_exact;
+    Alcotest.test_case "the cached least model through each repair path" `Quick
+      test_least_codes_paths
+  ]

@@ -4,7 +4,10 @@
    cycles, self-pairs and out-of-range ids.  Both must agree on the
    [Ok]/[Error] outcome and message, on every relation and listing, and
    on the per-view ranks the flat compiler reads (against the rank
-   fixpoint it used to run over the whole order). *)
+   fixpoint it used to run over the whole order).  [Poset.extend] and
+   [Program.extend], which a knowledge base's define uses to grow the
+   order one object at a time, must build exactly what [make] builds
+   from all the pairs at once. *)
 
 open Helpers
 module Gen = QCheck2.Gen
@@ -73,4 +76,75 @@ let prop_poset_equals_closure =
       | Error e, Error e' -> String.equal e e'
       | _ -> false)
 
-let suite = [ prop_poset_equals_closure ]
+(* A define sequence: each new id gets zero to three parents among the
+   ids before it (repeats allowed), so chains, several parents and
+   diamonds all occur. *)
+let gen_defines =
+  let open Gen in
+  let* k = int_range 1 10 in
+  let rec go i acc =
+    if i = k then return (List.rev acc)
+    else
+      let* parents =
+        if i = 0 then return [] else list_size (int_range 0 3) (int_bound (i - 1))
+      in
+      go (i + 1) (parents :: acc)
+  in
+  go 0 []
+
+let print_defines ds =
+  String.concat "; "
+    (List.mapi
+       (fun i ps ->
+         Printf.sprintf "%d<[%s]" i (String.concat "," (List.map string_of_int ps)))
+       ds)
+
+let name i = Printf.sprintf "c%d" i
+
+(* Compared field by field: structural equality covers every row the
+   poset keeps (declared parents, ancestor cones, below-flags). *)
+let prop_extend_equals_make =
+  qcheck ~count:(iters 2000) ~print:print_defines
+    "extend = make on random define sequences" gen_defines (fun ds ->
+      let module Pr = Ordered.Program in
+      let fact i = [ rule (Printf.sprintf "p%d." i) ] in
+      let step (i, p, prog, pairs, ok) parents =
+        let pairs = pairs @ List.map (fun b -> (i, b)) parents in
+        let p = P.extend p ~parents in
+        let prog =
+          Result.get_ok
+            (Pr.extend prog (name i) ~parents:(List.map name parents) (fact i))
+        in
+        let n = i + 1 in
+        let made = Result.get_ok (P.make ~n ~pairs) in
+        let made_prog =
+          Pr.make_exn
+            (List.init n (fun a -> (name a, fact a)))
+            (List.map (fun (a, b) -> (name a, name b)) pairs)
+        in
+        let ids = List.init n Fun.id in
+        let ok =
+          ok && p = made
+          && List.for_all (fun a -> P.ranks_above p a = P.ranks_above made a) ids
+          && Pr.poset prog = Pr.poset made_prog
+          && Pr.n_components prog = n
+          && List.for_all
+               (fun a ->
+                 Pr.component_id prog (name a) = Some a
+                 && List.equal Logic.Rule.equal (Pr.rules_of prog a)
+                      (Pr.rules_of made_prog a))
+               ids
+          && Pr.component_id prog "missing" = None
+          && Result.is_error (Pr.extend prog (name 0) ~parents:[] [])
+          && Result.is_error (Pr.extend prog "fresh" ~parents:[ "missing" ] [])
+        in
+        (n, p, prog, pairs, ok)
+      in
+      let _, _, _, _, ok =
+        List.fold_left step
+          (0, Result.get_ok (P.make ~n:0 ~pairs:[]), Pr.make_exn [] [], [], true)
+          ds
+      in
+      ok)
+
+let suite = [ prop_poset_equals_closure; prop_extend_equals_make ]

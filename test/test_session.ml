@@ -228,11 +228,19 @@ let write_mix_kb n =
   done;
   Buffer.contents b
 
-(* Words one [add_rule] allocates: minor words, plus the blocks too large
-   for the minor heap, which go straight to the major heap (major words
-   minus the promoted ones; the minor heap is emptied first, so every
-   promoted word was allocated by the write itself).  Allocation is a
-   deterministic stand-in for work. *)
+(* Words [f ()] allocates: minor words, plus the blocks too large for the
+   minor heap, which go straight to the major heap (major words minus the
+   promoted ones; the minor heap is emptied first, so every promoted word
+   was allocated by [f] itself).  Allocation is a deterministic stand-in
+   for work. *)
+let words f =
+  Gc.minor ();
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  f ();
+  let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. promoted1 -. (major0 -. promoted0))
+
+(* Words one [add_rule] allocates, with eight viewpoints warmed. *)
 let write_words n =
   let s = KS.create () in
   KS.load s (write_mix_kb n);
@@ -246,25 +254,59 @@ let write_words n =
   in
   let r = rule "w0(X) :- f5(X), alive(X)." in
   warm ();
-  (* one write and its undo first: the store builds its ordered program
-     once, on the first write after a load *)
+  (* one write and its undo first, so the measured write meets the
+     same warmed state it would in steady serving *)
   KS.add_rule s ~obj:"k5" r;
   ignore (KS.remove_rule s ~obj:"k5" r : bool);
   warm ();
-  Gc.minor ();
-  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
-  KS.add_rule s ~obj:"k5" r;
-  let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+  let w = words (fun () -> KS.add_rule s ~obj:"k5" r) in
   let c = KS.counters s in
   Alcotest.(check int) "no fallback" 0 c.KS.fallbacks;
-  minor1 -. minor0 +. (major1 -. promoted1 -. (major0 -. promoted0))
+  w
 
+(* The 2x ratio keeps the write's cost independent of the KB's size;
+   the absolute bound keeps the eight repairs proportional to the edit
+   (recomputing each view's universe or converting its least model
+   costs more than that). *)
 let test_write_costs_its_cone () =
   let small = write_words 200 and large = write_words 2000 in
   if large > 2. *. small then
     Alcotest.failf
       "one write allocates %.0f words at 2000 objects, %.0f at 200 (bound: 2x)"
-      large small
+      large small;
+  if small > 130_000. then
+    Alcotest.failf "one write allocates %.0f words at 200 objects (bound: 130000)"
+      small
+
+(* A define adds one object: it extends the cached ordered program by
+   one component instead of dropping it, so the first query on the fresh
+   object grounds its view without rebuilding the program over the
+   whole KB.  Measured at 2000 objects: one define plus that query. *)
+let test_define_costs_its_object () =
+  let s = KS.create () in
+  KS.load s (write_mix_kb 2000);
+  (* a serving session: one viewpoint has answered already *)
+  ignore (KS.query s ~obj:"o0" (lit "g5(e0_1)") : Interp.value);
+  (* one individual of the KB's shape: an entity and its trait facts *)
+  let rules =
+    rule "ent(x)."
+    :: List.init 5 (fun t ->
+           rule (Printf.sprintf "%st%d(x)." (if t = 0 then "" else "-") (t + 1)))
+  in
+  let v = ref Interp.Undefined in
+  let w =
+    words (fun () ->
+        KS.define s ~isa:[ "k5" ] "fresh" rules;
+        v := KS.query s ~obj:"fresh" (lit "g5(x)"))
+  in
+  Alcotest.(check testable_value) "answer"
+    (Interp.value_lit (Scratch.least_model (KS.store s) ~obj:"fresh") (lit "g5(x)"))
+    !v;
+  if w > 75_000. then
+    Alcotest.failf
+      "a define and the first query on it allocate %.0f words at 2000 objects \
+       (bound: 75000)"
+      w
 
 (* ------------------------------------------------------------------ *)
 (* A models hit costs its bytes                                        *)
@@ -319,6 +361,8 @@ let suite =
   [ Alcotest.test_case "hit after repeat" `Quick test_hit_after_repeat;
     Alcotest.test_case "a write costs its cone, not the KB" `Quick
       test_write_costs_its_cone;
+    Alcotest.test_case "a define costs its object" `Quick
+      test_define_costs_its_object;
     Alcotest.test_case "a models hit costs its bytes" `Quick
       test_models_hit_costs_its_bytes;
     Alcotest.test_case "delta eviction across mutations" `Quick
