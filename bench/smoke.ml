@@ -52,6 +52,7 @@ let run (name, expect, f) =
       ("exhausted", Some (B.reason_to_string why), "surrendered")
     | exception Ordered.Diag.Error e ->
       ("error", Some (Ordered.Diag.to_string e), "diagnostic")
+    | exception Failure gate -> ("error", Some gate, "counter gate")
   in
   let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1000. in
   { name;
@@ -94,6 +95,19 @@ let workloads =
         models_detail
           (Solve.Kernel.stable_models ~budget:b
              (Ordered.Bridge.ground_ov (W.even_loops 6))) );
+    ( "cwa-loops-12/stable",
+      (* one two-model part per loop: the 4096 stable models are listed
+         as a product, each part certified once; the count is gated *)
+      Completes,
+      fun b ->
+        let g = ground ~budget:b (W.cwa_loops 12) "main" in
+        let stats = Ordered.Counters.create () in
+        match Solve.Kernel.stable_models ~budget:b ~stats g with
+        | B.Complete ms when List.length ms <> 4096 ->
+          failwith (Printf.sprintf "%d stable models, want 4096" (List.length ms))
+        | B.Complete _ when stats.Ordered.Counters.models <> 4096 ->
+          failwith "models counter is not 4096"
+        | r -> models_detail r );
     ( "even-loops-14/assumption-free",
       (* deliberately too large for the budget: must surrender a partial
          prefix at the deadline, not run away *)
@@ -188,6 +202,6 @@ let () =
     rows;
   if not expectations_held then exit 1;
   if errors > 0 then begin
-    prerr_endline "bench-smoke: a workload raised a diagnostic";
+    prerr_endline "bench-smoke: a workload raised a diagnostic or failed its gate";
     exit 1
   end

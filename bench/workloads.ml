@@ -104,6 +104,22 @@ let even_loops k =
          let q = Literal.pos (Atom.prop (Printf.sprintf "q%d" i)) in
          [ Rule.make p [ Literal.neg q ]; Rule.make q [ Literal.neg p ] ]))
 
+(* k even loops [a_i :- -b_i. b_i :- -a_i.] in [main], below a CWA
+   component [top] stating [-a_i. -b_i.]: 3^k assumption-free models,
+   2^k of them stable, one independent part per loop. *)
+let cwa_loops k =
+  let b = Buffer.create 256 in
+  Buffer.add_string b "component top {";
+  for i = 0 to k - 1 do
+    Printf.bprintf b " -a%d. -b%d." i i
+  done;
+  Buffer.add_string b " }\ncomponent main extends top {";
+  for i = 0 to k - 1 do
+    Printf.bprintf b " a%d :- -b%d. b%d :- -a%d." i i i i
+  done;
+  Buffer.add_string b " }\n";
+  Ordered.Program.parse_exn (Buffer.contents b)
+
 (* ------------------------------------------------------------------ *)
 (* B6: win/move game graph                                             *)
 (* ------------------------------------------------------------------ *)

@@ -337,7 +337,16 @@ let rec insert_desc i = function
   | j :: rest when j > i -> j :: insert_desc i rest
   | l -> i :: l
 
+(* Adjacent keeps are one keep: the leading run then covers every rule
+   before the first real edit, and rows of rules below it are shared
+   rather than renumbered. *)
+let rec coalesce = function
+  | Keep a :: Keep b :: rest -> coalesce (Keep (a + b) :: rest)
+  | e :: rest -> e :: coalesce rest
+  | [] -> []
+
 let splice (t : t) ~program edits =
+  let edits = coalesce edits in
   let na_old = Array.length t.atoms and nr_old = Array.length t.rules in
   (* intern the inserted instances: known atoms keep their ids, unknown
      ones get provisional ids from [na_old] in first-seen order *)

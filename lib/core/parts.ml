@@ -1,0 +1,343 @@
+open Logic
+
+type search =
+  branch:(int * bool * bool) array ->
+  seed:(int * bool) list ->
+  on_model:(Gop.Values.t -> bool) ->
+  unit
+
+(* Branch atoms: the atoms the seed leaves undefined, with the
+   polarities an assumption-free model above it could give them.  Every
+   literal of such a model is derived from the seed by applied rules
+   (Theorem 1(a)), so a literal is possible only if some rule with that
+   head is not blocked by the seed and has every body literal true in
+   the seed or possible — the least fixpoint computed below, one count
+   of missing body literals per rule.  Atoms with neither literal
+   possible stay undefined in every such model and are not branched on.
+
+   The order is fail-first: decide the most constrained atoms first.
+   The static score is the atom's occurrence count over rule heads and
+   bodies — the more rules mention an atom, the more propagation and
+   conflict detection a decision on it triggers.  Ties break on the atom
+   id, keeping the whole enumeration deterministic.
+
+   [scan] also joins, by union-find, each live rule's head atom with its
+   undefined body atoms (see [split]) and returns the find function. *)
+let scan (g : Gop.t) seed =
+  let n = Gop.n_atoms g in
+  let undefined a = not (Gop.Values.defined seed a) in
+  let parent = Array.init n Fun.id in
+  let rec find a =
+    let p = parent.(a) in
+    if p = a then a
+    else begin
+      let r = find p in
+      parent.(a) <- r;
+      r
+    end
+  in
+  let union a b =
+    let ra = find a and rb = find b in
+    if ra < rb then parent.(rb) <- ra else if rb < ra then parent.(ra) <- rb
+  in
+  let poss_pos = Array.make n false and poss_neg = Array.make n false in
+  let missing = Array.make (Gop.n_rules g) (-1) in
+  let queue = Array.make (2 * n) 0 and tail = ref 0 in
+  let mark a pol =
+    let poss = if pol then poss_pos else poss_neg in
+    if not poss.(a) then begin
+      poss.(a) <- true;
+      queue.(!tail) <- (2 * a) + if pol then 0 else 1;
+      incr tail
+    end
+  in
+  let occ = Array.make n 0 in
+  Array.iteri
+    (fun i (r : Gop.grule) ->
+      occ.(r.head) <- occ.(r.head) + 1;
+      Array.iter (fun (b, _) -> occ.(b) <- occ.(b) + 1) r.body;
+      if
+        undefined r.head
+        && not
+             (Array.exists
+                (fun l -> Status.lit_value seed l = Interp.False)
+                r.body)
+      then begin
+        missing.(i) <-
+          Array.fold_left
+            (fun k (b, _) ->
+              if undefined b then begin
+                union r.head b;
+                k + 1
+              end
+              else k)
+            0 r.body;
+        if missing.(i) = 0 then mark r.head r.head_pol
+      end)
+    g.Gop.rules;
+  let head = ref 0 in
+  while !head < !tail do
+    let c = queue.(!head) in
+    incr head;
+    let a = c / 2 in
+    List.iter
+      (fun i ->
+        if missing.(i) > 0 then begin
+          missing.(i) <- missing.(i) - 1;
+          if missing.(i) = 0 then
+            let r = g.Gop.rules.(i) in
+            mark r.head r.head_pol
+        end)
+      (if c land 1 = 0 then g.Gop.by_body_pos.(a) else g.Gop.by_body_neg.(a))
+  done;
+  let atoms =
+    Array.of_list
+      (List.filter
+         (fun a -> poss_pos.(a) || poss_neg.(a))
+         (List.init n Fun.id))
+  in
+  Array.stable_sort (fun a b -> Int.compare occ.(b) occ.(a)) atoms;
+  (Array.map (fun a -> (a, poss_pos.(a), poss_neg.(a))) atoms, find)
+
+let branch g seed = fst (scan g seed)
+
+type t = {
+  g : Gop.t;
+  lfp : Gop.Values.t;
+  parts : (int * bool * bool) array array;
+  part_of : int array;
+}
+
+(* Parts of the residual: a rule that the least fixpoint neither decides
+   nor blocks joins its head atom with its undefined body atoms.
+   Every rule about an undefined atom thereby lands in that atom's part
+   together with everything its status reads — its body, and through the
+   shared head atom its suppressors' bodies — which is what makes the
+   parts independent (docs/SEMANTICS.md, the split lemma).  Blocked rules
+   and rules about decided atoms add no edge: nothing above the least
+   fixpoint depends on them. *)
+let split (g : Gop.t) lfp =
+  let n = Gop.n_atoms g in
+  let br, find = scan g lfp in
+  let root_part = Array.make n (-1) in
+  let np = ref 0 in
+  let pid =
+    Array.map
+      (fun (a, _, _) ->
+        let r = find a in
+        if root_part.(r) < 0 then begin
+          root_part.(r) <- !np;
+          incr np
+        end;
+        root_part.(r))
+      br
+  in
+  let size = Array.make !np 0 in
+  Array.iter (fun p -> size.(p) <- size.(p) + 1) pid;
+  let parts = Array.map (fun k -> Array.make k (0, false, false)) size in
+  let fill = Array.make !np 0 in
+  Array.iteri
+    (fun k b ->
+      let p = pid.(k) in
+      parts.(p).(fill.(p)) <- b;
+      fill.(p) <- fill.(p) + 1)
+    br;
+  let part_of = Array.make n (-1) in
+  Array.iteri
+    (fun i p -> Array.iter (fun (a, _, _) -> part_of.(a) <- i) p)
+    parts;
+  { g; lfp; parts; part_of }
+
+let n_parts t = Array.length t.parts
+
+(* The literals an assignment gives the atoms of part [i], in branch
+   order. *)
+let literals t i v =
+  Array.fold_right
+    (fun (a, _, _) acc ->
+      match Gop.Values.value v a with
+      | Interp.True -> (a, true) :: acc
+      | Interp.False -> (a, false) :: acc
+      | Interp.Undefined -> acc)
+    t.parts.(i) []
+
+(* Does an assumption-free model of part [i] properly extend [cand]?  The
+   search is seeded with [cand], so a model it reports extends it; it
+   extends it properly when it decides one more atom of the part.  A
+   candidate that decides every atom of the part has no such extension
+   and needs no search. *)
+let extended ~search t i cand =
+  let n = List.length cand in
+  n < Array.length t.parts.(i)
+  &&
+  let found = ref false in
+  search ~branch:t.parts.(i) ~seed:cand ~on_model:(fun v ->
+      let defined =
+        Array.fold_left
+          (fun k (a, _, _) -> if Gop.Values.defined v a then k + 1 else k)
+          0 t.parts.(i)
+      in
+      found := defined > n;
+      !found);
+  !found
+
+(* Some certified (maximal) model of part [i] satisfies [p]?  [p] is
+   tried before the certifying search, which is the costly half. *)
+let exists_certified ~search t i p =
+  let found = ref false in
+  search ~branch:t.parts.(i) ~seed:[] ~on_model:(fun v ->
+      let cand = literals t i v in
+      found := p cand && not (extended ~search t i cand);
+      !found);
+  !found
+
+(* Run part [i]'s enumeration and call [f] on each certified model with
+   its index among them; [f] returns [true] to stop.  [verdicts] keeps
+   the verdict on every candidate seen, by position: a later run over
+   the same part meets the same candidates in the same order and skips
+   their certifying searches. *)
+let certified ~search t verdicts i f =
+  let seen = ref 0 and got = ref 0 in
+  search ~branch:t.parts.(i) ~seed:[] ~on_model:(fun v ->
+      let c = !seen in
+      incr seen;
+      let cand = literals t i v in
+      let ok =
+        match Hashtbl.find_opt verdicts c with
+        | Some ok -> ok
+        | None ->
+          let ok = not (extended ~search t i cand) in
+          Hashtbl.replace verdicts c ok;
+          ok
+      in
+      ok
+      &&
+      let k = !got in
+      incr got;
+      f k cand)
+
+(* The listing runs the parts from the last to the first.  Part [j]'s
+   run streams its certified models; each one (past the first, which
+   the first tuple already used, unless [j] is the last part) is
+   combined with the parts before [j] at their first models and with
+   every model of the parts after [j], whose runs are complete — exactly
+   the next stretch of the lexicographic order.  So a model is listed
+   as soon as it is certified, and a part is searched only as far as
+   the listing up to [limit] reaches. *)
+let stable_models ?limit ?(budget = Budget.unlimited) ?stats ~search t =
+  let want = match limit with Some l -> max l 0 | None -> max_int in
+  let np = n_parts t in
+  let verdicts = Array.init np (fun _ -> Hashtbl.create 8) in
+  let models = Array.make np [||] in
+  let current = Array.make np [] in
+  let base = Gop.Values.to_interp t.g t.lfp in
+  let acc = ref [] in
+  let count = ref 0 in
+  let emit () =
+    Budget.poll_deadline budget;
+    let m = ref base in
+    Array.iter
+      (List.iter (fun (a, pol) -> m := Interp.set !m t.g.Gop.atoms.(a) pol))
+      current;
+    acc := !m :: !acc;
+    incr count
+  in
+  let rec emit_from l =
+    if l = np then emit ()
+    else
+      Array.iter
+        (fun m ->
+          if !count < want then begin
+            current.(l) <- m;
+            emit_from (l + 1)
+          end)
+        models.(l)
+  in
+  let r =
+    try
+      if want > 0 then
+        if np = 0 then emit ()
+        else begin
+          let first_found = ref true in
+          for j = 0 to np - 2 do
+            let found = ref false in
+            certified ~search t verdicts.(j) j (fun _ m ->
+                current.(j) <- m;
+                found := true;
+                true);
+            first_found := !first_found && !found
+          done;
+          let j = ref (np - 1) in
+          while !first_found && !j >= 0 && !count < want do
+            let all = ref [] in
+            let start = if !j = np - 1 then 0 else 1 in
+            certified ~search t verdicts.(!j) !j (fun i m ->
+                all := m :: !all;
+                if i >= start then begin
+                  current.(!j) <- m;
+                  emit_from (!j + 1)
+                end;
+                !count >= want);
+            models.(!j) <- Array.of_list (List.rev !all);
+            (match !all with [] -> first_found := false | _ -> ());
+            decr j
+          done
+        end;
+      Budget.Complete (List.rev !acc)
+    with Budget.Exhausted r -> Budget.Partial (List.rev !acc, r)
+  in
+  (match stats with
+  | Some s -> s.Counters.models <- s.Counters.models + !count
+  | None -> ());
+  r
+
+let is_stable ~search t interp =
+  Model.is_assumption_free t.g interp
+  &&
+  let v, _ = Gop.Values.of_interp t.g interp in
+  let rec go i =
+    i >= n_parts t
+    || ((not (extended ~search t i (literals t i v))) && go (i + 1))
+  in
+  go 0
+
+(* Where a literal's value across the stable models is decided: by the
+   least fixpoint, by one part, or nowhere (no stable model defines its
+   atom). *)
+let locate t (l : Literal.t) =
+  match Gop.atom_id t.g l.Literal.atom with
+  | None -> `Nowhere
+  | Some a ->
+    if Gop.Values.defined t.lfp a then
+      `Lfp (Gop.Values.value_lit t.g t.lfp l = Interp.True)
+    else if t.part_of.(a) < 0 then `Nowhere
+    else `Part (t.part_of.(a), (a, l.Literal.pol))
+
+let cautious ~search t l =
+  match locate t l with
+  | `Nowhere -> false
+  | `Lfp b -> b
+  | `Part (i, lit) ->
+    not (exists_certified ~search t i (fun cand -> not (List.mem lit cand)))
+
+let brave ~search t l =
+  match locate t l with
+  | `Nowhere -> false
+  | `Lfp b -> b
+  | `Part (i, lit) -> exists_certified ~search t i (List.mem lit)
+
+let cautious_consequences ~search t =
+  let acc = ref (Gop.Values.to_interp t.g t.lfp) in
+  for i = 0 to n_parts t - 1 do
+    let all = ref [] in
+    certified ~search t (Hashtbl.create 8) i (fun _ m ->
+        all := m :: !all;
+        false);
+    match !all with
+    | [] -> ()
+    | m :: rest ->
+      List.iter
+        (fun (a, pol) -> acc := Interp.set !acc t.g.Gop.atoms.(a) pol)
+        (List.filter (fun lit -> List.for_all (List.mem lit) rest) m)
+  done;
+  !acc

@@ -1,0 +1,95 @@
+(** Stable models (paper, Definition 9) one independent part at a time.
+
+    The one stable-model algorithm: {!Stable.stable_models} (the pruned
+    search) and [Solve.Kernel.stable_models] (the compiled kernel) both
+    run it, each passing in its own {!search} over a part.
+
+    {b Split.}  Every assumption-free model contains the least fixpoint
+    of [V] (Theorem 1(b)), so only the {e residual} — the atoms it
+    leaves undefined — is open.  {!split} cuts the residual into parts
+    by union-find: a rule the least fixpoint neither decides nor blocks
+    joins its head atom with its undefined body atoms.  By the split
+    lemma (docs/SEMANTICS.md) an interpretation above the least
+    fixpoint is assumption-free iff each part's share of it is, so the
+    stable models are exactly the products of the parts' maximal
+    assumption-free models.
+
+    {b Certify.}  A part's candidates are the assumption-free models its
+    search enumerates branching on the part's atoms alone.  A candidate
+    is kept only after a second search, seeded with it, finds no
+    assumption-free model of the part that decides one more atom.
+
+    {b Order contract.}  Parts are ordered by their first atom in the
+    branch order (fail-first: most-mentioned atoms first, ties on the
+    atom id).  The stable models come in the lexicographic order of the
+    product of the parts' certified lists, the first part the most
+    significant, each list in its part search's order.  With one part
+    this is the assumption-free search order filtered to the maximal
+    models.  [?limit:k] returns exactly the first [k] models of the
+    unlimited list, and a [Partial] result is a prefix of it: every
+    model it holds is stable. *)
+
+type search =
+  branch:(int * bool * bool) array ->
+  seed:(int * bool) list ->
+  on_model:(Gop.Values.t -> bool) ->
+  unit
+(** An engine's part search.  It enumerates, in the engine's search
+    order, the assumption-free models that extend the least fixpoint
+    plus the [seed] literals [(atom, polarity)] and define nothing
+    outside the least fixpoint but atoms of [branch] — branching on the
+    [branch] atoms [(atom, can be true, can be false)] in array order,
+    each undefined first, then true, then false.  [on_model] receives
+    each model as an assignment that is only valid during the call, and
+    returns [true] to stop the search.  [on_model] may itself run the
+    search again (the certifying search runs inside the enumeration).
+    [branch] is always one whole part of a {!split}.
+    Budget exhaustion raises {!Budget.Exhausted}. *)
+
+val branch : Gop.t -> Gop.Values.t -> (int * bool * bool) array
+(** The branch atoms above a seed assignment, in the fail-first order:
+    the atoms it leaves undefined, each with the polarities an
+    assumption-free model above the seed could give it (a literal
+    derivable from the seed by rules the seed does not block); atoms
+    with neither polarity are left out. *)
+
+type t
+(** The parts of one program's residual, each its branch atoms in branch
+    order, the parts in order of their first atom. *)
+
+val split : Gop.t -> Gop.Values.t -> t
+(** [split g lfp]: the parts of the residual above [lfp], which must be
+    [Vfix.lfp g]. *)
+
+val stable_models :
+  ?limit:int ->
+  ?budget:Budget.t ->
+  ?stats:Counters.t ->
+  search:search ->
+  t ->
+  Logic.Interp.t list Budget.anytime
+(** The stable models in the order contract above, listed lazily: a
+    part's models are searched for only as far as the listing up to
+    [limit] needs them.  Anytime: a spent budget returns the models
+    listed so far as [Partial].  [stats.models] counts the models
+    listed. *)
+
+(** {1 Boolean queries}
+
+    Part-wise: a literal over a part is decided by that part's certified
+    models alone.  Not anytime — exhaustion raises
+    {!Budget.Exhausted}. *)
+
+val is_stable : search:search -> t -> Logic.Interp.t -> bool
+(** Assumption-free, and no part's share of it is properly extended by
+    an assumption-free model of the part. *)
+
+val cautious : search:search -> t -> Logic.Literal.t -> bool
+(** The ground literal holds in every stable model. *)
+
+val brave : search:search -> t -> Logic.Literal.t -> bool
+(** The ground literal holds in some stable model. *)
+
+val cautious_consequences : search:search -> t -> Logic.Interp.t
+(** The literals common to all stable models: the least fixpoint plus,
+    per part, the literals common to its certified models. *)

@@ -1,43 +1,5 @@
 open Logic
 
-(* Branch atoms: atoms that occur as rule heads with the polarities they
-   occur with.  Atoms already decided by the least fixpoint are fixed, and
-   an assumption-free model consists solely of head literals, so nothing
-   else can ever be defined. *)
-let branch_space (g : Gop.t) seed =
-  let n = Gop.n_atoms g in
-  let pos_head = Array.make n false in
-  let neg_head = Array.make n false in
-  Array.iter
-    (fun (r : Gop.grule) ->
-      if r.head_pol then pos_head.(r.head) <- true
-      else neg_head.(r.head) <- true)
-    g.Gop.rules;
-  List.filter_map
-    (fun a ->
-      if Gop.Values.defined seed a then None
-      else
-        match pos_head.(a), neg_head.(a) with
-        | false, false -> None
-        | p, n -> Some (a, p, n))
-    (List.init n Fun.id)
-
-(* Fail-first branch ordering: decide the most constrained atoms first.
-   The static score is the atom's occurrence count over rule heads and
-   bodies — the more rules mention an atom, the more propagation and
-   conflict detection a decision on it triggers.  Ties break on the atom
-   id, keeping the whole enumeration deterministic. *)
-let order_branch (g : Gop.t) branch =
-  let occ = Array.make (Gop.n_atoms g) 0 in
-  Array.iter
-    (fun (r : Gop.grule) ->
-      occ.(r.head) <- occ.(r.head) + 1;
-      Array.iter (fun (a, _) -> occ.(a) <- occ.(a) + 1) r.body)
-    g.Gop.rules;
-  List.sort
-    (fun (a, _, _) (b, _, _) -> compare (-occ.(a), a) (-occ.(b), b))
-    branch
-
 (* Support pruning: a decided literal needs at least one rule about it
    that could still be applied in some extension of the current partial
    assignment — not blocked, and no body atom frozen to undefined.  Both
@@ -143,7 +105,7 @@ let assumption_free_models ?limit ?(budget = Budget.unlimited) ?stats
   let count = ref 0 in
   try
     let seed = Vfix.lfp ~budget g in
-    let branch = Array.of_list (order_branch g (branch_space g seed)) in
+    let branch = Parts.branch g seed in
     let s =
       { g;
         branch;
@@ -170,23 +132,34 @@ let assumption_free_models ?limit ?(budget = Budget.unlimited) ?stats
     Budget.Complete (List.rev !acc)
   with Budget.Exhausted r -> Budget.Partial (List.rev !acc, r)
 
-let maximal ?(budget = Budget.unlimited) enumerated =
-  let models = Budget.value enumerated in
-  let acc = ref [] in
-  match
-    List.iter
-      (fun m ->
-        Budget.poll_deadline budget;
-        if
-          not
-            (List.exists
-               (fun m' -> (not (Interp.equal m m')) && Interp.subset m m')
-               models)
-        then acc := m :: !acc)
-      models
-  with
-  | () -> Budget.map (fun _ -> List.rev !acc) enumerated
-  | exception Budget.Exhausted r -> Budget.Partial (List.rev !acc, r)
+(* The part search {!Parts} runs: the same node search over the part's
+   atoms, above the least fixpoint plus the seed literals (decided, so
+   support pruning covers them too).  Each call builds its own search
+   state, so the certifying search can run inside an enumeration. *)
+let part_search ~budget ~stats (g : Gop.t) lfp : Parts.search =
+ fun ~branch ~seed ~on_model ->
+  let dec = Gop.Values.copy lfp in
+  List.iter (fun (a, pol) -> Gop.Values.set dec a pol) seed;
+  let stop = ref false in
+  node
+    { g;
+      branch;
+      budget;
+      stats;
+      dec;
+      frozen = Array.make (Gop.n_atoms g) false;
+      decided = seed;
+      full = (fun () -> !stop);
+      emit =
+        (fun v -> if Model.is_assumption_free_v g v then stop := on_model v)
+    }
+    0
 
-let stable_models ?limit ?budget ?stats g =
-  maximal ?budget (assumption_free_models ?limit ?budget ?stats g)
+let stable_models ?limit ?(budget = Budget.unlimited) ?stats g =
+  let stats = match stats with Some s -> s | None -> Counters.create () in
+  match Vfix.lfp ~budget g with
+  | exception Budget.Exhausted r -> Budget.Partial ([], r)
+  | lfp ->
+    Parts.stable_models ?limit ~budget ~stats
+      ~search:(part_search ~budget ~stats g lfp)
+      (Parts.split g lfp)

@@ -9,7 +9,7 @@
     changes in benchmark PRs.  It moves to the test-only [oracle]
     library with the benchmark's next change.  Besides that gate, the
     kernel's differential tests use it as the enumeration-order
-    reference, and the kernel shares {!maximal}.
+    reference.
 
     A {e stable} model is a maximal assumption-free model; uniqueness is
     not guaranteed (Example 5).  Every assumption-free model contains the
@@ -27,21 +27,22 @@
     a complete leaf.  Branching follows a fail-first heuristic
     (most-mentioned atoms first).
 
-    {b Enumeration order.}  Both enumerations return models in
-    {e search order} — first discovered first, a deterministic function
-    of the ground program alone.  Consequently [?limit:k] returns exactly
-    the first [k] elements of the unlimited enumeration, and the first
-    assumption-free model is always the least model.  The kernel
-    enumerates in exactly this order.
+    {b Enumeration order.}  The assumption-free enumeration returns
+    models in {e search order} — first discovered first, a deterministic
+    function of the ground program alone; the first is always the least
+    model.  The stable models follow {!Parts}' order contract: the
+    lexicographic product of the independent parts' maximal models,
+    each part in this search order.  Either way [?limit:k] returns
+    exactly the first [k] elements of the unlimited enumeration.  The
+    kernel enumerates in exactly these orders.
 
     {b Anytime semantics.}  The enumerations take a {!Budget.t} and return
     a {!Budget.anytime} value: [Complete models] when the search finished,
     or [Partial (models, reason)] when the budget ran out first — whether
     at a search node or in the middle of a propagation.  The search order
     is deterministic, so the models of a [Partial] result are a prefix of
-    the unbudgeted enumeration (for {!val:stable_models}, the maximal
-    elements of such a prefix — each returned model is assumption-free,
-    but a later, larger model may have been missed).
+    the unbudgeted enumeration (for {!val:stable_models} too: every
+    model of a [Partial] result is stable).
 
     [?stats] exposes the search effort ({!Counters.t}: nodes, leaves,
     pruned subtrees, forced branches, models). *)
@@ -55,21 +56,6 @@ val assumption_free_models :
 val stable_models :
   ?limit:int -> ?budget:Budget.t -> ?stats:Counters.t -> Gop.t ->
   Logic.Interp.t list Budget.anytime
-(** The maximal assumption-free models, in the search order of the
-    underlying assumption-free enumeration.  [limit] caps that underlying
-    enumeration (so with a limit the result may miss stable models but
-    every returned model is assumption-free and maximal among those
-    enumerated); the same caveat applies to [Partial] results. *)
-
-val maximal :
-  ?budget:Budget.t ->
-  Logic.Interp.t list Budget.anytime ->
-  Logic.Interp.t list Budget.anytime
-(** The maximality filter behind every [stable_models]: the elements of
-    an assumption-free enumeration that no other element strictly
-    extends, in enumeration order.  The filter is quadratic, so it polls
-    the deadline and the cancellation flag once per candidate
-    ({!Budget.poll_deadline}: no steps; a step limit that cut the
-    enumeration leaves its prefix to be filtered).  When it trips, the
-    candidates already confirmed maximal come back as [Partial] with the
-    reason; otherwise the enumeration's own [Complete]/[Partial] stands. *)
+(** The stable models (maximal assumption-free models), by {!Parts} over
+    this search: in the order contract stated there, [limit] a true
+    prefix, every model of a [Partial] result stable. *)

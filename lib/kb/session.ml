@@ -22,11 +22,16 @@ type op =
   | Preferred of { limit : int option }
   | Explained of string  (* printed literal *)
 
+type rendering = ..
+
 type entry =
   | E_least of Ordered.Gop.t * Ordered.Gop.Values.t
       (** the least model as codes over the atom ids of the grounding
           it was computed on; never mutated once cached *)
-  | E_models of Logic.Interp.t list
+  | E_models of Logic.Interp.t list * rendering option Atomic.t
+      (** a complete enumeration, and its rendering once an {!answer}
+          has asked for it (rendered at most once per entry, barring a
+          benign race between two first readers) *)
   | E_explain of Ordered.Explain.t
 
 type counters = {
@@ -521,22 +526,27 @@ let query_src ?budget t ~obj src =
   query ?budget t ~obj (Lang.Parser.parse_literal src)
 
 (* Enumerations are anytime: only a complete result is cached, and a
-   hit returns it as [Complete]. *)
+   hit returns it as [Complete] with the entry's rendering slot; a
+   partial result has no slot. *)
 let enumerate t ~obj op run =
   let v = current t in
   match OpMap.find_opt op (find v obj).results with
-  | Some (E_models ms) ->
+  | Some (E_models (ms, slot)) ->
     record_hit t;
     if is_preferred op then bump_metric t "prefer_cache_hits";
-    B.Complete ms
+    (B.Complete ms, Some slot)
   | Some _ -> assert false
   | None ->
     record_miss t;
     let r = run v in
-    if B.is_complete r then cache_result v ~obj op (E_models (B.value r));
-    r
+    if B.is_complete r then begin
+      let slot = Atomic.make None in
+      cache_result v ~obj op (E_models (B.value r, slot));
+      (r, Some slot)
+    end
+    else (r, None)
 
-let models kind ?limit ?budget ?stats t ~obj =
+let models_op kind ?limit ?budget ?stats t ~obj =
   enumerate t ~obj (Models { kind; limit }) (fun v ->
       let g = (gop_state ?budget v ~obj).Inc.Reground.gop in
       let flat = flat_of t v ~obj ~pref:false g in
@@ -544,6 +554,9 @@ let models kind ?limit ?budget ?stats t ~obj =
       | `Stable -> Solve.Kernel.stable_models ?limit ?budget ?stats ~flat g
       | `Af ->
         Solve.Kernel.assumption_free_models ?limit ?budget ?stats ~flat g)
+
+let models kind ?limit ?budget ?stats t ~obj =
+  fst (models_op kind ?limit ?budget ?stats t ~obj)
 
 let stable_models ?limit ?budget ?stats t ~obj =
   models `Stable ?limit ?budget ?stats t ~obj
@@ -581,12 +594,31 @@ let prefer_gop_of ?budget t v ~obj =
         else Some { vc with pgop = Some g });
     g
 
-let preferred_models ?limit ?budget ?stats t ~obj =
+let preferred_op ?limit ?budget ?stats t ~obj =
   enumerate t ~obj (Preferred { limit }) (fun v ->
       let g = prefer_gop_of ?budget t v ~obj in
       Solve.Kernel.stable_models ?limit ?budget ?stats
         ~flat:(flat_of t v ~obj ~pref:true g)
         g)
+
+let preferred_models ?limit ?budget ?stats t ~obj =
+  fst (preferred_op ?limit ?budget ?stats t ~obj)
+
+let answer kind ~render ?limit ?budget ?stats t ~obj =
+  let r, slot =
+    match kind with
+    | (`Stable | `Af) as k -> models_op k ?limit ?budget ?stats t ~obj
+    | `Preferred -> preferred_op ?limit ?budget ?stats t ~obj
+  in
+  match slot with
+  | None -> (r, render (B.value r))
+  | Some slot -> (
+    match Atomic.get slot with
+    | Some rendered -> (r, rendered)
+    | None ->
+      let rendered = render (B.value r) in
+      Atomic.set slot (Some rendered);
+      (r, rendered))
 
 let explain t ~obj l =
   match

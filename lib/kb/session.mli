@@ -247,6 +247,25 @@ val assumption_free_models :
     their maximal elements); same engine, [stats] and anytime contract
     as {!stable_models}. *)
 
+type rendering = ..
+(** What {!answer} keeps beside a cached enumeration: the form a front
+    end answers with (the server adds its wire value). *)
+
+val answer :
+  [ `Stable | `Af | `Preferred ] ->
+  render:(Logic.Interp.t list -> rendering) ->
+  ?limit:int ->
+  ?budget:Ordered.Budget.t ->
+  ?stats:Ordered.Counters.t ->
+  t ->
+  obj:string ->
+  Logic.Interp.t list Ordered.Budget.anytime * rendering
+(** {!stable_models}, {!assumption_free_models} or {!preferred_models}
+    together with [render] of the models.  A complete result's rendering
+    is kept in the same cache entry as the models: it is computed once,
+    by the first [answer] that needs it, and evicted with the entry, so
+    a cache hit renders nothing.  A partial result is rendered afresh. *)
+
 val explain : t -> obj:string -> Logic.Literal.t -> Ordered.Explain.t
 (** Why a literal holds, fails or stays undefined viewed from [obj]. *)
 

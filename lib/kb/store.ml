@@ -70,29 +70,42 @@ let define_src kb ?isa name src =
 let load kb src =
   let ast = Lang.Parser.parse_file src in
   let comps = Lang.Ast.components ast in
-  (* Definition order may reference later parents; insert objects first,
-     then wire parents. *)
-  List.iter
-    (fun (c : Lang.Ast.component) ->
-      if find kb c.name <> None then
-        invalid_arg (Printf.sprintf "Kb.load: duplicate object %S" c.name);
-      kb.objs <- { name = c.name; parents = []; rules = c.rules } :: kb.objs)
-    comps;
-  List.iter
-    (fun (lo, hi) ->
-      ignore (find_exn kb hi);
-      let o = find_exn kb lo in
-      if not (List.mem hi o.parents) then o.parents <- o.parents @ [ hi ])
-    (Lang.Ast.order_pairs ast);
+  let pairs = Lang.Ast.order_pairs ast in
   let fresh =
     List.filter
       (fun p -> not (List.mem p kb.prefs))
       (Lang.Ast.prefer_pairs ast)
   in
-  if fresh <> [] then begin
-    Prefer.Spec.check_pairs (kb.prefs @ fresh);
-    kb.prefs <- kb.prefs @ fresh
-  end;
+  (* Check every name, parent and preference before the first insert:
+     a load that fails changes nothing. *)
+  let loaded = Hashtbl.create (List.length comps) in
+  List.iter
+    (fun (c : Lang.Ast.component) ->
+      if find kb c.name <> None || Hashtbl.mem loaded c.name then
+        invalid_arg (Printf.sprintf "Kb.load: duplicate object %S" c.name);
+      Hashtbl.replace loaded c.name ())
+    comps;
+  let known name =
+    if not (Hashtbl.mem loaded name) then ignore (find_exn kb name)
+  in
+  List.iter
+    (fun (lo, hi) ->
+      known hi;
+      known lo)
+    pairs;
+  if fresh <> [] then Prefer.Spec.check_pairs (kb.prefs @ fresh);
+  (* Definition order may reference later parents; insert objects first,
+     then wire parents. *)
+  List.iter
+    (fun (c : Lang.Ast.component) ->
+      kb.objs <- { name = c.name; parents = []; rules = c.rules } :: kb.objs)
+    comps;
+  List.iter
+    (fun (lo, hi) ->
+      let o = find_exn kb lo in
+      if not (List.mem hi o.parents) then o.parents <- o.parents @ [ hi ])
+    pairs;
+  kb.prefs <- kb.prefs @ fresh;
   (* an invalid order fails at the first read, as {!to_program} says *)
   kb.program <- Result.to_option (build kb.objs)
 

@@ -26,7 +26,9 @@ val define_src : t -> ?isa:string list -> string -> string -> unit
 
 val load : t -> string -> unit
 (** Load a whole source file (components become objects, [extends] and
-    [order] become isa links).  Raises [Invalid_argument] on errors. *)
+    [order] become isa links).  Raises [Invalid_argument] on errors — a
+    duplicate or unknown name, a preference cycle — before changing
+    anything: a failed load leaves the store as it was. *)
 
 val add_rule : t -> obj:string -> Logic.Rule.t -> unit
 val add_rule_src : t -> obj:string -> string -> unit

@@ -20,13 +20,16 @@ let value_lit i (l : Literal.t) =
 
 let holds i l = value_lit i l = True
 
+(* One descent: [update] finds the slot and fills it. *)
 let set i a b =
-  match Atom.Map.find_opt a i with
-  | Some b' when b <> b' ->
-    invalid_arg
-      (Printf.sprintf "Interp.set: inconsistent assignment to %s"
-         (Atom.to_string a))
-  | _ -> Atom.Map.add a b i
+  Atom.Map.update a
+    (function
+      | Some b' when b <> b' ->
+        invalid_arg
+          (Printf.sprintf "Interp.set: inconsistent assignment to %s"
+             (Atom.to_string a))
+      | _ -> Some b)
+    i
 
 let add_lit i (l : Literal.t) = set i l.atom l.pol
 

@@ -145,11 +145,27 @@ let value_to_string = function
   | Logic.Interp.False -> "false"
   | Logic.Interp.Undefined -> "undefined"
 
-let json_of_model m =
+(* The ["models"] field: a list of models, each a list of literal
+   strings.  The session keeps it with the cached models, so a cache
+   hit builds no literal string. *)
+type Kb.Session.rendering += Models_json of Wire.json
+
+let models_json ms =
+  let lit = Buffer.create 64 in
   Wire.List
     (List.map
-       (fun l -> Wire.String (Logic.Literal.to_string l))
-       (Logic.Interp.to_literals m))
+       (fun m ->
+         Wire.List
+           (List.rev
+              (Logic.Interp.fold
+                 (fun a b acc ->
+                   Buffer.clear lit;
+                   Logic.Literal.to_buffer lit (Logic.Literal.make b a);
+                   Wire.String (Buffer.contents lit) :: acc)
+                 m [])))
+       ms)
+
+let render_models ms = Models_json (models_json ms)
 
 let kind_to_string = function
   | `Stable -> "stable"
@@ -335,23 +351,23 @@ let serve t ~id req =
       Wire.partial ?id ~reason:(B.reason_to_string reason) [])
   | Wire.Models { obj; kind; limit; prefer } ->
     let stats = Ordered.Counters.create () in
-    let result =
-      match (prefer, kind) with
-      | true, _ ->
-        Kb.Session.preferred_models ?limit ~budget ~stats session ~obj
-      | false, `Stable ->
-        Kb.Session.stable_models ?limit ~budget ~stats session ~obj
-      | false, `Af ->
-        Kb.Session.assumption_free_models ?limit ~budget ~stats session ~obj
+    let result, rendered =
+      Kb.Session.answer
+        (if prefer then `Preferred else (kind :> [ `Stable | `Af | `Preferred ]))
+        ~render:render_models ?limit ~budget ~stats session ~obj
     in
     record_solver t stats;
-    let ms = B.value result in
+    let models =
+      match rendered with
+      | Models_json j -> j
+      | _ -> models_json (B.value result)
+    in
     let fields =
       (if prefer then
          [ ("kind", Wire.String "preferred"); ("prefer", prefer_name) ]
        else [ ("kind", Wire.String (kind_to_string kind)) ])
-      @ [ ("count", Wire.Int (List.length ms));
-          ("models", Wire.List (List.map json_of_model ms))
+      @ [ ("count", Wire.Int (List.length (B.value result)));
+          ("models", models)
         ]
     in
     (match result with

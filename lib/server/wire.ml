@@ -358,7 +358,7 @@ and request = { id : int option; budget : budget_spec; verb : verb }
 
 and batch_item = (request, string) result
 
-let package_version = "1.8.0"
+let package_version = "1.9.0"
 let protocol_revision = 8
 let max_batch = 256
 

@@ -31,8 +31,6 @@ type t = {
   suppresses_rule : int array;  (* rules this rule suppresses *)
   rank : int array;  (* rule -> rank of its component in the order *)
   occ_score : int array;  (* atom -> head+body occurrence count *)
-  head_pos : bool array;  (* atom -> occurs as a positive head *)
-  head_neg : bool array;  (* atom -> occurs as a negative head *)
 }
 
 (* Literal codes: [2a] is atom [a] positive, [2a+1] negative.  Assigning
@@ -40,18 +38,45 @@ type t = {
    false, so one CSR over codes serves both propagation directions. *)
 let code a pol = (2 * a) + if pol then 0 else 1
 
-(* Pack an [int list array] (as built by [Gop]) into CSR, preserving an
-   explicitly supplied deterministic order within each row. *)
-let csr_of_lists n rows =
-  let off = Array.make (n + 1) 0 in
+(* Build a CSR relation over [rows] rows in two passes: [fill i add]
+   calls [add row x] for the entries item [i] contributes, and the
+   items run in ascending order both times, so each row lists its
+   entries in the order they were added. *)
+let csr ~rows ~n fill =
+  let off = Array.make (rows + 1) 0 in
+  let count row _ = off.(row + 1) <- off.(row + 1) + 1 in
   for i = 0 to n - 1 do
-    off.(i + 1) <- off.(i) + List.length rows.(i)
+    fill i count
   done;
-  let payload = Array.make off.(n) 0 in
+  for r = 0 to rows - 1 do
+    off.(r + 1) <- off.(r + 1) + off.(r)
+  done;
+  let payload = Array.make off.(rows) 0 in
+  let cursor = Array.sub off 0 rows in
+  let place row x =
+    payload.(cursor.(row)) <- x;
+    cursor.(row) <- cursor.(row) + 1
+  in
   for i = 0 to n - 1 do
-    List.iteri (fun k j -> payload.(off.(i) + k) <- j) rows.(i)
+    fill i place
   done;
   (off, payload)
+
+(* The list loops of the [fill] functions below, without a closure per
+   item: [add row x] for each [x] of a list, and [add r x] for each row
+   [r] of a list. *)
+let rec add_to_rows add row = function
+  | [] -> ()
+  | x :: rest ->
+    add row x;
+    add_to_rows add row rest
+
+let rec add_to_each add rows x =
+  match rows with
+  | [] -> ()
+  | r :: rest ->
+    add r x;
+    add_to_each add rest x
 
 (* Rank of a component in the view: 0 for the viewpoint, otherwise the
    length of the longest chain up to it from the viewpoint
@@ -96,56 +121,59 @@ let compile (g : Ordered.Gop.t) =
           body_pol.(body_off.(i) + k) <- pol)
         r.body)
     g.Ordered.Gop.rules;
+  let rules = g.Ordered.Gop.rules in
   (* body-literal occurrences, by literal code, rules ascending *)
-  let occ_rows = Array.make (2 * n_atoms) [] in
-  for i = n_rules - 1 downto 0 do
-    for k = body_off.(i) to body_off.(i + 1) - 1 do
-      let c = code body_atom.(k) body_pol.(k) in
-      occ_rows.(c) <- i :: occ_rows.(c)
-    done
-  done;
-  let occ_off, occ_rule = csr_of_lists (2 * n_atoms) occ_rows in
-  let by_head_off, by_head_rule =
-    csr_of_lists n_atoms
-      (Array.map (fun l -> List.sort compare l) g.Ordered.Gop.by_head)
+  let occ_off, occ_rule =
+    csr ~rows:(2 * n_atoms) ~n:n_rules (fun i add ->
+        for k = body_off.(i) to body_off.(i + 1) - 1 do
+          add (code body_atom.(k) body_pol.(k)) i
+        done)
   in
-  (* component ranks, then suppressor lists lowest rank first (overrulers
-     sit strictly below, so they come before same-level defeaters) *)
+  let by_head_off, by_head_rule =
+    csr ~rows:n_atoms ~n:n_rules (fun i add -> add head.(i) i)
+  in
+  (* rules each rule suppresses, ascending: the inverse of the
+     overruler and defeater rows *)
+  let suppresses_off, suppresses_rule =
+    csr ~rows:n_rules ~n:n_rules (fun j add ->
+        add_to_each add g.Ordered.Gop.overrulers.(j) j;
+        add_to_each add g.Ordered.Gop.defeaters.(j) j)
+  in
+  (* component ranks, then suppressor rows lowest rank first (overrulers
+     sit strictly below, so they come before same-level defeaters), ties
+     on the rule index *)
   let comp_rank = view_ranks g in
   let rank =
     Array.init (max 1 n_rules) (fun i ->
-        if i < n_rules then comp_rank g.Ordered.Gop.rules.(i).comp else 0)
-  in
-  let sup_rows =
-    Array.init (max 1 n_rules) (fun i ->
-        if i >= n_rules then []
-        else
-          List.sort
-            (fun a b -> compare (rank.(a), a) (rank.(b), b))
-            (g.Ordered.Gop.overrulers.(i) @ g.Ordered.Gop.defeaters.(i)))
+        if i < n_rules then comp_rank rules.(i).comp else 0)
   in
   let sup_of_off, sup_of_rule =
-    csr_of_lists n_rules (Array.sub sup_rows 0 n_rules)
+    csr ~rows:n_rules ~n:n_rules (fun i add ->
+        add_to_rows add i g.Ordered.Gop.overrulers.(i);
+        add_to_rows add i g.Ordered.Gop.defeaters.(i))
   in
+  let by_rank a b =
+    if rank.(a) <> rank.(b) then Int.compare rank.(a) rank.(b)
+    else Int.compare a b
+  in
+  for i = 0 to n_rules - 1 do
+    let lo = sup_of_off.(i) and len = sup_of_off.(i + 1) - sup_of_off.(i) in
+    if len > 1 then begin
+      let row = Array.sub sup_of_rule lo len in
+      Array.sort by_rank row;
+      Array.blit row 0 sup_of_rule lo len
+    end
+  done;
   let n_sup =
     Array.init (max 1 n_rules) (fun i ->
         if i < n_rules then sup_of_off.(i + 1) - sup_of_off.(i) else 0)
   in
-  let suppresses_off, suppresses_rule =
-    csr_of_lists n_rules
-      (Array.map (fun l -> List.sort compare l)
-         (Array.sub g.Ordered.Gop.suppresses 0 n_rules))
-  in
-  (* fail-first occurrence score and head-polarity flags, as in the
-     pruned search's static ordering *)
+  (* fail-first occurrence score, as in the searches' static ordering
+     ([Ordered.Parts.branch]), for the total-model search *)
   let occ_score = Array.make (max 1 n_atoms) 0 in
-  let head_pos = Array.make (max 1 n_atoms) false in
-  let head_neg = Array.make (max 1 n_atoms) false in
   Array.iter
     (fun (r : Ordered.Gop.grule) ->
       occ_score.(r.head) <- occ_score.(r.head) + 1;
-      if r.head_pol then head_pos.(r.head) <- true
-      else head_neg.(r.head) <- true;
       Array.iter (fun (a, _) -> occ_score.(a) <- occ_score.(a) + 1) r.body)
     g.Ordered.Gop.rules;
   { gop = g;
@@ -167,9 +195,7 @@ let compile (g : Ordered.Gop.t) =
     suppresses_off;
     suppresses_rule;
     rank;
-    occ_score;
-    head_pos;
-    head_neg
+    occ_score
   }
 
 type stats = {

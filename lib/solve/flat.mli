@@ -29,8 +29,6 @@ type t = {
   suppresses_rule : int array;
   rank : int array;
   occ_score : int array;
-  head_pos : bool array;
-  head_neg : bool array;
 }
 
 val code : int -> bool -> int

@@ -80,10 +80,12 @@ type state = {
   store : Nogood.t;
   mutable pending : int;  (* conflicts since the last restart *)
   mutable root_mark : int;  (* trail length after the level-0 fixpoint *)
-  branch : (int * bool * bool) array;
-  full : unit -> bool;
-  emit : unit -> unit;
-  seen : bool array;  (* scratch for the conflict analysis *)
+  mutable branch : (int * bool * bool) array;
+  mutable full : unit -> bool;
+  mutable emit : unit -> unit;
+  seen : bool array;  (* scratch for the conflict analysis and [leaf_af] *)
+  miss : int array;  (* scratch for [leaf_af], -1 outside it *)
+  queue : int array;  (* scratch for [leaf_af] *)
 }
 
 let nogood_cap = 512
@@ -376,6 +378,73 @@ let all_groundable s =
   in
   go 0
 
+(* Definition 7 at a leaf, on the solver state ([Model.is_assumption_free_v]
+   reads the whole program; this reads only the atoms assigned above the
+   root).  By Theorem 1(a) the leaf is assumption-free iff it is a model
+   and every literal of it is derived from nothing by the enabled rules
+   — applied and unsuppressed.  The least fixpoint's literals are, each
+   by the rule that derived it (it stays applied and overrules every
+   unblocked contradictor).  At a leaf propagation is closed and
+   conflict-free, so every applicable rule nothing suppresses has fired:
+   condition (b) of Definition 3 holds for every undefined atom.  So it
+   remains to derive the atoms assigned above the root, counting down
+   each enabled rule over its body atoms assigned above the root; an
+   atom derived so has an enabled rule, which overrules every unblocked
+   rule against it, so condition (a) holds for it too. *)
+let leaf_af s =
+  let f = s.f in
+  let n_above = ref 0 and tail = ref 0 and touched = ref [] in
+  let ground a =
+    if not s.seen.(a) then begin
+      s.seen.(a) <- true;
+      s.queue.(!tail) <- a;
+      incr tail
+    end
+  in
+  for i = s.root_mark to s.trail_len - 1 do
+    let ev = s.trail.(i) in
+    if ev land 1 = 0 then begin
+      incr n_above;
+      let a = ev lsr 1 in
+      for j = f.Flat.by_head_off.(a) to f.Flat.by_head_off.(a + 1) - 1 do
+        let r = f.Flat.by_head_rule.(j) in
+        if
+          f.Flat.head_pol.(r) = (s.value.(a) = 1)
+          && s.sat.(r) = f.Flat.body_len.(r)
+          && s.act_sup.(r) = 0
+        then begin
+          let m = ref 0 in
+          for k = f.Flat.body_off.(r) to f.Flat.body_off.(r + 1) - 1 do
+            if s.alevel.(f.Flat.body_atom.(k)) > 0 then incr m
+          done;
+          if !m = 0 then ground a
+          else begin
+            s.miss.(r) <- !m;
+            touched := r :: !touched
+          end
+        end
+      done
+    end
+  done;
+  let head = ref 0 in
+  while !head < !tail do
+    let b = s.queue.(!head) in
+    incr head;
+    let c = Flat.code b (s.value.(b) = 1) in
+    for k = f.Flat.occ_off.(c) to f.Flat.occ_off.(c + 1) - 1 do
+      let r = f.Flat.occ_rule.(k) in
+      if s.miss.(r) > 0 then begin
+        s.miss.(r) <- s.miss.(r) - 1;
+        if s.miss.(r) = 0 then ground f.Flat.head.(r)
+      end
+    done
+  done;
+  for i = 0 to !tail - 1 do
+    s.seen.(s.queue.(i)) <- false
+  done;
+  List.iter (fun r -> s.miss.(r) <- -1) !touched;
+  !tail = !n_above
+
 (* One search node — the same shape as [Stable.node] / the total-model
    search, with the propagation for the node's decision already done by
    [branch] below.  The node and effort counters move identically to the
@@ -435,112 +504,103 @@ and branch s a dval j =
     if s.pending >= restart_interval then restart s
   end
 
+(* The root state: the level-0 fixpoint [seed] adopted and run through
+   the propagator once, to charge the counters ([sat]/[blocker]/
+   [act_sup]) with it.  Every derivation this triggers lands on an
+   already-equal seed value; anything else is caught in [derive].  Each
+   search below starts from here and unwinds back to it. *)
+let root mode ~budget ~stats ?flat g seed =
+  let f = match flat with Some f -> f | None -> Flat.compile g in
+  let na = f.Flat.n_atoms in
+  let nr = f.Flat.n_rules in
+  let value = Array.make na 0 in
+  let s =
+    { f;
+      mode;
+      budget;
+      stats;
+      value;
+      vals = Gop.Values.of_codes value;
+      frozen = Array.make (max 1 na) false;
+      reason = Array.make (max 1 na) (-1);
+      alevel = Array.make (max 1 na) (-1);
+      sat = Array.make (max 1 nr) 0;
+      blocker = Array.make (max 1 nr) (-1);
+      act_sup = Array.copy f.Flat.n_sup;
+      trail = Array.make (na + nr + 1) 0;
+      trail_len = 0;
+      qhead = 0;
+      level = 0;
+      dec_atom = Array.make (max 1 na) 0;
+      dec_val = Array.make (max 1 na) 0;
+      dec_mark = Array.make (max 1 na) 0;
+      n_dec = 0;
+      conflict_rule = -1;
+      conflict_atom = -1;
+      store = Nogood.create ~cap:nogood_cap;
+      pending = 0;
+      root_mark = 0;
+      branch = [||];
+      full = (fun () -> false);
+      emit = ignore;
+      seen = Array.make (max 1 na) false;
+      miss = Array.make (max 1 nr) (-1);
+      queue = Array.make (max 1 na) 0
+    }
+  in
+  for a = 0 to na - 1 do
+    match Gop.Values.value seed a with
+    | Interp.True -> assign s a true (-1)
+    | Interp.False -> assign s a false (-1)
+    | Interp.Undefined -> ()
+  done;
+  for r = 0 to nr - 1 do
+    try_fire s r
+  done;
+  propagate s;
+  if s.conflict_rule >= 0 then
+    Diag.fail
+      (Diag.Internal_invariant
+         { where = "Solve.Kernel: level-0 conflict after Vfix.lfp";
+           atom = s.conflict_atom;
+           existing = true;
+           derived = f.Flat.head_pol.(s.conflict_rule)
+         });
+  s.root_mark <- s.trail_len;
+  s
+
 let search mode ?limit ?(budget = Budget.unlimited) ?stats ?flat (g : Gop.t) =
   let stats = match stats with Some s -> s | None -> Counters.create () in
   let acc = ref [] in
   let count = ref 0 in
   try
     let seed = Vfix.lfp ~budget g in
-    let f = match flat with Some f -> f | None -> Flat.compile g in
-    let na = f.Flat.n_atoms in
-    let nr = f.Flat.n_rules in
-    let value = Array.make na 0 in
-    let vals = Gop.Values.of_codes value in
-    let full () =
-      match limit with Some l -> !count >= l | None -> false
-    in
-    let emit =
+    let s = root mode ~budget ~stats ?flat g seed in
+    let f = s.f in
+    s.full <- (fun () -> match limit with Some l -> !count >= l | None -> false);
+    let accept =
       match mode with
-      | Af ->
-        fun () ->
-          if Model.is_assumption_free_v g vals then begin
-            incr count;
-            stats.Counters.models <- stats.Counters.models + 1;
-            acc := Gop.Values.to_interp g vals :: !acc
-          end
+      | Af -> fun () -> leaf_af s
+      | Total -> fun () -> Model.is_model_v g s.vals
+    in
+    s.emit <-
+      (fun () ->
+        if accept () then begin
+          incr count;
+          stats.Counters.models <- stats.Counters.models + 1;
+          acc := Gop.Values.to_interp g s.vals :: !acc
+        end);
+    s.branch <-
+      (match mode with
+      | Af -> Ordered.Parts.branch g seed
       | Total ->
-        fun () ->
-          if Model.is_model_v g vals then begin
-            incr count;
-            stats.Counters.models <- stats.Counters.models + 1;
-            acc := Gop.Values.to_interp g vals :: !acc
-          end
-    in
-    let s =
-      { f;
-        mode;
-        budget;
-        stats;
-        value;
-        vals;
-        frozen = Array.make (max 1 na) false;
-        reason = Array.make (max 1 na) (-1);
-        alevel = Array.make (max 1 na) (-1);
-        sat = Array.make (max 1 nr) 0;
-        blocker = Array.make (max 1 nr) (-1);
-        act_sup = Array.copy f.Flat.n_sup;
-        trail = Array.make (na + nr + 1) 0;
-        trail_len = 0;
-        qhead = 0;
-        level = 0;
-        dec_atom = Array.make (max 1 na) 0;
-        dec_val = Array.make (max 1 na) 0;
-        dec_mark = Array.make (max 1 na) 0;
-        n_dec = 0;
-        conflict_rule = -1;
-        conflict_atom = -1;
-        store = Nogood.create ~cap:nogood_cap;
-        pending = 0;
-        root_mark = 0;
-        branch = [||];
-        full;
-        emit;
-        seen = Array.make (max 1 na) false
-      }
-    in
-    (* Adopt the level-0 fixpoint and run it through the propagator once,
-       to charge the counters ([sat]/[blocker]/[act_sup]) with the seed.
-       Every derivation this triggers lands on an already-equal seed
-       value; anything else is caught in [derive]. *)
-    for a = 0 to na - 1 do
-      match Gop.Values.value seed a with
-      | Interp.True -> assign s a true (-1)
-      | Interp.False -> assign s a false (-1)
-      | Interp.Undefined -> ()
-    done;
-    for r = 0 to nr - 1 do
-      try_fire s r
-    done;
-    propagate s;
-    if s.conflict_rule >= 0 then
-      Diag.fail
-        (Diag.Internal_invariant
-           { where = "Solve.Kernel: level-0 conflict after Vfix.lfp";
-             atom = s.conflict_atom;
-             existing = true;
-             derived = f.Flat.head_pol.(s.conflict_rule)
-           });
-    s.root_mark <- s.trail_len;
-    let branch =
-      List.filter_map
-        (fun a ->
-          if s.value.(a) <> 0 then None
-          else
-            match mode with
-            | Af -> (
-              match (f.Flat.head_pos.(a), f.Flat.head_neg.(a)) with
-              | false, false -> None
-              | p, n -> Some (a, p, n))
-            | Total -> Some (a, true, true))
-        (List.init na Fun.id)
-    in
-    let branch =
-      List.sort
-        (fun (a, _, _) (b, _, _) ->
-          compare (-f.Flat.occ_score.(a), a) (-f.Flat.occ_score.(b), b))
-        branch
-    in
-    let s = { s with branch = Array.of_list branch } in
+        Array.of_list
+          (List.sort
+             (fun (a, _, _) (b, _, _) ->
+               compare (-f.Flat.occ_score.(a), a) (-f.Flat.occ_score.(b), b))
+             (List.filter_map
+                (fun a -> if s.value.(a) <> 0 then None else Some (a, true, true))
+                (List.init f.Flat.n_atoms Fun.id))));
     cnode s 0;
     Budget.Complete (List.rev !acc)
   with Budget.Exhausted r -> Budget.Partial (List.rev !acc, r)
@@ -548,44 +608,80 @@ let search mode ?limit ?(budget = Budget.unlimited) ?stats ?flat (g : Gop.t) =
 let assumption_free_models ?limit ?budget ?stats ?flat g =
   search Af ?limit ?budget ?stats ?flat g
 
-let stable_models ?limit ?budget ?stats ?flat g =
-  Ordered.Stable.maximal ?budget
-    (assumption_free_models ?limit ?budget ?stats ?flat g)
-
 let total_models ?limit ?budget ?stats ?flat g =
   search Total ?limit ?budget ?stats ?flat g
+
+(* Decide the seed literals on an unwound state; [false] when they clash
+   (no model extends them). *)
+let seed_with s seed =
+  List.for_all
+    (fun (a, pol) ->
+      let dval = if pol then 1 else 2 in
+      match s.value.(a) with
+      | 0 ->
+        decide s a dval;
+        s.conflict_rule < 0
+      | v -> v = dval)
+    seed
+
+let unwind s =
+  while s.n_dec > 0 do
+    backtrack s
+  done
+
+(* The part search {!Ordered.Parts} drives, on one root state.  It is
+   re-entrant: a call made from inside another search's [emit] (the
+   certifying search runs at each candidate leaf) unwinds the caller's
+   decisions, searches from the root, and replays them — propagation is
+   deterministic, so the replay rebuilds the caller's trail exactly, as
+   a restart does.  Learned nogoods stay: they are valid on every
+   branch of every search over the same program. *)
+let part_search s : Ordered.Parts.search =
+ fun ~branch ~seed ~on_model ->
+  let outer = (s.branch, s.full, s.emit) in
+  let stack = Array.init s.n_dec (fun k -> (s.dec_atom.(k), s.dec_val.(k))) in
+  unwind s;
+  let stop = ref false in
+  s.branch <- branch;
+  s.full <- (fun () -> !stop);
+  s.emit <-
+    (fun () ->
+      if leaf_af s then stop := on_model s.vals);
+  if seed_with s seed then cnode s 0;
+  unwind s;
+  let b, f, e = outer in
+  s.branch <- b;
+  s.full <- f;
+  s.emit <- e;
+  Array.iter (fun (a, dval) -> decide s a dval) stack
+
+(* Split [g] above its least fixpoint and hand the parts and a kernel
+   part search over one shared root state to [k]. *)
+let with_parts ?(budget = Budget.unlimited) ?stats ?flat g k =
+  let stats = match stats with Some s -> s | None -> Counters.create () in
+  let lfp = Vfix.lfp ~budget g in
+  let s = root Af ~budget ~stats ?flat g lfp in
+  k ~search:(part_search s) (Ordered.Parts.split g lfp)
+
+let stable_models ?limit ?(budget = Budget.unlimited) ?stats ?flat g =
+  let stats = match stats with Some s -> s | None -> Counters.create () in
+  try
+    with_parts ~budget ~stats ?flat g (fun ~search t ->
+        Ordered.Parts.stable_models ?limit ~budget ~stats ~search t)
+  with Budget.Exhausted r -> Budget.Partial ([], r)
 
 (* Boolean queries over the stable models are not anytime: an answer
    computed from a truncated enumeration would be unsound, so budget
    exhaustion propagates as [Budget.Exhausted]. *)
-let all_stable ?budget g = Budget.complete_exn (stable_models ?budget g)
+let is_stable ?budget g interp =
+  with_parts ?budget g (fun ~search t -> Ordered.Parts.is_stable ~search t interp)
 
 let cautious ?budget g l =
-  List.for_all (fun m -> Interp.holds m l) (all_stable ?budget g)
+  with_parts ?budget g (fun ~search t -> Ordered.Parts.cautious ~search t l)
 
 let brave ?budget g l =
-  List.exists (fun m -> Interp.holds m l) (all_stable ?budget g)
+  with_parts ?budget g (fun ~search t -> Ordered.Parts.brave ~search t l)
 
 let cautious_consequences ?budget g =
-  match all_stable ?budget g with
-  | [] -> Interp.empty (* unreachable: the least model is assumption-free *)
-  | m :: rest ->
-    List.fold_left
-      (fun acc m' ->
-        Interp.fold
-          (fun a b acc ->
-            match Interp.value m' a with
-            | Interp.True when b -> acc
-            | Interp.False when not b -> acc
-            | _ -> Interp.unset acc a)
-          acc acc)
-      m rest
-
-let is_stable ?budget g interp =
-  Model.is_assumption_free g interp
-  &&
-  let others = Budget.complete_exn (assumption_free_models ?budget g) in
-  not
-    (List.exists
-       (fun m -> (not (Interp.equal interp m)) && Interp.subset interp m)
-       others)
+  with_parts ?budget g (fun ~search t ->
+      Ordered.Parts.cautious_consequences ~search t)

@@ -15,6 +15,17 @@
     which would conflict immediately.  Visited nodes are therefore never
     more than the pruned search's, and fewer on conflict-heavy programs.
 
+    {b Stable models} are computed by {!Ordered.Parts} (Definition 9 one
+    independent part of the residual at a time, each part's maximal
+    models certified by a seeded search) with this kernel as the part
+    search, all parts sharing one root state.  Their order is
+    {!Ordered.Parts}' contract: the lexicographic product of the parts'
+    certified lists, the first part the most significant.  A program
+    whose residual is one part keeps the assumption-free search order
+    filtered to the maximal models; with two or more parts the order
+    differs from that filter's.  [?limit:k] is exactly the first [k]
+    stable models, and every model of a [Partial] result is stable.
+
     [?stats] exposes the shared search counters plus the solver-specific
     group ({!Ordered.Counters.t}: propagations, conflicts, learned and
     evicted nogoods, restarts), which only this engine moves.
@@ -50,13 +61,16 @@ val total_models :
 
 (** {1 Boolean queries}
 
-    Not anytime: an answer read off a truncated enumeration could flip,
-    so a spent budget raises [Budget.Exhausted] instead of returning. *)
+    Part-wise ({!Ordered.Parts}): a literal the least model decides is
+    answered without search, any other by the certified models of its
+    own part.  Not anytime: an answer read off a truncated enumeration
+    could flip, so a spent budget raises [Budget.Exhausted] instead of
+    returning. *)
 
 val is_stable :
   ?budget:Ordered.Budget.t -> Ordered.Gop.t -> Logic.Interp.t -> bool
 (** Assumption-free and not properly contained in another assumption-free
-    model. *)
+    model: one certifying search per part. *)
 
 val cautious :
   ?budget:Ordered.Budget.t -> Ordered.Gop.t -> Logic.Literal.t -> bool

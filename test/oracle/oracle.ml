@@ -148,8 +148,17 @@ module Stable = struct
       B.Complete (List.rev !acc)
     with B.Exhausted r -> B.Partial (List.rev !acc, r)
 
+  (* Definition 9 read off the complete enumeration; a truncated one
+     certifies nothing. *)
   let stable_models ?limit ?budget ?stats g =
-    B.map maximal (assumption_free_models ?limit ?budget ?stats g)
+    match assumption_free_models ?budget ?stats g with
+    | B.Complete ms ->
+      let stable = maximal ms in
+      B.Complete
+        (match limit with
+        | Some l -> List.filteri (fun i _ -> i < l) stable
+        | None -> stable)
+    | B.Partial (_, r) -> B.Partial ([], r)
 end
 
 module Exhaustive = struct

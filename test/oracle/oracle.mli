@@ -32,7 +32,10 @@ module Stable : sig
     ?stats:Ordered.Counters.t ->
     Ordered.Gop.t ->
     Logic.Interp.t list Ordered.Budget.anytime
-  (** The maximal elements of {!assumption_free_models}, in its order. *)
+  (** The maximal elements of the complete {!assumption_free_models}
+      enumeration, in its order, cut to the first [limit]; a budget that
+      truncates the enumeration leaves [Partial ([], reason)], since a
+      prefix certifies no model maximal. *)
 end
 
 module Exhaustive : sig
@@ -86,7 +89,9 @@ val is_maximal : Logic.Interp.t list -> Logic.Interp.t -> bool
     [m] — the naive subset test. *)
 
 val maximal : Logic.Interp.t list -> Logic.Interp.t list
-(** The elements of [models] that {!is_maximal} keeps, in order. *)
+(** The elements of [models] that {!is_maximal} keeps, in order: the
+    quadratic Definition 9 filter, the reference for the part-wise
+    certification of {!Ordered.Parts}. *)
 
 (** The dense reference for {!Ordered.Poset}: the Warshall closure over an
     n x n bool matrix, and the whole-order rank fixpoint restricted to

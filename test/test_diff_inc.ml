@@ -149,7 +149,6 @@ let flat_equal (f1 : Solve.Flat.t) (f2 : Solve.Flat.t) =
   && f1.suppresses_off = f2.suppresses_off
   && f1.suppresses_rule = f2.suppresses_rule
   && f1.rank = f2.rank && f1.occ_score = f2.occ_score
-  && f1.head_pos = f2.head_pos && f1.head_neg = f2.head_neg
 
 let agree s kb =
   List.for_all

@@ -10,9 +10,12 @@
    - same counts under [?limit] (assumption-free and total enumerate in
      different orders but both return min(limit, total) models);
    - each engine's [?limit:k] result is exactly the first k of its own
-     unlimited enumeration (the documented search-order contract);
-   - [stable_models ?limit] is the maximal subset of the same engine's
-     limited assumption-free enumeration;
+     unlimited enumeration (the documented search-order contract), the
+     stable models included;
+   - on programs with planted independent parts, the part-wise stable
+     models ([Ordered.Parts]) equal the oracle's maximal assumption-free
+     models, every [?limit] is a prefix, and every model of a [Partial]
+     result is stable;
    - the pruned search only emits assumption-free models and starts with
      the least model;
    - on compiled preference programs ([Prefer.Compile]), the compiled
@@ -187,31 +190,84 @@ let prop_limit_prefix =
       prefix_of (fun ?limit g -> af_pruned ?limit g)
       && prefix_of (fun ?limit g -> af_naive ?limit g)
       && prefix_of (fun ?limit g -> af_comp ?limit g)
+      && prefix_of (fun ?limit g -> st_pruned ?limit g)
+      && prefix_of (fun ?limit g -> st_naive ?limit g)
+      && prefix_of (fun ?limit g -> st_comp ?limit g)
       && prefix_of (fun ?limit g -> tot_pruned ?limit g)
       && prefix_of (fun ?limit g -> tot_naive ?limit g)
       && prefix_of (fun ?limit g -> tot_comp ?limit g))
 
-let prop_stable_limit_consistent =
-  qcheck ~count:100
-    ~print:(fun (p, k) -> Printf.sprintf "%s limit=%d" (print_program p) k)
-    "stable ?limit = maximal of the same engine's limited enumeration"
-    Gen.(
-      let* p = gen_program in
-      let* k = int_bound 4 in
-      return (p, k))
-    (fun (p, k) ->
+(* [k] copies of a random program over disjoint atoms (each copy's
+   predicates carry its index), merged component by component under one
+   order: the residual splits into at least one part per copy that has
+   one, so the stable models are a product. *)
+let gen_planted =
+  let open Gen in
+  let* k = int_range 2 3 in
+  let n = if k = 2 then 3 else 2 in
+  let* ncomp = int_range 1 3 in
+  let* copies =
+    flatten_l
+      (List.init k (fun _ ->
+           flatten_l
+             (List.init ncomp (fun _ ->
+                  Test_props.gen_rules Test_props.gen_negative_rule n))))
+  in
+  let* chosen =
+    flatten_l
+      (List.concat
+         (List.init ncomp (fun i ->
+              List.filter_map
+                (fun j -> if i < j then Some (map (fun b -> (i, j, b)) bool) else None)
+                (List.init ncomp Fun.id))))
+  in
+  let tag c (l : Literal.t) =
+    Literal.make l.Literal.pol (Atom.prop (Printf.sprintf "%s%d" l.atom.Atom.pred c))
+  in
+  let comps =
+    List.init ncomp (fun i ->
+        ( Printf.sprintf "c%d" i,
+          List.concat
+            (List.mapi
+               (fun c rules ->
+                 List.map
+                   (fun (r : Rule.t) ->
+                     Rule.make (tag c r.Rule.head) (List.map (tag c) r.Rule.body))
+                   (List.nth rules i))
+               copies) ))
+  in
+  let pairs =
+    List.filter_map
+      (fun (i, j, b) ->
+        if b then Some (Printf.sprintf "c%d" i, Printf.sprintf "c%d" j) else None)
+      chosen
+  in
+  return (Ordered.Program.make_exn comps pairs)
+
+let prop_planted_parts =
+  qcheck
+    ~count:(iters "planted" 300)
+    ~print:(fun (p, n) -> Printf.sprintf "%s max_steps=%d" (print_program p) n)
+    "split = oracle on planted parts: sets, prefixes, certified partials"
+    Gen.(pair gen_planted (int_bound 400))
+    (fun (p, n) ->
       let g = gop_of p in
-      let maximal models =
-        List.filter
-          (fun m ->
-            not
-              (List.exists
-                 (fun m' -> (not (Interp.equal m m')) && Interp.subset m m')
-                 models))
-          models
-      in
-      interp_set_equal (st_pruned ~limit:k g) (maximal (af_pruned ~limit:k g))
-      && interp_set_equal (st_naive ~limit:k g) (maximal (af_naive ~limit:k g)))
+      let full = st_comp g in
+      let oracle = st_naive g in
+      let stable m = List.exists (Interp.equal m) oracle in
+      interp_set_equal full oracle
+      && interp_list_equal (st_pruned g) full
+      && List.for_all
+           (fun l ->
+             interp_list_equal (st_comp ~limit:l g) (take l full)
+             && interp_list_equal (st_pruned ~limit:l g) (take l full))
+           (List.init (List.length full + 2) Fun.id)
+      &&
+      match K.stable_models ~budget:(B.make ~max_steps:n ()) g with
+      | B.Complete ms -> interp_list_equal ms full
+      | B.Partial (ms, _) ->
+        List.for_all stable ms
+        && interp_list_equal ms (take (List.length ms) full))
 
 let prop_pruned_sound =
   qcheck ~count:150 ~print:print_program
@@ -297,7 +353,7 @@ let suite =
     prop_ov_sets;
     prop_limit_counts;
     prop_limit_prefix;
-    prop_stable_limit_consistent;
+    prop_planted_parts;
     prop_pruned_sound;
     prop_compiled_prefer;
     prop_boolean_queries

@@ -313,10 +313,13 @@ let test_define_costs_its_object () =
 (* ------------------------------------------------------------------ *)
 
 (* A warmed [models] request on the same KB shape, through the server's
-   whole read path: decode, the session's cache hit, the literal printer
-   and the JSON encoder.  A hit does no search, so what it allocates is
-   the answer's text; the bound is per literal in the response.  Format
-   on this path costs several hundred words a literal. *)
+   whole read path: decode, the session's cache hit and the JSON
+   encoder.  The cache entry keeps the answer's wire text, so a hit
+   prints no literal: what it allocates is the decoded request, the
+   response object and one copy of the cached text into the response
+   line — a constant for this KB, however many literals the models hold
+   (rendering them costs several words a literal, 80 a literal through
+   Format). *)
 let test_models_hit_costs_its_bytes () =
   let module W = Server.Wire in
   let e = Server.Engine.create () in
@@ -329,7 +332,7 @@ let test_models_hit_costs_its_bytes () =
       [ ("op", W.String "models"); ("obj", W.String "o5");
         ("kind", W.String "stable"); ("limit", W.Int 4) ]
   in
-  ignore (models ());
+  let first = models () in
   ignore (models ());
   let hits = (KS.counters (Server.Engine.session e)).KS.hits in
   Gc.minor ();
@@ -338,6 +341,7 @@ let test_models_hit_costs_its_bytes () =
   let words = Gc.minor_words () -. w0 in
   Alcotest.(check int) "answered from the cache" (hits + 1)
     (KS.counters (Server.Engine.session e)).KS.hits;
+  Alcotest.(check string) "a hit answers what the miss did" first out;
   let literals =
     match W.parse out with
     | Ok j -> (
@@ -350,12 +354,36 @@ let test_models_hit_costs_its_bytes () =
     | Error e -> Alcotest.failf "unparsable response: %s" (W.error_to_string e)
   in
   if literals < 100 then Alcotest.failf "only %d literals in %s" literals out;
-  let per_literal = words /. float_of_int literals in
-  if per_literal > 80. then
+  if words > 1500. then
     Alcotest.failf
-      "a models hit allocates %.0f minor words for %d literals (%.1f a \
-       literal; bound: 80)"
-      words literals per_literal
+      "a models hit allocates %.0f minor words for %d literals (bound: 1500)"
+      words literals
+
+(* A load that fails part-way through its components must change
+   nothing: not the master store, not the published view, and no
+   mutation record for the log. *)
+let test_failed_load_changes_nothing () =
+  let s = KS.create () in
+  let records = ref 0 in
+  KS.on_mutation s (fun _ -> incr records);
+  KS.load s "component a { p. }";
+  let master = Kb.Store.to_source (KS.store s) in
+  let published = KS.to_source s in
+  let version = KS.version s and logged = !records in
+  (match KS.load s "component b { q. } component a { r. }" with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "a duplicate object must fail the load");
+  Alcotest.(check string) "master unchanged" master
+    (Kb.Store.to_source (KS.store s));
+  Alcotest.(check (list string)) "master objects unchanged" [ "a" ]
+    (Kb.Store.objects (KS.store s));
+  Alcotest.(check string) "published view unchanged" published (KS.to_source s);
+  Alcotest.(check int) "no new version" version (KS.version s);
+  Alcotest.(check int) "no mutation record" logged !records;
+  (* the next write publishes the master, which holds no [b] *)
+  KS.add_rule_src s ~obj:"a" "s.";
+  Alcotest.(check (list string)) "objects after the next write" [ "a" ]
+    (KS.objects s)
 
 let suite =
   [ Alcotest.test_case "hit after repeat" `Quick test_hit_after_repeat;
@@ -369,5 +397,7 @@ let suite =
       test_delta_eviction;
     Alcotest.test_case "partial results are not cached" `Quick
       test_partial_not_cached;
+    Alcotest.test_case "a failed load changes nothing" `Quick
+      test_failed_load_changes_nothing;
     prop_cached_equals_uncached
   ]
