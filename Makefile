@@ -9,7 +9,7 @@
 # loop), and the fault-injection suites crash-test runs in order.
 FUZZ_SUITES = fuzz=5000 diff-stable=2000 diff-prefer=5000 diff-inc=1500 \
 	diff-poset=20000 diff-print=20000 proto=20000 \
-	persist=20000 replica=2000
+	persist=20000 replica=2000 session=5000
 CHAOS_FUZZ_SUITES = replica=2000 proto=20000 persist=20000
 CRASH_SUITES = crash replica linearize
 
@@ -151,8 +151,9 @@ doc:  # requires odoc
 	dune build @doc
 
 # Re-run the whole suite under several qcheck seeds, then hammer the
-# parser, preference-differential, wire-protocol, WAL-record and
-# replication fuzz suites with a larger input count ($(FUZZ_SUITES)).
+# parser, preference-differential, wire-protocol, WAL-record,
+# replication and failed-write (session) fuzz suites with a larger input
+# count ($(FUZZ_SUITES)).
 fuzz:
 	@for i in 1 2 3 4 5 6 7 8; do \
 	  QCHECK_SEED=$$((i * 7919)) dune exec test/main.exe -- -e \

@@ -1,7 +1,10 @@
 (* Incremental-maintenance benchmark: the session cache under a mixed
    read/write workload, delta eviction (PR 10) against the
    flush-on-write wholesale baseline, on a primary daemon and on a
-   replica applying the shipped log.  Emits BENCH_PR10.json.
+   replica applying the shipped log.  Emits BENCH_PR10.json.  The
+   wholesale arms run the same session and flush its cache with
+   [Kb.Session.invalidate] after every write: on the primary after each
+   acknowledged write, on the replica after each applied batch.
 
    The workload is the one delta eviction exists for: four reader
    clients hammer one viewpoint's memoized queries while a writer
@@ -83,10 +86,11 @@ let daemon ?dir ?replicate_on () =
       sync = None
     }
 
-let set_eviction d mode =
-  Kb.Session.set_eviction
-    (Server.Engine.session (Server.Daemon.engine d))
-    mode
+(* The flush-on-write hook of a run: nothing for the delta arms, a
+   wholesale [invalidate] of [session] for the baseline. *)
+let flush_after_write ~eviction session =
+  if eviction = "delta" then ignore
+  else fun () -> Kb.Session.invalidate session
 
 (* The read mix: three least-model queries (one shared cache entry the
    writer keeps repairing) and a model enumeration (evicted by every
@@ -132,10 +136,11 @@ type run = {
 }
 
 (* Readers against [read_addr], a writer sustaining mutations against
-   [write_addr] until the readers drain; stats are collected from the
-   daemon the readers hit. *)
-let measure ~target ~eviction ~read_addr ~write_addr ~stats_daemon
-    ~per_client =
+   [write_addr] (calling [after_write] after each acknowledged one) until
+   the readers drain; stats are collected from the daemon the readers
+   hit. *)
+let measure ~after_write ~target ~eviction ~read_addr ~write_addr
+    ~stats_daemon ~per_client =
   let clients = 4 in
   let stop = Atomic.make false in
   let writes = Atomic.make 0 in
@@ -146,6 +151,7 @@ let measure ~target ~eviction ~read_addr ~write_addr ~stats_daemon
         let i = ref 0 in
         while not (Atomic.get stop) do
           ignore (expect_ok c (write_ops !i));
+          after_write ();
           incr i;
           Atomic.incr writes
         done;
@@ -209,12 +215,15 @@ let load_kb address =
 let primary_run ~eviction ~per_client =
   let d = daemon () in
   let t = Thread.create (fun () -> Server.Daemon.serve d) () in
-  set_eviction d (if eviction = "delta" then `Delta else `Wholesale);
+  let engine = Server.Daemon.engine d in
   let addr = Server.Daemon.address d in
   load_kb addr;
   let r =
-    measure ~target:"primary" ~eviction ~read_addr:addr ~write_addr:addr
-      ~stats_daemon:(Server.Daemon.engine d) ~per_client
+    measure
+      ~after_write:
+        (flush_after_write ~eviction (Server.Engine.session engine))
+      ~target:"primary" ~eviction ~read_addr:addr ~write_addr:addr
+      ~stats_daemon:engine ~per_client
   in
   Server.Daemon.stop d;
   Thread.join t;
@@ -249,8 +258,10 @@ let replica_run ~eviction ~per_client =
   load_kb (Server.Daemon.address primary);
   let replica = daemon ~dir:rd () in
   let rt = Thread.create (fun () -> Server.Daemon.serve replica) () in
-  set_eviction replica (if eviction = "delta" then `Delta else `Wholesale);
   let engine = Server.Daemon.engine replica in
+  let after_apply =
+    flush_after_write ~eviction (Server.Engine.session engine)
+  in
   let link =
     Replica.Link.create
       ~metrics:(Server.Engine.metrics engine)
@@ -268,7 +279,8 @@ let replica_run ~eviction ~per_client =
       (fun () ->
         while not (Atomic.get stop_pump) do
           (match Replica.Link.step link with
-          | `Applied _ | `Ready -> ()
+          | `Applied _ -> after_apply ()
+          | `Ready -> ()
           | `Idle -> Thread.yield ()
           | `Retry _ -> Thread.yield ()
           | `Fatal m -> die "replication halted: %s" m
@@ -278,7 +290,7 @@ let replica_run ~eviction ~per_client =
       ()
   in
   let r =
-    measure ~target:"replica" ~eviction
+    measure ~after_write:ignore ~target:"replica" ~eviction
       ~read_addr:(Server.Daemon.address replica)
       ~write_addr:(Server.Daemon.address primary)
       ~stats_daemon:engine ~per_client

@@ -1,159 +1,29 @@
-(* Minimal JSON well-formedness checker for the benchmark artifacts (the
+(* JSON well-formedness checker for the benchmark artifacts (the
    toolchain has no JSON library baked in, and the cram tests must not
    depend on jq being installed).
 
    Usage: json_check FILE [KEY ...]
 
-   Parses FILE as a single JSON document (RFC 8259 grammar, no
-   extensions) and requires every KEY to be present at the top level
-   (which must then be an object).  Prints "FILE: valid JSON" and exits 0
-   on success; prints the parse error with its offset and exits 1
-   otherwise. *)
+   Parses FILE as a single JSON document with the server's wire parser
+   (RFC 8259 grammar, no extensions, no length limit) and requires every
+   KEY to be present at the top level (which must then be an object).
+   Prints "FILE: valid JSON" and exits 0 on success; prints the parse
+   error with its offset and exits 1 otherwise. *)
 
-exception Bad of int * string
-
-let check s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (!pos, msg)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while
-      !pos < n
-      && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      advance ()
-    done
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
-  let literal word =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-    then pos := !pos + String.length word
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let string_lit () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-        | Some (('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') as c) ->
-          Buffer.add_char buf c;
-          advance ()
-        | Some 'u' ->
-          advance ();
-          for _ = 1 to 4 do
-            match peek () with
-            | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-            | _ -> fail "bad \\u escape"
-          done
-        | _ -> fail "bad escape");
-        go ()
-      | Some c when Char.code c < 0x20 -> fail "control character in string"
-      | Some c ->
-        Buffer.add_char buf c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let number () =
-    if peek () = Some '-' then advance ();
-    let digits () =
-      let start = !pos in
-      while (match peek () with Some '0' .. '9' -> true | _ -> false) do
-        advance ()
-      done;
-      if !pos = start then fail "expected digit"
-    in
-    digits ();
-    if peek () = Some '.' then (advance (); digits ());
-    (match peek () with
-    | Some ('e' | 'E') ->
-      advance ();
-      (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-      digits ()
-    | _ -> ())
-  in
-  (* returns the member keys when the value is an object, [] otherwise *)
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then (advance (); [])
-      else begin
-        let keys = ref [] in
-        let member () =
-          skip_ws ();
-          let k = string_lit () in
-          keys := k :: !keys;
-          skip_ws ();
-          expect ':';
-          ignore (value () : string list)
-        in
-        member ();
-        while (skip_ws (); peek () = Some ',') do
-          advance ();
-          member ()
-        done;
-        skip_ws ();
-        expect '}';
-        List.rev !keys
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then (advance (); [])
-      else begin
-        ignore (value () : string list);
-        while (skip_ws (); peek () = Some ',') do
-          advance ();
-          ignore (value () : string list)
-        done;
-        skip_ws ();
-        expect ']';
-        []
-      end
-    | Some '"' ->
-      ignore (string_lit () : string);
-      []
-    | Some ('-' | '0' .. '9') ->
-      number ();
-      []
-    | Some 't' -> literal "true"; []
-    | Some 'f' -> literal "false"; []
-    | Some 'n' -> literal "null"; []
-    | Some c -> fail (Printf.sprintf "unexpected %C" c)
-    | None -> fail "unexpected end of input"
-  in
-  let keys = value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage after document";
-  keys
+module W = Server.Wire
 
 let () =
   match Array.to_list Sys.argv with
-  | _ :: file :: wanted ->
+  | _ :: file :: wanted -> (
     let ic = open_in_bin file in
     let s =
       Fun.protect
         ~finally:(fun () -> close_in_noerr ic)
         (fun () -> really_input_string ic (in_channel_length ic))
     in
-    (match check s with
-    | keys ->
+    match W.parse ~max_len:max_int s with
+    | Ok doc ->
+      let keys = match doc with W.Obj fields -> List.map fst fields | _ -> [] in
       let missing = List.filter (fun k -> not (List.mem k keys)) wanted in
       if missing <> [] then begin
         Printf.eprintf "%s: missing top-level key(s): %s\n" file
@@ -161,8 +31,8 @@ let () =
         exit 1
       end;
       Printf.printf "%s: valid JSON\n" file
-    | exception Bad (pos, msg) ->
-      Printf.eprintf "%s: invalid JSON at offset %d: %s\n" file pos msg;
+    | Error e ->
+      Printf.eprintf "%s: %s\n" file (W.error_to_string e);
       exit 1)
   | _ ->
     prerr_endline "usage: json_check FILE [KEY ...]";

@@ -6,7 +6,8 @@
 
    Part 2 times the algorithms on scaled synthetic workloads (experiments
    B1-B7 and B10 in DESIGN.md): the two V-fixpoint engines, OV vs EV,
-   naive vs relevance-driven grounding, classical vs ordered stable
+   the reference grounder vs the classical oracle's relevance-driven
+   one, classical vs ordered stable
    enumeration, well-founded vs ordered fixpoints, knowledge-base
    inheritance depth, goal-directed proof vs materialisation, and delta
    repair vs rebuild at the ordered layer. *)
@@ -85,7 +86,8 @@ let bench_tower =
       vfix_engine ~viewpoint:(Printf.sprintf "c%d" (d - 1)) ~lfp:incremental
         (W.tower d))
 
-(* B2: OV vs EV end-to-end (ground + solve) on ancestor chains. *)
+(* B2: OV vs EV end-to-end (reference grounding + solve) on ancestor
+   chains. *)
 let bench_ov_ev =
   let sizes = [ 8; 16; 32 ] in
   let solve build n =
@@ -95,12 +97,14 @@ let bench_ov_ev =
   in
   Test.make_grouped ~name:"ov_ev"
     [ Test.make_indexed ~name:"ov" ~args:sizes
-        (solve (fun rs -> Ordered.Bridge.ground_ov ~grounder:`Relevant rs));
+        (solve (fun rs -> Ordered.Bridge.ground_ov rs));
       Test.make_indexed ~name:"ev" ~args:sizes
-        (solve (fun rs -> Ordered.Bridge.ground_ev ~grounder:`Relevant rs))
+        (solve (fun rs -> Ordered.Bridge.ground_ev rs))
     ]
 
-(* B4: naive vs relevance-driven grounding on ancestor chains. *)
+(* B4: the reference grounder vs the classical oracle's relevance-driven
+   grounder (classical semantics only: it does not preserve ordered
+   ones) on ancestor chains. *)
 let bench_grounding =
   let sizes = [ 8; 16; 32 ] in
   Test.make_grouped ~name:"ground"
@@ -109,7 +113,7 @@ let bench_grounding =
           Staged.stage (fun () -> ignore (Ground.Grounder.naive rs)));
       Test.make_indexed ~name:"relevant" ~args:sizes (fun n ->
           let rs = W.ancestor_rules n in
-          Staged.stage (fun () -> ignore (Ground.Grounder.relevant rs)))
+          Staged.stage (fun () -> ignore (Datalog.Grounder.relevant rs)))
     ]
 
 (* B3: stable-model enumeration — classical GL solver vs the compiled
@@ -126,21 +130,21 @@ let bench_stable =
           Staged.stage (fun () -> ignore (Solve.Kernel.stable_models g)))
     ]
 
-(* B6: well-founded alternating fixpoint vs ordered V on win/move. *)
+(* B6: well-founded alternating fixpoint (over the classical oracle's
+   NAF grounding) vs ordered V (over the reference grounding of OV) on
+   win/move. *)
 let bench_wfs =
   let sizes = [ 32; 128; 512 ] in
   Test.make_grouped ~name:"wfs"
     [ Test.make_indexed ~name:"alternating" ~args:sizes (fun n ->
           let np =
             Datalog.Nprog.of_rules
-              (Ground.Grounder.relevant ~naf:true (W.win_move n))
+              (Datalog.Grounder.relevant ~naf:true (W.win_move n))
                 .Ground.Grounder.rules
           in
           Staged.stage (fun () -> ignore (Datalog.Wellfounded.compute np)));
       Test.make_indexed ~name:"ordered_v" ~args:sizes (fun n ->
-          let g =
-            Ordered.Bridge.ground_ov ~grounder:`Relevant (W.win_move n)
-          in
+          let g = Ordered.Bridge.ground_ov (W.win_move n) in
           Staged.stage (fun () -> ignore (Ordered.Vfix.lfp g)))
     ]
 

@@ -1,7 +1,8 @@
 (* Budget smoke-runner: every workload runs under one wall-clock budget
    (default 2 s, override with SMOKE_BUDGET) and must either complete or
    surrender in time.  Emits a single JSON document with per-workload
-   status, expected outcome and budget counters, plus a summary with the
+   status, expected outcome, budget steps and ground-rule count, plus a
+   summary with the
    budget-exhaustion count.  Each workload is either meant to complete
    or built to outrun the budget.  Exit code 1 if any workload overshot
    its deadline (the graceful-degradation guarantee failed) or a
@@ -31,18 +32,32 @@ type row = {
   reason : string option;
   elapsed_ms : float;
   steps : int;
-  instances : int;
+  ground_rules : int;  (* size of the last grounding the workload built *)
   detail : string;
 }
 
+(* Ground-rule count of the running workload's last grounding; [run]
+   resets it, so a workload that trips before grounding reports 0. *)
+let last_rules = ref 0
+
+let grounded g =
+  last_rules := Ordered.Gop.n_rules g;
+  g
+
 let ground ~budget prog comp =
-  Ordered.Gop.ground ~budget prog
-    (Ordered.Program.component_id_exn prog comp)
+  grounded
+    (Ordered.Gop.ground ~budget prog
+       (Ordered.Program.component_id_exn prog comp))
+
+let loaded e =
+  last_rules := List.length (Datalog.Engine.ground_rules e);
+  e
 
 let exhausted r = r.status = "partial" || r.status = "exhausted"
 
 let run (name, expect, f) =
   let budget = B.make ~timeout:budget_secs () in
+  last_rules := 0;
   let t0 = Unix.gettimeofday () in
   let status, reason, detail =
     match f budget with
@@ -61,7 +76,7 @@ let run (name, expect, f) =
     reason;
     elapsed_ms;
     steps = B.steps budget;
-    instances = B.instances budget;
+    ground_rules = !last_rules;
     detail
   }
 
@@ -86,7 +101,7 @@ let workloads =
     ( "ancestor-32/well-founded",
       Completes,
       fun b ->
-        let e = Datalog.Engine.load ~budget:b (W.ancestor_rules 32) in
+        let e = loaded (Datalog.Engine.load ~budget:b (W.ancestor_rules 32)) in
         let m = Datalog.Engine.well_founded ~budget:b e in
         `Complete (Printf.sprintf "%d literals" (Logic.Interp.cardinal m)) );
     ( "even-loops-6/stable",
@@ -94,7 +109,7 @@ let workloads =
       fun b ->
         models_detail
           (Solve.Kernel.stable_models ~budget:b
-             (Ordered.Bridge.ground_ov (W.even_loops 6))) );
+             (grounded (Ordered.Bridge.ground_ov (W.even_loops 6)))) );
     ( "cwa-loops-12/stable",
       (* one two-model part per loop: the 4096 stable models are listed
          as a product, each part certified once; the count is gated *)
@@ -115,13 +130,13 @@ let workloads =
       fun b ->
         models_detail
           (Solve.Kernel.assumption_free_models ~budget:b
-             (Ordered.Bridge.ground_ov (W.even_loops 14))) );
+             (grounded (Ordered.Bridge.ground_ov (W.even_loops 14)))) );
     ( "win-move-1200/well-founded",
       (* the alternating fixpoint at scale: quadratic in the chain, about
          half the default budget *)
       Completes,
       fun b ->
-        let e = Datalog.Engine.load ~budget:b (W.win_move 1200) in
+        let e = loaded (Datalog.Engine.load ~budget:b (W.win_move 1200)) in
         let m = Datalog.Engine.well_founded ~budget:b e in
         `Complete (Printf.sprintf "%d literals" (Logic.Interp.cardinal m)) );
     ( "win-move-200000/ground",
@@ -129,7 +144,7 @@ let workloads =
          default budget, so the deadline trips inside the grounder *)
       Exhausts,
       fun b ->
-        let e = Datalog.Engine.load ~budget:b (W.win_move 200_000) in
+        let e = loaded (Datalog.Engine.load ~budget:b (W.win_move 200_000)) in
         `Complete
           (Printf.sprintf "%d ground rules"
              (List.length (Datalog.Engine.ground_rules e))) );
@@ -171,14 +186,14 @@ let () =
       Printf.printf
         "    {\"name\": \"%s\", \"expected\": \"%s\", \"status\": \"%s\", \
          \"reason\": %s, \"elapsed_ms\": %.1f, \"steps\": %d, \
-         \"instances\": %d, \"detail\": \"%s\", \"deadline_held\": %b}%s\n"
+         \"ground_rules\": %d, \"detail\": \"%s\", \"deadline_held\": %b}%s\n"
         (json_escape r.name)
         (match r.expect with Completes -> "complete" | Exhausts -> "exhausted")
         r.status
         (match r.reason with
         | None -> "null"
         | Some s -> Printf.sprintf "\"%s\"" (json_escape s))
-        r.elapsed_ms r.steps r.instances (json_escape r.detail) (held r)
+        r.elapsed_ms r.steps r.ground_rules (json_escape r.detail) (held r)
         (if i = List.length rows - 1 then "" else ","))
     rows;
   Printf.printf

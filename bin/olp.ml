@@ -76,14 +76,6 @@ let depth_arg =
        & info [ "depth" ] ~docv:"N"
            ~doc:"Function-symbol nesting bound for grounding.")
 
-let relevant_arg =
-  Arg.(value & flag
-       & info [ "relevant" ]
-           ~doc:"Use relevance-driven grounding (see library docs for the \
-                 semantic caveat on arbitrary ordered programs).")
-
-let grounder_of_flag relevant = if relevant then `Relevant else `Naive
-
 (* --facts rel=path, repeatable: bulk-load a base relation from delimited
    text into the viewpoint component. *)
 let facts_arg =
@@ -140,7 +132,7 @@ let governed budget f =
       (Ordered.Budget.reason_to_string r);
     exit exit_partial
 
-let ground_view ?budget file comp depth relevant facts max_instances =
+let ground_view ?budget file comp depth facts max_instances =
   let prog = load_program file in
   let id = resolve_component prog comp in
   let prog =
@@ -154,8 +146,7 @@ let ground_view ?budget file comp depth relevant facts max_instances =
       prog facts
   in
   match
-    Ordered.Gop.ground ?budget ?max_instances
-      ~grounder:(grounder_of_flag relevant) ~depth prog id
+    Ordered.Gop.ground ?budget ?max_instances ~depth prog id
   with
   | g -> (prog, id, g)
   | exception Invalid_argument e ->
@@ -225,10 +216,10 @@ let ground_cmd =
          & info [ "stats" ]
              ~doc:"Print size diagnostics instead of the rules.")
   in
-  let run budget file comp depth relevant facts max_instances stats =
+  let run budget file comp depth facts max_instances stats =
     governed budget @@ fun () ->
     let prog, _, g =
-      ground_view ~budget file comp depth relevant facts max_instances
+      ground_view ~budget file comp depth facts max_instances
     in
     if stats then
       Format.printf "%a@." Ordered.Gop.pp_stats (Ordered.Gop.stats g)
@@ -244,13 +235,13 @@ let ground_cmd =
   Cmd.v
     (Cmd.info "ground" ~doc:"Print the ground instances of the view C*.")
     Term.(const run $ budget_term $ file_arg $ component_arg $ depth_arg
-          $ relevant_arg $ facts_arg $ max_instances_arg $ stats_flag)
+          $ facts_arg $ max_instances_arg $ stats_flag)
 
 let least_cmd =
-  let run budget file comp depth relevant facts max_instances =
+  let run budget file comp depth facts max_instances =
     governed budget @@ fun () ->
     let _, _, g =
-      ground_view ~budget file comp depth relevant facts max_instances
+      ground_view ~budget file comp depth facts max_instances
     in
     Format.printf "%a@." Logic.Interp.pp (Ordered.Vfix.least_model ~budget g)
   in
@@ -259,7 +250,7 @@ let least_cmd =
        ~doc:"Print the least model (the fixpoint of the ordered immediate \
              transformation V).")
     Term.(const run $ budget_term $ file_arg $ component_arg $ depth_arg
-          $ relevant_arg $ facts_arg $ max_instances_arg)
+          $ facts_arg $ max_instances_arg)
 
 let models_cmd =
   let kind =
@@ -292,7 +283,7 @@ let models_cmd =
                    enumerates the stable models of the compiled program.  \
                    Stable models only.")
   in
-  let run budget file comp depth relevant facts max_instances kind limit
+  let run budget file comp depth facts max_instances kind limit
       stats prefer =
     governed budget @@ fun () ->
     let counters = Ordered.Counters.create () in
@@ -316,8 +307,7 @@ let models_cmd =
         in
         let spec = Prefer.Spec.make prog id prefs in
         match
-          Prefer.Compile.gop ~budget ?max_instances
-            ~grounder:(grounder_of_flag relevant) ~depth
+          Prefer.Compile.gop ~budget ?max_instances ~depth
             (Prefer.Compile.compile spec)
         with
         | g -> Solve.Kernel.stable_models ?limit ~budget ~stats:counters g
@@ -327,7 +317,7 @@ let models_cmd =
       end
       else
         let _, _, g =
-          ground_view ~budget file comp depth relevant facts max_instances
+          ground_view ~budget file comp depth facts max_instances
         in
         match kind with
         | `Stable -> Solve.Kernel.stable_models ?limit ~budget ~stats:counters g
@@ -355,7 +345,7 @@ let models_cmd =
              ($(b,--prefer) restricts to the preferred stable models \
              under the file's $(b,prefer) declarations).")
     Term.(const run $ budget_term $ file_arg $ component_arg $ depth_arg
-          $ relevant_arg $ facts_arg $ max_instances_arg $ kind $ limit
+          $ facts_arg $ max_instances_arg $ kind $ limit
           $ stats_flag $ prefer)
 
 let query_cmd =
@@ -375,10 +365,10 @@ let query_cmd =
            ~doc:"Literal, e.g. 'fly(penguin)' or 'fly(X)' (variables \
                  enumerate the true instances).")
   in
-  let run budget file comp depth relevant facts max_instances mode lit_src =
+  let run budget file comp depth facts max_instances mode lit_src =
     governed budget @@ fun () ->
     let _, _, g =
-      ground_view ~budget file comp depth relevant facts max_instances
+      ground_view ~budget file comp depth facts max_instances
     in
     let l = Lang.Parser.parse_literal lit_src in
     if Logic.Literal.is_ground l then
@@ -408,17 +398,17 @@ let query_cmd =
              ground literal, all true instances for a literal with \
              variables.")
     Term.(const run $ budget_term $ file_arg $ component_arg $ depth_arg
-          $ relevant_arg $ facts_arg $ max_instances_arg $ mode $ lit)
+          $ facts_arg $ max_instances_arg $ mode $ lit)
 
 let prove_cmd =
   let lit =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"LITERAL"
            ~doc:"Ground literal to prove goal-directedly.")
   in
-  let run budget file comp depth relevant facts max_instances lit_src =
+  let run budget file comp depth facts max_instances lit_src =
     governed budget @@ fun () ->
     let _, _, g =
-      ground_view ~budget file comp depth relevant facts max_instances
+      ground_view ~budget file comp depth facts max_instances
     in
     let l = Lang.Parser.parse_literal lit_src in
     let v = Ordered.Prove.value ~budget g l in
@@ -432,17 +422,17 @@ let prove_cmd =
        ~doc:"Goal-directed proof of a ground literal (relevance-closure \
              restriction of the least-model computation).")
     Term.(const run $ budget_term $ file_arg $ component_arg $ depth_arg
-          $ relevant_arg $ facts_arg $ max_instances_arg $ lit)
+          $ facts_arg $ max_instances_arg $ lit)
 
 let explain_cmd =
   let lit =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"LITERAL"
            ~doc:"Ground literal to explain.")
   in
-  let run budget file comp depth relevant facts max_instances dot lit_src =
+  let run budget file comp depth facts max_instances dot lit_src =
     governed budget @@ fun () ->
     let _, _, g =
-      ground_view ~budget file comp depth relevant facts max_instances
+      ground_view ~budget file comp depth facts max_instances
     in
     let l = Lang.Parser.parse_literal lit_src in
     if dot then print_string (Ordered.Dot.derivation g l)
@@ -453,7 +443,7 @@ let explain_cmd =
        ~doc:"Explain why a literal holds, fails or is undefined in the \
              least model ($(b,--dot) draws the derivation neighbourhood).")
     Term.(const run $ budget_term $ file_arg $ component_arg $ depth_arg
-          $ relevant_arg $ facts_arg $ max_instances_arg $ dot_arg $ lit)
+          $ facts_arg $ max_instances_arg $ dot_arg $ lit)
 
 let repl_cmd =
   let file =

@@ -36,12 +36,11 @@ let ev rules =
     ]
     [ (program_component, cwa_component) ]
 
-let ground_at prog ?grounder ?depth () =
-  Gop.ground ?grounder ?depth prog
-    (Program.component_id_exn prog program_component)
+let ground_at ?depth prog =
+  Gop.ground ?depth prog (Program.component_id_exn prog program_component)
 
-let ground_ov ?grounder ?depth rules = ground_at (ov rules) ?grounder ?depth ()
-let ground_ev ?grounder ?depth rules = ground_at (ev rules) ?grounder ?depth ()
+let ground_ov ?depth rules = ground_at ?depth (ov rules)
+let ground_ev ?depth rules = ground_at ?depth (ev rules)
 
 let interp_of_atom_set ~base set =
   List.fold_left

@@ -10,7 +10,7 @@
     [EV(C)] additionally gives the program component a {e reflexive rule}
     [p(X1, ..., Xn) :- p(X1, ..., Xn)] per predicate.
 
-    Results bridged (and property-tested against the [Datalog] library):
+    Results bridged (and property-tested against the [Datalog] test oracle):
     - Proposition 3: every model of [OV(C)] in [C] is a 3-valued model of
       [C] (converse false — Example 7);
     - Proposition 4: assumption-free models of [OV(C)] in [C] = 3-valued
@@ -39,12 +39,10 @@ val ov : Logic.Rule.t list -> Program.t
 val ev : Logic.Rule.t list -> Program.t
 (** The extended version ([ov] plus reflexive rules). *)
 
-val ground_ov :
-  ?grounder:[ `Naive | `Relevant ] -> ?depth:int -> Logic.Rule.t list -> Gop.t
+val ground_ov : ?depth:int -> Logic.Rule.t list -> Gop.t
 (** [OV(C)] grounded at the program component. *)
 
-val ground_ev :
-  ?grounder:[ `Naive | `Relevant ] -> ?depth:int -> Logic.Rule.t list -> Gop.t
+val ground_ev : ?depth:int -> Logic.Rule.t list -> Gop.t
 
 val interp_of_atom_set :
   base:Logic.Atom.t list -> Logic.Atom.Set.t -> Logic.Interp.t

@@ -1,4 +1,4 @@
 (* Re-export so the public API surface is [Ordered.Budget]; the
-   implementation lives below the [ground]/[datalog] layers, which also
-   consume it. *)
+   implementation lives below the [ground] layer, which also consumes
+   it. *)
 include Governor.Budget

@@ -168,10 +168,9 @@ let schema_universe ?(depth = 0) ?(extra_constants = []) program comp =
   in
   Herbrand.universe ~depth sg
 
-let ground_groups ?(budget = Budget.unlimited) ?max_instances
-    ?(grounder = `Naive) ?(depth = 0) ?(extra_constants = []) program comp =
+let ground_groups ?(budget = Budget.unlimited) ?max_instances ?(depth = 0)
+    ?(extra_constants = []) program comp =
   let view = Program.view program comp in
-  let untagged = List.map snd view in
   let universe = schema_universe ~depth ~extra_constants program comp in
   (* Count instances per source rule against the cap so the overflow
      diagnostic names the rule being instantiated. *)
@@ -192,25 +191,10 @@ let ground_groups ?(budget = Budget.unlimited) ?max_instances
     insts
   in
   let raw =
-    match grounder with
-    | `Naive ->
-      List.map
-        (fun (c, r) ->
-          (c, r, guard r (Ground.Grounder.ground_rule_instances ~budget ~universe r)))
-        view
-    | `Relevant ->
-      let res =
-        Ground.Grounder.relevant ~budget ~depth ~extra_constants untagged
-      in
-      let support = List.map Rule.head res.Ground.Grounder.rules in
-      List.map
-        (fun (c, r) ->
-          ( c,
-            r,
-            guard r
-              (Ground.Grounder.instances_supported_by ~budget ~universe
-                 ~support r) ))
-        view
+    List.map
+      (fun (c, r) ->
+        (c, r, guard r (Ground.Grounder.ground_rule_instances ~budget ~universe r)))
+      view
   in
   (* Deduplicate instances per component (a rule occurring in two distinct
      components keeps distinct instances, as the paper requires of the
@@ -240,11 +224,10 @@ let flatten_groups groups =
     (fun (c, _, insts) -> List.map (fun inst -> (c, inst)) insts)
     groups
 
-let ground ?budget ?max_instances ?grounder ?(depth = 0) ?(extra_constants = [])
-    program comp =
+let ground ?budget ?max_instances ?(depth = 0) ?(extra_constants = []) program
+    comp =
   let groups =
-    ground_groups ?budget ?max_instances ?grounder ~depth ~extra_constants
-      program comp
+    ground_groups ?budget ?max_instances ~depth ~extra_constants program comp
   in
   of_view ~depth ~extra_constants program comp (flatten_groups groups)
 

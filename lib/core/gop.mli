@@ -40,25 +40,22 @@ type t = {
 val ground :
   ?budget:Budget.t ->
   ?max_instances:int ->
-  ?grounder:[ `Naive | `Relevant ] ->
   ?depth:int ->
   ?extra_constants:Logic.Term.t list ->
   Program.t ->
   Program.component_id ->
   t
-(** Ground the view [C*] of the given component.  [`Naive] (default) is the
-    reference semantics; [`Relevant] prunes rules with underivable bodies —
-    faster, but see the caveat in {!Ground.Grounder}.  [max_instances]
-    raises [Diag.Error (Grounding_overflow _)] — carrying the offending
-    rule and the counts — when instantiation exceeds the cap (a guard
-    against accidental blow-up on wide universes).  [budget] bounds the
-    grounding work itself (deadline / steps / instances); exhaustion raises
+(** Ground the view [C*] of the given component over its full Herbrand
+    universe ({!Ground.Grounder}).  [max_instances] is the one instance
+    cap: it raises [Diag.Error (Grounding_overflow _)] — carrying the
+    offending rule and the counts — when instantiation exceeds the cap (a
+    guard against accidental blow-up on wide universes).  [budget] bounds
+    the grounding work itself (deadline / steps); exhaustion raises
     [Budget.Exhausted]. *)
 
 val ground_groups :
   ?budget:Budget.t ->
   ?max_instances:int ->
-  ?grounder:[ `Naive | `Relevant ] ->
   ?depth:int ->
   ?extra_constants:Logic.Term.t list ->
   Program.t ->

@@ -16,9 +16,9 @@ let three_level rules =
       (exceptions_component, cwa_component)
     ]
 
-let ground_3v ?grounder ?depth rules =
+let ground_3v ?depth rules =
   let prog = three_level rules in
-  Gop.ground ?grounder ?depth prog
+  Gop.ground ?depth prog
     (Program.component_id_exn prog exceptions_component)
 
 let is_model ?depth rules interp = Model.is_model (ground_3v ?depth rules) interp

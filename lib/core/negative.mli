@@ -28,8 +28,7 @@ val cwa_component : string
 val three_level : Logic.Rule.t list -> Program.t
 (** The [3V(C)] construction. *)
 
-val ground_3v :
-  ?grounder:[ `Naive | `Relevant ] -> ?depth:int -> Logic.Rule.t list -> Gop.t
+val ground_3v : ?depth:int -> Logic.Rule.t list -> Gop.t
 (** [3V(C)] grounded at the exceptions component [C-]. *)
 
 (** {1 Definition 10 — semantics via the 3-level version}

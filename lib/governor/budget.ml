@@ -1,25 +1,21 @@
-type reason = Deadline | Steps | Instances | Cancelled | Fault
+type reason = Deadline | Steps | Cancelled | Fault
 
 exception Exhausted of reason
 
 type t = {
   deadline : float option;  (** absolute wall-clock time *)
   max_steps : int option;
-  max_instances : int option;
   cancel_flag : bool ref;
   mutable steps : int;
-  mutable instances : int;
   mutable trip_at : int;  (** fault injection step; [-1] when disarmed *)
   mutable spent : reason option;  (** sticky once a real limit trips *)
 }
 
-let make ?timeout ?max_steps ?max_instances ?cancel () =
+let make ?timeout ?max_steps ?cancel () =
   { deadline = Option.map (fun s -> Unix.gettimeofday () +. s) timeout;
     max_steps;
-    max_instances;
     cancel_flag = (match cancel with Some c -> c | None -> ref false);
     steps = 0;
-    instances = 0;
     trip_at = -1;
     spent = None
   }
@@ -65,15 +61,6 @@ let tick b =
   | _ -> ());
   if s land poll_mask = 1 then poll b
 
-let tick_instance b =
-  resume_spent b;
-  let n = b.instances + 1 in
-  b.instances <- n;
-  (match b.max_instances with
-  | Some m when n > m -> exhaust b Instances
-  | _ -> ());
-  if n land poll_mask = 1 then poll b
-
 let check b =
   resume_spent b;
   poll b
@@ -82,27 +69,19 @@ let poll_deadline = poll
 
 let cancel b = b.cancel_flag := true
 let steps b = b.steps
-let instances b = b.instances
 let exhausted b = b.spent
 
 let reason_to_string = function
   | Deadline -> "deadline"
   | Steps -> "steps"
-  | Instances -> "instances"
   | Cancelled -> "cancelled"
   | Fault -> "fault"
-
-let pp_reason ppf r = Format.pp_print_string ppf (reason_to_string r)
 
 type 'a anytime = Complete of 'a | Partial of 'a * reason
 
 let value = function Complete x | Partial (x, _) -> x
 let is_complete = function Complete _ -> true | Partial _ -> false
 let reason = function Complete _ -> None | Partial (_, r) -> Some r
-
-let complete_exn = function
-  | Complete x -> x
-  | Partial (_, r) -> raise (Exhausted r)
 
 let map f = function
   | Complete x -> Complete (f x)

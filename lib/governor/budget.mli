@@ -5,14 +5,12 @@
     - a wall-clock {e deadline} ([timeout], seconds from creation);
     - a {e step} budget (units of solver work: fixpoint queue pops,
       enumeration nodes, grounding candidates);
-    - a grounding {e instance} cap (surviving ground instances);
     - a cooperative {e cancellation} flag (flipped from another thread or a
       signal handler);
     - an optional deterministic {e fault injection} point for tests.
 
-    Long-running loops call {!tick} (one unit of work), {!tick_instance}
-    (one surviving ground instance) or {!check} (poll without consuming);
-    all three raise {!Exhausted} once any limit is hit.  Exhaustion by a
+    Long-running loops call {!tick} (one unit of work) or {!check} (poll
+    without consuming); both raise {!Exhausted} once any limit is hit.  Exhaustion by a
     real limit is {e sticky}: every later tick re-raises, so an exhausted
     budget cannot be accidentally reused.  The clock is polled every 64
     ticks (and on the first), so deadline overshoot is bounded by 64 units
@@ -25,7 +23,6 @@
 type reason =
   | Deadline  (** wall-clock timeout elapsed *)
   | Steps  (** step budget consumed *)
-  | Instances  (** grounding-instance cap hit *)
   | Cancelled  (** cooperative cancellation flag was set *)
   | Fault  (** deterministic fault injection ({!with_trip_at}) *)
 
@@ -36,7 +33,6 @@ type t
 val make :
   ?timeout:float ->
   ?max_steps:int ->
-  ?max_instances:int ->
   ?cancel:bool ref ->
   unit ->
   t
@@ -56,17 +52,13 @@ val with_trip_at : step:int -> unit -> t
 val tick : t -> unit
 (** Count one unit of work.  Raises {!Exhausted} when a limit is hit. *)
 
-val tick_instance : t -> unit
-(** Count one surviving ground instance (checked against
-    [max_instances]).  Raises {!Exhausted} when a limit is hit. *)
-
 val check : t -> unit
 (** Poll the deadline and cancellation flag without consuming a step
     (always reads the clock; use at loop-round granularity). *)
 
 val poll_deadline : t -> unit
 (** Poll only the deadline and the cancellation flag: no step is used,
-    and a step or instance limit that already tripped does not re-raise
+    and a step limit that already tripped does not re-raise
     (unlike {!check}), so work that merely post-processes a step-limited
     prefix can still finish while a deadline stops it. *)
 
@@ -75,16 +67,13 @@ val cancel : t -> unit
     raises [Exhausted Cancelled]. *)
 
 val steps : t -> int
-val instances : t -> int
 
 val exhausted : t -> reason option
 (** [Some r] once the budget has tripped on a real limit (never [Fault]). *)
 
 val reason_to_string : reason -> string
 (** Machine-readable lowercase tag: ["deadline"], ["steps"],
-    ["instances"], ["cancelled"], ["fault"]. *)
-
-val pp_reason : Format.formatter -> reason -> unit
+    ["cancelled"], ["fault"]. *)
 
 (** {1 Anytime results} *)
 
@@ -96,9 +85,5 @@ type 'a anytime =
 val value : 'a anytime -> 'a
 val is_complete : 'a anytime -> bool
 val reason : 'a anytime -> reason option
-
-val complete_exn : 'a anytime -> 'a
-(** The value of a [Complete] result; re-raises [Exhausted] on [Partial]
-    (used by queries whose partial answers would be unsound). *)
 
 val map : ('a -> 'b) -> 'a anytime -> 'b anytime

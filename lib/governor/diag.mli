@@ -8,7 +8,8 @@
 
     Taxonomy:
 
-    - {!Grounding_overflow} — the instantiation cap ([max_instances]) was
+    - {!Grounding_overflow} — the instantiation cap of
+      [Ordered.Gop.ground ?max_instances] (the CLI's [--max-instances]) was
       exceeded; carries the offending rule and the counts.
     - {!Eval_error} — a builtin arithmetic evaluation failed (division or
       modulo by zero).

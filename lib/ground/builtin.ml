@@ -4,8 +4,6 @@ let comparison_preds = [ "<"; ">"; "<="; ">="; "="; "!=" ]
 let is_builtin (p, arity) = arity = 2 && List.mem p comparison_preds
 let is_builtin_atom (a : Atom.t) = is_builtin (a.pred, Atom.arity a)
 let is_builtin_literal (l : Literal.t) = is_builtin_atom l.atom
-let arith_fns = [ ("+", 2); ("-", 2); ("*", 2); ("/", 2); ("mod", 2); ("-", 1) ]
-let is_arith_fn fa = List.mem fa arith_fns
 
 let div_by_zero op t =
   Governor.Diag.fail

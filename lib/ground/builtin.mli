@@ -18,9 +18,6 @@ val is_builtin : string * int -> bool
 val is_builtin_atom : Logic.Atom.t -> bool
 val is_builtin_literal : Logic.Literal.t -> bool
 
-val is_arith_fn : string * int -> bool
-(** Recognise arithmetic function symbols. *)
-
 val eval_term : Logic.Term.t -> Logic.Term.t
 (** Normalise a ground term by evaluating arithmetic sub-terms; arithmetic
     applied to non-integers is left symbolic.  Raises [Invalid_argument] on

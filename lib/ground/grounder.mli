@@ -8,19 +8,11 @@
     paper's notions: such a rule is never applicable, never non-blocked,
     hence never overrules or defeats).
 
-    Two grounders are provided:
-
-    - {!naive} — instantiate every rule over the full (depth-bounded)
-      Herbrand universe.  This is the {e reference} semantics.
-    - {!relevant} — bottom-up "intelligent" grounding: only produce
-      instances whose ordinary body literals are supported by heads of
-      already-produced instances (unbound variables fall back to universe
-      enumeration).  Sound and complete for the classical bottom-up
-      semantics (least fixpoints over applied rules, e.g. the [OV]/[EV]
-      bridges of Section 3), but {b not} semantics-preserving for arbitrary
-      ordered programs: a discarded rule with an underivable body is never
-      applicable, yet — being non-blocked — it can still overrule or defeat
-      other rules under Definition 2.  See the test suite for a witness. *)
+    There is one grounder: every rule is instantiated over the full
+    (depth-bounded) Herbrand universe.  Pruning rules whose bodies can never
+    be derived would not preserve the semantics of ordered programs: such a
+    rule is never applicable, yet, being non-blocked, it can still overrule
+    or defeat its contradictors under Definition 2. *)
 
 type t = {
   rules : Logic.Rule.t list;  (** ground instances, builtin-free, deduplicated *)
@@ -33,36 +25,17 @@ type t = {
 
 val naive :
   ?budget:Governor.Budget.t ->
-  ?max_instances:int ->
   ?depth:int ->
   ?extra_constants:Logic.Term.t list ->
   Logic.Rule.t list ->
   t
-(** Reference grounder.  [depth] bounds function-symbol nesting in the
+(** Ground a rule list.  [depth] bounds function-symbol nesting in the
     universe (default [0]); [extra_constants] widens the universe (used to
-    ground a component against the constants of a whole ordered program);
-    [max_instances] guards against instantiation blow-up by raising
-    [Governor.Diag.Error (Grounding_overflow _)] — naming the rule being
-    instantiated — once more than that many surviving instances have been
-    produced.  [budget] is ticked per candidate instantiation (and per
-    surviving instance), so deadlines, step budgets and instance caps all
-    bound the grounding work; exhaustion raises
-    [Governor.Budget.Exhausted]. *)
-
-val relevant :
-  ?budget:Governor.Budget.t ->
-  ?naf:bool ->
-  ?depth:int ->
-  ?extra_constants:Logic.Term.t list ->
-  Logic.Rule.t list ->
-  t
-(** Relevance-driven grounder (see above for the soundness caveat).
-
-    With [~naf:true] negative body literals are read as negation-as-failure:
-    they are assumed satisfiable during grounding (their variables, if not
-    bound elsewhere, are enumerated over the universe) instead of being
-    matched against derived negative heads.  Use this mode to ground
-    classical (seminegative) programs for the [Datalog] engines. *)
+    ground a component against the constants of a whole ordered program).
+    [budget] is ticked per candidate instantiation, so deadlines and step
+    budgets bound the grounding work; exhaustion raises
+    [Governor.Budget.Exhausted].  The instance cap belongs to the ordered
+    grounder ([Ordered.Gop.ground ?max_instances]). *)
 
 val ground_rule_instances :
   ?budget:Governor.Budget.t ->
@@ -71,17 +44,6 @@ val ground_rule_instances :
   Logic.Rule.t list
 (** All surviving ground instances of one rule over a given universe
     (builtins evaluated, arithmetic normalised). *)
-
-val instances_supported_by :
-  ?budget:Governor.Budget.t ->
-  ?naf:bool ->
-  universe:Logic.Term.t list ->
-  support:Logic.Literal.t list ->
-  Logic.Rule.t ->
-  Logic.Rule.t list
-(** Ground instances of one rule whose ordinary body literals each match a
-    literal of [support] (with [~naf:true], negative literals are exempt);
-    variables left unbound are enumerated over [universe]. *)
 
 val finalize_instance : Logic.Rule.t -> Logic.Rule.t option
 (** Evaluate builtins and normalise arithmetic in one ground rule; [None]

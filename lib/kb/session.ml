@@ -90,7 +90,6 @@ type t = {
   fallbacks : int Atomic.t;
   evictions : int Atomic.t;
   kept : int Atomic.t;
-  mutable eviction : [ `Delta | `Wholesale ];
   mutable metrics : M.t option;
   mutable on_mutation : (Store.mutation -> unit) option;
 }
@@ -109,7 +108,6 @@ let of_store store =
     fallbacks = Atomic.make 0;
     evictions = Atomic.make 0;
     kept = Atomic.make 0;
-    eviction = `Delta;
     metrics = None;
     on_mutation = None
   }
@@ -120,7 +118,6 @@ let store t = t.master
 let on_mutation t f = t.on_mutation <- Some f
 let current t = Atomic.get t.current
 let version t = (current t).version
-let eviction t = t.eviction
 
 let inc_counter_names =
   [ "inc_repairs"; "inc_fallbacks"; "inc_evictions"; "cache_kept";
@@ -234,62 +231,57 @@ let repair_viewpoint t ~program vc =
 (* Transform the carried cache by one applied mutation.  Caller holds
    [write_lock] and has already applied [m] to [t.master]. *)
 let next_cache t c (m : Store.mutation) =
-  match t.eviction with
-  | `Wholesale ->
+  match m with
+  | Store.Define _ | Store.New_version _ ->
+    (* a fresh object: existing views cannot see it (isa edges point
+       at pre-existing parents), and component numbering of existing
+       objects is stable *)
+    note t t.kept "cache_kept" (count_entries c);
+    c
+  | Store.Load _ ->
+    (* load may rewire parents of existing objects and add
+       preferences: no per-object cone is sound *)
     note t t.evictions "inc_evictions" (count_entries c);
     StrMap.empty
-  | `Delta -> (
-    match m with
-    | Store.Define _ | Store.New_version _ ->
-      (* a fresh object: existing views cannot see it (isa edges point
-         at pre-existing parents), and component numbering of existing
-         objects is stable *)
-      note t t.kept "cache_kept" (count_entries c);
-      c
-    | Store.Load _ ->
-      (* load may rewire parents of existing objects and add
-         preferences: no per-object cone is sound *)
+  | Store.Set_preference _ | Store.Clear_preference _ ->
+    (* rules and groundings are untouched; only preference-derived
+       state can change *)
+    StrMap.fold
+      (fun w vc c ->
+        let vc = drop_preferred t vc in
+        note t t.kept "cache_kept" (OpMap.cardinal vc.results);
+        put w vc c)
+      c c
+  | Store.Add_rule { obj; _ } | Store.Remove_rule { obj; _ } -> (
+    (* Records exist only for views grounded against a valid order, and
+       only a load (which empties the cache) can make it invalid; a
+       failure here is evicted like any other, so the write stands. *)
+    match
+      if StrMap.is_empty c then None
+      else
+        let program = Store.to_program t.master in
+        Some (program, Ordered.Program.component_id_exn program obj)
+    with
+    | None -> c
+    | exception _ ->
       note t t.evictions "inc_evictions" (count_entries c);
       StrMap.empty
-    | Store.Set_preference _ | Store.Clear_preference _ ->
-      (* rules and groundings are untouched; only preference-derived
-         state can change *)
+    | Some (program, o) ->
+      (* [w]'s view [C*] contains [obj] iff [w <= obj] in the order *)
+      let poset = Ordered.Program.poset program in
+      let sees w =
+        match Ordered.Program.component_id program w with
+        | Some i -> Ordered.Poset.leq poset i o
+        | None -> true
+      in
       StrMap.fold
         (fun w vc c ->
-          let vc = drop_preferred t vc in
-          note t t.kept "cache_kept" (OpMap.cardinal vc.results);
-          put w vc c)
-        c c
-    | Store.Add_rule { obj; _ } | Store.Remove_rule { obj; _ } -> (
-      (* Records exist only for views grounded against a valid order, and
-         only a load (which empties the cache) can make it invalid; a
-         failure here is evicted like any other, so the write stands. *)
-      match
-        if StrMap.is_empty c then None
-        else
-          let program = Store.to_program t.master in
-          Some (program, Ordered.Program.component_id_exn program obj)
-      with
-      | None -> c
-      | exception _ ->
-        note t t.evictions "inc_evictions" (count_entries c);
-        StrMap.empty
-      | Some (program, o) ->
-        (* [w]'s view [C*] contains [obj] iff [w <= obj] in the order *)
-        let poset = Ordered.Program.poset program in
-        let sees w =
-          match Ordered.Program.component_id program w with
-          | Some i -> Ordered.Poset.leq poset i o
-          | None -> true
-        in
-        StrMap.fold
-          (fun w vc c ->
-            if sees w then put w (repair_viewpoint t ~program vc) c
-            else begin
-              note t t.kept "cache_kept" (OpMap.cardinal vc.results);
-              c
-            end)
-          c c))
+          if sees w then put w (repair_viewpoint t ~program vc) c
+          else begin
+            note t t.kept "cache_kept" (OpMap.cardinal vc.results);
+            c
+          end)
+        c c)
 
 (* Publish the master's state as the next immutable version carrying
    [c].  Caller holds [write_lock], so version numbers are gapless and
@@ -307,8 +299,6 @@ let notify t m =
 let commit t m =
   notify t m;
   publish t (next_cache t (Atomic.get (current t).cache) m)
-
-let set_eviction t mode = locked t (fun () -> t.eviction <- mode)
 
 (* Run a mutating store operation and commit it only if it succeeded —
    a raising [define] etc. leaves the KB, the log and the published

@@ -56,11 +56,10 @@
     - {!load} may rewire parents of existing objects, so it evicts
       everything.
 
-    {!set_eviction} [`Wholesale] restores flush-on-write (the baseline
-    of the incremental benchmark and the session tests).  Repairs,
-    fallbacks, evictions and carried entries are counted in {!counters}
-    and, when {!use_metrics} is wired, as [inc_repairs] /
-    [inc_fallbacks] / [inc_evictions] / [cache_kept] server metrics.
+    Flush-on-write is {!invalidate} after a write.  Repairs, fallbacks,
+    evictions and carried entries are counted in {!counters} and, when
+    {!use_metrics} is wired, as [inc_repairs] / [inc_fallbacks] /
+    [inc_evictions] / [cache_kept] server metrics.
 
     {b Budgets.}  A cache miss computes under the caller's budget, and
     only {e complete} results are stored: a [Partial] enumeration or a
@@ -126,13 +125,6 @@ val use_metrics : t -> Governor.Metrics.t -> unit
     result, and the compiled grounding's size as
     [prefer_gop_atoms]/[prefer_gop_rules] high-water gauges. *)
 
-val set_eviction : t -> [ `Delta | `Wholesale ] -> unit
-(** Eviction policy on mutation: [`Delta] (default) carries caches
-    forward per the contract above; [`Wholesale] publishes empty caches
-    (every surviving entry dropped) — the flush-on-write baseline. *)
-
-val eviction : t -> [ `Delta | `Wholesale ]
-
 val version : t -> int
 (** The current view's version number: 0 at creation, +1 per published
     mutation (including {!invalidate}).  Monotone — concurrent readers
@@ -175,9 +167,10 @@ val apply_batch : t -> Store.mutation list -> unit
     re-raises. *)
 
 val invalidate : t -> unit
-(** Republish the master's current state as a fresh view (counted as one
-    invalidation).  Used after out-of-band store changes such as a
-    snapshot {!Store.restore} during replication bootstrap. *)
+(** Republish the master's current state as a fresh view with an empty
+    cache (counted as one invalidation).  Used after out-of-band store
+    changes such as a snapshot {!Store.restore} during replication
+    bootstrap, and after a write to flush the cache wholesale. *)
 
 (** {1 Read-only views} (answered from the current snapshot; never touch
     the cache counters) *)

@@ -52,14 +52,10 @@ let of_literals_opt ls =
 let to_literals i =
   Atom.Map.fold (fun a b acc -> Literal.make b a :: acc) i [] |> List.rev
 
-let to_set i = Literal.Set.of_list (to_literals i)
 let defined_atoms i = List.map fst (Atom.Map.bindings i)
 
 let true_atoms i =
   Atom.Map.fold (fun a b acc -> if b then a :: acc else acc) i [] |> List.rev
-
-let false_atoms i =
-  Atom.Map.fold (fun a b acc -> if b then acc else a :: acc) i [] |> List.rev
 
 let undefined_atoms i ~base =
   List.filter (fun a -> not (Atom.Map.mem a i)) base
@@ -97,8 +93,6 @@ let fold = Atom.Map.fold
 let iter = Atom.Map.iter
 let for_all = Atom.Map.for_all
 let exists = Atom.Map.exists
-let sat_body i body = List.for_all (fun l -> holds i l) body
-let blocked_body i body = List.exists (fun l -> value_lit i l = False) body
 
 let compare_value v1 v2 =
   let rank = function

@@ -49,11 +49,8 @@ val of_literals_opt : Literal.t list -> t option
 val to_literals : t -> Literal.t list
 (** The literal-set view, sorted. *)
 
-val to_set : t -> Literal.Set.t
-
 val defined_atoms : t -> Atom.t list
 val true_atoms : t -> Atom.t list
-val false_atoms : t -> Atom.t list
 
 val undefined_atoms : t -> base:Atom.t list -> Atom.t list
 (** [undefined_atoms i ~base] is the paper's [I-bar]: atoms of [base] that
@@ -77,14 +74,6 @@ val fold : (Atom.t -> bool -> 'a -> 'a) -> t -> 'a -> 'a
 val iter : (Atom.t -> bool -> unit) -> t -> unit
 val for_all : (Atom.t -> bool -> bool) -> t -> bool
 val exists : (Atom.t -> bool -> bool) -> t -> bool
-
-val sat_body : t -> Literal.t list -> bool
-(** [sat_body i b] iff every literal of [b] is true in [i] ([B(r) <= I]) —
-    the rule is {e applicable}. *)
-
-val blocked_body : t -> Literal.t list -> bool
-(** [blocked_body i b] iff some literal of [b] has its complement in [i] —
-    the rule is {e blocked} (paper, Definition 2). *)
 
 val value_conj : t -> Literal.t list -> value
 (** Three-valued value of a conjunction: the minimum of the literal values

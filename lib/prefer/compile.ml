@@ -100,9 +100,9 @@ let compile ?(trace = false) (spec : Spec.t) =
     trace
   }
 
-let gop ?budget ?max_instances ?grounder ?depth ?extra_constants t =
-  Ordered.Gop.ground ?budget ?max_instances ?grounder ?depth
-    ?extra_constants t.program t.viewpoint
+let gop ?budget ?max_instances ?depth ?extra_constants t =
+  Ordered.Gop.ground ?budget ?max_instances ?depth ?extra_constants t.program
+    t.viewpoint
 
 let project m =
   Interp.fold

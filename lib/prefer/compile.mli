@@ -32,7 +32,6 @@ val compile : ?trace:bool -> Spec.t -> t
 val gop :
   ?budget:Ordered.Budget.t ->
   ?max_instances:int ->
-  ?grounder:[ `Naive | `Relevant ] ->
   ?depth:int ->
   ?extra_constants:Logic.Term.t list ->
   t ->

@@ -127,10 +127,6 @@ let make program viewpoint prefs =
     Ordered.Diag.fail (Ordered.Diag.Preference_cycle { cycle = List.map label c }));
   { program; viewpoint; prefs }
 
-let named_rules t =
-  Ordered.Program.view t.program t.viewpoint
-  |> List.filter_map (fun (_, r) -> Rule.name r)
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>%a@,%a@]" Ordered.Program.pp t.program
     (Format.pp_print_list ~pp_sep:Format.pp_print_cut (fun ppf (a, b) ->

@@ -32,7 +32,4 @@ val check_pairs : (string * string) list -> unit
     {!Ordered.Diag.Preference_cycle}.  Used by the KB mutation path,
     which accepts preferences before the named rules exist. *)
 
-val named_rules : t -> string list
-(** Names of the named rules visible from the viewpoint, in view order. *)
-
 val pp : Format.formatter -> t -> unit

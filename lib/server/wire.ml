@@ -237,8 +237,8 @@ let parse ?(max_len = default_max_len) s =
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The escape of one byte, or [""] for a byte copied as it is: only
-   ['"'], ['\\'] and the control bytes below 0x20 are escaped. *)
+(* The escape of a byte that needs one: ['"'], ['\\'] or a control byte
+   below 0x20. *)
 let escape = function
   | '"' -> "\\\""
   | '\\' -> "\\\\"
@@ -247,20 +247,20 @@ let escape = function
   | '\t' -> "\\t"
   | '\b' -> "\\b"
   | '\012' -> "\\f"
-  | '\000' .. '\031' as c -> Printf.sprintf "\\u%04x" (Char.code c)
-  | _ -> ""
+  | c -> Printf.sprintf "\\u%04x" (Char.code c)
 
-(* Copies each run of bytes that needs no escaping in one piece. *)
+(* Copies each run of bytes that needs no escaping in one piece; the
+   test for an escaped byte is inline, so a plain byte costs no call. *)
 let add_escaped buf s =
   Buffer.add_char buf '"';
   let run = ref 0 in
   for i = 0 to String.length s - 1 do
-    let e = escape (String.unsafe_get s i) in
-    if String.length e > 0 then begin
+    match String.unsafe_get s i with
+    | ('"' | '\\' | '\000' .. '\031') as c ->
       Buffer.add_substring buf s !run (i - !run);
-      Buffer.add_string buf e;
+      Buffer.add_string buf (escape c);
       run := i + 1
-    end
+    | _ -> ()
   done;
   Buffer.add_substring buf s !run (String.length s - !run);
   Buffer.add_char buf '"'
@@ -358,7 +358,7 @@ and request = { id : int option; budget : budget_spec; verb : verb }
 
 and batch_item = (request, string) result
 
-let package_version = "1.9.0"
+let package_version = "1.10.0"
 let protocol_revision = 8
 let max_batch = 256
 

@@ -1,0 +1,146 @@
+(* Relevance-driven grounding for the classical substrate (see the
+   interface for why the ordered engines do not use it). *)
+
+open Logic
+module Budget = Governor.Budget
+
+let collect_active rules =
+  let acc = ref Atom.Set.empty in
+  List.iter
+    (fun r ->
+      acc := Atom.Set.add (Rule.head r).Literal.atom !acc;
+      List.iter (fun (l : Literal.t) -> acc := Atom.Set.add l.atom !acc) (Rule.body r))
+    rules;
+  Atom.Set.elements !acc
+
+let setup ?(depth = 0) ?(extra_constants = []) rules =
+  let sg = Herbrand.signature_of_rules rules in
+  let sg =
+    { sg with
+      constants =
+        Term.Set.elements
+          (Term.Set.union
+             (Term.Set.of_list sg.constants)
+             (Term.Set.of_list extra_constants))
+    }
+  in
+  let universe = Herbrand.universe ~depth sg in
+  let full_base =
+    lazy (Herbrand.base ~depth ~skip:Ground.Builtin.is_builtin sg)
+  in
+  (universe, full_base)
+
+module Idx = struct
+  type t = (string * bool, Literal.t list ref) Hashtbl.t
+
+  let create () : t = Hashtbl.create 64
+
+  let add (idx : t) (l : Literal.t) =
+    let key = (l.atom.pred, l.pol) in
+    match Hashtbl.find_opt idx key with
+    | Some cell -> cell := l :: !cell
+    | None -> Hashtbl.add idx key (ref [ l ])
+
+  let find (idx : t) (l : Literal.t) =
+    match Hashtbl.find_opt idx (l.atom.pred, l.pol) with
+    | Some cell -> !cell
+    | None -> []
+end
+
+(* Match the ordinary body literals of [r] left-to-right against the
+   indexed literal set, requiring (for semi-naive evaluation) that at least
+   one of them matches a literal of [delta] when [delta] is non-empty.
+   Remaining unbound variables are enumerated over [universe]. *)
+let instances_against ~budget ~naf ~universe ~idx ~delta_idx ~use_delta
+    (r : Rule.t) =
+  let ordinary =
+    List.filter
+      (fun l ->
+        (not (Ground.Builtin.is_builtin_literal l))
+        && not (naf && Literal.is_negative l))
+      (Rule.body r)
+  in
+  let out = ref [] in
+  let rec go lits subst used_delta =
+    Budget.tick budget;
+    match lits with
+    | [] ->
+      if (not use_delta) || used_delta then begin
+        let bound = Rule.apply subst r in
+        let leftover = Rule.vars bound in
+        Herbrand.instantiations universe leftover
+        |> Seq.iter (fun s ->
+               Budget.tick budget;
+               match Ground.Grounder.finalize_instance (Rule.apply s bound) with
+               | Some inst -> out := inst :: !out
+               | None -> ())
+      end
+    | (l : Literal.t) :: rest ->
+      let l' = Subst.apply_literal subst l in
+      let try_cands from_delta cands =
+        List.iter
+          (fun cand ->
+            match Unify.match_literal ~init:subst l' cand with
+            | Some subst' -> go rest subst' (used_delta || from_delta)
+            | None -> ())
+          cands
+      in
+      (* Candidates: to avoid duplicate work in semi-naive rounds we match
+         against old facts and delta separately only through the flag. *)
+      try_cands false (Idx.find idx l');
+      try_cands true (Idx.find delta_idx l')
+  in
+  go ordinary Subst.empty false;
+  !out
+
+let relevant ?(budget = Budget.unlimited) ?(naf = false) ?depth
+    ?extra_constants rules =
+  let universe, full_base = setup ?depth ?extra_constants rules in
+  let old_idx = Idx.create () in
+  let seen = ref Literal.Set.empty in
+  let produced = ref Rule.Set.empty in
+  (* Round 0: all rules against the (empty old + initial delta) database.
+     Facts and rules whose variables are all unbound fall back to universe
+     enumeration, seeding the derivable set. *)
+  let delta = ref [] in
+  let delta_idx = ref (Idx.create ()) in
+  let emit (inst : Rule.t) =
+    if not (Rule.Set.mem inst !produced) then begin
+      produced := Rule.Set.add inst !produced;
+      let h = Rule.head inst in
+      if not (Literal.Set.mem h !seen) then begin
+        seen := Literal.Set.add h !seen;
+        delta := h :: !delta
+      end
+    end
+  in
+  List.iter
+    (fun r ->
+      instances_against ~budget ~naf ~universe ~idx:old_idx
+        ~delta_idx:(Idx.create ()) ~use_delta:false r
+      |> List.iter emit)
+    rules;
+  let rec loop () =
+    if !delta <> [] then begin
+      Budget.check budget;
+      let d = !delta in
+      delta := [];
+      delta_idx := Idx.create ();
+      List.iter (Idx.add !delta_idx) d;
+      List.iter
+        (fun r ->
+          instances_against ~budget ~naf ~universe ~idx:old_idx
+            ~delta_idx:!delta_idx ~use_delta:true r
+          |> List.iter emit)
+        rules;
+      List.iter (Idx.add old_idx) d;
+      loop ()
+    end
+  in
+  loop ();
+  let ground = Rule.Set.elements !produced in
+  { Ground.Grounder.rules = ground;
+    universe;
+    active_base = collect_active ground;
+    full_base
+  }

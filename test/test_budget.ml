@@ -416,21 +416,12 @@ let test_boolean_queries_raise () =
   | (_ : bool) -> Alcotest.fail "brave under a tiny budget must raise"
 
 (* ------------------------------------------------------------------ *)
-(* Instance caps and typed diagnostics                                 *)
+(* The instance cap and typed diagnostics                             *)
 (* ------------------------------------------------------------------ *)
 
-let test_instance_cap () =
-  let prog = W.islands 4 6 in
-  let comp = Ordered.Program.component_id_exn prog "main" in
-  match
-    Ordered.Gop.ground ~budget:(B.make ~max_instances:3 ()) prog comp
-  with
-  | exception B.Exhausted B.Instances -> ()
-  | (_ : Ordered.Gop.t) -> Alcotest.fail "instance cap must trip"
-
 let test_overflow_diagnostic () =
-  (* distinct from the budget: the max_instances cap raises a typed
-     diagnostic naming the offending source rule *)
+  (* the one instance cap, distinct from the budget: max_instances
+     raises a typed diagnostic naming the offending source rule *)
   let prog = W.islands 4 6 in
   let comp = Ordered.Program.component_id_exn prog "main" in
   match Ordered.Gop.ground ~max_instances:3 prog comp with
@@ -545,7 +536,6 @@ let suite =
       `Quick test_single_part_budget;
     Alcotest.test_case "boolean queries raise" `Quick
       test_boolean_queries_raise;
-    Alcotest.test_case "instance cap" `Quick test_instance_cap;
     Alcotest.test_case "overflow diagnostic" `Quick test_overflow_diagnostic;
     Alcotest.test_case "fixpoint trips" `Quick test_vfix_trip;
     Alcotest.test_case "datalog enumeration trips" `Quick test_datalog_trip

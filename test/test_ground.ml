@@ -1,9 +1,13 @@
-(* Unit tests for the grounding substrate: builtins, safety, grounders. *)
+(* Unit tests for the grounding substrate: builtins, safety, the
+   reference grounder, and the classical oracle's relevance-driven
+   grounder (with the witness that it does not preserve ordered
+   semantics). *)
 
 open Logic
 open Helpers
 module B = Ground.Builtin
 module G = Ground.Grounder
+module R = Datalog.Grounder
 
 let check_term = Alcotest.check testable_term
 
@@ -132,13 +136,13 @@ let test_finalize_instance () =
     (G.finalize_instance (rule "p(a) :- a < b."))
 
 (* ------------------------------------------------------------------ *)
-(* Relevance-driven grounding                                          *)
+(* Relevance-driven grounding (the classical oracle's)                *)
 (* ------------------------------------------------------------------ *)
 
 let test_relevant_prunes () =
   let src = rules "p(X) :- q(X). q(a). r(b)." in
   let naive = G.naive src in
-  let relevant = G.relevant src in
+  let relevant = R.relevant src in
   Alcotest.(check bool) "relevant subset of naive" true
     (List.for_all (fun r -> List.mem r naive.G.rules) relevant.G.rules);
   Alcotest.(check bool) "p(a) kept" true
@@ -152,15 +156,15 @@ let test_relevant_classical_negative_support () =
   (* Classical mode: a negative body literal needs a derived negative
      head. *)
   let src = rules "-q(a). p(X) :- -q(X)." in
-  let g = G.relevant src in
+  let g = R.relevant src in
   Alcotest.(check bool) "p(a) supported by -q(a)" true
     (List.mem (rule "p(a) :- -q(a).") g.G.rules)
 
 let test_relevant_naf_mode () =
   (* NAF mode: negative literals are assumed satisfiable. *)
   let src = rules "p(X) :- q(X), -r(X). q(a)." in
-  let classical = G.relevant src in
-  let naf = G.relevant ~naf:true src in
+  let classical = R.relevant src in
+  let naf = R.relevant ~naf:true src in
   Alcotest.(check bool) "classical prunes (no -r derivable)" false
     (List.mem (rule "p(a) :- q(a), -r(a).") classical.G.rules);
   Alcotest.(check bool) "naf keeps" true
@@ -172,7 +176,7 @@ let test_relevant_recursive () =
       "anc(X, Y) :- parent(X, Y). anc(X, Y) :- parent(X, Z), anc(Z, Y). \
        parent(a, b). parent(b, c)."
   in
-  let g = G.relevant src in
+  let g = R.relevant src in
   Alcotest.(check bool) "transitive instance found" true
     (List.mem (rule "anc(a, c) :- parent(a, b), anc(b, c).") g.G.rules);
   (* No instance joins unreachable pairs in the first position. *)
@@ -194,23 +198,27 @@ let test_relevant_equals_naive_fixpoint () =
     Datalog.Nprog.decode_mask p (Datalog.Consequence.lfp p)
   in
   Alcotest.(check bool) "same minimal model" true
-    (Atom.Set.equal (m (G.naive src)) (m (G.relevant src)))
+    (Atom.Set.equal (m (G.naive src)) (m (R.relevant src)))
 
 let test_relevant_ordered_caveat () =
   (* The documented counterexample: dropping a rule with an underivable
      body changes the least ordered model, because the dropped rule would
-     still have suppressed a contradictor. *)
-  let prog = program "q :- q. -q. p :- q." |> ignore in
-  ignore prog;
+     still have suppressed a contradictor.  The relevant grounding of the
+     OV view is interned by keeping the reference grounding's tagged
+     instances the relevance grounder also produces. *)
   let rules_ = rules "q :- q. p :- q." in
   let ov = Ordered.Bridge.ov rules_ in
   let id = Ordered.Program.component_id_exn ov "main" in
-  let naive_m =
-    Ordered.Vfix.least_model (Ordered.Gop.ground ~grounder:`Naive ov id)
+  let naive_m = Ordered.Vfix.least_model (Ordered.Gop.ground ov id) in
+  let relevant =
+    Rule.Set.of_list
+      (R.relevant (List.map snd (Ordered.Program.view ov id))).G.rules
   in
-  let rel_m =
-    Ordered.Vfix.least_model (Ordered.Gop.ground ~grounder:`Relevant ov id)
+  let tagged =
+    Ordered.Gop.flatten_groups (Ordered.Gop.ground_groups ov id)
+    |> List.filter (fun (_, r) -> Rule.Set.mem r relevant)
   in
+  let rel_m = Ordered.Vfix.least_model (Ordered.Gop.of_view ov id tagged) in
   Alcotest.(check bool) "least models differ" false
     (Interp.equal naive_m rel_m);
   (* naive: q stays undefined (the CWA fact is overruled by the non-blocked
@@ -244,18 +252,3 @@ let suite =
     Alcotest.test_case "relevant grounding caveat on ordered programs" `Quick
       test_relevant_ordered_caveat
   ]
-
-let test_max_instances_guard () =
-  let src = rules "t(X, Y, Z) :- n(X), n(Y), n(Z). n(1). n(2). n(3). n(4)." in
-  (match G.naive ~max_instances:10 src with
-  | exception
-      Governor.Diag.Error
-        (Governor.Diag.Grounding_overflow { cap = 10; produced; _ }) ->
-    Alcotest.(check bool) "produced exceeds cap" true (produced > 10)
-  | _ -> Alcotest.fail "blow-up guard should trigger");
-  (* a generous budget passes *)
-  ignore (G.naive ~max_instances:100 src)
-
-let suite =
-  suite
-  @ [ Alcotest.test_case "max_instances guard" `Quick test_max_instances_guard ]

@@ -183,7 +183,7 @@ let test_decode_requests () =
   (* revision 8: one engine per question, the selectors reduced to the
      value naming it *)
   Alcotest.(check int) "protocol revision" 8 W.protocol_revision;
-  Alcotest.(check string) "package version" "1.9.0" W.package_version;
+  Alcotest.(check string) "package version" "1.10.0" W.package_version;
   (match W.decode_request {|{"op":"query","obj":"c1","lit":"p","id":7}|} with
   | Ok
       { id = Some 7;

@@ -131,14 +131,17 @@ let test_delta_eviction () =
     after.KS.invalidations;
   Alcotest.(check int) "repeat is a hit" (before.KS.hits + 1) after.KS.hits;
 
-  (* the wholesale baseline restores flush-on-write *)
-  KS.set_eviction s `Wholesale;
-  Alcotest.(check bool) "eviction mode set" true (KS.eviction s = `Wholesale);
+  (* flush-on-write is invalidate after the write: the write carries
+     bot's entries, the flush empties the cache, and the next read is a
+     miss *)
   KS.add_rule_src s ~obj:"extra" "z.";
-  Alcotest.(check int) "wholesale: cache emptied" 0 (KS.counters s).KS.entries;
+  Alcotest.(check bool) "write carried entries" true
+    ((KS.counters s).KS.entries > 0);
+  KS.invalidate s;
+  Alcotest.(check int) "invalidate: cache emptied" 0 (KS.counters s).KS.entries;
   let m = (KS.counters s).KS.misses in
   prime_bot ();
-  Alcotest.(check int) "wholesale: recompute is a miss" (m + 1)
+  Alcotest.(check int) "invalidate: recompute is a miss" (m + 1)
     (KS.counters s).KS.misses
 
 let test_partial_not_cached () =
@@ -385,6 +388,139 @@ let test_failed_load_changes_nothing () =
   Alcotest.(check (list string)) "objects after the next write" [ "a" ]
     (KS.objects s)
 
+(* ------------------------------------------------------------------ *)
+(* A failed write changes nothing, as a law                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Random mutation streams mixing valid writes with invalid ones — a
+   duplicate define, an unknown parent, an unknown object, malformed
+   rule text, a load whose second component is a duplicate, a cyclic or
+   self preference.  After every step the published view must equal a
+   fresh store replayed from the mutations recorded so far (each one
+   round-tripped through the WAL codec), and the session's least model
+   of one viewpoint must equal the scratch least model of that store.
+   A failed write that mutated the master, logged a record or published
+   a view breaks the equation at that step or the next.  Scaled by
+   FUZZ_ITERS (wired as session in the Makefile's fuzz target). *)
+
+let names = [| "a"; "b"; "c"; "d"; "e" |]
+
+let rule_texts =
+  [| "p."; "q :- p."; "-p :- r."; "r :- -q."; "w(k1)."; "v(X) :- w(X).";
+     "n1 : q :- -r."; "n2 : -q :- p."
+  |]
+
+let malformed_texts = [| "p :- ."; "q(a"; ":- p."; "p q." |]
+let rule_names = [| "n1"; "n2"; "n3" |]
+
+(* One step: a kind and three free indices, resolved against the pools
+   above (names beyond the defined ones make unknown objects and
+   parents, repeated names make duplicates). *)
+type step = int * int * int * int
+
+let pick pool i = pool.(i mod Array.length pool)
+
+let describe ((k, a, b, c) : step) =
+  let n = pick names and r = pick rule_texts in
+  match k mod 6 with
+  | 0 ->
+    Printf.sprintf "define %s isa [%s] { %s }" (n a)
+      (if b mod 3 = 0 then "" else n b)
+      (r c)
+  | 1 ->
+    Printf.sprintf "add_rule %s %S" (n a)
+      (if c mod 3 = 0 then pick malformed_texts b else r b)
+  | 2 -> Printf.sprintf "remove_rule %s %S" (n a) (r b)
+  | 3 ->
+    Printf.sprintf "load %s%s" (n a)
+      (if c mod 2 = 0 then " + " ^ n b else " extends " ^ n b)
+  | 4 ->
+    Printf.sprintf "prefer %s > %s" (pick rule_names a) (pick rule_names b)
+  | _ -> Printf.sprintf "new_version %s" (n a)
+
+let run_step s ((k, a, b, c) : step) =
+  let n = pick names and r i = rule (pick rule_texts i) in
+  match k mod 6 with
+  | 0 -> KS.define s ~isa:(if b mod 3 = 0 then [] else [ n b ]) (n a) [ r c ]
+  | 1 ->
+    if c mod 3 = 0 then KS.add_rule_src s ~obj:(n a) (pick malformed_texts b)
+    else KS.add_rule s ~obj:(n a) (r b)
+  | 2 -> ignore (KS.remove_rule s ~obj:(n a) (r b) : bool)
+  | 3 ->
+    KS.load s
+      (if c mod 2 = 0 then
+         Printf.sprintf "component %s { %s } component %s { p. }" (n a)
+           (pick rule_texts c) (n b)
+       else
+         Printf.sprintf "component %s extends %s { %s }" (n a) (n b)
+           (pick rule_texts c))
+  | 4 -> KS.set_preference s ~rule:(pick rule_names a) ~over:(pick rule_names b)
+  | _ -> ignore (KS.new_version s (n a) : string)
+
+let replay records =
+  let kb = Kb.Store.create () in
+  List.iter
+    (fun m ->
+      match Persist.Record.(decode_mutation (encode_mutation m)) with
+      | Ok m -> Kb.Store.apply kb m
+      | Error e -> Alcotest.failf "record does not round-trip: %s" e)
+    records;
+  kb
+
+let view_equals_store s kb =
+  let objs = KS.objects s in
+  objs = Kb.Store.objects kb
+  && List.for_all
+       (fun o ->
+         KS.parents s o = Kb.Store.parents kb o
+         && List.equal Rule.equal (KS.rules s o) (Kb.Store.rules kb o))
+       objs
+  && KS.preferences s = Kb.Store.preferences kb
+
+let prop_failed_write_changes_nothing =
+  let gen_step =
+    QCheck2.Gen.(
+      quad (int_bound 5) (int_bound 7) (int_bound 7) (int_bound 11))
+  in
+  let count =
+    match Option.bind (Sys.getenv_opt "FUZZ_ITERS") int_of_string_opt with
+    | Some n when n > 80 -> n
+    | _ -> 80
+  in
+  qcheck ~count
+    ~print:(fun (steps, _) -> String.concat "; " (List.map describe steps))
+    "a failed write changes nothing"
+    QCheck2.Gen.(pair (list_size (int_range 4 16) gen_step) (int_bound 7))
+    (fun (steps, view) ->
+      let s = KS.create () in
+      let records = ref [] in
+      KS.on_mutation s (fun m -> records := m :: !records);
+      KS.load s "component a { p. n1 : q :- p. }";
+      List.for_all
+        (fun step ->
+          (match run_step s step with
+          | () -> ()
+          | exception
+              (Invalid_argument _ | Lang.Parser.Error _ | Lang.Lexer.Error _
+              | Ordered.Diag.Error _) ->
+            ());
+          let kb = replay (List.rev !records) in
+          view_equals_store s kb
+          &&
+          (* a load may leave an invalid order, which every read then
+             reports: the session must report it exactly when the
+             replayed store does *)
+          let obj = pick (Array.of_list (KS.objects s)) view in
+          let outcome f =
+            match f () with
+            | m -> Some m
+            | exception Invalid_argument _ -> None
+          in
+          Option.equal Interp.equal
+            (outcome (fun () -> KS.least_model s ~obj))
+            (outcome (fun () -> Scratch.least_model kb ~obj)))
+        steps)
+
 let suite =
   [ Alcotest.test_case "hit after repeat" `Quick test_hit_after_repeat;
     Alcotest.test_case "a write costs its cone, not the KB" `Quick
@@ -399,5 +535,6 @@ let suite =
       test_partial_not_cached;
     Alcotest.test_case "a failed load changes nothing" `Quick
       test_failed_load_changes_nothing;
-    prop_cached_equals_uncached
+    prop_cached_equals_uncached;
+    prop_failed_write_changes_nothing
   ]
