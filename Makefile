@@ -13,6 +13,15 @@ FUZZ_SUITES = fuzz=5000 diff-stable=2000 diff-prefer=5000 diff-inc=1500 \
 CHAOS_FUZZ_SUITES = replica=2000 proto=20000 persist=20000
 CRASH_SUITES = crash replica linearize
 
+# Run one suite command and print the last line of its stdout (the
+# one-line summary); if the suite failed, print its whole output and
+# stop with its status.  A pipe into tail would exit with tail's
+# status, so a failing suite would pass the loop.
+define summary
+out=$$($(1)); st=$$?; printf '%s\n' "$$out" | tail -1; \
+	  if [ $$st -ne 0 ]; then printf '%s\n' "$$out"; exit $$st; fi
+endef
+
 all: build
 
 build:
@@ -95,10 +104,9 @@ bench-concurrent:
 # repeatedly to shake out schedules.
 stress:
 	@for i in 1 2 3 4 5; do \
-	  OCAMLRUNPARAM=b timeout 60 dune exec test/main.exe -- test parallel -e \
-	    | tail -1; \
-	  OCAMLRUNPARAM=b timeout 60 dune exec test/main.exe -- test linearize -e \
-	    | tail -1; done
+	  $(call summary,OCAMLRUNPARAM=b timeout 60 dune exec test/main.exe -- test parallel -e); \
+	  $(call summary,OCAMLRUNPARAM=b timeout 60 dune exec test/main.exe -- test linearize -e); \
+	  done
 
 # Crash recovery under exhaustive fault injection: tear the WAL at
 # every write boundary of a mutation script and check that recovery
@@ -108,7 +116,7 @@ stress:
 # primary is refused everywhere).
 crash-test:
 	@for s in $(CRASH_SUITES); do \
-	  dune exec test/main.exe -- test $$s -e; done
+	  dune exec test/main.exe -- test $$s -e || exit 1; done
 
 # The aggregate fault sweep: crash/kill recovery, the fencing and
 # failover suites at a larger differential-schedule count, and the
@@ -116,8 +124,8 @@ crash-test:
 # trusting a failover story.
 chaos: crash-test
 	@for sc in $(CHAOS_FUZZ_SUITES); do \
-	  FUZZ_ITERS=$${sc#*=} dune exec test/main.exe -- test $${sc%%=*} -e \
-	    | tail -1; done
+	  $(call summary,FUZZ_ITERS=$${sc#*=} dune exec test/main.exe -- test $${sc%%=*} -e); \
+	  done
 	dune build @replica @cluster
 
 # Microbenchmarks of the core engines (bechamel).
@@ -156,11 +164,11 @@ doc:  # requires odoc
 # count ($(FUZZ_SUITES)).
 fuzz:
 	@for i in 1 2 3 4 5 6 7 8; do \
-	  QCHECK_SEED=$$((i * 7919)) dune exec test/main.exe -- -e \
-	    | tail -1; done
+	  $(call summary,QCHECK_SEED=$$((i * 7919)) dune exec test/main.exe -- -e); \
+	  done
 	@for sc in $(FUZZ_SUITES); do \
-	  FUZZ_ITERS=$${sc#*=} dune exec test/main.exe -- test $${sc%%=*} -e \
-	    | tail -1; done
+	  $(call summary,FUZZ_ITERS=$${sc#*=} dune exec test/main.exe -- test $${sc%%=*} -e); \
+	  done
 
 clean:
 	dune clean

@@ -1,4 +1,4 @@
-(** Resource budgets (deadline, steps, instances, cancellation) — see
+(** Resource budgets (deadline, steps, fault injection) — see
     {!Governor.Budget} for the full documentation.  Re-exported here so
     users of the [Ordered] library need not depend on [Governor]
     directly. *)

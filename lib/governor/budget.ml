@@ -1,20 +1,18 @@
-type reason = Deadline | Steps | Cancelled | Fault
+type reason = Deadline | Steps | Fault
 
 exception Exhausted of reason
 
 type t = {
   deadline : float option;  (** absolute wall-clock time *)
   max_steps : int option;
-  cancel_flag : bool ref;
   mutable steps : int;
   mutable trip_at : int;  (** fault injection step; [-1] when disarmed *)
   mutable spent : reason option;  (** sticky once a real limit trips *)
 }
 
-let make ?timeout ?max_steps ?cancel () =
+let make ?timeout ?max_steps () =
   { deadline = Option.map (fun s -> Unix.gettimeofday () +. s) timeout;
     max_steps;
-    cancel_flag = (match cancel with Some c -> c | None -> ref false);
     steps = 0;
     trip_at = -1;
     spent = None
@@ -31,9 +29,8 @@ let exhaust b r =
   b.spent <- Some r;
   raise (Exhausted r)
 
-(* Slow path: read the clock and the cancellation flag. *)
+(* Slow path: read the clock. *)
 let poll b =
-  if !(b.cancel_flag) then exhaust b Cancelled;
   match b.deadline with
   | Some d when Unix.gettimeofday () > d -> exhaust b Deadline
   | _ -> ()
@@ -67,14 +64,12 @@ let check b =
 
 let poll_deadline = poll
 
-let cancel b = b.cancel_flag := true
 let steps b = b.steps
 let exhausted b = b.spent
 
 let reason_to_string = function
   | Deadline -> "deadline"
   | Steps -> "steps"
-  | Cancelled -> "cancelled"
   | Fault -> "fault"
 
 type 'a anytime = Complete of 'a | Partial of 'a * reason

@@ -5,8 +5,6 @@
     - a wall-clock {e deadline} ([timeout], seconds from creation);
     - a {e step} budget (units of solver work: fixpoint queue pops,
       enumeration nodes, grounding candidates);
-    - a cooperative {e cancellation} flag (flipped from another thread or a
-      signal handler);
     - an optional deterministic {e fault injection} point for tests.
 
     Long-running loops call {!tick} (one unit of work) or {!check} (poll
@@ -23,22 +21,15 @@
 type reason =
   | Deadline  (** wall-clock timeout elapsed *)
   | Steps  (** step budget consumed *)
-  | Cancelled  (** cooperative cancellation flag was set *)
   | Fault  (** deterministic fault injection ({!with_trip_at}) *)
 
 exception Exhausted of reason
 
 type t
 
-val make :
-  ?timeout:float ->
-  ?max_steps:int ->
-  ?cancel:bool ref ->
-  unit ->
-  t
+val make : ?timeout:float -> ?max_steps:int -> unit -> t
 (** Fresh budget.  [timeout] is seconds from now ([0.] is already
-    exhausted); omitted limits are infinite.  [cancel] lets the caller keep
-    a handle on the cancellation flag. *)
+    exhausted); omitted limits are infinite. *)
 
 val unlimited : t
 (** The shared no-limit budget (the default everywhere).  Ticking it only
@@ -53,18 +44,14 @@ val tick : t -> unit
 (** Count one unit of work.  Raises {!Exhausted} when a limit is hit. *)
 
 val check : t -> unit
-(** Poll the deadline and cancellation flag without consuming a step
+(** Poll the deadline without consuming a step
     (always reads the clock; use at loop-round granularity). *)
 
 val poll_deadline : t -> unit
-(** Poll only the deadline and the cancellation flag: no step is used,
+(** Poll only the deadline: no step is used,
     and a step limit that already tripped does not re-raise
     (unlike {!check}), so work that merely post-processes a step-limited
     prefix can still finish while a deadline stops it. *)
-
-val cancel : t -> unit
-(** Flip the cooperative cancellation flag: the next {!tick}/{!check}
-    raises [Exhausted Cancelled]. *)
 
 val steps : t -> int
 
@@ -73,7 +60,7 @@ val exhausted : t -> reason option
 
 val reason_to_string : reason -> string
 (** Machine-readable lowercase tag: ["deadline"], ["steps"],
-    ["cancelled"], ["fault"]. *)
+    ["fault"]. *)
 
 (** {1 Anytime results} *)
 

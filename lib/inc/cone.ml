@@ -1,6 +1,6 @@
 module Gop = Ordered.Gop
 
-type t = { atoms : bool array; rules : bool array; marked : int }
+type t = { atoms : bool array; rules : bool array }
 
 (* Closure invariants (see docs/INCREMENTAL.md for the soundness proof):
    - a marked rule marks its head atom (its derivations may change);
@@ -17,7 +17,6 @@ let affected (g : Gop.t) (d : Delta.t) =
   let na = Gop.n_atoms g and nr = Gop.n_rules g in
   let atoms = Array.make (max 1 na) false in
   let rules = Array.make (max 1 nr) false in
-  let marked = ref 0 in
   let rec mark_rule i =
     if not rules.(i) then begin
       rules.(i) <- true;
@@ -26,7 +25,6 @@ let affected (g : Gop.t) (d : Delta.t) =
   and mark_atom a =
     if not atoms.(a) then begin
       atoms.(a) <- true;
-      incr marked;
       let touch j =
         mark_rule j;
         List.iter mark_rule g.Gop.suppresses.(j)
@@ -52,7 +50,4 @@ let affected (g : Gop.t) (d : Delta.t) =
             List.iter mark_rule g.Gop.suppresses.(j))
           g.Gop.by_head.(ai))
     (Delta.touched_atoms d);
-  { atoms; rules; marked = !marked }
-
-let mem_atom t a = t.atoms.(a)
-let n_marked t = t.marked
+  { atoms; rules }

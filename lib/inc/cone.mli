@@ -8,12 +8,7 @@
     restricted to the complement coincides in the old and new program
     (docs/INCREMENTAL.md spells out the induction). *)
 
-type t = { atoms : bool array; rules : bool array; marked : int }
+type t = { atoms : bool array; rules : bool array }
 
 val affected : Ordered.Gop.t -> Delta.t -> t
 (** Computed on the {e repaired} grounding ([Reground]'s output). *)
-
-val mem_atom : t -> int -> bool
-
-val n_marked : t -> int
-(** Number of affected atoms — the amount of fixpoint work repair redoes. *)

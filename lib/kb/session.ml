@@ -252,36 +252,25 @@ let next_cache t c (m : Store.mutation) =
         note t t.kept "cache_kept" (OpMap.cardinal vc.results);
         put w vc c)
       c c
-  | Store.Add_rule { obj; _ } | Store.Remove_rule { obj; _ } -> (
-    (* Records exist only for views grounded against a valid order, and
-       only a load (which empties the cache) can make it invalid; a
-       failure here is evicted like any other, so the write stands. *)
-    match
-      if StrMap.is_empty c then None
-      else
-        let program = Store.to_program t.master in
-        Some (program, Ordered.Program.component_id_exn program obj)
-    with
-    | None -> c
-    | exception _ ->
-      note t t.evictions "inc_evictions" (count_entries c);
-      StrMap.empty
-    | Some (program, o) ->
-      (* [w]'s view [C*] contains [obj] iff [w <= obj] in the order *)
-      let poset = Ordered.Program.poset program in
-      let sees w =
-        match Ordered.Program.component_id program w with
-        | Some i -> Ordered.Poset.leq poset i o
-        | None -> true
-      in
-      StrMap.fold
-        (fun w vc c ->
-          if sees w then put w (repair_viewpoint t ~program vc) c
-          else begin
-            note t t.kept "cache_kept" (OpMap.cardinal vc.results);
-            c
-          end)
-        c c)
+  | Store.Add_rule _ | Store.Remove_rule _ when StrMap.is_empty c -> c
+  | Store.Add_rule { obj; _ } | Store.Remove_rule { obj; _ } ->
+    let program = Store.to_program t.master in
+    let o = Ordered.Program.component_id_exn program obj in
+    (* [w]'s view [C*] contains [obj] iff [w <= obj] in the order *)
+    let poset = Ordered.Program.poset program in
+    let sees w =
+      match Ordered.Program.component_id program w with
+      | Some i -> Ordered.Poset.leq poset i o
+      | None -> true
+    in
+    StrMap.fold
+      (fun w vc c ->
+        if sees w then put w (repair_viewpoint t ~program vc) c
+        else begin
+          note t t.kept "cache_kept" (OpMap.cardinal vc.results);
+          c
+        end)
+      c c
 
 (* Publish the master's state as the next immutable version carrying
    [c].  Caller holds [write_lock], so version numbers are gapless and

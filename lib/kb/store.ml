@@ -11,39 +11,43 @@ type t = {
   mutable latest : (string * string) list;  (** base object -> latest version *)
   mutable version_count : (string * int) list;
   mutable prefs : (string * string) list;  (** (preferred, over), decl order *)
-  mutable program : Ordered.Program.t option;
+  mutable program : Ordered.Program.t;
       (** {!to_program}: built when a load or a dump sets the objects,
-          patched by rule edits and new objects; [None] while the order
-          is invalid *)
+          patched by rule edits and new objects *)
 }
 
-(* The ordered program of the objects (reverse definition order). *)
-let build objs =
-  Ordered.Program.make
-    (List.rev_map (fun o -> (o.name, o.rules)) objs)
-    (List.concat_map
-       (fun o -> List.map (fun p -> (o.name, p)) o.parents)
-       (List.rev objs))
+(* The ordered program of the objects (reverse definition order);
+   raises [Invalid_argument] when their order is not a strict one. *)
+let build ~where objs =
+  match
+    Ordered.Program.make
+      (List.rev_map (fun o -> (o.name, o.rules)) objs)
+      (List.concat_map
+         (fun o -> List.map (fun p -> (o.name, p)) o.parents)
+         (List.rev objs))
+  with
+  | Ok p -> p
+  | Error e -> invalid_arg (where ^ ": " ^ e)
 
 let create () =
   { objs = [];
     latest = [];
     version_count = [];
     prefs = [];
-    program = Result.to_option (build [])
+    program = build ~where:"Kb.create" []
   }
 
 (* A rule edit keeps the objects, their numbering and the order, so the
    cached program is patched in O(objects) array copying instead of
    being rebuilt. *)
 let rules_changed kb o =
+  let p = kb.program in
   kb.program <-
-    Option.map
-      (fun p ->
-        Ordered.Program.with_rules p
-          (Ordered.Program.component_id_exn p o.name)
-          o.rules)
-      kb.program
+    Ordered.Program.with_rules p
+      (Ordered.Program.component_id_exn p o.name)
+      o.rules
+
+let clone o = { name = o.name; parents = o.parents; rules = o.rules }
 
 let find kb name = List.find_opt (fun o -> String.equal o.name name) kb.objs
 
@@ -56,13 +60,13 @@ let define kb ?(isa = []) name rules =
   if find kb name <> None then
     invalid_arg (Printf.sprintf "Kb.define: duplicate object %S" name);
   List.iter (fun p -> ignore (find_exn kb p)) isa;
-  kb.objs <- { name; parents = isa; rules } :: kb.objs;
   (* a fresh object takes the next component id below existing ones, so
-     the cached program extends by one row; should that ever fail, the
-     program is rebuilt (and the failure reported) on the next read *)
-  kb.program <-
-    Option.bind kb.program (fun p ->
-        Result.to_option (Ordered.Program.extend p name ~parents:isa rules))
+     the cached program extends by one row *)
+  match Ordered.Program.extend kb.program name ~parents:isa rules with
+  | Error e -> invalid_arg ("Kb.define: " ^ e)
+  | Ok p ->
+    kb.objs <- { name; parents = isa; rules } :: kb.objs;
+    kb.program <- p
 
 let define_src kb ?isa name src =
   define kb ?isa name (Lang.Parser.parse_rules src)
@@ -94,20 +98,26 @@ let load kb src =
       known lo)
     pairs;
   if fresh <> [] then Prefer.Spec.check_pairs (kb.prefs @ fresh);
-  (* Definition order may reference later parents; insert objects first,
-     then wire parents. *)
-  List.iter
-    (fun (c : Lang.Ast.component) ->
-      kb.objs <- { name = c.name; parents = []; rules = c.rules } :: kb.objs)
-    comps;
+  (* Definition order may reference later parents: the loaded objects
+     join first, then every pair wires its parent — on copies, so the
+     order is checked (a cycle raises) before the store changes. *)
+  let objs =
+    List.rev_append
+      (List.map
+         (fun (c : Lang.Ast.component) ->
+           { name = c.name; parents = []; rules = c.rules })
+         comps)
+      (List.map clone kb.objs)
+  in
   List.iter
     (fun (lo, hi) ->
-      let o = find_exn kb lo in
+      let o = List.find (fun o -> String.equal o.name lo) objs in
       if not (List.mem hi o.parents) then o.parents <- o.parents @ [ hi ])
     pairs;
+  let program = build ~where:"Kb.load" objs in
+  kb.objs <- objs;
   kb.prefs <- kb.prefs @ fresh;
-  (* an invalid order fails at the first read, as {!to_program} says *)
-  kb.program <- Result.to_option (build kb.objs)
+  kb.program <- program
 
 let add_rule kb ~obj r =
   let o = find_exn kb obj in
@@ -181,7 +191,7 @@ let of_dump d =
     latest = d.dump_latest;
     version_count = d.dump_counts;
     prefs = d.dump_prefs;
-    program = Result.to_option (build objs)
+    program = build ~where:"Kb.of_dump" objs
   }
 
 (* A deep copy down to the per-object mutable fields: the clone and the
@@ -189,11 +199,7 @@ let of_dump d =
    either store never changes what the other observes.  The immutable
    ordered program is shared, so a published copy grounds without
    rebuilding it.  One record per object: O(objects). *)
-let copy kb =
-  { kb with
-    objs =
-      List.map (fun o -> { name = o.name; parents = o.parents; rules = o.rules }) kb.objs
-  }
+let copy kb = { kb with objs = List.map clone kb.objs }
 
 let restore kb d =
   let fresh = of_dump d in
@@ -292,15 +298,7 @@ let pp_mutation ppf =
 (* Programs                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let to_program kb =
-  match kb.program with
-  | Some p -> p
-  | None -> (
-    match build kb.objs with
-    | Ok p ->
-      kb.program <- Some p;
-      p
-    | Error e -> invalid_arg ("Program.make: " ^ e))
+let to_program kb = kb.program
 
 let to_source kb =
   let base = Format.asprintf "%a" Ordered.Program.pp (to_program kb) in

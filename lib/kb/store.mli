@@ -27,8 +27,9 @@ val define_src : t -> ?isa:string list -> string -> string -> unit
 val load : t -> string -> unit
 (** Load a whole source file (components become objects, [extends] and
     [order] become isa links).  Raises [Invalid_argument] on errors — a
-    duplicate or unknown name, a preference cycle — before changing
-    anything: a failed load leaves the store as it was. *)
+    duplicate or unknown name, an isa cycle through the loaded
+    components, a preference cycle — before changing anything: a failed
+    load leaves the store as it was. *)
 
 val add_rule : t -> obj:string -> Logic.Rule.t -> unit
 val add_rule_src : t -> obj:string -> string -> unit
@@ -108,6 +109,8 @@ type dump = {
 
 val dump : t -> dump
 val of_dump : dump -> t
+(** Raises [Invalid_argument] when the dump's isa links are not a
+    strict order. *)
 
 val copy : t -> t
 (** An independent store with the same objects, parents, rules, version
@@ -140,9 +143,8 @@ val versions : t -> string -> string list
 val to_program : t -> Ordered.Program.t
 (** The underlying ordered program.  It is built when a load, a dump or
     {!create} sets the objects, patched by rule edits, and extended by
-    {!define} and {!new_version}, so this is a field read.  A store
-    whose order is invalid (a load closed a cycle) holds none: then
-    every call raises [Invalid_argument]. *)
+    {!define} and {!new_version}, so this is a field read.  Every write
+    that would make the order invalid fails, so there always is one. *)
 
 val to_source : t -> string
 (** The knowledge base in surface syntax; {!load} of the result into a

@@ -132,8 +132,15 @@ let open_dir ?metrics ?stop_at config =
         incr corrupt;
         pick rest
       | img -> (
+        (* a snapshot whose isa links are not a strict order decodes but
+           cannot be a store: corrupt like a bad CRC *)
         match Record.decode_snapshot img with
-        | Ok (seq, epoch, dump) when seq = s -> Some (seq, epoch, dump)
+        | Ok (seq, epoch, dump) when seq = s -> (
+          match Kb.Store.of_dump dump with
+          | store -> Some (seq, epoch, store)
+          | exception Invalid_argument _ ->
+            incr corrupt;
+            pick rest)
         | Ok _ | Error _ ->
           incr corrupt;
           pick rest))
@@ -145,9 +152,9 @@ let open_dir ?metrics ?stop_at config =
   let epoch = ref 0 in
   let base, store =
     match pick usable_snaps with
-    | Some (s, ep, dump) ->
+    | Some (s, ep, store) ->
       epoch := ep;
-      (s, Kb.Store.of_dump dump)
+      (s, store)
     | None ->
       if (snaps <> [] || wals <> []) && not (List.mem 0 wals) then
         Governor.Diag.invalid ~where:"Persist.open_dir"
@@ -288,18 +295,16 @@ let open_dir ?metrics ?stop_at config =
 (* Appending and snapshots                                             *)
 (* ------------------------------------------------------------------ *)
 
-let snapshot ?budget t =
+(* Rotate to a fresh segment based at [seq] under snapshot-<seq>
+   holding [image] (encoded at the current epoch).  Ordering matters
+   for crash safety: the fresh segment must be on disk before the
+   snapshot becomes visible, so that snapshot-<S> present always implies
+   wal-<S> present (see persist.mli). *)
+let rotate ?budget t ~seq image =
   (* a pending group commit still points at the old segment *)
   (match t.group with Some g -> Wal.Group.flush g | None -> ());
-  let seq = t.seq in
-  let image =
-    Record.encode_snapshot ~seq ~epoch:t.epoch (Kb.Store.dump t.store)
-  in
   let final = Filename.concat t.config.dir (snap_name seq) in
   let tmp = final ^ ".tmp" in
-  (* ordering matters for crash safety: the fresh segment must be on
-     disk before the snapshot becomes visible, so that snapshot-<S>
-     present always implies wal-<S> present (see persist.mli) *)
   Wal.write_file ?budget ~fsync:t.config.fsync ~path:tmp image;
   let wal_path = Filename.concat t.config.dir (wal_name seq) in
   let fresh =
@@ -315,7 +320,12 @@ let snapshot ?budget t =
     fsync_dir t.config.dir;
     count t.metrics "persist_fsyncs" 3
   end;
-  bump t.metrics "persist_snapshots";
+  bump t.metrics "persist_snapshots"
+
+let snapshot ?budget t =
+  let seq = t.seq in
+  rotate ?budget t ~seq
+    (Record.encode_snapshot ~seq ~epoch:t.epoch (Kb.Store.dump t.store));
   seq
 
 let append ?budget t m =
@@ -426,21 +436,8 @@ let snapshot_image t =
   )
 
 let install_snapshot t ~seq ~epoch dump =
-  (match t.group with Some g -> Wal.Group.flush g | None -> ());
   if epoch > t.epoch then t.epoch <- epoch;
-  let final = Filename.concat t.config.dir (snap_name seq) in
-  let tmp = final ^ ".tmp" in
-  Wal.write_file ~fsync:t.config.fsync ~path:tmp
-    (Record.encode_snapshot ~seq ~epoch:t.epoch dump);
-  let wal_path = Filename.concat t.config.dir (wal_name seq) in
-  let fresh =
-    Wal.create ~fsync:t.config.fsync ~base:seq ~epoch:t.epoch wal_path
-  in
-  Wal.close t.wal;
-  t.wal <- fresh;
-  (match t.group with Some g -> Wal.Group.attach g fresh | None -> ());
-  Sys.rename tmp final;
-  if t.config.fsync then fsync_dir t.config.dir;
+  rotate t ~seq (Record.encode_snapshot ~seq ~epoch:t.epoch dump);
   (* everything else in the directory is from the replaced timeline *)
   Array.iter
     (fun name ->
@@ -449,9 +446,7 @@ let install_snapshot t ~seq ~epoch dump =
         with Sys_error _ -> ())
     (Sys.readdir t.config.dir);
   Kb.Store.restore t.store dump;
-  t.base <- seq;
-  t.seq <- seq;
-  bump t.metrics "persist_snapshots"
+  t.seq <- seq
 
 let seq t = t.seq
 let epoch t = t.epoch

@@ -202,26 +202,21 @@ let handle_line t ~conn_lock fd line =
     | Error e ->
       M.incr (Engine.metrics t.engine) "proto_errors";
       reply (Wire.error_response ~kind:"proto" (Wire.error_to_string e))
-    | Ok ({ verb = Wire.Shutdown; _ } as req) ->
-      (* answered synchronously so the response is on the wire before the
-         drain begins *)
-      reply (Engine.handle t.engine req);
-      stop t
-    | Ok ({ verb = Wire.Hello _ | Wire.Pull _ | Wire.Fetch_snapshot _; _ }
-          as req) ->
-      (* replication verbs are served on the reader thread, off the
-         bounded pool: the durability confirmations synchronous commit
-         waits for ride on pulls, so they must keep flowing even when
-         every worker is blocked in that very wait *)
-      reply (Engine.handle t.engine req)
-    | Ok req ->
-      M.gauge_max (Engine.metrics t.engine) "queue_peak"
-        (Pool.queued t.pool + 1);
-      let job () = reply (Engine.handle t.engine req) in
-      if not (Pool.submit t.pool job) then begin
-        M.incr (Engine.metrics t.engine) "rejected";
-        reply (Wire.error_response ~kind:"busy" "request queue full")
-      end
+    | Ok req -> (
+      match (Wire.classify req.verb).thread with
+      | Wire.Last ->
+        (* the response is on the wire before the drain begins *)
+        reply (Engine.handle t.engine req);
+        stop t
+      | Wire.Reader -> reply (Engine.handle t.engine req)
+      | Wire.Pool ->
+        M.gauge_max (Engine.metrics t.engine) "queue_peak"
+          (Pool.queued t.pool + 1);
+        let job () = reply (Engine.handle t.engine req) in
+        if not (Pool.submit t.pool job) then begin
+          M.incr (Engine.metrics t.engine) "rejected";
+          reply (Wire.error_response ~kind:"busy" "request queue full")
+        end)
 
 let reader t fd =
   let conn_lock = Mutex.create () in

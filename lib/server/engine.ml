@@ -186,24 +186,6 @@ let record_solver t (c : Ordered.Counters.t) =
     M.add t.metrics "solver_restarts" c.restarts
   end
 
-let is_write = function
-  | Wire.Load _ | Wire.Define _ | Wire.Add_rule _ | Wire.Remove_rule _
-  | Wire.New_version _ | Wire.Set_preference _ | Wire.Clear_preference _ ->
-    true
-  | Wire.Query _ | Wire.Models _ | Wire.Explain _ | Wire.Stats
-  | Wire.Version | Wire.Snapshot | Wire.Shutdown | Wire.Hello _
-  | Wire.Pull _ | Wire.Fetch_snapshot _ | Wire.Promote | Wire.Batch _ ->
-    false
-
-(* Replication/persistence verbs touch the WAL, the snapshot files or
-   the replication role — they serialize on the io lock like the write
-   verbs' apply phase. *)
-let is_io = function
-  | Wire.Snapshot | Wire.Hello _ | Wire.Pull _ | Wire.Fetch_snapshot _
-  | Wire.Promote ->
-    true
-  | _ -> false
-
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -249,309 +231,50 @@ let stats_response t ~id =
       | None -> [])
     @ [ ("server", server) ])
 
-(* Mutating verbs: parse the request's program text first (concurrent
-   with other writers and every reader), then apply to the session under
-   the io lock — the only part that serializes, and the part that keeps
-   WAL append order identical to apply order.  Returns the response
-   and, for synchronous commit, the WAL sequence this write reached
-   (captured under the io lock so the quorum wait targets exactly this
-   mutation). *)
-let serve_write t ~id verb =
-  let session = t.session in
-  let exclusively_seq f =
-    exclusively t (fun () ->
-        let fields = f () in
-        let seq =
-          match t.persistence, t.sync with
-          | Some p, Some _ -> Some (p.seq ())
-          | _ -> None
-        in
-        (Wire.ok ?id fields, seq))
-  in
-  match verb with
-  | Wire.Load { src } ->
-    exclusively_seq (fun () ->
-        Kb.Session.load session src;
-        [ ("objects",
-           Wire.List
-             (List.map (fun o -> Wire.String o) (Kb.Session.objects session)))
-        ])
-  | Wire.Define { name; isa; rules } ->
-    let rules = Lang.Parser.parse_rules rules in
-    exclusively_seq (fun () ->
-        Kb.Session.define session ~isa name rules;
-        [ ("object", Wire.String name) ])
-  | Wire.Add_rule { obj; rule } ->
-    let rule = Lang.Parser.parse_rule rule in
-    exclusively_seq (fun () ->
-        Kb.Session.add_rule session ~obj rule;
-        [])
-  | Wire.Remove_rule { obj; rule } ->
-    let rule = Lang.Parser.parse_rule rule in
-    exclusively_seq (fun () ->
-        let removed = Kb.Session.remove_rule session ~obj rule in
-        [ ("removed", Wire.Bool removed) ])
-  | Wire.New_version { name; rules } ->
-    let rules = Option.map Lang.Parser.parse_rules rules in
-    exclusively_seq (fun () ->
-        let version = Kb.Session.new_version session ?rules name in
-        [ ("version", Wire.String version) ])
-  | Wire.Set_preference { rule; over } ->
-    exclusively_seq (fun () ->
-        Kb.Session.set_preference session ~rule ~over;
-        [ ("rule", Wire.String rule); ("over", Wire.String over) ])
-  | Wire.Clear_preference { rule; over } ->
-    exclusively_seq (fun () ->
-        let removed = Kb.Session.clear_preference session ~rule ~over in
-        [ ("removed", Wire.Bool removed) ])
-  | _ -> assert false (* only write verbs are routed here *)
+(* A write's apply phase, under the io lock: the only part of a write
+   that serializes, and the part that keeps WAL append order identical
+   to apply order.  [reached] learns the WAL sequence this write
+   reached, captured under the lock so the synchronous-commit wait
+   targets exactly this mutation. *)
+let apply t ~id ~reached f =
+  exclusively t (fun () ->
+      let fields = f () in
+      (match t.persistence, t.sync with
+      | Some p, Some _ -> reached (p.seq ())
+      | _ -> ());
+      Wire.ok ?id fields)
 
-(* Read and replication verbs.  The read verbs ([query]/[models]/
-   [explain]/[stats]/[version]) run entirely against the session's
-   published snapshot and the atomic counters — no lock anywhere on
-   their path; [handle] wraps the io verbs in {!exclusively}. *)
-let serve t ~id req =
-  let session = t.session in
-  let budget = budget_of t req.Wire.budget in
-  match req.Wire.verb with
-  | Wire.Load _ | Wire.Define _ | Wire.Add_rule _ | Wire.Remove_rule _
-  | Wire.New_version _ | Wire.Set_preference _ | Wire.Clear_preference _
-  | Wire.Batch _ ->
-    assert false (* routed to serve_write / handle_batch *)
-  | Wire.Query { obj; lit; prefer = false } ->
-    let l = Lang.Parser.parse_literal lit in
-    let v = Kb.Session.query ~budget session ~obj l in
-    Wire.ok ?id [ ("value", Wire.String (value_to_string v)) ]
-  | Wire.Query { obj; lit; prefer = true } -> (
-    (* skeptical reading: the value all preferred models agree on,
-       [undefined] when they disagree.  Sound only over the complete
-       enumeration, so a budget trip carries no value at all. *)
-    let l = Lang.Parser.parse_literal lit in
-    if not (Logic.Literal.is_ground l) then
-      invalid_arg "query: literal must be ground";
-    let stats = Ordered.Counters.create () in
-    let result =
-      Kb.Session.preferred_models ~budget ~stats session ~obj
-    in
-    record_solver t stats;
-    match result with
-    | B.Complete ms ->
-      let v =
-        match List.map (fun m -> Logic.Interp.value_lit m l) ms with
-        | [] -> Logic.Interp.Undefined
-        | v0 :: rest ->
-          if List.for_all (fun v -> v = v0) rest then v0
-          else Logic.Interp.Undefined
-      in
-      Wire.ok ?id
-        [ ("value", Wire.String (value_to_string v));
-          ("prefer", prefer_name)
-        ]
-    | B.Partial (_, reason) ->
-      Wire.partial ?id ~reason:(B.reason_to_string reason) [])
-  | Wire.Models { obj; kind; limit; prefer } ->
-    let stats = Ordered.Counters.create () in
-    let result, rendered =
-      Kb.Session.answer
-        (if prefer then `Preferred else (kind :> [ `Stable | `Af | `Preferred ]))
-        ~render:render_models ?limit ~budget ~stats session ~obj
-    in
-    record_solver t stats;
-    let models =
-      match rendered with
-      | Models_json j -> j
-      | _ -> models_json (B.value result)
-    in
-    let fields =
-      (if prefer then
-         [ ("kind", Wire.String "preferred"); ("prefer", prefer_name) ]
-       else [ ("kind", Wire.String (kind_to_string kind)) ])
-      @ [ ("count", Wire.Int (List.length (B.value result)));
-          ("models", models)
-        ]
-    in
-    (match result with
-    | B.Complete _ -> Wire.ok ?id fields
-    | B.Partial (_, reason) ->
-      Wire.partial ?id ~reason:(B.reason_to_string reason) fields)
-  | Wire.Explain { obj; lit } ->
-    let l = Lang.Parser.parse_literal lit in
-    let e = Kb.Session.explain session ~obj l in
-    Wire.ok ?id [ ("text", Wire.String (Ordered.Explain.to_string e)) ]
-  | Wire.Stats -> stats_response t ~id
-  | Wire.Version ->
-    Wire.ok ?id
-      [ ("version", Wire.String Wire.package_version);
-        ("protocol", Wire.Int Wire.protocol_revision)
-      ]
-  | Wire.Snapshot -> (
-    match t.persistence with
-    | None ->
-      Wire.error_response ?id ~kind:"input"
-        "server has no data directory (start with --data-dir)"
-    | Some p ->
-      let seq = p.snapshot () in
-      Wire.ok ?id [ ("snapshot", Wire.Int seq) ])
-  | Wire.Shutdown -> Wire.ok ?id [ ("shutdown", Wire.Bool true) ]
-  | Wire.Hello { seq; protocol; epoch; rid; addr } -> (
-    match t.persistence with
-    | None ->
-      Wire.error_response ?id ~kind:"input"
-        "replication requires a data directory (start the primary with \
-         --data-dir)"
-    | Some p ->
-      if protocol <> Wire.protocol_revision then
-        Wire.error_response ?id ~kind:"handshake"
-          (Printf.sprintf
-             "protocol revision mismatch: this server speaks %d, the \
-              replica speaks %d — upgrade so both ends match"
-             Wire.protocol_revision protocol)
-      else begin
-        let mine = p.epoch () in
-        if epoch > mine then
-          (* the requester has seen a newer promotion than we have: we
-             are the deposed side and must not hand out history *)
-          Wire.error_response ?id ~kind:"fenced"
-            ~extra:[ ("epoch", Wire.Int mine) ]
-            (Printf.sprintf
-               "this server is fenced: it is at epoch %d but the \
-                requester has seen epoch %d — a newer primary was \
-                promoted"
-               mine epoch)
-        else begin
-          let cur = p.seq () in
-          if seq > cur then
-            Wire.error_response ?id ~kind:"handshake"
-              (Printf.sprintf
-                 "replica is ahead of this primary (replica at sequence \
-                  %d, primary at %d): diverged history — re-seed the \
-                  replica from an empty data directory"
-                 seq cur)
-          else begin
-            let action =
-              match p.tail ~from:seq ~max:0 with
-              | Ok _ -> "tail"
-              | Error _ -> "snapshot"
-            in
-            M.incr t.metrics "repl_hellos";
-            (* the greeted sequence is already durable on the replica:
-               recovery replays nothing it has not fsynced *)
-            (match rid with
-            | Some rid -> record_ack t ~rid ?addr ~durable:seq ()
-            | None -> ());
-            let role =
-              match t.replication with
-              | Some r -> r.role ()
-              | None -> "primary"
-            in
-            Wire.ok ?id
-              [ ("role", Wire.String role);
-                ("protocol", Wire.Int Wire.protocol_revision);
-                ("epoch", Wire.Int mine);
-                ("seq", Wire.Int cur);
-                ("action", Wire.String action)
-              ]
-          end
-        end
-      end)
-  | Wire.Pull { from_seq; max; epoch; rid; durable; addr } -> (
-    match t.persistence with
-    | None ->
-      Wire.error_response ?id ~kind:"input"
-        "replication requires a data directory (start the primary with \
-         --data-dir)"
-    | Some p ->
-      let mine = p.epoch () in
-      if epoch <> mine then
-        (* either direction is fatal for a pull: a higher requester
-           epoch means we are deposed; a lower one means the requester
-           missed a promotion and must re-handshake (hello is where a
-           replica adopts the current term) *)
-        Wire.error_response ?id ~kind:"fenced"
-          ~extra:[ ("epoch", Wire.Int mine) ]
-          (if epoch > mine then
-             Printf.sprintf
-               "this server is fenced: it is at epoch %d but the \
-                requester has seen epoch %d — a newer primary was \
-                promoted"
-               mine epoch
-           else
-             Printf.sprintf
-               "pull at stale epoch %d refused: this server is at epoch \
-                %d — re-handshake to adopt the current term"
-               epoch mine)
-      else begin
-        let cur = p.seq () in
-        if from_seq > cur then
-          Wire.error_response ?id ~kind:"handshake"
-            (Printf.sprintf
-               "pull from sequence %d but this primary is at %d: diverged \
-                history — re-seed the replica from an empty data directory"
-               from_seq cur)
-        else begin
-          (match rid, durable with
-          | Some rid, Some durable -> record_ack t ~rid ?addr ~durable ()
-          | _ -> ());
-          let max = min 4096 (Option.value ~default:512 max) in
-          match p.tail ~from:from_seq ~max with
-          | Ok (bytes, n) ->
-            if n > 0 then M.add t.metrics "repl_records_shipped" n;
-            Wire.ok ?id
-              [ ("seq", Wire.Int cur);
-                ("epoch", Wire.Int mine);
-                ("from", Wire.Int from_seq);
-                ("count", Wire.Int n);
-                ("records", Wire.String (Hex.encode bytes))
-              ]
-          | Error oldest ->
-            Wire.error_response ?id ~kind:"behind"
-              (Printf.sprintf
-                 "records from sequence %d were compacted away (the log \
-                  now starts at %d); fetch a snapshot"
-                 from_seq oldest)
-        end
-      end)
-  | Wire.Fetch_snapshot { epoch } -> (
-    match t.persistence with
-    | None ->
-      Wire.error_response ?id ~kind:"input"
-        "replication requires a data directory (start the primary with \
-         --data-dir)"
-    | Some p ->
-      let mine = p.epoch () in
-      if epoch > mine then
-        Wire.error_response ?id ~kind:"fenced"
-          ~extra:[ ("epoch", Wire.Int mine) ]
-          (Printf.sprintf
-             "this server is fenced: it is at epoch %d but the requester \
-              has seen epoch %d — a newer primary was promoted"
-             mine epoch)
-      else begin
-        let seq, image = p.snapshot_image () in
-        M.incr t.metrics "repl_snapshots_served";
-        Wire.ok ?id
-          [ ("seq", Wire.Int seq);
-            ("epoch", Wire.Int mine);
-            ("snapshot", Wire.String (Hex.encode image))
-          ]
-      end)
-  | Wire.Promote -> (
-    match t.replication with
-    | None ->
-      Wire.error_response ?id ~kind:"input"
-        "this server is not a replica (start with --replica-of)"
-    | Some r -> (
-      match r.promote () with
-      | Ok role ->
-        Wire.ok ?id
-          (("role", Wire.String role)
-          :: (match t.persistence with
-             | Some p ->
-               [ ("epoch", Wire.Int (p.epoch ()));
-                 ("seq", Wire.Int (p.seq ()))
-               ]
-             | None -> []))
-      | Error msg -> Wire.error_response ?id ~kind:"input" msg))
+let no_seq (_ : int) = ()
+
+(* The replication verbs need the persistence hooks. *)
+let replicating t ?id f =
+  match t.persistence with
+  | None ->
+    Wire.error_response ?id ~kind:"input"
+      "replication requires a data directory (start the primary with \
+       --data-dir)"
+  | Some p -> f p
+
+(* The epoch fence.  A requester that has seen a newer promotion than
+   this server means this server is deposed and must not hand out
+   history.  With [exact] (a pull) an older requester epoch is refused
+   too: the requester missed a promotion and must re-handshake, since
+   hello is where a replica adopts the current term. *)
+let fence ?id ~exact ~mine epoch k =
+  if epoch > mine || (exact && epoch < mine) then
+    Wire.error_response ?id ~kind:"fenced"
+      ~extra:[ ("epoch", Wire.Int mine) ]
+      (if epoch > mine then
+         Printf.sprintf
+           "this server is fenced: it is at epoch %d but the requester \
+            has seen epoch %d — a newer primary was promoted"
+           mine epoch
+       else
+         Printf.sprintf
+           "pull at stale epoch %d refused: this server is at epoch %d — \
+            re-handshake to adopt the current term"
+           epoch mine)
+  else k ()
 
 (* Exception mapping: no exception escapes a worker, whatever the
    decoder accepted. *)
@@ -591,9 +314,259 @@ let count_response t response =
   | `Error | `Unknown -> M.incr t.metrics "errors");
   response
 
-let handle_write t ~id verb =
-  (* sequence number this write reached, captured under the io lock so
-     the quorum wait below targets exactly this mutation *)
+(* Every verb, once.  {!handle} wraps the call as the verb's
+   {!Wire.classify} access says: the read verbs run against the
+   session's published snapshot and the atomic counters with no lock
+   anywhere on their path; the write verbs parse their program text
+   here, concurrently, and {!apply} under the io lock; the io verbs run
+   whole under the io lock. *)
+let rec serve t ~id ~reached (req : Wire.request) =
+  let session = t.session in
+  match req.verb with
+  | Wire.Load { src } ->
+    apply t ~id ~reached (fun () ->
+        Kb.Session.load session src;
+        [ ("objects",
+           Wire.List
+             (List.map (fun o -> Wire.String o) (Kb.Session.objects session)))
+        ])
+  | Wire.Define { name; isa; rules } ->
+    let rules = Lang.Parser.parse_rules rules in
+    apply t ~id ~reached (fun () ->
+        Kb.Session.define session ~isa name rules;
+        [ ("object", Wire.String name) ])
+  | Wire.Add_rule { obj; rule } ->
+    let rule = Lang.Parser.parse_rule rule in
+    apply t ~id ~reached (fun () ->
+        Kb.Session.add_rule session ~obj rule;
+        [])
+  | Wire.Remove_rule { obj; rule } ->
+    let rule = Lang.Parser.parse_rule rule in
+    apply t ~id ~reached (fun () ->
+        let removed = Kb.Session.remove_rule session ~obj rule in
+        [ ("removed", Wire.Bool removed) ])
+  | Wire.New_version { name; rules } ->
+    let rules = Option.map Lang.Parser.parse_rules rules in
+    apply t ~id ~reached (fun () ->
+        let version = Kb.Session.new_version session ?rules name in
+        [ ("version", Wire.String version) ])
+  | Wire.Set_preference { rule; over } ->
+    apply t ~id ~reached (fun () ->
+        Kb.Session.set_preference session ~rule ~over;
+        [ ("rule", Wire.String rule); ("over", Wire.String over) ])
+  | Wire.Clear_preference { rule; over } ->
+    apply t ~id ~reached (fun () ->
+        let removed = Kb.Session.clear_preference session ~rule ~over in
+        [ ("removed", Wire.Bool removed) ])
+  | Wire.Query { obj; lit; prefer = false } ->
+    let l = Lang.Parser.parse_literal lit in
+    let v =
+      Kb.Session.query ~budget:(budget_of t req.budget) session ~obj l
+    in
+    Wire.ok ?id [ ("value", Wire.String (value_to_string v)) ]
+  | Wire.Query { obj; lit; prefer = true } -> (
+    (* skeptical reading: the value all preferred models agree on,
+       [undefined] when they disagree.  Sound only over the complete
+       enumeration, so a budget trip carries no value at all. *)
+    let l = Lang.Parser.parse_literal lit in
+    if not (Logic.Literal.is_ground l) then
+      invalid_arg "query: literal must be ground";
+    let stats = Ordered.Counters.create () in
+    let result =
+      Kb.Session.preferred_models ~budget:(budget_of t req.budget) ~stats
+        session ~obj
+    in
+    record_solver t stats;
+    match result with
+    | B.Complete ms ->
+      let v =
+        match List.map (fun m -> Logic.Interp.value_lit m l) ms with
+        | [] -> Logic.Interp.Undefined
+        | v0 :: rest ->
+          if List.for_all (fun v -> v = v0) rest then v0
+          else Logic.Interp.Undefined
+      in
+      Wire.ok ?id
+        [ ("value", Wire.String (value_to_string v));
+          ("prefer", prefer_name)
+        ]
+    | B.Partial (_, reason) ->
+      Wire.partial ?id ~reason:(B.reason_to_string reason) [])
+  | Wire.Models { obj; kind; limit; prefer } ->
+    let stats = Ordered.Counters.create () in
+    let result, rendered =
+      Kb.Session.answer
+        (if prefer then `Preferred else (kind :> [ `Stable | `Af | `Preferred ]))
+        ~render:render_models ?limit ~budget:(budget_of t req.budget) ~stats
+        session ~obj
+    in
+    record_solver t stats;
+    let models =
+      match rendered with
+      | Models_json j -> j
+      | _ -> models_json (B.value result)
+    in
+    let fields =
+      (if prefer then
+         [ ("kind", Wire.String "preferred"); ("prefer", prefer_name) ]
+       else [ ("kind", Wire.String (kind_to_string kind)) ])
+      @ [ ("count", Wire.Int (List.length (B.value result)));
+          ("models", models)
+        ]
+    in
+    (match result with
+    | B.Complete _ -> Wire.ok ?id fields
+    | B.Partial (_, reason) ->
+      Wire.partial ?id ~reason:(B.reason_to_string reason) fields)
+  | Wire.Explain { obj; lit } ->
+    let l = Lang.Parser.parse_literal lit in
+    let e = Kb.Session.explain session ~obj l in
+    Wire.ok ?id [ ("text", Wire.String (Ordered.Explain.to_string e)) ]
+  | Wire.Stats -> stats_response t ~id
+  | Wire.Version ->
+    Wire.ok ?id
+      [ ("version", Wire.String Wire.package_version);
+        ("protocol", Wire.Int Wire.protocol_revision)
+      ]
+  | Wire.Snapshot -> (
+    match t.persistence with
+    | None ->
+      Wire.error_response ?id ~kind:"input"
+        "server has no data directory (start with --data-dir)"
+    | Some p ->
+      let seq = p.snapshot () in
+      Wire.ok ?id [ ("snapshot", Wire.Int seq) ])
+  | Wire.Shutdown -> Wire.ok ?id [ ("shutdown", Wire.Bool true) ]
+  | Wire.Hello { seq; protocol; epoch; rid; addr } ->
+    replicating t ?id (fun p ->
+        if protocol <> Wire.protocol_revision then
+          Wire.error_response ?id ~kind:"handshake"
+            (Printf.sprintf
+               "protocol revision mismatch: this server speaks %d, the \
+                replica speaks %d — upgrade so both ends match"
+               Wire.protocol_revision protocol)
+        else
+          let mine = p.epoch () in
+          fence ?id ~exact:false ~mine epoch (fun () ->
+              let cur = p.seq () in
+              if seq > cur then
+                Wire.error_response ?id ~kind:"handshake"
+                  (Printf.sprintf
+                     "replica is ahead of this primary (replica at \
+                      sequence %d, primary at %d): diverged history — \
+                      re-seed the replica from an empty data directory"
+                     seq cur)
+              else begin
+                let action =
+                  match p.tail ~from:seq ~max:0 with
+                  | Ok _ -> "tail"
+                  | Error _ -> "snapshot"
+                in
+                M.incr t.metrics "repl_hellos";
+                (* the greeted sequence is already durable on the
+                   replica: recovery replays nothing it has not
+                   fsynced *)
+                (match rid with
+                | Some rid -> record_ack t ~rid ?addr ~durable:seq ()
+                | None -> ());
+                let role =
+                  match t.replication with
+                  | Some r -> r.role ()
+                  | None -> "primary"
+                in
+                Wire.ok ?id
+                  [ ("role", Wire.String role);
+                    ("protocol", Wire.Int Wire.protocol_revision);
+                    ("epoch", Wire.Int mine);
+                    ("seq", Wire.Int cur);
+                    ("action", Wire.String action)
+                  ]
+              end))
+  | Wire.Pull { from_seq; max; epoch; rid; durable; addr } ->
+    replicating t ?id (fun p ->
+        let mine = p.epoch () in
+        fence ?id ~exact:true ~mine epoch (fun () ->
+            let cur = p.seq () in
+            if from_seq > cur then
+              Wire.error_response ?id ~kind:"handshake"
+                (Printf.sprintf
+                   "pull from sequence %d but this primary is at %d: \
+                    diverged history — re-seed the replica from an empty \
+                    data directory"
+                   from_seq cur)
+            else begin
+              (match rid, durable with
+              | Some rid, Some durable -> record_ack t ~rid ?addr ~durable ()
+              | _ -> ());
+              let max = min 4096 (Option.value ~default:512 max) in
+              match p.tail ~from:from_seq ~max with
+              | Ok (bytes, n) ->
+                if n > 0 then M.add t.metrics "repl_records_shipped" n;
+                Wire.ok ?id
+                  [ ("seq", Wire.Int cur);
+                    ("epoch", Wire.Int mine);
+                    ("from", Wire.Int from_seq);
+                    ("count", Wire.Int n);
+                    ("records", Wire.String (Hex.encode bytes))
+                  ]
+              | Error oldest ->
+                Wire.error_response ?id ~kind:"behind"
+                  (Printf.sprintf
+                     "records from sequence %d were compacted away (the \
+                      log now starts at %d); fetch a snapshot"
+                     from_seq oldest)
+            end))
+  | Wire.Fetch_snapshot { epoch } ->
+    replicating t ?id (fun p ->
+        let mine = p.epoch () in
+        fence ?id ~exact:false ~mine epoch (fun () ->
+            let seq, image = p.snapshot_image () in
+            M.incr t.metrics "repl_snapshots_served";
+            Wire.ok ?id
+              [ ("seq", Wire.Int seq);
+                ("epoch", Wire.Int mine);
+                ("snapshot", Wire.String (Hex.encode image))
+              ]))
+  | Wire.Promote -> (
+    match t.replication with
+    | None ->
+      Wire.error_response ?id ~kind:"input"
+        "this server is not a replica (start with --replica-of)"
+    | Some r -> (
+      match r.promote () with
+      | Ok role ->
+        Wire.ok ?id
+          (("role", Wire.String role)
+          :: (match t.persistence with
+             | Some p ->
+               [ ("epoch", Wire.Int (p.epoch ()));
+                 ("seq", Wire.Int (p.seq ()))
+               ]
+             | None -> []))
+      | Error msg -> Wire.error_response ?id ~kind:"input" msg))
+  | Wire.Batch items ->
+    (* one frame, many requests: each item runs the full per-verb path
+       (locking, durability, sync commit, counters) in order; a decode
+       failure is answered in place.  The envelope itself is not counted
+       as served — the items are. *)
+    M.incr t.metrics "batches";
+    M.add t.metrics "batch_items" (List.length items);
+    let responses =
+      List.map
+        (function
+          | Ok item -> handle t item
+          | Error message ->
+            M.incr t.metrics "proto_errors";
+            Wire.error_response ~kind:"proto" ("invalid request: " ^ message))
+        items
+    in
+    Wire.ok ?id
+      [ ("count", Wire.Int (List.length responses));
+        ("responses", Wire.List responses)
+      ]
+
+and handle_write t ~id req =
+  (* sequence number this write reached (see [apply]) *)
   let sync_seq = ref None in
   let response =
     guard ?id (fun () ->
@@ -611,9 +584,7 @@ let handle_write t ~id verb =
           ~finally:(fun () ->
             ignore (Atomic.fetch_and_add t.writers (-1) : int))
           (fun () ->
-            let resp, seq = serve_write t ~id verb in
-            sync_seq := seq;
-            resp))
+            serve t ~id ~reached:(fun seq -> sync_seq := Some seq) req))
   in
   (* durability is paid outside every lock, so concurrent writers pile
      into the same group-commit window instead of serializing their
@@ -643,36 +614,18 @@ let handle_write t ~id verb =
         (Ordered.Diag.to_string e))
   | _ -> response
 
-let rec handle t (req : Wire.request) =
+and handle t (req : Wire.request) =
   let id = req.id in
-  match req.verb with
-  | Wire.Batch items ->
-    (* one frame, many requests: each item runs the full per-verb path
-       (locking, durability, sync commit, counters) in order; a decode
-       failure is answered in place.  The envelope itself is not counted
-       as served — the items are. *)
-    M.incr t.metrics "batches";
-    M.add t.metrics "batch_items" (List.length items);
-    let responses =
-      List.map
-        (function
-          | Ok item -> handle t item
-          | Error message ->
-            M.incr t.metrics "proto_errors";
-            Wire.error_response ~kind:"proto" ("invalid request: " ^ message))
-        items
-    in
-    Wire.ok ?id
-      [ ("count", Wire.Int (List.length responses));
-        ("responses", Wire.List responses)
-      ]
-  | verb when is_write verb -> count_response t (handle_write t ~id verb)
-  | verb when is_io verb ->
+  match (Wire.classify req.verb).access with
+  | Wire.Fan_out -> serve t ~id ~reached:no_seq req
+  | Wire.Write -> count_response t (handle_write t ~id req)
+  | Wire.Io ->
     count_response t
-      (guard ?id (fun () -> exclusively t (fun () -> serve t ~id req)))
-  | _ ->
-    (* read verbs: no lock on this path at all *)
-    count_response t (guard ?id (fun () -> serve t ~id req))
+      (guard ?id (fun () ->
+           exclusively t (fun () -> serve t ~id ~reached:no_seq req)))
+  | Wire.Read ->
+    (* no lock on this path at all *)
+    count_response t (guard ?id (fun () -> serve t ~id ~reached:no_seq req))
 
 let handle_line t line =
   match Wire.decode_request line with

@@ -17,16 +17,17 @@
     [query]/[explain]-style operations, which have no sound partial
     answer, it carries only the machine-readable reason.
 
-    {b Concurrency.}  Read verbs ([query]/[models]/[explain]/[stats]/
-    [version]) take no lock at all: they pin the session's current
-    published snapshot with one atomic read and compute against that
-    frozen version, so any number of workers — threads or domains —
-    serve reads in parallel, unaffected by writers.  Mutating verbs
-    ([load]/[define]/[add_rule]/[remove_rule]/[new_version]) parse
-    their program text concurrently (the ["writers_peak"] gauge records
-    the deepest overlap of writers in flight) and then serialize only
-    their store-apply on the engine's io lock, which also orders WAL
-    appends; durability and
+    {b Concurrency.}  Each verb's {!Wire.classify} access decides its
+    path.  Read verbs ([query]/[models]/[explain]/[stats]/[version])
+    take no lock at all: they pin the session's current published
+    snapshot with one atomic read and compute against that frozen
+    version, so any number of workers — threads or domains — serve
+    reads in parallel, unaffected by writers.  Mutating verbs
+    ([load]/[define]/[add_rule]/[remove_rule]/[new_version]/
+    [set_preference]/[clear_preference]) parse their program text
+    concurrently (the ["writers_peak"] gauge records the deepest overlap
+    of writers in flight) and then serialize only their store-apply on
+    the engine's io lock, which also orders WAL appends; durability and
     synchronous-commit waits happen outside every lock.  Replication
     verbs ([hello]/[pull]/[fetch_snapshot]/[promote]/[snapshot]) take
     the io lock.  A [batch] frame runs each item through its verb's full

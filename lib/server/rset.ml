@@ -10,12 +10,15 @@ type t = {
   mutable nodes : node array;
   mutable primary : int option;  (* index into [nodes] *)
   mutable rr : int;  (* round-robin cursor for reads *)
-  connect_retry : float;
   backoff : Backoff.t;
 }
 
-let create ?(connect_retry = 0.05) ?(retry_base = 0.05) ?(retry_cap = 1.0)
-    seeds =
+(* One node's connection attempt, and the between-sweep backoff. *)
+let connect_retry = 0.05
+let retry_base = 0.05
+let retry_cap = 1.0
+
+let create seeds =
   if seeds = [] then
     invalid_arg "Rset.create: at least one seed address is required";
   let seen = Hashtbl.create 8 in
@@ -33,7 +36,6 @@ let create ?(connect_retry = 0.05) ?(retry_base = 0.05) ?(retry_cap = 1.0)
   { nodes = Array.of_list nodes;
     primary = None;
     rr = 0;
-    connect_retry;
     backoff =
       Backoff.make ~base:retry_base ~cap:retry_cap
         ~seed:(Hashtbl.hash (List.map Daemon.address_to_string seeds))
@@ -83,7 +85,7 @@ let exchange t i j =
     match n.conn with
     | Some c -> Ok c
     | None -> (
-      match Client.connect ~retry:t.connect_retry n.addr with
+      match Client.connect ~retry:connect_retry n.addr with
       | Ok c ->
         n.conn <- Some c;
         Ok c
@@ -102,17 +104,12 @@ let exchange t i j =
 (* Routing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* "batch" routes to the primary: a batch may carry writes, and the
-   primary serves the read items just as well. *)
-let write_ops =
-  [ "load"; "define"; "add_rule"; "remove_rule"; "new_version"; "snapshot";
-    "promote"; "shutdown"; "batch"
-  ]
-
-let is_write j =
-  match Wire.member "op" j with
-  | Some (Wire.String op) -> List.mem op write_ops
-  | _ -> false
+(* The verb's class decides; a request that does not decode draws the
+   same ["proto"] error from any node, so it routes like a read. *)
+let to_primary j =
+  match Wire.decode_json j with
+  | Ok r -> (Wire.classify r.verb).to_primary
+  | Error _ -> false
 
 let error_field j name =
   match Wire.member "error" j with
@@ -127,9 +124,9 @@ let refused_as_replica j =
   | Some ("read_only" | "fenced") -> Some (error_field j "primary")
   | _ -> None
 
-let order t ~is_write =
+let order t ~to_primary =
   let n = Array.length t.nodes in
-  if is_write then
+  if to_primary then
     match t.primary with
     | Some p -> p :: List.filter (fun i -> i <> p) (List.init n Fun.id)
     | None -> List.init n Fun.id
@@ -142,7 +139,7 @@ let order t ~is_write =
 let max_redirect_hops = 4
 
 let request ?(retry = 0.) t j =
-  let is_write = is_write j in
+  let to_primary = to_primary j in
   let deadline = Unix.gettimeofday () +. retry in
   (* [sweep] walks one node order; [go] restarts after a redirect or,
      within the retry budget, after a backoff sleep. *)
@@ -173,7 +170,7 @@ let request ?(retry = 0.) t j =
           sweep ~hops ~last_err rest
         | Ok resp -> (
           match refused_as_replica resp with
-          | Some _ when not is_write ->
+          | Some _ when not to_primary ->
             (* a read never draws these refusals; don't loop on it *)
             Ok resp
           | Some (Some addr) when hops < max_redirect_hops ->
@@ -187,11 +184,11 @@ let request ?(retry = 0.) t j =
                typed refusal is the answer *)
             Ok resp
           | None ->
-            if is_write then t.primary <- Some i;
+            if to_primary then t.primary <- Some i;
             Backoff.reset t.backoff;
             Ok resp))
     in
-    sweep ~hops ~last_err (order t ~is_write)
+    sweep ~hops ~last_err (order t ~to_primary)
   in
   go ~hops:0 ~last_err:"no nodes reachable"
 

@@ -2,10 +2,13 @@
     set of servers (a primary and its replicas, any depth of chaining).
 
     The caller hands over seed addresses and raw {!Wire} requests; the
-    set routes them — {e writes} (mutating verbs, [snapshot], [promote],
-    [shutdown]) to the node it believes is the primary, {e reads}
-    ([query], [models], [explain], [stats], [version]) round-robin over
-    every node — and heals around faults:
+    set routes them by the verb's {!Wire.classify} class — {e writes}
+    (the mutating verbs [load], [define], [add_rule], [remove_rule],
+    [new_version], [set_preference] and [clear_preference], and
+    [snapshot], [promote], [shutdown] and [batch]) to the node it
+    believes is the primary, {e reads} ([query], [models], [explain],
+    [stats], [version], the replication verbs, and requests that do not
+    decode) round-robin over every node — and heals around faults:
 
     - a typed ["read_only"] or ["fenced"] refusal of a write carries the
       refusing node's idea of the primary; the set follows the redirect
@@ -25,17 +28,11 @@
 
 type t
 
-val create :
-  ?connect_retry:float ->
-  ?retry_base:float ->
-  ?retry_cap:float ->
-  Daemon.address list ->
-  t
+val create : Daemon.address list -> t
 (** [create seeds] with at least one seed address (raises
     [Invalid_argument] on an empty list; duplicates are collapsed).
-    [connect_retry] bounds one node's connection attempt (default
-    50 ms); [retry_base]/[retry_cap] shape the between-sweep backoff
-    (defaults 50 ms / 1 s). *)
+    One node's connection attempt is bounded at 50 ms; the
+    between-sweep backoff starts at 50 ms and is capped at 1 s. *)
 
 val request : ?retry:float -> t -> Wire.json -> (Wire.json, string) result
 (** Route one request (see the routing rules above).  [retry] is the

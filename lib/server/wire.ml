@@ -358,8 +358,49 @@ and request = { id : int option; budget : budget_spec; verb : verb }
 
 and batch_item = (request, string) result
 
-let package_version = "1.10.0"
-let protocol_revision = 8
+(* ------------------------------------------------------------------ *)
+(* Verb classes                                                        *)
+(* ------------------------------------------------------------------ *)
+
+type access = Read | Write | Io | Fan_out
+type thread = Pool | Reader | Last
+
+type verb_class = {
+  access : access;
+  thread : thread;
+  batchable : bool;
+  to_primary : bool;
+}
+
+let read =
+  { access = Read; thread = Pool; batchable = true; to_primary = false }
+
+let write =
+  { access = Write; thread = Pool; batchable = true; to_primary = true }
+
+let replication =
+  { access = Io; thread = Reader; batchable = false; to_primary = false }
+
+(* The one place a verb's handling is decided: no wildcard arm, so a
+   verb added to [verb] without a class does not compile.  The classes
+   are constants, so classifying a request allocates nothing. *)
+let classify = function
+  | Query _ | Models _ | Explain _ | Stats | Version -> read
+  | Load _ | Define _ | Add_rule _ | Remove_rule _ | New_version _
+  | Set_preference _ | Clear_preference _ ->
+    write
+  | Snapshot ->
+    { access = Io; thread = Pool; batchable = true; to_primary = true }
+  | Promote ->
+    { access = Io; thread = Pool; batchable = false; to_primary = true }
+  | Hello _ | Pull _ | Fetch_snapshot _ -> replication
+  | Shutdown ->
+    { access = Read; thread = Last; batchable = false; to_primary = true }
+  | Batch _ ->
+    { access = Fan_out; thread = Pool; batchable = false; to_primary = true }
+
+let package_version = "1.11.0"
+let protocol_revision = 9
 let max_batch = 256
 
 exception Bad_request of string
@@ -400,22 +441,14 @@ let str_list_field o name =
   | Some Null | None -> []
   | Some _ -> reject "field %S must be a list of strings" name
 
-(* One engine answers each question, so the fields that used to pick
-   one — [search], its legacy alias [engine], and [prefer] — accept only
-   the value naming it, ["compiled"] (what revision-7 clients send for
-   the kernel and the compiled preference translation).  [true] when the
-   field is present. *)
-let compiled_field o name ~what =
-  match opt_str_field o name with
+(* One engine answers each question; [prefer] names the compiled
+   preference translation, spelled ["compiled"] as revision-7 clients
+   send it.  [true] when the field is present. *)
+let prefer_field o =
+  match opt_str_field o "prefer" with
   | None -> false
   | Some "compiled" -> true
-  | Some e -> reject "unknown %s %S" what e
-
-let engine_fields o =
-  let prefer = compiled_field o "prefer" ~what:"prefer engine" in
-  ignore (compiled_field o "search" ~what:"search engine" : bool);
-  ignore (compiled_field o "engine" ~what:"engine" : bool);
-  prefer
+  | Some e -> reject "unknown prefer engine %S" e
 
 let rec decode_verb o = function
   | "load" -> Load { src = str_field o "src" }
@@ -431,7 +464,7 @@ let rec decode_verb o = function
   | "new_version" ->
     New_version { name = str_field o "name"; rules = opt_str_field o "rules" }
   | "query" ->
-    let prefer = engine_fields o in
+    let prefer = prefer_field o in
     Query { obj = str_field o "obj"; lit = str_field o "lit"; prefer }
   | "models" ->
     let kind =
@@ -440,7 +473,7 @@ let rec decode_verb o = function
       | Some "assumption-free" -> `Af
       | Some k -> reject "unknown models kind %S" k
     in
-    let prefer = engine_fields o in
+    let prefer = prefer_field o in
     if prefer && kind = `Af then
       reject "\"prefer\" applies to stable models only (kind \"stable\")";
     Models
@@ -495,20 +528,16 @@ let rec decode_verb o = function
 
 (* One batched request.  A malformed item never poisons the frame: its
    decode failure is reified as [Error message] and answered in place,
-   so the sibling requests still run.  Connection-scoped verbs (the
-   replication handshake, shutdown) and nested batches are rejected
+   so the sibling requests still run.  A verb its class marks
+   unbatchable (connection-scoped ones and nested batches) is rejected
    per-item too. *)
 and decode_item = function
   | Obj _ as o -> (
-    match
-      (match str_field o "op" with
-      | "batch" -> reject "nested batch"
-      | ("shutdown" | "hello" | "pull" | "fetch_snapshot" | "promote") as op ->
-        reject "op %S cannot appear inside a batch" op
-      | _ -> ());
-      decode_request_obj o
-    with
-    | r -> Ok r
+    match decode_request_obj o with
+    | r when (classify r.verb).batchable -> Ok r
+    | _ ->
+      Error
+        (Printf.sprintf "op %S cannot appear inside a batch" (str_field o "op"))
     | exception Bad_request message -> Error message)
   | _ -> Error "batch item must be a JSON object"
 
@@ -527,14 +556,17 @@ and decode_request_obj o =
   in
   { id; budget; verb }
 
-let decode_request ?max_len line =
-  match parse ?max_len line with
-  | Error e -> Error e
-  | Ok (Obj _ as o) -> (
+let decode_json = function
+  | Obj _ as o -> (
     match decode_request_obj o with
     | r -> Ok r
     | exception Bad_request message -> Error (Request { message }))
-  | Ok _ -> Error (Request { message = "request must be a JSON object" })
+  | _ -> Error (Request { message = "request must be a JSON object" })
+
+let decode_request ?max_len line =
+  match parse ?max_len line with
+  | Error e -> Error e
+  | Ok j -> decode_json j
 
 let batch ?id items =
   Obj

@@ -75,11 +75,10 @@ type verb =
       (** enumerated by the compiled kernel.  With [prefer]
           (["prefer":"compiled"]), enumerate the preferred models of the
           compiled preference translation instead; combining it with the
-          assumption-free kind is a request error.  The revision-7
-          engine selectors ["search"] and ["engine"] are still accepted
-          with the value ["compiled"] on query and models (and ignored);
-          any other value of ["search"], ["engine"] or ["prefer"] is a
-          request error *)
+          assumption-free kind is a request error, and so is any other
+          value of ["prefer"].  Since revision 9 the revision-7 engine
+          selectors ["search"] and ["engine"] are not read: like any
+          unknown field they are ignored *)
   | Set_preference of { rule : string; over : string }
       (** add one rule-preference pair (a write; replicates) *)
   | Clear_preference of { rule : string; over : string }
@@ -128,10 +127,51 @@ and request = { id : int option; budget : budget_spec; verb : verb }
 
 and batch_item = (request, string) result
 (** One batched request; [Error message] is a per-item decode failure
-    (malformed payload, nested batch, or a connection-scoped verb such
-    as [shutdown]/[hello]/[pull]/[fetch_snapshot]/[promote]) that the
+    (malformed payload, or a verb whose {!verb_class} is not
+    [batchable]: a nested batch or a connection-scoped verb such as
+    [shutdown]/[hello]/[pull]/[fetch_snapshot]/[promote]) that the
     server answers in place with a ["proto"] error, leaving the sibling
     requests to run normally. *)
+
+(** {1 Verb classes}
+
+    How each layer handles a verb is decided once, by {!classify}: the
+    engine's locking, the daemon's thread, batch admission and the
+    replica-set client's routing all read it. *)
+
+type access =
+  | Read  (** lock-free, against the session's published snapshot *)
+  | Write
+      (** the write path: program text parsed outside every lock, the
+          apply under the io lock, then the durability and
+          synchronous-commit waits; refused on a replica *)
+  | Io
+      (** the whole request under the io lock: it touches the WAL, the
+          snapshot files or the replication role *)
+  | Fan_out  (** a batch: each item takes its own verb's path *)
+
+type thread =
+  | Pool  (** a worker of the daemon's bounded pool *)
+  | Reader
+      (** the connection's reader thread, off the pool: the replication
+          verbs, whose pulls carry the durability confirmations
+          synchronous commit waits for, so they keep flowing while every
+          worker is blocked in that wait *)
+  | Last
+      (** the reader thread, answered before the daemon starts to
+          drain ([shutdown]) *)
+
+type verb_class = {
+  access : access;
+  thread : thread;
+  batchable : bool;  (** may appear inside a [batch] frame *)
+  to_primary : bool;
+      (** a replica-set client sends it to the primary; otherwise it
+          goes round-robin over the set *)
+}
+
+val classify : verb -> verb_class
+(** Allocates nothing: every class is a constant. *)
 
 val package_version : string
 (** The released package version (also [olp --version]). *)
@@ -147,6 +187,9 @@ val max_batch : int
 
 val decode_request : ?max_len:int -> string -> (request, error) result
 (** Parse and validate one request line.  Never raises. *)
+
+val decode_json : json -> (request, error) result
+(** Validate one parsed request ({!decode_request} after {!parse}). *)
 
 val batch : ?id:int -> json list -> json
 (** Build a [batch] request frame from encoded item objects (client-side

@@ -64,13 +64,21 @@ let test_sticky () =
   | exception B.Exhausted B.Steps -> ()
   | () -> Alcotest.fail "check on a spent budget must re-raise"
 
-let test_cancel () =
+(* A budget trips on its deadline or its step limit (or an injected
+   fault) and on nothing else: without limits no tick or check trips,
+   and the wire's reason grammar is exactly the three tags. *)
+let test_reasons () =
   let b = B.make () in
-  B.tick b;
-  B.cancel b;
-  match B.check b with
-  | exception B.Exhausted B.Cancelled -> ()
-  | () -> Alcotest.fail "cancellation must trip the next check"
+  for _ = 1 to 1000 do
+    B.tick b;
+    B.check b;
+    B.poll_deadline b
+  done;
+  Alcotest.(check int) "steps counted" 1000 (B.steps b);
+  Alcotest.(check bool) "never spent" true (B.exhausted b = None);
+  Alcotest.(check (list string)) "reason tags"
+    [ "deadline"; "steps"; "fault" ]
+    (List.map B.reason_to_string [ B.Deadline; B.Steps; B.Fault ])
 
 (* ------------------------------------------------------------------ *)
 (* Anytime prefix guarantee                                            *)
@@ -516,7 +524,8 @@ let suite =
     Alcotest.test_case "fault mid-enumeration" `Quick
       test_trip_at_mid_enumeration;
     Alcotest.test_case "exhaustion is sticky" `Quick test_sticky;
-    Alcotest.test_case "cooperative cancellation" `Quick test_cancel;
+    Alcotest.test_case "only deadline, steps and fault trip" `Quick
+      test_reasons;
     Alcotest.test_case "partial results are prefixes" `Quick
       test_prefix_property;
     QCheck_alcotest.to_alcotest test_prefix_property_random;

@@ -273,6 +273,47 @@ let test_snapshot_and_chain () =
   P.close p3;
   rm_rf dir
 
+(* An isa cycle never becomes a store: [of_dump] rejects it, recovery
+   skips such a snapshot as corrupt, and an old log holding a load that
+   closes one is cut at that record like any record that fails to
+   replay. *)
+let test_invalid_order () =
+  let cyclic =
+    { Store.dump_objs = [ ("b", [ "b" ], []) ]; dump_latest = [];
+      dump_counts = []; dump_prefs = [] }
+  in
+  (match Store.of_dump cyclic with
+  | _ -> Alcotest.fail "of_dump accepted an isa cycle"
+  | exception Invalid_argument _ -> ());
+  let dir = fresh_dir () in
+  let p, store, _ = P.open_dir (config dir) in
+  apply_and_log p store (Store.Load { src = "component a { p. }" });
+  P.close p;
+  Out_channel.with_open_bin
+    (Filename.concat dir "snapshot-000000000001.snap")
+    (fun oc ->
+      output_string oc (P.Record.encode_snapshot ~seq:1 ~epoch:0 cyclic));
+  let p, store, r = P.open_dir (config dir) in
+  Alcotest.(check int) "cyclic snapshot counted corrupt" 1
+    r.P.corrupt_snapshots;
+  Alcotest.(check int) "replayed from the log" 1 r.P.replayed;
+  Alcotest.(check (list string)) "store from the log" [ "a" ]
+    (Store.objects store);
+  (* a load that closes a cycle, logged as an older version would have *)
+  P.append p (Store.Load { src = "component b extends b { q. }" });
+  apply_and_log p store
+    (Store.Add_rule { obj = "a"; rule = Helpers.rule "q." });
+  P.close p;
+  rm_rf (Filename.concat dir "snapshot-000000000001.snap");
+  let p, store, r = P.open_dir (config dir) in
+  Alcotest.(check int) "replay stops at the cyclic load" 1 r.P.replayed;
+  Alcotest.(check bool) "log cut there" true (r.P.torn <> None);
+  Alcotest.(check (list string)) "objects before it" [ "a" ]
+    (Store.objects store);
+  ignore (Store.to_program store : Ordered.Program.t);
+  P.close p;
+  rm_rf dir
+
 let test_tmp_sweep () =
   let dir = fresh_dir () in
   let p, store, _ = P.open_dir (config dir) in
@@ -580,6 +621,8 @@ let suite =
     Alcotest.test_case "reopen replays the log" `Quick test_reopen_matches;
     Alcotest.test_case "snapshot resume and corrupt fallback" `Quick
       test_snapshot_and_chain;
+    Alcotest.test_case "an invalid order is corrupt or cut" `Quick
+      test_invalid_order;
     Alcotest.test_case "stale temp files swept" `Quick test_tmp_sweep;
     Alcotest.test_case "auto snapshot and compaction" `Quick
       test_auto_snapshot_and_compact;

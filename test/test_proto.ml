@@ -180,10 +180,10 @@ let test_oversized () =
 (* ------------------------------------------------------------------ *)
 
 let test_decode_requests () =
-  (* revision 8: one engine per question, the selectors reduced to the
-     value naming it *)
-  Alcotest.(check int) "protocol revision" 8 W.protocol_revision;
-  Alcotest.(check string) "package version" "1.10.0" W.package_version;
+  (* revision 9: one engine per question; only [prefer] still names
+     one *)
+  Alcotest.(check int) "protocol revision" 9 W.protocol_revision;
+  Alcotest.(check string) "package version" "1.11.0" W.package_version;
   (match W.decode_request {|{"op":"query","obj":"c1","lit":"p","id":7}|} with
   | Ok
       { id = Some 7;
@@ -201,11 +201,12 @@ let test_decode_requests () =
   | Ok _ -> Alcotest.fail "query search decoded wrong"
   | Error e ->
     Alcotest.failf "query search rejected: %s" (W.error_to_string e));
-  (* a revision-7 client naming the kernel on a plain query *)
+  (* the revision-7 selectors are not read: whatever they name, a
+     plain query stays plain *)
   (match
      W.decode_request
-       {|{"op":"query","obj":"c1","lit":"p","search":"compiled",
-          "engine":"compiled"}|}
+       {|{"op":"query","obj":"c1","lit":"p","search":"pruned",
+          "engine":"naive"}|}
    with
   | Ok { verb = W.Query { prefer = false; _ }; _ } -> ()
   | Ok _ -> Alcotest.fail "query prefer decoded wrong"
@@ -250,18 +251,24 @@ let test_decode_requests () =
       } -> ()
   | Ok _ -> Alcotest.fail "models decoded wrong"
   | Error e -> Alcotest.failf "models rejected: %s" (W.error_to_string e));
-  (* the revision-7 "search" field and its legacy "engine" alias still
-     decode when they name the one engine *)
-  (match
-     W.decode_request {|{"op":"models","obj":"o","search":"compiled"}|}
-   with
-  | Ok { verb = W.Models { prefer = false; _ }; _ } -> ()
-  | Ok _ -> Alcotest.fail "models search decoded wrong"
-  | Error e ->
-    Alcotest.failf "models search rejected: %s" (W.error_to_string e));
+  (* revision 9 ignores the revision-7 "search" field and its legacy
+     "engine" alias like any unknown field, whatever engine they name *)
+  List.iter
+    (fun line ->
+      match W.decode_request line with
+      | Ok { verb = W.Models { prefer = false; _ }; _ } -> ()
+      | Ok _ -> Alcotest.failf "models search decoded wrong: %s" line
+      | Error e ->
+        Alcotest.failf "models search rejected: %s: %s" line
+          (W.error_to_string e))
+    [ {|{"op":"models","obj":"o","search":"compiled"}|};
+      {|{"op":"models","obj":"o","search":"pruned"}|};
+      {|{"op":"models","obj":"o","search":"fastest","engine":"naive"}|};
+      {|{"op":"models","obj":"o","search":3,"engine":null}|}
+    ];
   (match
      W.decode_request
-       {|{"op":"models","obj":"o","search":"compiled","engine":"compiled",
+       {|{"op":"models","obj":"o","search":"pruned","engine":"compiled",
           "prefer":"compiled"}|}
    with
   | Ok { verb = W.Models { prefer = true; _ }; _ } -> ()
@@ -374,19 +381,99 @@ let test_decode_requests () =
   err {|{"op":"hello","seq":3}|} (* missing protocol *);
   err {|{"op":"hello","seq":-1,"protocol":3}|};
   err {|{"op":"pull"}|} (* missing from *);
-  err {|{"op":"models","obj":"o","search":"fastest"}|};
-  (* the engines revision 8 removed are unknown engines now *)
-  err {|{"op":"models","obj":"o","search":"pruned"}|};
-  err {|{"op":"models","obj":"o","search":"naive"}|};
-  err {|{"op":"models","obj":"o","engine":"pruned"}|};
-  err {|{"op":"models","obj":"o","engine":"naive"}|};
-  err {|{"op":"models","obj":"o","search":"compiled","engine":"pruned"}|};
+  (* "prefer" names only the compiled preference translation *)
   err {|{"op":"models","obj":"o","prefer":"naive"}|};
   err {|{"op":"query","obj":"o","lit":"p","prefer":"naive"}|};
-  err {|{"op":"query","obj":"o","lit":"p","search":"pruned"}|};
   err {|{"op":"stats","id":"seven"}|};
   err {|[1,2,3]|};
   err {|"stats"|}
+
+(* One sample request per verb; [op_of] has no wildcard arm, so a verb
+   added without a sample here does not compile. *)
+let op_of = function
+  | W.Load _ -> "load"
+  | W.Define _ -> "define"
+  | W.Add_rule _ -> "add_rule"
+  | W.Remove_rule _ -> "remove_rule"
+  | W.New_version _ -> "new_version"
+  | W.Query _ -> "query"
+  | W.Models _ -> "models"
+  | W.Set_preference _ -> "set_preference"
+  | W.Clear_preference _ -> "clear_preference"
+  | W.Explain _ -> "explain"
+  | W.Stats -> "stats"
+  | W.Version -> "version"
+  | W.Snapshot -> "snapshot"
+  | W.Shutdown -> "shutdown"
+  | W.Hello _ -> "hello"
+  | W.Pull _ -> "pull"
+  | W.Fetch_snapshot _ -> "fetch_snapshot"
+  | W.Promote -> "promote"
+  | W.Batch _ -> "batch"
+
+let every_verb =
+  [ {|{"op":"load","src":"component c { p. }"}|};
+    {|{"op":"define","name":"x","isa":["c"],"rules":"q."}|};
+    {|{"op":"add_rule","obj":"c","rule":"q."}|};
+    {|{"op":"remove_rule","obj":"c","rule":"q."}|};
+    {|{"op":"new_version","name":"c"}|};
+    {|{"op":"query","obj":"c","lit":"p"}|};
+    {|{"op":"models","obj":"c"}|};
+    {|{"op":"set_preference","rule":"a","over":"b"}|};
+    {|{"op":"clear_preference","rule":"a","over":"b"}|};
+    {|{"op":"explain","obj":"c","lit":"p"}|};
+    {|{"op":"stats"}|};
+    {|{"op":"version"}|};
+    {|{"op":"snapshot"}|};
+    {|{"op":"shutdown"}|};
+    {|{"op":"hello","seq":0,"protocol":9}|};
+    {|{"op":"pull","from":0}|};
+    {|{"op":"fetch_snapshot"}|};
+    {|{"op":"promote"}|};
+    {|{"op":"batch","requests":[{"op":"stats"}]}|}
+  ]
+
+(* Inside a batch, exactly the verbs whose class is not batchable are
+   rejected, each in place; the connection-scoped verbs and nested
+   batches are the unbatchable ones. *)
+let test_batch_admission () =
+  let decoded =
+    List.map
+      (fun line ->
+        match W.decode_request line with
+        | Ok r -> r
+        | Error e ->
+          Alcotest.failf "%s rejected: %s" line (W.error_to_string e))
+      every_verb
+  in
+  Alcotest.(check int) "one sample per verb" 19
+    (List.length
+       (List.sort_uniq compare
+          (List.map (fun (r : W.request) -> op_of r.verb) decoded)));
+  let frame =
+    Printf.sprintf {|{"op":"batch","requests":[%s]}|}
+      (String.concat "," every_verb)
+  in
+  match W.decode_request frame with
+  | Ok { verb = W.Batch items; _ } ->
+    List.iter2
+      (fun (r : W.request) item ->
+        let op = op_of r.verb in
+        match (W.classify r.verb).batchable, item with
+        | true, Ok (i : W.request) ->
+          Alcotest.(check string) ("admitted " ^ op) op (op_of i.verb)
+        | false, Error _ -> ()
+        | true, Error m -> Alcotest.failf "batchable %s rejected: %s" op m
+        | false, Ok _ -> Alcotest.failf "unbatchable %s admitted" op)
+      decoded items;
+    Alcotest.(check (list string)) "the unbatchable verbs"
+      [ "shutdown"; "hello"; "pull"; "fetch_snapshot"; "promote"; "batch" ]
+      (List.filter_map
+         (fun (r : W.request) ->
+           if (W.classify r.verb).batchable then None else Some (op_of r.verb))
+         decoded)
+  | Ok _ -> Alcotest.fail "batch decoded wrong"
+  | Error e -> Alcotest.failf "batch rejected: %s" (W.error_to_string e)
 
 (* ------------------------------------------------------------------ *)
 (* Fuzz: the decoder is total                                          *)
@@ -482,6 +569,8 @@ let suite =
       test_parse_values;
     Alcotest.test_case "oversized frames" `Quick test_oversized;
     Alcotest.test_case "request decoding" `Quick test_decode_requests;
+    Alcotest.test_case "batch admits exactly the batchable verbs" `Quick
+      test_batch_admission;
     Alcotest.test_case "corpus decodes" `Quick test_corpus_decodes;
     Alcotest.test_case "decoder never raises" `Quick test_decode_total
   ]

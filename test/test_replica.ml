@@ -144,20 +144,20 @@ let test_handshake () =
     (contains ~needle:"revision" (error_message j));
   (* a replica ahead of the primary has a diverged history *)
   let j =
-    Engine.handle_line engine {|{"op":"hello","seq":99,"protocol":8}|}
+    Engine.handle_line engine {|{"op":"hello","seq":99,"protocol":9}|}
   in
   Alcotest.(check string) "diverged replica refused" "handshake"
     (error_kind j);
   (* the good case tells the replica to tail *)
   let j =
-    Engine.handle_line engine {|{"op":"hello","seq":0,"protocol":8}|}
+    Engine.handle_line engine {|{"op":"hello","seq":0,"protocol":9}|}
   in
   Alcotest.(check string) "hello ok" "ok" (status j);
   Alcotest.(check (option string)) "action is tail" (Some "tail")
     (str_member "action" j);
   (* replication verbs without a data directory are input errors *)
   let bare = Engine.create () in
-  let j = Engine.handle_line bare {|{"op":"hello","seq":0,"protocol":8}|} in
+  let j = Engine.handle_line bare {|{"op":"hello","seq":0,"protocol":9}|} in
   Alcotest.(check string) "hello without persistence" "input" (error_kind j)
 
 (* ------------------------------------------------------------------ *)
@@ -472,7 +472,7 @@ let test_fencing () =
     let j = Engine.handle_line e2 line in
     Alcotest.(check string) ("typed fence: " ^ line) "fenced" (error_kind j)
   in
-  fenced {|{"op":"hello","seq":0,"protocol":8,"epoch":1,"rid":"x"}|};
+  fenced {|{"op":"hello","seq":0,"protocol":9,"epoch":1,"rid":"x"}|};
   fenced {|{"op":"pull","from":0,"epoch":1,"rid":"x"}|};
   fenced {|{"op":"fetch_snapshot","epoch":1}|};
   (* a link over the promoted directory refuses to follow it *)
@@ -652,6 +652,29 @@ let test_rset_failover () =
         (Some "true") (str_member "value" j)
     | Error e -> Alcotest.failf "read %d failed: %s" i e
   done;
+  (* every write verb lands on the primary: each from a fresh set that
+     knows only the replica, so its own class decides where it goes *)
+  List.iter
+    (fun (op, line) ->
+      let before = seq_of prim in
+      let fresh = Server.Rset.create [ Daemon.address repl.sdaemon ] in
+      (match Server.Rset.request_line ~retry:5. fresh line with
+      | Ok j -> ignore (must_ok op j)
+      | Error e -> Alcotest.failf "%s failed: %s" op e);
+      Alcotest.(check (option string)) (op ^ " sent to the primary")
+        (Some (Daemon.address_to_string (repl_addr prim)))
+        (Server.Rset.primary fresh);
+      Alcotest.(check int) (op ^ " logged on the primary") (before + 1)
+        (seq_of prim);
+      Server.Rset.close fresh)
+    [ ("load", {|{"op":"load","src":"component d { r. }"}|});
+      ("define", {|{"op":"define","name":"e","isa":["d"],"rules":"s."}|});
+      ("add_rule", {|{"op":"add_rule","obj":"d","rule":"t."}|});
+      ("remove_rule", {|{"op":"remove_rule","obj":"d","rule":"t."}|});
+      ("new_version", {|{"op":"new_version","name":"d"}|});
+      ("set_preference", {|{"op":"set_preference","rule":"a","over":"b"}|});
+      ("clear_preference", {|{"op":"clear_preference","rule":"a","over":"b"}|})
+    ];
   (* failover: the primary dies, the replica is promoted, and the same
      client keeps working without reconfiguration *)
   shutdown prim;
