@@ -138,8 +138,10 @@ bench-micro:
 bench-smoke:
 	dune exec bench/smoke.exe
 
-# Boot the query server, make one round-trip, drain — all under a hard
-# 5-second deadline (build first so the clock only times the server).
+# Boot the query server, make one round-trip, drain; then boot a
+# primary and a replica built from Daemon.config.replica_of, ship one
+# write and drain both — all under one hard 5-second deadline (build
+# first so the clock only times the servers).
 serve-smoke:
 	dune build bench/serve.exe
 	timeout 5 ./_build/default/bench/serve.exe --smoke

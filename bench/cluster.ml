@@ -1,6 +1,7 @@
 (* Cluster benchmark: the failover PR's three numbers, measured over a
    real 1-primary / 2-replica chain (primary -> mid -> leaf, the mid
-   node re-serving its own log) wired exactly as `olp serve` does.
+   node re-serving its own log), each node built from its
+   [Server.Daemon.config] as `olp serve` builds it.
    Emits BENCH_PR6.json —
 
    - commit: write latency/throughput over the socket, asynchronous
@@ -16,49 +17,14 @@
    Flags: --quick (small counts; used by the cram well-formedness
    test), --out FILE (default BENCH_PR6.json). *)
 
-module W = Server.Wire
+open Harness
 module P = Persist
-module Store = Kb.Store
-module Link = Replica.Link
-
-let die fmt =
-  Printf.ksprintf (fun s -> prerr_endline ("cluster: " ^ s); exit 1) fmt
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | exception Unix.Unix_error (ENOENT, _, _) -> ()
-  | { st_kind = S_DIR; _ } ->
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Unix.rmdir path
-  | _ -> Sys.remove path
-
-let dir_counter = ref 0
-
-let fresh_dir () =
-  incr dir_counter;
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "olp-bench-cluster-%d-%d" (Unix.getpid ()) !dir_counter)
-  in
-  rm_rf d;
-  d
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  f ();
-  Unix.gettimeofday () -. t0
 
 (* ------------------------------------------------------------------ *)
-(* Topology: servers wired the way bin/olp.ml wires them               *)
+(* Topology: servers built from their daemon config                   *)
 (* ------------------------------------------------------------------ *)
 
-type node = {
-  daemon : Server.Daemon.t;
-  thread : Thread.t;
-  link : Link.t option;
-  dir : string;
-}
+type node = { daemon : Server.Daemon.t; thread : Thread.t }
 
 (* replicas poll tightly so the commit numbers measure the protocol,
    not the idle heartbeat interval *)
@@ -66,57 +32,27 @@ let poll_interval = 0.002
 
 let spawn ?replica_of ?(replicate = true) ?sync dir =
   let d =
-    Server.Daemon.create
-      { Server.Daemon.address = `Tcp ("127.0.0.1", 0);
-        workers = 4;
-        parallel = `Threads;
-        queue = 256;
-        caps = Server.Engine.default_caps;
-        persist =
-          Some
-            { P.dir; fsync = false; snapshot_every = 0; group_commit_ms = 0 };
-        replicate_on =
-          (if replicate then Some (`Tcp ("127.0.0.1", 0)) else None);
-        sync
-      }
+    daemon ~persist:(persist_config dir)
+      ?replicate_on:(if replicate then Some (`Tcp ("127.0.0.1", 0)) else None)
+      ?sync
+      ?replica_of:
+        (Option.map
+           (fun primary ->
+             { (Server.Link.default_config primary) with poll_interval })
+           replica_of)
+      ()
   in
-  let engine = Server.Daemon.engine d in
-  let link =
-    match replica_of with
-    | None -> None
-    | Some primary ->
-      let persist = Option.get (Server.Daemon.persist_handle d) in
-      let link =
-        Link.create
-          ~metrics:(Server.Engine.metrics engine)
-          ~engine
-          ~session:(Server.Engine.session engine)
-          ~persist
-          { (Link.default_config primary) with poll_interval }
-      in
-      Server.Engine.set_replication engine
-        { Server.Engine.role = (fun () -> (Link.status link).Link.role);
-          primary = (fun () -> Some (Link.status link).Link.primary);
-          details = (fun () -> []);
-          promote = (fun () -> Link.promote link)
-        };
-      Server.Daemon.on_drain d (fun () -> Link.stop link);
-      Link.start link;
-      Some link
-  in
-  let thread = Thread.create (fun () -> Server.Daemon.serve d) () in
-  { daemon = d; thread; link; dir }
+  { daemon = d; thread = start d }
 
-let shutdown n =
-  Server.Daemon.stop n.daemon;
-  Thread.join n.thread
+let shutdown n = stop n.daemon n.thread
 
 let repl_addr n =
   match Server.Daemon.replication_address n.daemon with
   | Some a -> a
   | None -> die "node has no replication listener"
 
-let seq_of n = P.seq (Option.get (Server.Daemon.persist_handle n.daemon))
+let persist_of n = Option.get (Server.Daemon.persist_handle n.daemon)
+let seq_of n = P.seq (persist_of n)
 
 let wait_for ~msg f =
   let deadline = Unix.gettimeofday () +. 60. in
@@ -124,22 +60,6 @@ let wait_for ~msg f =
     if Unix.gettimeofday () > deadline then die "timed out waiting for %s" msg;
     ignore (Unix.select [] [] [] 0.002)
   done
-
-let connect address =
-  match Server.Client.connect ~retry:5. address with
-  | Ok c -> c
-  | Error e -> die "connect: %s" e
-
-let roundtrip c line =
-  let j =
-    match Server.Client.request_line c line with
-    | Ok j -> j
-    | Error e -> die "request %s: %s" line e
-  in
-  (match W.member "status" j with
-  | Some (W.String "ok") -> ()
-  | _ -> die "request %s answered %s" line (W.to_string j));
-  j
 
 (* ------------------------------------------------------------------ *)
 (* Measurements                                                        *)
@@ -165,14 +85,14 @@ let commit_run ~commit ~sync ~writes =
   let repl = spawn ~replica_of:(repl_addr prim) ~replicate:false rd in
   let c = connect (Server.Daemon.address prim.daemon) in
   ignore
-    (roundtrip c
+    (expect_ok c
        {|{"op":"define","name":"facts","isa":[],"rules":"q(X) :- p(X)."}|});
   wait_for ~msg:"replica catch-up" (fun () -> seq_of repl >= 1);
   let lat = Array.make writes 0. in
   let elapsed =
     time (fun () ->
         for i = 0 to writes - 1 do
-          lat.(i) <- time (fun () -> ignore (roundtrip c (mutation_line i)))
+          lat.(i) <- time (fun () -> ignore (expect_ok c (mutation_line i)))
         done)
   in
   Server.Client.close c;
@@ -221,7 +141,7 @@ let chain_reads ~clients ~per_client targets =
                  (fun () ->
                    let c = connect addr in
                    for i = 0 to per_client - 1 do
-                     ignore (roundtrip c mix.((ci + i) mod Array.length mix))
+                     ignore (expect_ok c mix.((ci + i) mod Array.length mix))
                    done;
                    Server.Client.close c;
                    fin.(ci) <- Unix.gettimeofday ())
@@ -279,10 +199,10 @@ let () =
   let leaf = spawn ~replica_of:(repl_addr mid) ~replicate:false ld in
   let c = connect (Server.Daemon.address prim.daemon) in
   ignore
-    (roundtrip c
+    (expect_ok c
        {|{"op":"define","name":"facts","isa":[],"rules":"q(X) :- p(X)."}|});
   for i = 0 to 9 do
-    ignore (roundtrip c (mutation_line i))
+    ignore (expect_ok c (mutation_line i))
   done;
   Server.Client.close c;
   wait_for ~msg:"leaf catch-up" (fun () -> seq_of leaf >= 11);
@@ -316,9 +236,12 @@ let () =
       seq_of leaf >= 12);
   let t0 = Unix.gettimeofday () in
   Server.Daemon.stop prim.daemon;
-  (match Option.get mid.link |> Link.promote with
-  | Ok _ -> ()
-  | Error e -> die "promote: %s" e);
+  (match
+     Server.Engine.handle_line (Server.Daemon.engine mid.daemon)
+       {|{"op":"promote"}|}
+   with
+  | j when W.member "status" j = Some (W.String "ok") -> ()
+  | j -> die "promote: %s" (W.to_string j));
   let first_write =
     match
       Server.Rset.request_line ~retry:30. rset
@@ -330,8 +253,7 @@ let () =
     | Error e -> die "post-failover write: %s" e
   in
   wait_for ~msg:"leaf follows the promoted mid" (fun () ->
-      seq_of leaf >= 13
-      && (Link.status (Option.get leaf.link)).Link.epoch = 1);
+      seq_of leaf >= 13 && P.epoch (persist_of leaf) = 1);
   let chain_follow = Unix.gettimeofday () -. t0 in
   Server.Rset.close rset;
   Thread.join prim.thread;

@@ -15,46 +15,7 @@
    Flags: --quick (small counts; used by the cram well-formedness
    test), --out FILE (default BENCH_PR7.json). *)
 
-module W = Server.Wire
-
-let die fmt =
-  Printf.ksprintf (fun s -> prerr_endline ("concurrent: " ^ s); exit 1) fmt
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | exception Unix.Unix_error (ENOENT, _, _) -> ()
-  | { st_kind = S_DIR; _ } ->
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Unix.rmdir path
-  | _ -> Sys.remove path
-
-let dir_counter = ref 0
-
-let fresh_dir () =
-  incr dir_counter;
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "olp-bench-concurrent-%d-%d" (Unix.getpid ()) !dir_counter)
-  in
-  rm_rf d;
-  d
-
-let connect address =
-  match Server.Client.connect ~retry:5. address with
-  | Ok c -> c
-  | Error e -> die "connect: %s" e
-
-let roundtrip c line =
-  match Server.Client.request_line c line with
-  | Ok j -> j
-  | Error e -> die "request %s: %s" line e
-
-let expect_ok c line =
-  let j = roundtrip c line in
-  match W.member "status" j with
-  | Some (W.String "ok") -> j
-  | _ -> die "unexpected response to %s: %s" line (W.to_string j)
+open Harness
 
 let kb_src =
   "component kb { p(1). p(2). q(X) :- p(X). }"
@@ -64,33 +25,17 @@ let read_line_ = {|{"op":"query","obj":"kb","lit":"q(1)"}|}
 let with_daemon ~workers ~persist f =
   let dir = if persist then Some (fresh_dir ()) else None in
   let d =
-    Server.Daemon.create
-      { Server.Daemon.address = `Tcp ("127.0.0.1", 0);
-        workers;
-        parallel = `Threads;
-        queue = 256;
-        caps = Server.Engine.default_caps;
-        persist =
-          Option.map
-            (fun dir ->
-              { Persist.dir; fsync = true; snapshot_every = 0;
-                group_commit_ms = 5
-              })
-            dir;
-        replicate_on = None;
-        sync = None
-      }
+    daemon ~workers
+      ?persist:
+        (Option.map (persist_config ~fsync:true ~group_commit_ms:5) dir)
+      ()
   in
-  let server = Thread.create (fun () -> Server.Daemon.serve d) () in
-  let r =
-    Fun.protect
-      ~finally:(fun () ->
-        Server.Daemon.stop d;
-        Thread.join server;
-        Option.iter rm_rf dir)
-      (fun () -> f (Server.Daemon.address d))
-  in
-  r
+  let server = start d in
+  Fun.protect
+    ~finally:(fun () ->
+      stop d server;
+      Option.iter rm_rf dir)
+    (fun () -> f (Server.Daemon.address d))
 
 (* --------------------------------------------------------------- *)
 (* Experiment 1: read throughput with writers stalling in the      *)

@@ -21,70 +21,13 @@
    unless both delta runs reach R and the primary delta run beats its
    wholesale baseline — the `make bench-incremental` floor). *)
 
-module W = Server.Wire
-module P = Persist
-module Store = Kb.Store
+open Harness
 
 let kb_src =
   "component top { fly(X) :- bird(X). bird(b0). bird(b1). bird(b2). \
    nests(X) :- bird(X), not -fly(X). } \
    component bot extends top { -fly(b0). } \
    component side { mark. }"
-
-let die fmt =
-  Printf.ksprintf (fun s -> prerr_endline ("incremental: " ^ s); exit 1) fmt
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | exception Unix.Unix_error (ENOENT, _, _) -> ()
-  | { st_kind = S_DIR; _ } ->
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Unix.rmdir path
-  | _ -> Sys.remove path
-
-let dir_counter = ref 0
-
-let fresh_dir () =
-  incr dir_counter;
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "olp-bench-inc-%d-%d" (Unix.getpid ()) !dir_counter)
-  in
-  rm_rf d;
-  d
-
-let connect address =
-  match Server.Client.connect ~retry:5. address with
-  | Ok c -> c
-  | Error e -> die "connect: %s" e
-
-let roundtrip c line =
-  match Server.Client.request_line c line with
-  | Ok j -> j
-  | Error e -> die "request %s: %s" line e
-
-let expect_ok c line =
-  let j = roundtrip c line in
-  match W.member "status" j with
-  | Some (W.String "ok") -> j
-  | _ -> die "unexpected response to %s: %s" line (W.to_string j)
-
-let daemon ?dir ?replicate_on () =
-  Server.Daemon.create
-    { Server.Daemon.address = `Tcp ("127.0.0.1", 0);
-      workers = 4;
-      parallel = `Threads;
-      queue = 256;
-      caps = Server.Engine.default_caps;
-      persist =
-        Option.map
-          (fun dir ->
-            { P.dir; fsync = false; snapshot_every = 0; group_commit_ms = 0 })
-          dir;
-      replicate_on;
-      sync = None
-    }
 
 (* The flush-on-write hook of a run: nothing for the delta arms, a
    wholesale [invalidate] of [session] for the baseline. *)
@@ -214,7 +157,7 @@ let load_kb address =
 
 let primary_run ~eviction ~per_client =
   let d = daemon () in
-  let t = Thread.create (fun () -> Server.Daemon.serve d) () in
+  let t = start d in
   let engine = Server.Daemon.engine d in
   let addr = Server.Daemon.address d in
   load_kb addr;
@@ -225,8 +168,7 @@ let primary_run ~eviction ~per_client =
       ~target:"primary" ~eviction ~read_addr:addr ~write_addr:addr
       ~stats_daemon:engine ~per_client
   in
-  Server.Daemon.stop d;
-  Thread.join t;
+  stop d t;
   r
 
 (* ------------------------------------------------------------------ *)
@@ -234,41 +176,29 @@ let primary_run ~eviction ~per_client =
 (* the shipped log through the same delta path (apply/apply_batch)     *)
 (* ------------------------------------------------------------------ *)
 
-let catch_up link =
-  let rec go fuel =
-    if fuel = 0 then die "replication made no progress";
-    match Replica.Link.step link with
-    | `Applied _ | `Ready -> go (fuel - 1)
-    | `Idle -> ()
-    | `Retry m -> die "transient failure under bench: %s" m
-    | `Fatal m -> die "replication halted: %s" m
-    | `Stopped -> die "link stopped under bench"
-  in
-  go 1_000_000
-
 let replica_run ~eviction ~per_client =
   let pd = fresh_dir () and rd = fresh_dir () in
-  let primary = daemon ~dir:pd ~replicate_on:(`Tcp ("127.0.0.1", 0)) () in
-  let pt = Thread.create (fun () -> Server.Daemon.serve primary) () in
+  let primary =
+    daemon ~persist:(persist_config pd) ~replicate_on:(`Tcp ("127.0.0.1", 0))
+      ()
+  in
+  let pt = start primary in
   let rep_addr =
     match Server.Daemon.replication_address primary with
     | Some (`Tcp _ as a) -> a
     | _ -> die "primary has no replication listener"
   in
   load_kb (Server.Daemon.address primary);
-  let replica = daemon ~dir:rd () in
-  let rt = Thread.create (fun () -> Server.Daemon.serve replica) () in
+  let replica = daemon ~persist:(persist_config rd) () in
+  let rt = start replica in
   let engine = Server.Daemon.engine replica in
   let after_apply =
     flush_after_write ~eviction (Server.Engine.session engine)
   in
   let link =
-    Replica.Link.create
-      ~metrics:(Server.Engine.metrics engine)
-      ~engine
-      ~session:(Server.Engine.session engine)
+    Server.Link.create ~engine
       ~persist:(Option.get (Server.Daemon.persist_handle replica))
-      (Replica.Link.default_config rep_addr)
+      (Server.Link.default_config rep_addr)
   in
   catch_up link;
   (* pump the link for the whole read window so every primary write is
@@ -278,7 +208,7 @@ let replica_run ~eviction ~per_client =
     Thread.create
       (fun () ->
         while not (Atomic.get stop_pump) do
-          (match Replica.Link.step link with
+          (match Server.Link.step link with
           | `Applied _ -> after_apply ()
           | `Ready -> ()
           | `Idle -> Thread.yield ()
@@ -297,11 +227,9 @@ let replica_run ~eviction ~per_client =
   in
   Atomic.set stop_pump true;
   Thread.join pump;
-  Replica.Link.stop link;
-  Server.Daemon.stop replica;
-  Thread.join rt;
-  Server.Daemon.stop primary;
-  Thread.join pt;
+  Server.Link.stop link;
+  stop replica rt;
+  stop primary pt;
   rm_rf pd;
   rm_rf rd;
   r

@@ -10,44 +10,9 @@
    Flags: --quick (small counts; used by the cram well-formedness
    test), --out FILE (default BENCH_PR4.json). *)
 
+open Harness
 module P = Persist
 module Store = Kb.Store
-
-let die fmt =
-  Printf.ksprintf (fun s -> prerr_endline ("persist: " ^ s); exit 1) fmt
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | exception Unix.Unix_error (ENOENT, _, _) -> ()
-  | { st_kind = S_DIR; _ } ->
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Unix.rmdir path
-  | _ -> Sys.remove path
-
-let dir_counter = ref 0
-
-let fresh_dir () =
-  incr dir_counter;
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "olp-bench-persist-%d-%d" (Unix.getpid ()) !dir_counter)
-  in
-  rm_rf d;
-  d
-
-(* one Define up front, then distinct fact appends: the steady-state
-   shape of a long-lived KB session *)
-let define =
-  Store.Define
-    { name = "facts";
-      isa = [];
-      rules = [ Lang.Parser.parse_rule "q(X) :- p(X)." ]
-    }
-
-let mutation i =
-  Store.Add_rule
-    { obj = "facts"; rule = Lang.Parser.parse_rule (Printf.sprintf "p(%d)." i) }
 
 type write_run = {
   mode : string;
@@ -56,11 +21,6 @@ type write_run = {
   per_sec : float;
   overhead : float;  (* vs the in-memory run; 1.0 for in-memory itself *)
 }
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  f ();
-  Unix.gettimeofday () -. t0
 
 let write_memory n =
   let store = Store.create () in
@@ -72,7 +32,7 @@ let write_memory n =
 
 let write_wal ~fsync n =
   let dir = fresh_dir () in
-  let p, store, _ = P.open_dir { P.dir; fsync; snapshot_every = 0; group_commit_ms = 0 } in
+  let p, store, _ = P.open_dir (persist_config ~fsync dir) in
   let m0 = define in
   Store.apply store m0;
   P.append p m0;
@@ -96,7 +56,7 @@ let write_wal ~fsync n =
 let write_group ~threads n =
   let dir = fresh_dir () in
   let p, store, _ =
-    P.open_dir { P.dir; fsync = true; snapshot_every = 0; group_commit_ms = 2 }
+    P.open_dir (persist_config ~fsync:true ~group_commit_ms:2 dir)
   in
   let lock = Mutex.create () in
   let m0 = define in
@@ -145,7 +105,7 @@ type recovery_run = {
    cold open_dir *)
 let recovery ~snapshotted n =
   let dir = fresh_dir () in
-  let p, store, _ = P.open_dir { P.dir; fsync = false; snapshot_every = 0; group_commit_ms = 0 } in
+  let p, store, _ = P.open_dir (persist_config dir) in
   let log m =
     Store.apply store m;
     P.append p m
@@ -166,7 +126,7 @@ let recovery ~snapshotted n =
   let replayed = ref 0 in
   let elapsed =
     time (fun () ->
-        let p, _, r = P.open_dir { P.dir; fsync = false; snapshot_every = 0; group_commit_ms = 0 } in
+        let p, _, r = P.open_dir (persist_config dir) in
         replayed := r.P.replayed;
         P.close p)
   in

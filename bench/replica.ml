@@ -1,5 +1,5 @@
-(* Replication benchmark: a primary daemon and a replica wired up in
-   process, the same way `olp serve --replica-of` does it.  Emits
+(* Replication benchmark: a primary daemon and a replica in process,
+   the replica's link stepped over its engine and data directory.  Emits
    BENCH_PR5.json — log-shipping throughput (mutations per second
    applied on the replica) for a cold catch-up and for a burst arriving
    while in sync, and read throughput served from the replica against
@@ -12,67 +12,13 @@
    Flags: --quick (small counts; used by the cram well-formedness
    test), --out FILE (default BENCH_PR5.json). *)
 
-module W = Server.Wire
+open Harness
 module P = Persist
 module Store = Kb.Store
-
-let die fmt =
-  Printf.ksprintf (fun s -> prerr_endline ("replica: " ^ s); exit 1) fmt
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | exception Unix.Unix_error (ENOENT, _, _) -> ()
-  | { st_kind = S_DIR; _ } ->
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Unix.rmdir path
-  | _ -> Sys.remove path
-
-let dir_counter = ref 0
-
-let fresh_dir () =
-  incr dir_counter;
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "olp-bench-replica-%d-%d" (Unix.getpid ()) !dir_counter)
-  in
-  rm_rf d;
-  d
-
-(* the same steady-state shape as the persistence benchmark: one Define,
-   then distinct fact appends *)
-let define =
-  Store.Define
-    { name = "facts";
-      isa = [];
-      rules = [ Lang.Parser.parse_rule "q(X) :- p(X)." ]
-    }
-
-let mutation i =
-  Store.Add_rule
-    { obj = "facts"; rule = Lang.Parser.parse_rule (Printf.sprintf "p(%d)." i) }
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  f ();
-  Unix.gettimeofday () -. t0
 
 (* ------------------------------------------------------------------ *)
 (* Topology                                                            *)
 (* ------------------------------------------------------------------ *)
-
-let daemon ~dir ~replicate_on =
-  Server.Daemon.create
-    { Server.Daemon.address = `Tcp ("127.0.0.1", 0);
-      workers = 4;
-      parallel = `Threads;
-      queue = 256;
-      caps = Server.Engine.default_caps;
-      persist =
-        Some { P.dir; fsync = false; snapshot_every = 0; group_commit_ms = 0 };
-      replicate_on;
-      sync = None
-    }
 
 (* apply a mutation on the primary the way a worker would: under the
    engine lock, through the session, so it is logged and shippable *)
@@ -81,34 +27,15 @@ let mutate d m =
   Server.Engine.exclusively engine (fun () ->
       Kb.Session.apply (Server.Engine.session engine) m)
 
-(* wire a link over a replica daemon exactly as bin/olp.ml does *)
+(* a step-driven link over a replica daemon's engine and data directory *)
 let link_of ~primary d =
-  let engine = Server.Daemon.engine d in
   let persist =
     match Server.Daemon.persist_handle d with
     | Some p -> p
     | None -> die "replica daemon has no data directory"
   in
-  Replica.Link.create
-    ~metrics:(Server.Engine.metrics engine)
-    ~engine
-    ~session:(Server.Engine.session engine)
-    ~persist
-    (Replica.Link.default_config primary)
-
-(* step until in sync; Ready/Applied are progress, anything else is a
-   benchmark failure (both ends live in this process) *)
-let catch_up link =
-  let rec go fuel =
-    if fuel = 0 then die "replication made no progress";
-    match Replica.Link.step link with
-    | `Applied _ | `Ready -> go (fuel - 1)
-    | `Idle -> ()
-    | `Retry m -> die "transient failure under bench: %s" m
-    | `Fatal m -> die "replication halted: %s" m
-    | `Stopped -> die "link stopped under bench"
-  in
-  go 1_000_000
+  Server.Link.create ~engine:(Server.Daemon.engine d) ~persist
+    (Server.Link.default_config primary)
 
 (* ------------------------------------------------------------------ *)
 (* Shipping throughput                                                 *)
@@ -128,16 +55,6 @@ type read_run = {
   elapsed_ns : int;
   qps : float;
 }
-
-let connect address =
-  match Server.Client.connect ~retry:5. address with
-  | Ok c -> c
-  | Error e -> die "connect: %s" e
-
-let roundtrip c line =
-  match Server.Client.request_line c line with
-  | Ok j -> j
-  | Error e -> die "request %s: %s" line e
 
 (* the read mix: repeated queries, answerable from the session cache
    after the first computation — the workload a read replica exists to
@@ -195,8 +112,11 @@ let () =
   let clients = 4 in
 
   let pd = fresh_dir () and rd = fresh_dir () in
-  let primary = daemon ~dir:pd ~replicate_on:(Some (`Tcp ("127.0.0.1", 0))) in
-  let primary_thread = Thread.create (fun () -> Server.Daemon.serve primary) () in
+  let primary =
+    daemon ~persist:(persist_config pd) ~replicate_on:(`Tcp ("127.0.0.1", 0))
+      ()
+  in
+  let primary_thread = start primary in
   let rep_addr =
     match Server.Daemon.replication_address primary with
     | Some a -> a
@@ -207,8 +127,8 @@ let () =
     mutate primary (mutation i)
   done;
 
-  let replica = daemon ~dir:rd ~replicate_on:None in
-  let replica_thread = Thread.create (fun () -> Server.Daemon.serve replica) () in
+  let replica = daemon ~persist:(persist_config rd) () in
+  let replica_thread = start replica in
   let link = link_of ~primary:rep_addr replica in
 
   (* 1. cold catch-up: the replica pulls the primary's whole history *)
@@ -245,11 +165,9 @@ let () =
     ]
   in
 
-  Replica.Link.stop link;
-  Server.Daemon.stop replica;
-  Thread.join replica_thread;
-  Server.Daemon.stop primary;
-  Thread.join primary_thread;
+  Server.Link.stop link;
+  stop replica replica_thread;
+  stop primary primary_thread;
   rm_rf pd;
   rm_rf rd;
 

@@ -5,52 +5,23 @@
    dispatch overhead, not speedup).
 
    Flags: --quick (few requests; used by the cram well-formedness
-   test), --smoke (boot, one round-trip, clean shutdown — the
-   `make serve-smoke` deadline check), --out FILE (default
+   test), --smoke (boot, one round-trip, clean shutdown, then a primary
+   and a replica built from their daemon config ship one write and
+   drain — the `make serve-smoke` deadline check), --out FILE (default
    BENCH_PR3.json). *)
 
-module W = Server.Wire
+open Harness
 
 let kb_src =
   "component top { fly(X) :- bird(X). bird(tweety). bird(penguin). \
    bird(sam). nests(X) :- bird(X), not -fly(X). } \
    component bot extends top { -fly(penguin). }"
 
-let die fmt = Printf.ksprintf (fun s -> prerr_endline ("serve: " ^ s); exit 1) fmt
-
-let connect address =
-  match Server.Client.connect ~retry:5. address with
-  | Ok c -> c
-  | Error e -> die "connect: %s" e
-
-let roundtrip c line =
-  match Server.Client.request_line c line with
-  | Ok j -> j
-  | Error e -> die "request %s: %s" line e
-
-let expect_ok c line =
-  let j = roundtrip c line in
-  match W.member "status" j with
-  | Some (W.String "ok") -> j
-  | _ -> die "unexpected response to %s: %s" line (W.to_string j)
-
 let with_daemon ~workers f =
-  let d =
-    Server.Daemon.create
-      { Server.Daemon.address = `Tcp ("127.0.0.1", 0);
-        workers;
-        parallel = `Threads;
-        queue = 256;
-        caps = Server.Engine.default_caps;
-        persist = None;
-        replicate_on = None;
-        sync = None
-      }
-  in
-  let server = Thread.create (fun () -> Server.Daemon.serve d) () in
+  let d = daemon ~workers () in
+  let server = start d in
   let r = f (Server.Daemon.address d) in
-  Server.Daemon.stop d;
-  Thread.join server;
+  stop d server;
   r
 
 (* The repeated-query mix one client sends: after the first computation
@@ -127,8 +98,49 @@ let smoke () =
   | Some (W.String "true") -> ()
   | _ -> die "bad query answer: %s" (W.to_string j));
   ignore (expect_ok c {|{"op":"shutdown"}|});
-  Server.Client.close c;
-  print_endline "serve smoke: boot, round-trip, drain ok"
+  Server.Client.close c
+
+(* A primary with a replication listener and a replica built from
+   [Daemon.config.replica_of], as `olp serve --replica-of` builds it:
+   one write ships, then both drain. *)
+let smoke_replica () =
+  let pd = fresh_dir () and rd = fresh_dir () in
+  let p =
+    daemon ~workers:1 ~persist:(persist_config pd)
+      ~replicate_on:(`Tcp ("127.0.0.1", 0)) ()
+  in
+  let pt = start p in
+  let primary = Option.get (Server.Daemon.replication_address p) in
+  let r =
+    daemon ~workers:1 ~persist:(persist_config rd)
+      ~replica_of:(Server.Link.default_config primary) ()
+  in
+  let rt = start r in
+  let c = connect (Server.Daemon.address p) in
+  ignore
+    (expect_ok c
+       (W.to_string
+          (W.Obj [ ("op", W.String "load"); ("src", W.String kb_src) ])));
+  let rc = connect (Server.Daemon.address r) in
+  let query = {|{"op":"query","obj":"bot","lit":"fly(tweety)"}|} in
+  let deadline = Unix.gettimeofday () +. 4. in
+  let rec shipped () =
+    match W.member "value" (roundtrip rc query) with
+    | Some (W.String "true") -> ()
+    | _ when Unix.gettimeofday () > deadline -> die "the write never shipped"
+    | _ ->
+      Thread.delay 0.01;
+      shipped ()
+  in
+  shipped ();
+  List.iter
+    (fun c ->
+      ignore (expect_ok c {|{"op":"shutdown"}|});
+      Server.Client.close c)
+    [ rc; c ];
+  Thread.join rt;
+  Thread.join pt;
+  List.iter rm_rf [ pd; rd ]
 
 let () =
   let quick = ref false in
@@ -150,7 +162,11 @@ let () =
       exit 2
   in
   parse (List.tl (Array.to_list Sys.argv));
-  if !smoke_mode then smoke ()
+  if !smoke_mode then begin
+    smoke ();
+    smoke_replica ();
+    print_endline "serve smoke: boot, round-trip, drain ok"
+  end
   else begin
     let per_client = if !quick then 25 else 250 in
     let runs =

@@ -523,12 +523,6 @@ let group_commit_arg =
                  between them (default 0: one fsync per mutation).  No \
                  effect with $(b,--no-fsync).")
 
-(* ADDR grammar shared by --replicate-on / --replica-of / --seeds:
-   HOST:PORT is TCP, a bare number is a local TCP port, anything else a
-   Unix socket path.  The grammar lives next to the address type. *)
-let parse_addr = Server.Daemon.parse_address
-let addr_to_string = Server.Daemon.address_to_string
-
 (* Shared by serve/recover/compact: describe what recovery found, and
    whether the result is the full history or a sound prefix of it. *)
 let report_recovery ~prog ~dir (r : Persist.recovery) =
@@ -688,14 +682,22 @@ let serve_cmd =
         queue;
         caps;
         persist;
-        replicate_on = Option.map parse_addr replicate_on;
+        replicate_on = Option.map Server.Net.parse_address replicate_on;
         sync =
           (if sync_replicas > 0 then
              Some
                { Server.Engine.replicas = sync_replicas;
                  timeout_ms = sync_timeout
                }
-           else None)
+           else None);
+        replica_of =
+          Option.map
+            (fun addr ->
+              { (Server.Link.default_config (Server.Net.parse_address addr))
+                with
+                log = (fun msg -> Printf.printf "olp serve: %s\n%!" msg)
+              })
+            replica_of
       }
     in
     let daemon =
@@ -744,92 +746,16 @@ let serve_cmd =
         let oc = open_out f in
         Printf.fprintf oc "%d\n" port;
         close_out oc));
-    let engine = Server.Daemon.engine daemon in
-    (* the address clients reach this server on: advertised to the
-       primary (so its stats can list us) and listed first in our own
-       stats.replication.members topology *)
-    let self_addr = addr_to_string (Server.Daemon.address daemon) in
-    let members_detail () =
-      [ ("members",
-         Server.Wire.List
-           (List.map
-              (fun a -> Server.Wire.String a)
-              (self_addr :: Server.Engine.replica_members engine))) ]
-    in
-    (* when this server also re-serves its log (a primary, or a chained
-       replica), the listener rides along in the replication details *)
-    let listener_detail =
-      match Server.Daemon.replication_address daemon with
-      | None -> []
-      | Some addr ->
-        Printf.printf "olp serve: accepting replicas on %s\n%!"
-          (addr_to_string addr);
-        [ ("listener", Server.Wire.String (addr_to_string addr)) ]
-    in
-    (match replica_of with
-    | None ->
-      if listener_detail <> [] then begin
-        let epoch () =
-          match Server.Daemon.persist_handle daemon with
-          | Some p -> Persist.epoch p
-          | None -> 0
-        in
-        Server.Engine.set_replication engine
-          { Server.Engine.role = (fun () -> "primary");
-            primary = (fun () -> None);
-            details =
-              (fun () ->
-                listener_detail
-                @ [ ("epoch", Server.Wire.Int (epoch ())) ]
-                @ members_detail ());
-            promote =
-              (fun () -> Error "this server is already a primary")
-          }
-      end
+    (match Server.Daemon.replication_address daemon with
     | Some addr ->
-      let primary = parse_addr addr in
-      let persist =
-        match Server.Daemon.persist_handle daemon with
-        | Some p -> p
-        | None -> assert false  (* --replica-of implies --data-dir *)
-      in
-      let link =
-        Replica.Link.create
-          ~metrics:(Server.Engine.metrics engine)
-          ~engine
-          ~session:(Server.Engine.session engine)
-          ~persist
-          { (Replica.Link.default_config primary) with
-            advertise = Some self_addr;
-            log = (fun msg -> Printf.printf "olp serve: %s\n%!" msg)
-          }
-      in
-      Server.Engine.set_replication engine
-        { Server.Engine.role =
-            (fun () -> (Replica.Link.status link).Replica.Link.role);
-          primary =
-            (fun () -> Some (Replica.Link.status link).Replica.Link.primary);
-          details =
-            (fun () ->
-              let s = Replica.Link.status link in
-              [ ("primary", Server.Wire.String s.Replica.Link.primary);
-                ("epoch", Server.Wire.Int s.Replica.Link.epoch);
-                ("last_applied", Server.Wire.Int s.Replica.Link.last_applied);
-                ("primary_seq", Server.Wire.Int s.Replica.Link.primary_seq);
-                ("lag", Server.Wire.Int s.Replica.Link.lag);
-                ("connected", Server.Wire.Bool s.Replica.Link.connected);
-                ("connect_attempts",
-                 Server.Wire.Int s.Replica.Link.connect_attempts)
-              ]
-              @ members_detail () @ listener_detail);
-          promote = (fun () -> Replica.Link.promote link)
-        };
-      Server.Daemon.on_drain daemon (fun () -> Replica.Link.stop link);
-      Sys.set_signal Sys.sigusr1
-        (Sys.Signal_handle (fun _ -> Replica.Link.request_promote link));
+      Printf.printf "olp serve: accepting replicas on %s\n%!"
+        (Server.Net.address_to_string addr)
+    | None -> ());
+    (match config.replica_of with
+    | Some { primary; _ } ->
       Printf.printf "olp serve: replicating from %s\n%!"
-        (addr_to_string primary);
-      Replica.Link.start link);
+        (Server.Net.address_to_string primary)
+    | None -> ());
     Server.Daemon.serve daemon
   in
   Cmd.v
@@ -893,7 +819,7 @@ let call_cmd =
       let addrs =
         String.split_on_char ',' list
         |> List.filter (fun s -> String.trim s <> "")
-        |> List.map (fun s -> parse_addr (String.trim s))
+        |> List.map (fun s -> Server.Net.parse_address (String.trim s))
       in
       if addrs = [] then begin
         Printf.eprintf "olp call: --seeds needs at least one address\n";

@@ -37,15 +37,6 @@ val enabled_version :
     deviations test suite).  [`Literal]: the paper's reading, kept for
     side-by-side comparison. *)
 
-val enabled_fixpoint :
-  ?semantics:[ `Corrected | `Literal ] ->
-  Gop.t ->
-  Gop.Values.t ->
-  Gop.Values.t
-(** [T^inf_{C^e}(0)] (Lemma 2): the least fixpoint of the positive
-    immediate-consequence operator over the enabled rules, treating
-    literals as atomic. *)
-
 val is_assumption_free_v :
   ?semantics:[ `Corrected | `Literal ] -> Gop.t -> Gop.Values.t -> bool
 (** {!is_assumption_free} directly on an encoded assignment (which, being

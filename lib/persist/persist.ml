@@ -375,6 +375,9 @@ let compact t =
 (* Replication support                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* A batch stops growing once it holds this many bytes. *)
+let tail_bytes = 1024 * 1024
+
 let tail t ~from ~max =
   if from >= t.seq then Ok ("", 0)
   else begin
@@ -394,10 +397,11 @@ let tail t ~from ~max =
     | Some b0 ->
       let buf = Buffer.create 4096 in
       let took = ref 0 in
+      let full () = !took >= max || Buffer.length buf >= tail_bytes in
       (* ship the raw framed bytes untouched: the replica re-frames
          nothing, so CRCs are verified end to end *)
       let rec seg b =
-        if !took >= max then ()
+        if full () then ()
         else
           match read_whole (Filename.concat t.config.dir (wal_name b)) with
           | exception Sys_error _ -> ()
@@ -412,15 +416,15 @@ let tail t ~from ~max =
                 | Record.End | Record.Torn _ -> stop := true
                 | Record.Frame { payload = _; next } ->
                   incr idx;
-                  if !idx > from && !idx <= t.seq && !took < max then begin
+                  if !idx > from && !idx <= t.seq && not (full ()) then begin
                     Buffer.add_substring buf s !pos (next - !pos);
                     incr took
                   end;
                   pos := next;
-                  if !took >= max || !idx >= t.seq then stop := true
+                  if full () || !idx >= t.seq then stop := true
               done;
               if
-                !took < max && !idx < t.seq
+                (not (full ())) && !idx < t.seq
                 && Sys.file_exists
                      (Filename.concat t.config.dir (wal_name !idx))
               then seg !idx

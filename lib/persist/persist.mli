@@ -125,10 +125,12 @@ val tail :
 (** [tail t ~from ~max] returns up to [max] raw framed WAL records
     numbered [from + 1 ...], concatenated byte-for-byte as they sit on
     disk (the receiver walks them with {!Record.unframe}, CRCs intact),
-    with the count taken.  [Ok ("", 0)] when the log has nothing past
-    [from].  [Error (`Too_old base)] when compaction has dropped the
-    requested range — the oldest retained segment starts at [base];
-    fetch a snapshot instead. *)
+    with the count taken.  It stops adding records once the batch holds
+    1 MiB, and always takes at least one, so a pull reply stays near
+    that size however large the records are.  [Ok ("", 0)] when the
+    log has nothing past [from].  [Error (`Too_old base)] when
+    compaction has dropped the requested range — the oldest retained
+    segment starts at [base]; fetch a snapshot instead. *)
 
 val snapshot_image : t -> int * string
 (** The current state as [(seq, image)] where [image] is a

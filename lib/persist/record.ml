@@ -1,9 +1,8 @@
 (* Binary codecs for WAL records and snapshots; see record.mli for the
    grammar.  Encoders build strings in a Buffer; decoders walk a string
-   with explicit bounds checks and report failures as [Error], never as
-   an exception. *)
-
-let max_payload = 16 * 1024 * 1024
+   already in memory, check every length against the bytes present
+   before allocating, and report failures as [Error], never as an
+   exception. *)
 
 (* ------------------------------------------------------------------ *)
 (* Primitive writers                                                   *)
@@ -74,15 +73,15 @@ let get_u64 r =
 
 let get_str r =
   let n = get_u32 r in
-  if n > max_payload then corrupt "implausible string length %d" n;
   need r n;
   let s = String.sub r.src r.pos n in
   r.pos <- r.pos + n;
   s
 
+(* Every element takes at least one byte, so a corrupt count fails at
+   the end of the input before the list outgrows it. *)
 let get_list r get =
   let n = get_u32 r in
-  if n > max_payload then corrupt "implausible list count %d" n;
   List.init n (fun _ -> get r)
 
 let get_rule r =
@@ -212,9 +211,7 @@ let unframe s ~pos =
   else begin
     let len = read_u32_at s pos in
     let crc = read_u32_at s (pos + 4) in
-    if len > max_payload then
-      Torn (Printf.sprintf "implausible payload length %d" len)
-    else if n - pos - 8 < len then
+    if n - pos - 8 < len then
       Torn
         (Printf.sprintf "short payload (%d of %d byte(s))" (n - pos - 8) len)
     else if Crc32.sub s ~pos:(pos + 8) ~len <> crc then

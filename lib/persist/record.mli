@@ -36,12 +36,10 @@
     which the printers guarantee re-parses to an equal rule; the decoder
     re-parses them, so a decoded mutation is ready to {!Kb.Store.apply}.
     Decoders never raise: a short buffer, a CRC mismatch, an unknown tag,
-    an implausible length or an unparsable rule all come back as
-    [Error]. *)
-
-val max_payload : int
-(** Sanity cap on a single record payload (16 MiB) — a corrupt length
-    field cannot make the decoder allocate unboundedly. *)
+    a length past the end of the input or an unparsable rule all come
+    back as [Error].  Every length is checked against the bytes present,
+    so no size cap applies: the writer refuses only what a [u32] cannot
+    hold. *)
 
 (** {1 Mutation payloads} *)
 
@@ -57,9 +55,8 @@ type unframed =
   | Frame of { payload : string; next : int }
       (** a whole, CRC-valid frame; [next] is the offset just past it *)
   | End  (** clean end of input exactly at [pos] *)
-  | Torn of string  (** anything else: short header, short payload, CRC
-                        mismatch, implausible length (the detail says
-                        which) *)
+  | Torn of string  (** anything else: short header, short payload or
+                        CRC mismatch (the detail says which) *)
 
 val unframe : string -> pos:int -> unframed
 

@@ -1,79 +1,27 @@
-type t = {
-  fd : Unix.file_descr;
-  buf : Buffer.t;  (* bytes read past the last returned line *)
-  chunk : Bytes.t;
-}
-
-let sockaddr_of = function
-  | `Unix path -> Unix.ADDR_UNIX path
-  | `Tcp (host, port) ->
-    Unix.ADDR_INET (Unix.inet_addr_of_string host, port)
+type t = { fd : Unix.file_descr; lines : Net.reader }
 
 let connect ?(retry = 0.) address =
-  let domain =
-    match address with `Unix _ -> Unix.PF_UNIX | `Tcp _ -> Unix.PF_INET
-  in
-  let deadline = Unix.gettimeofday () +. retry in
-  let rec attempt () =
-    let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-    match Unix.connect fd (sockaddr_of address) with
-    | () -> Ok { fd; buf = Buffer.create 4096; chunk = Bytes.create 65536 }
-    | exception Unix.Unix_error (e, _, _) ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      if Unix.gettimeofday () < deadline then begin
-        ignore (Unix.select [] [] [] 0.05);
-        attempt ()
-      end
-      else Error (Unix.error_message e)
-  in
-  attempt ()
+  Result.map
+    (fun fd -> { fd; lines = Net.reader fd })
+    (Net.connect ~retry address)
 
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let sent = ref 0 in
-  while !sent < n do
-    sent := !sent + Unix.write fd b !sent (n - !sent)
-  done
-
-(* Return the bytes up to the first newline, reading more as needed. *)
-let read_line t =
-  let take_line () =
-    let s = Buffer.contents t.buf in
-    match String.index_opt s '\n' with
-    | None -> None
-    | Some i ->
-      Buffer.clear t.buf;
-      Buffer.add_string t.buf
-        (String.sub s (i + 1) (String.length s - i - 1));
-      Some (String.sub s 0 i)
-  in
-  let rec go () =
-    match take_line () with
-    | Some l -> Ok l
-    | None -> (
-      match Unix.read t.fd t.chunk 0 (Bytes.length t.chunk) with
-      | 0 -> Error "connection closed by server"
-      | n ->
-        Buffer.add_subbytes t.buf t.chunk 0 n;
-        go ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-      | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e))
-  in
-  go ()
-
+(* Replies are read without a cap: a pull or snapshot reply carries
+   records hex-encoded, twice their size, and a models answer grows
+   with the program.  Only the daemon caps what it reads (requests). *)
 let request_line t line =
-  match write_all t.fd (line ^ "\n") with
+  match Net.write_all t.fd (line ^ "\n") with
+  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
   | () -> (
-    match read_line t with
-    | Error _ as e -> e
-    | Ok response -> (
-      match Wire.parse response with
+    match Net.read_line t.lines with
+    | `Eof -> Error "connection closed by server"
+    | `Error msg -> Error msg
+    | `Oversized n -> Error (Printf.sprintf "reply of %d bytes refused" n)
+    | `Line response -> (
+      match Wire.parse ~max_len:max_int response with
       | Ok j -> Ok j
       | Error e ->
         Error (Printf.sprintf "unparsable response: %s"
                  (Wire.error_to_string e))))
-  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
 
 let request t j = request_line t (Wire.to_string j)
 

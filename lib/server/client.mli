@@ -4,15 +4,16 @@
 
 type t
 
-val connect : ?retry:float -> Daemon.address -> (t, string) result
+val connect : ?retry:float -> Net.address -> (t, string) result
 (** Connect to a server.  [retry] keeps retrying a refused or
     not-yet-bound address for that many seconds (50 ms between attempts)
     — the standard way to ride out a server that is still starting. *)
 
 val request_line : t -> string -> (Wire.json, string) result
 (** Send one raw request line (a newline is appended) and read the one
-    response line, parsed.  [Error _] on connection failure or an
-    unparsable response. *)
+    response line, parsed.  Responses have no size cap (the daemon caps
+    requests only).  [Error _] on connection failure or an unparsable
+    response. *)
 
 val request : t -> Wire.json -> (Wire.json, string) result
 (** Encode and send a request object. *)

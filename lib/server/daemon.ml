@@ -1,49 +1,23 @@
 module M = Governor.Metrics
 
-type address = [ `Unix of string | `Tcp of string * int ]
-
-(* ADDR grammar shared by the CLI flags and the replica-set client:
-   HOST:PORT is TCP, a bare number is a local TCP port, "unix:PATH"
-   (the printable form redirects and stats carry) or anything else a
-   Unix socket path. *)
-let parse_address s : address =
-  let is_digits x =
-    x <> "" && String.for_all (fun c -> c >= '0' && c <= '9') x
-  in
-  if String.length s > 5 && String.sub s 0 5 = "unix:" then
-    `Unix (String.sub s 5 (String.length s - 5))
-  else
-    match String.rindex_opt s ':' with
-    | Some i ->
-      let host = String.sub s 0 i
-      and port = String.sub s (i + 1) (String.length s - i - 1) in
-      if host <> "" && is_digits port then `Tcp (host, int_of_string port)
-      else `Unix s
-    | None ->
-      if is_digits s then `Tcp ("127.0.0.1", int_of_string s) else `Unix s
-
-let address_to_string = function
-  | `Unix path -> "unix:" ^ path
-  | `Tcp (host, port) -> Printf.sprintf "%s:%d" host port
-
 type config = {
-  address : address;
+  address : Net.address;
   workers : int;
   parallel : Pool.backend;
   queue : int;
   caps : Engine.caps;
   persist : Persist.config option;
-  replicate_on : address option;
+  replicate_on : Net.address option;
   sync : Engine.sync option;
+  replica_of : Link.config option;
 }
 
 type t = {
-  config : config;
-  listen_fd : Unix.file_descr;
-  bound : address;
-  repl : (Unix.file_descr * address) option;  (* replication listener *)
+  listener : Unix.file_descr * Net.address;  (* clients; bound address *)
+  repl : (Unix.file_descr * Net.address) option;  (* replication listener *)
   engine : Engine.t;
   persist : (Persist.t * Persist.recovery) option;
+  link : Link.t option;  (* set when this server is a replica *)
   pool : Pool.t;
   stop_r : Unix.file_descr;  (* self-pipe: select wake-up for stop *)
   stop_w : Unix.file_descr;
@@ -51,56 +25,78 @@ type t = {
   lock : Mutex.t;  (* guards [stopping], [conns], [readers] *)
   mutable conns : Unix.file_descr list;
   mutable readers : Thread.t list;
-  mutable on_drain : (unit -> unit) option;
 }
 
 let engine t = t.engine
-let address t = t.bound
+let address t = snd t.listener
 let recovery t = Option.map snd t.persist
 let persist_handle t = Option.map fst t.persist
 let replication_address t = Option.map snd t.repl
-let on_drain t f = t.on_drain <- Some f
 
-let sockaddr_of = function
-  | `Unix path -> Unix.ADDR_UNIX path
-  | `Tcp (host, port) ->
-    Unix.ADDR_INET (Unix.inet_addr_of_string host, port)
-
-let listen address =
-  let domain =
-    match address with `Unix _ -> Unix.PF_UNIX | `Tcp _ -> Unix.PF_INET
+(* The engine's replication hooks for either role, with the [stats]
+   fields in a fixed order.  [members] lists this server's own client
+   address first, then every replica that advertised one. *)
+let wire_replication engine ~bound ~repl ~epoch link =
+  let listener_stat =
+    match repl with
+    | Some (_, a) -> [ ("listener", Wire.String (Net.address_to_string a)) ]
+    | None -> []
   in
-  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-  (match address with
-  | `Unix path -> (try Unix.unlink path with Unix.Unix_error _ -> ())
-  | `Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true);
-  (try Unix.bind fd (sockaddr_of address) with e -> Unix.close fd; raise e);
-  Unix.listen fd 64;
-  let bound =
-    match address with
-    | `Unix _ as a -> a
-    | `Tcp (host, _) -> (
-      match Unix.getsockname fd with
-      | Unix.ADDR_INET (_, port) -> `Tcp (host, port)
-      | _ -> address)
+  let members () =
+    [ ("members",
+       Wire.List
+         (List.map
+            (fun a -> Wire.String a)
+            (Net.address_to_string bound :: Engine.replica_members engine)))
+    ]
   in
-  (fd, bound)
+  match link with
+  | Some link ->
+    Engine.set_replication engine
+      { Engine.role = (fun () -> (Link.status link).role);
+        primary = (fun () -> Some (Link.status link).primary);
+        details =
+          (fun () ->
+            let s = Link.status link in
+            [ ("primary", Wire.String s.primary);
+              ("epoch", Wire.Int s.epoch);
+              ("last_applied", Wire.Int s.last_applied);
+              ("primary_seq", Wire.Int s.primary_seq);
+              ("lag", Wire.Int s.lag);
+              ("connected", Wire.Bool s.connected);
+              ("connect_attempts", Wire.Int s.connect_attempts)
+            ]
+            @ members () @ listener_stat);
+        promote = (fun () -> Link.promote link)
+      }
+  | None when listener_stat <> [] ->
+    Engine.set_replication engine
+      { Engine.role = (fun () -> "primary");
+        primary = (fun () -> None);
+        details =
+          (fun () ->
+            listener_stat @ [ ("epoch", Wire.Int (epoch ())) ] @ members ());
+        promote = (fun () -> Error "this server is already a primary")
+      }
+  | None -> ()
 
 let create config =
+  if config.replica_of <> None && config.persist = None then
+    invalid_arg "Daemon.create: replica_of requires persist";
   (* a write to a peer that already hung up must surface as the EPIPE
      [send] drops, not as a SIGPIPE that kills the whole process — also
      when the daemon runs inside a host program rather than [olp serve] *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let fd, bound = listen config.address in
+  let listener = Net.listen config.address in
+  let bound = snd listener in
   let repl =
     match config.replicate_on with
     | None -> None
     | Some a -> (
-      try Some (listen a) with e -> Unix.close fd; raise e)
+      try Some (Net.listen a) with e -> Net.unlisten listener; raise e)
   in
   let close_listeners () =
-    Unix.close fd;
-    match repl with Some (rfd, _) -> Unix.close rfd | None -> ()
+    List.iter Net.unlisten (listener :: Option.to_list repl)
   in
   let metrics = M.create () in
   let pool =
@@ -141,22 +137,30 @@ let create config =
     Engine.create ~caps:config.caps ~metrics ~extra_stats ?session
       ?persistence ?sync:config.sync ()
   in
+  let link =
+    match config.replica_of, persist with
+    | Some lc, Some (p, _) ->
+      Some
+        (Link.create ~advertise:(Net.address_to_string bound) ~engine
+           ~persist:p lc)
+    | _ -> None
+  in
+  wire_replication engine ~bound ~repl link ~epoch:(fun () ->
+      match persist with Some (p, _) -> Persist.epoch p | None -> 0);
   let stop_r, stop_w = Unix.pipe () in
   Unix.set_nonblock stop_w;
-  { config;
-    listen_fd = fd;
-    bound;
+  { listener;
     repl;
     engine;
     persist;
+    link;
     pool;
     stop_r;
     stop_w;
     stopping = false;
     lock = Mutex.create ();
     conns = [];
-    readers = [];
-    on_drain = None
+    readers = []
   }
 
 let stop t =
@@ -169,19 +173,16 @@ let stop t =
 let install_signal_handlers t =
   let handler = Sys.Signal_handle (fun _ -> stop t) in
   Sys.set_signal Sys.sigint handler;
-  Sys.set_signal Sys.sigterm handler
+  Sys.set_signal Sys.sigterm handler;
+  Option.iter
+    (fun link ->
+      Sys.set_signal Sys.sigusr1
+        (Sys.Signal_handle (fun _ -> Link.request_promote link)))
+    t.link
 
 (* ------------------------------------------------------------------ *)
 (* Per-connection reader                                               *)
 (* ------------------------------------------------------------------ *)
-
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let sent = ref 0 in
-  while !sent < n do
-    sent := !sent + Unix.write fd b !sent (n - !sent)
-  done
 
 (* One response line; serialized per connection so concurrent workers
    never interleave bytes of two responses. *)
@@ -190,7 +191,7 @@ let send conn_lock fd response =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock conn_lock)
     (fun () ->
-      try write_all fd (Wire.to_string response ^ "\n")
+      try Net.write_all fd (Wire.to_string response ^ "\n")
       with Unix.Unix_error _ -> () (* client went away; drop silently *))
 
 let handle_line t ~conn_lock fd line =
@@ -220,51 +221,21 @@ let handle_line t ~conn_lock fd line =
 
 let reader t fd =
   let conn_lock = Mutex.create () in
-  let buf = Buffer.create 4096 in
-  let chunk = Bytes.create 65536 in
-  let discarding = ref false in
-  let max_len = Wire.default_max_len in
-  let flush_line line =
-    let line =
-      (* tolerate CRLF framing *)
-      let n = String.length line in
-      if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
-    in
-    if String.trim line <> "" then handle_line t ~conn_lock fd line
-  in
-  let feed s =
-    String.iter
-      (fun c ->
-        if c = '\n' then begin
-          if !discarding then discarding := false
-          else flush_line (Buffer.contents buf);
-          Buffer.clear buf
-        end
-        else if !discarding then ()
-        else begin
-          Buffer.add_char buf c;
-          if Buffer.length buf > max_len then begin
-            (* typed error now, then skip the rest of this frame *)
-            send conn_lock fd
-              (Wire.error_response ~kind:"proto"
-                 (Wire.error_to_string
-                    (Wire.Oversized
-                       { length = Buffer.length buf; limit = max_len })));
-            M.incr (Engine.metrics t.engine) "proto_errors";
-            Buffer.clear buf;
-            discarding := true
-          end
-        end)
-      s
-  in
+  let limit = Wire.default_max_len in
+  let lines = Net.reader ~max:limit fd in
   let rec loop () =
-    match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> ()
-    | n ->
-      feed (Bytes.sub_string chunk 0 n);
+    match Net.read_line lines with
+    | `Line line ->
+      if String.trim line <> "" then handle_line t ~conn_lock fd line;
       loop ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-    | exception Unix.Unix_error _ -> ()
+    | `Oversized length ->
+      (* typed error once; the framer skips the rest of this frame *)
+      send conn_lock fd
+        (Wire.error_response ~kind:"proto"
+           (Wire.error_to_string (Wire.Oversized { length; limit })));
+      M.incr (Engine.metrics t.engine) "proto_errors";
+      loop ()
+    | `Eof | `Error _ -> ()
   in
   loop ();
   (try Unix.close fd with Unix.Unix_error _ -> ());
@@ -277,9 +248,8 @@ let reader t fd =
 (* ------------------------------------------------------------------ *)
 
 let serve t =
-  let listeners =
-    t.listen_fd :: (match t.repl with Some (fd, _) -> [ fd ] | None -> [])
-  in
+  Option.iter Link.start t.link;
+  let listeners = t.listener :: Option.to_list t.repl in
   let accept_on fd =
     match Unix.accept fd with
     | conn, _ ->
@@ -292,14 +262,14 @@ let serve t =
   in
   let rec accept_loop () =
     if not t.stopping then begin
-      match Unix.select (t.stop_r :: listeners) [] [] (-1.) with
+      match Unix.select (t.stop_r :: List.map fst listeners) [] [] (-1.) with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
       | readable, _, _ ->
         if not t.stopping then begin
           (* both listeners feed the same engine: replicas speak the
              ordinary wire protocol, just on their own address *)
           List.iter
-            (fun fd -> if List.mem fd readable then accept_on fd)
+            (fun (fd, _) -> if List.mem fd readable then accept_on fd)
             listeners;
           accept_loop ()
         end
@@ -309,17 +279,7 @@ let serve t =
   accept_loop ();
   (* drain: stop listening, finish queued and in-flight work, then close
      the surviving connections and collect the readers *)
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  (match t.bound with
-  | `Unix path -> (try Unix.unlink path with Unix.Unix_error _ -> ())
-  | `Tcp _ -> ());
-  (match t.repl with
-  | Some (fd, bound) ->
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    (match bound with
-    | `Unix path -> (try Unix.unlink path with Unix.Unix_error _ -> ())
-    | `Tcp _ -> ())
-  | None -> ());
+  List.iter Net.unlisten listeners;
   Pool.drain t.pool;
   Mutex.lock t.lock;
   let conns = t.conns and readers = t.readers in
@@ -330,11 +290,10 @@ let serve t =
       try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
     conns;
   List.iter Thread.join readers;
-  (* the drain hook runs after the workers and readers are gone but
-     before the WAL closes — bin stops the replication link here so its
-     last append cannot race the close *)
-  (match t.on_drain with Some f -> (try f () with _ -> ()) | None -> ());
-  (* all workers and readers are gone; no appends can race the close *)
+  (* the replication link stops after the workers and readers are gone
+     but before the WAL closes, so its last append cannot race the
+     close; then nothing appends *)
+  Option.iter Link.stop t.link;
   (match t.persist with Some (p, _) -> Persist.close p | None -> ());
   (try Unix.close t.stop_r with Unix.Unix_error _ -> ());
   try Unix.close t.stop_w with Unix.Unix_error _ -> ()

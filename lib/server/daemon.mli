@@ -3,7 +3,8 @@
 
     A daemon listens on a Unix-domain or TCP socket and speaks the
     {!Wire} protocol: each accepted connection gets a reader thread that
-    frames lines, decodes requests and submits them to the bounded
+    frames lines ({!Net.reader}, capped at {!Wire.default_max_len}),
+    decodes requests and submits them to the bounded
     {!Pool}; workers serve them through the shared {!Engine} and write
     the response line back (one response per request; pipelined clients
     should correlate by ["id"]).  Undecodable lines, oversized frames and
@@ -18,20 +19,8 @@
     {!serve} returns.  New requests arriving on live connections during
     the drain are answered with a ["draining"] error. *)
 
-type address = [ `Unix of string | `Tcp of string * int ]
-
-val parse_address : string -> address
-(** The ADDR grammar shared by the CLI and the replica-set client:
-    [HOST:PORT] is TCP, a bare number is a local TCP port, [unix:PATH]
-    (the printable form — so redirects round-trip) or anything else a
-    Unix socket path. *)
-
-val address_to_string : address -> string
-(** Printable form (["unix:PATH"] or ["HOST:PORT"]) — the form used in
-    [read_only] redirects and [stats]. *)
-
 type config = {
-  address : address;
+  address : Net.address;
       (** TCP port [0] picks an ephemeral port (see {!address}) *)
   workers : int;
   parallel : Pool.backend;
@@ -44,7 +33,7 @@ type config = {
       (** durable KB: recover the store from this data directory at
           startup and log every mutation to it ([None] = in-memory
           only; see [docs/PERSISTENCE.md]) *)
-  replicate_on : address option;
+  replicate_on : Net.address option;
       (** also listen on this address for replicas ([hello]/[pull]/
           [fetch_snapshot] traffic; same wire protocol, dedicated
           address so replica and client traffic can be segregated);
@@ -55,6 +44,12 @@ type config = {
       (** synchronous commit: hold each write's acknowledgement until
           this many replicas confirmed durability (see
           {!Engine.sync}) *)
+  replica_of : Link.config option;
+      (** run as a read-only replica of this primary: {!create} builds
+          the {!Link} (advertising the bound {!address}) and the
+          engine's replication hooks, {!serve} starts it and stops it
+          in the drain; requires [persist].  [promote] (the verb, or
+          SIGUSR1 once {!install_signal_handlers} ran) detaches it *)
 }
 
 type t
@@ -64,11 +59,17 @@ val create : config -> t
     address already in use).  With [persist] set, the KB is recovered
     from the data directory (raises {!Governor.Diag.Error} when that is
     impossible) and every mutation is logged before its response is
-    sent; otherwise the engine starts with an empty in-memory KB.
+    sent; otherwise the engine starts with an empty in-memory KB.  A
+    server with [replica_of] or [replicate_on] set gets the engine's
+    replication hooks ({!Engine.set_replication}): the [stats] object
+    [replication] lists [role, listener, epoch, members] on a primary
+    and [role, primary, epoch, last_applied, primary_seq, lag,
+    connected, connect_attempts, members, listener] on a replica.
+    Raises [Invalid_argument] for [replica_of] without [persist].
     Ignores SIGPIPE process-wide, so a write to a disconnected peer
     becomes an error handled per-connection. *)
 
-val address : t -> address
+val address : t -> Net.address
 (** The bound address — for TCP this resolves a requested port [0] to
     the actual ephemeral port. *)
 
@@ -78,18 +79,12 @@ val recovery : t -> Persist.recovery option
 (** The recovery report from startup, when [persist] was set. *)
 
 val persist_handle : t -> Persist.t option
-(** The open persistence handle ([bin] builds the replication link's
-    apply path on it).  Appending outside the engine lock races the
-    workers — use {!Engine.exclusively}. *)
+(** The open persistence handle.  Appending outside the engine lock
+    races the workers — use {!Engine.exclusively}. *)
 
-val replication_address : t -> address option
+val replication_address : t -> Net.address option
 (** The bound replication listener (with an ephemeral TCP port
     resolved), when [replicate_on] was set. *)
-
-val on_drain : t -> (unit -> unit) -> unit
-(** Register a hook that {!serve} runs while draining, after every
-    worker and reader has finished but before the data directory
-    closes — the replication link is stopped here. *)
 
 val serve : t -> unit
 (** Run the accept loop until {!stop}; drains before returning. *)
@@ -98,4 +93,5 @@ val stop : t -> unit
 (** Request shutdown (thread- and signal-safe, idempotent). *)
 
 val install_signal_handlers : t -> unit
-(** SIGINT/SIGTERM trigger {!stop}. *)
+(** SIGINT/SIGTERM trigger {!stop}; on a replica, SIGUSR1 requests
+    promotion ({!Link.request_promote}). *)

@@ -4,7 +4,7 @@
 
 module Backoff = Governor.Backoff
 
-type node = { addr : Daemon.address; mutable conn : Client.t option }
+type node = { addr : Net.address; mutable conn : Client.t option }
 
 type t = {
   mutable nodes : node array;
@@ -25,7 +25,7 @@ let create seeds =
   let nodes =
     List.filter_map
       (fun addr ->
-        let key = Daemon.address_to_string addr in
+        let key = Net.address_to_string addr in
         if Hashtbl.mem seen key then None
         else begin
           Hashtbl.add seen key ();
@@ -38,16 +38,13 @@ let create seeds =
     rr = 0;
     backoff =
       Backoff.make ~base:retry_base ~cap:retry_cap
-        ~seed:(Hashtbl.hash (List.map Daemon.address_to_string seeds))
+        ~seed:(Hashtbl.hash (List.map Net.address_to_string seeds))
         ()
   }
 
-let nodes t =
-  Array.to_list (Array.map (fun n -> Daemon.address_to_string n.addr) t.nodes)
-
 let primary t =
   Option.map
-    (fun i -> Daemon.address_to_string t.nodes.(i).addr)
+    (fun i -> Net.address_to_string t.nodes.(i).addr)
     t.primary
 
 let close t =
@@ -60,14 +57,10 @@ let close t =
 (* Find or learn a node by address; redirects teach us primaries we
    were never seeded with. *)
 let index_of t addr =
-  let key = Daemon.address_to_string addr in
-  let found = ref None in
-  Array.iteri
-    (fun i n ->
-      if !found = None && Daemon.address_to_string n.addr = key then
-        found := Some i)
-    t.nodes;
-  match !found with
+  let key = Net.address_to_string addr in
+  match
+    Array.find_index (fun n -> Net.address_to_string n.addr = key) t.nodes
+  with
   | Some i -> i
   | None ->
     t.nodes <- Array.append t.nodes [| { addr; conn = None } |];
@@ -157,7 +150,7 @@ let request ?(retry = 0.) t j =
           drop t i;
           let last_err =
             Printf.sprintf "%s: %s"
-              (Daemon.address_to_string t.nodes.(i).addr)
+              (Net.address_to_string t.nodes.(i).addr)
               msg
           in
           sweep ~hops ~last_err rest
@@ -165,7 +158,7 @@ let request ?(retry = 0.) t j =
         | Ok resp when error_field resp "kind" = Some "draining" ->
           drop t i;
           let last_err =
-            Daemon.address_to_string t.nodes.(i).addr ^ ": draining"
+            Net.address_to_string t.nodes.(i).addr ^ ": draining"
           in
           sweep ~hops ~last_err rest
         | Ok resp -> (
@@ -174,7 +167,7 @@ let request ?(retry = 0.) t j =
             (* a read never draws these refusals; don't loop on it *)
             Ok resp
           | Some (Some addr) when hops < max_redirect_hops ->
-            t.primary <- Some (index_of t (Daemon.parse_address addr));
+            t.primary <- Some (index_of t (Net.parse_address addr));
             go ~hops:(hops + 1) ~last_err
           | Some None when rest <> [] ->
             if t.primary = Some i then t.primary <- None;

@@ -28,29 +28,21 @@
 
 type t
 
-val create : Daemon.address list -> t
+val create : Net.address list -> t
 (** [create seeds] with at least one seed address (raises
     [Invalid_argument] on an empty list; duplicates are collapsed).
     One node's connection attempt is bounded at 50 ms; the
     between-sweep backoff starts at 50 ms and is capped at 1 s. *)
 
-val request : ?retry:float -> t -> Wire.json -> (Wire.json, string) result
-(** Route one request (see the routing rules above).  [retry] is the
-    total time budget for riding out unreachable nodes (default [0.]:
-    a single sweep over the set).  [Ok] carries whatever response the
-    chosen server gave — including typed error responses that are the
-    answer (a solver diagnostic, an exhausted redirect); [Error] means
-    no node could be reached within the budget. *)
-
 val request_line :
   ?retry:float -> t -> string -> (Wire.json, string) result
-(** Parse one raw request line and route it ([Error] on unparsable
-    input, without touching the network). *)
-
-val nodes : t -> string list
-(** Printable addresses of every node the set currently knows —
-    seeds plus any primaries learned from redirects, in discovery
-    order. *)
+(** Parse one raw request line and route it (see the routing rules
+    above); [Error] on unparsable input, without touching the network.
+    [retry] is the total time budget for riding out unreachable nodes
+    (default [0.]: a single sweep over the set).  [Ok] carries whatever
+    response the chosen server gave — including typed error responses
+    that are the answer (a solver diagnostic, an exhausted redirect);
+    [Error] means no node could be reached within the budget. *)
 
 val primary : t -> string option
 (** The node the set currently believes is the primary, if any write

@@ -399,7 +399,7 @@ let classify = function
   | Batch _ ->
     { access = Fan_out; thread = Pool; batchable = false; to_primary = true }
 
-let package_version = "1.11.0"
+let package_version = "1.12.0"
 let protocol_revision = 9
 let max_batch = 256
 

@@ -198,23 +198,3 @@ let compile (g : Ordered.Gop.t) =
     occ_score
   }
 
-type stats = {
-  atoms : int;
-  rules : int;
-  body_slots : int;
-  suppression_edges : int;
-  max_rank : int;
-}
-
-let stats t =
-  { atoms = t.n_atoms;
-    rules = t.n_rules;
-    body_slots = t.body_off.(t.n_rules);
-    suppression_edges = t.sup_of_off.(t.n_rules);
-    max_rank = Array.fold_left max 0 (Array.sub t.rank 0 (max 1 t.n_rules))
-  }
-
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "%d atoms, %d rules, %d body slots, %d suppression edges, rank depth %d"
-    s.atoms s.rules s.body_slots s.suppression_edges s.max_rank

@@ -40,13 +40,3 @@ val code : int -> bool -> int
 val compile : Ordered.Gop.t -> t
 (** One pass over the ground program; no assignment, no budget. *)
 
-type stats = {
-  atoms : int;
-  rules : int;
-  body_slots : int;
-  suppression_edges : int;
-  max_rank : int;
-}
-
-val stats : t -> stats
-val pp_stats : Format.formatter -> stats -> unit

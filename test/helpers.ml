@@ -99,3 +99,50 @@ let print_program p = Format.asprintf "%a" Ordered.Program.pp p
 
 let print_rules rs =
   String.concat " " (List.map Logic.Rule.to_string rs)
+
+(* In-process servers: a daemon on an ephemeral loopback port with a
+   10 s request cap, built from its config as `olp serve` builds it,
+   its accept loop in a thread. *)
+let start_daemon ?(workers = 2) ?(parallel = `Threads) ?persist
+    ?replicate_on ?sync ?replica_of () =
+  let d =
+    Server.Daemon.create
+      { Server.Daemon.address = `Tcp ("127.0.0.1", 0);
+        workers;
+        parallel;
+        queue = 64;
+        caps = { Server.Engine.timeout = Some 10.; steps = None };
+        persist;
+        replicate_on;
+        sync;
+        replica_of
+      }
+  in
+  (d, Thread.create Server.Daemon.serve d)
+
+let stop_daemon (d, thread) =
+  Server.Daemon.stop d;
+  Thread.join thread
+
+let with_daemon ?workers ?parallel ?persist ?replicate_on f =
+  let ((d, _) as s) =
+    start_daemon ?workers ?parallel ?persist ?replicate_on ()
+  in
+  Fun.protect ~finally:(fun () -> stop_daemon s) (fun () -> f d)
+
+let connect_exn address =
+  match Server.Client.connect ~retry:5. address with
+  | Ok c -> c
+  | Error e -> Alcotest.failf "connect: %s" e
+
+let request_exn c line =
+  match Server.Client.request_line c line with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "request %s: %s" line e
+
+let str_member k j =
+  match Server.Wire.member k j with
+  | Some (Server.Wire.String s) -> Some s
+  | _ -> None
+
+let status j = Option.value ~default:"?" (str_member "status" j)

@@ -58,29 +58,9 @@ type event =
   | Saw of { writes_acked : int; version : int; facts : FactSet.t }
 
 let with_daemon f =
-  let d =
-    Server.Daemon.create
-      { Server.Daemon.address = `Tcp ("127.0.0.1", 0);
-        workers = 4;
-        parallel = `Threads;
-        queue = 64;
-        caps = { Server.Engine.timeout = Some 10.; steps = None };
-        persist = None;
-        replicate_on = None;
-        sync = None
-      }
-  in
-  let server = Thread.create (fun () -> Server.Daemon.serve d) () in
-  let finally () =
-    Server.Daemon.stop d;
-    Thread.join server
-  in
-  Fun.protect ~finally (fun () -> f (Server.Daemon.address d))
+  Helpers.with_daemon ~workers:4 (fun d -> f (Server.Daemon.address d))
 
-let request_exn c line =
-  match Server.Client.request_line c line with
-  | Ok j -> j
-  | Error e -> Alcotest.failf "request %s: %s" line e
+let request_exn = Helpers.request_exn
 
 let ok_exn what j =
   match W.member "status" j with
@@ -167,11 +147,7 @@ let check_prefix_closure set =
 
 let test_concurrent_history () =
   with_daemon @@ fun address ->
-  let setup =
-    match Server.Client.connect ~retry:5. address with
-    | Ok c -> c
-    | Error e -> Alcotest.failf "connect: %s" e
-  in
+  let setup = Helpers.connect_exn address in
   ignore
     (ok_exn "define"
        (request_exn setup {|{"op":"define","name":"kb","rules":"seed."}|})

@@ -183,7 +183,7 @@ let test_decode_requests () =
   (* revision 9: one engine per question; only [prefer] still names
      one *)
   Alcotest.(check int) "protocol revision" 9 W.protocol_revision;
-  Alcotest.(check string) "package version" "1.11.0" W.package_version;
+  Alcotest.(check string) "package version" "1.12.0" W.package_version;
   (match W.decode_request {|{"op":"query","obj":"c1","lit":"p","id":7}|} with
   | Ok
       { id = Some 7;

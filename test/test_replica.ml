@@ -11,15 +11,17 @@
      and a budget-free link then converges to full equality.
 
    The primary is a real [Server.Daemon] on ephemeral TCP ports; the
-   replica is the same harness `olp serve --replica-of` wires, driven
-   step by step ([Link.step]) for deterministic schedules. *)
+   replica is a [Link] over its own engine and data directory, driven
+   step by step ([Link.step]) for deterministic schedules.  The
+   full-server tests build replicas from [Daemon.config.replica_of], as
+   `olp serve --replica-of` does. *)
 
 module P = Persist
 module W = Server.Wire
 module B = Governor.Budget
 module Engine = Server.Engine
 module Daemon = Server.Daemon
-module Link = Replica.Link
+module Link = Server.Link
 module Store = Kb.Store
 
 let iters =
@@ -36,10 +38,8 @@ let rand bound =
 
 let config dir = { P.dir; fsync = false; snapshot_every = 0; group_commit_ms = 0 }
 
-let str_member k j =
-  match W.member k j with Some (W.String s) -> Some s | _ -> None
-
-let status j = Option.value ~default:"?" (str_member "status" j)
+let str_member = Helpers.str_member
+let status = Helpers.status
 
 let error_kind j =
   match W.member "error" j with
@@ -166,26 +166,10 @@ let test_handshake () =
 
 let with_primary f =
   let dir = Test_persist.fresh_dir () in
-  let d =
-    Daemon.create
-      { Daemon.address = `Tcp ("127.0.0.1", 0);
-        workers = 2;
-        parallel = `Threads;
-        queue = 64;
-        caps = { Engine.timeout = Some 10.; steps = None };
-        persist = Some (config dir);
-        replicate_on = Some (`Tcp ("127.0.0.1", 0));
-        sync = None
-      }
-  in
-  let server = Thread.create (fun () -> Daemon.serve d) () in
-  let finally () =
-    Daemon.stop d;
-    Thread.join server;
-    Test_persist.rm_rf dir
-  in
-  Fun.protect ~finally (fun () ->
-      f d (Option.get (Daemon.replication_address d)))
+  Fun.protect ~finally:(fun () -> Test_persist.rm_rf dir) @@ fun () ->
+  Helpers.with_daemon ~persist:(config dir)
+    ~replicate_on:(`Tcp ("127.0.0.1", 0))
+  @@ fun d -> f d (Option.get (Daemon.replication_address d))
 
 type node = {
   dir : string;
@@ -201,10 +185,7 @@ let make_node ~primary dir =
   let budget = ref None in
   Kb.Session.on_mutation session (fun m -> P.append ?budget:!budget p m);
   let engine = Engine.create ~session () in
-  let link =
-    Link.create ~engine ~session ~persist:p
-      { (Link.default_config primary) with retry_base = 2.; retry_cap = 2. }
-  in
+  let link = Link.create ~engine ~persist:p (Link.default_config primary) in
   { dir; persist = p; store; link; budget }
 
 let dispose n =
@@ -307,6 +288,36 @@ let test_promotion () =
   dispose node;
   Test_persist.rm_rf dir
 
+(* A record of about 700 KB ships hex-encoded, so its pull reply and,
+   once the primary compacts, its snapshot reply are past the daemon's
+   1 MiB request cap.  Replies have no cap: the replica takes the record
+   by tail, and a fresh replica takes it by bootstrap. *)
+let test_large_record () =
+  with_primary @@ fun d repl_addr ->
+  let mirror = Store.create () in
+  mutate_primary d mirror
+    (Store.Load
+       { src =
+           Printf.sprintf "component big { p(%s). }"
+             (String.make 700_000 'a')
+       });
+  let expected = Test_persist.repr mirror in
+  let via label =
+    let node = make_node ~primary:repl_addr (Test_persist.fresh_dir ()) in
+    catch_up label node.link;
+    Alcotest.(check string) (label ^ ": replica equals primary") expected
+      (Test_persist.repr node.store);
+    let bootstraps = (Link.status node.link).Link.bootstraps in
+    let dir = node.dir in
+    dispose node;
+    Test_persist.rm_rf dir;
+    bootstraps
+  in
+  Alcotest.(check int) "by tail" 0 (via "tail");
+  Engine.exclusively (Daemon.engine d) (fun () ->
+      ignore (P.compact (Option.get (Daemon.persist_handle d)) : int * int));
+  Alcotest.(check int) "by bootstrap" 1 (via "bootstrap")
+
 (* ------------------------------------------------------------------ *)
 (* Kill sweep: die at every WAL chunk boundary during apply            *)
 (* ------------------------------------------------------------------ *)
@@ -372,58 +383,27 @@ let test_kill_sweep () =
     true (!k > 5)
 
 (* ------------------------------------------------------------------ *)
-(* Full in-process servers: the wiring bin/olp.ml does, for fencing,   *)
-(* synchronous commit, chained topologies and the replica-set client   *)
+(* Full in-process servers, replicas built from their daemon config:   *)
+(* fencing, synchronous commit, chained topologies, replica-set client *)
 (* ------------------------------------------------------------------ *)
 
-type server = { sdaemon : Daemon.t; sthread : Thread.t; slink : Link.t option }
+type server = { sdaemon : Daemon.t; sthread : Thread.t }
 
 let spawn ?replica_of ?(replicate = true) ?sync dir =
-  let d =
-    Daemon.create
-      { Daemon.address = `Tcp ("127.0.0.1", 0);
-        workers = 2;
-        parallel = `Threads;
-        queue = 64;
-        caps = { Engine.timeout = Some 10.; steps = None };
-        persist = Some (config dir);
-        replicate_on =
-          (if replicate then Some (`Tcp ("127.0.0.1", 0)) else None);
-        sync
-      }
+  let sdaemon, sthread =
+    Helpers.start_daemon ~persist:(config dir)
+      ?replicate_on:(if replicate then Some (`Tcp ("127.0.0.1", 0)) else None)
+      ?sync
+      ?replica_of:(Option.map Link.default_config replica_of)
+      ()
   in
-  let engine = Daemon.engine d in
-  let link =
-    match replica_of with
-    | None -> None
-    | Some primary ->
-      let persist = Option.get (Daemon.persist_handle d) in
-      let link =
-        Link.create ~engine ~session:(Engine.session engine) ~persist
-          { (Link.default_config primary) with
-            retry_base = 2.;
-            retry_cap = 2.
-          }
-      in
-      Engine.set_replication engine
-        { Engine.role = (fun () -> (Link.status link).Link.role);
-          primary = (fun () -> Some (Link.status link).Link.primary);
-          details = (fun () -> []);
-          promote = (fun () -> Link.promote link)
-        };
-      Daemon.on_drain d (fun () -> Link.stop link);
-      Link.start link;
-      Some link
-  in
-  let sthread = Thread.create (fun () -> Daemon.serve d) () in
-  { sdaemon = d; sthread; slink = link }
+  { sdaemon; sthread }
 
-let shutdown s =
-  Daemon.stop s.sdaemon;
-  Thread.join s.sthread
+let shutdown s = Helpers.stop_daemon (s.sdaemon, s.sthread)
 
 let repl_addr s = Option.get (Daemon.replication_address s.sdaemon)
-let seq_of s = P.seq (Option.get (Daemon.persist_handle s.sdaemon))
+let persist_of s = Option.get (Daemon.persist_handle s.sdaemon)
+let seq_of s = P.seq (persist_of s)
 
 let wait_for ~msg f =
   let deadline = Unix.gettimeofday () +. 30. in
@@ -604,7 +584,7 @@ let test_chained_failover () =
           {|{"op":"add_rule","obj":"c","rule":"after_failover."}|}));
   wait_for ~msg:"leaf follows the promoted mid" (fun () -> seq_of leaf >= 7);
   wait_for ~msg:"leaf adopts the new epoch" (fun () ->
-      (Link.status (Option.get leaf.slink)).Link.epoch = 1);
+      P.epoch (persist_of leaf) = 1);
   shutdown leaf;
   shutdown mid;
   let p2, s2, r2 = P.open_dir (config d2) in
@@ -638,7 +618,7 @@ let test_rset_failover () =
   | Ok j -> ignore (must_ok "redirected write" j)
   | Error e -> Alcotest.failf "redirected write failed: %s" e);
   Alcotest.(check (option string)) "primary learned from the redirect"
-    (Some (Daemon.address_to_string (repl_addr prim)))
+    (Some (Server.Net.address_to_string (repl_addr prim)))
     (Server.Rset.primary rset);
   wait_for ~msg:"write reaches the replica" (fun () -> seq_of repl >= 2);
   for i = 1 to 4 do
@@ -662,7 +642,7 @@ let test_rset_failover () =
       | Ok j -> ignore (must_ok op j)
       | Error e -> Alcotest.failf "%s failed: %s" op e);
       Alcotest.(check (option string)) (op ^ " sent to the primary")
-        (Some (Daemon.address_to_string (repl_addr prim)))
+        (Some (Server.Net.address_to_string (repl_addr prim)))
         (Server.Rset.primary fresh);
       Alcotest.(check int) (op ^ " logged on the primary") (before + 1)
         (seq_of prim);
@@ -708,6 +688,8 @@ let suite =
       test_differential;
     Alcotest.test_case "promotion detaches and keeps state" `Quick
       test_promotion;
+    Alcotest.test_case "a record past the request cap replicates" `Quick
+      test_large_record;
     Alcotest.test_case "kill sweep at every append boundary" `Quick
       test_kill_sweep;
     Alcotest.test_case "fencing at every protocol boundary" `Quick

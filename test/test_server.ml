@@ -6,13 +6,11 @@
 
 module W = Server.Wire
 
-let str_member k j =
-  match W.member k j with Some (W.String s) -> Some s | _ -> None
+let str_member = Helpers.str_member
+let status = Helpers.status
 
 let int_member k j =
   match W.member k j with Some (W.Int n) -> Some n | _ -> None
-
-let status j = Option.value ~default:"?" (str_member "status" j)
 
 (* Enough atoms that grounding alone outruns a 1-step budget. *)
 let src =
@@ -20,35 +18,11 @@ let src =
    r(X) :- p(X), not q(X). }\n\
    component leaf extends base { -r(1). }"
 
-let with_daemon f =
-  let d =
-    Server.Daemon.create
-      { Server.Daemon.address = `Tcp ("127.0.0.1", 0);
-        workers = 4;
-        parallel = `Threads;
-        queue = 64;
-        caps = { Server.Engine.timeout = Some 10.; steps = None };
-        persist = None;
-        replicate_on = None;
-        sync = None
-      }
-  in
-  let server = Thread.create (fun () -> Server.Daemon.serve d) () in
-  let finally () =
-    Server.Daemon.stop d;
-    Thread.join server
-  in
-  Fun.protect ~finally (fun () -> f (Server.Daemon.address d))
+let with_daemon ?parallel ?(workers = 4) f =
+  Helpers.with_daemon ?parallel ~workers (fun d -> f (Server.Daemon.address d))
 
-let connect_exn address =
-  match Server.Client.connect ~retry:5. address with
-  | Ok c -> c
-  | Error e -> Alcotest.failf "connect: %s" e
-
-let request_exn c line =
-  match Server.Client.request_line c line with
-  | Ok j -> j
-  | Error e -> Alcotest.failf "request %s: %s" line e
+let connect_exn = Helpers.connect_exn
+let request_exn = Helpers.request_exn
 
 let load_src c =
   let j =
@@ -176,20 +150,16 @@ let test_mutation_resets_cache () =
 
 let test_oversized_frame_multichunk () =
   with_daemon @@ fun address ->
-  let port = match address with `Tcp (_, p) -> p | `Unix _ -> assert false in
   (* a raw socket, so the frame can be dribbled in many small writes:
      the reader's discard state machine must emit exactly one oversized
      error for the whole frame, then serve the next line normally *)
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  let ic = Unix.in_channel_of_descr fd in
-  let write_all s =
-    let b = Bytes.of_string s in
-    let sent = ref 0 in
-    while !sent < Bytes.length b do
-      sent := !sent + Unix.write fd b !sent (Bytes.length b - !sent)
-    done
+  let fd =
+    match Server.Net.connect ~retry:0. address with
+    | Ok fd -> fd
+    | Error e -> Alcotest.failf "connect: %s" e
   in
+  let ic = Unix.in_channel_of_descr fd in
+  let write_all = Server.Net.write_all fd in
   (* 1.5 MiB against the 1 MiB limit, in 64 KiB chunks — the limit is
      crossed mid-stream, several reads after the frame began *)
   let chunk = String.make 65536 'a' in
@@ -217,6 +187,44 @@ let test_oversized_frame_multichunk () =
   Alcotest.(check bool) "version reported" true
     (str_member "version" second <> None);
   Unix.close fd
+
+(* The one line framer both ends read with: CRLF is stripped, a line
+   past the cap is reported once, whether it arrived whole or is still
+   arriving, and skipped up to its newline; without a cap nothing is
+   refused.  [script] alternates writes and reads on a socket pair, so
+   the read boundaries are the write boundaries. *)
+let test_line_framer () =
+  let run ?max script =
+    let r, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let lines = Server.Net.reader ?max r in
+    let next () =
+      match Server.Net.read_line lines with
+      | `Line l -> l
+      | `Oversized n -> Printf.sprintf "<%d>" n
+      | `Eof -> "<eof>"
+      | `Error e -> Alcotest.failf "read: %s" e
+    in
+    let got =
+      List.concat_map
+        (fun (chunk, reads) ->
+          Server.Net.write_all w chunk;
+          if chunk = "" then Unix.close w;
+          List.init reads (fun _ -> next ()))
+        script
+    in
+    Unix.close r;
+    got
+  in
+  Alcotest.(check (list string)) "capped"
+    [ "a"; "bb"; "<13>"; "c"; "<10>"; "d"; "<eof>" ]
+    (run ~max:8
+       [ ("a\r\nbb\n0123456789abc\nc\n0123456789", 5); ("xy\nd\n", 1);
+         ("", 1) ]);
+  Alcotest.(check (list string)) "uncapped"
+    [ "a"; "bb"; "0123456789abc"; "c"; "0123456789xy"; "d"; "<eof>" ]
+    (run
+       [ ("a\r\nbb\n0123456789abc\nc\n0123456789", 4); ("xy\nd\n", 2);
+         ("", 1) ])
 
 let test_batch_verb () =
   with_daemon @@ fun address ->
@@ -354,6 +362,60 @@ let test_many_clients_smoke () =
     true
     (aggregate_qps > baseline_qps)
 
+(* The [--parallel domains] backend: two worker domains serve three
+   concurrent readers while a fourth client writes, every read sees the
+   knowledge base before or after the write, and the drain (the
+   [shutdown] verb) joins both domains — [with_daemon] waits for [serve]
+   to return. *)
+let test_domain_workers () =
+  with_daemon ~parallel:`Domains ~workers:2 @@ fun address ->
+  let setup = connect_exn address in
+  load_src setup;
+  Server.Client.close setup;
+  let errors = Array.make 4 None in
+  let client i work =
+    Thread.create
+      (fun () ->
+        match Server.Client.connect ~retry:5. address with
+        | Error e -> errors.(i) <- Some e
+        | Ok c ->
+          (try work c with e -> errors.(i) <- Some (Printexc.to_string e));
+          Server.Client.close c)
+      ()
+  in
+  let reader c =
+    for _ = 1 to 25 do
+      let j = request_exn c {|{"op":"query","obj":"leaf","lit":"p(1)"}|} in
+      if str_member "value" j <> Some "true" then
+        failwith ("read answered " ^ W.to_string j);
+      let j = request_exn c {|{"op":"query","obj":"leaf","lit":"p(4)"}|} in
+      if status j <> "ok" then failwith ("read answered " ^ W.to_string j)
+    done
+  in
+  let writer c =
+    let j = request_exn c {|{"op":"add_rule","obj":"base","rule":"p(4)."}|} in
+    if status j <> "ok" then failwith ("write answered " ^ W.to_string j)
+  in
+  List.iter Thread.join
+    [ client 0 reader; client 1 reader; client 2 reader; client 3 writer ];
+  Array.iteri
+    (fun i e ->
+      match e with
+      | Some msg -> Alcotest.failf "client %d: %s" i msg
+      | None -> ())
+    errors;
+  let c = connect_exn address in
+  let j = request_exn c {|{"op":"query","obj":"leaf","lit":"p(4)"}|} in
+  Alcotest.(check (option string)) "the write is visible" (Some "true")
+    (str_member "value" j);
+  let stats = request_exn c {|{"op":"stats"}|} in
+  let server = Option.get (W.member "server" stats) in
+  Alcotest.(check (option int)) "two workers" (Some 2)
+    (int_member "workers" server);
+  Alcotest.(check string) "shutdown ok" "ok"
+    (status (request_exn c {|{"op":"shutdown"}|}));
+  Server.Client.close c
+
 let test_shutdown_drains () =
   with_daemon @@ fun address ->
   let c = connect_exn address in
@@ -372,8 +434,12 @@ let suite =
       test_mutation_resets_cache;
     Alcotest.test_case "oversized frame across read chunks" `Quick
       test_oversized_frame_multichunk;
+    Alcotest.test_case "one line framer for requests and replies" `Quick
+      test_line_framer;
     Alcotest.test_case "batch verb end to end" `Quick test_batch_verb;
     Alcotest.test_case "64-client batched smoke" `Quick
       test_many_clients_smoke;
+    Alcotest.test_case "domain workers serve readers and a writer" `Quick
+      test_domain_workers;
     Alcotest.test_case "shutdown drains" `Quick test_shutdown_drains
   ]
