@@ -105,7 +105,8 @@ type t = {
   g : Gop.t;
   lfp : Gop.Values.t;
   parts : (int * bool * bool) array array;
-  part_of : int array;
+  part_of : int array;  (* atom -> its part, -1 off the branch *)
+  pos : int array;  (* atom -> its position in its part *)
 }
 
 (* Parts of the residual: a rule that the least fixpoint neither decides
@@ -135,31 +136,33 @@ let split (g : Gop.t) lfp =
   let size = Array.make !np 0 in
   Array.iter (fun p -> size.(p) <- size.(p) + 1) pid;
   let parts = Array.map (fun k -> Array.make k (0, false, false)) size in
+  let part_of = Array.make n (-1) and pos = Array.make n (-1) in
   let fill = Array.make !np 0 in
   Array.iteri
-    (fun k b ->
+    (fun k ((a, _, _) as b) ->
       let p = pid.(k) in
       parts.(p).(fill.(p)) <- b;
+      part_of.(a) <- p;
+      pos.(a) <- fill.(p);
       fill.(p) <- fill.(p) + 1)
     br;
-  let part_of = Array.make n (-1) in
-  Array.iteri
-    (fun i p -> Array.iter (fun (a, _, _) -> part_of.(a) <- i) p)
-    parts;
-  { g; lfp; parts; part_of }
+  { g; lfp; parts; part_of; pos }
 
 let n_parts t = Array.length t.parts
+let atom t i q = match t.parts.(i).(q) with a, _, _ -> a
 
-(* The literals an assignment gives the atoms of part [i], in branch
-   order. *)
+(* The literals an assignment gives the atoms of part [i], as
+   [(position, polarity)] in branch order. *)
 let literals t i v =
-  Array.fold_right
-    (fun (a, _, _) acc ->
-      match Gop.Values.value v a with
-      | Interp.True -> (a, true) :: acc
-      | Interp.False -> (a, false) :: acc
-      | Interp.Undefined -> acc)
-    t.parts.(i) []
+  let p = t.parts.(i) in
+  let acc = ref [] in
+  for q = Array.length p - 1 downto 0 do
+    match Gop.Values.value v (atom t i q) with
+    | Interp.True -> acc := (q, true) :: !acc
+    | Interp.False -> acc := (q, false) :: !acc
+    | Interp.Undefined -> ()
+  done;
+  !acc
 
 (* Does an assumption-free model of part [i] properly extend [cand]?  The
    search is seeded with [cand], so a model it reports extends it; it
@@ -171,7 +174,9 @@ let extended ~search t i cand =
   n < Array.length t.parts.(i)
   &&
   let found = ref false in
-  search ~branch:t.parts.(i) ~seed:cand ~on_model:(fun v ->
+  search ~branch:t.parts.(i)
+    ~seed:(List.map (fun (q, pol) -> (atom t i q, pol)) cand)
+    ~on_model:(fun v ->
       let defined =
         Array.fold_left
           (fun k (a, _, _) -> if Gop.Values.defined v a then k + 1 else k)
@@ -191,30 +196,186 @@ let exists_certified ~search t i p =
       !found);
   !found
 
-(* Run part [i]'s enumeration and call [f] on each certified model with
-   its index among them; [f] returns [true] to stop.  [verdicts] keeps
-   the verdict on every candidate seen, by position: a later run over
-   the same part meets the same candidates in the same order and skips
-   their certifying searches. *)
-let certified ~search t verdicts i f =
-  let seen = ref 0 and got = ref 0 in
-  search ~branch:t.parts.(i) ~seed:[] ~on_model:(fun v ->
-      let c = !seen in
-      incr seen;
-      let cand = literals t i v in
-      let ok =
-        match Hashtbl.find_opt verdicts c with
-        | Some ok -> ok
-        | None ->
-          let ok = not (extended ~search t i cand) in
-          Hashtbl.replace verdicts c ok;
-          ok
-      in
-      ok
-      &&
-      let k = !got in
-      incr got;
-      f k cand)
+(* ------------------------------------------------------------------ *)
+(* Part keys and carried lists                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A part's key codes everything its search reads (docs/SEMANTICS.md
+   §5.1, "Part keys"), with atoms by branch position: the part's size;
+   each position's possible polarities; per position, the live rules
+   with that head atom, in rule order — head polarity and body, with
+   the body literals the least fixpoint makes true dropped, a literal
+   on a branch atom coded by its position and polarity, and a literal
+   on an undefined atom that is not a branch atom (one that stays
+   undefined in every assumption-free model) coded [0]; and per rule,
+   its live overrulers and defeaters by their rank among those rules.
+   [local] is scratch, one slot per rule, -1 on entry and on exit. *)
+let key t local i =
+  let g = t.g and p = t.parts.(i) in
+  let b = Buffer.create 64 in
+  let rec int k =
+    if k < 128 then Buffer.add_char b (Char.unsafe_chr k)
+    else begin
+      Buffer.add_char b (Char.unsafe_chr (k land 127 lor 128));
+      int (k lsr 7)
+    end
+  in
+  let live r =
+    not
+      (Array.exists
+         (fun l -> Status.lit_value t.lfp l = Interp.False)
+         g.Gop.rules.(r).Gop.body)
+  in
+  int (Array.length p);
+  Array.iter
+    (fun (_, pos, neg) -> int ((if pos then 1 else 0) lor if neg then 2 else 0))
+    p;
+  let rules = ref [] and n = ref 0 in
+  Array.iter
+    (fun (a, _, _) ->
+      let here = List.filter live g.Gop.by_head.(a) in
+      int (List.length here);
+      List.iter
+        (fun r ->
+          local.(r) <- !n;
+          incr n;
+          rules := r :: !rules;
+          let rule = g.Gop.rules.(r) in
+          int (if rule.Gop.head_pol then 1 else 0);
+          let body =
+            Array.fold_right
+              (fun (c, pol) acc ->
+                if Gop.Values.defined t.lfp c then acc
+                else if t.part_of.(c) = i then
+                  (2 + (2 * t.pos.(c)) + if pol then 0 else 1) :: acc
+                else 0 :: acc)
+              rule.Gop.body []
+          in
+          int (List.length body);
+          List.iter int body)
+        here)
+    p;
+  let edges rs =
+    let ks =
+      List.sort Int.compare
+        (List.filter_map
+           (fun r -> if local.(r) < 0 then None else Some local.(r))
+           rs)
+    in
+    int (List.length ks);
+    List.iter int ks
+  in
+  let rules = List.rev !rules in
+  List.iter
+    (fun r ->
+      edges g.Gop.overrulers.(r);
+      edges g.Gop.defeaters.(r))
+    rules;
+  List.iter (fun r -> local.(r) <- -1) rules;
+  Buffer.contents b
+
+(* A part's certified list as far as some listing got, by position: the
+   certified models, the verdict on every candidate the enumeration met
+   (in its order), and whether the list is whole.  Never mutated. *)
+type entry = {
+  models : (int * bool) list array;
+  verdicts : bool array;
+  complete : bool;
+}
+
+module Table = Map.Make (String)
+
+type table = entry Table.t
+
+let empty = Table.empty
+let size = Table.cardinal
+
+type carry = {
+  mutable table : table;
+  mutable hits : int;
+  mutable searches : int;
+}
+
+let carry table = { table; hits = 0; searches = 0 }
+
+(* The working copy of one key's list during a listing: a carried
+   entry's arrays, extended by [push]; [grown] once it searched. *)
+type work = {
+  mutable got : (int * bool) list array;
+  mutable n_got : int;
+  mutable verd : bool array;
+  mutable n_verd : int;
+  mutable whole : bool;
+  mutable grown : bool;
+  old : entry option;
+}
+
+let work_of old =
+  match old with
+  | Some e ->
+    { got = e.models; n_got = Array.length e.models; verd = e.verdicts;
+      n_verd = Array.length e.verdicts; whole = e.complete; grown = false; old }
+  | None ->
+    { got = [||]; n_got = 0; verd = [||]; n_verd = 0; whole = false;
+      grown = false; old }
+
+(* [arr] with [x] at index [n], copied into a larger array when full
+   (so a carried entry's arrays are never written). *)
+let push arr n x =
+  let arr =
+    if n < Array.length arr then arr
+    else Array.init (max 4 (2 * n)) (fun k -> if k < n then arr.(k) else x)
+  in
+  arr.(n) <- x;
+  arr
+
+let entry_of w =
+  match w.old with
+  | Some e when not w.grown -> e
+  | _ ->
+    { models = Array.sub w.got 0 w.n_got;
+      verdicts = Array.sub w.verd 0 w.n_verd;
+      complete = w.whole }
+
+(* Call [f] on part [i]'s certified models with their index among them,
+   first from [w]'s prefix and then, unless [w] is whole, by running the
+   part's enumeration; [f] returns [true] to stop.  The enumeration
+   meets the prefix's models again, in the same order, and skips the
+   certifying search of every candidate [w] holds a verdict on.  Returns
+   whether it searched. *)
+let certified ~search t w i f =
+  let rec cached k = k < w.n_got && (f k w.got.(k) || cached (k + 1)) in
+  if cached 0 || w.whole then false
+  else begin
+    let seen = ref 0 and got = ref 0 and stopped = ref false in
+    w.grown <- true;
+    search ~branch:t.parts.(i) ~seed:[] ~on_model:(fun v ->
+        let c = !seen in
+        incr seen;
+        let cand = literals t i v in
+        let ok =
+          if c < w.n_verd then w.verd.(c)
+          else begin
+            let ok = not (extended ~search t i cand) in
+            w.verd <- push w.verd w.n_verd ok;
+            w.n_verd <- w.n_verd + 1;
+            ok
+          end
+        in
+        ok
+        &&
+        let k = !got in
+        incr got;
+        k >= w.n_got
+        && begin
+          w.got <- push w.got w.n_got cand;
+          w.n_got <- w.n_got + 1;
+          stopped := f k cand;
+          !stopped
+        end);
+    if not !stopped then w.whole <- true;
+    true
+  end
 
 (* The listing runs the parts from the last to the first.  Part [j]'s
    run streams its certified models; each one (past the first, which
@@ -223,11 +384,38 @@ let certified ~search t verdicts i f =
    every model of the parts after [j], whose runs are complete — exactly
    the next stretch of the lexicographic order.  So a model is listed
    as soon as it is certified, and a part is searched only as far as
-   the listing up to [limit] reaches. *)
-let stable_models ?limit ?(budget = Budget.unlimited) ?stats ~search t =
+   the listing up to [limit] reaches.  With [carry], parts with equal
+   keys share one working list, seeded from the carried table. *)
+let stable_models ?limit ?(budget = Budget.unlimited) ?stats ?carry ~search t =
   let want = match limit with Some l -> max l 0 | None -> max_int in
   let np = n_parts t in
-  let verdicts = Array.init np (fun _ -> Hashtbl.create 8) in
+  let keys, works =
+    match carry with
+    | None -> ([||], Array.init np (fun _ -> work_of None))
+    | Some c ->
+      let local = Array.make (Gop.n_rules t.g) (-1) in
+      let keys = Array.init np (key t local) in
+      let shared = Hashtbl.create np in
+      ( keys,
+        Array.map
+          (fun k ->
+            match Hashtbl.find_opt shared k with
+            | Some w -> w
+            | None ->
+              let w = work_of (Table.find_opt k c.table) in
+              Hashtbl.add shared k w;
+              w)
+          keys )
+  in
+  let read = Array.make np false and searched = Array.make np false in
+  let searches = ref 0 in
+  let run j f =
+    read.(j) <- true;
+    if certified ~search t works.(j) j f then begin
+      searched.(j) <- true;
+      incr searches
+    end
+  in
   let models = Array.make np [||] in
   let current = Array.make np [] in
   let base = Gop.Values.to_interp t.g t.lfp in
@@ -236,8 +424,11 @@ let stable_models ?limit ?(budget = Budget.unlimited) ?stats ~search t =
   let emit () =
     Budget.poll_deadline budget;
     let m = ref base in
-    Array.iter
-      (List.iter (fun (a, pol) -> m := Interp.set !m t.g.Gop.atoms.(a) pol))
+    Array.iteri
+      (fun l lits ->
+        List.iter
+          (fun (q, pol) -> m := Interp.set !m t.g.Gop.atoms.(atom t l q) pol)
+          lits)
       current;
     acc := !m :: !acc;
     incr count
@@ -261,7 +452,7 @@ let stable_models ?limit ?(budget = Budget.unlimited) ?stats ~search t =
           let first_found = ref true in
           for j = 0 to np - 2 do
             let found = ref false in
-            certified ~search t verdicts.(j) j (fun _ m ->
+            run j (fun _ m ->
                 current.(j) <- m;
                 found := true;
                 true);
@@ -271,7 +462,7 @@ let stable_models ?limit ?(budget = Budget.unlimited) ?stats ~search t =
           while !first_found && !j >= 0 && !count < want do
             let all = ref [] in
             let start = if !j = np - 1 then 0 else 1 in
-            certified ~search t verdicts.(!j) !j (fun i m ->
+            run !j (fun i m ->
                 all := m :: !all;
                 if i >= start then begin
                   current.(!j) <- m;
@@ -289,6 +480,19 @@ let stable_models ?limit ?(budget = Budget.unlimited) ?stats ~search t =
   (match stats with
   | Some s -> s.Counters.models <- s.Counters.models + !count
   | None -> ());
+  (match carry with
+  | None -> ()
+  | Some c ->
+    let table = ref Table.empty in
+    Array.iteri
+      (fun j k ->
+        let w = works.(j) in
+        if (w.n_got > 0 || w.n_verd > 0 || w.whole) && not (Table.mem k !table)
+        then table := Table.add k (entry_of w) !table;
+        if read.(j) && not searched.(j) then c.hits <- c.hits + 1)
+      keys;
+    c.table <- !table;
+    c.searches <- c.searches + !searches);
   r
 
 let is_stable ~search t interp =
@@ -302,8 +506,8 @@ let is_stable ~search t interp =
   go 0
 
 (* Where a literal's value across the stable models is decided: by the
-   least fixpoint, by one part, or nowhere (no stable model defines its
-   atom). *)
+   least fixpoint, by one part (as a positional literal), or nowhere
+   (no stable model defines its atom). *)
 let locate t (l : Literal.t) =
   match Gop.atom_id t.g l.Literal.atom with
   | None -> `Nowhere
@@ -311,7 +515,7 @@ let locate t (l : Literal.t) =
     if Gop.Values.defined t.lfp a then
       `Lfp (Gop.Values.value_lit t.g t.lfp l = Interp.True)
     else if t.part_of.(a) < 0 then `Nowhere
-    else `Part (t.part_of.(a), (a, l.Literal.pol))
+    else `Part (t.part_of.(a), (t.pos.(a), l.Literal.pol))
 
 let cautious ~search t l =
   match locate t l with
@@ -330,14 +534,16 @@ let cautious_consequences ~search t =
   let acc = ref (Gop.Values.to_interp t.g t.lfp) in
   for i = 0 to n_parts t - 1 do
     let all = ref [] in
-    certified ~search t (Hashtbl.create 8) i (fun _ m ->
-        all := m :: !all;
-        false);
+    ignore
+      (certified ~search t (work_of None) i (fun _ m ->
+           all := m :: !all;
+           false)
+        : bool);
     match !all with
     | [] -> ()
     | m :: rest ->
       List.iter
-        (fun (a, pol) -> acc := Interp.set !acc t.g.Gop.atoms.(a) pol)
+        (fun (q, pol) -> acc := Interp.set !acc t.g.Gop.atoms.(atom t i q) pol)
         (List.filter (fun lit -> List.for_all (List.mem lit) rest) m)
   done;
   !acc

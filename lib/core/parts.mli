@@ -61,10 +61,42 @@ val split : Gop.t -> Gop.Values.t -> t
 (** [split g lfp]: the parts of the residual above [lfp], which must be
     [Vfix.lfp g]. *)
 
+val n_parts : t -> int
+
+(** {1 Carried part lists}
+
+    A part's certified list is a function of its {e key}
+    (docs/SEMANTICS.md §5.1, "Part keys"): the part's branch atoms as
+    positions with their possible polarities, its live rules with the
+    body literals the least fixpoint makes true dropped (atoms by
+    position, an undefined atom off the branch by one shared code), and
+    the overrule/defeat edges among those rules.  Equal keys give
+    positionally equal certified lists, whatever the atom ids, so a
+    list can be carried from one listing to the next — across program
+    edits that leave the part unchanged — and isomorphic parts of one
+    program share one list. *)
+
+type table
+(** Part lists by key: immutable, safe to share between threads. *)
+
+val empty : table
+val size : table -> int
+
+type carry = {
+  mutable table : table;
+  mutable hits : int;  (** parts a listing read without searching them *)
+  mutable searches : int;  (** part enumerations run *)
+}
+(** A listing's table, in and out, and what it cost. *)
+
+val carry : table -> carry
+(** [carry t]: [t] going in, both counts at zero. *)
+
 val stable_models :
   ?limit:int ->
   ?budget:Budget.t ->
   ?stats:Counters.t ->
+  ?carry:carry ->
   search:search ->
   t ->
   Logic.Interp.t list Budget.anytime
@@ -72,7 +104,15 @@ val stable_models :
     part's models are searched for only as far as the listing up to
     [limit] needs them.  Anytime: a spent budget returns the models
     listed so far as [Partial].  [stats.models] counts the models
-    listed. *)
+    listed.
+
+    With [carry], each part is listed from the carried table as far as
+    its entry reaches, and searched only past it; parts with equal keys
+    share one list.  Afterwards [carry.table] holds one entry per key
+    of this split that has one (the lists as far as this listing got
+    them, a [Partial] listing included), and the counts have grown by
+    this listing's hits and searches.  [search] is called only for a
+    part whose list the table does not cover. *)
 
 (** {1 Boolean queries}
 

@@ -55,18 +55,21 @@ module StrMap = Map.Make (String)
 
 (* Everything a view caches for one viewpoint object: the grounding with
    provenance, the compiled preference grounding, their flat-array
-   compiles, and the results computed from them. *)
+   compiles, the results computed from them, and the certified lists of
+   the residual parts of its last stable-model listing, keyed by part
+   content (so they stay exact across every write). *)
 type vcache = {
   gstate : Inc.Reground.state option;
   flat : Solve.Flat.t option;  (** compiled from [gstate] *)
   pgop : Ordered.Gop.t option;
   pflat : Solve.Flat.t option;  (** compiled from [pgop] *)
   results : entry OpMap.t;
+  parts : Ordered.Parts.table;
 }
 
 let empty_vcache =
   { gstate = None; flat = None; pgop = None; pflat = None;
-    results = OpMap.empty }
+    results = OpMap.empty; parts = Ordered.Parts.empty }
 
 (* One published KB version.  [vstore] is a private copy nothing ever
    mutates, so any number of readers may ground and solve against it
@@ -121,7 +124,7 @@ let version t = (current t).version
 
 let inc_counter_names =
   [ "inc_repairs"; "inc_fallbacks"; "inc_evictions"; "cache_kept";
-    "flat_compiles"; "flat_cache_hits" ]
+    "flat_compiles"; "flat_cache_hits"; "part_hits"; "part_searches" ]
 
 (* Registering the counters up front keeps the server's [stats] output
    deterministic: the names are present (at 0) before the first
@@ -132,6 +135,10 @@ let use_metrics t m =
 
 let count_entries c =
   StrMap.fold (fun _ vc n -> n + OpMap.cardinal vc.results) c 0
+
+(* What a write carries for one record: its results and its part
+   lists. *)
+let carried vc = OpMap.cardinal vc.results + Ordered.Parts.size vc.parts
 
 let counters t =
   { hits = Atomic.get t.hits;
@@ -164,7 +171,7 @@ let bump_metric t name =
 let is_preferred = function Preferred _ -> true | _ -> false
 
 (* A record with nothing cached leaves the map, so later writes do not
-   visit its viewpoint. *)
+   visit its viewpoint (its part lists, if any, go with it). *)
 let put w vc c =
   if Option.is_none vc.gstate && Option.is_none vc.flat
      && Option.is_none vc.pgop && Option.is_none vc.pflat
@@ -196,10 +203,13 @@ let repair_viewpoint t ~program vc =
     | Ok (st', d) when Inc.Delta.is_empty d ->
       (* the mutation did not change this viewpoint's grounding at all:
          every plain entry (and the compiled flat) is still exact *)
-      note t t.kept "cache_kept" (OpMap.cardinal vc.results);
+      note t t.kept "cache_kept" (carried vc);
       { vc with gstate = Some st' }
     | Ok (st', d) ->
       note t t.repairs "inc_repairs" 1;
+      (* part lists are keyed by content: a part the edit left alone
+         keeps its key, one it changed gets a new one *)
+      note t t.kept "cache_kept" (Ordered.Parts.size vc.parts);
       let results =
         OpMap.filter_map
           (fun op e ->
@@ -236,7 +246,8 @@ let next_cache t c (m : Store.mutation) =
     (* a fresh object: existing views cannot see it (isa edges point
        at pre-existing parents), and component numbering of existing
        objects is stable *)
-    note t t.kept "cache_kept" (count_entries c);
+    note t t.kept "cache_kept"
+      (StrMap.fold (fun _ vc n -> n + carried vc) c 0);
     c
   | Store.Load _ ->
     (* load may rewire parents of existing objects and add
@@ -249,7 +260,7 @@ let next_cache t c (m : Store.mutation) =
     StrMap.fold
       (fun w vc c ->
         let vc = drop_preferred t vc in
-        note t t.kept "cache_kept" (OpMap.cardinal vc.results);
+        note t t.kept "cache_kept" (carried vc);
         put w vc c)
       c c
   | Store.Add_rule _ | Store.Remove_rule _ when StrMap.is_empty c -> c
@@ -267,7 +278,7 @@ let next_cache t c (m : Store.mutation) =
       (fun w vc c ->
         if sees w then put w (repair_viewpoint t ~program vc) c
         else begin
-          note t t.kept "cache_kept" (OpMap.cardinal vc.results);
+          note t t.kept "cache_kept" (carried vc);
           c
         end)
       c c
@@ -525,14 +536,41 @@ let enumerate t ~obj op run =
     end
     else (r, None)
 
+(* Stable models from the record's carried part lists and cached least
+   model (when it is over this very grounding): the flat program is
+   compiled only if some part has to be searched.  The lists this
+   listing leaves replace the record's, a partial listing's included
+   (every entry is a certified prefix). *)
+let stable_op ?limit ?budget ?stats t v ~obj g =
+  let vc = find v obj in
+  let least =
+    match OpMap.find_opt Least vc.results with
+    | Some (E_least (g', codes)) when g' == g -> Some codes
+    | _ -> None
+  in
+  let carry = Ordered.Parts.carry vc.parts in
+  let r =
+    Solve.Kernel.stable_models ?limit ?budget ?stats ?least ~carry
+      ~compile:(fun () -> flat_of t v ~obj ~pref:false g)
+      g
+  in
+  (match t.metrics with
+  | Some m ->
+    M.add m "part_hits" carry.hits;
+    M.add m "part_searches" carry.searches
+  | None -> ());
+  update v obj (fun vc -> Some { vc with parts = carry.table });
+  r
+
 let models_op kind ?limit ?budget ?stats t ~obj =
   enumerate t ~obj (Models { kind; limit }) (fun v ->
       let g = (gop_state ?budget v ~obj).Inc.Reground.gop in
-      let flat = flat_of t v ~obj ~pref:false g in
       match kind with
-      | `Stable -> Solve.Kernel.stable_models ?limit ?budget ?stats ~flat g
+      | `Stable -> stable_op ?limit ?budget ?stats t v ~obj g
       | `Af ->
-        Solve.Kernel.assumption_free_models ?limit ?budget ?stats ~flat g)
+        Solve.Kernel.assumption_free_models ?limit ?budget ?stats
+          ~flat:(flat_of t v ~obj ~pref:false g)
+          g)
 
 let models kind ?limit ?budget ?stats t ~obj =
   fst (models_op kind ?limit ?budget ?stats t ~obj)

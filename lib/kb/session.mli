@@ -32,6 +32,20 @@
     ({!Solve.Kernel}) on the record's cached {!Solve.Flat} program for
     every enumeration — so no engine choice enters the key.
 
+    {b Part lists.}  A record also holds the certified lists of the
+    residual parts ({!Ordered.Parts}) its last stable-model listing
+    met, keyed by part {e content}: the part's branch atoms as
+    positions with their possible polarities, its live rules with the
+    body literals the least model makes true dropped, and the
+    overrule/defeat edges among them (docs/SEMANTICS.md §5.1, "Part
+    keys").  Equal keys give positionally equal lists, so an entry
+    never goes stale.  A stable-model miss lists every part the table
+    covers from it, isomorphic parts sharing one list, and passes the
+    record's least model when it is over the current grounding; the
+    flat program is compiled only if some part has to be searched.
+    The listing's parts then replace the table (a [Partial] listing's
+    too: every entry is a certified prefix).
+
     {b Invalidation: delta eviction.}  The mutating operations
     ({!define}, {!define_src}, {!load}, {!add_rule}, {!add_rule_src},
     {!add_fact}, {!remove_rule} when it removes, {!new_version}) publish
@@ -48,6 +62,8 @@
       entry is kept, otherwise the least model is repaired from the
       delta's affected cone ([Inc.Repair]) and enumerations /
       explanations / preference caches for that viewpoint are evicted.
+      Its part lists are carried unchecked: a part the write changed
+      has a new key.
       When repair cannot guarantee exactness (changed Herbrand universe,
       shared ground instances, non-monotone damage) it falls back to
       eviction or recompute — counted, never silent.
@@ -56,10 +72,14 @@
     - {!load} may rewire parents of existing objects, so it evicts
       everything.
 
+    A record evicted whole (a fallback, {!load}, {!invalidate}) loses
+    its part lists with it.
+
     Flush-on-write is {!invalidate} after a write.  Repairs, fallbacks,
-    evictions and carried entries are counted in {!counters} and, when
-    {!use_metrics} is wired, as [inc_repairs] / [inc_fallbacks] /
-    [inc_evictions] / [cache_kept] server metrics.
+    evictions and carried entries (results and part lists) are counted
+    in {!counters} and, when {!use_metrics} is wired, as
+    [inc_repairs] / [inc_fallbacks] / [inc_evictions] / [cache_kept]
+    server metrics.
 
     {b Budgets.}  A cache miss computes under the caller's budget, and
     only {e complete} results are stored: a [Partial] enumeration or a
@@ -109,7 +129,7 @@ type counters = {
   fallbacks : int;
       (** repairs that had to fall back to eviction or full recompute *)
   evictions : int;  (** result entries dropped by eviction *)
-  kept : int;  (** result entries carried across a mutation *)
+  kept : int;  (** result entries and part lists carried across a mutation *)
 }
 
 val counters : t -> counters
@@ -117,9 +137,11 @@ val counters : t -> counters
 val use_metrics : t -> Governor.Metrics.t -> unit
 (** Mirror the delta-eviction counters into a metrics registry as
     [inc_repairs], [inc_fallbacks], [inc_evictions] and [cache_kept],
-    and the flat-compile cache as [flat_compiles]/[flat_cache_hits];
-    all six are registered immediately (at zero) so [stats] stays
-    deterministic.  Preferred-model queries count there too: one
+    the flat-compile cache as [flat_compiles]/[flat_cache_hits], and
+    the carried part lists as [part_hits] (parts a stable-model miss
+    listed without a search) and [part_searches] (part enumerations it
+    ran); all eight are registered immediately (at zero) so [stats]
+    stays deterministic.  Preferred-model queries count there too: one
     [prefer_compilations] per compilation of a preference program, one
     [prefer_cache_hits] per answer served from a cached compile or
     result, and the compiled grounding's size as

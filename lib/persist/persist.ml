@@ -32,6 +32,15 @@ type recovery = {
   tmp_swept : int;
 }
 
+(* Where the frames of one segment start: [starts.(i)] is the offset
+   of record [base + 1 + i], [stop] the offset just past the last
+   indexed frame. *)
+type index = {
+  mutable starts : int array;
+  mutable n : int;
+  mutable stop : int;
+}
+
 type t = {
   config : config;
   store : Kb.Store.t;
@@ -42,6 +51,9 @@ type t = {
   mutable epoch : int;  (** replication epoch (fencing term) *)
   group : Wal.Group.group option;
   report : recovery;
+  indexes : (int, index) Hashtbl.t;
+      (** frame offsets by segment base, built on a segment's first
+          {!tail} and extended by {!append} *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -287,7 +299,7 @@ let open_dir ?metrics ?stop_at config =
   in
   let t =
     { config; store; metrics; wal; base = active_base; seq = !seq;
-      epoch = !epoch; group; report }
+      epoch = !epoch; group; report; indexes = Hashtbl.create 4 }
   in
   (t, store, report)
 
@@ -314,6 +326,8 @@ let rotate ?budget t ~seq image =
   Wal.close t.wal;
   t.wal <- fresh;
   t.base <- seq;
+  (* the fresh segment may reuse its base's name *)
+  Hashtbl.remove t.indexes seq;
   (match t.group with Some g -> Wal.Group.attach g fresh | None -> ());
   Sys.rename tmp final;
   if t.config.fsync then begin
@@ -328,6 +342,23 @@ let snapshot ?budget t =
     (Record.encode_snapshot ~seq ~epoch:t.epoch (Kb.Store.dump t.store));
   seq
 
+(* One more frame, from [ix.stop] to [next]. *)
+let add_frame ix next =
+  if ix.n = Array.length ix.starts then begin
+    let a = Array.make (max 64 (2 * ix.n)) 0 in
+    Array.blit ix.starts 0 a 0 ix.n;
+    ix.starts <- a
+  end;
+  ix.starts.(ix.n) <- ix.stop;
+  ix.n <- ix.n + 1;
+  ix.stop <- next
+
+(* [n] more bytes appended to the active segment, as one frame. *)
+let indexed t n =
+  match Hashtbl.find_opt t.indexes t.base with
+  | None -> ()
+  | Some ix -> add_frame ix (ix.stop + n)
+
 let append ?budget t m =
   let payload = Record.encode_mutation m in
   (match t.group with
@@ -336,12 +367,14 @@ let append ?budget t m =
        callers that need durability block in [wait_durable] *)
     let n = Wal.append ?budget ~fsync:false t.wal payload in
     t.seq <- t.seq + 1;
+    indexed t n;
     Wal.Group.wrote g ~seq:t.seq;
     bump t.metrics "persist_records";
     count t.metrics "persist_bytes" n
   | None ->
     let n = Wal.append ?budget ~fsync:t.config.fsync t.wal payload in
     t.seq <- t.seq + 1;
+    indexed t n;
     bump t.metrics "persist_records";
     count t.metrics "persist_bytes" n;
     if t.config.fsync then bump t.metrics "persist_fsyncs");
@@ -369,6 +402,9 @@ let compact t =
         | () -> incr deleted
         | exception Sys_error _ -> ())
     (Sys.readdir t.config.dir);
+  Hashtbl.filter_map_inplace
+    (fun b ix -> if b < s then None else Some ix)
+    t.indexes;
   (s, !deleted)
 
 (* ------------------------------------------------------------------ *)
@@ -377,6 +413,40 @@ let compact t =
 
 (* A batch stops growing once it holds this many bytes. *)
 let tail_bytes = 1024 * 1024
+
+(* The frame index of segment [b], read from its file on first use:
+   the frames up to the first torn or missing one.  [None] when the
+   file is gone or its header does not name [b]. *)
+let index_of t b =
+  match Hashtbl.find_opt t.indexes b with
+  | Some _ as ix -> ix
+  | None -> (
+    match read_whole (Filename.concat t.config.dir (wal_name b)) with
+    | exception Sys_error _ -> None
+    | s -> (
+      match Record.decode_wal_header s with
+      | Ok h when h.Record.wal_base = b ->
+        let ix = { starts = [||]; n = 0; stop = h.Record.wal_head_len } in
+        let rec walk () =
+          match Record.unframe s ~pos:ix.stop with
+          | Record.End | Record.Torn _ -> ()
+          | Record.Frame { next; _ } ->
+            add_frame ix next;
+            walk ()
+        in
+        walk ();
+        Hashtbl.replace t.indexes b ix;
+        Some ix
+      | Ok _ | Error _ -> None))
+
+(* [len] bytes of a file from [off]. *)
+let read_range path off len =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      seek_in ic off;
+      really_input_string ic len)
 
 let tail t ~from ~max =
   if from >= t.seq then Ok ("", 0)
@@ -399,36 +469,42 @@ let tail t ~from ~max =
       let took = ref 0 in
       let full () = !took >= max || Buffer.length buf >= tail_bytes in
       (* ship the raw framed bytes untouched: the replica re-frames
-         nothing, so CRCs are verified end to end *)
+         nothing, so CRCs are verified end to end.  The index says
+         which bytes: one read per segment, from the first record
+         wanted *)
       let rec seg b =
-        if full () then ()
-        else
-          match read_whole (Filename.concat t.config.dir (wal_name b)) with
-          | exception Sys_error _ -> ()
-          | s -> (
-            match Record.decode_wal_header s with
-            | Ok h when h.Record.wal_base = b ->
-              let idx = ref b in
-              let pos = ref h.Record.wal_head_len in
-              let stop = ref false in
-              while not !stop do
-                match Record.unframe s ~pos:!pos with
-                | Record.End | Record.Torn _ -> stop := true
-                | Record.Frame { payload = _; next } ->
-                  incr idx;
-                  if !idx > from && !idx <= t.seq && not (full ()) then begin
-                    Buffer.add_substring buf s !pos (next - !pos);
-                    incr took
-                  end;
-                  pos := next;
-                  if full () || !idx >= t.seq then stop := true
-              done;
-              if
-                (not (full ())) && !idx < t.seq
-                && Sys.file_exists
-                     (Filename.concat t.config.dir (wal_name !idx))
-              then seg !idx
-            | Ok _ | Error _ -> ())
+        if not (full ()) then
+          match index_of t b with
+          | None -> ()
+          | Some ix ->
+            (* frame [j] spans [at j, at (j + 1)) *)
+            let at j = if j < ix.n then ix.starts.(j) else ix.stop in
+            let path = Filename.concat t.config.dir (wal_name b) in
+            let first = Int.max 0 (from - b) and last = min ix.n (t.seq - b) in
+            let j = ref first in
+            while
+              !j < last && !took < max
+              && Buffer.length buf + (at !j - at first) < tail_bytes
+            do
+              incr took;
+              incr j
+            done;
+            let read =
+              !j = first
+              ||
+              match read_range path (at first) (at !j - at first) with
+              | s ->
+                Buffer.add_string buf s;
+                true
+              | exception (Sys_error _ | End_of_file) ->
+                took := !took - (!j - first);
+                false
+            in
+            let next = b + last in
+            if
+              read && (not (full ())) && next < t.seq
+              && Sys.file_exists (Filename.concat t.config.dir (wal_name next))
+            then seg next
       in
       if max > 0 then seg b0;
       Ok (Buffer.contents buf, !took)
@@ -449,6 +525,7 @@ let install_snapshot t ~seq ~epoch dump =
         try Sys.remove (Filename.concat t.config.dir name)
         with Sys_error _ -> ())
     (Sys.readdir t.config.dir);
+  Hashtbl.reset t.indexes;
   Kb.Store.restore t.store dump;
   t.seq <- seq
 

@@ -130,7 +130,15 @@ val tail :
     that size however large the records are.  [Ok ("", 0)] when the
     log has nothing past [from].  [Error (`Too_old base)] when
     compaction has dropped the requested range — the oldest retained
-    segment starts at [base]; fetch a snapshot instead. *)
+    segment starts at [base]; fetch a snapshot instead.
+
+    A pull costs the bytes it ships: each segment's frame offsets are
+    indexed on its first pull ({!append} extends the active segment's
+    index, a rotation starts a fresh one, {!compact} and
+    {!install_snapshot} drop the ones they make obsolete), so the
+    records are read in one piece from the offset of record
+    [from + 1].  Like {!append}, not safe to call concurrently with
+    the other operations on [t]. *)
 
 val snapshot_image : t -> int * string
 (** The current state as [(seq, image)] where [image] is a

@@ -509,8 +509,7 @@ and branch s a dval j =
    [act_sup]) with it.  Every derivation this triggers lands on an
    already-equal seed value; anything else is caught in [derive].  Each
    search below starts from here and unwinds back to it. *)
-let root mode ~budget ~stats ?flat g seed =
-  let f = match flat with Some f -> f | None -> Flat.compile g in
+let root mode ~budget ~stats f seed =
   let na = f.Flat.n_atoms in
   let nr = f.Flat.n_rules in
   let value = Array.make na 0 in
@@ -575,7 +574,8 @@ let search mode ?limit ?(budget = Budget.unlimited) ?stats ?flat (g : Gop.t) =
   let count = ref 0 in
   try
     let seed = Vfix.lfp ~budget g in
-    let s = root mode ~budget ~stats ?flat g seed in
+    let f = match flat with Some f -> f | None -> Flat.compile g in
+    let s = root mode ~budget ~stats f seed in
     let f = s.f in
     s.full <- (fun () -> match limit with Some l -> !count >= l | None -> false);
     let accept =
@@ -655,19 +655,36 @@ let part_search s : Ordered.Parts.search =
   s.emit <- e;
   Array.iter (fun (a, dval) -> decide s a dval) stack
 
-(* Split [g] above its least fixpoint and hand the parts and a kernel
-   part search over one shared root state to [k]. *)
-let with_parts ?(budget = Budget.unlimited) ?stats ?flat g k =
+(* Split [g] above [least] (its least fixpoint, computed when not
+   given) and hand the parts and a kernel part search to [k].  All part
+   searches share one root state, built on the first search together
+   with the flat program — [flat], else [compile ()], else a fresh
+   compile — so a listing whose parts all come from a carried table
+   builds neither. *)
+let with_parts ?(budget = Budget.unlimited) ?stats ?least ?flat ?compile g k =
   let stats = match stats with Some s -> s | None -> Counters.create () in
-  let lfp = Vfix.lfp ~budget g in
-  let s = root Af ~budget ~stats ?flat g lfp in
-  k ~search:(part_search s) (Ordered.Parts.split g lfp)
+  let lfp = match least with Some v -> v | None -> Vfix.lfp ~budget g in
+  let s =
+    lazy
+      (let f =
+         match (flat, compile) with
+         | Some f, _ -> f
+         | None, Some c -> c ()
+         | None, None -> Flat.compile g
+       in
+       root Af ~budget ~stats f lfp)
+  in
+  k
+    ~search:(fun ~branch ~seed ~on_model ->
+      part_search (Lazy.force s) ~branch ~seed ~on_model)
+    (Ordered.Parts.split g lfp)
 
-let stable_models ?limit ?(budget = Budget.unlimited) ?stats ?flat g =
+let stable_models ?limit ?(budget = Budget.unlimited) ?stats ?flat ?compile
+    ?least ?carry g =
   let stats = match stats with Some s -> s | None -> Counters.create () in
   try
-    with_parts ~budget ~stats ?flat g (fun ~search t ->
-        Ordered.Parts.stable_models ?limit ~budget ~stats ~search t)
+    with_parts ~budget ~stats ?least ?flat ?compile g (fun ~search t ->
+        Ordered.Parts.stable_models ?limit ~budget ~stats ?carry ~search t)
   with Budget.Exhausted r -> Budget.Partial ([], r)
 
 (* Boolean queries over the stable models are not anytime: an answer

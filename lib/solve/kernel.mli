@@ -18,7 +18,8 @@
     {b Stable models} are computed by {!Ordered.Parts} (Definition 9 one
     independent part of the residual at a time, each part's maximal
     models certified by a seeded search) with this kernel as the part
-    search, all parts sharing one root state.  Their order is
+    search, all parts sharing one root state, built on the first part
+    search.  Their order is
     {!Ordered.Parts}' contract: the lexicographic product of the parts'
     certified lists, the first part the most significant.  A program
     whose residual is one part keeps the assumption-free search order
@@ -48,8 +49,17 @@ val stable_models :
   ?budget:Ordered.Budget.t ->
   ?stats:Ordered.Counters.t ->
   ?flat:Flat.t ->
+  ?compile:(unit -> Flat.t) ->
+  ?least:Ordered.Gop.Values.t ->
+  ?carry:Ordered.Parts.carry ->
   Ordered.Gop.t ->
   Logic.Interp.t list Ordered.Budget.anytime
+(** [?least] supplies the least model ([Vfix.lfp] of the same gop), so
+    it is not computed again; [?carry] is {!Ordered.Parts.stable_models}'
+    carried table of part lists.  The flat program and the root state
+    are built only when some part has to be searched: from [?flat] if
+    given, else by [?compile] (called at most once), else by
+    [Flat.compile]. *)
 
 val total_models :
   ?limit:int ->

@@ -200,18 +200,22 @@ let prop_limit_prefix =
 (* [k] copies of a random program over disjoint atoms (each copy's
    predicates carry its index), merged component by component under one
    order: the residual splits into at least one part per copy that has
-   one, so the stable models are a product. *)
-let gen_planted =
+   one, so the stable models are a product.  With [same], every copy is
+   the same program, so each part of one copy has an isomorphic part in
+   every other. *)
+let gen_copies ~same =
   let open Gen in
   let* k = int_range 2 3 in
   let n = if k = 2 then 3 else 2 in
   let* ncomp = int_range 1 3 in
-  let* copies =
+  let gen_copy =
     flatten_l
-      (List.init k (fun _ ->
-           flatten_l
-             (List.init ncomp (fun _ ->
-                  Test_props.gen_rules Test_props.gen_negative_rule n))))
+      (List.init ncomp (fun _ ->
+           Test_props.gen_rules Test_props.gen_negative_rule n))
+  in
+  let* copies =
+    if same then map (fun c -> List.init k (fun _ -> c)) gen_copy
+    else flatten_l (List.init k (fun _ -> gen_copy))
   in
   let* chosen =
     flatten_l
@@ -242,7 +246,87 @@ let gen_planted =
         if b then Some (Printf.sprintf "c%d" i, Printf.sprintf "c%d" j) else None)
       chosen
   in
-  return (Ordered.Program.make_exn comps pairs)
+  return (k, Ordered.Program.make_exn comps pairs)
+
+let gen_planted = Gen.map snd (gen_copies ~same:false)
+
+(* One choice gadget per copy — [a. b.] in [hi], [-a :- b. -b :- a.]
+   in [lo], below [hi] — each one residual part over [a] and [b], and
+   one near copy that differs from the others in one respect only: its
+   two [lo] rules sit in [side], incomparable with [hi], so they defeat
+   instead of overrule; or one body gains a literal on an atom no rule
+   derives ([u]); or one body literal on a branch atom flips its
+   polarity.  The viewpoint [v] sees every component.  Returns the
+   number of copies and the program. *)
+let gen_near =
+  let open Gen in
+  let* k = int_range 1 3 in
+  let* near = int_bound k in
+  let* variant = int_bound 2 in
+  let gadget c v =
+    let at = Printf.sprintf "%s%d" in
+    let a = at "a" c and b = at "b" c and u = at "u" c in
+    let hi = [ Printf.sprintf "%s." a; Printf.sprintf "%s." b ] in
+    let lo =
+      [ (match v with
+        | Some 1 -> Printf.sprintf "-%s :- %s, %s." a b u
+        | Some 2 -> Printf.sprintf "-%s :- -%s." a b
+        | _ -> Printf.sprintf "-%s :- %s." a b);
+        Printf.sprintf "-%s :- %s." b a ]
+    in
+    if v = Some 0 then (hi, [], lo) else (hi, lo, [])
+  in
+  let gadgets =
+    List.init (k + 1) (fun c -> gadget c (if c = near then Some variant else None))
+  in
+  let comp name pick =
+    (name, List.concat_map (fun g -> List.map rule (pick g)) gadgets)
+  in
+  return
+    ( k + 1,
+      Ordered.Program.make_exn
+        [ ("v", []); comp "hi" (fun (h, _, _) -> h);
+          comp "lo" (fun (_, l, _) -> l); comp "side" (fun (_, _, s) -> s) ]
+        [ ("v", "lo"); ("v", "side"); ("lo", "hi") ] )
+
+(* Listings that carry one table, at every limit from 0 to n+1 in a
+   seeded order, each equal to the uncached kernel's prefix; a budgeted
+   carried listing (from a fresh table and from the warm one) whose
+   [Partial] result holds only stable models, as a prefix; and complete
+   carried listings afterwards.  Returns the warm table. *)
+let carried_agrees ~order ~steps g =
+  let module P = Ordered.Parts in
+  let full = st_comp g in
+  let stable m = List.exists (Interp.equal m) full in
+  let listing ?limit ?budget c = K.stable_models ?limit ?budget ~carry:c g in
+  let limits = Array.init (List.length full + 2) Fun.id in
+  let rng = Random.State.make [| order |] in
+  for i = Array.length limits - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = limits.(i) in
+    limits.(i) <- limits.(j);
+    limits.(j) <- x
+  done;
+  let warm = P.carry P.empty in
+  let budgeted c =
+    match listing ~budget:(B.make ~max_steps:steps ()) c with
+    | B.Complete ms -> interp_list_equal ms full
+    | B.Partial (ms, _) ->
+      List.for_all stable ms && interp_list_equal ms (take (List.length ms) full)
+  in
+  let cold = P.carry P.empty in
+  let ok =
+    Array.for_all
+      (fun l -> interp_list_equal (B.value (listing ~limit:l warm)) (take l full))
+      limits
+    && budgeted cold
+    && interp_list_equal (B.value (listing cold)) full
+    && budgeted warm
+    && interp_list_equal (B.value (listing warm)) full
+  in
+  (ok, warm)
+
+let n_parts g = Ordered.Parts.n_parts (Ordered.Parts.split g (Ordered.Vfix.lfp g))
 
 let prop_planted_parts =
   qcheck
@@ -268,6 +352,43 @@ let prop_planted_parts =
       | B.Partial (ms, _) ->
         List.for_all stable ms
         && interp_list_equal ms (take (List.length ms) full))
+
+let prop_carried_parts =
+  qcheck
+    ~count:(iters "carried" 300)
+    ~print:(fun (p, (o, n)) ->
+      Printf.sprintf "%s order=%d max_steps=%d" (print_program p) o n)
+    "carried part lists = uncached kernel: every limit, partial prefixes"
+    Gen.(pair gen_planted (pair int (int_bound 400)))
+    (fun (p, (order, steps)) -> fst (carried_agrees ~order ~steps (gop_of p)))
+
+(* Identical copies: each key is shared by at least one part per copy,
+   so the warm table has at most [parts / copies] entries. *)
+let prop_carried_copies =
+  qcheck
+    ~count:(iters "copies" 300)
+    ~print:(fun ((k, p), (o, n)) ->
+      Printf.sprintf "%d copies: %s order=%d max_steps=%d" k (print_program p) o n)
+    "identical parts share one carried list"
+    Gen.(pair (gen_copies ~same:true) (pair int (int_bound 400)))
+    (fun ((k, p), (order, steps)) ->
+      let g = gop_of p in
+      let ok, warm = carried_agrees ~order ~steps g in
+      ok && Ordered.Parts.size warm.Ordered.Parts.table * k <= n_parts g)
+
+(* Near copies: the base copies share one key, the near copy has its
+   own. *)
+let prop_carried_near =
+  qcheck
+    ~count:(iters "near" 100)
+    ~print:(fun ((k, p), (o, n)) ->
+      Printf.sprintf "%d copies: %s order=%d max_steps=%d" k (print_program p) o n)
+    "near-isomorphic parts get distinct keys"
+    Gen.(pair gen_near (pair int (int_bound 200)))
+    (fun ((k, p), (order, steps)) ->
+      let g = gop_of p in
+      let ok, warm = carried_agrees ~order ~steps g in
+      ok && n_parts g = k && Ordered.Parts.size warm.Ordered.Parts.table = 2)
 
 let prop_pruned_sound =
   qcheck ~count:150 ~print:print_program
@@ -354,6 +475,9 @@ let suite =
     prop_limit_counts;
     prop_limit_prefix;
     prop_planted_parts;
+    prop_carried_parts;
+    prop_carried_copies;
+    prop_carried_near;
     prop_pruned_sound;
     prop_compiled_prefer;
     prop_boolean_queries

@@ -91,6 +91,89 @@ let test_new_version_churn () =
   | [] -> ()
   | v :: _ -> Alcotest.failf "churn violation: %s" v
 
+(* Stable models while a writer writes: the writes alternate between
+   ones that leave every residual part alone (a rule the least model
+   decides) and ones that change a part, so readers list models from
+   carried part lists, fresh searches and mixes of both.  A reader does
+   not see which version it pinned, only that it lies between the
+   versions read before and after the call, so its answer must equal
+   the scratch answer of one of those versions, at the limit it
+   asked. *)
+let test_models_while_writing () =
+  let src =
+    "component k0 { pa(X) :- ent(X). pb(X) :- ent(X). }\n\
+     component k1 extends k0 { -pa(X) :- pb(X). -pb(X) :- pa(X). }\n\
+     component o extends k1 { ent(e1). ent(e2). ent(e3). }"
+  in
+  let writes =
+    List.init 24 (fun i ->
+        let text =
+          match i mod 4 with
+          | 0 -> Printf.sprintf "w%d(X) :- ent(X)." (i / 4)
+          | 1 | 2 -> "-pa(e2)."
+          | _ -> Printf.sprintf "-pb(e%d) :- w%d(e1)." ((i / 4 mod 3) + 1) (i / 4)
+        in
+        (i mod 4 <> 2, Lang.Parser.parse_rule text))
+  in
+  let limits = [| None; Some 0; Some 1; Some 2; Some 3; Some 5 |] in
+  (* the scratch answers of every version: 1 after the load, then one
+     per write *)
+  let scratch = Kb.Store.create () in
+  Kb.Store.load scratch src;
+  let answers () =
+    let g = Helpers.Scratch.gop scratch ~obj:"o" in
+    Array.map
+      (fun limit ->
+        List.map Logic.Interp.to_string
+          (Ordered.Budget.value (Solve.Kernel.stable_models ?limit g)))
+      limits
+  in
+  let loaded = answers () in
+  let by_version =
+    Array.of_list
+      ([||] :: loaded
+      :: List.map
+           (fun (add, r) ->
+             if add then Kb.Store.add_rule scratch ~obj:"o" r
+             else ignore (Kb.Store.remove_rule scratch ~obj:"o" r : bool);
+             answers ())
+           writes)
+  in
+  let last = Array.length by_version - 1 in
+  let s = Kb.Session.create () in
+  Kb.Session.load s src;
+  let reader () =
+    let bad = ref [] and k = ref 0 in
+    let rec loop () =
+      let li = !k mod Array.length limits in
+      incr k;
+      let v0 = Kb.Session.version s in
+      let got =
+        List.map Logic.Interp.to_string
+          (Ordered.Budget.value
+             (Kb.Session.stable_models ?limit:limits.(li) s ~obj:"o"))
+      in
+      let v1 = Kb.Session.version s in
+      let rec pinned v = v <= v1 && (by_version.(v).(li) = got || pinned (v + 1)) in
+      if not (pinned v0) then
+        bad :=
+          Printf.sprintf "versions %d..%d: got [%s]" v0 v1 (String.concat " " got)
+          :: !bad;
+      if v0 < last then loop () else !bad
+    in
+    loop ()
+  in
+  let readers = List.init 2 (fun _ -> Domain.spawn reader) in
+  List.iter
+    (fun (add, r) ->
+      if add then Kb.Session.add_rule s ~obj:"o" r
+      else ignore (Kb.Session.remove_rule s ~obj:"o" r : bool);
+      Unix.sleepf 0.001)
+    writes;
+  match List.concat_map Domain.join readers with
+  | [] -> ()
+  | v :: _ as all -> Alcotest.failf "%d wrong answer(s), first: %s" (List.length all) v
+
 (* ------------------------------------------------------------------ *)
 (* Writers in flight                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -198,6 +281,8 @@ let suite =
       test_snapshot_prefix;
     Alcotest.test_case "new_version churn keeps views whole" `Quick
       test_new_version_churn;
+    Alcotest.test_case "models while a writer writes" `Quick
+      test_models_while_writing;
     Alcotest.test_case "disjoint writers overlap (writers_peak)" `Quick
       test_disjoint_writers_overlap;
     Alcotest.test_case "reads bypass the io lock" `Quick

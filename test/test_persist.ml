@@ -568,6 +568,149 @@ let test_tail () =
   P.close p;
   rm_rf dir
 
+(* The tail as a whole-segment walk: read each segment whole and walk
+   its frames from the first — the implementation before the frame
+   index, kept as the oracle the indexed [P.tail] must match byte for
+   byte. *)
+let tail_oracle ~dir ~seq ~from ~max =
+  let tail_bytes = 1024 * 1024 in
+  let wal_name b = Printf.sprintf "wal-%012d.log" b in
+  let read_whole path =
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  if from >= seq then Ok ("", 0)
+  else begin
+    let bases =
+      Sys.readdir dir |> Array.to_list
+      |> List.filter_map (fun name ->
+             if Filename.check_suffix name ".log" && String.length name = 20
+             then int_of_string_opt (String.sub name 4 12)
+             else None)
+      |> List.sort compare
+    in
+    let start =
+      List.fold_left (fun acc b -> if b <= from then Some b else acc) None bases
+    in
+    match start with
+    | None -> Error (match bases with b :: _ -> b | [] -> -1)
+    | Some b0 ->
+      let buf = Buffer.create 4096 in
+      let took = ref 0 in
+      let full () = !took >= max || Buffer.length buf >= tail_bytes in
+      let rec seg b =
+        if full () then ()
+        else
+          match read_whole (Filename.concat dir (wal_name b)) with
+          | exception Sys_error _ -> ()
+          | s -> (
+            match R.decode_wal_header s with
+            | Ok h when h.R.wal_base = b ->
+              let idx = ref b in
+              let pos = ref h.R.wal_head_len in
+              let stop = ref false in
+              while not !stop do
+                match R.unframe s ~pos:!pos with
+                | R.End | R.Torn _ -> stop := true
+                | R.Frame { payload = _; next } ->
+                  incr idx;
+                  if !idx > from && !idx <= seq && not (full ()) then begin
+                    Buffer.add_substring buf s !pos (next - !pos);
+                    incr took
+                  end;
+                  pos := next;
+                  if full () || !idx >= seq then stop := true
+              done;
+              if
+                (not (full ())) && !idx < seq
+                && Sys.file_exists (Filename.concat dir (wal_name !idx))
+              then seg !idx
+            | Ok _ | Error _ -> ())
+      in
+      if max > 0 then seg b0;
+      Ok (Buffer.contents buf, !took)
+  end
+
+(* Random histories — appends of small and ~100 KB records (so the
+   1 MiB batch cap bites), snapshots (segment rotation), compaction,
+   installed snapshots (ahead of the log or behind it), clean reopens
+   and reopens over a torn tail —
+   with random pulls after every step: the indexed [P.tail] ships
+   exactly the oracle's bytes.  Scaled by FUZZ_ITERS. *)
+let test_tail_matches_walk () =
+  let big = String.make (100 * 1024) 'x' in
+  for _ = 1 to Int.max 2 (iters / 1000) do
+    let dir = fresh_dir () in
+    let opened = ref (P.open_dir (config dir)) in
+    let p () = let p, _, _ = !opened in p in
+    let store () = let _, s, _ = !opened in s in
+    apply_and_log (p ()) (store ()) (Store.Load { src = "component a { p. }" });
+    (* a big record adds or removes the one big rule, so the store
+       (and every snapshot) stays small while the log grows *)
+    let big_rule = Helpers.rule (Printf.sprintf "q(%s)." big) in
+    let record () =
+      if rand 10 = 0 then
+        if List.mem big_rule (Store.rules (store ()) "a") then
+          Store.Remove_rule { obj = "a"; rule = big_rule }
+        else Store.Add_rule { obj = "a"; rule = big_rule }
+      else
+        Store.Add_rule
+          { obj = "a"; rule = Helpers.rule (Printf.sprintf "q(%d) :- p." (rand 1000)) }
+    in
+    let reopen () =
+      P.close (p ());
+      opened := P.open_dir (config dir)
+    in
+    for _ = 1 to 30 do
+      (match rand 10 with
+      | 0 -> ignore (P.snapshot (p ()) : int)
+      | 1 -> ignore (P.compact (p ()) : int * int)
+      | 2 ->
+        (* a replaced timeline, possibly shorter: later segments may
+           reuse the bases of segments it dropped *)
+        P.install_snapshot (p ())
+          ~seq:(Int.max 0 (P.seq (p ()) + rand 8 - 4))
+          ~epoch:0
+          (Store.dump (store ()))
+      | 3 -> reopen ()
+      | 4 ->
+        (* a crash mid-append: half a frame on the newest segment *)
+        let newest =
+          Sys.readdir dir |> Array.to_list
+          |> List.filter (fun n -> Filename.check_suffix n ".log")
+          |> List.sort compare |> List.rev |> List.hd
+        in
+        P.close (p ());
+        let oc =
+          open_out_gen [ Open_append; Open_binary ] 0o644
+            (Filename.concat dir newest)
+        in
+        output_string oc "\x40\x00\x00\x00\xde\xad";
+        close_out oc;
+        opened := P.open_dir (config dir)
+      | _ ->
+        for _ = 0 to rand 40 do
+          apply_and_log (p ()) (store ()) (record ())
+        done);
+      for _ = 1 to 3 do
+        let seq = P.seq (p ()) in
+        let from = rand (seq + 3) and max = if rand 4 = 0 then 4096 else rand 60 in
+        let got =
+          match P.tail (p ()) ~from ~max with
+          | Ok r -> Ok r
+          | Error (`Too_old b) -> Error b
+        in
+        if got <> tail_oracle ~dir ~seq ~from ~max then
+          Alcotest.failf "tail ~from:%d ~max:%d at seq %d differs from the walk"
+            from max seq
+      done
+    done;
+    P.close (p ());
+    rm_rf dir
+  done
+
 let test_group_commit () =
   let dir = fresh_dir () in
   let p, store, _ =
@@ -672,6 +815,8 @@ let suite =
     Alcotest.test_case "differential: replay equals store" `Quick
       test_differential_replay;
     Alcotest.test_case "tail ships raw records" `Quick test_tail;
+    Alcotest.test_case "indexed tail = whole-segment walk" `Quick
+      test_tail_matches_walk;
     Alcotest.test_case "group commit: concurrent writers, one fsync" `Quick
       test_group_commit;
     Alcotest.test_case "point-in-time recovery" `Quick test_pitr

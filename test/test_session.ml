@@ -199,6 +199,69 @@ let prop_cached_equals_uncached =
                (Scratch.least_model fresh ~obj))
         (KS.objects s))
 
+(* Stable models under random writes: after every [add_rule] or
+   [remove_rule], the session's stable models of a viewpoint, at every
+   limit and unlimited, equal a scratch kernel listing over the
+   session's program (same order).  The session lists them from the
+   part lists it carried across the writes, and from its repaired least
+   model when a query has cached one.  Scaled by FUZZ_ITERS (wired as
+   session in the Makefile's fuzz target). *)
+let prop_models_under_writes =
+  let count =
+    match Option.bind (Sys.getenv_opt "FUZZ_ITERS") int_of_string_opt with
+    | Some n when n > 60 -> n
+    | _ -> 60
+  in
+  let gen_write =
+    QCheck2.Gen.(
+      quad bool (int_bound 2) (Test_props.gen_negative_rule 4)
+        (pair (int_bound 2) bool))
+  in
+  let print_write (add, o, r, (w, q)) =
+    Printf.sprintf "%s c%d %s (view %d%s)"
+      (if add then "add" else "remove")
+      o (Rule.to_string r) w
+      (if q then ", least first" else "")
+  in
+  qcheck ~count
+    ~print:(fun (p, ws) ->
+      print_program p ^ " / " ^ String.concat "; " (List.map print_write ws))
+    "session stable models = scratch kernel under random writes"
+    QCheck2.Gen.(
+      pair (Test_props.gen_ordered 4) (list_size (int_range 1 8) gen_write))
+    (fun (p, writes) ->
+      let s = KS.create () in
+      KS.load s (print_program p);
+      let objs = Array.of_list (KS.objects s) in
+      let pick i = objs.(i mod Array.length objs) in
+      let agrees obj =
+        let g = ground_at (KS.to_program s) obj in
+        let full = B.value (Solve.Kernel.stable_models g) in
+        List.for_all
+          (fun limit ->
+            List.equal Interp.equal
+              (B.value (KS.stable_models ?limit s ~obj))
+              (B.value (Solve.Kernel.stable_models ?limit g)))
+          (None :: List.init (List.length full + 2) Option.some)
+      in
+      Array.for_all agrees objs
+      && List.for_all
+           (fun (add, o, r, (w, least_first)) ->
+             let obj = pick o in
+             (if add then KS.add_rule s ~obj r
+              else
+                match KS.rules s obj with
+                | [] -> ()
+                | rs ->
+                  ignore
+                    (KS.remove_rule s ~obj
+                       (List.nth rs (Hashtbl.hash r mod List.length rs))
+                      : bool));
+             let view = pick w in
+             if least_first then ignore (KS.least_model s ~obj:view);
+             agrees view)
+           writes)
+
 (* ------------------------------------------------------------------ *)
 (* A write costs its cone, not the KB                                  *)
 (* ------------------------------------------------------------------ *)
@@ -558,5 +621,6 @@ let suite =
     Alcotest.test_case "a failed load changes nothing" `Quick
       test_failed_load_changes_nothing;
     prop_cached_equals_uncached;
+    prop_models_under_writes;
     prop_failed_write_changes_nothing
   ]
