@@ -8,7 +8,7 @@
 # fuzzers as suite=iterations pairs (fuzz and chaos share the sweep
 # loop), and the fault-injection suites crash-test runs in order.
 FUZZ_SUITES = fuzz=5000 diff-stable=2000 diff-prefer=5000 diff-inc=1500 \
-	diff-poset=20000 diff-print=20000 proto=20000 \
+	diff-ground=5000 diff-poset=20000 diff-print=20000 proto=20000 \
 	persist=20000 replica=2000 session=5000
 CHAOS_FUZZ_SUITES = replica=2000 proto=20000 persist=20000
 CRASH_SUITES = crash replica linearize

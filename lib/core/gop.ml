@@ -1,4 +1,5 @@
 open Logic
+module G = Ground.Grounder
 
 type grule = {
   head : int;
@@ -28,18 +29,6 @@ type t = {
 let dedup_body body =
   Literal.Set.elements (Literal.Set.of_list body)
 
-module Instance_tbl = Hashtbl.Make (struct
-  type t = Program.component_id * Rule.t
-
-  let equal (c, r) (c', r') = c = c' && Rule.equal r r'
-
-  let hash (c, (r : Rule.t)) =
-    List.fold_left
-      (fun h l -> (h * 31) + Literal.hash l)
-      ((c * 31) + Literal.hash r.head)
-      r.body
-end)
-
 (* One ground rule of a tagged view over the atom ids [intern] hands
    out: the head first, then the deduplicated body in literal order —
    the order that fixes scratch atom numbering. *)
@@ -57,63 +46,56 @@ let grule_of intern (c, (r : Rule.t)) =
     name = Rule.name r
   }
 
-(* Definition 2 for the rules whose head is one atom: they are the only
-   rules that can overrule, defeat or be suppressed by each other.
-   [here] is the atom's [by_head] row; the rows of its rules must start
-   empty. *)
-let suppression_rows poset rules ~overrulers ~defeaters ~suppresses here =
-  List.iter
-    (fun i ->
-      List.iter
-        (fun j ->
-          if rules.(i).head_pol <> rules.(j).head_pol then begin
-            (* j contradicts i.  Definition 2: j overrules i when
-               C(j) < C(i); j defeats i when C(j) <> C(i) or
-               C(j) = C(i). *)
-            let ci = rules.(i).comp and cj = rules.(j).comp in
-            if Poset.lt poset cj ci then begin
-              overrulers.(i) <- j :: overrulers.(i);
-              suppresses.(j) <- i :: suppresses.(j)
-            end
-            else if ci = cj || Poset.incomparable poset ci cj then begin
-              defeaters.(i) <- j :: defeaters.(i);
-              suppresses.(j) <- i :: suppresses.(j)
-            end
-          end)
-        here)
-    here
+(* Definition 2 for rule [i] against its contradictors: the rules (in
+   [by_head] order) whose head is [i]'s atom with the other polarity. *)
+let rec against poset (rules : grule array) ~overrulers ~defeaters
+    ~suppresses i = function
+  | [] -> ()
+  | j :: more ->
+    (* j contradicts i.  Definition 2: j overrules i when C(j) < C(i);
+       j defeats i when C(j) <> C(i) or C(j) = C(i). *)
+    let ci = rules.(i).comp and cj = rules.(j).comp in
+    if Poset.lt poset cj ci then begin
+      overrulers.(i) <- j :: overrulers.(i);
+      suppresses.(j) <- i :: suppresses.(j)
+    end
+    else if ci = cj || Poset.incomparable poset ci cj then begin
+      defeaters.(i) <- j :: defeaters.(i);
+      suppresses.(j) <- i :: suppresses.(j)
+    end;
+    against poset rules ~overrulers ~defeaters ~suppresses i more
 
-let of_view ?(depth = 0) ?(extra_constants = []) program comp tagged =
-  let untagged = List.map snd tagged in
-  let sg = Herbrand.signature_of_rules untagged in
-  let sg =
-    { sg with
-      Herbrand.constants =
-        Term.Set.elements
-          (Term.Set.union
-             (Term.Set.of_list sg.Herbrand.constants)
-             (Term.Set.of_list extra_constants))
-    }
-  in
-  let universe = Herbrand.universe ~depth sg in
-  let full_base =
-    lazy (Herbrand.base ~depth ~skip:Ground.Builtin.is_builtin sg)
-  in
-  let ids = Atom.Tbl.create 256 in
-  let atoms = ref [] in
-  let n = ref 0 in
-  let intern a =
-    match Atom.Tbl.find_opt ids a with
-    | Some i -> i
-    | None ->
-      let i = !n in
-      Atom.Tbl.add ids a i;
-      atoms := a :: !atoms;
-      incr n;
-      i
-  in
-  let rules = Array.of_list (List.map (grule_of intern) tagged) in
-  let atoms = Array.of_list (List.rev !atoms) in
+(* The rows of the rules whose head is one atom: they are the only rules
+   that can overrule, defeat or be suppressed by each other.  [here] is
+   the atom's [by_head] row; the rows of its rules must start empty.
+   Only rules of opposite polarity meet, so a row of one polarity costs
+   one pass. *)
+let suppression_rows poset (rules : grule array) ~overrulers ~defeaters
+    ~suppresses here =
+  let pos, neg = List.partition (fun i -> rules.(i).head_pol) here in
+  if pos <> [] && neg <> [] then
+    List.iter
+      (fun i ->
+        against poset rules ~overrulers ~defeaters ~suppresses i
+          (if rules.(i).head_pol then neg else pos))
+      here
+
+(* The signature of an interned view: the atoms its rules mention, with
+   the extra constants — what [Herbrand.signature_of_rules] makes of the
+   ground rules. *)
+let signature ~extra_constants atoms =
+  Herbrand.with_constants extra_constants
+    (Herbrand.signature_of_atoms (Array.to_list atoms))
+
+let full_base ~depth ~extra_constants atoms =
+  lazy
+    (Herbrand.base ~depth ~skip:Ground.Builtin.is_builtin
+       (signature ~extra_constants atoms))
+
+(* Everything but the atoms and the rules is derived here: the head and
+   body rows, and the suppression rows against [program]'s order. *)
+let assemble ~program ~comp ~atoms ~ids ~rules ~universe ~active_base
+    ~full_base =
   let na = Array.length atoms in
   let nr = Array.length rules in
   let by_head = Array.make na [] in
@@ -132,12 +114,12 @@ let of_view ?(depth = 0) ?(extra_constants = []) program comp tagged =
   let defeaters = Array.make nr [] in
   let suppresses = Array.make nr [] in
   let poset = Program.poset program in
-  Array.iter
-    (suppression_rows poset rules ~overrulers ~defeaters ~suppresses)
-    by_head;
-  let active =
-    Array.to_list atoms |> Atom.Set.of_list |> Atom.Set.elements
-  in
+  for a = 0 to na - 1 do
+    match by_head.(a) with
+    | [] | [ _ ] -> () (* a rule alone with its head atom has no contradictor *)
+    | here ->
+      suppression_rows poset rules ~overrulers ~defeaters ~suppresses here
+  done;
   { program;
     comp;
     atoms;
@@ -150,86 +132,245 @@ let of_view ?(depth = 0) ?(extra_constants = []) program comp tagged =
     defeaters;
     suppresses;
     universe;
-    active_base = active;
+    active_base;
     full_base
   }
 
-let schema_universe ?(depth = 0) ?(extra_constants = []) program comp =
-  let untagged = List.map snd (Program.view program comp) in
-  let sg = Herbrand.signature_of_rules untagged in
-  let sg =
-    { sg with
-      Herbrand.constants =
-        Term.Set.elements
-          (Term.Set.union
-             (Term.Set.of_list sg.Herbrand.constants)
-             (Term.Set.of_list extra_constants))
-    }
+let of_view ?(depth = 0) ?(extra_constants = []) program comp tagged =
+  let ids = Atom.Tbl.create 256 in
+  let atoms = ref [] in
+  let n = ref 0 in
+  let intern a =
+    match Atom.Tbl.find_opt ids a with
+    | Some i -> i
+    | None ->
+      let i = !n in
+      Atom.Tbl.add ids a i;
+      atoms := a :: !atoms;
+      incr n;
+      i
   in
-  Herbrand.universe ~depth sg
+  let rules = Array.of_list (List.map (grule_of intern) tagged) in
+  let atoms = Array.of_list (List.rev !atoms) in
+  assemble ~program ~comp ~atoms ~ids ~rules
+    ~universe:(Herbrand.universe ~depth (signature ~extra_constants atoms))
+    ~active_base:(Array.to_list atoms |> Atom.Set.of_list |> Atom.Set.elements)
+    ~full_base:(full_base ~depth ~extra_constants atoms)
+
+(* The universe of the view's schema rules' signature. *)
+let schema_universe ?(depth = 0) ?(extra_constants = []) program comp =
+  Herbrand.universe ~depth
+    (Herbrand.with_constants extra_constants
+       (Herbrand.term_signature (fun scan ->
+            List.iter
+              (fun (_, (r : Rule.t)) ->
+                scan r.head.atom;
+                List.iter (fun (l : Literal.t) -> scan l.atom) r.body)
+              (Program.view program comp))))
+
+(* ------------------------------------------------------------------ *)
+(* Grounding by plans                                                  *)
+(* ------------------------------------------------------------------ *)
+
+type group = {
+  comp : Program.component_id;
+  src : Rule.t;
+  keys : int array array;
+}
+
+type grounded = { gop : t; groups : group list; universe : Term.t list }
+
+(* Sort the first [n] literal codes in place (insertion sort: bodies are
+   short) and return how many distinct ones lead. *)
+let sort_dedup cmp (a : int array) n =
+  for i = 1 to n - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && cmp a.(!j) x > 0 do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done;
+  let m = ref (min n 1) in
+  for i = 1 to n - 1 do
+    if a.(i) <> a.(!m - 1) then begin
+      a.(!m) <- a.(i);
+      incr m
+    end
+  done;
+  !m
+
+(* Instance keys by (component, rule name), the deduplication identity:
+   only instances of one class can be equal, so each class has its own
+   key table. *)
+module Instance_keys = struct
+  type t = (Program.component_id * string option, unit G.Key_tbl.t) Hashtbl.t
+
+  let create () : t = Hashtbl.create 8
+
+  let fresh (t : t) c (r : Rule.t) =
+    let k = (c, Rule.name r) in
+    let s =
+      match Hashtbl.find_opt t k with
+      | Some s -> s
+      | None ->
+        let s = G.Key_tbl.create 16 in
+        Hashtbl.add t k s;
+        s
+    in
+    fun key ->
+      (not (G.Key_tbl.mem s key))
+      && begin
+        G.Key_tbl.add s key ();
+        true
+      end
+
+  let add t c r key = ignore (fresh t c r key : bool)
+  let has_class (t : t) c (r : Rule.t) = Hashtbl.mem t (c, Rule.name r)
+
+  let mem (t : t) c (r : Rule.t) key =
+    match Hashtbl.find_opt t (c, Rule.name r) with
+    | Some s -> G.Key_tbl.mem s key
+    | None -> false
+end
+
+(* Instantiate every view rule through its plan, in view order.
+   Instances are deduplicated per component (a rule occurring in two
+   distinct components keeps distinct instances, as the paper requires
+   of the function C) and per rule name, on the instance keys: the first
+   occurrence in view order wins. *)
+let instantiate ~budget ~max_instances ~universe tbl view =
+  let seen = Instance_keys.create () in
+  let count = ref 0 in
+  List.map
+    (fun (c, (r : Rule.t)) ->
+      let kept = ref [] and produced = ref 0 in
+      let fresh = Instance_keys.fresh seen c r in
+      G.iter ~budget tbl (G.compile tbl r) (fun key ->
+          incr produced;
+          if fresh key then kept := key :: !kept);
+      (* the cap counts instances per source rule, before dedup, so the
+         overflow diagnostic names the rule being instantiated *)
+      (match max_instances with
+      | Some cap ->
+        count := !count + !produced;
+        if !count > cap then
+          Diag.fail
+            (Diag.Grounding_overflow
+               { rule = Rule.to_string r;
+                 produced = !count;
+                 cap;
+                 universe = List.length universe
+               })
+      | None -> ());
+      { comp = c; src = r; keys = Array.of_list (List.rev !kept) })
+    view
+
+(* Number the atoms as scratch interning of the tagged view would — per
+   instance the head, then the sorted deduplicated body — and build the
+   ground rules.  Returns the table's atom of each gop atom id, and the
+   rules; the groups' keys are rewritten to gop atom ids. *)
+let number tbl ~comp groups =
+  let np = G.n_atoms tbl in
+  let gid = Array.make np (-1) in
+  let order = Array.make np 0 in
+  let na = ref 0 in
+  let id p =
+    let g = gid.(p) in
+    if g >= 0 then g
+    else begin
+      gid.(p) <- !na;
+      order.(!na) <- p;
+      incr na;
+      !na - 1
+    end
+  in
+  (* one shared [(atom, pol)] pair per literal *)
+  let none = (-1, false) in
+  let pairs = Array.make (2 * np) none in
+  let pair g pol =
+    let k = (2 * g) + Bool.to_int pol in
+    if pairs.(k) == none then pairs.(k) <- (g, pol);
+    pairs.(k)
+  in
+  let cmp = G.compare_lits tbl in
+  let width =
+    List.fold_left
+      (fun n g -> Array.fold_left (fun n k -> max n (Array.length k)) n g.keys)
+      0 groups
+  in
+  let lits = Array.make width 0 in
+  let lit k = pair (id (lits.(k) lsr 1)) (lits.(k) land 1 = 1) in
+  let nr = List.fold_left (fun n g -> n + Array.length g.keys) 0 groups in
+  let rules =
+    Array.make nr { head = 0; head_pol = true; body = [||]; comp; name = None }
+  in
+  let i = ref 0 in
+  List.iter
+    (fun g ->
+      let name = Rule.name g.src in
+      Array.iter
+        (fun (key : int array) ->
+          let head = id (key.(0) lsr 1) in
+          let nb = Array.length key - 1 in
+          for k = 1 to nb do
+            lits.(k - 1) <- key.(k)
+          done;
+          let body =
+            match sort_dedup cmp lits nb with
+            | 0 -> [||]
+            | 1 -> [| lit 0 |]
+            | m ->
+              let b = Array.make m (lit 0) in
+              for k = 1 to m - 1 do
+                b.(k) <- lit k
+              done;
+              b
+          in
+          rules.(!i) <-
+            { head; head_pol = key.(0) land 1 = 1; body; comp = g.comp; name };
+          incr i;
+          for k = 0 to Array.length key - 1 do
+            key.(k) <- (2 * gid.(key.(k) lsr 1)) + (key.(k) land 1)
+          done)
+        g.keys)
+    groups;
+  (Array.sub order 0 !na, rules)
+
+(* The universe of the instances.  With no function term in the schema
+   universe or in an atom, and no extra constants, it is the schema
+   universe's constants the atoms use, in its order ([a0] if none). *)
+let instance_universe tbl ~depth ~extra_constants order atoms =
+  match G.used_constants tbl order with
+  | Some [] when extra_constants = [] -> [ Term.Sym "a0" ]
+  | Some cs when extra_constants = [] -> cs
+  | _ -> Herbrand.universe ~depth (signature ~extra_constants atoms)
 
 let ground_groups ?(budget = Budget.unlimited) ?max_instances ?(depth = 0)
     ?(extra_constants = []) program comp =
-  let view = Program.view program comp in
   let universe = schema_universe ~depth ~extra_constants program comp in
-  (* Count instances per source rule against the cap so the overflow
-     diagnostic names the rule being instantiated. *)
-  let count = ref 0 in
-  let guard (r : Rule.t) insts =
-    (match max_instances with
-    | None -> ()
-    | Some cap ->
-      count := !count + List.length insts;
-      if !count > cap then
-        Diag.fail
-          (Diag.Grounding_overflow
-             { rule = Rule.to_string r;
-               produced = !count;
-               cap;
-               universe = List.length universe
-             }));
-    insts
-  in
-  let raw =
-    List.map
-      (fun (c, r) ->
-        (c, r, guard r (Ground.Grounder.ground_rule_instances ~budget ~universe r)))
-      view
-  in
-  (* Deduplicate instances per component (a rule occurring in two distinct
-     components keeps distinct instances, as the paper requires of the
-     function C).  The table is shared across the whole view, in view
-     order, so flattening the groups reproduces the deduplicated tagged
-     list exactly — incremental re-grounding (lib/inc) relies on that to
-     rebuild groundings bit-identical to a from-scratch [ground]. *)
-  let seen = Instance_tbl.create 256 in
-  List.map
-    (fun (c, src, insts) ->
-      let insts =
-        List.filter
-          (fun r ->
-            let key = (c, r) in
-            if Instance_tbl.mem seen key then false
-            else begin
-              Instance_tbl.add seen key ();
-              true
-            end)
-          insts
-      in
-      (c, src, insts))
-    raw
-
-let flatten_groups groups =
-  List.concat_map
-    (fun (c, _, insts) -> List.map (fun inst -> (c, inst)) insts)
-    groups
-
-let ground ?budget ?max_instances ?(depth = 0) ?(extra_constants = []) program
-    comp =
+  let tbl = G.table universe in
   let groups =
-    ground_groups ?budget ?max_instances ~depth ~extra_constants program comp
+    instantiate ~budget ~max_instances ~universe tbl (Program.view program comp)
   in
-  of_view ~depth ~extra_constants program comp (flatten_groups groups)
+  let order, rules = number tbl ~comp groups in
+  let atoms = Array.map (G.atom tbl) order in
+  let ids = Atom.Tbl.create (2 * Array.length atoms) in
+  Array.iteri (fun g a -> Atom.Tbl.add ids a g) atoms;
+  let perm = Array.init (Array.length atoms) Fun.id in
+  Array.stable_sort (fun a b -> G.compare_atoms tbl order.(a) order.(b)) perm;
+  let gop =
+    assemble ~program ~comp ~atoms ~ids ~rules
+      ~universe:(instance_universe tbl ~depth ~extra_constants order atoms)
+      ~active_base:(Array.fold_right (fun g acc -> atoms.(g) :: acc) perm [])
+      ~full_base:(full_base ~depth ~extra_constants atoms)
+  in
+  { gop; groups; universe }
+
+let ground ?budget ?max_instances ?depth ?extra_constants program comp =
+  (ground_groups ?budget ?max_instances ?depth ?extra_constants program comp)
+    .gop
 
 let n_atoms t = Array.length t.atoms
 let n_rules t = Array.length t.rules

@@ -46,12 +46,75 @@ val ground :
   Program.component_id ->
   t
 (** Ground the view [C*] of the given component over its full Herbrand
-    universe ({!Ground.Grounder}).  [max_instances] is the one instance
-    cap: it raises [Diag.Error (Grounding_overflow _)] — carrying the
-    offending rule and the counts — when instantiation exceeds the cap (a
-    guard against accidental blow-up on wide universes).  [budget] bounds
-    the grounding work itself (deadline / steps); exhaustion raises
-    [Budget.Exhausted]. *)
+    universe ({!schema_universe}), through instantiation plans
+    ({!Ground.Grounder}).  [max_instances] is the one instance cap: it
+    raises [Diag.Error (Grounding_overflow _)] — carrying the offending
+    rule and the counts — when instantiation exceeds the cap (a guard
+    against accidental blow-up on wide universes).  [budget] bounds the
+    grounding work itself (deadline / steps, one tick per candidate);
+    exhaustion raises [Budget.Exhausted].
+
+    {b Plans.}  Each view rule is compiled once into a plan, and its
+    surviving candidates come out as keys of atom ids in one intern
+    table ({!Ground.Grounder.iter}).  Instances are deduplicated on those
+    keys ({!Instance_keys}), the atoms numbered, the body sorted, the
+    universe and the active base derived by integer work; an [Atom.t]
+    and an [ids] entry are made once per distinct atom.  Every step is
+    linear in the instances, also when they share one head (a rule
+    whose variables all sit in its body): only rules of opposite
+    head polarity are paired for the suppression rows.
+
+    {b Bit identity.}  The result is structurally equal to {!of_view}
+    over the instances the substitution grounder would produce (the
+    reference in [test/oracle]; the [diff-ground] suite checks it):
+    - rule order: view order, and within a view rule the candidate
+      order of {!Logic.Herbrand.instantiations};
+    - duplicates: the first occurrence wins per (component, rule name,
+      head, body list in source order);
+    - atom numbering: per rule the head first, then the
+      {!Logic.Literal.compare}-sorted deduplicated body;
+    - [universe]: the Herbrand universe of the instances' own
+      signature (at depth 0 with no extra constants, the schema
+      universe's constants that some atom uses, or [a0]);
+    - [active_base] sorted by {!Logic.Atom.compare}; rule names kept. *)
+
+type group = {
+  comp : Program.component_id;
+  src : Logic.Rule.t;  (** the schema (view) rule *)
+  keys : int array array;
+      (** its surviving deduplicated instances, in order, each as its
+          literal codes [2 * atom + (1 if positive)] over the gop's atom
+          ids: the head, then the ordinary body literals in source order
+          (duplicates kept) — the deduplication identity *)
+}
+
+(** The deduplication rule, shared by {!ground_groups} and incremental
+    re-grounding so that both keep the same instances: instance keys by
+    class (component, rule name), the first occurrence of a key in its
+    class wins.  One hash table per class; a lookup is a hash of the
+    key. *)
+module Instance_keys : sig
+  type t
+
+  val create : unit -> t
+
+  val fresh : t -> Program.component_id -> Logic.Rule.t -> int array -> bool
+  (** [fresh t c r] finds the class of [c] and [r]'s name once; the
+      result, applied to a key, adds it and returns [true] if the class
+      lacked it, and returns [false] otherwise. *)
+
+  val add : t -> Program.component_id -> Logic.Rule.t -> int array -> unit
+  val mem : t -> Program.component_id -> Logic.Rule.t -> int array -> bool
+
+  val has_class : t -> Program.component_id -> Logic.Rule.t -> bool
+  (** Whether some key of [c] and [r]'s name was added. *)
+end
+
+type grounded = {
+  gop : t;
+  groups : group list;  (** provenance, in view order, one per view rule *)
+  universe : Logic.Term.t list;  (** the schema universe instantiated over *)
+}
 
 val ground_groups :
   ?budget:Budget.t ->
@@ -60,18 +123,13 @@ val ground_groups :
   ?extra_constants:Logic.Term.t list ->
   Program.t ->
   Program.component_id ->
-  (Program.component_id * Logic.Rule.t * Logic.Rule.t list) list
-(** Like {!ground}, but stop before interning and keep provenance: one
-    group [(component, source rule, surviving instances)] per view rule,
-    in view order, deduplicated through one table shared across the whole
-    view.  {!flatten_groups} of the result is exactly the tagged list
-    {!ground} interns, so a caller that edits one group and re-interns
-    gets a grounding bit-identical to grounding from scratch — the basis
-    of incremental re-grounding ([Inc.Reground]). *)
-
-val flatten_groups :
-  (Program.component_id * Logic.Rule.t * Logic.Rule.t list) list ->
-  (Program.component_id * Logic.Rule.t) list
+  grounded
+(** {!ground} with provenance: the grounding (equal to {!ground}'s),
+    one group per view rule, in view order, and the schema universe.
+    Flattening the groups gives exactly the instances the grounding's
+    rules come from, in order, so a caller that edits one group and
+    re-interns gets a grounding bit-identical to grounding from scratch
+    — the basis of incremental re-grounding ([Inc.Reground]). *)
 
 val schema_universe :
   ?depth:int ->
@@ -91,14 +149,9 @@ val of_view :
   Program.component_id ->
   (Program.component_id * Logic.Rule.t) list ->
   t
-(** Intern an explicitly-given tagged view (used by transformations that
-    construct ground views directly). *)
-
-module Instance_tbl : Hashtbl.S with type key = Program.component_id * Logic.Rule.t
-(** Ground instances keyed structurally by (component, rule) — the
-    deduplication key of {!ground_groups}: two instances are the same
-    exactly when they come from the same component and are equal rules
-    (name included). *)
+(** Intern an explicitly-given tagged view of ground rules (used by
+    transformations that construct ground views directly, and by
+    [Inc.Reground] when a splice would renumber atoms). *)
 
 type edit =
   | Keep of int  (** the next [k] rules of the old grounding stay *)

@@ -101,9 +101,23 @@ let scan (g : Gop.t) seed =
 
 let branch g seed = fst (scan g seed)
 
+type least = { codes : Gop.Values.t; interp : Interp.t option Atomic.t }
+
+let least codes = { codes; interp = Atomic.make None }
+let least_codes l = l.codes
+
+(* Built on first use; two racing first readers build equal maps. *)
+let least_interp g l =
+  match Atomic.get l.interp with
+  | Some m -> m
+  | None ->
+    let m = Gop.Values.to_interp g l.codes in
+    Atomic.set l.interp (Some m);
+    m
+
 type t = {
   g : Gop.t;
-  lfp : Gop.Values.t;
+  least : least;
   parts : (int * bool * bool) array array;
   part_of : int array;  (* atom -> its part, -1 off the branch *)
   pos : int array;  (* atom -> its position in its part *)
@@ -117,7 +131,8 @@ type t = {
    parts independent (docs/SEMANTICS.md, the split lemma).  Blocked rules
    and rules about decided atoms add no edge: nothing above the least
    fixpoint depends on them. *)
-let split (g : Gop.t) lfp =
+let split (g : Gop.t) least =
+  let lfp = least.codes in
   let n = Gop.n_atoms g in
   let br, find = scan g lfp in
   let root_part = Array.make n (-1) in
@@ -146,7 +161,7 @@ let split (g : Gop.t) lfp =
       pos.(a) <- fill.(p);
       fill.(p) <- fill.(p) + 1)
     br;
-  { g; lfp; parts; part_of; pos }
+  { g; least; parts; part_of; pos }
 
 let n_parts t = Array.length t.parts
 let atom t i q = match t.parts.(i).(q) with a, _, _ -> a
@@ -223,7 +238,7 @@ let key t local i =
   let live r =
     not
       (Array.exists
-         (fun l -> Status.lit_value t.lfp l = Interp.False)
+         (fun l -> Status.lit_value t.least.codes l = Interp.False)
          g.Gop.rules.(r).Gop.body)
   in
   int (Array.length p);
@@ -245,7 +260,7 @@ let key t local i =
           let body =
             Array.fold_right
               (fun (c, pol) acc ->
-                if Gop.Values.defined t.lfp c then acc
+                if Gop.Values.defined t.least.codes c then acc
                 else if t.part_of.(c) = i then
                   (2 + (2 * t.pos.(c)) + if pol then 0 else 1) :: acc
                 else 0 :: acc)
@@ -418,7 +433,7 @@ let stable_models ?limit ?(budget = Budget.unlimited) ?stats ?carry ~search t =
   in
   let models = Array.make np [||] in
   let current = Array.make np [] in
-  let base = Gop.Values.to_interp t.g t.lfp in
+  let base = least_interp t.g t.least in
   let acc = ref [] in
   let count = ref 0 in
   let emit () =
@@ -512,8 +527,8 @@ let locate t (l : Literal.t) =
   match Gop.atom_id t.g l.Literal.atom with
   | None -> `Nowhere
   | Some a ->
-    if Gop.Values.defined t.lfp a then
-      `Lfp (Gop.Values.value_lit t.g t.lfp l = Interp.True)
+    if Gop.Values.defined t.least.codes a then
+      `Lfp (Gop.Values.value_lit t.g t.least.codes l = Interp.True)
     else if t.part_of.(a) < 0 then `Nowhere
     else `Part (t.part_of.(a), (t.pos.(a), l.Literal.pol))
 
@@ -531,7 +546,7 @@ let brave ~search t l =
   | `Part (i, lit) -> exists_certified ~search t i (List.mem lit)
 
 let cautious_consequences ~search t =
-  let acc = ref (Gop.Values.to_interp t.g t.lfp) in
+  let acc = ref (least_interp t.g t.least) in
   for i = 0 to n_parts t - 1 do
     let all = ref [] in
     ignore

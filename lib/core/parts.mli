@@ -57,9 +57,22 @@ type t
 (** The parts of one program's residual, each its branch atoms in branch
     order, the parts in order of their first atom. *)
 
-val split : Gop.t -> Gop.Values.t -> t
-(** [split g lfp]: the parts of the residual above [lfp], which must be
-    [Vfix.lfp g]. *)
+type least
+(** A least model as codes, with its [Interp] map built on first use
+    and shared after (thread-safe: racing first readers build equal
+    maps), so repeated listings over one cached least model do not
+    rebuild it. *)
+
+val least : Gop.Values.t -> least
+(** [least lfp]: [lfp] must be [Vfix.lfp g] of the gop it is used with. *)
+
+val least_codes : least -> Gop.Values.t
+
+val least_interp : Gop.t -> least -> Logic.Interp.t
+(** The least model as an interpretation over [g]'s atoms. *)
+
+val split : Gop.t -> least -> t
+(** [split g least]: the parts of the residual above the least model. *)
 
 val n_parts : t -> int
 

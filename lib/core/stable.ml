@@ -162,4 +162,4 @@ let stable_models ?limit ?(budget = Budget.unlimited) ?stats g =
   | lfp ->
     Parts.stable_models ?limit ~budget ~stats
       ~search:(part_search ~budget ~stats g lfp)
-      (Parts.split g lfp)
+      (Parts.split g (Parts.least lfp))

@@ -32,19 +32,21 @@ let rec eval_term t =
     | "-", [ Term.Int a ] -> Term.Int (-a)
     | _ -> Term.App (f, args))
 
+let eval_comparison pred l r =
+  match pred, l, r with
+  | "=", l, r -> Some (Term.equal l r)
+  | "!=", l, r -> Some (not (Term.equal l r))
+  | "<", Term.Int x, Term.Int y -> Some (x < y)
+  | ">", Term.Int x, Term.Int y -> Some (x > y)
+  | "<=", Term.Int x, Term.Int y -> Some (x <= y)
+  | ">=", Term.Int x, Term.Int y -> Some (x >= y)
+  | _ -> None
+
 let eval_atom (a : Atom.t) =
   if not (is_builtin_atom a) then
     invalid_arg "Builtin.eval_atom: not a builtin atom";
   match List.map eval_term a.args with
-  | [ l; r ] -> (
-    match a.pred, l, r with
-    | "=", l, r -> Some (Term.equal l r)
-    | "!=", l, r -> Some (not (Term.equal l r))
-    | "<", Term.Int x, Term.Int y -> Some (x < y)
-    | ">", Term.Int x, Term.Int y -> Some (x > y)
-    | "<=", Term.Int x, Term.Int y -> Some (x <= y)
-    | ">=", Term.Int x, Term.Int y -> Some (x >= y)
-    | _ -> None)
+  | [ l; r ] -> eval_comparison a.pred l r
   | _ -> assert false
 
 let eval_literal (l : Literal.t) =

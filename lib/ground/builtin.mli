@@ -24,6 +24,10 @@ val eval_term : Logic.Term.t -> Logic.Term.t
     non-ground input and [Governor.Diag.Error (Eval_error _)] on division
     or modulo by zero. *)
 
+val eval_comparison : string -> Logic.Term.t -> Logic.Term.t -> bool option
+(** [eval_comparison pred l r]: the comparison [pred] on two normalised
+    ground terms; [None] if it does not evaluate. *)
+
 val eval_atom : Logic.Atom.t -> bool option
 (** Evaluate a ground builtin atom; [None] if it cannot be evaluated (e.g.
     [penguin < 3]).  Raises [Invalid_argument] if the atom is not builtin or

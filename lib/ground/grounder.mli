@@ -12,7 +12,27 @@
     (depth-bounded) Herbrand universe.  Pruning rules whose bodies can never
     be derived would not preserve the semantics of ordered programs: such a
     rule is never applicable, yet, being non-blocked, it can still overrule
-    or defeat its contradictors under Definition 2. *)
+    or defeat its contradictors under Definition 2.
+
+    {b Plans.}  A rule is compiled once per grounding call into an
+    {e instantiation plan}: one slot per variable, in {!Logic.Rule.vars}
+    order; every argument a constant id, a slot, or a template to
+    evaluate; every builtin literal a guard evaluated on the slots.  The
+    candidates are the tuples of universe positions, the last slot
+    moving fastest — the order of {!Logic.Herbrand.instantiations}.  A
+    surviving candidate comes out as a {e key}: an [int array] of literal
+    codes [2 * atom + (1 if positive)], the head first, then the ordinary
+    body literals in source order (duplicates kept), over the atom ids of
+    the shared intern {!table}.  No substitution, rule or atom is built
+    per candidate.
+
+    The plans are bit-identical to the substitution grounder they
+    replace (apply the substitution, evaluate builtins and arithmetic,
+    keep the instance if every builtin is true; kept in [test/oracle] as
+    the differential reference): the same instances in the same order,
+    the same terms after arithmetic, the same [Eval_error] raised at the
+    same candidate (the body is evaluated in source order, then the
+    head), and one budget tick per candidate of the cross product. *)
 
 type t = {
   rules : Logic.Rule.t list;  (** ground instances, builtin-free, deduplicated *)
@@ -29,23 +49,62 @@ val naive :
   ?extra_constants:Logic.Term.t list ->
   Logic.Rule.t list ->
   t
-(** Ground a rule list.  [depth] bounds function-symbol nesting in the
-    universe (default [0]); [extra_constants] widens the universe (used to
-    ground a component against the constants of a whole ordered program).
-    [budget] is ticked per candidate instantiation, so deadlines and step
-    budgets bound the grounding work; exhaustion raises
-    [Governor.Budget.Exhausted].  The instance cap belongs to the ordered
-    grounder ([Ordered.Gop.ground ?max_instances]). *)
+(** Ground a rule list through plans.  [depth] bounds function-symbol
+    nesting in the universe (default [0]); [extra_constants] widens the
+    universe (used to ground a component against the constants of a
+    whole ordered program).  [budget] is ticked per candidate
+    instantiation, so deadlines and step budgets bound the grounding
+    work; exhaustion raises [Governor.Budget.Exhausted].  The instance
+    cap belongs to the ordered grounder
+    ([Ordered.Gop.ground ?max_instances]). *)
 
-val ground_rule_instances :
-  ?budget:Governor.Budget.t ->
-  universe:Logic.Term.t list ->
-  Logic.Rule.t ->
-  Logic.Rule.t list
-(** All surviving ground instances of one rule over a given universe
-    (builtins evaluated, arithmetic normalised). *)
+(** {1 Instantiation plans} *)
 
-val finalize_instance : Logic.Rule.t -> Logic.Rule.t option
-(** Evaluate builtins and normalise arithmetic in one ground rule; [None]
-    if a builtin is false or not evaluable.  Raises [Invalid_argument] if
-    the rule is not ground or has a builtin head. *)
+type table
+(** The intern table one grounding call shares among its plans: terms
+    (the universe first, by position) and atoms, each atom a key
+    [[| predicate; argument term ids |]], found by hashing its key into
+    an open-addressing array.  Mutable; not thread-safe. *)
+
+val table : Logic.Term.t list -> table
+(** A fresh table over a sorted, deduplicated universe (as
+    {!Logic.Herbrand.universe} returns it). *)
+
+val n_atoms : table -> int
+
+val atom : table -> int -> Logic.Atom.t
+(** The atom of an id, built on first request and shared after. *)
+
+val used_constants : table -> int array -> Logic.Term.t list option
+(** The universe constants the given atoms' arguments use, in universe
+    order; [None] when the universe holds a function term or some
+    argument lies outside the universe (an arithmetic result, a ground
+    function term). *)
+
+val compare_atoms : table -> int -> int -> int
+(** {!Logic.Atom.compare} on atom ids, by integer work wherever both
+    atoms' arguments lie in the universe. *)
+
+val compare_lits : table -> int -> int -> int
+(** {!Logic.Literal.compare} on literal codes. *)
+
+type plan
+
+val compile : table -> Logic.Rule.t -> plan
+
+val iter : ?budget:Governor.Budget.t -> table -> plan -> (int array -> unit) -> unit
+(** [iter tbl plan emit] calls [emit] with the key of every surviving
+    candidate, in candidate order; each key is a fresh array the callee
+    may keep.  Ticks [budget] once per candidate.  Raises
+    [Governor.Diag.Error (Eval_error _)] on division or modulo by zero,
+    and [Invalid_argument] if the rule has a builtin head. *)
+
+val rule_of :
+  (int -> Logic.Atom.t) -> name:string option -> int array -> Logic.Rule.t
+(** [rule_of atom ~name key]: the ground rule a key stands for, its atoms
+    by [atom] (e.g. [atom tbl]): body in source order, duplicates kept,
+    carrying [name]. *)
+
+module Key_tbl : Hashtbl.S with type key = int array
+(** Hash tables keyed by instance keys, hashed and compared by loops
+    over the ints. *)

@@ -2,14 +2,15 @@ open Logic
 module Gop = Ordered.Gop
 module Program = Ordered.Program
 module Budget = Governor.Budget
+module G = Ground.Grounder
 
-type group = {
+type group = Gop.group = {
   comp : Program.component_id;
   src : Rule.t;
-  insts : Rule.t list;
+  keys : int array array;
 }
 
-type state = {
+type state = Gop.grounded = {
   gop : Gop.t;
   groups : group list;
   universe : Term.t list;
@@ -22,19 +23,7 @@ let pp_fallback ppf = function
   | `Shared_instance -> Format.pp_print_string ppf "shared ground instance"
   | `View_mismatch -> Format.pp_print_string ppf "view shape mismatch"
 
-let tagged_of_groups groups =
-  Gop.flatten_groups (List.map (fun g -> (g.comp, g.src, g.insts)) groups)
-
-let ground ?budget program comp =
-  let groups =
-    List.map
-      (fun (c, src, insts) -> { comp = c; src; insts })
-      (Gop.ground_groups ?budget program comp)
-  in
-  { gop = Gop.of_view program comp (tagged_of_groups groups);
-    groups;
-    universe = Gop.schema_universe program comp
-  }
+let ground ?budget program comp = Gop.ground_groups ?budget program comp
 
 (* The two one-sided greedy alignments of the cached groups against the
    mutated view.  A store mutation either appends one rule to one object
@@ -60,56 +49,136 @@ let rec ins_diff acc groups view =
   | gs, (c, r) :: vs -> ins_diff (`Add (c, r) :: acc) gs vs
   | _ :: _, [] -> None
 
-module Keys = Gop.Instance_tbl
+module Keys = Gop.Instance_keys
 
-(* Could [cand] (a surviving view rule of the same component) produce any
-   of the instances we are about to drop?  If so, a scratch grounding
-   would re-attribute the instance to [cand] instead of dropping it —
-   the repaired grounding would diverge, so the caller must fall back.
-   Instance keys carry the source rule's name, so only same-named rules
-   can ever collide; the head predicate prefilter skips the
+(* Rules instantiated during one repair, as keys over the old
+   grounding's atom ids: an atom it lacks gets an id from [n_atoms old]
+   up, in first-seen order — so new keys compare with the cached ones by
+   integer equality. *)
+type scope = {
+  tbl : G.table;
+  old : Gop.t;
+  ext : (int, int) Hashtbl.t;  (* plan atom id -> scope id *)
+  mutable fresh : Atom.t list;  (* atoms past [n_atoms old], reversed *)
+  mutable n_fresh : int;
+}
+
+let scope universe old =
+  { tbl = G.table universe; old; ext = Hashtbl.create 16; fresh = []; n_fresh = 0 }
+
+let scope_id s p =
+  match Hashtbl.find_opt s.ext p with
+  | Some i -> i
+  | None ->
+    let a = G.atom s.tbl p in
+    let i =
+      match Gop.atom_id s.old a with
+      | Some i -> i
+      | None ->
+        s.fresh <- a :: s.fresh;
+        s.n_fresh <- s.n_fresh + 1;
+        Gop.n_atoms s.old + s.n_fresh - 1
+    in
+    Hashtbl.add s.ext p i;
+    i
+
+let instances ~budget s r =
+  let acc = ref [] in
+  G.iter ~budget s.tbl (G.compile s.tbl r) (fun key ->
+      Array.iteri
+        (fun k code -> key.(k) <- (2 * scope_id s (code lsr 1)) + (code land 1))
+        key;
+      acc := key :: !acc);
+  List.rev !acc
+
+let scope_atom s =
+  let na = Gop.n_atoms s.old in
+  let fresh = Array.of_list (List.rev s.fresh) in
+  fun i -> if i < na then s.old.Gop.atoms.(i) else fresh.(i - na)
+
+(* Could [cand] (a surviving view rule of the same component and name)
+   produce any of the instances we are about to drop?  If so, a scratch
+   grounding would re-attribute the instance to [cand] instead of
+   dropping it — the repaired grounding would diverge, so the caller
+   must fall back.  The head predicate prefilter skips the
    re-instantiation in the common case.  The check itself is exact:
-   re-instantiate the candidate and look its instances up. *)
-let could_produce ~budget ~universe ~dropped_heads ~dropped cand =
+   re-instantiate the candidate and look its keys up. *)
+let could_produce ~budget s ~dropped_heads ~dropped cand =
   let h = (Rule.head cand.src).Literal.atom in
   List.mem (h.Atom.pred, List.length h.Atom.args) dropped_heads
-  && List.exists
-       (fun i -> Keys.mem dropped (cand.comp, i))
-       (Ground.Grounder.ground_rule_instances ~budget ~universe cand.src)
+  && List.exists (Keys.mem dropped cand.comp cand.src) (instances ~budget s cand.src)
+
+(* The tagged ground view [edits] make of [old]. *)
+let tagged_of_edits (old : Gop.t) edits =
+  let pos = ref 0 in
+  List.concat_map
+    (function
+      | Gop.Keep k ->
+        let p = !pos in
+        pos := p + k;
+        List.init k (fun i ->
+            (old.Gop.rules.(p + i).Gop.comp, Gop.rule_src old (p + i)))
+      | Gop.Drop k ->
+        pos := !pos + k;
+        []
+      | Gop.Insert l -> l)
+    edits
 
 (* The repaired grounding: spliced from the old one when the old atom
-   ids survive, re-interned from the groups otherwise — exact either
-   way. *)
-let regrounded ~program ~comp state edits groups =
-  match Gop.splice state.gop ~program edits with
-  | Some gop -> gop
-  | None -> Gop.of_view program comp (tagged_of_groups groups)
+   ids survive, re-interned otherwise — exact either way.  [remap]
+   carries an id over [old]'s atoms (and [atom]'s past them) to the
+   repaired grounding's atom ids, and [`Spliced] says the old ids are
+   kept. *)
+let regrounded ~program ~comp ~old ~atom edits =
+  match Gop.splice old ~program edits with
+  | Some gop ->
+    let na = Gop.n_atoms old in
+    ( gop,
+      `Spliced,
+      fun i -> if i < na then i else Option.get (Gop.atom_id gop (atom i)) )
+  | None ->
+    let gop = Gop.of_view program comp (tagged_of_edits old edits) in
+    (gop, `Reinterned, fun i -> Option.get (Gop.atom_id gop (atom i)))
+
+let remap_keys remap (g : group) =
+  { g with
+    keys =
+      Array.map
+        (Array.map (fun code -> (2 * remap (code lsr 1)) + (code land 1)))
+        g.keys
+  }
 
 let apply_deletion ~budget ~universe ~program ~comp state steps =
   let keeps = List.filter_map (function `Keep g -> Some g | _ -> None) steps in
   let drops = List.filter_map (function `Drop g -> Some g | _ -> None) steps in
-  let dropped = List.concat_map (fun g -> g.insts) drops in
-  if dropped = [] then Ok ({ state with groups = keeps }, Delta.empty)
+  if List.for_all (fun g -> g.keys = [||]) drops then
+    Ok ({ state with groups = keeps }, Delta.empty)
   else
-    let dropped_keys = Keys.create 16 in
-    List.iter
-      (fun g -> List.iter (fun i -> Keys.replace dropped_keys (g.comp, i) ()) g.insts)
-      drops;
+    let old = state.gop in
+    let dropped = Keys.create () in
+    List.iter (fun g -> Array.iter (Keys.add dropped g.comp g.src) g.keys) drops;
+    let dropped_rules =
+      List.concat_map
+        (fun g ->
+          Array.to_list
+            (Array.map
+               (G.rule_of (fun i -> old.Gop.atoms.(i)) ~name:(Rule.name g.src))
+               g.keys))
+        drops
+    in
     let dropped_heads =
       List.map
         (fun r ->
           let h = (Rule.head r).Literal.atom in
           (h.Atom.pred, List.length h.Atom.args))
-        dropped
+        dropped_rules
     in
-    let dropped_name g' = List.exists (fun g -> Rule.name g.src = Rule.name g'.src) drops in
-    let dropped_comps = List.map (fun g -> g.comp) drops in
+    let s = lazy (scope universe old) in
     let shared =
       List.exists
         (fun g ->
-          List.mem g.comp dropped_comps && dropped_name g
-          && could_produce ~budget ~universe ~dropped_heads
-               ~dropped:dropped_keys g)
+          Keys.has_class dropped g.comp g.src
+          && could_produce ~budget (Lazy.force s) ~dropped_heads ~dropped g)
         keeps
     in
     if shared then Error `Shared_instance
@@ -117,44 +186,44 @@ let apply_deletion ~budget ~universe ~program ~comp state steps =
       let edits =
         List.map
           (function
-            | `Keep g -> Gop.Keep (List.length g.insts)
-            | `Drop g -> Gop.Drop (List.length g.insts))
+            | `Keep g -> Gop.Keep (Array.length g.keys)
+            | `Drop g -> Gop.Drop (Array.length g.keys))
           steps
       in
-      let gop = regrounded ~program ~comp state edits keeps in
+      let gop, ids, remap =
+        regrounded ~program ~comp ~old ~atom:(fun i -> old.Gop.atoms.(i)) edits
+      in
+      let groups =
+        match ids with
+        | `Spliced -> keeps
+        | `Reinterned -> List.map (remap_keys remap) keeps
+      in
       Ok
-        ( { state with gop; groups = keeps },
-          { Delta.added = []; added_rules = []; removed_rules = dropped } )
+        ( { state with gop; groups },
+          { Delta.added = []; added_rules = []; removed_rules = dropped_rules } )
 
 let apply_insertion ~budget ~universe ~program ~comp state steps =
-  (* Rebuild the group list in view order with the shared dedup discipline
-     of [Gop.ground_groups]: existing groups feed the table as-is (they
-     were deduplicated under the same prefix), fresh instances of an added
-     rule are kept only if unseen.  Keys carry the component, so only the
-     groups of a component that receives a rule can matter. *)
-  let added_comps = List.filter_map (function `Add (c, _) -> Some c | _ -> None) steps in
-  let relevant g = List.mem g.comp added_comps in
-  let seen = Keys.create 64 in
+  (* Rebuild the group list in view order with the shared dedup
+     discipline of [Gop.ground_groups]: existing groups feed the table
+     as-is (they were deduplicated under the same prefix), fresh
+     instances of an added rule are kept only if unseen.  Keys carry the
+     component and the rule name, so only the groups of an added rule's
+     class can matter. *)
+  let added = List.filter_map (function `Add a -> Some a | _ -> None) steps in
+  let relevant g =
+    List.exists (fun (c, r) -> c = g.comp && Rule.name r = Rule.name g.src) added
+  in
+  let s = scope universe state.gop in
+  let seen = Keys.create () in
   let tagged =
     List.map
       (function
         | `Keep g ->
-          if relevant g then List.iter (fun i -> Keys.replace seen (g.comp, i) ()) g.insts;
+          if relevant g then Array.iter (Keys.add seen g.comp g.src) g.keys;
           (g, false)
         | `Add (c, r) ->
-          let raw = Ground.Grounder.ground_rule_instances ~budget ~universe r in
-          let insts =
-            List.filter
-              (fun i ->
-                let k = (c, i) in
-                if Keys.mem seen k then false
-                else begin
-                  Keys.add seen k ();
-                  true
-                end)
-              raw
-          in
-          ({ comp = c; src = r; insts }, true))
+          let keys = List.filter (Keys.fresh seen c r) (instances ~budget s r) in
+          ({ comp = c; src = r; keys = Array.of_list keys }, true))
       steps
   in
   (* A fresh instance equal to a later group's instance would, from
@@ -163,50 +232,66 @@ let apply_insertion ~budget ~universe ~program ~comp state steps =
      groundings would diverge.  Never reachable through the store (rules
      append at the end of their component block) but checked anyway. *)
   let stolen =
-    let after = Keys.create 64 in
+    let after = Keys.create () in
     List.fold_left
       (fun hit (g, is_add) ->
         if not (relevant g) then hit
         else begin
           let hit =
-            hit || (is_add && List.exists (fun x -> Keys.mem after (g.comp, x)) g.insts)
+            hit || (is_add && Array.exists (Keys.mem after g.comp g.src) g.keys)
           in
-          List.iter (fun x -> Keys.replace after (g.comp, x) ()) g.insts;
+          Array.iter (Keys.add after g.comp g.src) g.keys;
           hit
         end)
       false (List.rev tagged)
   in
   if stolen then Error `Shared_instance
+  else if List.for_all (fun (g, is_add) -> (not is_add) || g.keys = [||]) tagged
+  then Ok ({ state with groups = List.map fst tagged }, Delta.empty)
   else
-    let added_rules =
-      List.concat_map (fun (g, is_add) -> if is_add then g.insts else []) tagged
-    in
-    let groups = List.map fst tagged in
-    if added_rules = [] then Ok ({ state with groups }, Delta.empty)
-    else
-      let edits =
-        List.map
-          (fun (g, is_add) ->
-            if is_add then Gop.Insert (List.map (fun i -> (g.comp, i)) g.insts)
-            else Gop.Keep (List.length g.insts))
-          tagged
-      in
-      let gop = regrounded ~program ~comp state edits groups in
-      (* indices of the added instances in the flattened rule array *)
-      let added = ref [] in
-      let off = ref 0 in
-      List.iter
+    let atom = scope_atom s in
+    let inserted =
+      List.map
         (fun (g, is_add) ->
           if is_add then
-            List.iteri (fun k _ -> added := (!off + k) :: !added) g.insts;
-          off := !off + List.length g.insts)
-        tagged;
-      Ok
-        ( { state with gop; groups },
-          { Delta.added = List.rev !added;
-            added_rules;
-            removed_rules = []
-          } )
+            Array.to_list
+              (Array.map
+                 (fun key -> (g.comp, G.rule_of atom ~name:(Rule.name g.src) key))
+                 g.keys)
+          else [])
+        tagged
+    in
+    let edits =
+      List.map2
+        (fun (g, is_add) insts ->
+          if is_add then Gop.Insert insts else Gop.Keep (Array.length g.keys))
+        tagged inserted
+    in
+    let gop, ids, remap = regrounded ~program ~comp ~old:state.gop ~atom edits in
+    let groups =
+      List.map
+        (fun (g, is_add) ->
+          if is_add || ids = `Reinterned then remap_keys remap g else g)
+        tagged
+    in
+    (* indices of the added instances in the flattened rule array *)
+    let added = ref [] in
+    let off = ref 0 in
+    List.iter
+      (fun (g, is_add) ->
+        let n = Array.length g.keys in
+        if is_add then
+          for k = 0 to n - 1 do
+            added := (!off + k) :: !added
+          done;
+        off := !off + n)
+      tagged;
+    Ok
+      ( { state with gop; groups },
+        { Delta.added = List.rev !added;
+          added_rules = List.map snd (List.concat inserted);
+          removed_rules = []
+        } )
 
 (* The constants a rule mentions, as [Herbrand.signature_of_rules]
    collects them (without its [a0] placeholder). *)

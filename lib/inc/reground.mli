@@ -6,11 +6,13 @@
     surviving ground instances per view rule — plus the schema universe
     the instances were enumerated over.  {!reground} aligns the cached
     groups against the mutated program's view, instantiates only the
-    added rule (or drops only the removed rule's groups), deduplicating
-    on structural (component, rule) keys, and splices the change into
+    added rule through a plan (or drops only the removed rule's groups),
+    deduplicating on instance keys — integer arrays of atom ids,
+    compared per (component, rule name) — and splices the change into
     the interned grounding ({!Ordered.Gop.splice}: integer work on atom
     and rule ids), re-interning the groups only when scratch numbering
-    would renumber an existing atom.  By the shared-dedup discipline the
+    would renumber an existing atom (the cached keys are then carried
+    over to the new ids).  By the shared-dedup discipline the
     result is {e bit-identical} to grounding the new view from scratch,
     which preserves every enumeration-order contract downstream.
 
@@ -31,13 +33,15 @@
     - [`View_mismatch]: the new view is not the old view with pure
       insertions or pure deletions (e.g. the component set changed). *)
 
-type group = {
+type group = Ordered.Gop.group = {
   comp : Ordered.Program.component_id;
   src : Logic.Rule.t;  (** the schema (view) rule *)
-  insts : Logic.Rule.t list;  (** its surviving deduplicated instances *)
+  keys : int array array;
+      (** its surviving deduplicated instances as keys over [gop]'s atom
+          ids ({!Ordered.Gop.group}) *)
 }
 
-type state = {
+type state = Ordered.Gop.grounded = {
   gop : Ordered.Gop.t;
   groups : group list;  (** provenance, in view order, one per view rule *)
   universe : Logic.Term.t list;  (** schema universe the instances used *)
@@ -52,8 +56,8 @@ val ground :
   Ordered.Program.t ->
   Ordered.Program.component_id ->
   state
-(** Scratch grounding with provenance; [state.gop] equals
-    [Ordered.Gop.ground program comp]. *)
+(** Scratch grounding with provenance ({!Ordered.Gop.ground_groups});
+    [state.gop] equals [Ordered.Gop.ground program comp]. *)
 
 val reground :
   ?budget:Governor.Budget.t ->

@@ -25,9 +25,11 @@ type op =
 type rendering = ..
 
 type entry =
-  | E_least of Ordered.Gop.t * Ordered.Gop.Values.t
+  | E_least of Ordered.Gop.t * Ordered.Parts.least
       (** the least model as codes over the atom ids of the grounding
-          it was computed on; never mutated once cached *)
+          it was computed on, with its [Interp] map once a listing or a
+          [least_model] read built it; the codes are never mutated once
+          cached *)
   | E_models of Logic.Interp.t list * rendering option Atomic.t
       (** a complete enumeration, and its rendering once an {!answer}
           has asked for it (rendered at most once per entry, barring a
@@ -216,13 +218,14 @@ let repair_viewpoint t ~program vc =
             match (op, e) with
             | Least, E_least (old, previous) -> (
               let g = st'.Inc.Reground.gop in
+              let previous = Ordered.Parts.least_codes previous in
               match Inc.Repair.least_codes ~old ~previous g d with
               | Inc.Repair.Repaired v ->
                 note t t.repairs "inc_repairs" 1;
-                Some (E_least (g, v))
+                Some (E_least (g, Ordered.Parts.least v))
               | Inc.Repair.Recomputed v ->
                 note t t.fallbacks "inc_fallbacks" 1;
-                Some (E_least (g, v))
+                Some (E_least (g, Ordered.Parts.least v))
               | Inc.Repair.Unchanged -> Some e)
             | _ ->
               note t t.evictions "inc_evictions" 1;
@@ -497,20 +500,20 @@ let least ?budget t ~obj =
     lookup t ~obj Least
       ~compute:(fun v ->
         let g = (gop_state ?budget v ~obj).Inc.Reground.gop in
-        E_least (g, Ordered.Vfix.lfp ?budget g))
+        E_least (g, Ordered.Parts.least (Ordered.Vfix.lfp ?budget g)))
   with
-  | E_least (g, codes) -> (g, codes)
+  | E_least (g, least) -> (g, least)
   | _ -> assert false
 
 let least_model ?budget t ~obj =
-  let g, codes = least ?budget t ~obj in
-  Ordered.Gop.Values.to_interp g codes
+  let g, least = least ?budget t ~obj in
+  Ordered.Parts.least_interp g least
 
 let query ?budget t ~obj l =
   if not (Logic.Literal.is_ground l) then
     invalid_arg "Kb.query: literal must be ground";
-  let g, codes = least ?budget t ~obj in
-  Ordered.Gop.Values.value_lit g codes l
+  let g, least = least ?budget t ~obj in
+  Ordered.Gop.Values.value_lit g (Ordered.Parts.least_codes least) l
 
 let query_src ?budget t ~obj src =
   query ?budget t ~obj (Lang.Parser.parse_literal src)
@@ -545,7 +548,7 @@ let stable_op ?limit ?budget ?stats t v ~obj g =
   let vc = find v obj in
   let least =
     match OpMap.find_opt Least vc.results with
-    | Some (E_least (g', codes)) when g' == g -> Some codes
+    | Some (E_least (g', least)) when g' == g -> Some least
     | _ -> None
   in
   let carry = Ordered.Parts.carry vc.parts in

@@ -4,7 +4,9 @@ type signature = {
   predicates : (string * int) list;
 }
 
-let signature_of_rules rules =
+(* The signature of everything [iter] hands to its callback; its
+   predicates only if [predicates]. *)
+let signature ~predicates:with_predicates iter =
   let constants = ref Term.Set.empty in
   let functions = Hashtbl.create 16 in
   let predicates = Hashtbl.create 16 in
@@ -15,15 +17,10 @@ let signature_of_rules rules =
       Hashtbl.replace functions (f, List.length args) ();
       List.iter scan_term args
   in
-  let scan_literal (l : Literal.t) =
-    Hashtbl.replace predicates (l.atom.pred, Atom.arity l.atom) ();
-    List.iter scan_term l.atom.args
-  in
-  let scan_rule (r : Rule.t) =
-    scan_literal r.head;
-    List.iter scan_literal r.body
-  in
-  List.iter scan_rule rules;
+  iter (fun (a : Atom.t) ->
+      if with_predicates then
+        Hashtbl.replace predicates (a.pred, Atom.arity a) ();
+      List.iter scan_term a.args);
   let constants =
     if Term.Set.is_empty !constants then [ Term.Sym "a0" ]
     else Term.Set.elements !constants
@@ -32,6 +29,28 @@ let signature_of_rules rules =
     Hashtbl.fold (fun k () acc -> k :: acc) tbl [] |> List.sort compare
   in
   { constants; functions = to_list functions; predicates = to_list predicates }
+
+let signature_of_rules rules =
+  signature ~predicates:true (fun scan ->
+      List.iter
+        (fun (r : Rule.t) ->
+          scan r.head.atom;
+          List.iter (fun (l : Literal.t) -> scan l.atom) r.body)
+        rules)
+
+let signature_of_atoms atoms =
+  signature ~predicates:true (fun scan -> List.iter scan atoms)
+
+let term_signature iter = signature ~predicates:false iter
+
+let with_constants extra sg =
+  if extra = [] then sg
+  else
+    { sg with
+      constants =
+        Term.Set.elements
+          (Term.Set.union (Term.Set.of_list sg.constants) (Term.Set.of_list extra))
+    }
 
 (* All tuples of length [n] over [elems], in lexicographic order. *)
 let rec tuples elems n =

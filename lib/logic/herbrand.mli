@@ -17,6 +17,19 @@ val signature_of_rules : Rule.t list -> signature
     all, a single fresh constant [a0] is supplied so that the universe is
     non-empty (the usual convention). *)
 
+val signature_of_atoms : Atom.t list -> signature
+(** The signature of a list of atoms, with the same [a0] convention: the
+    signature of a ground rule list is that of the atoms its rules
+    mention. *)
+
+val term_signature : ((Atom.t -> unit) -> unit) -> signature
+(** [term_signature iter]: the constants and function symbols of the
+    atoms [iter] hands to its callback, with the [a0] convention —
+    everything {!universe} needs; [predicates] is empty. *)
+
+val with_constants : Term.t list -> signature -> signature
+(** The signature with the given constants added. *)
+
 val universe : ?depth:int -> signature -> Term.t list
 (** Ground terms of nesting depth at most [depth] (default 0, i.e. just the
     constants).  Sorted, deduplicated. *)

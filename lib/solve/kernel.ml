@@ -663,7 +663,12 @@ let part_search s : Ordered.Parts.search =
    builds neither. *)
 let with_parts ?(budget = Budget.unlimited) ?stats ?least ?flat ?compile g k =
   let stats = match stats with Some s -> s | None -> Counters.create () in
-  let lfp = match least with Some v -> v | None -> Vfix.lfp ~budget g in
+  let least =
+    match least with
+    | Some l -> l
+    | None -> Ordered.Parts.least (Vfix.lfp ~budget g)
+  in
+  let lfp = Ordered.Parts.least_codes least in
   let s =
     lazy
       (let f =
@@ -677,7 +682,7 @@ let with_parts ?(budget = Budget.unlimited) ?stats ?least ?flat ?compile g k =
   k
     ~search:(fun ~branch ~seed ~on_model ->
       part_search (Lazy.force s) ~branch ~seed ~on_model)
-    (Ordered.Parts.split g lfp)
+    (Ordered.Parts.split g least)
 
 let stable_models ?limit ?(budget = Budget.unlimited) ?stats ?flat ?compile
     ?least ?carry g =

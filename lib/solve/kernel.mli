@@ -50,12 +50,12 @@ val stable_models :
   ?stats:Ordered.Counters.t ->
   ?flat:Flat.t ->
   ?compile:(unit -> Flat.t) ->
-  ?least:Ordered.Gop.Values.t ->
+  ?least:Ordered.Parts.least ->
   ?carry:Ordered.Parts.carry ->
   Ordered.Gop.t ->
   Logic.Interp.t list Ordered.Budget.anytime
 (** [?least] supplies the least model ([Vfix.lfp] of the same gop), so
-    it is not computed again; [?carry] is {!Ordered.Parts.stable_models}'
+    it is not computed again, nor its [Interp] map once built; [?carry] is {!Ordered.Parts.stable_models}'
     carried table of part lists.  The flat program and the root state
     are built only when some part has to be searched: from [?flat] if
     given, else by [?compile] (called at most once), else by

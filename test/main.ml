@@ -23,6 +23,7 @@ let () =
       ("analysis", Test_analysis.suite);
       ("stress", Test_stress.suite);
       ("diff-inc", Test_diff_inc.suite);
+      ("diff-ground", Test_diff_ground.suite);
       ("edb", Test_edb.suite);
       ("budget", Test_budget.suite);
       ("fuzz", Test_fuzz.suite);

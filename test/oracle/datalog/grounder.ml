@@ -4,6 +4,51 @@
 open Logic
 module Budget = Governor.Budget
 
+(* ------------------------------------------------------------------ *)
+(* The substitution grounder: the reference the plans are checked by   *)
+(* ------------------------------------------------------------------ *)
+
+let normalise_atom (a : Atom.t) : Atom.t =
+  { a with args = List.map Ground.Builtin.eval_term a.args }
+
+let normalise_literal (l : Literal.t) : Literal.t =
+  { l with atom = normalise_atom l.atom }
+
+let finalize_instance (r : Rule.t) : Rule.t option =
+  if not (Rule.is_ground r) then
+    invalid_arg "Grounder.finalize_instance: rule is not ground";
+  if Ground.Builtin.is_builtin_literal (Rule.head r) then
+    invalid_arg "Grounder.finalize_instance: builtin predicate in rule head";
+  let exception Dead in
+  try
+    let body =
+      List.filter_map
+        (fun l ->
+          if Ground.Builtin.is_builtin_literal l then
+            match Ground.Builtin.eval_literal l with
+            | Some true -> None
+            | Some false | None -> raise Dead
+          else Some (normalise_literal l))
+        (Rule.body r)
+    in
+    let inst = Rule.make (normalise_literal (Rule.head r)) body in
+    Some
+      (match Rule.name r with
+      | Some n -> Rule.with_name n inst
+      | None -> inst)
+  with Dead -> None
+
+let instances ?(budget = Budget.unlimited) ~universe r =
+  Herbrand.instantiations universe (Rule.vars r)
+  |> Seq.filter_map (fun s ->
+         Budget.tick budget;
+         finalize_instance (Rule.apply s r))
+  |> List.of_seq
+
+(* ------------------------------------------------------------------ *)
+(* Relevance-driven grounding                                          *)
+(* ------------------------------------------------------------------ *)
+
 let collect_active rules =
   let acc = ref Atom.Set.empty in
   List.iter
@@ -71,7 +116,7 @@ let instances_against ~budget ~naf ~universe ~idx ~delta_idx ~use_delta
         Herbrand.instantiations universe leftover
         |> Seq.iter (fun s ->
                Budget.tick budget;
-               match Ground.Grounder.finalize_instance (Rule.apply s bound) with
+               match finalize_instance (Rule.apply s bound) with
                | Some inst -> out := inst :: !out
                | None -> ())
       end

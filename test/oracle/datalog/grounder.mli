@@ -9,8 +9,27 @@
     ordered programs, the [OV]/[EV] embeddings included: a pruned rule
     with an underivable body is never applicable, yet, being non-blocked,
     it can still overrule or defeat its contradictors under Definition 2.
-    The ordered engines ground with [Ground.Grounder.naive]; test_ground
-    keeps the witness. *)
+    The ordered engines ground with [Ground.Grounder]; test_ground
+    keeps the witness.
+
+    This module also keeps the substitution grounder ({!instances}), the
+    reference the production instantiation plans are differentially
+    tested against. *)
+
+val finalize_instance : Logic.Rule.t -> Logic.Rule.t option
+(** Evaluate builtins and normalise arithmetic in one ground rule; [None]
+    if a builtin is false or not evaluable.  Raises [Invalid_argument] if
+    the rule is not ground or has a builtin head. *)
+
+val instances :
+  ?budget:Governor.Budget.t ->
+  universe:Logic.Term.t list ->
+  Logic.Rule.t ->
+  Logic.Rule.t list
+(** The substitution grounder: every substitution of
+    [Herbrand.instantiations universe (Rule.vars r)], applied and
+    finalised, one budget tick each — the reference the production
+    plans ([Ground.Grounder]) are differentially tested against. *)
 
 val relevant :
   ?budget:Governor.Budget.t ->

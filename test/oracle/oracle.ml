@@ -469,3 +469,126 @@ module Print = struct
     let to_string i = Format.asprintf "%a" pp i
   end
 end
+
+module Ground = struct
+  module Instance_tbl = Hashtbl.Make (struct
+    type t = Ordered.Program.component_id * Rule.t
+
+    let equal (c, r) (c', r') = c = c' && Rule.equal r r'
+
+    let hash (c, (r : Rule.t)) =
+      List.fold_left
+        (fun h l -> (h * 31) + Literal.hash l)
+        ((c * 31) + Literal.hash r.head)
+        r.body
+  end)
+
+  let groups ?(budget = B.unlimited) ?max_instances ?(depth = 0)
+      ?(extra_constants = []) program comp =
+    let view = Ordered.Program.view program comp in
+    let universe =
+      let sg = Herbrand.signature_of_rules (List.map snd view) in
+      Herbrand.universe ~depth
+        { sg with
+          constants =
+            Term.Set.elements
+              (Term.Set.union
+                 (Term.Set.of_list sg.constants)
+                 (Term.Set.of_list extra_constants))
+        }
+    in
+    let count = ref 0 in
+    let guard (r : Rule.t) insts =
+      (match max_instances with
+      | None -> ()
+      | Some cap ->
+        count := !count + List.length insts;
+        if !count > cap then
+          Ordered.Diag.fail
+            (Ordered.Diag.Grounding_overflow
+               { rule = Rule.to_string r;
+                 produced = !count;
+                 cap;
+                 universe = List.length universe
+               }));
+      insts
+    in
+    let raw =
+      List.map
+        (fun (c, r) ->
+          (c, r, guard r (Datalog.Grounder.instances ~budget ~universe r)))
+        view
+    in
+    let seen = Instance_tbl.create 256 in
+    List.map
+      (fun (c, src, insts) ->
+        ( c,
+          src,
+          List.filter
+            (fun r ->
+              if Instance_tbl.mem seen (c, r) then false
+              else begin
+                Instance_tbl.add seen (c, r) ();
+                true
+              end)
+            insts ))
+      raw
+
+  let flatten groups =
+    List.concat_map
+      (fun (c, _, insts) -> List.map (fun inst -> (c, inst)) insts)
+      groups
+
+  (* Definition 2 over every pair of rules with one head atom, in
+     [by_head] order. *)
+  let rows (g : G.t) =
+    let nr = Array.length g.G.rules in
+    let overrulers = Array.make nr [] in
+    let defeaters = Array.make nr [] in
+    let suppresses = Array.make nr [] in
+    let poset = Ordered.Program.poset g.G.program in
+    Array.iter
+      (fun here ->
+        List.iter
+          (fun i ->
+            List.iter
+              (fun j ->
+                let ci = g.G.rules.(i).G.comp and cj = g.G.rules.(j).G.comp in
+                if g.G.rules.(i).G.head_pol <> g.G.rules.(j).G.head_pol then
+                  if Ordered.Poset.lt poset cj ci then begin
+                    overrulers.(i) <- j :: overrulers.(i);
+                    suppresses.(j) <- i :: suppresses.(j)
+                  end
+                  else if ci = cj || Ordered.Poset.incomparable poset ci cj
+                  then begin
+                    defeaters.(i) <- j :: defeaters.(i);
+                    suppresses.(j) <- i :: suppresses.(j)
+                  end)
+              here)
+          here)
+      g.G.by_head;
+    { g with G.overrulers; defeaters; suppresses }
+
+  let gop ?budget ?max_instances ?(depth = 0) ?(extra_constants = []) program
+      comp =
+    rows
+      (G.of_view ~depth ~extra_constants program comp
+         (flatten
+            (groups ?budget ?max_instances ~depth ~extra_constants program comp)))
+
+  let naive ?(budget = B.unlimited) ?(depth = 0) ?(extra_constants = []) rules
+      =
+    let sg = Herbrand.signature_of_rules rules in
+    let sg =
+      { sg with
+        constants =
+          Term.Set.elements
+            (Term.Set.union
+               (Term.Set.of_list sg.constants)
+               (Term.Set.of_list extra_constants))
+      }
+    in
+    let universe = Herbrand.universe ~depth sg in
+    List.concat_map (Datalog.Grounder.instances ~budget ~universe) rules
+    |> Rule.Set.of_list |> Rule.Set.elements
+end

@@ -143,3 +143,49 @@ module Print : sig
     val to_string : Logic.Interp.t -> string
   end
 end
+
+(** The substitution grounder behind the ordered groundings, as it was
+    before grounding by plans: every candidate substitution applied to
+    the rule and finalised ([Datalog.Grounder.instances]), instances
+    deduplicated on structural (component, rule) keys, then interned by
+    {!Ordered.Gop.of_view}.  The reference the diff-ground suite checks
+    [Ordered.Gop.ground], [Inc.Reground] and [Ground.Grounder.naive]
+    against. *)
+module Ground : sig
+  val groups :
+    ?budget:Ordered.Budget.t ->
+    ?max_instances:int ->
+    ?depth:int ->
+    ?extra_constants:Logic.Term.t list ->
+    Ordered.Program.t ->
+    Ordered.Program.component_id ->
+    (Ordered.Program.component_id * Logic.Rule.t * Logic.Rule.t list) list
+  (** One group [(component, source rule, surviving instances)] per view
+      rule, in view order, deduplicated through one table shared across
+      the view; the instance cap counted per source rule before dedup.
+      The universe is the schema rules' signature's, computed here. *)
+
+  val flatten :
+    (Ordered.Program.component_id * Logic.Rule.t * Logic.Rule.t list) list ->
+    (Ordered.Program.component_id * Logic.Rule.t) list
+
+  val gop :
+    ?budget:Ordered.Budget.t ->
+    ?max_instances:int ->
+    ?depth:int ->
+    ?extra_constants:Logic.Term.t list ->
+    Ordered.Program.t ->
+    Ordered.Program.component_id ->
+    Ordered.Gop.t
+  (** [Gop.of_view] over the flattened {!groups}, its overruling,
+      defeating and suppression rows recomputed over every pair of rules
+      with one head atom. *)
+
+  val naive :
+    ?budget:Ordered.Budget.t ->
+    ?depth:int ->
+    ?extra_constants:Logic.Term.t list ->
+    Logic.Rule.t list ->
+    Logic.Rule.t list
+  (** The rules of [Ground.Grounder.naive], by substitution. *)
+end

@@ -435,10 +435,54 @@ let test_overflow_diagnostic () =
   match Ordered.Gop.ground ~max_instances:3 prog comp with
   | exception
       Ordered.Diag.Error
-        (Ordered.Diag.Grounding_overflow { rule; produced; cap = 3; _ }) ->
-    Alcotest.(check bool) "rule is named" true (String.length rule > 0);
-    Alcotest.(check bool) "count exceeds cap" true (produced > 3)
+        (Ordered.Diag.Grounding_overflow { rule; produced; cap = 3; universe })
+    ->
+    (* one instance per rule: the fourth source rule trips the cap,
+       counted before dedup, over the placeholder universe {a0} *)
+    Alcotest.(check string) "the offending rule" "i0_a3 :- i0_a2." rule;
+    Alcotest.(check int) "instances counted when the cap tripped" 4 produced;
+    Alcotest.(check int) "universe size" 1 universe
   | _ -> Alcotest.fail "overflow must raise a typed Grounding_overflow"
+
+let test_overflow_counts_before_dedup () =
+  (* [p(X) :- q(X, Y)] has 9 instances over {a, b, c} and keeps 9; the
+     second, identical rule keeps none, yet its 9 count against the cap *)
+  let prog =
+    Helpers.program
+      "component main { p(X) :- q(X, Y). p(X) :- q(X, Y). q(a, b). q(c, c). }"
+  in
+  let comp = Ordered.Program.component_id_exn prog "main" in
+  match Ordered.Gop.ground ~max_instances:17 prog comp with
+  | exception
+      Ordered.Diag.Error
+        (Ordered.Diag.Grounding_overflow { rule; produced; cap = 17; universe })
+    ->
+    Alcotest.(check string) "the offending rule" "p(X) :- q(X, Y)." rule;
+    Alcotest.(check int) "counted before dedup" 18 produced;
+    Alcotest.(check int) "universe size" 3 universe
+  | _ -> Alcotest.fail "overflow must raise a typed Grounding_overflow"
+
+let test_grounding_ticks () =
+  (* one tick per candidate of the cross product, surviving or not:
+     [big] has 3 x 3 candidates (6 killed by [X < Y]), each fact 1,
+     [-big] 3 (one killed by [X > 1]) — 15 *)
+  let prog =
+    Helpers.program
+      "component main { big(X, Y) :- n(X), n(Y), X < Y. n(1). n(2). n(3). \
+       -big(X, X) :- n(X), X > 1. }"
+  in
+  let comp = Ordered.Program.component_id_exn prog "main" in
+  let b = B.make () in
+  let g = Ordered.Gop.ground ~budget:b prog comp in
+  Alcotest.(check int) "one tick per candidate" 15 (B.steps b);
+  Alcotest.(check int) "surviving instances" 8 (Ordered.Gop.n_rules g);
+  let b' = B.make () in
+  ignore (Oracle.Ground.gop ~budget:b' prog comp : Ordered.Gop.t);
+  Alcotest.(check int) "as many as the substitution grounder" 15 (B.steps b');
+  (* a step budget trips at the same candidate *)
+  match Ordered.Gop.ground ~budget:(B.make ~max_steps:14 ()) prog comp with
+  | exception B.Exhausted B.Steps -> ()
+  | (_ : Ordered.Gop.t) -> Alcotest.fail "14 steps cannot ground 15 candidates"
 
 let test_vfix_trip () =
   (* exhaustion inside the fixpoint engine propagates from run_incremental *)
@@ -545,6 +589,10 @@ let suite =
       `Quick test_single_part_budget;
     Alcotest.test_case "boolean queries raise" `Quick
       test_boolean_queries_raise;
+    Alcotest.test_case "overflow counts before dedup" `Quick
+      test_overflow_counts_before_dedup;
+    Alcotest.test_case "grounding ticks once per candidate" `Quick
+      test_grounding_ticks;
     Alcotest.test_case "overflow diagnostic" `Quick test_overflow_diagnostic;
     Alcotest.test_case "fixpoint trips" `Quick test_vfix_trip;
     Alcotest.test_case "datalog enumeration trips" `Quick test_datalog_trip

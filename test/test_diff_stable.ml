@@ -326,7 +326,9 @@ let carried_agrees ~order ~steps g =
   in
   (ok, warm)
 
-let n_parts g = Ordered.Parts.n_parts (Ordered.Parts.split g (Ordered.Vfix.lfp g))
+let n_parts g =
+  Ordered.Parts.n_parts
+    (Ordered.Parts.split g (Ordered.Parts.least (Ordered.Vfix.lfp g)))
 
 let prop_planted_parts =
   qcheck

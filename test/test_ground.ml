@@ -129,11 +129,11 @@ let test_naive_ground_depth () =
 let test_finalize_instance () =
   Alcotest.(check (option testable_rule)) "true builtin removed"
     (Some (rule "p(a) :- q(a)."))
-    (G.finalize_instance (rule "p(a) :- q(a), 3 > 2."));
+    (R.finalize_instance (rule "p(a) :- q(a), 3 > 2."));
   Alcotest.(check (option testable_rule)) "false builtin kills" None
-    (G.finalize_instance (rule "p(a) :- q(a), 2 > 3."));
+    (R.finalize_instance (rule "p(a) :- q(a), 2 > 3."));
   Alcotest.(check (option testable_rule)) "unevaluable comparison kills" None
-    (G.finalize_instance (rule "p(a) :- a < b."))
+    (R.finalize_instance (rule "p(a) :- a < b."))
 
 (* ------------------------------------------------------------------ *)
 (* Relevance-driven grounding (the classical oracle's)                *)
@@ -215,7 +215,7 @@ let test_relevant_ordered_caveat () =
       (R.relevant (List.map snd (Ordered.Program.view ov id))).G.rules
   in
   let tagged =
-    Ordered.Gop.flatten_groups (Ordered.Gop.ground_groups ov id)
+    Oracle.Ground.flatten (Oracle.Ground.groups ov id)
     |> List.filter (fun (_, r) -> Rule.Set.mem r relevant)
   in
   let rel_m = Ordered.Vfix.least_model (Ordered.Gop.of_view ov id tagged) in
@@ -227,6 +227,92 @@ let test_relevant_ordered_caveat () =
     (Interp.value_lit naive_m (lit "q"));
   Alcotest.check testable_value "relevant: q false" Interp.False
     (Interp.value_lit rel_m (lit "q"))
+
+(* ------------------------------------------------------------------ *)
+(* The allocation gate                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* One cold-view viewpoint of the serving benchmark: the class chain
+   k0 <- ... <- k5 and one individual with five entities, each stating
+   its own trait true and the four others false — 135 ground instances
+   over 100 atoms. *)
+let servebench_view () =
+  let b = Buffer.create 2048 in
+  Buffer.add_string b
+    "component k0 { alive(X) :- ent(X). f0(X) :- ent(X). pa(X) :- ent(X). \
+     pb(X) :- ent(X). }\n";
+  for i = 1 to 5 do
+    Printf.bprintf b
+      "component k%d extends k%d { f%d(X) :- f%d(X). -f%d(X) :- t%d(X). \
+       g%d(X) :- f%d(X), alive(X).%s }\n"
+      i (i - 1) i (i - 1) (i - 1) i i i
+      (if i = 1 then " -pa(X) :- pb(X). -pb(X) :- pa(X)." else "")
+  done;
+  Buffer.add_string b "component o000 extends k5 {";
+  for j = 1 to 5 do
+    Printf.bprintf b " ent(e%d)." j;
+    for i = 1 to 5 do
+      Printf.bprintf b " %st%d(e%d)." (if i = j then "" else "-") i j
+    done
+  done;
+  Buffer.add_string b " }\n";
+  let p = program (Buffer.contents b) in
+  (p, Ordered.Program.component_id_exn p "o000")
+
+let test_allocation_gate () =
+  let p, c = servebench_view () in
+  let g = (Inc.Reground.ground p c).Inc.Reground.gop in
+  Alcotest.(check int) "instances" 135 (Ordered.Gop.n_rules g);
+  Alcotest.(check int) "atoms" 100 (Ordered.Gop.n_atoms g);
+  let runs = 50 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to runs do
+    ignore (Sys.opaque_identity (Inc.Reground.ground p c))
+  done;
+  let per_instance = (Gc.minor_words () -. w0) /. float_of_int (runs * 135) in
+  Printf.printf "grounding a servebench view: %.1f minor words per instance\n"
+    per_instance;
+  if per_instance > 160. then
+    Alcotest.failf "%.1f minor words per instance, over the gate of 160"
+      per_instance
+
+(* A rule whose variables all sit in the body puts every instance under
+   one head: [s :- c(X), c(Y), c(Z)] over 30 constants has 27,000
+   instances of [s].  Deduplication and the suppression rows must stay
+   linear in them, so grounding it may take no longer than a few times
+   the same instance count under 27,000 distinct heads, which no
+   per-head scan can slow down (a scan of the head's earlier instances
+   takes some seconds here). *)
+let test_body_only_variables () =
+  let facts = List.init 30 (fun i -> Printf.sprintf "c(k%d)." i) in
+  let ground rules =
+    let p = program ("component m { " ^ String.concat " " (facts @ rules) ^ " }") in
+    let c = Ordered.Program.component_id_exn p "m" in
+    let t0 = Unix.gettimeofday () in
+    let g = Ordered.Gop.ground p c in
+    (g, Unix.gettimeofday () -. t0)
+  in
+  let one_head, t_one = ground [ "s :- c(X), c(Y), c(Z)." ] in
+  let many_heads, t_many = ground [ "s(X, Y, Z) :- c(X), c(Y), c(Z)." ] in
+  Alcotest.(check int) "one head: instances" 27030 (Ordered.Gop.n_rules one_head);
+  Alcotest.(check int) "many heads: instances" 27030
+    (Ordered.Gop.n_rules many_heads);
+  Printf.printf "27,000 instances: %.3f s under one head, %.3f s under many\n"
+    t_one t_many;
+  if t_one > (4. *. t_many) +. 0.1 then
+    Alcotest.failf "one head: %.3f s, against %.3f s for distinct heads" t_one
+      t_many;
+  (* the same instances again, from a rule with its body reordered, are
+     all duplicates; under a rule name of their own they are kept *)
+  let dup, _ =
+    ground [ "s :- c(X), c(Y), c(Z)."; "s :- c(Y), c(X), c(Z)." ]
+  in
+  Alcotest.(check int) "duplicates dropped" 27030 (Ordered.Gop.n_rules dup);
+  let named, _ =
+    ground [ "s :- c(X), c(Y), c(Z)."; "r1: s :- c(Y), c(X), c(Z)." ]
+  in
+  Alcotest.(check int) "a named rule keeps its own" 54030
+    (Ordered.Gop.n_rules named)
 
 let suite =
   [ Alcotest.test_case "builtin recognition" `Quick test_builtin_recognition;
@@ -250,5 +336,9 @@ let suite =
     Alcotest.test_case "relevant = naive on positive fixpoints" `Quick
       test_relevant_equals_naive_fixpoint;
     Alcotest.test_case "relevant grounding caveat on ordered programs" `Quick
-      test_relevant_ordered_caveat
+      test_relevant_ordered_caveat;
+    Alcotest.test_case "allocation gate: minor words per instance" `Quick
+      test_allocation_gate;
+    Alcotest.test_case "body-only variables ground in linear time" `Quick
+      test_body_only_variables
   ]
