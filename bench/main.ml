@@ -58,7 +58,7 @@ let regenerate_figures () =
 (* ------------------------------------------------------------------ *)
 
 let incremental g = Ordered.Vfix.lfp g
-let naive g = Ordered.Vfix.lfp_naive g
+let naive g = Oracle.Vfix.lfp_naive g
 
 let vfix_engine ?viewpoint ~lfp prog =
   let comp =
@@ -140,7 +140,6 @@ let bench_wfs =
           let np =
             Datalog.Nprog.of_rules
               (Datalog.Grounder.relevant ~naf:true (W.win_move n))
-                .Ground.Grounder.rules
           in
           Staged.stage (fun () -> ignore (Datalog.Wellfounded.compute np)));
       Test.make_indexed ~name:"ordered_v" ~args:sizes (fun n ->

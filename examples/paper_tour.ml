@@ -70,7 +70,7 @@ let () =
   List.iter
     (fun m ->
       if Ordered.Model.is_model g3 m then Format.printf "    %a@." Interp.pp m)
-    (let atoms = g3.Ordered.Gop.active_base in
+    (let atoms = Ordered.Gop.active_base g3 in
      let rec go = function
        | [] -> [ Interp.empty ]
        | a :: rest ->

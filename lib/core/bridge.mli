@@ -19,9 +19,6 @@
     - Proposition 5: models of [EV(C)] in [C] = 3-valued models of [C];
       stable models of [OV] and [EV] versions coincide. *)
 
-val program_component : string
-(** Name of the component holding the program rules: ["main"]. *)
-
 val cwa_component : string
 (** Name of the closed-world component: ["cwa"]. *)
 

@@ -1,18 +1,12 @@
 open Logic
 
-let atom_space ?(base = `Active) (g : Gop.t) =
-  match base with
-  | `Active -> g.Gop.active_base
-  | `Full -> Lazy.force g.Gop.full_base
-
-let is_total ?base g interp =
-  Interp.is_total interp ~base:(atom_space ?base g)
+let is_total g interp = Interp.is_total interp ~base:(Gop.active_base g)
 
 (* Search for a proper superset of [interp] (over the undefined atoms of
-   the space) that is a model; [f] receives each one found and returns
+   the active base) that is a model; [f] receives each one found and returns
    [true] to continue the search. *)
-let iter_superset_models ?base ?(budget = Budget.unlimited) g interp f =
-  let undef = Interp.undefined_atoms interp ~base:(atom_space ?base g) in
+let iter_superset_models ?(budget = Budget.unlimited) g interp f =
+  let undef = Interp.undefined_atoms interp ~base:(Gop.active_base g) in
   let undef = Array.of_list undef in
   let exception Stop in
   let rec go i m added =
@@ -28,21 +22,21 @@ let iter_superset_models ?base ?(budget = Budget.unlimited) g interp f =
   in
   try go 0 interp false with Stop -> ()
 
-let is_exhaustive ?base ?budget g interp =
+let is_exhaustive ?budget g interp =
   Model.is_model g interp
   &&
   let found = ref false in
-  iter_superset_models ?base ?budget g interp (fun _ ->
+  iter_superset_models ?budget g interp (fun _ ->
       found := true;
       false);
   not !found
 
-let extend ?base ?budget g interp =
+let extend ?budget g interp =
   if not (Model.is_model g interp) then
     invalid_arg "Exhaustive.extend: not a model";
   (* Take any largest superset model; it is exhaustive by construction. *)
   let best = ref interp in
-  iter_superset_models ?base ?budget g interp (fun m ->
+  iter_superset_models ?budget g interp (fun m ->
       if Interp.cardinal m > Interp.cardinal !best then best := m;
       true);
   !best

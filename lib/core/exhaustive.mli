@@ -5,29 +5,24 @@
     exhaustive; the converse fails, and total models need not exist (the
     paper's program [P2]).
 
-    Totality and exhaustiveness are relative to an atom space.  The
-    default is the {e active base} (atoms occurring in the ground rules):
-    over the full Herbrand base, any atom mentioned in no rule can be added
-    to any model with either sign, so no model would be exhaustive without
-    deciding every such free atom.  Pass [~base:`Full] for the paper's
-    literal reading.
+    Totality and exhaustiveness are relative to an atom space, here the
+    {e active base} ({!Gop.active_base}: the atoms occurring in the ground
+    rules).  Over the full Herbrand base, any atom mentioned in no rule
+    can be added to any model with either sign, so no model would be
+    exhaustive without deciding every such free atom.
 
     The superset searches are exponential in the number of undefined
     atoms; they are meant for analysis and testing, not for large
     programs. *)
 
-val is_total : ?base:[ `Active | `Full ] -> Gop.t -> Logic.Interp.t -> bool
+val is_total : Gop.t -> Logic.Interp.t -> bool
 
-val is_exhaustive :
-  ?base:[ `Active | `Full ] -> ?budget:Budget.t -> Gop.t -> Logic.Interp.t ->
-  bool
-(** [M] is a model and no proper superset of [M] (over the chosen atom
-    space) is a model.  Budget exhaustion raises [Budget.Exhausted] (the
+val is_exhaustive : ?budget:Budget.t -> Gop.t -> Logic.Interp.t -> bool
+(** [M] is a model and no proper superset of [M] (over the active base)
+    is a model.  Budget exhaustion raises [Budget.Exhausted] (the
     boolean answer is not anytime). *)
 
-val extend :
-  ?base:[ `Active | `Full ] -> ?budget:Budget.t -> Gop.t -> Logic.Interp.t ->
-  Logic.Interp.t
+val extend : ?budget:Budget.t -> Gop.t -> Logic.Interp.t -> Logic.Interp.t
 (** Proposition 2: some exhaustive model containing the given model
     (returns the input when it is already exhaustive).  Raises
     [Invalid_argument] if the input is not a model and [Budget.Exhausted]

@@ -21,9 +21,6 @@ type t = {
   overrulers : int list array;
   defeaters : int list array;
   suppresses : int list array;
-  universe : Term.t list;
-  active_base : Atom.t list;
-  full_base : Atom.t list Lazy.t;
 }
 
 let dedup_body body =
@@ -80,22 +77,9 @@ let suppression_rows poset (rules : grule array) ~overrulers ~defeaters
           (if rules.(i).head_pol then neg else pos))
       here
 
-(* The signature of an interned view: the atoms its rules mention, with
-   the extra constants — what [Herbrand.signature_of_rules] makes of the
-   ground rules. *)
-let signature ~extra_constants atoms =
-  Herbrand.with_constants extra_constants
-    (Herbrand.signature_of_atoms (Array.to_list atoms))
-
-let full_base ~depth ~extra_constants atoms =
-  lazy
-    (Herbrand.base ~depth ~skip:Ground.Builtin.is_builtin
-       (signature ~extra_constants atoms))
-
 (* Everything but the atoms and the rules is derived here: the head and
    body rows, and the suppression rows against [program]'s order. *)
-let assemble ~program ~comp ~atoms ~ids ~rules ~universe ~active_base
-    ~full_base =
+let assemble ~program ~comp ~atoms ~ids ~rules =
   let na = Array.length atoms in
   let nr = Array.length rules in
   let by_head = Array.make na [] in
@@ -130,13 +114,10 @@ let assemble ~program ~comp ~atoms ~ids ~rules ~universe ~active_base
     by_body_neg;
     overrulers;
     defeaters;
-    suppresses;
-    universe;
-    active_base;
-    full_base
+    suppresses
   }
 
-let of_view ?(depth = 0) ?(extra_constants = []) program comp tagged =
+let of_view program comp tagged =
   let ids = Atom.Tbl.create 256 in
   let atoms = ref [] in
   let n = ref 0 in
@@ -153,20 +134,16 @@ let of_view ?(depth = 0) ?(extra_constants = []) program comp tagged =
   let rules = Array.of_list (List.map (grule_of intern) tagged) in
   let atoms = Array.of_list (List.rev !atoms) in
   assemble ~program ~comp ~atoms ~ids ~rules
-    ~universe:(Herbrand.universe ~depth (signature ~extra_constants atoms))
-    ~active_base:(Array.to_list atoms |> Atom.Set.of_list |> Atom.Set.elements)
-    ~full_base:(full_base ~depth ~extra_constants atoms)
 
 (* The universe of the view's schema rules' signature. *)
-let schema_universe ?(depth = 0) ?(extra_constants = []) program comp =
+let schema_universe ?(depth = 0) program comp =
   Herbrand.universe ~depth
-    (Herbrand.with_constants extra_constants
-       (Herbrand.term_signature (fun scan ->
-            List.iter
-              (fun (_, (r : Rule.t)) ->
-                scan r.head.atom;
-                List.iter (fun (l : Literal.t) -> scan l.atom) r.body)
-              (Program.view program comp))))
+    (Herbrand.term_signature (fun scan ->
+         List.iter
+           (fun (_, (r : Rule.t)) ->
+             scan r.head.atom;
+             List.iter (fun (l : Literal.t) -> scan l.atom) r.body)
+           (Program.view program comp)))
 
 (* ------------------------------------------------------------------ *)
 (* Grounding by plans                                                  *)
@@ -338,18 +315,9 @@ let number tbl ~comp groups =
     groups;
   (Array.sub order 0 !na, rules)
 
-(* The universe of the instances.  With no function term in the schema
-   universe or in an atom, and no extra constants, it is the schema
-   universe's constants the atoms use, in its order ([a0] if none). *)
-let instance_universe tbl ~depth ~extra_constants order atoms =
-  match G.used_constants tbl order with
-  | Some [] when extra_constants = [] -> [ Term.Sym "a0" ]
-  | Some cs when extra_constants = [] -> cs
-  | _ -> Herbrand.universe ~depth (signature ~extra_constants atoms)
-
-let ground_groups ?(budget = Budget.unlimited) ?max_instances ?(depth = 0)
-    ?(extra_constants = []) program comp =
-  let universe = schema_universe ~depth ~extra_constants program comp in
+let ground_groups ?(budget = Budget.unlimited) ?max_instances ?depth program
+    comp =
+  let universe = schema_universe ?depth program comp in
   let tbl = G.table universe in
   let groups =
     instantiate ~budget ~max_instances ~universe tbl (Program.view program comp)
@@ -358,23 +326,15 @@ let ground_groups ?(budget = Budget.unlimited) ?max_instances ?(depth = 0)
   let atoms = Array.map (G.atom tbl) order in
   let ids = Atom.Tbl.create (2 * Array.length atoms) in
   Array.iteri (fun g a -> Atom.Tbl.add ids a g) atoms;
-  let perm = Array.init (Array.length atoms) Fun.id in
-  Array.stable_sort (fun a b -> G.compare_atoms tbl order.(a) order.(b)) perm;
-  let gop =
-    assemble ~program ~comp ~atoms ~ids ~rules
-      ~universe:(instance_universe tbl ~depth ~extra_constants order atoms)
-      ~active_base:(Array.fold_right (fun g acc -> atoms.(g) :: acc) perm [])
-      ~full_base:(full_base ~depth ~extra_constants atoms)
-  in
-  { gop; groups; universe }
+  { gop = assemble ~program ~comp ~atoms ~ids ~rules; groups; universe }
 
-let ground ?budget ?max_instances ?depth ?extra_constants program comp =
-  (ground_groups ?budget ?max_instances ?depth ?extra_constants program comp)
-    .gop
+let ground ?budget ?max_instances ?depth program comp =
+  (ground_groups ?budget ?max_instances ?depth program comp).gop
 
 let n_atoms t = Array.length t.atoms
 let n_rules t = Array.length t.rules
 let atom_id t a = Atom.Tbl.find_opt t.ids a
+let active_base t = List.sort Atom.compare (Array.to_list t.atoms)
 
 let rule_src t i =
   let r = t.rules.(i) in
@@ -411,23 +371,6 @@ let pp_stats ppf s =
      defeating edges"
     s.atoms s.rules s.body_literals s.overruling_edges s.defeating_edges
 
-let find_rule t comp (r : Rule.t) =
-  let target_head = Rule.head r in
-  let target_body = Literal.Set.of_list (Rule.body r) in
-  let rec go i =
-    if i >= n_rules t then None
-    else
-      let g = t.rules.(i) in
-      let src = rule_src t i in
-      if
-        g.comp = comp
-        && Literal.equal (Rule.head src) target_head
-        && Literal.Set.equal (Rule.body_set src) target_body
-      then Some i
-      else go (i + 1)
-  in
-  go 0
-
 (* ------------------------------------------------------------------ *)
 (* Splicing: repair an interned view by integer work                   *)
 (* ------------------------------------------------------------------ *)
@@ -436,17 +379,6 @@ type edit =
   | Keep of int
   | Drop of int
   | Insert of (Program.component_id * Rule.t) list
-
-(* The constants an atom mentions, as [Herbrand.signature_of_rules]
-   collects them: at depth 0 the universe of a ground view is the set of
-   constants its atoms mention ([a0] when there are none). *)
-let add_constants acc (a : Atom.t) =
-  let rec term acc = function
-    | Term.Var _ -> acc
-    | (Term.Int _ | Term.Sym _) as c -> Term.Set.add c acc
-    | Term.App (_, args) -> List.fold_left term acc args
-  in
-  List.fold_left term acc a.Atom.args
 
 (* Descending rule-index rows: [remap] the entries at or above [stable]
    (they all sit at the front), share the unchanged tail. *)
@@ -554,25 +486,6 @@ let splice (t : t) ~program edits =
     let atoms_same = shift = 0 && Array.length fresh = 0 in
     let atoms = Array.append (Array.sub t.atoms 0 m) fresh in
     let na = Array.length atoms in
-    (* With no atom gone ([shift = 0]) the old constants all stay, and
-       the fresh atoms can only add theirs — unless the old universe is
-       the [a0] placeholder, which cannot be told from a real [a0]. *)
-    let placeholder = [ Term.Sym "a0" ] in
-    let universe =
-      if atoms_same then t.universe
-      else if shift = 0 && not (List.equal Term.equal t.universe placeholder) then
-        let extra =
-          Term.Set.filter
-            (fun c -> not (List.exists (Term.equal c) t.universe))
-            (Array.fold_left add_constants Term.Set.empty fresh)
-        in
-        if Term.Set.is_empty extra then t.universe
-        else Term.Set.elements (Term.Set.union extra (Term.Set.of_list t.universe))
-      else
-        match Term.Set.elements (Array.fold_left add_constants Term.Set.empty atoms) with
-        | [] -> placeholder
-        | u -> u
-    in
     let ids =
       if atoms_same then t.ids
       else begin
@@ -633,15 +546,7 @@ let splice (t : t) ~program edits =
         if touched.(a) then
           suppression_rows poset rules ~overrulers ~defeaters ~suppresses here)
       by_head;
-    let active_base =
-      if atoms_same then t.active_base
-      else
-        List.merge Atom.compare
-          (if shift = 0 then t.active_base
-           else List.filter (fun a -> Atom.Tbl.find t.ids a < m) t.active_base)
-          (List.sort Atom.compare (Array.to_list fresh))
-    in
-    let rec g =
+    Some
       { program;
         comp = t.comp;
         atoms;
@@ -652,16 +557,8 @@ let splice (t : t) ~program edits =
         by_body_neg;
         overrulers;
         defeaters;
-        suppresses;
-        universe;
-        active_base;
-        full_base =
-          lazy
-            (Herbrand.base ~skip:Ground.Builtin.is_builtin
-               (Herbrand.signature_of_rules (List.init nr (rule_src g))))
+        suppresses
       }
-    in
-    Some g
   end
 
 module Values = struct

@@ -32,16 +32,12 @@ type t = {
   defeaters : int list array;
   suppresses : int list array;
       (** inverse adjacency: rules [r] overrules or defeats *)
-  universe : Logic.Term.t list;
-  active_base : Logic.Atom.t list;
-  full_base : Logic.Atom.t list Lazy.t;
 }
 
 val ground :
   ?budget:Budget.t ->
   ?max_instances:int ->
   ?depth:int ->
-  ?extra_constants:Logic.Term.t list ->
   Program.t ->
   Program.component_id ->
   t
@@ -57,12 +53,12 @@ val ground :
     {b Plans.}  Each view rule is compiled once into a plan, and its
     surviving candidates come out as keys of atom ids in one intern
     table ({!Ground.Grounder.iter}).  Instances are deduplicated on those
-    keys ({!Instance_keys}), the atoms numbered, the body sorted, the
-    universe and the active base derived by integer work; an [Atom.t]
-    and an [ids] entry are made once per distinct atom.  Every step is
-    linear in the instances, also when they share one head (a rule
-    whose variables all sit in its body): only rules of opposite
-    head polarity are paired for the suppression rows.
+    keys ({!Instance_keys}), the atoms numbered and the body sorted by
+    integer work; an [Atom.t] and an [ids] entry are made once per
+    distinct atom.  Every step is linear in the instances, also when
+    they share one head (a rule whose variables all sit in its body):
+    only rules of opposite head polarity are paired for the suppression
+    rows.
 
     {b Bit identity.}  The result is structurally equal to {!of_view}
     over the instances the substitution grounder would produce (the
@@ -73,10 +69,7 @@ val ground :
       head, body list in source order);
     - atom numbering: per rule the head first, then the
       {!Logic.Literal.compare}-sorted deduplicated body;
-    - [universe]: the Herbrand universe of the instances' own
-      signature (at depth 0 with no extra constants, the schema
-      universe's constants that some atom uses, or [a0]);
-    - [active_base] sorted by {!Logic.Atom.compare}; rule names kept. *)
+    - rule names kept. *)
 
 type group = {
   comp : Program.component_id;
@@ -120,7 +113,6 @@ val ground_groups :
   ?budget:Budget.t ->
   ?max_instances:int ->
   ?depth:int ->
-  ?extra_constants:Logic.Term.t list ->
   Program.t ->
   Program.component_id ->
   grounded
@@ -133,7 +125,6 @@ val ground_groups :
 
 val schema_universe :
   ?depth:int ->
-  ?extra_constants:Logic.Term.t list ->
   Program.t ->
   Program.component_id ->
   Logic.Term.t list
@@ -143,8 +134,6 @@ val schema_universe :
     every shared rule identically. *)
 
 val of_view :
-  ?depth:int ->
-  ?extra_constants:Logic.Term.t list ->
   Program.t ->
   Program.component_id ->
   (Program.component_id * Logic.Rule.t) list ->
@@ -167,18 +156,19 @@ val splice : t -> program:Program.t -> edit list -> t option
     that vanish with dropped rules are truncated, later rule indices
     shift, the head, body and suppression rows are patched (the
     suppression rows of a head atom are rebuilt only when a rule with
-    that head came or went, against [program]'s order) and [universe]
-    and [active_base] are carried over or adjusted.  When [g] was
-    interned at depth 0 with no extra constants (as {!ground} does by
-    default), the result is structurally equal to {!of_view} over the
-    edited tagged list.  [None] when that scratch numbering would
-    renumber an existing atom (or the universe cannot be told from a
-    constant-free placeholder): the caller re-interns with {!of_view}. *)
+    that head came or went, against [program]'s order).  The result is
+    structurally equal to {!of_view} over the edited tagged list.
+    [None] when that scratch numbering would renumber an existing atom:
+    the caller re-interns with {!of_view}. *)
 
 val n_atoms : t -> int
 val n_rules : t -> int
 
 val atom_id : t -> Logic.Atom.t -> int option
+
+val active_base : t -> Logic.Atom.t list
+(** The atoms the ground rules mention, sorted by {!Logic.Atom.compare}
+    (computed on each call). *)
 
 val rule_src : t -> int -> Logic.Rule.t
 (** Decode rule [i] back to a symbolic ground rule. *)
@@ -196,9 +186,6 @@ val stats : t -> stats
     [O(body_literals + overruling_edges + defeating_edges)] per run. *)
 
 val pp_stats : Format.formatter -> stats -> unit
-
-val find_rule : t -> Program.component_id -> Logic.Rule.t -> int option
-(** Index of the ground instance of a given rule in a given component. *)
 
 (** {1 Three-valued assignments over the interned atoms} *)
 

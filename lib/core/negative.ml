@@ -33,7 +33,7 @@ let least_model ?depth rules = Vfix.least_model (ground_3v ?depth rules)
 (* ------------------------------------------------------------------ *)
 
 let ground_program ?depth rules =
-  (Ground.Grounder.naive ?depth rules).Ground.Grounder.rules
+  Ground.Grounder.naive ?depth rules
 
 (* Definition 11(a), with the correction required for Theorem 2 to hold
    (see Test_deviations for the counterexample to the literal statement):

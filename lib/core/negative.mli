@@ -16,12 +16,6 @@
     checks both on the paper's examples and by property on random
     programs. *)
 
-val exceptions_component : string
-(** ["exceptions"] — the paper's [C-]. *)
-
-val general_component : string
-(** ["general"] — the paper's [C+]. *)
-
 val cwa_component : string
 (** ["cwa"] — the paper's [-B_C]. *)
 

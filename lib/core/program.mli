@@ -70,6 +70,5 @@ val add_rules : t -> component_id -> Logic.Rule.t list -> t
 (** A copy of the program with extra rules appended to one component
     (used to inject bulk EDB facts at a viewpoint). *)
 
-val to_ast : t -> Lang.Ast.t
 val pp : Format.formatter -> t -> unit
 (** Surface-syntax rendering (round-trips through {!parse}). *)

@@ -14,14 +14,6 @@ let step (g : Gop.t) v =
     g.rules;
   next
 
-let lfp_naive ?(budget = Budget.unlimited) (g : Gop.t) =
-  let rec go v =
-    Budget.check budget;
-    let v' = step g v in
-    if Gop.Values.equal v v' then v else go v'
-  in
-  go (Gop.Values.create g)
-
 type conflict = { atom : int; derived : bool }
 
 (* Incremental counting engine, restartable from any consistent partial

@@ -9,15 +9,12 @@
     model of [P] in [C], is assumption-free, and equals the intersection of
     all models.
 
-    Two engines compute it:
-
-    - {!lfp} — incremental counting: every rule keeps a count of unmet body
-      literals and of non-blocked suppressors; deriving a literal decrements
-      counts along precomputed adjacency, so the total work is linear in
-      program size plus suppression edges.
-    - {!lfp_naive} — fair re-evaluation of every rule each round (quadratic);
-      the executable specification, kept as a cross-check and benchmark
-      baseline. *)
+    {!lfp} computes it by incremental counting: every rule keeps a count
+    of unmet body literals and of non-blocked suppressors; deriving a
+    literal decrements counts along precomputed adjacency, so the total
+    work is linear in program size plus suppression edges.  Kleene
+    iteration of {!step}, the executable specification, is the
+    cross-check and benchmark baseline in [test/oracle]. *)
 
 val step : Gop.t -> Gop.Values.t -> Gop.Values.t
 (** One application of [V] (returns a fresh assignment). *)
@@ -29,10 +26,6 @@ val lfp : ?budget:Budget.t -> Gop.t -> Gop.Values.t
     fixpoint would be unsound to return).  An inconsistent internal
     derivation raises [Diag.Error (Internal_invariant _)] with the atom id
     and the two polarities. *)
-
-val lfp_naive : ?budget:Budget.t -> Gop.t -> Gop.Values.t
-(** Least fixpoint by Kleene iteration of {!step}; [budget] is polled once
-    per round. *)
 
 type conflict = {
   atom : int;  (** atom whose derivation clashed with the seed *)

@@ -28,10 +28,8 @@ val eval_comparison : string -> Logic.Term.t -> Logic.Term.t -> bool option
 (** [eval_comparison pred l r]: the comparison [pred] on two normalised
     ground terms; [None] if it does not evaluate. *)
 
-val eval_atom : Logic.Atom.t -> bool option
-(** Evaluate a ground builtin atom; [None] if it cannot be evaluated (e.g.
-    [penguin < 3]).  Raises [Invalid_argument] if the atom is not builtin or
-    not ground. *)
-
 val eval_literal : Logic.Literal.t -> bool option
-(** Like {!eval_atom}; a negative literal yields the complement. *)
+(** Evaluate a ground builtin literal; [None] if it cannot be evaluated
+    (e.g. [penguin < 3]); a negative literal yields the complement.
+    Raises [Invalid_argument] if the atom is not builtin or not
+    ground. *)

@@ -1,13 +1,6 @@
 open Logic
 module Budget = Governor.Budget
 
-type t = {
-  rules : Rule.t list;
-  universe : Term.t list;
-  active_base : Atom.t list;
-  full_base : Atom.t list Lazy.t;
-}
-
 (* ------------------------------------------------------------------ *)
 (* The intern table                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -160,26 +153,6 @@ let atom tbl a =
     in
     tbl.atoms.data.(a) <- x;
     x
-  end
-
-let used_constants tbl atoms =
-  let u = Array.length tbl.universe in
-  let used = Array.make u false in
-  let inside = ref tbl.constants_only in
-  Array.iter
-    (fun a ->
-      let key = tbl.keys.data.(a) in
-      for k = 1 to Array.length key - 1 do
-        if key.(k) < u then used.(key.(k)) <- true else inside := false
-      done)
-    atoms;
-  if not !inside then None
-  else begin
-    let cs = ref [] in
-    for i = u - 1 downto 0 do
-      if used.(i) then cs := tbl.universe.(i) :: !cs
-    done;
-    Some !cs
   end
 
 (* [Term.compare] on term ids: the universe part by position. *)
@@ -440,37 +413,15 @@ let rule_of atom ~name (key : int array) =
   in
   match name with Some n -> Rule.with_name n r | None -> r
 
-let collect_active rules =
-  let acc = ref Atom.Set.empty in
-  List.iter
+let naive ?(budget = Budget.unlimited) ?depth rules =
+  let sg = Herbrand.signature_of_rules rules in
+  let tbl = table (Herbrand.universe ?depth sg) in
+  List.concat_map
     (fun r ->
-      acc := Atom.Set.add (Rule.head r).Literal.atom !acc;
-      List.iter
-        (fun (l : Literal.t) -> acc := Atom.Set.add l.atom !acc)
-        (Rule.body r))
-    rules;
-  Atom.Set.elements !acc
-
-let setup ?(depth = 0) ?(extra_constants = []) rules =
-  let sg =
-    Herbrand.with_constants extra_constants (Herbrand.signature_of_rules rules)
-  in
-  let universe = Herbrand.universe ~depth sg in
-  let full_base = lazy (Herbrand.base ~depth ~skip:Builtin.is_builtin sg) in
-  (universe, full_base)
-
-let naive ?(budget = Budget.unlimited) ?depth ?extra_constants rules =
-  let universe, full_base = setup ?depth ?extra_constants rules in
-  let tbl = table universe in
-  let ground =
-    List.concat_map
-      (fun r ->
-        let plan = compile tbl r in
-        let acc = ref [] in
-        iter ~budget tbl plan (fun key ->
-            acc := rule_of (atom tbl) ~name:(Rule.name r) key :: !acc);
-        List.rev !acc)
-      rules
-    |> Rule.Set.of_list |> Rule.Set.elements
-  in
-  { rules = ground; universe; active_base = collect_active ground; full_base }
+      let plan = compile tbl r in
+      let acc = ref [] in
+      iter ~budget tbl plan (fun key ->
+          acc := rule_of (atom tbl) ~name:(Rule.name r) key :: !acc);
+      List.rev !acc)
+    rules
+  |> Rule.Set.of_list |> Rule.Set.elements

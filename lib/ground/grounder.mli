@@ -34,25 +34,15 @@
     same candidate (the body is evaluated in source order, then the
     head), and one budget tick per candidate of the cross product. *)
 
-type t = {
-  rules : Logic.Rule.t list;  (** ground instances, builtin-free, deduplicated *)
-  universe : Logic.Term.t list;  (** the Herbrand universe used *)
-  active_base : Logic.Atom.t list;
-      (** atoms occurring in [rules] (heads or bodies), sorted *)
-  full_base : Logic.Atom.t list Lazy.t;
-      (** the full Herbrand base over non-builtin predicates *)
-}
-
 val naive :
   ?budget:Governor.Budget.t ->
   ?depth:int ->
-  ?extra_constants:Logic.Term.t list ->
   Logic.Rule.t list ->
-  t
-(** Ground a rule list through plans.  [depth] bounds function-symbol
-    nesting in the universe (default [0]); [extra_constants] widens the
-    universe (used to ground a component against the constants of a
-    whole ordered program).  [budget] is ticked per candidate
+  Logic.Rule.t list
+(** Ground a rule list through plans: its ground instances,
+    builtin-free, deduplicated and sorted.  [depth] bounds
+    function-symbol nesting in the universe (default [0]).  [budget] is
+    ticked per candidate
     instantiation, so deadlines and step budgets bound the grounding
     work; exhaustion raises [Governor.Budget.Exhausted].  The instance
     cap belongs to the ordered grounder
@@ -75,18 +65,9 @@ val n_atoms : table -> int
 val atom : table -> int -> Logic.Atom.t
 (** The atom of an id, built on first request and shared after. *)
 
-val used_constants : table -> int array -> Logic.Term.t list option
-(** The universe constants the given atoms' arguments use, in universe
-    order; [None] when the universe holds a function term or some
-    argument lies outside the universe (an arithmetic result, a ground
-    function term). *)
-
-val compare_atoms : table -> int -> int -> int
-(** {!Logic.Atom.compare} on atom ids, by integer work wherever both
-    atoms' arguments lie in the universe. *)
-
 val compare_lits : table -> int -> int -> int
-(** {!Logic.Literal.compare} on literal codes. *)
+(** {!Logic.Literal.compare} on literal codes, by integer work wherever
+    both atoms' arguments lie in the universe. *)
 
 type plan
 

@@ -26,12 +26,9 @@ type decl =
 
 type t = decl list
 
-val default_component : string
-(** Name of the component collecting bare rules: ["main"]. *)
-
 val components : t -> component list
-(** All components of the file, with bare rules gathered into
-    {!default_component} (created only if bare rules exist), preserving
+(** All components of the file, with bare rules gathered into the
+    component ["main"] (created only if bare rules exist), preserving
     declaration order.  Raises [Invalid_argument] on duplicate component
     names. *)
 

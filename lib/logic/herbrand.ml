@@ -38,19 +38,7 @@ let signature_of_rules rules =
           List.iter (fun (l : Literal.t) -> scan l.atom) r.body)
         rules)
 
-let signature_of_atoms atoms =
-  signature ~predicates:true (fun scan -> List.iter scan atoms)
-
 let term_signature iter = signature ~predicates:false iter
-
-let with_constants extra sg =
-  if extra = [] then sg
-  else
-    { sg with
-      constants =
-        Term.Set.elements
-          (Term.Set.union (Term.Set.of_list sg.constants) (Term.Set.of_list extra))
-    }
 
 (* All tuples of length [n] over [elems], in lexicographic order. *)
 let rec tuples elems n =

@@ -28,7 +28,6 @@ val apply_term : t -> Term.t -> Term.t
     [X -> f(X)] (one-way matching can produce these when pattern and
     subject share variable names). *)
 
-val apply_atom : t -> Atom.t -> Atom.t
 val apply_literal : t -> Literal.t -> Literal.t
 
 val compose : t -> t -> t

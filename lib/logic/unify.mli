@@ -15,5 +15,4 @@ val match_term : ?init:Subst.t -> Term.t -> Term.t -> Subst.t option
     [Subst.apply_term s pat = t], binding only variables of [pat].  The
     subject [t] is treated as rigid (its variables are constants). *)
 
-val match_atom : ?init:Subst.t -> Atom.t -> Atom.t -> Subst.t option
 val match_literal : ?init:Subst.t -> Literal.t -> Literal.t -> Subst.t option

@@ -62,14 +62,6 @@ val unframe : string -> pos:int -> unframed
 
 (** {1 WAL file header} *)
 
-val wal_magic : string
-(** The version-2 magic writers emit. *)
-
-val wal_magic_v1 : string
-
-val wal_header_len : int
-(** Length of a version-2 header (the longest form). *)
-
 type wal_head = {
   wal_base : int;  (** base sequence number from the header *)
   wal_epoch : int;  (** replication epoch (0 for version-1 files) *)
@@ -81,11 +73,6 @@ val decode_wal_header : string -> (wal_head, string) result
 (** Decode a v2 or v1 header from the front of a file image. *)
 
 (** {1 Snapshots} *)
-
-val snapshot_magic : string
-(** The version-2 magic writers emit. *)
-
-val snapshot_magic_v1 : string
 
 val encode_snapshot : seq:int -> epoch:int -> Kb.Store.dump -> string
 (** The whole snapshot file image (magic, frame, payload). *)

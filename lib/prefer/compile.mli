@@ -33,7 +33,6 @@ val gop :
   ?budget:Ordered.Budget.t ->
   ?max_instances:int ->
   ?depth:int ->
-  ?extra_constants:Logic.Term.t list ->
   t ->
   Ordered.Gop.t
 (** Ground the compiled program at [#view].  Its stable models are the
@@ -42,8 +41,6 @@ val gop :
 
 val project : Logic.Interp.t -> Logic.Interp.t
 (** Drop [ap@] control atoms from a model of a traced compilation. *)
-
-val is_control : Logic.Atom.t -> bool
 
 val control_prefix : string
 (** ["ap@"]. *)

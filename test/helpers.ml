@@ -15,6 +15,23 @@ let ground_at prog name =
 
 let least prog name = Ordered.Vfix.least_model (ground_at prog name)
 
+(* The index of the ground instance of [r] in component [comp], matched
+   by head and body set. *)
+let find_rule (g : Ordered.Gop.t) comp (r : Rule.t) =
+  let body = Literal.Set.of_list (Rule.body r) in
+  let rec go i =
+    if i >= Ordered.Gop.n_rules g then None
+    else
+      let src = Ordered.Gop.rule_src g i in
+      if
+        g.Ordered.Gop.rules.(i).Ordered.Gop.comp = comp
+        && Literal.equal (Rule.head src) (Rule.head r)
+        && Literal.Set.equal (Rule.body_set src) body
+      then Some i
+      else go (i + 1)
+  in
+  go 0
+
 (* From-scratch answers about a KB store — the reference the memoizing,
    incrementally repaired Kb.Session is compared against.  The ordered
    program is rebuilt from the store's objects, parents and rules, so the

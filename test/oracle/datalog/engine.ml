@@ -10,9 +10,8 @@ type t = {
 let load ?budget ?depth ?(grounder = `Relevant) source =
   let ground =
     match grounder with
-    | `Relevant ->
-      (Grounder.relevant ?budget ~naf:true ?depth source).rules
-    | `Naive -> (Ground.Grounder.naive ?budget ?depth source).rules
+    | `Relevant -> Grounder.relevant ?budget ~naf:true ?depth source
+    | `Naive -> Ground.Grounder.naive ?budget ?depth source
   in
   { source; ground; nprog = Nprog.of_rules ground; wf = None }
 

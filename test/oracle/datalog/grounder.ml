@@ -49,32 +49,6 @@ let instances ?(budget = Budget.unlimited) ~universe r =
 (* Relevance-driven grounding                                          *)
 (* ------------------------------------------------------------------ *)
 
-let collect_active rules =
-  let acc = ref Atom.Set.empty in
-  List.iter
-    (fun r ->
-      acc := Atom.Set.add (Rule.head r).Literal.atom !acc;
-      List.iter (fun (l : Literal.t) -> acc := Atom.Set.add l.atom !acc) (Rule.body r))
-    rules;
-  Atom.Set.elements !acc
-
-let setup ?(depth = 0) ?(extra_constants = []) rules =
-  let sg = Herbrand.signature_of_rules rules in
-  let sg =
-    { sg with
-      constants =
-        Term.Set.elements
-          (Term.Set.union
-             (Term.Set.of_list sg.constants)
-             (Term.Set.of_list extra_constants))
-    }
-  in
-  let universe = Herbrand.universe ~depth sg in
-  let full_base =
-    lazy (Herbrand.base ~depth ~skip:Ground.Builtin.is_builtin sg)
-  in
-  (universe, full_base)
-
 module Idx = struct
   type t = (string * bool, Literal.t list ref) Hashtbl.t
 
@@ -138,9 +112,8 @@ let instances_against ~budget ~naf ~universe ~idx ~delta_idx ~use_delta
   go ordinary Subst.empty false;
   !out
 
-let relevant ?(budget = Budget.unlimited) ?(naf = false) ?depth
-    ?extra_constants rules =
-  let universe, full_base = setup ?depth ?extra_constants rules in
+let relevant ?(budget = Budget.unlimited) ?(naf = false) ?depth rules =
+  let universe = Herbrand.universe ?depth (Herbrand.signature_of_rules rules) in
   let old_idx = Idx.create () in
   let seen = ref Literal.Set.empty in
   let produced = ref Rule.Set.empty in
@@ -183,9 +156,4 @@ let relevant ?(budget = Budget.unlimited) ?(naf = false) ?depth
     end
   in
   loop ();
-  let ground = Rule.Set.elements !produced in
-  { Ground.Grounder.rules = ground;
-    universe;
-    active_base = collect_active ground;
-    full_base
-  }
+  Rule.Set.elements !produced

@@ -35,11 +35,10 @@ val relevant :
   ?budget:Governor.Budget.t ->
   ?naf:bool ->
   ?depth:int ->
-  ?extra_constants:Logic.Term.t list ->
   Logic.Rule.t list ->
-  Ground.Grounder.t
+  Logic.Rule.t list
 (** Relevance-driven grounding over the depth-bounded Herbrand universe of
-    the rules (widened by [extra_constants]).
+    the rules: the instances it produces, deduplicated and sorted.
 
     With [~naf:true] negative body literals are read as negation-as-failure:
     they are assumed satisfiable during grounding (their variables, if not

@@ -164,7 +164,7 @@ end
 module Exhaustive = struct
   let total_models ?limit ?(budget = B.unlimited) ?stats (g : G.t) =
     let stats = match stats with Some s -> s | None -> C.create () in
-    let atoms = Array.of_list g.G.active_base in
+    let atoms = Array.of_list (G.active_base g) in
     let acc = ref [] in
     let count = ref 0 in
     let full () =
@@ -483,19 +483,11 @@ module Ground = struct
         r.body
   end)
 
-  let groups ?(budget = B.unlimited) ?max_instances ?(depth = 0)
-      ?(extra_constants = []) program comp =
+  let groups ?(budget = B.unlimited) ?max_instances ?(depth = 0) program comp
+      =
     let view = Ordered.Program.view program comp in
     let universe =
-      let sg = Herbrand.signature_of_rules (List.map snd view) in
-      Herbrand.universe ~depth
-        { sg with
-          constants =
-            Term.Set.elements
-              (Term.Set.union
-                 (Term.Set.of_list sg.constants)
-                 (Term.Set.of_list extra_constants))
-        }
+      Herbrand.universe ~depth (Herbrand.signature_of_rules (List.map snd view))
     in
     let count = ref 0 in
     let guard (r : Rule.t) insts =
@@ -569,26 +561,25 @@ module Ground = struct
       g.G.by_head;
     { g with G.overrulers; defeaters; suppresses }
 
-  let gop ?budget ?max_instances ?(depth = 0) ?(extra_constants = []) program
-      comp =
+  let gop ?budget ?max_instances ?depth program comp =
     rows
-      (G.of_view ~depth ~extra_constants program comp
-         (flatten
-            (groups ?budget ?max_instances ~depth ~extra_constants program comp)))
+      (G.of_view program comp
+         (flatten (groups ?budget ?max_instances ?depth program comp)))
 
-  let naive ?(budget = B.unlimited) ?(depth = 0) ?(extra_constants = []) rules
-      =
-    let sg = Herbrand.signature_of_rules rules in
-    let sg =
-      { sg with
-        constants =
-          Term.Set.elements
-            (Term.Set.union
-               (Term.Set.of_list sg.constants)
-               (Term.Set.of_list extra_constants))
-      }
+  let naive ?(budget = B.unlimited) ?(depth = 0) rules =
+    let universe =
+      Herbrand.universe ~depth (Herbrand.signature_of_rules rules)
     in
-    let universe = Herbrand.universe ~depth sg in
     List.concat_map (Datalog.Grounder.instances ~budget ~universe) rules
     |> Rule.Set.of_list |> Rule.Set.elements
+end
+
+module Vfix = struct
+  let lfp_naive ?(budget = B.unlimited) (g : G.t) =
+    let rec go v =
+      B.check budget;
+      let v' = Ordered.Vfix.step g v in
+      if G.Values.equal v v' then v else go v'
+    in
+    go (G.Values.create g)
 end

@@ -156,7 +156,6 @@ module Ground : sig
     ?budget:Ordered.Budget.t ->
     ?max_instances:int ->
     ?depth:int ->
-    ?extra_constants:Logic.Term.t list ->
     Ordered.Program.t ->
     Ordered.Program.component_id ->
     (Ordered.Program.component_id * Logic.Rule.t * Logic.Rule.t list) list
@@ -173,7 +172,6 @@ module Ground : sig
     ?budget:Ordered.Budget.t ->
     ?max_instances:int ->
     ?depth:int ->
-    ?extra_constants:Logic.Term.t list ->
     Ordered.Program.t ->
     Ordered.Program.component_id ->
     Ordered.Gop.t
@@ -184,8 +182,17 @@ module Ground : sig
   val naive :
     ?budget:Ordered.Budget.t ->
     ?depth:int ->
-    ?extra_constants:Logic.Term.t list ->
     Logic.Rule.t list ->
     Logic.Rule.t list
   (** The rules of [Ground.Grounder.naive], by substitution. *)
+end
+
+(** The least fixpoint of [V] as the paper defines it. *)
+module Vfix : sig
+  val lfp_naive :
+    ?budget:Ordered.Budget.t -> Ordered.Gop.t -> Ordered.Gop.Values.t
+  (** Kleene iteration of {!Ordered.Vfix.step} from the empty assignment:
+      every rule re-evaluated each round (quadratic), the executable
+      specification {!Ordered.Vfix.lfp} is checked and benchmarked
+      against; [budget] is polled once per round. *)
 end

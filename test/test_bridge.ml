@@ -8,7 +8,7 @@ module B = Ordered.Bridge
 module N = Datalog.Nprog
 
 let nprog src =
-  N.of_rules (Ground.Grounder.naive (rules src)).Ground.Grounder.rules
+  N.of_rules (Ground.Grounder.naive (rules src))
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)

@@ -11,7 +11,7 @@ module S = Datalog.Stable
 module T = Datalog.Threeval
 
 let nprog src =
-  N.of_rules (Ground.Grounder.naive ~depth:0 (rules src)).Ground.Grounder.rules
+  N.of_rules (Ground.Grounder.naive ~depth:0 (rules src))
 
 let atoms_of_names names =
   Atom.Set.of_list (List.map (fun s -> (lit s).Literal.atom) names)
@@ -95,7 +95,7 @@ let test_stratification () =
 let test_perfect_model () =
   let src = "reach(a). reach(Y) :- reach(X), e(X, Y). e(a, b). \
              unreached(X) :- node(X), -reach(X). node(a). node(b). node(c)." in
-  let ground = (Ground.Grounder.naive (rules src)).Ground.Grounder.rules in
+  let ground = Ground.Grounder.naive (rules src) in
   let p = N.of_rules ground in
   match Datalog.Perfect.model p (rules src) with
   | None -> Alcotest.fail "stratified program must have a perfect model"

@@ -3,16 +3,16 @@
 
    - [Gop.ground] equals [Gop.of_view] over the oracle's deduplicated
      instances, field by field (the diff-inc comparator): atoms in id
-     order, every ground rule and adjacency row, universe and active
-     base; an evaluation error or an instance-cap overflow is raised by
-     both, with the same payload, after the same number of budget ticks;
-     its universe and full base are those of the instances' signature;
-   - [Inc.Reground.ground]'s groups decode (keys over the gop's atoms) to
-     exactly the oracle's instance lists, source-order bodies included;
+     order, every ground rule and adjacency row; an evaluation error or
+     an instance-cap overflow is raised by both, with the same payload,
+     after the same number of budget ticks;
+   - [Gop.ground_groups]' groups decode (keys over the gop's atoms) to
+     exactly the oracle's instance lists, source-order bodies included,
+     and its schema universe is that of the view rules' signature;
    - [Ground.Grounder.naive] equals the oracle's naive grounding;
    - a repaired grounding (one rule added to, then removed from, a
-     random component) equals scratch grounding, provenance keys
-     included.
+     random component) equals scratch grounding, provenance keys and
+     the carried schema universe included.
 
    The programs mix multi-variable rules and repeated variables,
    builtins that hold, fail or do not evaluate, arithmetic in ordinary
@@ -208,17 +208,6 @@ let groups_match (st : G.grounded) oracle =
          && List.equal Rule.equal (decode st.G.gop grp) insts)
        st.G.groups oracle
 
-(* [universe] and [full_base] as the substitution-era [Gop.of_view]
-   computed them: from the signature of the ground rules themselves (the
-   full base only over small universes: it is their square for [r]). *)
-let signature_fields ~depth (g : G.t) tagged =
-  let sg = Herbrand.signature_of_rules (List.map snd tagged) in
-  let universe = Herbrand.universe ~depth sg in
-  List.equal Term.equal g.G.universe universe
-  && (List.length universe > 8
-     || List.equal Atom.equal (Lazy.force g.G.full_base)
-          (Herbrand.base ~depth ~skip:Ground.Builtin.is_builtin sg))
-
 let keys_equal (a : G.grounded) (b : G.grounded) =
   List.equal
     (fun (x : G.group) (y : G.group) -> x.G.keys = y.G.keys)
@@ -254,10 +243,13 @@ let prop_gop_equals_oracle =
             &&
             match fst plan with
             | Error _ -> true
-            | Ok g ->
-              let groups = Oracle.Ground.groups ~depth p c in
-              groups_match (G.ground_groups ~depth p c) groups
-              && signature_fields ~depth g (Oracle.Ground.flatten groups))
+            | Ok _ ->
+              let st = G.ground_groups ~depth p c in
+              groups_match st (Oracle.Ground.groups ~depth p c)
+              && List.equal Term.equal st.G.universe
+                   (Herbrand.universe ~depth
+                      (Herbrand.signature_of_rules
+                         (List.map snd (Ordered.Program.view p c)))))
           (views p))
 
 let prop_naive_equals_oracle =
@@ -267,8 +259,7 @@ let prop_naive_equals_oracle =
       | None -> QCheck2.assume_fail ()
       | Some (p, depth) ->
         let rules = Ordered.Program.all_rules p in
-        same_outcome
-          (fun (a : Ground.Grounder.t) b -> List.equal Rule.equal a.rules b)
+        same_outcome (List.equal Rule.equal)
           (run (fun budget -> Ground.Grounder.naive ~budget ~depth rules))
           (run (fun budget -> Oracle.Ground.naive ~budget ~depth rules)))
 
@@ -290,7 +281,9 @@ let prop_reground_keys =
         let p2 = Ordered.Program.add_rules p target [ extra ] in
         let agree c st p =
           let scratch = Inc.Reground.ground p c in
-          Test_diff_inc.gop_equal st.G.gop scratch.G.gop && keys_equal st scratch
+          Test_diff_inc.gop_equal st.G.gop scratch.G.gop
+          && keys_equal st scratch
+          && List.equal Term.equal st.G.universe scratch.G.universe
         in
         List.for_all
           (fun c ->

@@ -129,8 +129,6 @@ let gop_equal (g1 : G.t) (g2 : G.t) =
   && g1.G.overrulers = g2.G.overrulers
   && g1.G.defeaters = g2.G.defeaters
   && g1.G.suppresses = g2.G.suppresses
-  && List.equal Term.equal g1.G.universe g2.G.universe
-  && List.equal Atom.equal g1.G.active_base g2.G.active_base
   && Array.for_all
        (fun a -> G.atom_id g1 a = G.atom_id g2 a)
        g1.G.atoms
@@ -204,6 +202,11 @@ let gop_agrees g1 g2 =
        (B.value (Ordered.Stable.stable_models g1))
        (B.value (Ordered.Stable.stable_models g2))
 
+(* The schema universe a repaired state carries, which its next repair
+   instantiates over, against a scratch state's. *)
+let universe_equal (a : Inc.Reground.state) (b : Inc.Reground.state) =
+  List.equal Term.equal a.Inc.Reground.universe b.Inc.Reground.universe
+
 let repair_lands_on ~previous g d =
   let scratch = Ordered.Vfix.least_model g in
   match Inc.Repair.least_model ~previous g d with
@@ -225,6 +228,7 @@ let prop_reground_exact =
       | Error _ -> true (* refusal is always sound: the caller recomputes *)
       | Ok (state2, delta) ->
         gop_agrees state2.Inc.Reground.gop scratch2.Inc.Reground.gop
+        && universe_equal state2 scratch2
         && repair_lands_on
              ~previous:(Ordered.Vfix.least_model state1.Inc.Reground.gop)
              state2.Inc.Reground.gop delta
@@ -233,6 +237,7 @@ let prop_reground_exact =
         | Error _ -> true
         | Ok (state1', delta') ->
           gop_agrees state1'.Inc.Reground.gop state1.Inc.Reground.gop
+          && universe_equal state1' state1
           && repair_lands_on
                ~previous:(Ordered.Vfix.least_model state2.Inc.Reground.gop)
                state1'.Inc.Reground.gop delta'))

@@ -453,7 +453,7 @@ let prop_boolean_queries =
       let lits =
         List.concat_map
           (fun a -> [ Literal.pos a; Literal.neg_atom a ])
-          g.Ordered.Gop.active_base
+          (Ordered.Gop.active_base g)
       in
       let is_stable m = List.exists (Interp.equal m) stable in
       List.for_all

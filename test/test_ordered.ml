@@ -79,7 +79,7 @@ let test_gop_grounding () =
   Alcotest.(check int) "ground rule count" 9 (Ordered.Gop.n_rules g);
   Alcotest.(check int) "atoms" 6 (Ordered.Gop.n_atoms g);
   Alcotest.(check bool) "find penguin fly rule" true
-    (Ordered.Gop.find_rule g (P.component_id_exn p "c2")
+    (find_rule g (P.component_id_exn p "c2")
        (rule "fly(penguin) :- bird(penguin).")
     <> None)
 
@@ -102,7 +102,7 @@ let status_of g m comp r =
   let prog = g.Ordered.Gop.program in
   let idx =
     Option.get
-      (Ordered.Gop.find_rule g (P.component_id_exn prog comp) (rule r))
+      (find_rule g (P.component_id_exn prog comp) (rule r))
   in
   let v, _ = Ordered.Gop.Values.of_interp g (interp m) in
   Ordered.Status.report g v idx
@@ -152,7 +152,7 @@ let test_vfix_engines_agree () =
       let p = program src in
       let g = ground_at p (P.component_name p 0) in
       Alcotest.check testable_interp src
-        (Ordered.Gop.Values.to_interp g (Ordered.Vfix.lfp_naive g))
+        (Ordered.Gop.Values.to_interp g (Oracle.Vfix.lfp_naive g))
         (Ordered.Vfix.least_model g))
     [ p1_src;
       "component main { a :- b. -a :- b. b. }";
@@ -238,7 +238,7 @@ let test_assumption_free_methods_agree () =
               (Format.asprintf "%s / %a" src Interp.pp m)
               (Ordered.Model.largest_assumption_set g m = [])
               (Ordered.Model.is_assumption_free g m))
-        (all_interps g.Ordered.Gop.active_base))
+        (all_interps (Ordered.Gop.active_base g)))
     [ "component main { a :- b. -a :- b. }";
       "component main { a :- b. b :- a. c. }";
       "component a { p. } component b extends a { -p. }"
@@ -329,20 +329,11 @@ let test_empty_program () =
     [ Interp.empty ]
     (Ordered.Budget.value (Ordered.Stable.stable_models g))
 
-let test_gop_extra_constants () =
-  let p = program "component main { p(X) :- q(X). q(a). }" in
-  let g0 = Ordered.Gop.ground p 0 in
-  let g1 =
-    Ordered.Gop.ground ~extra_constants:[ Logic.Term.Sym "b" ] p 0
-  in
-  Alcotest.(check bool) "wider universe, more instances" true
-    (Ordered.Gop.n_rules g1 > Ordered.Gop.n_rules g0)
-
 let test_find_rule_miss () =
   let p = program "component main { p. }" in
   let g = ground_at p "main" in
   Alcotest.(check bool) "missing rule not found" true
-    (Ordered.Gop.find_rule g 0 (rule "q.") = None)
+    (find_rule g 0 (rule "q.") = None)
 
 let test_values_inconsistent_set () =
   let p = program "component main { p. }" in
@@ -357,8 +348,6 @@ let test_values_inconsistent_set () =
 let edge_suite =
   [ Alcotest.test_case "poset: a < a rejected" `Quick test_poset_self_loop;
     Alcotest.test_case "empty component program" `Quick test_empty_program;
-    Alcotest.test_case "extra constants widen the universe" `Quick
-      test_gop_extra_constants;
     Alcotest.test_case "find_rule miss" `Quick test_find_rule_miss;
     Alcotest.test_case "Values consistency" `Quick test_values_inconsistent_set
   ]

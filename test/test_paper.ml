@@ -125,7 +125,7 @@ let test_fig2_rules_defeat_each_other () =
   let i2 = interp [ "rich(mimmo)"; "poor(mimmo)" ] in
   let v, _ = Ordered.Gop.Values.of_interp g i2 in
   let idx comp r =
-    Option.get (Ordered.Gop.find_rule g (P.component_id_exn p comp) (rule r))
+    Option.get (find_rule g (P.component_id_exn p comp) (rule r))
   in
   Alcotest.(check bool) "fact rich(mimmo) defeated" true
     (Ordered.Status.defeated g v (idx "c3" "rich(mimmo)."));
@@ -177,7 +177,7 @@ let test_fig3_scenario3_statuses () =
   let m = Ordered.Vfix.least_model g in
   let v, _ = Ordered.Gop.Values.of_interp g m in
   let idx comp r =
-    Option.get (Ordered.Gop.find_rule g (P.component_id_exn p comp) (rule r))
+    Option.get (find_rule g (P.component_id_exn p comp) (rule r))
   in
   (* Expert4's applicable rule is overruled by Expert3's. *)
   let e4 = idx "c4" "-take_loan :- loan_rate(16)." in
@@ -200,7 +200,8 @@ let test_example3_p3_models () =
   let p = program "component main { a :- b. -a :- b. }" in
   let g = ground_at p "main" in
   let models =
-    List.filter (Ordered.Model.is_model g) (all_interps g.Ordered.Gop.active_base)
+    List.filter (Ordered.Model.is_model g)
+      (all_interps (Ordered.Gop.active_base g))
   in
   Alcotest.check testable_interp_set
     "models are exactly {b}, {-b}, {a, -b}, {-a, -b}, {}"

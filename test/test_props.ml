@@ -94,7 +94,7 @@ let prop_engines_agree =
   qcheck ~count:150 ~print:print_program "V: incremental = naive"
     (gen_ordered 4) (fun p ->
       let g = gop_of p in
-      Ordered.Gop.Values.equal (Ordered.Vfix.lfp g) (Ordered.Vfix.lfp_naive g))
+      Ordered.Gop.Values.equal (Ordered.Vfix.lfp g) (Oracle.Vfix.lfp_naive g))
 
 let prop_lemma1_monotone =
   qcheck ~count:150
@@ -105,7 +105,7 @@ let prop_lemma1_monotone =
     Gen.(
       let* p = gen_ordered 4 in
       let g = gop_of p in
-      let atoms = g.Ordered.Gop.active_base in
+      let atoms = Ordered.Gop.active_base g in
       let* i = gen_interp_over atoms in
       let* j0 = gen_interp_over atoms in
       return (p, i, j0))
@@ -145,7 +145,7 @@ let prop_thm1b_intersection =
       let lfp = Ordered.Vfix.least_model g in
       let models =
         List.filter (Ordered.Model.is_model g)
-          (all_interps g.Ordered.Gop.active_base)
+          (all_interps (Ordered.Gop.active_base g))
       in
       match models with
       | [] -> false (* a model always exists (Prop 1) *)
@@ -168,7 +168,7 @@ let prop_thm1a_methods_agree =
           || Bool.equal
                (Ordered.Model.is_assumption_free g m)
                (Ordered.Model.largest_assumption_set g m = []))
-        (all_interps g.Ordered.Gop.active_base))
+        (all_interps (Ordered.Gop.active_base g)))
 
 let prop_prop2_extension =
   qcheck ~count:25 ~print:print_program
@@ -214,7 +214,7 @@ let prop_prop3 =
         (fun m ->
           (not (Ordered.Model.is_model gov m))
           || Datalog.Threeval.is_three_valued_model np m)
-        (all_interps gov.Ordered.Gop.active_base))
+        (all_interps (Ordered.Gop.active_base gov)))
 
 let prop_prop4_af_implies_founded =
   qcheck ~count:40 ~print:print_rules
@@ -246,7 +246,7 @@ let prop_prop5a_ev_models =
           Bool.equal
             (Ordered.Model.is_model gev m)
             (Datalog.Threeval.is_three_valued_model np m))
-        (all_interps gev.Ordered.Gop.active_base))
+        (all_interps (Ordered.Gop.active_base gev)))
 
 let prop_prop5b_af_ov_subset_ev =
   qcheck ~count:40 ~print:print_rules
@@ -304,7 +304,7 @@ let prop_thm2_models =
           Bool.equal
             (Ordered.Model.is_model g3v m)
             (Ordered.Negative.direct_is_model ground m))
-        (all_interps g3v.Ordered.Gop.active_base))
+        (all_interps (Ordered.Gop.active_base g3v)))
 
 let prop_thm2_stable =
   qcheck ~count:35 ~print:print_rules "Thm 2: Def 10 stable = Def 11 stable"
@@ -446,7 +446,7 @@ let prop_fo_engines_agree =
   qcheck ~count:120 ~print:print_program
     "non-ground: V engines agree after grounding" gen_fo_program (fun p ->
       let g = Ordered.Gop.ground p 0 in
-      Ordered.Gop.Values.equal (Ordered.Vfix.lfp g) (Ordered.Vfix.lfp_naive g))
+      Ordered.Gop.Values.equal (Ordered.Vfix.lfp g) (Oracle.Vfix.lfp_naive g))
 
 let prop_fo_lfp_is_af_model =
   qcheck ~count:120 ~print:print_program

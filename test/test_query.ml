@@ -31,7 +31,7 @@ let test_prove_agrees_on_p1 () =
           Alcotest.check testable_value (Literal.to_string l)
             (Interp.value_lit m l) (Ordered.Prove.value g l))
         [ true; false ])
-    g.Ordered.Gop.active_base
+    (Ordered.Gop.active_base g)
 
 let test_prove_unknown_literal () =
   let g = g1 () in
