@@ -2,7 +2,7 @@
 	bench-serve bench-persist bench-replica bench-cluster \
 	bench-concurrent bench-incremental crash-test chaos stress \
 	serve-smoke servebench-check examples doc \
-	clean fuzz
+	clean fuzz size
 
 # Single source of truth for the randomized suites: the FUZZ_ITERS-scaled
 # fuzzers as suite=iterations pairs (fuzz and chaos share the sweep
@@ -156,6 +156,13 @@ servebench-check:
 examples:
 	@for e in quickstart penguin loan colors kb_versioning legal deductive_db paper_tour preferences; do \
 	  echo "== examples/$$e =="; dune exec examples/$$e.exe; done
+
+# Size of lib/: line totals of its .ml and .mli files and the
+# settable-option count (optional labelled arguments in lib/ .mli files,
+# setters, per-subcommand CLI options; tools/size.py states the rule).
+size:
+	dune build bin/olp.exe
+	python3 tools/size.py _build/default/bin/olp.exe
 
 doc:  # requires odoc
 	dune build @doc

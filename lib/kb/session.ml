@@ -19,8 +19,14 @@ module M = Governor.Metrics
 type op =
   | Least
   | Models of { kind : [ `Stable | `Af ]; limit : int option }
-  | Preferred of { limit : int option }
   | Explained of string  (* printed literal *)
+
+(* The program a record caches for its viewpoint object: the object's
+   own view, or the compilation of its preference spec
+   ([Prefer.Compile]), viewed from [#view]. *)
+type program = Own | Prefer
+
+type key = string * program
 
 type rendering = ..
 
@@ -53,25 +59,30 @@ module OpMap = Map.Make (struct
   let compare = Stdlib.compare
 end)
 
-module StrMap = Map.Make (String)
+module KeyMap = Map.Make (struct
+  type t = key
 
-(* Everything a view caches for one viewpoint object: the grounding with
-   provenance, the compiled preference grounding, their flat-array
-   compiles, the results computed from them, and the certified lists of
-   the residual parts of its last stable-model listing, keyed by part
-   content (so they stay exact across every write). *)
+  let compare (o, p) (o', p') =
+    match String.compare o o' with
+    | 0 -> Stdlib.compare (p : program) p'
+    | c -> c
+end)
+
+(* Everything a view caches for one (viewpoint object, program): the
+   grounding with provenance, its flat-array compile, the results
+   computed from them, and the certified lists of the residual parts of
+   its last stable-model listing, keyed by part content (so they stay
+   exact across every write). *)
 type vcache = {
   gstate : Inc.Reground.state option;
   flat : Solve.Flat.t option;  (** compiled from [gstate] *)
-  pgop : Ordered.Gop.t option;
-  pflat : Solve.Flat.t option;  (** compiled from [pgop] *)
   results : entry OpMap.t;
   parts : Ordered.Parts.table;
 }
 
 let empty_vcache =
-  { gstate = None; flat = None; pgop = None; pflat = None;
-    results = OpMap.empty; parts = Ordered.Parts.empty }
+  { gstate = None; flat = None; results = OpMap.empty;
+    parts = Ordered.Parts.empty }
 
 (* One published KB version.  [vstore] is a private copy nothing ever
    mutates, so any number of readers may ground and solve against it
@@ -81,7 +92,7 @@ let empty_vcache =
 type view = {
   version : int;
   vstore : Store.t;
-  cache : vcache StrMap.t Atomic.t;  (** keyed by viewpoint object *)
+  cache : vcache KeyMap.t Atomic.t;
 }
 
 type t = {
@@ -105,7 +116,7 @@ let view_of ~version store cache =
 let of_store store =
   { master = store;
     write_lock = Mutex.create ();
-    current = Atomic.make (view_of ~version:0 store StrMap.empty);
+    current = Atomic.make (view_of ~version:0 store KeyMap.empty);
     hits = Atomic.make 0;
     misses = Atomic.make 0;
     invalidations = Atomic.make 0;
@@ -136,7 +147,7 @@ let use_metrics t m =
   List.iter (fun n -> M.add m n 0) inc_counter_names
 
 let count_entries c =
-  StrMap.fold (fun _ vc n -> n + OpMap.cardinal vc.results) c 0
+  KeyMap.fold (fun _ vc n -> n + OpMap.cardinal vc.results) c 0
 
 (* What a write carries for one record: its results and its part
    lists. *)
@@ -170,43 +181,25 @@ let note t cell name n =
 let bump_metric t name =
   match t.metrics with Some m -> M.incr m name | None -> ()
 
-let is_preferred = function Preferred _ -> true | _ -> false
+(* Drop a record whole, its part lists with it, counting its results as
+   evicted; later writes no longer visit it. *)
+let evict t key vc c =
+  note t t.evictions "inc_evictions" (OpMap.cardinal vc.results);
+  KeyMap.remove key c
 
-(* A record with nothing cached leaves the map, so later writes do not
-   visit its viewpoint (its part lists, if any, go with it). *)
-let put w vc c =
-  if Option.is_none vc.gstate && Option.is_none vc.flat
-     && Option.is_none vc.pgop && Option.is_none vc.pflat
-     && OpMap.is_empty vc.results
-  then StrMap.remove w c
-  else StrMap.add w vc c
-
-(* The compiled preference program derives from the rule order, so it
-   goes with every preferred-model entry (counted as evicted). *)
-let drop_preferred t vc =
-  let prefs, plain = OpMap.partition (fun op _ -> is_preferred op) vc.results in
-  note t t.evictions "inc_evictions" (OpMap.cardinal prefs);
-  { vc with pgop = None; pflat = None; results = plain }
-
-(* Repair or evict one viewpoint's record after a single-rule mutation
-   of an object this viewpoint can see.  Preference state is always
-   dropped; plain entries survive whenever the repair is provably
-   exact. *)
+(* Repair one viewpoint's own record after a single-rule mutation of an
+   object this viewpoint can see: its entries survive whenever the
+   repair is provably exact; [None] evicts it. *)
 let repair_viewpoint t ~program vc =
-  let vc = drop_preferred t vc in
-  let drop_plain () =
-    note t t.evictions "inc_evictions" (OpMap.cardinal vc.results);
-    { vc with gstate = None; flat = None; results = OpMap.empty }
-  in
   match vc.gstate with
-  | None -> drop_plain ()
+  | None -> None
   | Some st -> (
     match Inc.Reground.reground st ~program with
     | Ok (st', d) when Inc.Delta.is_empty d ->
       (* the mutation did not change this viewpoint's grounding at all:
          every plain entry (and the compiled flat) is still exact *)
       note t t.kept "cache_kept" (carried vc);
-      { vc with gstate = Some st' }
+      Some { vc with gstate = Some st' }
     | Ok (st', d) ->
       note t t.repairs "inc_repairs" 1;
       (* part lists are keyed by content: a part the edit left alone
@@ -232,14 +225,11 @@ let repair_viewpoint t ~program vc =
               None)
           vc.results
       in
-      { vc with gstate = Some st'; flat = None; results }
-    | Error _ ->
-      note t t.fallbacks "inc_fallbacks" 1;
-      drop_plain ()
-    | exception _ ->
+      Some { vc with gstate = Some st'; flat = None; results }
+    | Error _ | exception _ ->
       (* a repair failure must never fail the write: evict and recount *)
       note t t.fallbacks "inc_fallbacks" 1;
-      drop_plain ())
+      None)
 
 (* Transform the carried cache by one applied mutation.  Caller holds
    [write_lock] and has already applied [m] to [t.master]. *)
@@ -250,23 +240,25 @@ let next_cache t c (m : Store.mutation) =
        at pre-existing parents), and component numbering of existing
        objects is stable *)
     note t t.kept "cache_kept"
-      (StrMap.fold (fun _ vc n -> n + carried vc) c 0);
+      (KeyMap.fold (fun _ vc n -> n + carried vc) c 0);
     c
   | Store.Load _ ->
     (* load may rewire parents of existing objects and add
        preferences: no per-object cone is sound *)
     note t t.evictions "inc_evictions" (count_entries c);
-    StrMap.empty
+    KeyMap.empty
   | Store.Set_preference _ | Store.Clear_preference _ ->
-    (* rules and groundings are untouched; only preference-derived
-       state can change *)
-    StrMap.fold
-      (fun w vc c ->
-        let vc = drop_preferred t vc in
-        note t t.kept "cache_kept" (carried vc);
-        put w vc c)
+    (* rules and groundings are untouched; only the compiled preference
+       programs change *)
+    KeyMap.fold
+      (fun key vc c ->
+        match key with
+        | _, Prefer -> evict t key vc c
+        | _, Own ->
+          note t t.kept "cache_kept" (carried vc);
+          c)
       c c
-  | Store.Add_rule _ | Store.Remove_rule _ when StrMap.is_empty c -> c
+  | Store.Add_rule _ | Store.Remove_rule _ when KeyMap.is_empty c -> c
   | Store.Add_rule { obj; _ } | Store.Remove_rule { obj; _ } ->
     let program = Store.to_program t.master in
     let o = Ordered.Program.component_id_exn program obj in
@@ -277,13 +269,19 @@ let next_cache t c (m : Store.mutation) =
       | Some i -> Ordered.Poset.leq poset i o
       | None -> true
     in
-    StrMap.fold
-      (fun w vc c ->
-        if sees w then put w (repair_viewpoint t ~program vc) c
-        else begin
+    (* a preferred record is evicted whole: its program has one
+       component per rule of the view and no reground path yet *)
+    KeyMap.fold
+      (fun ((w, prog) as key) vc c ->
+        match prog with
+        | _ when not (sees w) ->
           note t t.kept "cache_kept" (carried vc);
           c
-        end)
+        | Own -> (
+          match repair_viewpoint t ~program vc with
+          | Some vc -> KeyMap.add key vc c
+          | None -> evict t key vc c)
+        | Prefer -> evict t key vc c)
       c c
 
 (* Publish the master's state as the next immutable version carrying
@@ -389,7 +387,7 @@ let apply_batch t ms =
           if !applied > 0 then publish t !cache;
           raise e)
 
-let invalidate t = locked t (fun () -> publish t StrMap.empty)
+let invalidate t = locked t (fun () -> publish t KeyMap.empty)
 
 (* ------------------------------------------------------------------ *)
 (* Read-only views                                                     *)
@@ -411,95 +409,110 @@ let to_source t = Store.to_source (current t).vstore
 let record_hit t = ignore (Atomic.fetch_and_add t.hits 1 : int)
 let record_miss t = ignore (Atomic.fetch_and_add t.misses 1 : int)
 
-let record_of c obj =
-  Option.value (StrMap.find_opt obj c) ~default:empty_vcache
+let record_of c key =
+  Option.value (KeyMap.find_opt key c) ~default:empty_vcache
 
-let find v obj = record_of (Atomic.get v.cache) obj
+let find v key = record_of (Atomic.get v.cache) key
 
-(* Lock-free update of one viewpoint's record: [f] returns [None] when
-   what it would add is already there (somebody else computed it
-   first), else the new record; a lost CAS retries on the fresh map.
-   The maps are persistent, so a reader holding an older map still sees
-   a complete, valid index. *)
-let rec update v obj f =
+(* Lock-free update of one record: [f] returns [None] when what it
+   would add is already there (somebody else computed it first), else
+   the new record; a lost CAS retries on the fresh map.  The maps are
+   persistent, so a reader holding an older map still sees a complete,
+   valid index. *)
+let rec update v key f =
   let cur = Atomic.get v.cache in
-  match f (record_of cur obj) with
+  match f (record_of cur key) with
   | None -> ()
   | Some vc' ->
-    if not (Atomic.compare_and_set v.cache cur (StrMap.add obj vc' cur)) then
-      update v obj f
+    if not (Atomic.compare_and_set v.cache cur (KeyMap.add key vc' cur)) then
+      update v key f
 
-let cache_result v ~obj op e =
-  update v obj (fun vc ->
+let cache_result v key op e =
+  update v key (fun vc ->
       if OpMap.mem op vc.results then None
       else Some { vc with results = OpMap.add op e vc.results })
 
-(* The grounding (with provenance) of one viewpoint in the pinned view.
+(* Ground a record's program from scratch in the pinned view; a
+   preferred record's is one compilation of the viewpoint's preference
+   spec, whose size the gauges track. *)
+let ground ?budget t v (obj, prog) =
+  match prog with
+  | Own ->
+    (* surface Store's unknown-object diagnostic before grounding *)
+    ignore (Store.rules v.vstore obj : Logic.Rule.t list);
+    let program = Store.to_program v.vstore in
+    Inc.Reground.ground ?budget program
+      (Ordered.Program.component_id_exn program obj)
+  | Prefer ->
+    let c = Prefer.Compile.compile (Store.prefer_spec v.vstore ~obj) in
+    let st = Inc.Reground.ground ?budget c.program c.viewpoint in
+    (match t.metrics with
+    | Some m ->
+      M.incr m "prefer_compilations";
+      let s = Ordered.Gop.stats st.Inc.Reground.gop in
+      M.gauge_max m "prefer_gop_atoms" s.Ordered.Gop.atoms;
+      M.gauge_max m "prefer_gop_rules" s.Ordered.Gop.rules
+    | None -> ());
+    st
+
+(* The grounding (with provenance) of one record in the pinned view.
    Internal: does not move the hit/miss counters — those count logical
    results, and one result computation may touch the grounding several
    times. *)
-let gop_state ?budget v ~obj =
-  match (find v obj).gstate with
+let gop_state ?budget t v key =
+  match (find v key).gstate with
   | Some st -> st
   | None ->
-    (* surface Store's unknown-object diagnostic before grounding *)
-    ignore (Store.rules v.vstore obj : Logic.Rule.t list);
-    let prog = Store.to_program v.vstore in
-    let st =
-      Inc.Reground.ground ?budget prog
-        (Ordered.Program.component_id_exn prog obj)
-    in
-    update v obj (fun vc ->
+    let st = ground ?budget t v key in
+    update v key (fun vc ->
         if Option.is_some vc.gstate then None
         else Some { vc with gstate = Some st });
     st
 
 let gop ?budget t ~obj =
   let v = current t in
-  (match (find v obj).gstate with
+  (match (find v (obj, Own)).gstate with
   | Some _ -> record_hit t
   | None -> record_miss t);
-  (gop_state ?budget v ~obj).Inc.Reground.gop
+  (gop_state ?budget t v (obj, Own)).Inc.Reground.gop
 
-(* Compiled flat program for a grounding — the plain one or, with
-   [pref], the compiled preference one — cached in the viewpoint's
-   record and invalidated through the same delta eviction. *)
-let flat_of t v ~obj ~pref g =
-  let get vc = if pref then vc.pflat else vc.flat in
-  match get (find v obj) with
+(* Compiled flat program for a record's grounding, cached in the record
+   and invalidated through the same delta eviction. *)
+let flat_of t v key g =
+  match (find v key).flat with
   | Some f ->
     bump_metric t "flat_cache_hits";
     f
   | None ->
     let f = Solve.Flat.compile g in
     bump_metric t "flat_compiles";
-    update v obj (fun vc ->
-        if Option.is_some (get vc) then None
-        else if pref then Some { vc with pflat = Some f }
+    update v key (fun vc ->
+        if Option.is_some vc.flat then None
         else Some { vc with flat = Some f });
     f
 
-(* Look up (obj, op) in the pinned view; on a miss run [compute] against
+(* Look up (key, op) in the pinned view; on a miss run [compute] against
    that same view and cache its result.  (Enumerations, which may come
    back partial, cache only complete results; see [enumerate].) *)
-let lookup t ~obj op ~compute =
+let lookup t key op ~compute =
   let v = current t in
-  match OpMap.find_opt op (find v obj).results with
+  match OpMap.find_opt op (find v key).results with
   | Some e ->
     record_hit t;
     e
   | None ->
     record_miss t;
     let e = compute v in
-    cache_result v ~obj op e;
+    cache_result v key op e;
     e
 
 (* The cached least model: codes over the atom ids of its grounding. *)
 let least ?budget t ~obj =
+  let key = (obj, Own) in
   match
-    lookup t ~obj Least
+    lookup t key Least
       ~compute:(fun v ->
-        let g = (gop_state ?budget v ~obj).Inc.Reground.gop in
+        let g = (gop_state ?budget t v key).Inc.Reground.gop in
         E_least (g, Ordered.Parts.least (Ordered.Vfix.lfp ?budget g)))
   with
   | E_least (g, least) -> (g, least)
@@ -520,13 +533,19 @@ let query_src ?budget t ~obj src =
 
 (* Enumerations are anytime: only a complete result is cached, and a
    hit returns it as [Complete] with the entry's rendering slot; a
-   partial result has no slot. *)
-let enumerate t ~obj op run =
+   partial result has no slot.  A preferred answer served from a cached
+   compile or result (a record with results has its grounding) counts
+   one [prefer_cache_hits]. *)
+let enumerate t key op run =
   let v = current t in
-  match OpMap.find_opt op (find v obj).results with
+  let vc = find v key in
+  (match key with
+  | _, Prefer when Option.is_some vc.gstate ->
+    bump_metric t "prefer_cache_hits"
+  | _ -> ());
+  match OpMap.find_opt op vc.results with
   | Some (E_models (ms, slot)) ->
     record_hit t;
-    if is_preferred op then bump_metric t "prefer_cache_hits";
     (B.Complete ms, Some slot)
   | Some _ -> assert false
   | None ->
@@ -534,7 +553,7 @@ let enumerate t ~obj op run =
     let r = run v in
     if B.is_complete r then begin
       let slot = Atomic.make None in
-      cache_result v ~obj op (E_models (B.value r, slot));
+      cache_result v key op (E_models (B.value r, slot));
       (r, Some slot)
     end
     else (r, None)
@@ -544,8 +563,8 @@ let enumerate t ~obj op run =
    compiled only if some part has to be searched.  The lists this
    listing leaves replace the record's, a partial listing's included
    (every entry is a certified prefix). *)
-let stable_op ?limit ?budget ?stats t v ~obj g =
-  let vc = find v obj in
+let stable_op ?limit ?budget ?stats t v key g =
+  let vc = find v key in
   let least =
     match OpMap.find_opt Least vc.results with
     | Some (E_least (g', least)) when g' == g -> Some least
@@ -554,7 +573,7 @@ let stable_op ?limit ?budget ?stats t v ~obj g =
   let carry = Ordered.Parts.carry vc.parts in
   let r =
     Solve.Kernel.stable_models ?limit ?budget ?stats ?least ~carry
-      ~compile:(fun () -> flat_of t v ~obj ~pref:false g)
+      ~compile:(fun () -> flat_of t v key g)
       g
   in
   (match t.metrics with
@@ -562,74 +581,35 @@ let stable_op ?limit ?budget ?stats t v ~obj g =
     M.add m "part_hits" carry.hits;
     M.add m "part_searches" carry.searches
   | None -> ());
-  update v obj (fun vc -> Some { vc with parts = carry.table });
+  update v key (fun vc -> Some { vc with parts = carry.table });
   r
 
+(* Plain and preferred enumerations share one path: a preferred answer
+   is the stable-model listing of the viewpoint's compiled preference
+   program, cached in its own record. *)
 let models_op kind ?limit ?budget ?stats t ~obj =
-  enumerate t ~obj (Models { kind; limit }) (fun v ->
-      let g = (gop_state ?budget v ~obj).Inc.Reground.gop in
+  let key, kind =
+    match kind with
+    | `Preferred -> ((obj, Prefer), `Stable)
+    | (`Stable | `Af) as kind -> ((obj, Own), kind)
+  in
+  enumerate t key (Models { kind; limit }) (fun v ->
+      let g = (gop_state ?budget t v key).Inc.Reground.gop in
       match kind with
-      | `Stable -> stable_op ?limit ?budget ?stats t v ~obj g
+      | `Stable -> stable_op ?limit ?budget ?stats t v key g
       | `Af ->
         Solve.Kernel.assumption_free_models ?limit ?budget ?stats
-          ~flat:(flat_of t v ~obj ~pref:false g)
-          g)
+          ~flat:(flat_of t v key g) g)
 
 let models kind ?limit ?budget ?stats t ~obj =
   fst (models_op kind ?limit ?budget ?stats t ~obj)
 
-let stable_models ?limit ?budget ?stats t ~obj =
-  models `Stable ?limit ?budget ?stats t ~obj
-
-let assumption_free_models ?limit ?budget ?stats t ~obj =
-  models `Af ?limit ?budget ?stats t ~obj
-
-(* ------------------------------------------------------------------ *)
-(* Preferred models                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Compiled-grounding lookup in the pinned view.  A miss is one actual
-   compilation+grounding; the observability counters distinguish those
-   from cache hits, and the gauges track the size blow-up the per-rule
-   component splitting costs. *)
-let prefer_gop_of ?budget t v ~obj =
-  match (find v obj).pgop with
-  | Some g ->
-    bump_metric t "prefer_cache_hits";
-    g
-  | None ->
-    let g =
-      Prefer.Compile.gop ?budget
-        (Prefer.Compile.compile (Store.prefer_spec v.vstore ~obj))
-    in
-    (match t.metrics with
-    | Some m ->
-      M.incr m "prefer_compilations";
-      let s = Ordered.Gop.stats g in
-      M.gauge_max m "prefer_gop_atoms" s.Ordered.Gop.atoms;
-      M.gauge_max m "prefer_gop_rules" s.Ordered.Gop.rules
-    | None -> ());
-    update v obj (fun vc ->
-        if Option.is_some vc.pgop then None
-        else Some { vc with pgop = Some g });
-    g
-
-let preferred_op ?limit ?budget ?stats t ~obj =
-  enumerate t ~obj (Preferred { limit }) (fun v ->
-      let g = prefer_gop_of ?budget t v ~obj in
-      Solve.Kernel.stable_models ?limit ?budget ?stats
-        ~flat:(flat_of t v ~obj ~pref:true g)
-        g)
-
-let preferred_models ?limit ?budget ?stats t ~obj =
-  fst (preferred_op ?limit ?budget ?stats t ~obj)
+let stable_models = models `Stable
+let assumption_free_models = models `Af
+let preferred_models = models `Preferred
 
 let answer kind ~render ?limit ?budget ?stats t ~obj =
-  let r, slot =
-    match kind with
-    | (`Stable | `Af) as k -> models_op k ?limit ?budget ?stats t ~obj
-    | `Preferred -> preferred_op ?limit ?budget ?stats t ~obj
-  in
+  let r, slot = models_op kind ?limit ?budget ?stats t ~obj in
   match slot with
   | None -> (r, render (B.value r))
   | Some slot -> (
@@ -641,11 +621,12 @@ let answer kind ~render ?limit ?budget ?stats t ~obj =
       (r, rendered))
 
 let explain t ~obj l =
+  let key = (obj, Own) in
   match
-    lookup t ~obj (Explained (Logic.Literal.to_string l))
+    lookup t key (Explained (Logic.Literal.to_string l))
       ~compute:(fun v ->
         E_explain
-          (Ordered.Explain.explain (gop_state v ~obj).Inc.Reground.gop l))
+          (Ordered.Explain.explain (gop_state t v key).Inc.Reground.gop l))
   with
   | E_explain e -> e
   | _ -> assert false

@@ -20,31 +20,34 @@
     master.  Any number of threads (or OCaml 5 domains) may query
     concurrently; mutating operations serialize on the write lock.
 
-    {b Keying.}  A view holds one cache map, from viewpoint object to
-    that viewpoint's record: its grounding, its compiled preference
-    grounding, the flat-array compiles of both, and its results keyed by
-    operation (including its [limit]).  Every mutation publishes a new
-    view, and a lookup only reads the cache of the view it pinned, so a
-    hit always answers from the store copy the entry was computed
-    against (or from an entry the delta eviction below proved
-    unaffected by the mutations since).  There is one engine per
-    question — the least fixpoint for [query], the compiled kernel
-    ({!Solve.Kernel}) on the record's cached {!Solve.Flat} program for
-    every enumeration — so no engine choice enters the key.
+    {b Keying.}  A view holds one cache map, from (viewpoint object,
+    program) to a record.  The program is the object's own view or the
+    {!Prefer.Compile} translation of its preference spec, viewed from
+    [#view]; both records have one shape: the grounding, its flat-array
+    compile, and the results keyed by operation (including its
+    [limit]).  A preferred answer is thus the stable-model listing of
+    its record's program.  Every mutation publishes a new view, and a
+    lookup only reads the cache of the view it pinned, so a hit always
+    answers from the store copy the entry was computed against (or from
+    an entry the delta eviction below proved unaffected by the mutations
+    since).  There is one engine per question — the least fixpoint for
+    [query], the compiled kernel ({!Solve.Kernel}) on the record's
+    cached {!Solve.Flat} program for every enumeration — so no engine
+    choice enters the key.
 
-    {b Part lists.}  A record also holds the certified lists of the
-    residual parts ({!Ordered.Parts}) its last stable-model listing
-    met, keyed by part {e content}: the part's branch atoms as
-    positions with their possible polarities, its live rules with the
-    body literals the least model makes true dropped, and the
-    overrule/defeat edges among them (docs/SEMANTICS.md §5.1, "Part
-    keys").  Equal keys give positionally equal lists, so an entry
-    never goes stale.  A stable-model miss lists every part the table
-    covers from it, isomorphic parts sharing one list, and passes the
-    record's least model when it is over the current grounding; the
-    flat program is compiled only if some part has to be searched.
-    The listing's parts then replace the table (a [Partial] listing's
-    too: every entry is a certified prefix).
+    {b Part lists.}  A record, plain or preferred, also holds the
+    certified lists of the residual parts ({!Ordered.Parts}) its last
+    stable-model listing met, keyed by part {e content}: the part's
+    branch atoms as positions with their possible polarities, its live
+    rules with the body literals the least model makes true dropped, and
+    the overrule/defeat edges among them (docs/SEMANTICS.md §5.1, "Part
+    keys").  Equal keys give positionally equal lists, so an entry never
+    goes stale.  A stable-model miss lists every part the table covers
+    from it, isomorphic parts sharing one list, and passes the record's
+    least model when it is over the current grounding; the flat program
+    is compiled only if some part has to be searched.  The listing's
+    parts then replace the table (a [Partial] listing's too: every entry
+    is a certified prefix).
 
     {b Invalidation: delta eviction.}  The mutating operations
     ({!define}, {!define_src}, {!load}, {!add_rule}, {!add_rule_src},
@@ -56,24 +59,26 @@
     - {!define}/{!new_version} add a fresh object no existing view can
       see: everything is kept.
     - {!add_rule}/{!remove_rule} on object [o] touch only the records of
-      the viewpoints whose isa-cone contains [o].  For those, the grounding
+      the viewpoints whose isa-cone contains [o].  A preferred record
+      among them is evicted whole.  For a plain one, the grounding
       is {e repaired} incrementally ([Inc.Reground]); if the mutation
       turns out not to change the viewpoint's ground program, every
       entry is kept, otherwise the least model is repaired from the
       delta's affected cone ([Inc.Repair]) and enumerations /
-      explanations / preference caches for that viewpoint are evicted.
+      explanations for that viewpoint are evicted.
       Its part lists are carried unchecked: a part the write changed
       has a new key.
       When repair cannot guarantee exactness (changed Herbrand universe,
       shared ground instances, non-monotone damage) it falls back to
       eviction or recompute — counted, never silent.
-    - {!set_preference}/{!clear_preference} evict only preference-derived
-      state (preferred-model entries, compiled preference programs).
+    - {!set_preference}/{!clear_preference} evict every preferred
+      record whole and keep every plain one.
     - {!load} may rewire parents of existing objects, so it evicts
       everything.
 
-    A record evicted whole (a fallback, {!load}, {!invalidate}) loses
-    its part lists with it.
+    A record evicted whole (a fallback, a preferred record a write or a
+    preference edit reaches, {!load}, {!invalidate}) loses its part
+    lists with it.
 
     Flush-on-write is {!invalidate} after a write.  Repairs, fallbacks,
     evictions and carried entries (results and part lists) are counted
@@ -140,12 +145,14 @@ val use_metrics : t -> Governor.Metrics.t -> unit
     the flat-compile cache as [flat_compiles]/[flat_cache_hits], and
     the carried part lists as [part_hits] (parts a stable-model miss
     listed without a search) and [part_searches] (part enumerations it
-    ran); all eight are registered immediately (at zero) so [stats]
-    stays deterministic.  Preferred-model queries count there too: one
-    [prefer_compilations] per compilation of a preference program, one
-    [prefer_cache_hits] per answer served from a cached compile or
-    result, and the compiled grounding's size as
-    [prefer_gop_atoms]/[prefer_gop_rules] high-water gauges. *)
+    ran), preferred records included; all eight are registered
+    immediately (at zero) so [stats] stays deterministic.
+    Preferred-model queries also count: one [prefer_compilations] per
+    grounding of a preferred record (a compilation of the preference
+    program), one [prefer_cache_hits] per answer served from a
+    preferred record's cached grounding or result, and the compiled
+    grounding's size as [prefer_gop_atoms]/[prefer_gop_rules]
+    high-water gauges. *)
 
 val version : t -> int
 (** The current view's version number: 0 at creation, +1 per published
@@ -292,7 +299,10 @@ val preferred_models :
   obj:string ->
   Logic.Interp.t list Ordered.Budget.anytime
 (** The preferred models viewed from [obj] under the store's preference
-    pairs (with no pairs: exactly {!stable_models}): the kernel's stable
-    models of the {!Prefer.Compile} translation of {!Store.prefer_spec},
-    compiled once per view.  Raises {!Ordered.Diag.Error} if a
-    preference names a rule absent from this view. *)
+    pairs (with no pairs: exactly {!stable_models}): the stable models
+    of the {!Prefer.Compile} translation of {!Store.prefer_spec},
+    listed like {!stable_models} from the viewpoint's preferred record
+    (its grounding compiled once per view, its part lists carried, its
+    flat program compiled only for a part that must be searched).
+    Raises {!Ordered.Diag.Error} if a preference names a rule absent
+    from this view. *)

@@ -62,15 +62,6 @@ let universe ?(depth = 0) sg =
   in
   grow 0 sg.constants
 
-let base ?depth ?(skip = fun _ -> false) sg =
-  let terms = universe ?depth sg in
-  List.concat_map
-    (fun (p, arity) ->
-      if skip (p, arity) then []
-      else List.map (fun args -> Atom.make p args) (tuples terms arity))
-    sg.predicates
-  |> Atom.Set.of_list |> Atom.Set.elements
-
 let instantiations univ vars =
   let rec go vars s () =
     match vars with

@@ -26,11 +26,6 @@ val universe : ?depth:int -> signature -> Term.t list
 (** Ground terms of nesting depth at most [depth] (default 0, i.e. just the
     constants).  Sorted, deduplicated. *)
 
-val base : ?depth:int -> ?skip:(string * int -> bool) -> signature -> Atom.t list
-(** Ground atoms over the signature's predicates with arguments drawn from
-    [universe ~depth].  [skip] filters out predicates (used to omit builtin
-    comparison predicates).  Sorted, deduplicated. *)
-
 val instantiations : Term.t list -> string list -> Subst.t Seq.t
 (** [instantiations universe vars]: all substitutions mapping each variable
     of [vars] to an element of [universe] (the paper's mappings [theta] used

@@ -41,14 +41,6 @@ let add_lit_opt i (l : Literal.t) =
 let unset i a = Atom.Map.remove a i
 let of_literals ls = List.fold_left add_lit empty ls
 
-let of_literals_opt ls =
-  List.fold_left
-    (fun acc l ->
-      match acc with
-      | None -> None
-      | Some i -> add_lit_opt i l)
-    (Some empty) ls
-
 let to_literals i =
   Atom.Map.fold (fun a b acc -> Literal.make b a :: acc) i [] |> List.rev
 

@@ -44,8 +44,6 @@ val unset : t -> Atom.t -> t
 val of_literals : Literal.t list -> t
 (** Build from a literal list; raises [Invalid_argument] if inconsistent. *)
 
-val of_literals_opt : Literal.t list -> t option
-
 val to_literals : t -> Literal.t list
 (** The literal-set view, sorted. *)
 

@@ -38,10 +38,6 @@ let apply_atom s (a : Atom.t) : Atom.t =
 let apply_literal s (l : Literal.t) : Literal.t =
   { l with atom = apply_atom s l.atom }
 
-let compose s1 s2 =
-  let s1' = M.map (apply_term s2) s1 in
-  M.union (fun _ t _ -> Some t) s1' s2
-
 let equal = M.equal Term.equal
 
 let pp ppf s =

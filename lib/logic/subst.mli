@@ -30,9 +30,5 @@ val apply_term : t -> Term.t -> Term.t
 
 val apply_literal : t -> Literal.t -> Literal.t
 
-val compose : t -> t -> t
-(** [compose s1 s2] is the substitution that first applies [s1], then [s2]:
-    [apply (compose s1 s2) t = apply s2 (apply s1 t)]. *)
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

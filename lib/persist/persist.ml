@@ -63,21 +63,21 @@ type t = {
 let wal_name base = Printf.sprintf "wal-%012d.log" base
 let snap_name seq = Printf.sprintf "snapshot-%012d.snap" seq
 
-let parse_num ~prefix ~suffix name =
-  let pl = String.length prefix and sl = String.length suffix in
+let parse_num ~lead ~trail name =
+  let pl = String.length lead and sl = String.length trail in
   let n = String.length name in
   if
     n > pl + sl
-    && String.sub name 0 pl = prefix
-    && String.sub name (n - sl) sl = suffix
+    && String.sub name 0 pl = lead
+    && String.sub name (n - sl) sl = trail
     && String.for_all
          (fun c -> c >= '0' && c <= '9')
          (String.sub name pl (n - pl - sl))
   then int_of_string_opt (String.sub name pl (n - pl - sl))
   else None
 
-let snap_seq = parse_num ~prefix:"snapshot-" ~suffix:".snap"
-let wal_base = parse_num ~prefix:"wal-" ~suffix:".log"
+let snap_seq = parse_num ~lead:"snapshot-" ~trail:".snap"
+let wal_base = parse_num ~lead:"wal-" ~trail:".log"
 
 let rec mkdirs dir =
   if dir <> "" && dir <> Filename.dirname dir && not (Sys.file_exists dir)

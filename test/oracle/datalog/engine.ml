@@ -13,7 +13,7 @@ let load ?budget ?depth ?(grounder = `Relevant) source =
     | `Relevant -> Grounder.relevant ?budget ~naf:true ?depth source
     | `Naive -> Ground.Grounder.naive ?budget ?depth source
   in
-  { source; ground; nprog = Nprog.of_rules ground; wf = None }
+  { source; ground; nprog = Nprog.of_rules ?budget ground; wf = None }
 
 let load_src ?budget ?depth ?grounder src =
   load ?budget ?depth ?grounder (Lang.Parser.parse_rules src)

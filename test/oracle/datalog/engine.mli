@@ -17,8 +17,8 @@ val load :
 (** Ground and intern a seminegative program.  [`Relevant] (default) uses
     NAF-aware relevance grounding, which preserves all the semantics
     below; [`Naive] instantiates over the full universe.  [budget] bounds
-    the grounding (semi-naive) loop; exhaustion raises
-    [Governor.Budget.Exhausted]. *)
+    the grounding (semi-naive) loop and the interning of its rules;
+    exhaustion raises [Governor.Budget.Exhausted]. *)
 
 val load_src :
   ?budget:Governor.Budget.t ->

@@ -11,7 +11,7 @@ type t = {
   by_head : int list array;
 }
 
-let of_rules src =
+let of_rules ?(budget = Governor.Budget.unlimited) src =
   let ids = Atom.Tbl.create 256 in
   let atoms = ref [] in
   let n = ref 0 in
@@ -28,6 +28,7 @@ let of_rules src =
   let rules =
     List.map
       (fun (r : Rule.t) ->
+        Governor.Budget.tick budget;
         if not (Rule.is_ground r) then
           invalid_arg "Nprog.of_rules: non-ground rule";
         if Literal.is_negative (Rule.head r) then

@@ -20,9 +20,10 @@ type t = {
   by_head : int list array;  (** atom id -> indices of rules with it as head *)
 }
 
-val of_rules : Logic.Rule.t list -> t
-(** Intern a ground seminegative program.  Raises [Invalid_argument] on a
-    negative head or a non-ground rule. *)
+val of_rules : ?budget:Governor.Budget.t -> Logic.Rule.t list -> t
+(** Intern a ground seminegative program, one [budget] tick per rule.
+    Raises [Invalid_argument] on a negative head or a non-ground rule,
+    and [Governor.Budget.Exhausted] when the budget runs out. *)
 
 val n_atoms : t -> int
 

@@ -7,8 +7,7 @@
      enumerate the same preferred-model sets;
    - with no preferences, both routes coincide with the plain stable
      semantics of the original program (the per-rule component splitting
-     is invisible);
-   - trace-mode compilation, projected, changes nothing.
+     is invisible).
 
    Preference pairs are generated aligned with the (component, rule)
    declaration order, which every object-order edge also follows — so
@@ -133,10 +132,10 @@ let print_case (p, prefs) =
 
 let spec_of (p, prefs) = Prefer.Spec.make p 0 prefs
 
-let compiled ?trace spec =
+let compiled spec =
   B.value
     (Solve.Kernel.stable_models
-       (Prefer.Compile.gop (Prefer.Compile.compile ?trace spec)))
+       (Prefer.Compile.gop (Prefer.Compile.compile spec)))
 
 let naive spec = B.value (Oracle.Prefer.preferred_models spec)
 
@@ -163,16 +162,4 @@ let prop_no_prefs =
       interp_set_equal (compiled spec) plain
       && interp_set_equal (naive spec) plain)
 
-let prop_trace =
-  qcheck
-    ~count:(iters "trace" 200)
-    ~print:print_case "trace mode projects to the untraced models"
-    (gen_preferred 4)
-    (fun case ->
-      let spec = spec_of case in
-      let traced = compiled ~trace:true spec in
-      interp_set_equal
-        (List.map Prefer.Compile.project traced)
-        (compiled spec))
-
-let suite = [ prop_diff; prop_no_prefs; prop_trace ]
+let suite = [ prop_diff; prop_no_prefs ]

@@ -99,14 +99,6 @@ let test_subst_bind_conflict () =
   (* Rebinding to the same term is fine. *)
   ignore (Subst.bind "X" (term "a") s)
 
-let test_subst_compose () =
-  let s1 = Subst.singleton "X" (term "f(Y)") in
-  let s2 = Subst.singleton "Y" (term "a") in
-  let c = Subst.compose s1 s2 in
-  check_term "compose applies s2 after s1" (term "f(a)")
-    (Subst.apply_term c (term "X"));
-  check_term "compose keeps s2" (term "a") (Subst.apply_term c (term "Y"))
-
 (* ------------------------------------------------------------------ *)
 (* Unification                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -164,9 +156,7 @@ let test_interp_values () =
 let test_interp_consistency () =
   Alcotest.check_raises "inconsistent add"
     (Invalid_argument "Interp.set: inconsistent assignment to p(a)")
-    (fun () -> ignore (Interp.add_lit (interp [ "p(a)" ]) (lit "-p(a)")));
-  Alcotest.(check bool) "of_literals_opt" true
-    (Interp.of_literals_opt [ lit "p"; lit "-p" ] = None)
+    (fun () -> ignore (Interp.add_lit (interp [ "p(a)" ]) (lit "-p(a)")))
 
 let test_interp_set_ops () =
   let i = interp [ "p"; "-q" ] and j = interp [ "p"; "-q"; "r" ] in
@@ -250,11 +240,6 @@ let test_herbrand_universe_depth () =
   (* depth 2: a, f(a), f(f(a)) *)
   Alcotest.(check int) "depth 2" 3 (List.length (Herbrand.universe ~depth:2 sg))
 
-let test_herbrand_base () =
-  let sg = Herbrand.signature_of_rules (rules "p(a) :- q(a, b).") in
-  (* p/1 over {a, b} = 2 atoms; q/2 over {a, b} = 4 atoms *)
-  Alcotest.(check int) "base size" 6 (List.length (Herbrand.base sg))
-
 let test_instantiations () =
   let univ = [ term "a"; term "b"; term "c" ] in
   Alcotest.(check int) "3^2 substitutions" 9
@@ -275,7 +260,6 @@ let suite =
     Alcotest.test_case "literal set consistency" `Quick test_literal_set_consistency;
     Alcotest.test_case "subst apply" `Quick test_subst_apply;
     Alcotest.test_case "subst bind conflict" `Quick test_subst_bind_conflict;
-    Alcotest.test_case "subst compose" `Quick test_subst_compose;
     Alcotest.test_case "unify basic" `Quick test_unify_basic;
     Alcotest.test_case "unify occurs check" `Quick test_unify_occurs_check;
     Alcotest.test_case "unify clash" `Quick test_unify_clash;
@@ -295,6 +279,5 @@ let suite =
     Alcotest.test_case "herbrand default constant" `Quick
       test_herbrand_default_constant;
     Alcotest.test_case "herbrand universe depth" `Quick test_herbrand_universe_depth;
-    Alcotest.test_case "herbrand base" `Quick test_herbrand_base;
     Alcotest.test_case "herbrand instantiations" `Quick test_instantiations
   ]

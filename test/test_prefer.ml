@@ -1,6 +1,6 @@
 (* Unit tests for the rule-preference subsystem: surface syntax, spec
-   validation (typed Diag errors), the compiled route, the naive oracle,
-   and trace-mode control atoms, on small hand-checked programs. *)
+   validation (typed Diag errors), the compiled route and the naive
+   oracle, on small hand-checked programs. *)
 
 open Logic
 open Helpers
@@ -14,8 +14,8 @@ let spec_of ?(prefs = []) src =
   let prog = program src in
   Prefer.Spec.make prog 0 prefs
 
-let compiled ?trace spec =
-  v (Solve.Kernel.stable_models (Prefer.Compile.gop (Prefer.Compile.compile ?trace spec)))
+let compiled spec =
+  v (Solve.Kernel.stable_models (Prefer.Compile.gop (Prefer.Compile.compile spec)))
 let naive spec = v (Oracle.Prefer.preferred_models spec)
 
 (* ------------------------------------------------------------------ *)
@@ -186,34 +186,6 @@ let test_multiple_models () =
   check_set "two preferred models: compiled" ms (compiled spec);
   check_set "two preferred models: naive" ms (naive spec)
 
-(* ------------------------------------------------------------------ *)
-(* Trace mode                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_trace () =
-  let spec = spec_of ~prefs:[ ("nf", "f") ] penguins in
-  let traced = compiled ~trace:true spec in
-  (* projecting the control atoms away gives the plain preferred models *)
-  check_set "projection = untraced"
-    (compiled spec)
-    (List.map Prefer.Compile.project traced);
-  (* the applied rules are visible: nf fired, f did not *)
-  (match traced with
-  | [ m ] ->
-    let has name =
-      Interp.value m (Atom.prop (Prefer.Compile.control_prefix ^ name))
-    in
-    Alcotest.(check bool) "ap@nf true" true (has "nf" = Interp.True);
-    Alcotest.(check bool) "ap@b true" true (has "b" = Interp.True);
-    Alcotest.(check bool) "ap@f not true" true (has "f" <> Interp.True)
-  | ms -> Alcotest.fail (Printf.sprintf "expected 1 model, got %d" (List.length ms)));
-  (* the ap@ prefix is reserved in trace mode *)
-  match
-    Prefer.Compile.compile ~trace:true (spec_of "r : p :- ap@x.")
-  with
-  | exception D.Error (D.Invalid_input _) -> ()
-  | _ -> Alcotest.fail "reserved prefix should be rejected in trace mode"
-
 let suite =
   [ Alcotest.test_case "parse named rules" `Quick test_parse_named;
     Alcotest.test_case "parse prefer declarations" `Quick test_parse_prefer;
@@ -225,6 +197,5 @@ let suite =
     Alcotest.test_case "three rules on one atom" `Quick
       test_same_head_three_ways;
     Alcotest.test_case "preference keeps unrelated models" `Quick
-      test_multiple_models;
-    Alcotest.test_case "trace-mode control atoms" `Quick test_trace
+      test_multiple_models
   ]

@@ -144,6 +144,43 @@ let test_delta_eviction () =
   Alcotest.(check int) "invalidate: recompute is a miss" (m + 1)
     (KS.counters s).KS.misses
 
+(* A viewpoint's preferred record survives a write it cannot see (the
+   next read is a hit, with no compilation) and is evicted whole by a
+   write it sees and by a preference edit (one eviction, then exactly
+   one more compilation). *)
+let test_preferred_eviction () =
+  let s =
+    session_with
+      "component top { f : fly(X) :- bird(X). b : bird(tweety). }\n\
+       component bot extends top { nf : -fly(X) :- bird(X). }\n\
+       component other { p. }"
+  in
+  let m = Governor.Metrics.create () in
+  KS.use_metrics s m;
+  let get = Governor.Metrics.get m in
+  let read () = ignore (B.value (KS.preferred_models s ~obj:"bot")) in
+  read ();
+  Alcotest.(check int) "first read compiles" 1 (get "prefer_compilations");
+  let hits = (KS.counters s).KS.hits in
+  KS.add_rule_src s ~obj:"other" "q :- p.";
+  read ();
+  Alcotest.(check int) "unseen write: a hit" (hits + 1) (KS.counters s).KS.hits;
+  Alcotest.(check int) "unseen write: no compilation" 1
+    (get "prefer_compilations");
+  Alcotest.(check int) "unseen write: no eviction" 0 (get "inc_evictions");
+  let evicts name n write =
+    write ();
+    Alcotest.(check int) (name ^ ": one eviction") n (get "inc_evictions");
+    read ();
+    read ();
+    Alcotest.(check int) (name ^ ": one more compilation") (n + 1)
+      (get "prefer_compilations")
+  in
+  evicts "seen write" 1 (fun () -> KS.add_rule_src s ~obj:"top" "bird(polly).");
+  evicts "set_preference" 2 (fun () -> KS.set_preference s ~rule:"nf" ~over:"f");
+  evicts "clear_preference" 3 (fun () ->
+      ignore (KS.clear_preference s ~rule:"nf" ~over:"f" : bool))
+
 let test_partial_not_cached () =
   let s = session_with demo_src in
   (* a 1-step budget trips in grounding (raises) or in enumeration
@@ -260,6 +297,115 @@ let prop_models_under_writes =
              let view = pick w in
              if least_first then ignore (KS.least_model s ~obj:view);
              agrees view)
+           writes)
+
+(* Preferred models under random writes: KBs with named rules and
+   preferences, then random rule and preference writes.  After every
+   write, a viewpoint's preferred models, at every limit and unlimited,
+   equal the kernel's stable models of a scratch compilation of its
+   preference spec over a store replayed from the session's mutations
+   (same order); where one side raises a [Diag] error, the other raises
+   the same one.  Scaled by FUZZ_ITERS (the session fuzz entry). *)
+
+let diag f =
+  match f () with v -> Ok v | exception Ordered.Diag.Error e -> Error e
+
+let describe_pref_write (k, o, r, (a, b)) =
+  match k mod 4 with
+  | 0 ->
+    Printf.sprintf "add_rule c%d %s%s" o
+      (if a < 8 then Printf.sprintf "r%d : " a else "")
+      (Rule.to_string r)
+  | 1 -> Printf.sprintf "remove_rule c%d #%d" o a
+  | 2 -> Printf.sprintf "set_preference r%d > r%d" a b
+  | _ -> Printf.sprintf "clear_preference #%d" a
+
+let prop_preferred_under_writes =
+  let count =
+    match Option.bind (Sys.getenv_opt "FUZZ_ITERS") int_of_string_opt with
+    | Some n when n > 60 -> n
+    | _ -> 60
+  in
+  let gen_write =
+    QCheck2.Gen.(
+      pair
+        (quad (int_bound 3) (int_bound 2) (Test_props.gen_negative_rule 4)
+           (pair (int_bound 11) (int_bound 11)))
+        (int_bound 2))
+  in
+  qcheck ~count
+    ~print:(fun ((p, prefs), ws) ->
+      Test_diff_prefer.print_case (p, prefs)
+      ^ " / "
+      ^ String.concat "; "
+          (List.map
+             (fun (w, v) -> Printf.sprintf "%s (view %d)" (describe_pref_write w) v)
+             ws))
+    "session preferred models = scratch compile under random writes"
+    QCheck2.Gen.(
+      pair (Test_diff_prefer.gen_preferred 4)
+        (list_size (int_range 1 8) gen_write))
+    (fun ((p, prefs), writes) ->
+      let s = KS.create () in
+      let records = ref [] in
+      KS.on_mutation s (fun m -> records := m :: !records);
+      KS.load s (print_program p);
+      List.iter
+        (fun (rule, over) ->
+          ignore (diag (fun () -> KS.set_preference s ~rule ~over)))
+        prefs;
+      let objs = Array.of_list (KS.objects s) in
+      let pick i = objs.(i mod Array.length objs) in
+      let agrees obj =
+        let kb = Kb.Store.create () in
+        List.iter (Kb.Store.apply kb) (List.rev !records);
+        let scratch limit =
+          diag (fun () ->
+              B.value
+                (Solve.Kernel.stable_models ?limit
+                   (Prefer.Compile.gop
+                      (Prefer.Compile.compile (Kb.Store.prefer_spec kb ~obj)))))
+        in
+        let n = match scratch None with Ok ms -> List.length ms | _ -> 0 in
+        List.for_all
+          (fun limit ->
+            match
+              (diag (fun () -> B.value (KS.preferred_models ?limit s ~obj)),
+               scratch limit)
+            with
+            | Ok a, Ok b -> List.equal Interp.equal a b
+            | Error e, Error e' -> e = e'
+            | _ -> false)
+          (None :: List.init (n + 2) Option.some)
+      in
+      Array.for_all agrees objs
+      && List.for_all
+           (fun ((k, o, r, (a, b)), view) ->
+             let obj = pick o in
+             ignore
+               (diag (fun () ->
+                    match k mod 4 with
+                    | 0 ->
+                      KS.add_rule s ~obj
+                        (if a < 8 then Rule.with_name (Printf.sprintf "r%d" a) r
+                         else r)
+                    | 1 -> (
+                      match KS.rules s obj with
+                      | [] -> ()
+                      | rs ->
+                        ignore
+                          (KS.remove_rule s ~obj (List.nth rs (a mod List.length rs))
+                            : bool))
+                    | 2 ->
+                      KS.set_preference s ~rule:(Printf.sprintf "r%d" a)
+                        ~over:(Printf.sprintf "r%d" b)
+                    | _ -> (
+                      match KS.preferences s with
+                      | [] -> ()
+                      | ps ->
+                        let rule, over = List.nth ps (a mod List.length ps) in
+                        ignore (KS.clear_preference s ~rule ~over : bool))));
+             agrees (pick view))
            writes)
 
 (* ------------------------------------------------------------------ *)
@@ -616,11 +762,14 @@ let suite =
       test_models_hit_costs_its_bytes;
     Alcotest.test_case "delta eviction across mutations" `Quick
       test_delta_eviction;
+    Alcotest.test_case "a preferred record evicts whole" `Quick
+      test_preferred_eviction;
     Alcotest.test_case "partial results are not cached" `Quick
       test_partial_not_cached;
     Alcotest.test_case "a failed load changes nothing" `Quick
       test_failed_load_changes_nothing;
     prop_cached_equals_uncached;
     prop_models_under_writes;
+    prop_preferred_under_writes;
     prop_failed_write_changes_nothing
   ]
