@@ -378,7 +378,7 @@ let pp_stats ppf s =
 type edit =
   | Keep of int
   | Drop of int
-  | Insert of (Program.component_id * Rule.t) list
+  | Insert of group
 
 (* Descending rule-index rows: [remap] the entries at or above [stable]
    (they all sit at the front), share the unchanged tail. *)
@@ -401,26 +401,30 @@ let rec coalesce = function
   | e :: rest -> e :: coalesce rest
   | [] -> []
 
-let splice (t : t) ~program edits =
+let splice (t : t) ~program ~fresh edits =
   let edits = coalesce edits in
   let na_old = Array.length t.atoms and nr_old = Array.length t.rules in
-  (* intern the inserted instances: known atoms keep their ids, unknown
-     ones get provisional ids from [na_old] in first-seen order *)
-  let fresh_ids = Atom.Tbl.create 16 in
-  let fresh = ref [] in
-  let nfresh = ref 0 in
-  let intern a =
-    match Atom.Tbl.find_opt t.ids a with
-    | Some i -> i
-    | None -> (
-      match Atom.Tbl.find_opt fresh_ids a with
-      | Some i -> i
-      | None ->
-        let i = na_old + !nfresh in
-        Atom.Tbl.add fresh_ids a i;
-        fresh := a :: !fresh;
-        incr nfresh;
-        i)
+  let atom i = if i < na_old then t.atoms.(i) else fresh.(i - na_old) in
+  (* an inserted instance from its key, over the old ids and the fresh
+     atoms past them: the head, then the body sorted in literal order
+     and deduplicated, as [number] builds it *)
+  let cmp x y =
+    let c = Atom.compare (atom (x lsr 1)) (atom (y lsr 1)) in
+    if c <> 0 then c else Int.compare (x land 1) (y land 1)
+  in
+  let lits = ref [||] in
+  let grule_of_key comp name (key : int array) =
+    let nb = Array.length key - 1 in
+    if Array.length !lits < nb then lits := Array.make nb 0;
+    let lits = !lits in
+    Array.blit key 1 lits 0 nb;
+    let m = sort_dedup cmp lits nb in
+    { head = key.(0) lsr 1;
+      head_pol = key.(0) land 1 = 1;
+      body = Array.init m (fun k -> (lits.(k) lsr 1, lits.(k) land 1 = 1));
+      comp;
+      name
+    }
   in
   (* the new rule array, the old -> new index map ([-1]: dropped) and
      the inserted index ranges *)
@@ -437,8 +441,8 @@ let splice (t : t) ~program edits =
         src := !src + k;
         dst := !dst + k
       | Drop k -> src := !src + k
-      | Insert tagged ->
-        let gs = Array.of_list (List.map (grule_of intern) tagged) in
+      | Insert g ->
+        let gs = Array.map (grule_of_key g.comp (Rule.name g.src)) g.keys in
         inserted := (!dst, Array.length gs) :: !inserted;
         pieces := gs :: !pieces;
         dst := !dst + Array.length gs)
@@ -446,54 +450,75 @@ let splice (t : t) ~program edits =
   if !src <> nr_old then invalid_arg "Gop.splice: edits do not cover the view";
   let rules = Array.concat (List.rev !pieces) in
   let nr = Array.length rules in
-  (* Scratch numbering hands out ids in first-occurrence order.  The old
-     ids survive exactly when the atoms still present first occur as
-     [0 .. m-1] and every fresh atom after them; anything else would
-     renumber existing atoms, and the caller re-interns instead. *)
-  let seen = Array.make (na_old + !nfresh) false in
-  let next_old = ref 0 and next_new = ref na_old and ok = ref true in
+  (* Scratch numbering hands out ids in first-occurrence order: [map]
+     takes every old and fresh id to its scratch id ([-1]: vanished).
+     No old atom moves exactly when the atoms still present first occur
+     as [0 .. m-1] and every fresh atom after them. *)
+  let map = Array.make (na_old + Array.length fresh) (-1) in
+  let na = ref 0 and m = ref 0 and moved = ref false in
   let see x =
-    if not seen.(x) then begin
-      seen.(x) <- true;
-      if x < na_old && x = !next_old && !next_new = na_old then incr next_old
-      else if x = !next_new then incr next_new
-      else ok := false
+    if map.(x) < 0 then begin
+      map.(x) <- !na;
+      if x < na_old then begin
+        (* an old atom keeps its id when only old atoms came before it *)
+        if x <> !m || !m <> !na then moved := true;
+        incr m
+      end;
+      incr na
     end
   in
+  let see_lit (a, _) = see a in
   Array.iter
     (fun r ->
       see r.head;
-      Array.iter (fun (a, _) -> see a) r.body)
+      Array.iter see_lit r.body)
     rules;
-  if not !ok then None
+  let na = !na in
+  let relabel i =
+    let r = rules.(i) in
+    if
+      map.(r.head) <> r.head
+      || Array.exists (fun (a, _) -> map.(a) <> a) r.body
+    then
+      rules.(i) <-
+        { r with
+          head = map.(r.head);
+          body = Array.map (fun (a, pol) -> (map.(a), pol)) r.body
+        }
+  in
+  let atoms =
+    let inv = Array.make na 0 in
+    Array.iteri (fun x a -> if a >= 0 then inv.(a) <- x) map;
+    Array.map atom inv
+  in
+  if !moved then begin
+    (* old atoms move: relabel every rule and rebuild every row *)
+    for i = 0 to nr - 1 do
+      relabel i
+    done;
+    let ids = Atom.Tbl.create (2 * na) in
+    Array.iteri (fun a x -> Atom.Tbl.add ids x a) atoms;
+    (assemble ~program ~comp:t.comp ~atoms ~ids ~rules, map)
+  end
   else begin
-    let m = !next_old in
-    let fresh = Array.of_list (List.rev !fresh) in
-    let shift = na_old - m in
-    if shift > 0 && Array.length fresh > 0 then
-      List.iter
-        (fun (off, len) ->
-          let fix a = if a >= na_old then a - shift else a in
-          for i = off to off + len - 1 do
-            let r = rules.(i) in
-            rules.(i) <-
-              { r with
-                head = fix r.head;
-                body = Array.map (fun (a, pol) -> (fix a, pol)) r.body
-              }
-          done)
-        !inserted;
-    let atoms_same = shift = 0 && Array.length fresh = 0 in
-    let atoms = Array.append (Array.sub t.atoms 0 m) fresh in
-    let na = Array.length atoms in
+    List.iter
+      (fun (off, len) ->
+        for i = off to off + len - 1 do
+          relabel i
+        done)
+      !inserted;
+    (* the old atoms still present: [0 .. m-1], kept *)
+    let m = !m in
     let ids =
-      if atoms_same then t.ids
+      if m = na_old && na = na_old then t.ids
       else begin
         let ids = Atom.Tbl.copy t.ids in
         for a = m to na_old - 1 do
           Atom.Tbl.remove ids t.atoms.(a)
         done;
-        Array.iteri (fun k a -> Atom.Tbl.replace ids a (m + k)) fresh;
+        for a = m to na - 1 do
+          Atom.Tbl.replace ids atoms.(a) a
+        done;
         ids
       end
     in
@@ -546,8 +571,7 @@ let splice (t : t) ~program edits =
         if touched.(a) then
           suppression_rows poset rules ~overrulers ~defeaters ~suppresses here)
       by_head;
-    Some
-      { program;
+    ( { program;
         comp = t.comp;
         atoms;
         ids;
@@ -558,7 +582,8 @@ let splice (t : t) ~program edits =
         overrulers;
         defeaters;
         suppresses
-      }
+      },
+      map )
   end
 
 module Values = struct

@@ -120,8 +120,9 @@ val ground_groups :
     one group per view rule, in view order, and the schema universe.
     Flattening the groups gives exactly the instances the grounding's
     rules come from, in order, so a caller that edits one group and
-    re-interns gets a grounding bit-identical to grounding from scratch
-    — the basis of incremental re-grounding ([Inc.Reground]). *)
+    splices the edit in ({!splice}) gets a grounding bit-identical to
+    grounding from scratch — the basis of incremental re-grounding
+    ([Inc.Reground]). *)
 
 val schema_universe :
   ?depth:int ->
@@ -138,28 +139,36 @@ val of_view :
   Program.component_id ->
   (Program.component_id * Logic.Rule.t) list ->
   t
-(** Intern an explicitly-given tagged view of ground rules (used by
-    transformations that construct ground views directly, and by
-    [Inc.Reground] when a splice would renumber atoms). *)
+(** Intern an explicitly-given tagged view of ground rules: the
+    reference that {!ground} and {!splice} are checked against
+    ([test/oracle], the [diff-ground] and [diff-inc] suites). *)
 
 type edit =
   | Keep of int  (** the next [k] rules of the old grounding stay *)
   | Drop of int  (** the next [k] rules of the old grounding go *)
-  | Insert of (Program.component_id * Logic.Rule.t) list
-      (** these tagged ground instances come in here *)
+  | Insert of group
+      (** the group's instances come in here, its keys over the old
+          grounding's atom ids and the [fresh] atoms past them *)
 
-val splice : t -> program:Program.t -> edit list -> t option
-(** [splice g ~program edits] is the grounding of the tagged view that
-    [edits] make of [g]'s (the edits walk [g]'s rules in order and must
-    cover all of them), built from [g] by integer work: kept atoms keep
-    their ids, atoms first seen in an inserted block are appended, atoms
-    that vanish with dropped rules are truncated, later rule indices
-    shift, the head, body and suppression rows are patched (the
-    suppression rows of a head atom are rebuilt only when a rule with
-    that head came or went, against [program]'s order).  The result is
-    structurally equal to {!of_view} over the edited tagged list.
-    [None] when that scratch numbering would renumber an existing atom:
-    the caller re-interns with {!of_view}. *)
+val splice :
+  t -> program:Program.t -> fresh:Logic.Atom.t array -> edit list -> t * int array
+(** [splice g ~program ~fresh edits] is the grounding of the tagged view
+    that [edits] make of [g]'s (the edits walk [g]'s rules in order and
+    must cover all of them), built by integer work: an inserted instance
+    is built from its key (the head, then the body sorted in
+    {!Logic.Literal.compare} order and deduplicated), with no rule built
+    and no atom interned.  Id [n_atoms g + k] in a key stands for
+    [fresh.(k)].  The atoms are numbered as scratch grounding numbers
+    them, by first occurrence, and the second result maps every old and
+    fresh id to its new one ([-1]: the atom vanished).
+
+    When no old atom moves, kept atoms keep their ids, fresh ones are
+    appended, vanished ones truncated, later rule indices shift, and
+    the head, body and suppression rows are patched (the suppression
+    rows of a head atom are rebuilt only when a rule with that head came
+    or went, against [program]'s order).  Otherwise every rule is
+    relabelled and the rows rebuilt.  Either way the result is
+    structurally equal to {!of_view} over the edited tagged list. *)
 
 val n_atoms : t -> int
 val n_rules : t -> int

@@ -6,22 +6,14 @@
 type t = {
   base : float;
   cap : float;
-  multiplier : float;
-  jitter : float;
   mutable current : float;  (* next un-jittered delay *)
-  mutable attempts : int;
   mutable state : int;  (* LCG state *)
 }
 
-let make ?(multiplier = 2.) ?(jitter = 0.5) ?(seed = 0x2545F491) ~base ~cap
-    () =
+let make ?(seed = 0x2545F491) ~base ~cap () =
   if base <= 0. then invalid_arg "Backoff.make: base must be positive";
   if cap < base then invalid_arg "Backoff.make: cap below base";
-  if multiplier < 1. then invalid_arg "Backoff.make: multiplier below 1";
-  if jitter < 0. || jitter > 1. then
-    invalid_arg "Backoff.make: jitter outside [0, 1]";
-  { base; cap; multiplier; jitter; current = base; attempts = 0;
-    state = seed lor 1 }
+  { base; cap; current = base; state = seed lor 1 }
 
 (* one LCG step, mapped to a uniform float in [0, 1) *)
 let unit_float t =
@@ -30,16 +22,11 @@ let unit_float t =
 
 let next t =
   let d = t.current in
-  t.current <- Float.min t.cap (t.current *. t.multiplier);
-  t.attempts <- t.attempts + 1;
+  t.current <- Float.min t.cap (t.current *. 2.);
   (* full-jitter style, bounded: scale the delay by a factor drawn
-     uniformly from [1 - jitter, 1], so delays never exceed the cap and
-     herds of reconnecting replicas spread out *)
-  let scale = 1. -. (t.jitter *. unit_float t) in
+     uniformly from [1/2, 1], so delays never exceed the cap and herds
+     of reconnecting replicas spread out *)
+  let scale = 1. -. (0.5 *. unit_float t) in
   d *. scale
 
-let reset t =
-  t.current <- t.base;
-  t.attempts <- 0
-
-let attempts t = t.attempts
+let reset t = t.current <- t.base

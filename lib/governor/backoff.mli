@@ -1,9 +1,9 @@
 (** Jittered exponential backoff for reconnect loops.
 
     A [t] tracks the delay to use before the next attempt: it starts at
-    [base], multiplies by [multiplier] per {!next} up to [cap], and each
-    returned delay is scaled by a uniform factor in [[1 - jitter, 1]] so
-    simultaneously disconnected peers do not reconnect in lockstep.
+    [base], doubles per {!next} up to [cap], and each returned delay is
+    scaled by a uniform factor in [[1/2, 1]] so simultaneously
+    disconnected peers do not reconnect in lockstep.
     {!reset} is called on success, returning the schedule to [base].
 
     Pure and self-contained: randomness comes from an internal LCG, so a
@@ -13,18 +13,9 @@
 
 type t
 
-val make :
-  ?multiplier:float ->
-  ?jitter:float ->
-  ?seed:int ->
-  base:float ->
-  cap:float ->
-  unit ->
-  t
-(** [make ~base ~cap ()] with delays in seconds.  Defaults: multiplier
-    2.0, jitter 0.5 (delays drawn from [[d/2, d]]).  Raises
-    [Invalid_argument] on a non-positive base, a cap below the base, a
-    multiplier below 1 or a jitter outside [[0, 1]]. *)
+val make : ?seed:int -> base:float -> cap:float -> unit -> t
+(** [make ~base ~cap ()] with delays in seconds.  Raises
+    [Invalid_argument] on a non-positive base or a cap below the base. *)
 
 val next : t -> float
 (** The delay to sleep before the next attempt (jittered), advancing
@@ -32,6 +23,3 @@ val next : t -> float
 
 val reset : t -> unit
 (** Return the schedule to [base] (call after a successful attempt). *)
-
-val attempts : t -> int
-(** {!next} calls since creation or the last {!reset}. *)

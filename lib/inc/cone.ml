@@ -40,14 +40,11 @@ let affected (g : Gop.t) (d : Delta.t) =
     d.Delta.added;
   List.iter
     (fun a ->
-      match Gop.atom_id g a with
-      | None -> ()
-      | Some ai ->
-        mark_atom ai;
-        List.iter
-          (fun j ->
-            mark_rule j;
-            List.iter mark_rule g.Gop.suppresses.(j))
-          g.Gop.by_head.(ai))
-    (Delta.touched_atoms d);
+      mark_atom a;
+      List.iter
+        (fun j ->
+          mark_rule j;
+          List.iter mark_rule g.Gop.suppresses.(j))
+        g.Gop.by_head.(a))
+    d.Delta.seeds;
   { atoms; rules }

@@ -11,4 +11,5 @@
 type t = { atoms : bool array; rules : bool array }
 
 val affected : Ordered.Gop.t -> Delta.t -> t
-(** Computed on the {e repaired} grounding ([Reground]'s output). *)
+(** Computed on the {e repaired} grounding ([Reground]'s output), whose
+    rule indices and atom ids the delta's [added] and [seeds] are. *)

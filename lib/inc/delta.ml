@@ -1,18 +1,4 @@
-open Logic
+type t = { added : int list; removed : int; seeds : int list }
 
-type t = {
-  added : int list;
-  added_rules : Rule.t list;
-  removed_rules : Rule.t list;
-}
-
-let empty = { added = []; added_rules = []; removed_rules = [] }
-let is_empty d = d.added = [] && d.removed_rules = []
-
-let touched_atoms d =
-  List.map (fun r -> (Rule.head r).Literal.atom) (d.added_rules @ d.removed_rules)
-
-let pp ppf d =
-  Format.fprintf ppf "@[<v>+%d ground rule(s), -%d ground rule(s)@]"
-    (List.length d.added_rules)
-    (List.length d.removed_rules)
+let empty = { added = []; removed = 0; seeds = [] }
+let is_empty d = d.added = [] && d.removed = 0

@@ -51,6 +51,10 @@ let rec ins_diff acc groups view =
 
 module Keys = Gop.Instance_keys
 
+let head_pred (r : Rule.t) =
+  let h = (Rule.head r).Literal.atom in
+  (h.Atom.pred, List.length h.Atom.args)
+
 (* Rules instantiated during one repair, as keys over the old
    grounding's atom ids: an atom it lacks gets an id from [n_atoms old]
    up, in first-seen order — so new keys compare with the cached ones by
@@ -91,11 +95,6 @@ let instances ~budget s r =
       acc := key :: !acc);
   List.rev !acc
 
-let scope_atom s =
-  let na = Gop.n_atoms s.old in
-  let fresh = Array.of_list (List.rev s.fresh) in
-  fun i -> if i < na then s.old.Gop.atoms.(i) else fresh.(i - na)
-
 (* Could [cand] (a surviving view rule of the same component and name)
    produce any of the instances we are about to drop?  If so, a scratch
    grounding would re-attribute the instance to [cand] instead of
@@ -104,51 +103,38 @@ let scope_atom s =
    re-instantiation in the common case.  The check itself is exact:
    re-instantiate the candidate and look its keys up. *)
 let could_produce ~budget s ~dropped_heads ~dropped cand =
-  let h = (Rule.head cand.src).Literal.atom in
-  List.mem (h.Atom.pred, List.length h.Atom.args) dropped_heads
+  List.mem (head_pred cand.src) dropped_heads
   && List.exists (Keys.mem dropped cand.comp cand.src) (instances ~budget s cand.src)
 
-(* The tagged ground view [edits] make of [old]. *)
-let tagged_of_edits (old : Gop.t) edits =
-  let pos = ref 0 in
-  List.concat_map
-    (function
-      | Gop.Keep k ->
-        let p = !pos in
-        pos := p + k;
-        List.init k (fun i ->
-            (old.Gop.rules.(p + i).Gop.comp, Gop.rule_src old (p + i)))
-      | Gop.Drop k ->
-        pos := !pos + k;
-        []
-      | Gop.Insert l -> l)
-    edits
+(* [g]'s keys over the repaired grounding's atom ids ([map] is the
+   splice's); [g] itself when the splice kept every id it names. *)
+let remap_keys map (g : group) =
+  let moved = ref false in
+  for i = 0 to Array.length g.keys - 1 do
+    let key = g.keys.(i) in
+    for k = 0 to Array.length key - 1 do
+      if map.(key.(k) lsr 1) <> key.(k) lsr 1 then moved := true
+    done
+  done;
+  if not !moved then g
+  else
+    { g with
+      keys =
+        Array.map
+          (Array.map (fun code -> (2 * map.(code lsr 1)) + (code land 1)))
+          g.keys
+    }
 
-(* The repaired grounding: spliced from the old one when the old atom
-   ids survive, re-interned otherwise — exact either way.  [remap]
-   carries an id over [old]'s atoms (and [atom]'s past them) to the
-   repaired grounding's atom ids, and [`Spliced] says the old ids are
-   kept. *)
-let regrounded ~program ~comp ~old ~atom edits =
-  match Gop.splice old ~program edits with
-  | Some gop ->
-    let na = Gop.n_atoms old in
-    ( gop,
-      `Spliced,
-      fun i -> if i < na then i else Option.get (Gop.atom_id gop (atom i)) )
-  | None ->
-    let gop = Gop.of_view program comp (tagged_of_edits old edits) in
-    (gop, `Reinterned, fun i -> Option.get (Gop.atom_id gop (atom i)))
+(* The head atoms of [keys] that [map] keeps, as ids in the repaired
+   grounding, onto [acc] (with repeats: the caller sorts them out). *)
+let heads map keys acc =
+  Array.fold_left
+    (fun acc key ->
+      let a = map.(key.(0) lsr 1) in
+      if a >= 0 then a :: acc else acc)
+    acc keys
 
-let remap_keys remap (g : group) =
-  { g with
-    keys =
-      Array.map
-        (Array.map (fun code -> (2 * remap (code lsr 1)) + (code land 1)))
-        g.keys
-  }
-
-let apply_deletion ~budget ~universe ~program ~comp state steps =
+let apply_deletion ~budget ~universe ~program state steps =
   let keeps = List.filter_map (function `Keep g -> Some g | _ -> None) steps in
   let drops = List.filter_map (function `Drop g -> Some g | _ -> None) steps in
   if List.for_all (fun g -> g.keys = [||]) drops then
@@ -157,22 +143,7 @@ let apply_deletion ~budget ~universe ~program ~comp state steps =
     let old = state.gop in
     let dropped = Keys.create () in
     List.iter (fun g -> Array.iter (Keys.add dropped g.comp g.src) g.keys) drops;
-    let dropped_rules =
-      List.concat_map
-        (fun g ->
-          Array.to_list
-            (Array.map
-               (G.rule_of (fun i -> old.Gop.atoms.(i)) ~name:(Rule.name g.src))
-               g.keys))
-        drops
-    in
-    let dropped_heads =
-      List.map
-        (fun r ->
-          let h = (Rule.head r).Literal.atom in
-          (h.Atom.pred, List.length h.Atom.args))
-        dropped_rules
-    in
+    let dropped_heads = List.map (fun g -> head_pred g.src) drops in
     let s = lazy (scope universe old) in
     let shared =
       List.exists
@@ -190,19 +161,17 @@ let apply_deletion ~budget ~universe ~program ~comp state steps =
             | `Drop g -> Gop.Drop (Array.length g.keys))
           steps
       in
-      let gop, ids, remap =
-        regrounded ~program ~comp ~old ~atom:(fun i -> old.Gop.atoms.(i)) edits
-      in
-      let groups =
-        match ids with
-        | `Spliced -> keeps
-        | `Reinterned -> List.map (remap_keys remap) keeps
-      in
+      let gop, map = Gop.splice old ~program ~fresh:[||] edits in
       Ok
-        ( { state with gop; groups },
-          { Delta.added = []; added_rules = []; removed_rules = dropped_rules } )
+        ( { state with gop; groups = List.map (remap_keys map) keeps },
+          { Delta.added = [];
+            removed = List.fold_left (fun n g -> n + Array.length g.keys) 0 drops;
+            seeds =
+              List.sort_uniq Int.compare
+                (List.fold_left (fun acc g -> heads map g.keys acc) [] drops)
+          } )
 
-let apply_insertion ~budget ~universe ~program ~comp state steps =
+let apply_insertion ~budget ~universe ~program state steps =
   (* Rebuild the group list in view order with the shared dedup
      discipline of [Gop.ground_groups]: existing groups feed the table
      as-is (they were deduplicated under the same prefix), fresh
@@ -249,48 +218,35 @@ let apply_insertion ~budget ~universe ~program ~comp state steps =
   else if List.for_all (fun (g, is_add) -> (not is_add) || g.keys = [||]) tagged
   then Ok ({ state with groups = List.map fst tagged }, Delta.empty)
   else
-    let atom = scope_atom s in
-    let inserted =
-      List.map
-        (fun (g, is_add) ->
-          if is_add then
-            Array.to_list
-              (Array.map
-                 (fun key -> (g.comp, G.rule_of atom ~name:(Rule.name g.src) key))
-                 g.keys)
-          else [])
-        tagged
-    in
     let edits =
-      List.map2
-        (fun (g, is_add) insts ->
-          if is_add then Gop.Insert insts else Gop.Keep (Array.length g.keys))
-        tagged inserted
-    in
-    let gop, ids, remap = regrounded ~program ~comp ~old:state.gop ~atom edits in
-    let groups =
       List.map
         (fun (g, is_add) ->
-          if is_add || ids = `Reinterned then remap_keys remap g else g)
+          if is_add then Gop.Insert g else Gop.Keep (Array.length g.keys))
         tagged
     in
-    (* indices of the added instances in the flattened rule array *)
-    let added = ref [] in
+    let gop, map =
+      Gop.splice state.gop ~program ~fresh:(Array.of_list (List.rev s.fresh)) edits
+    in
+    (* the indices of the added instances in the flattened rule array,
+       and their heads *)
+    let added = ref [] and seeds = ref [] in
     let off = ref 0 in
     List.iter
       (fun (g, is_add) ->
         let n = Array.length g.keys in
-        if is_add then
+        if is_add then begin
           for k = 0 to n - 1 do
             added := (!off + k) :: !added
           done;
+          seeds := heads map g.keys !seeds
+        end;
         off := !off + n)
       tagged;
     Ok
-      ( { state with gop; groups },
+      ( { state with gop; groups = List.map (fun (g, _) -> remap_keys map g) tagged },
         { Delta.added = List.rev !added;
-          added_rules = List.map snd (List.concat inserted);
-          removed_rules = []
+          removed = 0;
+          seeds = List.sort_uniq Int.compare !seeds
         } )
 
 (* The constants a rule mentions, as [Herbrand.signature_of_rules]
@@ -337,12 +293,12 @@ let reground ?(budget = Budget.unlimited) state ~program =
   | Some steps ->
     let dropped = List.filter_map (function `Drop g -> Some g.src | _ -> None) steps in
     if not (kept (`Deleted dropped)) then Error `Universe_changed
-    else apply_deletion ~budget ~universe ~program ~comp state steps
+    else apply_deletion ~budget ~universe ~program state steps
   | None -> (
     match ins_diff [] state.groups view with
     | Some steps ->
       let added = List.filter_map (function `Add (_, r) -> Some r | _ -> None) steps in
       if not (kept (`Inserted added)) then Error `Universe_changed
-      else apply_insertion ~budget ~universe ~program ~comp state steps
+      else apply_insertion ~budget ~universe ~program state steps
     | None ->
       if kept `Other then Error `View_mismatch else Error `Universe_changed)

@@ -10,11 +10,12 @@
     deduplicating on instance keys — integer arrays of atom ids,
     compared per (component, rule name) — and splices the change into
     the interned grounding ({!Ordered.Gop.splice}: integer work on atom
-    and rule ids), re-interning the groups only when scratch numbering
-    would renumber an existing atom (the cached keys are then carried
-    over to the new ids).  By the shared-dedup discipline the
-    result is {e bit-identical} to grounding the new view from scratch,
-    which preserves every enumeration-order contract downstream.
+    and rule ids, from the keys; no [Rule.t] is built).
+    When scratch numbering moves existing atoms, the splice renumbers
+    and the cached keys are rewritten to the new ids.  By the
+    shared-dedup discipline the result is {e bit-identical} to grounding
+    the new view from scratch, which preserves every enumeration-order
+    contract downstream.
 
     Repair refuses — [Error], the caller recomputes — whenever identity
     with scratch grounding cannot be guaranteed cheaply:
@@ -65,7 +66,9 @@ val reground :
   program:Ordered.Program.t ->
   (state * Delta.t, fallback) result
 (** Repair against the mutated [program] (same component numbering —
-    single-rule mutations never renumber).  [Ok (state', delta)] with an
-    empty delta means the mutation did not change this viewpoint's
-    grounding at all (the instances deduplicated away or the rule had
-    none); every cached result for the viewpoint is then still exact. *)
+    single-rule mutations never renumber).  [Ok (state', delta)]: the
+    delta names the added rules and the seed atoms by their ids in
+    [state'.gop].  An empty delta means the mutation did not change this
+    viewpoint's grounding at all (the instances deduplicated away or the
+    rule had none); every cached result for the viewpoint is then still
+    exact. *)

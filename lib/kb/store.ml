@@ -68,9 +68,6 @@ let define kb ?(isa = []) name rules =
     kb.objs <- { name; parents = isa; rules } :: kb.objs;
     kb.program <- p
 
-let define_src kb ?isa name src =
-  define kb ?isa name (Lang.Parser.parse_rules src)
-
 let load kb src =
   let ast = Lang.Parser.parse_file src in
   let comps = Lang.Ast.components ast in
@@ -124,7 +121,6 @@ let add_rule kb ~obj r =
   o.rules <- o.rules @ [ r ];
   rules_changed kb o
 
-let add_rule_src kb ~obj src = add_rule kb ~obj (Lang.Parser.parse_rule src)
 let add_fact kb ~obj l = add_rule kb ~obj (Rule.fact l)
 
 let remove_rule kb ~obj r =

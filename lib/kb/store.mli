@@ -21,9 +21,6 @@ val define : t -> ?isa:string list -> string -> Logic.Rule.t list -> unit
 (** [define kb ~isa name rules] adds an object.  Raises [Invalid_argument]
     on duplicate names or unknown parents. *)
 
-val define_src : t -> ?isa:string list -> string -> string -> unit
-(** Like {!define} with the rules given in surface syntax. *)
-
 val load : t -> string -> unit
 (** Load a whole source file (components become objects, [extends] and
     [order] become isa links).  Raises [Invalid_argument] on errors — a
@@ -32,7 +29,6 @@ val load : t -> string -> unit
     load leaves the store as it was. *)
 
 val add_rule : t -> obj:string -> Logic.Rule.t -> unit
-val add_rule_src : t -> obj:string -> string -> unit
 val add_fact : t -> obj:string -> Logic.Literal.t -> unit
 
 val remove_rule : t -> obj:string -> Logic.Rule.t -> bool

@@ -73,14 +73,6 @@ let union i j =
          i j)
   with Clash -> None
 
-let diff i j =
-  Atom.Map.filter
-    (fun a b ->
-      match Atom.Map.find_opt a j with
-      | Some b' -> b <> b'
-      | None -> true)
-    i
-
 let fold = Atom.Map.fold
 let iter = Atom.Map.iter
 let for_all = Atom.Map.for_all

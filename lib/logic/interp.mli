@@ -65,9 +65,6 @@ val equal : t -> t -> bool
 val union : t -> t -> t option
 (** Union of the literal sets; [None] if inconsistent. *)
 
-val diff : t -> t -> t
-(** Literals of the first interpretation not in the second. *)
-
 val fold : (Atom.t -> bool -> 'a -> 'a) -> t -> 'a -> 'a
 val iter : (Atom.t -> bool -> unit) -> t -> unit
 val for_all : (Atom.t -> bool -> bool) -> t -> bool

@@ -40,8 +40,6 @@ module Set = struct
   include Set.Make (Ord)
 
   let consistent s = for_all (fun l -> not (mem (neg l) s)) s
-  let positives s = filter is_positive s
-  let negatives s = filter is_negative s
 end
 
 module Map = Map.Make (Ord)

@@ -47,12 +47,6 @@ module Set : sig
   val consistent : t -> bool
   (** [consistent s] is [true] iff [s] contains no pair of complementary
       literals (the paper's consistency of interpretations). *)
-
-  val positives : t -> t
-  (** The sub-set of positive literals ([X+] in the paper). *)
-
-  val negatives : t -> t
-  (** The sub-set of negative literals ([X-] in the paper). *)
 end
 
 module Map : Map.S with type key = t

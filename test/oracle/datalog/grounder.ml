@@ -122,7 +122,11 @@ let relevant ?(budget = Budget.unlimited) ?(naf = false) ?depth rules =
      enumeration, seeding the derivable set. *)
   let delta = ref [] in
   let delta_idx = ref (Idx.create ()) in
+  (* every loop below ticks once per element: between the ticks of
+     instantiation, a round's insertions and index rebuilds and the final
+     listing would otherwise run unbounded past the deadline *)
   let emit (inst : Rule.t) =
+    Budget.tick budget;
     if not (Rule.Set.mem inst !produced) then begin
       produced := Rule.Set.add inst !produced;
       let h = Rule.head inst in
@@ -138,22 +142,31 @@ let relevant ?(budget = Budget.unlimited) ?(naf = false) ?depth rules =
         ~delta_idx:(Idx.create ()) ~use_delta:false r
       |> List.iter emit)
     rules;
+  let index idx l =
+    Budget.tick budget;
+    Idx.add idx l
+  in
   let rec loop () =
     if !delta <> [] then begin
       Budget.check budget;
       let d = !delta in
       delta := [];
       delta_idx := Idx.create ();
-      List.iter (Idx.add !delta_idx) d;
+      List.iter (index !delta_idx) d;
       List.iter
         (fun r ->
           instances_against ~budget ~naf ~universe ~idx:old_idx
             ~delta_idx:!delta_idx ~use_delta:true r
           |> List.iter emit)
         rules;
-      List.iter (Idx.add old_idx) d;
+      List.iter (index old_idx) d;
       loop ()
     end
   in
   loop ();
-  Rule.Set.elements !produced
+  List.of_seq
+    (Seq.map
+       (fun r ->
+         Budget.tick budget;
+         r)
+       (Rule.Set.to_seq !produced))

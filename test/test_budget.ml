@@ -504,7 +504,7 @@ let test_datalog_trip () =
 
 let test_backoff_schedule () =
   let module K = Governor.Backoff in
-  let b = K.make ~base:0.1 ~cap:1.0 ~jitter:0.5 ~seed:42 () in
+  let b = K.make ~base:0.1 ~cap:1.0 ~seed:42 () in
   (* each delay is drawn from [d/2, d] of the un-jittered schedule
      0.1, 0.2, 0.4, 0.8, 1.0, 1.0, ... *)
   let expected = [ 0.1; 0.2; 0.4; 0.8; 1.0; 1.0; 1.0 ] in
@@ -516,11 +516,8 @@ let test_backoff_schedule () =
         true
         (got >= (d /. 2.) -. 1e-9 && got <= d +. 1e-9))
     expected;
-  Alcotest.(check int) "attempts counted" (List.length expected)
-    (K.attempts b);
   (* a success resets the schedule to base *)
   K.reset b;
-  Alcotest.(check int) "reset clears attempts" 0 (K.attempts b);
   let d = K.next b in
   Alcotest.(check bool) "back to base after reset" true
     (d >= 0.05 -. 1e-9 && d <= 0.1 +. 1e-9)
@@ -551,11 +548,7 @@ let test_backoff_validation () =
     | (_ : K.t) -> Alcotest.failf "%s accepted" name
   in
   rejects "non-positive base" (fun () -> K.make ~base:0. ~cap:1. ());
-  rejects "cap below base" (fun () -> K.make ~base:1. ~cap:0.5 ());
-  rejects "multiplier below 1" (fun () ->
-      K.make ~multiplier:0.9 ~base:0.1 ~cap:1. ());
-  rejects "jitter above 1" (fun () ->
-      K.make ~jitter:1.5 ~base:0.1 ~cap:1. ())
+  rejects "cap below base" (fun () -> K.make ~base:1. ~cap:0.5 ())
 
 let suite =
   [ Alcotest.test_case "with_trip_at trips exactly once" `Quick test_trip_at;

@@ -25,10 +25,13 @@
      way a write reaches it: an insertion whose constants the view
      already has (repaired on the spliced ids), one that brings a fresh
      constant and the deletion of the last rule mentioning a constant
-     (both change the universe: recomputed), an insertion the splice
-     declines (re-interned: the codes are carried over by atom), and an
+     (both change the universe: recomputed), insertions and deletions
+     the splice renumbers (the codes are carried over by atom), and an
      insertion of a constant only a builtin mentioned (the schema
-     universe stays; the spliced grounding's universe grows).
+     universe stays; the spliced grounding's universe grows);
+   - the cone of every accepted reground, on random programs and
+     writes, covers every atom whose scratch least-fixpoint value
+     changed.
 
    Iteration counts scale with FUZZ_ITERS like the other fuzz suites
    (wired as diff-inc in the Makefile). *)
@@ -242,6 +245,105 @@ let prop_reground_exact =
                ~previous:(Ordered.Vfix.least_model state2.Inc.Reground.gop)
                state1'.Inc.Reground.gop delta'))
 
+(* A splice driven directly, with a drop and an insertion in one edit
+   list: [b] vanishes and the fresh [d] takes its id, so [c] keeps its
+   own id although an atom before it changed — the splice must still
+   build [c]'s rows, as scratch interning of the edited view does. *)
+let test_splice_mixed_edit () =
+  let p = program "component m { a. b. c. }" in
+  let c = Ordered.Program.component_id_exn p "m" in
+  let g = G.ground p c in
+  let d = (rule "d.").Rule.head.Literal.atom in
+  let ins = { G.comp = c; src = rule "d."; keys = [| [| (2 * 3) + 1 |] |] } in
+  let g', map =
+    G.splice g ~program:p ~fresh:[| d |] [ G.Keep 1; G.Drop 1; G.Insert ins; G.Keep 1 ]
+  in
+  Alcotest.(check (array int)) "old and fresh ids to new" [| 0; -1; 2; 1 |] map;
+  Alcotest.(check bool) "spliced = of_view over the edited view" true
+    (gop_equal g'
+       (G.of_view p c [ (c, rule "a."); (c, rule "d."); (c, rule "c.") ]))
+
+(* ------------------------------------------------------------------ *)
+(* Cone soundness                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Rules the cone property writes: rules with variables over the two
+   constants every program of the property has, mixed with
+   propositional rules over the generator's alphabet, so that a write
+   reaches generated rules through bodies and through suppression. *)
+let cone_pool =
+  [| "v(X) :- w(X).";
+     "-v(X) :- w(X), q.";
+     "u(X) :- v(X), -p.";
+     "p :- v(k1).";
+     "-q :- u(k2).";
+     "w(X) :- v(X), r.";
+     "-u(X) :- w(X), -v(X).";
+     "q :- p.";
+     "-r :- q.";
+     "s :- p, -r."
+  |]
+
+(* Every atom whose scratch least-fixpoint value after the write differs
+   from its value before it (compared by atom) is in the cone of the
+   write's delta over the repaired grounding.  [Repair] falls back to a
+   full fixpoint when propagation from a too-small cone conflicts, so
+   only this check shows a cone that misses an atom. *)
+let cone_covers ~old g scratch d =
+  let before = Ordered.Vfix.least_model old in
+  let after = Ordered.Vfix.least_model scratch in
+  let cone = Inc.Cone.affected g d in
+  Array.for_all
+    (fun a ->
+      Interp.value before a = Interp.value after a
+      ||
+      match G.atom_id g a with Some i -> cone.Inc.Cone.atoms.(i) | None -> false)
+    scratch.G.atoms
+
+let prop_cone_sound =
+  qcheck
+    ~count:(iters 80)
+    ~print:(fun (p, muts) ->
+      print_program p ^ "\n"
+      ^ String.concat ";"
+          (List.map (fun (k, a, b) -> Printf.sprintf "(%d,%d,%d)" k a b) muts))
+    "the cone of an accepted reground covers every changed lfp value"
+    Gen.(pair (Test_props.gen_ordered 4) gen_muts)
+    (fun (p, muts) ->
+      let c = Ordered.Program.component_id_exn p "c0" in
+      let p =
+        Ordered.Program.add_rules p c [ rule "w(k1)."; rule "w(k2)." ]
+      in
+      let comps = Array.of_list (Ordered.Poset.above (Ordered.Program.poset p) c) in
+      (* [k] even: insert a pool rule into a component of the view (the
+         viewpoint or one above it); odd: delete every occurrence of one
+         of its rules *)
+      let step (p, st, ok) (k, a, b) =
+        let o = comps.(a mod Array.length comps) in
+        let p2 =
+          if k mod 2 = 0 then
+            Ordered.Program.add_rules p o [ rule cone_pool.(b mod Array.length cone_pool) ]
+          else
+            match Ordered.Program.rules_of p o with
+            | [] -> p
+            | rs ->
+              let r = List.nth rs (b mod List.length rs) in
+              Ordered.Program.with_rules p o
+                (List.filter (fun r' -> not (Rule.equal r r')) rs)
+        in
+        let scratch = Inc.Reground.ground p2 c in
+        match Inc.Reground.reground st ~program:p2 with
+        | Error _ -> (p2, scratch, ok)
+        | Ok (st2, d) ->
+          ( p2,
+            st2,
+            ok
+            && cone_covers ~old:st.Inc.Reground.gop st2.Inc.Reground.gop
+                 scratch.Inc.Reground.gop d )
+      in
+      let _, _, ok = List.fold_left step (p, Inc.Reground.ground p c, true) muts in
+      ok)
+
 (* ------------------------------------------------------------------ *)
 (* The cached least model through each repair path                     *)
 (* ------------------------------------------------------------------ *)
@@ -262,7 +364,7 @@ let test_least_codes_paths () =
      fixpoint.  [repaired]: the write repaired the cached model, so the
      read is a hit; otherwise the write refused the repair (a changed
      universe) and the read recomputes.  [renumbered]: the repaired
-     grounding moved some old atom to a new id (the declined splice). *)
+     grounding moved some old atom to a new id (the renumbering splice). *)
   let step ?(obj = "bot") ~what ~repaired ?(renumbered = false) write =
     ignore (KS.least_model s ~obj : Interp.t);
     let before = ids obj in
@@ -304,10 +406,17 @@ let test_least_codes_paths () =
   step ~what:"insertion of a fresh constant" ~repaired:false (add "top" "w(k2).");
   step ~what:"deletion of a constant's last rule" ~repaired:false
     (remove "top" "w(k2).");
-  step ~what:"insertion the splice declines" ~repaired:true ~renumbered:true
+  step ~what:"insertion the splice renumbers" ~repaired:true ~renumbered:true
     (add "top" "y :- z.");
   step ~what:"deletion of a constant-free rule" ~repaired:true ~renumbered:true
     (remove "top" "y :- z.");
+  (* [x(k1)] is first numbered in [bot]'s block; an instance in [top]
+     reaches it first, so scratch numbers it before [u] — old atoms move
+     with no fresh atom, and move back when the rule goes *)
+  step ~what:"insertion of a rule with variables that numbers an atom earlier"
+    ~repaired:true ~renumbered:true (add "top" "x(X) :- w(X).");
+  step ~what:"deletion of that rule" ~repaired:true ~renumbered:true
+    (remove "top" "x(X) :- w(X).");
   step ~what:"deletion of a rule whose constants stay" ~repaired:true
     (remove "bot" "x(k1) :- v(k1).");
   (* [k2] is in the schema universe through the builtin only: the
@@ -319,6 +428,9 @@ let test_least_codes_paths () =
 let suite =
   [ prop_session_equals_scratch;
     prop_reground_exact;
+    prop_cone_sound;
+    Alcotest.test_case "a splice with a drop and an insertion = of_view" `Quick
+      test_splice_mixed_edit;
     Alcotest.test_case "the cached least model through each repair path" `Quick
       test_least_codes_paths
   ]

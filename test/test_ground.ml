@@ -276,6 +276,34 @@ let test_allocation_gate () =
     Alcotest.failf "%.1f minor words per instance, over the gate of 160"
       per_instance
 
+(* The write gate: minor words per [Inc.Reground.reground] of the same
+   view, for one rule added to the leaf class [k5] (its instances come
+   last, so the old atoms keep their ids) and for the same rule added to
+   the root class [k0] (its instances come first, so 75 of the 100 old
+   atoms move). *)
+let test_write_allocation_gate () =
+  let p, c = servebench_view () in
+  let st = Inc.Reground.ground p c in
+  let per_write cls src gate =
+    let k = Ordered.Program.component_id_exn p cls in
+    let p2 = Ordered.Program.add_rules p k [ rule src ] in
+    let runs = 50 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to runs do
+      match Inc.Reground.reground st ~program:p2 with
+      | Ok r -> ignore (Sys.opaque_identity r)
+      | Error f -> Alcotest.failf "%s: %a" cls Inc.Reground.pp_fallback f
+    done;
+    let words = (Gc.minor_words () -. w0) /. float_of_int runs in
+    Printf.printf "a write to %s: %.0f minor words per reground\n" cls words;
+    if words > gate then
+      Alcotest.failf "a write to %s: %.0f minor words, over the gate of %.0f"
+        cls words gate
+  in
+  (* about 9.3k and 14.1k words when the gates were set, 15% below them *)
+  per_write "k5" "w0(X) :- f5(X), alive(X)." 10650.;
+  per_write "k0" "w0(X) :- f0(X), alive(X)." 16250.
+
 (* A rule whose variables all sit in the body puts every instance under
    one head: [s :- c(X), c(Y), c(Z)] over 30 constants has 27,000
    instances of [s].  Deduplication and the suppression rows must stay
@@ -339,6 +367,8 @@ let suite =
       test_relevant_ordered_caveat;
     Alcotest.test_case "allocation gate: minor words per instance" `Quick
       test_allocation_gate;
+    Alcotest.test_case "write allocation gate: minor words per reground" `Quick
+      test_write_allocation_gate;
     Alcotest.test_case "body-only variables ground in linear time" `Quick
       test_body_only_variables
   ]

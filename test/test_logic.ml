@@ -79,9 +79,7 @@ let test_literal_set_consistency () =
   let s = Literal.Set.of_list [ lit "p(a)"; lit "-p(b)"; lit "q" ] in
   Alcotest.(check bool) "consistent" true (Literal.Set.consistent s);
   let s' = Literal.Set.add (lit "-p(a)") s in
-  Alcotest.(check bool) "inconsistent" false (Literal.Set.consistent s');
-  Alcotest.(check int) "positives" 2 (Literal.Set.cardinal (Literal.Set.positives s));
-  Alcotest.(check int) "negatives" 1 (Literal.Set.cardinal (Literal.Set.negatives s))
+  Alcotest.(check bool) "inconsistent" false (Literal.Set.consistent s')
 
 (* ------------------------------------------------------------------ *)
 (* Substitutions                                                       *)
@@ -166,8 +164,7 @@ let test_interp_set_ops () =
   | Some u -> Alcotest.check testable_interp "union" j u
   | None -> Alcotest.fail "union should exist");
   Alcotest.(check bool) "union conflict" true
-    (Interp.union i (interp [ "q" ]) = None);
-  Alcotest.check testable_interp "diff" (interp [ "r" ]) (Interp.diff j i)
+    (Interp.union i (interp [ "q" ]) = None)
 
 let test_interp_conj () =
   let i = interp [ "p"; "-q" ] in
