@@ -40,16 +40,6 @@ let conflicts prog comp =
   done;
   List.rev !acc
 
-let conflict_free prog comp = conflicts prog comp = []
-
-let defeat_prone prog comp =
-  List.filter
-    (fun c ->
-      match c.resolution with
-      | Defeating -> true
-      | Overruling _ -> false)
-    (conflicts prog comp)
-
 let pp_conflict prog ppf c =
   let name = Program.component_name prog in
   match c.resolution with

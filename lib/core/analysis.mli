@@ -27,14 +27,4 @@ val conflicts : Program.t -> Program.component_id -> conflict list
 (** All potential conflicts among the rules visible from a component, in
     a deterministic order.  Each unordered rule pair is reported once. *)
 
-val conflict_free : Program.t -> Program.component_id -> bool
-(** No two visible rules have unifiable complementary heads; the least
-    model then coincides with the plain (suppression-free) fixpoint and
-    is total whenever the classical program is. *)
-
-val defeat_prone : Program.t -> Program.component_id -> conflict list
-(** Just the {!Defeating} conflicts — places where knowledge stays
-    undefined unless the author adds an ordering between the components
-    involved. *)
-
 val pp_conflict : Program.t -> Format.formatter -> conflict -> unit

@@ -41,8 +41,3 @@ let ground_at ?depth prog =
 
 let ground_ov ?depth rules = ground_at ?depth (ov rules)
 let ground_ev ?depth rules = ground_at ?depth (ev rules)
-
-let interp_of_atom_set ~base set =
-  List.fold_left
-    (fun m a -> Interp.set m a (Atom.Set.mem a set))
-    Interp.empty base

@@ -40,8 +40,3 @@ val ground_ov : ?depth:int -> Logic.Rule.t list -> Gop.t
 (** [OV(C)] grounded at the program component. *)
 
 val ground_ev : ?depth:int -> Logic.Rule.t list -> Gop.t
-
-val interp_of_atom_set :
-  base:Logic.Atom.t list -> Logic.Atom.Set.t -> Logic.Interp.t
-(** Total interpretation: atoms of the set true, the rest of the base
-    false (how a classical stable model reads as a literal set). *)

@@ -23,26 +23,6 @@ type t = {
   suppresses : int list array;
 }
 
-let dedup_body body =
-  Literal.Set.elements (Literal.Set.of_list body)
-
-(* One ground rule of a tagged view over the atom ids [intern] hands
-   out: the head first, then the deduplicated body in literal order —
-   the order that fixes scratch atom numbering. *)
-let grule_of intern (c, (r : Rule.t)) =
-  if not (Rule.is_ground r) then invalid_arg "Gop: non-ground rule in view";
-  let head = intern (Rule.head r).Literal.atom in
-  { head;
-    head_pol = Literal.is_positive (Rule.head r);
-    body =
-      Array.of_list
-        (List.map
-           (fun (l : Literal.t) -> (intern l.atom, l.pol))
-           (dedup_body (Rule.body r)));
-    comp = c;
-    name = Rule.name r
-  }
-
 (* Definition 2 for rule [i] against its contradictors: the rules (in
    [by_head] order) whose head is [i]'s atom with the other polarity. *)
 let rec against poset (rules : grule array) ~overrulers ~defeaters
@@ -116,24 +96,6 @@ let assemble ~program ~comp ~atoms ~ids ~rules =
     defeaters;
     suppresses
   }
-
-let of_view program comp tagged =
-  let ids = Atom.Tbl.create 256 in
-  let atoms = ref [] in
-  let n = ref 0 in
-  let intern a =
-    match Atom.Tbl.find_opt ids a with
-    | Some i -> i
-    | None ->
-      let i = !n in
-      Atom.Tbl.add ids a i;
-      atoms := a :: !atoms;
-      incr n;
-      i
-  in
-  let rules = Array.of_list (List.map (grule_of intern) tagged) in
-  let atoms = Array.of_list (List.rev !atoms) in
-  assemble ~program ~comp ~atoms ~ids ~rules
 
 (* The universe of the view's schema rules' signature. *)
 let schema_universe ?(depth = 0) program comp =

@@ -60,9 +60,9 @@ val ground :
     only rules of opposite head polarity are paired for the suppression
     rows.
 
-    {b Bit identity.}  The result is structurally equal to {!of_view}
-    over the instances the substitution grounder would produce (the
-    reference in [test/oracle]; the [diff-ground] suite checks it):
+    {b Bit identity.}  The result is structurally equal to interning,
+    from scratch, the instances the substitution grounder would produce
+    (the reference in [test/oracle]; the [diff-ground] suite checks it):
     - rule order: view order, and within a view rule the candidate
       order of {!Logic.Herbrand.instantiations};
     - duplicates: the first occurrence wins per (component, rule name,
@@ -134,15 +134,6 @@ val schema_universe :
     builtin filtering).  Two views with equal schema universes instantiate
     every shared rule identically. *)
 
-val of_view :
-  Program.t ->
-  Program.component_id ->
-  (Program.component_id * Logic.Rule.t) list ->
-  t
-(** Intern an explicitly-given tagged view of ground rules: the
-    reference that {!ground} and {!splice} are checked against
-    ([test/oracle], the [diff-ground] and [diff-inc] suites). *)
-
 type edit =
   | Keep of int  (** the next [k] rules of the old grounding stay *)
   | Drop of int  (** the next [k] rules of the old grounding go *)
@@ -168,7 +159,8 @@ val splice :
     rows of a head atom are rebuilt only when a rule with that head came
     or went, against [program]'s order).  Otherwise every rule is
     relabelled and the rows rebuilt.  Either way the result is
-    structurally equal to {!of_view} over the edited tagged list. *)
+    structurally equal to interning the edited tagged list from scratch
+    (the [diff-inc] suite checks it). *)
 
 val n_atoms : t -> int
 val n_rules : t -> int

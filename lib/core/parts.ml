@@ -6,6 +6,23 @@ type search =
   on_model:(Gop.Values.t -> bool) ->
   unit
 
+(* The fail-first order: decide the most constrained atoms first.  The
+   static score is the atom's occurrence count over rule heads and
+   bodies — the more rules mention an atom, the more propagation and
+   conflict detection a decision on it triggers.  Ties break on the atom
+   id, keeping the whole enumeration deterministic. *)
+let fail_first (g : Gop.t) keep =
+  let n = Gop.n_atoms g in
+  let occ = Array.make n 0 in
+  Array.iter
+    (fun (r : Gop.grule) ->
+      occ.(r.head) <- occ.(r.head) + 1;
+      Array.iter (fun (b, _) -> occ.(b) <- occ.(b) + 1) r.body)
+    g.Gop.rules;
+  let atoms = Array.of_list (List.filter keep (List.init n Fun.id)) in
+  Array.stable_sort (fun a b -> Int.compare occ.(b) occ.(a)) atoms;
+  atoms
+
 (* Branch atoms: the atoms the seed leaves undefined, with the
    polarities an assumption-free model above it could give them.  Every
    literal of such a model is derived from the seed by applied rules
@@ -14,12 +31,7 @@ type search =
    the seed or possible — the least fixpoint computed below, one count
    of missing body literals per rule.  Atoms with neither literal
    possible stay undefined in every such model and are not branched on.
-
-   The order is fail-first: decide the most constrained atoms first.
-   The static score is the atom's occurrence count over rule heads and
-   bodies — the more rules mention an atom, the more propagation and
-   conflict detection a decision on it triggers.  Ties break on the atom
-   id, keeping the whole enumeration deterministic.
+   The branch atoms come in the [fail_first] order.
 
    [scan] also joins, by union-find, each live rule's head atom with its
    undefined body atoms (see [split]) and returns the find function. *)
@@ -51,11 +63,8 @@ let scan (g : Gop.t) seed =
       incr tail
     end
   in
-  let occ = Array.make n 0 in
   Array.iteri
     (fun i (r : Gop.grule) ->
-      occ.(r.head) <- occ.(r.head) + 1;
-      Array.iter (fun (b, _) -> occ.(b) <- occ.(b) + 1) r.body;
       if
         undefined r.head
         && not
@@ -90,13 +99,7 @@ let scan (g : Gop.t) seed =
         end)
       (if c land 1 = 0 then g.Gop.by_body_pos.(a) else g.Gop.by_body_neg.(a))
   done;
-  let atoms =
-    Array.of_list
-      (List.filter
-         (fun a -> poss_pos.(a) || poss_neg.(a))
-         (List.init n Fun.id))
-  in
-  Array.stable_sort (fun a b -> Int.compare occ.(b) occ.(a)) atoms;
+  let atoms = fail_first g (fun a -> poss_pos.(a) || poss_neg.(a)) in
   (Array.map (fun a -> (a, poss_pos.(a), poss_neg.(a))) atoms, find)
 
 let branch g seed = fst (scan g seed)

@@ -46,6 +46,12 @@ type search =
     [branch] is always one whole part of a {!split}.
     Budget exhaustion raises {!Budget.Exhausted}. *)
 
+val fail_first : Gop.t -> (int -> bool) -> int array
+(** [fail_first g keep]: the atoms of [g] that [keep] accepts, in the
+    fail-first order — the atoms the most rule heads and bodies mention
+    first, ties on the atom id.  The order of {!branch}, and of the
+    kernel's total-model search. *)
+
 val branch : Gop.t -> Gop.Values.t -> (int * bool * bool) array
 (** The branch atoms above a seed assignment, in the fail-first order:
     the atoms it leaves undefined, each with the polarities an

@@ -1,12 +1,11 @@
-(* Each component keeps its declared parents and its strict ancestors
-   (every [b] with [a < b]) as sorted int arrays.  The ancestor arrays
-   are built by a memoised depth-first walk over the declared pairs, so
-   [make] costs O(n + pairs + sum of cone sizes) instead of the O(n^2)
-   space and up to O(n^3) time of a closed n x n matrix; [lt] is a binary
-   search in one cone. *)
+(* Each component keeps its strict ancestors (every [b] with [a < b])
+   as a sorted int array.  The ancestor arrays are built by a memoised
+   depth-first walk over the declared pairs, so [make] costs
+   O(n + pairs + sum of cone sizes) instead of the O(n^2) space and up
+   to O(n^3) time of a closed n x n matrix; [lt] is a binary search in
+   one cone. *)
 type t = {
   n : int;
-  up : int array array;  (* declared parents, sorted, deduplicated *)
   anc : int array array;  (* strict ancestors, sorted *)
   has_below : bool array;  (* some declared pair has this id on top *)
 }
@@ -109,7 +108,7 @@ let make ~n ~pairs =
         visit a
       done
     with
-    | () -> Ok { n; up; anc; has_below }
+    | () -> Ok { n; anc; has_below }
     | exception Cycle ->
       Error
         (Printf.sprintf "the component order has a cycle through id %d"
@@ -122,7 +121,6 @@ let extend t ~parents =
   let has_below = Array.append t.has_below [| false |] in
   Array.iter (fun p -> has_below.(p) <- true) up;
   { n = t.n + 1;
-    up = Array.append t.up [| up |];
     anc = Array.append t.anc [| cone t.anc up |];
     has_below
   }
@@ -137,34 +135,3 @@ let above t a = List.merge compare [ a ] (Array.to_list t.anc.(a))
 let below t a = List.filter (fun b -> leq t b a) (List.init t.n Fun.id)
 let minimal t = List.filter (fun a -> not t.has_below.(a)) (List.init t.n Fun.id)
 let maximal t = List.filter (fun a -> t.anc.(a) = [||]) (List.init t.n Fun.id)
-
-(* Longest chains from [a] inside its cone.  A component lies strictly
-   below each of its ancestors, so it has strictly more of them: sorting
-   the cone by ancestor count, largest first, is a topological order for
-   the relaxation over declared pairs. *)
-let ranks_above t a =
-  let cone = Array.of_list (above t a) in
-  let pos b =
-    let rec go lo hi =
-      let mid = (lo + hi) lsr 1 in
-      if cone.(mid) = b then mid
-      else if cone.(mid) < b then go (mid + 1) hi
-      else go lo mid
-    in
-    go 0 (Array.length cone)
-  in
-  let order = Array.copy cone in
-  Array.stable_sort
-    (fun x y -> compare (Array.length t.anc.(y)) (Array.length t.anc.(x)))
-    order;
-  let rank = Array.make (Array.length cone) 0 in
-  Array.iter
-    (fun x ->
-      let rx = rank.(pos x) in
-      Array.iter
-        (fun p ->
-          let i = pos p in
-          if rank.(i) < rx + 1 then rank.(i) <- rx + 1)
-        t.up.(x))
-    order;
-  Array.to_list (Array.mapi (fun i b -> (b, rank.(i))) cone)

@@ -49,10 +49,3 @@ val minimal : t -> int list
 
 val maximal : t -> int list
 (** Ids with nothing above them (most general components). *)
-
-val ranks_above : t -> int -> (int * int) list
-(** [ranks_above t a]: every [b] of {!above}[ t a], ascending, paired with
-    its rank in [a]'s view — the length of the longest chain
-    [a = c0 < c1 < ... < ck = b] ([0] for [a] itself).  It depends only on
-    the components above [a], so it is unchanged by components added
-    anywhere else.  O(cone of [a] + the declared pairs inside it). *)

@@ -95,7 +95,6 @@ let parse_exn src =
   | Ok t -> t
   | Error e -> invalid_arg ("Program.parse: " ^ e)
 
-let n_components t = Array.length t.names
 let component_names t = Array.copy t.names
 
 let component_id t name = StrMap.find_opt name t.index
@@ -106,7 +105,6 @@ let component_id_exn t name =
   | None -> invalid_arg (Printf.sprintf "Program.component_id: unknown %S" name)
 
 let component_name t i = t.names.(i)
-let rules_of t i = t.rules.(i)
 let poset t = t.poset
 
 let view t c =

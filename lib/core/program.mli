@@ -43,15 +43,12 @@ val parse : string -> (t, string) result
 
 val parse_exn : string -> t
 
-val n_components : t -> int
 val component_names : t -> string array
 val component_id : t -> string -> component_id option
 (** A map lookup: O(log components). *)
 
 val component_id_exn : t -> string -> component_id
 val component_name : t -> component_id -> string
-val rules_of : t -> component_id -> Logic.Rule.t list
-(** The component's local rules. *)
 
 val poset : t -> Poset.t
 

@@ -1,19 +1,3 @@
-(* Pure V(I): the heads of the rules that fire under I.  For a consistent
-   I the result is consistent: two complementary-headed rules cannot both
-   be unsuppressed unless one is blocked, and a blocked rule's body is
-   never satisfied by a consistent interpretation. *)
-let step (g : Gop.t) v =
-  let next = Gop.Values.create g in
-  Array.iteri
-    (fun i (r : Gop.grule) ->
-      if
-        Status.applicable g v i
-        && (not (Status.overruled g v i))
-        && not (Status.defeated g v i)
-      then Gop.Values.set next r.head r.head_pol)
-    g.rules;
-  next
-
 type conflict = { atom : int; derived : bool }
 
 (* Incremental counting engine, restartable from any consistent partial
@@ -60,8 +44,6 @@ let run ?(budget = Budget.unlimited) ~frozen ~on_conflict (g : Gop.t) seed =
   in
   let fired = Array.make nr false in
   let queue = Queue.create () in
-  let fires = ref [] in
-  let round = ref 0 in
   let derive a pol =
     match Gop.Values.value v a with
     | Logic.Interp.Undefined ->
@@ -76,7 +58,6 @@ let run ?(budget = Budget.unlimited) ~frozen ~on_conflict (g : Gop.t) seed =
   let try_fire i =
     if (not fired.(i)) && missing.(i) = 0 && active_sup.(i) = 0 then begin
       fired.(i) <- true;
-      fires := (i, !round) :: !fires;
       derive g.rules.(i).head g.rules.(i).head_pol
     end
   in
@@ -95,7 +76,6 @@ let run ?(budget = Budget.unlimited) ~frozen ~on_conflict (g : Gop.t) seed =
   done;
   while not (Queue.is_empty queue) do
     Budget.tick budget;
-    incr round;
     let a, pol = Queue.pop queue in
     let sat_rules = if pol then g.by_body_pos.(a) else g.by_body_neg.(a) in
     let blk_rules = if pol then g.by_body_neg.(a) else g.by_body_pos.(a) in
@@ -106,16 +86,16 @@ let run ?(budget = Budget.unlimited) ~frozen ~on_conflict (g : Gop.t) seed =
       sat_rules;
     List.iter block blk_rules
   done;
-  (v, List.rev !fires)
+  v
 
 let no_frozen _ = false
 
-let run_incremental ?budget (g : Gop.t) =
+let lfp ?budget (g : Gop.t) =
   run ?budget ~frozen:no_frozen
     ~on_conflict:(fun { atom; derived } ->
       Diag.fail
         (Diag.Internal_invariant
-           { where = "Vfix.run_incremental"; atom; existing = not derived;
+           { where = "Vfix.lfp"; atom; existing = not derived;
              derived }))
     g (Gop.Values.create g)
 
@@ -125,10 +105,8 @@ let propagate ?budget ?(frozen = no_frozen) (g : Gop.t) seed =
   match
     run ?budget ~frozen ~on_conflict:(fun c -> raise (Conflicted c)) g seed
   with
-  | v, _fires -> Ok v
+  | v -> Ok v
   | exception Conflicted c -> Error c
-
-let lfp ?budget g = fst (run_incremental ?budget g)
 
 (* Fixpoint repair: the lfp of [I |-> seed ∪ V(I)].  When the seed is
    contained in the true lfp (the caller unset every atom a mutation
@@ -142,6 +120,5 @@ let repair ?budget (g : Gop.t) ~seed =
   match propagate ?budget g seed with
   | Ok v -> `Repaired v
   | Error _ -> `Recomputed (lfp ?budget g)
-let trace ?budget g = snd (run_incremental ?budget g)
 
 let least_model ?budget g = Gop.Values.to_interp g (lfp ?budget g)

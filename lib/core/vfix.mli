@@ -13,11 +13,8 @@
     of unmet body literals and of non-blocked suppressors; deriving a
     literal decrements counts along precomputed adjacency, so the total
     work is linear in program size plus suppression edges.  Kleene
-    iteration of {!step}, the executable specification, is the
-    cross-check and benchmark baseline in [test/oracle]. *)
-
-val step : Gop.t -> Gop.Values.t -> Gop.Values.t
-(** One application of [V] (returns a fresh assignment). *)
+    iteration of [V] one rule at a time, the executable specification,
+    is the cross-check and benchmark baseline in [test/oracle]. *)
 
 val lfp : ?budget:Budget.t -> Gop.t -> Gop.Values.t
 (** Least fixpoint by the incremental counting engine.  [budget] is
@@ -73,7 +70,3 @@ val repair :
 val least_model : ?budget:Budget.t -> Gop.t -> Logic.Interp.t
 (** The least model [V^inf_{P,C}(0)] as a symbolic interpretation,
     computed by {!lfp}. *)
-
-val trace : ?budget:Budget.t -> Gop.t -> (int * int) list
-(** Firing order of the incremental engine: [(rule index, round)] pairs in
-    derivation order (used by {!Explain}). *)

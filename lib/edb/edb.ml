@@ -1,5 +1,6 @@
 open Logic
 
+(* ["42"] is [Int 42], ["-7"] is [Int (-7)], anything else is [Sym]. *)
 let parse_cell s =
   match int_of_string_opt s with
   | Some n -> Term.Int n

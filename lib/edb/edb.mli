@@ -10,9 +10,6 @@
     symbolic constant; fields are trimmed.  Empty lines and lines starting
     with [#] are skipped. *)
 
-val parse_cell : string -> Logic.Term.t
-(** ["42"] is [Int 42], ["-7"] is [Int (-7)], anything else is [Sym]. *)
-
 val facts_of_string :
   ?sep:char -> rel:string -> string -> (Logic.Rule.t list, string) result
 (** Parse a whole document into facts for relation [rel].  All rows must

@@ -15,7 +15,6 @@
 val is_builtin : string * int -> bool
 (** [is_builtin (pred, arity)] — recognise comparison predicates (arity 2). *)
 
-val is_builtin_atom : Logic.Atom.t -> bool
 val is_builtin_literal : Logic.Literal.t -> bool
 
 val eval_term : Logic.Term.t -> Logic.Term.t

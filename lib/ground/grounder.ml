@@ -405,6 +405,8 @@ let iter ?(budget = Budget.unlimited) tbl plan emit =
 (* The naive grounder                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* The ground rule a key stands for, its atoms by [atom]: body in
+   source order, duplicates kept, carrying [name]. *)
 let rule_of atom ~name (key : int array) =
   let lit code = Literal.make (code land 1 = 1) (atom (code lsr 1)) in
   let r =

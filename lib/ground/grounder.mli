@@ -80,12 +80,6 @@ val iter : ?budget:Governor.Budget.t -> table -> plan -> (int array -> unit) -> 
     [Governor.Diag.Error (Eval_error _)] on division or modulo by zero,
     and [Invalid_argument] if the rule has a builtin head. *)
 
-val rule_of :
-  (int -> Logic.Atom.t) -> name:string option -> int array -> Logic.Rule.t
-(** [rule_of atom ~name key]: the ground rule a key stands for, its atoms
-    by [atom] (e.g. [atom tbl]): body in source order, duplicates kept,
-    carrying [name]. *)
-
 module Key_tbl : Hashtbl.S with type key = int array
 (** Hash tables keyed by instance keys, hashed and compared by loops
     over the ints. *)

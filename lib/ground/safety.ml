@@ -2,6 +2,8 @@ open Logic
 
 type report = { rule : Rule.t; unbound : string list }
 
+(* Variables of the head and of builtin body literals that appear in no
+   ordinary body literal (none iff the rule is safe). *)
 let unbound_vars (r : Rule.t) =
   let ordinary, builtin =
     List.partition (fun l -> not (Builtin.is_builtin_literal l)) (Rule.body r)
@@ -16,8 +18,6 @@ let unbound_vars (r : Rule.t) =
       builtin
   in
   List.filter (fun v -> not (List.mem v bound)) need
-
-let is_safe r = unbound_vars r = []
 
 let check rules =
   List.filter_map

@@ -15,12 +15,6 @@ type report = {
   unbound : string list;  (** head/builtin variables bound by no ordinary body literal *)
 }
 
-val unbound_vars : Logic.Rule.t -> string list
-(** Variables of the head and of builtin body literals that appear in no
-    ordinary body literal (empty iff the rule is safe). *)
-
-val is_safe : Logic.Rule.t -> bool
-
 val check : Logic.Rule.t list -> report list
 (** Reports for every unsafe rule of the program (empty iff all safe). *)
 

@@ -18,11 +18,6 @@ type state = Gop.grounded = {
 
 type fallback = [ `Universe_changed | `Shared_instance | `View_mismatch ]
 
-let pp_fallback ppf = function
-  | `Universe_changed -> Format.pp_print_string ppf "universe changed"
-  | `Shared_instance -> Format.pp_print_string ppf "shared ground instance"
-  | `View_mismatch -> Format.pp_print_string ppf "view shape mismatch"
-
 let ground ?budget program comp = Gop.ground_groups ?budget program comp
 
 (* The two one-sided greedy alignments of the cached groups against the

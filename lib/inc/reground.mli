@@ -50,8 +50,6 @@ type state = Ordered.Gop.grounded = {
 
 type fallback = [ `Universe_changed | `Shared_instance | `View_mismatch ]
 
-val pp_fallback : Format.formatter -> fallback -> unit
-
 val ground :
   ?budget:Governor.Budget.t ->
   Ordered.Program.t ->

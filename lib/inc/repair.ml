@@ -9,8 +9,9 @@ type 'a outcome =
 (* Unset the delta's affected cone in [seed] (a fresh assignment) and
    propagate above the rest. *)
 let repair ?budget g d seed =
-  let cone = Cone.affected g d in
-  Array.iteri (fun a m -> if m then Gop.Values.unset seed a) cone.Cone.atoms;
+  Array.iteri
+    (fun a m -> if m then Gop.Values.unset seed a)
+    (Cone.affected g d);
   match Vfix.repair ?budget g ~seed with
   | `Repaired v -> Repaired v
   | `Recomputed v -> Recomputed v

@@ -267,29 +267,6 @@ let apply kb = function
   | Clear_preference { rule; over } ->
     ignore (clear_preference kb ~rule ~over : bool)
 
-let pp_mutation ppf =
-  let rules ppf rs =
-    Format.pp_print_list
-      ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " ")
-      Rule.pp ppf rs
-  in
-  function
-  | Define { name; isa; rules = rs } ->
-    Format.fprintf ppf "define %s isa [%s] { %a }" name
-      (String.concat ", " isa) rules rs
-  | Add_rule { obj; rule } -> Format.fprintf ppf "add_rule %s %a" obj Rule.pp rule
-  | Remove_rule { obj; rule } ->
-    Format.fprintf ppf "remove_rule %s %a" obj Rule.pp rule
-  | New_version { name; rules = None } ->
-    Format.fprintf ppf "new_version %s" name
-  | New_version { name; rules = Some rs } ->
-    Format.fprintf ppf "new_version %s { %a }" name rules rs
-  | Load { src } -> Format.fprintf ppf "load %d byte(s)" (String.length src)
-  | Set_preference { rule; over } ->
-    Format.fprintf ppf "set_preference %s > %s" rule over
-  | Clear_preference { rule; over } ->
-    Format.fprintf ppf "clear_preference %s > %s" rule over
-
 (* ------------------------------------------------------------------ *)
 (* Programs                                                            *)
 (* ------------------------------------------------------------------ *)

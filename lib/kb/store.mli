@@ -86,8 +86,6 @@ val apply : t -> mutation -> unit
     of {!New_version} are ignored).  Raises exactly what the underlying
     operation would. *)
 
-val pp_mutation : Format.formatter -> mutation -> unit
-
 (** {1 Dumps}
 
     A [dump] is the full serialisable state of a store — objects with

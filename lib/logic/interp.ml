@@ -31,20 +31,12 @@ let set i a b =
       | _ -> Some b)
     i
 
-let add_lit i (l : Literal.t) = set i l.atom l.pol
-
-let add_lit_opt i (l : Literal.t) =
-  match Atom.Map.find_opt l.atom i with
-  | Some b when b <> l.pol -> None
-  | _ -> Some (Atom.Map.add l.atom l.pol i)
-
 let unset i a = Atom.Map.remove a i
-let of_literals ls = List.fold_left add_lit empty ls
+let of_literals ls =
+  List.fold_left (fun i (l : Literal.t) -> set i l.atom l.pol) empty ls
 
 let to_literals i =
   Atom.Map.fold (fun a b acc -> Literal.make b a :: acc) i [] |> List.rev
-
-let defined_atoms i = List.map fst (Atom.Map.bindings i)
 
 let true_atoms i =
   Atom.Map.fold (fun a b acc -> if b then a :: acc else acc) i [] |> List.rev

@@ -31,13 +31,6 @@ val set : t -> Atom.t -> bool -> t
     already defined with the opposite value (the result would be
     inconsistent). *)
 
-val add_lit : t -> Literal.t -> t
-(** [add_lit i l] adds literal [l]; see {!set}. *)
-
-val add_lit_opt : t -> Literal.t -> t option
-(** Like {!add_lit} but returns [None] instead of raising on
-    inconsistency. *)
-
 val unset : t -> Atom.t -> t
 (** Make an atom undefined again. *)
 
@@ -47,7 +40,6 @@ val of_literals : Literal.t list -> t
 val to_literals : t -> Literal.t list
 (** The literal-set view, sorted. *)
 
-val defined_atoms : t -> Atom.t list
 val true_atoms : t -> Atom.t list
 
 val undefined_atoms : t -> base:Atom.t list -> Atom.t list

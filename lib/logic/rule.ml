@@ -6,8 +6,6 @@ let with_name n r = { r with name = Some n }
 let name r = r.name
 let head r = r.head
 let body r = r.body
-let body_set r = Literal.Set.of_list r.body
-let is_fact r = r.body = []
 let is_seminegative r = Literal.is_positive r.head
 
 let is_positive r =

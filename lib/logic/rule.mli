@@ -36,9 +36,6 @@ val head : t -> Literal.t
 val body : t -> Literal.t list
 (** [B(r)] in the paper (as a list; order is irrelevant semantically). *)
 
-val body_set : t -> Literal.Set.t
-
-val is_fact : t -> bool
 val is_seminegative : t -> bool
 val is_positive : t -> bool
 val is_ground : t -> bool

@@ -62,8 +62,6 @@ and match_lists s l1 l2 =
     | Some s -> match_lists s xs ys)
   | _ -> None
 
-let match_term ?(init = Subst.empty) pat t = match_terms init pat t
-
 let match_atom ?(init = Subst.empty) (pat : Atom.t) (a : Atom.t) =
   if String.equal pat.pred a.pred && List.length pat.args = List.length a.args
   then match_lists init pat.args a.args

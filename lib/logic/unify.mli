@@ -10,9 +10,8 @@ val atom : ?init:Subst.t -> Atom.t -> Atom.t -> Subst.t option
 val literal : ?init:Subst.t -> Literal.t -> Literal.t -> Subst.t option
 (** Unify two literals of the same polarity. *)
 
-val match_term : ?init:Subst.t -> Term.t -> Term.t -> Subst.t option
-(** [match_term pat t] is one-way matching: a substitution [s] with
-    [Subst.apply_term s pat = t], binding only variables of [pat].  The
-    subject [t] is treated as rigid (its variables are constants). *)
-
 val match_literal : ?init:Subst.t -> Literal.t -> Literal.t -> Subst.t option
+(** [match_literal pat l] is one-way matching: a substitution [s] with
+    [Subst.apply_literal s pat = l], binding only variables of [pat]; the
+    polarities must agree.  The subject [l] is treated as rigid (its
+    variables are constants). *)

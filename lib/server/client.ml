@@ -25,17 +25,6 @@ let request_line t line =
 
 let request t j = request_line t (Wire.to_string j)
 
-(* One batch frame out, the per-item responses unpacked from the single
-   reply envelope.  A non-ok envelope (e.g. the whole frame bounced as a
-   proto error) comes back as [Error]. *)
-let request_batch ?id t items =
-  match request t (Wire.batch ?id items) with
-  | Error _ as e -> e
-  | Ok envelope -> (
-    match Wire.status_of_response envelope, Wire.member "responses" envelope with
-    | `Ok, Some (Wire.List responses) -> Ok responses
-    | _ -> Error ("batch refused: " ^ Wire.to_string envelope))
-
 let shutdown t =
   try Unix.shutdown t.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
 

@@ -18,13 +18,6 @@ val request_line : t -> string -> (Wire.json, string) result
 val request : t -> Wire.json -> (Wire.json, string) result
 (** Encode and send a request object. *)
 
-val request_batch :
-  ?id:int -> t -> Wire.json list -> (Wire.json list, string) result
-(** Send the items as one [batch] frame and return the per-item
-    responses, in request order, unpacked from the reply envelope
-    ([Error _] if the whole frame was refused).  One round-trip for up
-    to {!Wire.max_batch} requests. *)
-
 val shutdown : t -> unit
 (** Shut both directions of the socket down without closing the
     descriptor: a thread blocked in {!request} sees end-of-file and

@@ -568,12 +568,6 @@ let decode_request ?max_len line =
   | Error e -> Error e
   | Ok j -> decode_json j
 
-let batch ?id items =
-  Obj
-    (("op", String "batch")
-    :: (match id with None -> [] | Some i -> [ ("id", Int i) ])
-    @ [ ("requests", List items) ])
-
 (* ------------------------------------------------------------------ *)
 (* Responses                                                           *)
 (* ------------------------------------------------------------------ *)

@@ -191,10 +191,6 @@ val decode_request : ?max_len:int -> string -> (request, error) result
 val decode_json : json -> (request, error) result
 (** Validate one parsed request ({!decode_request} after {!parse}). *)
 
-val batch : ?id:int -> json list -> json
-(** Build a [batch] request frame from encoded item objects (client-side
-    helper; the optional [id] is echoed on the reply envelope). *)
-
 (** {1 Responses} *)
 
 val ok : ?id:int -> (string * json) list -> json

@@ -11,7 +11,6 @@
    arrays across the whole search. *)
 
 type t = {
-  gop : Ordered.Gop.t;  (* decoding, model checks, symbolic output *)
   n_atoms : int;
   n_rules : int;
   head : int array;  (* rule -> head atom id *)
@@ -26,11 +25,9 @@ type t = {
   by_head_rule : int array;
   n_sup : int array;  (* rule -> number of suppressors (over- + defeat-) *)
   sup_of_off : int array;  (* rule -> offset into sup_of_rule *)
-  sup_of_rule : int array;  (* suppressors of the rule, lowest rank first *)
+  sup_of_rule : int array;  (* suppressors of the rule *)
   suppresses_off : int array;  (* rule -> offset into suppresses_rule *)
   suppresses_rule : int array;  (* rules this rule suppresses *)
-  rank : int array;  (* rule -> rank of its component in the order *)
-  occ_score : int array;  (* atom -> head+body occurrence count *)
 }
 
 (* Literal codes: [2a] is atom [a] positive, [2a+1] negative.  Assigning
@@ -78,24 +75,6 @@ let rec add_to_each add rows x =
     add r x;
     add_to_each add rest x
 
-(* Rank of a component in the view: 0 for the viewpoint, otherwise the
-   length of the longest chain up to it from the viewpoint
-   ({!Ordered.Poset.ranks_above}).  The rank vector is what the kernel
-   keeps of the component order at runtime — the suppression edges
-   already encode who beats whom, and the ranks give each suppressor
-   list a deterministic lowest-component-first layout (overruling
-   components sort before same-level defeaters).  Ranks read only the
-   view's own cone, so a flat compiled from a carried grounding equals
-   the scratch compile whatever was defined outside the view. *)
-let view_ranks (g : Ordered.Gop.t) =
-  let ranks = Hashtbl.create 16 in
-  List.iter
-    (fun (c, r) -> Hashtbl.replace ranks c r)
-    (Ordered.Poset.ranks_above
-       (Ordered.Program.poset g.Ordered.Gop.program)
-       g.Ordered.Gop.comp);
-  Hashtbl.find ranks
-
 let compile (g : Ordered.Gop.t) =
   let n_atoms = Ordered.Gop.n_atoms g in
   let n_rules = Ordered.Gop.n_rules g in
@@ -121,7 +100,6 @@ let compile (g : Ordered.Gop.t) =
           body_pol.(body_off.(i) + k) <- pol)
         r.body)
     g.Ordered.Gop.rules;
-  let rules = g.Ordered.Gop.rules in
   (* body-literal occurrences, by literal code, rules ascending *)
   let occ_off, occ_rule =
     csr ~rows:(2 * n_atoms) ~n:n_rules (fun i add ->
@@ -139,45 +117,17 @@ let compile (g : Ordered.Gop.t) =
         add_to_each add g.Ordered.Gop.overrulers.(j) j;
         add_to_each add g.Ordered.Gop.defeaters.(j) j)
   in
-  (* component ranks, then suppressor rows lowest rank first (overrulers
-     sit strictly below, so they come before same-level defeaters), ties
-     on the rule index *)
-  let comp_rank = view_ranks g in
-  let rank =
-    Array.init (max 1 n_rules) (fun i ->
-        if i < n_rules then comp_rank rules.(i).comp else 0)
-  in
+  (* suppressors of each rule: its overrulers, then its defeaters *)
   let sup_of_off, sup_of_rule =
     csr ~rows:n_rules ~n:n_rules (fun i add ->
         add_to_rows add i g.Ordered.Gop.overrulers.(i);
         add_to_rows add i g.Ordered.Gop.defeaters.(i))
   in
-  let by_rank a b =
-    if rank.(a) <> rank.(b) then Int.compare rank.(a) rank.(b)
-    else Int.compare a b
-  in
-  for i = 0 to n_rules - 1 do
-    let lo = sup_of_off.(i) and len = sup_of_off.(i + 1) - sup_of_off.(i) in
-    if len > 1 then begin
-      let row = Array.sub sup_of_rule lo len in
-      Array.sort by_rank row;
-      Array.blit row 0 sup_of_rule lo len
-    end
-  done;
   let n_sup =
     Array.init (max 1 n_rules) (fun i ->
         if i < n_rules then sup_of_off.(i + 1) - sup_of_off.(i) else 0)
   in
-  (* fail-first occurrence score, as in the searches' static ordering
-     ([Ordered.Parts.branch]), for the total-model search *)
-  let occ_score = Array.make (max 1 n_atoms) 0 in
-  Array.iter
-    (fun (r : Ordered.Gop.grule) ->
-      occ_score.(r.head) <- occ_score.(r.head) + 1;
-      Array.iter (fun (a, _) -> occ_score.(a) <- occ_score.(a) + 1) r.body)
-    g.Ordered.Gop.rules;
-  { gop = g;
-    n_atoms;
+  { n_atoms;
     n_rules;
     head;
     head_pol;
@@ -193,8 +143,6 @@ let compile (g : Ordered.Gop.t) =
     sup_of_off;
     sup_of_rule;
     suppresses_off;
-    suppresses_rule;
-    rank;
-    occ_score
+    suppresses_rule
   }
 

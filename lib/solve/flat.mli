@@ -3,13 +3,15 @@
     {!compile} runs once per solve call and packs everything the kernel
     touches into dense integer arrays: heads and bodies as parallel int
     slabs, body-literal occurrences / head indices / suppression edges as
-    CSR (offset + payload) arrays, the component order as a precomputed
-    per-rule rank vector, and the fail-first occurrence scores of the
-    branching heuristic.  The kernel ({!Kernel}) then never chases a list
-    spine or allocates during propagation. *)
+    CSR (offset + payload) arrays.  The kernel ({!Kernel}) then never
+    chases a list spine or allocates during propagation.  The component
+    order is not kept: the suppression edges already say who beats whom,
+    and a rule's suppressor row lists its overrulers, then its
+    defeaters, as the ground program holds them (the kernel reads a row
+    as a set).  The branch order is the search's, not the program's
+    ({!Ordered.Parts.fail_first}). *)
 
 type t = {
-  gop : Ordered.Gop.t;
   n_atoms : int;
   n_rules : int;
   head : int array;
@@ -27,8 +29,6 @@ type t = {
   sup_of_rule : int array;
   suppresses_off : int array;
   suppresses_rule : int array;
-  rank : int array;
-  occ_score : int array;
 }
 
 val code : int -> bool -> int

@@ -576,7 +576,6 @@ let search mode ?limit ?(budget = Budget.unlimited) ?stats ?flat (g : Gop.t) =
     let seed = Vfix.lfp ~budget g in
     let f = match flat with Some f -> f | None -> Flat.compile g in
     let s = root mode ~budget ~stats f seed in
-    let f = s.f in
     s.full <- (fun () -> match limit with Some l -> !count >= l | None -> false);
     let accept =
       match mode with
@@ -594,13 +593,9 @@ let search mode ?limit ?(budget = Budget.unlimited) ?stats ?flat (g : Gop.t) =
       (match mode with
       | Af -> Ordered.Parts.branch g seed
       | Total ->
-        Array.of_list
-          (List.sort
-             (fun (a, _, _) (b, _, _) ->
-               compare (-f.Flat.occ_score.(a), a) (-f.Flat.occ_score.(b), b))
-             (List.filter_map
-                (fun a -> if s.value.(a) <> 0 then None else Some (a, true, true))
-                (List.init f.Flat.n_atoms Fun.id))));
+        Array.map
+          (fun a -> (a, true, true))
+          (Ordered.Parts.fail_first g (fun a -> s.value.(a) = 0)));
     cnode s 0;
     Budget.Complete (List.rev !acc)
   with Budget.Exhausted r -> Budget.Partial (List.rev !acc, r)

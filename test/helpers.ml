@@ -15,6 +15,19 @@ let ground_at prog name =
 
 let least prog name = Ordered.Vfix.least_model (ground_at prog name)
 
+(* A component's own rules, in order: its share of its view. *)
+let local_rules prog c =
+  List.filter_map
+    (fun (c', r) -> if c' = c then Some r else None)
+    (Ordered.Program.view prog c)
+
+let pp_fallback ppf (f : Inc.Reground.fallback) =
+  Format.pp_print_string ppf
+    (match f with
+    | `Universe_changed -> "universe changed"
+    | `Shared_instance -> "shared ground instance"
+    | `View_mismatch -> "view shape mismatch")
+
 (* The index of the ground instance of [r] in component [comp], matched
    by head and body set. *)
 let find_rule (g : Ordered.Gop.t) comp (r : Rule.t) =
@@ -26,7 +39,7 @@ let find_rule (g : Ordered.Gop.t) comp (r : Rule.t) =
       if
         g.Ordered.Gop.rules.(i).Ordered.Gop.comp = comp
         && Literal.equal (Rule.head src) (Rule.head r)
-        && Literal.Set.equal (Rule.body_set src) body
+        && Literal.Set.equal (Literal.Set.of_list (Rule.body src)) body
       then Some i
       else go (i + 1)
   in

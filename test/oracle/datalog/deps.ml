@@ -33,7 +33,7 @@ let of_rules rules =
   List.iter
     (fun (r : Rule.t) ->
       let visit (l : Literal.t) =
-        if not (Ground.Builtin.is_builtin_atom l.atom) then
+        if not (Ground.Builtin.is_builtin_literal l) then
           ignore (intern (pred_of_atom l.atom))
       in
       visit (Rule.head r);
@@ -43,11 +43,11 @@ let of_rules rules =
   List.iter
     (fun (r : Rule.t) ->
       let h = Rule.head r in
-      if not (Ground.Builtin.is_builtin_atom h.Literal.atom) then begin
+      if not (Ground.Builtin.is_builtin_literal h) then begin
         let hid = intern (pred_of_atom h.Literal.atom) in
         List.iter
           (fun (l : Literal.t) ->
-            if not (Ground.Builtin.is_builtin_atom l.atom) then
+            if not (Ground.Builtin.is_builtin_literal l) then
               let bid = intern (pred_of_atom l.atom) in
               let negative = Literal.is_negative l in
               edges.(hid) <- (bid, negative) :: edges.(hid))

@@ -55,25 +55,6 @@ module Poset = struct
 
   let maximal t =
     List.filter (fun a -> not (List.exists (fun b -> t.lt.(a).(b)) (ids t))) (ids t)
-
-  (* The rank fixpoint the flat compiler used to run over the whole
-     order, restricted to the view of [v]: ranks only grow, and the order
-     is acyclic, so the loop terminates. *)
-  let ranks_above t v =
-    let rank = Array.make t.n 0 in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      for a = 0 to t.n - 1 do
-        for b = 0 to t.n - 1 do
-          if leq t v a && lt t a b && rank.(b) < rank.(a) + 1 then begin
-            rank.(b) <- rank.(a) + 1;
-            changed := true
-          end
-        done
-      done
-    done;
-    List.map (fun b -> (b, rank.(b))) (above t v)
 end
 
 module Stable = struct
@@ -561,10 +542,66 @@ module Ground = struct
       g.G.by_head;
     { g with G.overrulers; defeaters; suppresses }
 
-  let gop ?budget ?max_instances ?depth program comp =
+  (* Atoms interned by first occurrence, per rule the head, then the
+     body deduplicated in literal order; every row built here. *)
+  let of_view program comp tagged =
+    let ids = Atom.Tbl.create 256 in
+    let atoms = ref [] and n = ref 0 in
+    let intern a =
+      match Atom.Tbl.find_opt ids a with
+      | Some i -> i
+      | None ->
+        Atom.Tbl.add ids a !n;
+        atoms := a :: !atoms;
+        incr n;
+        !n - 1
+    in
+    let grule_of (c, (r : Rule.t)) =
+      if not (Rule.is_ground r) then invalid_arg "Oracle.Ground.of_view";
+      let head = intern r.head.atom in
+      { G.head;
+        head_pol = r.head.pol;
+        body =
+          Array.of_list
+            (List.map
+               (fun (l : Literal.t) -> (intern l.atom, l.pol))
+               (Literal.Set.elements (Literal.Set.of_list r.body)));
+        comp = c;
+        name = Rule.name r
+      }
+    in
+    let rules = Array.of_list (List.map grule_of tagged) in
+    let atoms = Array.of_list (List.rev !atoms) in
+    let na = Array.length atoms in
+    let by_head = Array.make na [] in
+    let by_body_pos = Array.make na [] in
+    let by_body_neg = Array.make na [] in
+    Array.iteri
+      (fun i (r : G.grule) ->
+        by_head.(r.head) <- i :: by_head.(r.head);
+        Array.iter
+          (fun (a, pol) ->
+            let row = if pol then by_body_pos else by_body_neg in
+            row.(a) <- i :: row.(a))
+          r.body)
+      rules;
     rows
-      (G.of_view program comp
-         (flatten (groups ?budget ?max_instances ?depth program comp)))
+      { G.program;
+        comp;
+        atoms;
+        ids;
+        rules;
+        by_head;
+        by_body_pos;
+        by_body_neg;
+        overrulers = [||];
+        defeaters = [||];
+        suppresses = [||]
+      }
+
+  let gop ?budget ?max_instances ?depth program comp =
+    of_view program comp
+      (flatten (groups ?budget ?max_instances ?depth program comp))
 
   let naive ?(budget = B.unlimited) ?(depth = 0) rules =
     let universe =
@@ -575,10 +612,27 @@ module Ground = struct
 end
 
 module Vfix = struct
+  (* Pure V(I): the heads of the rules that fire under I.  For a
+     consistent I the result is consistent: two complementary-headed
+     rules cannot both be unsuppressed unless one is blocked, and a
+     blocked rule's body is never satisfied by a consistent
+     interpretation. *)
+  let step (g : G.t) v =
+    let next = G.Values.create g in
+    Array.iteri
+      (fun i (r : G.grule) ->
+        if
+          Ordered.Status.applicable g v i
+          && (not (Ordered.Status.overruled g v i))
+          && not (Ordered.Status.defeated g v i)
+        then G.Values.set next r.head r.head_pol)
+      g.G.rules;
+    next
+
   let lfp_naive ?(budget = B.unlimited) (g : G.t) =
     let rec go v =
       B.check budget;
-      let v' = Ordered.Vfix.step g v in
+      let v' = step g v in
       if G.Values.equal v v' then v else go v'
     in
     go (G.Values.create g)

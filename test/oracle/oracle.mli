@@ -94,8 +94,7 @@ val maximal : Logic.Interp.t list -> Logic.Interp.t list
     certification of {!Ordered.Parts}. *)
 
 (** The dense reference for {!Ordered.Poset}: the Warshall closure over an
-    n x n bool matrix, and the whole-order rank fixpoint restricted to
-    one view. *)
+    n x n bool matrix. *)
 module Poset : sig
   type t
 
@@ -107,9 +106,6 @@ module Poset : sig
   val below : t -> int -> int list
   val minimal : t -> int list
   val maximal : t -> int list
-
-  val ranks_above : t -> int -> (int * int) list
-  (** Same contract as {!Ordered.Poset.ranks_above}. *)
 end
 
 (** The [Format] printers of {!Logic.Term}, {!Logic.Atom},
@@ -148,7 +144,7 @@ end
     before grounding by plans: every candidate substitution applied to
     the rule and finalised ([Datalog.Grounder.instances]), instances
     deduplicated on structural (component, rule) keys, then interned by
-    {!Ordered.Gop.of_view}.  The reference the diff-ground suite checks
+    {!of_view}.  The reference the diff-ground suite checks
     [Ordered.Gop.ground], [Inc.Reground] and [Ground.Grounder.naive]
     against. *)
 module Ground : sig
@@ -168,6 +164,21 @@ module Ground : sig
     (Ordered.Program.component_id * Logic.Rule.t * Logic.Rule.t list) list ->
     (Ordered.Program.component_id * Logic.Rule.t) list
 
+  val of_view :
+    Ordered.Program.t ->
+    Ordered.Program.component_id ->
+    (Ordered.Program.component_id * Logic.Rule.t) list ->
+    Ordered.Gop.t
+  (** Intern an explicitly given tagged view of ground rules, with no
+      [Ordered.Gop] code: atoms numbered by first occurrence (per rule
+      the head, then the body deduplicated in {!Logic.Literal.compare}
+      order), the head and body rows listing rule indices descending,
+      and the overruling, defeating and suppression rows recomputed over
+      every pair of rules with one head atom.  The grounding
+      [Ordered.Gop.ground] and [Ordered.Gop.splice] must reproduce
+      field for field.  Raises [Invalid_argument] on a non-ground
+      rule. *)
+
   val gop :
     ?budget:Ordered.Budget.t ->
     ?max_instances:int ->
@@ -175,9 +186,7 @@ module Ground : sig
     Ordered.Program.t ->
     Ordered.Program.component_id ->
     Ordered.Gop.t
-  (** [Gop.of_view] over the flattened {!groups}, its overruling,
-      defeating and suppression rows recomputed over every pair of rules
-      with one head atom. *)
+  (** {!of_view} over the flattened {!groups}. *)
 
   val naive :
     ?budget:Ordered.Budget.t ->
@@ -189,9 +198,13 @@ end
 
 (** The least fixpoint of [V] as the paper defines it. *)
 module Vfix : sig
+  val step : Ordered.Gop.t -> Ordered.Gop.Values.t -> Ordered.Gop.Values.t
+  (** One application of [V] (paper, Definition 4), every rule's status
+      read off {!Ordered.Status}; returns a fresh assignment. *)
+
   val lfp_naive :
     ?budget:Ordered.Budget.t -> Ordered.Gop.t -> Ordered.Gop.Values.t
-  (** Kleene iteration of {!Ordered.Vfix.step} from the empty assignment:
+  (** Kleene iteration of {!step} from the empty assignment:
       every rule re-evaluated each round (quadratic), the executable
       specification {!Ordered.Vfix.lfp} is checked and benchmarked
       against; [budget] is polled once per round. *)

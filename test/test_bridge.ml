@@ -25,7 +25,7 @@ let test_ov_construction () =
        (Ordered.Program.component_id_exn ov "cwa"));
   (* Example 6: the CWA component is the reduced form: one non-ground
      negative fact per predicate. *)
-  let cwa = Ordered.Program.rules_of ov (Ordered.Program.component_id_exn ov "cwa") in
+  let cwa = local_rules ov (Ordered.Program.component_id_exn ov "cwa") in
   Alcotest.(check int) "reduced CWA: 2 predicates" 2 (List.length cwa);
   Alcotest.(check bool) "-anc(X0, X1) present" true
     (List.exists (fun r -> Rule.equal r (rule "-anc(X0, X1).")) cwa)
@@ -33,7 +33,7 @@ let test_ov_construction () =
 let test_ev_construction () =
   let c = rules "p(a). q(X) :- p(X)." in
   let ev = B.ev c in
-  let main = Ordered.Program.rules_of ev (Ordered.Program.component_id_exn ev "main") in
+  let main = local_rules ev (Ordered.Program.component_id_exn ev "main") in
   Alcotest.(check bool) "reflexive rule for p" true
     (List.exists (fun r -> Rule.equal r (rule "p(X0) :- p(X0).")) main);
   Alcotest.(check bool) "reflexive rule for q" true
@@ -42,7 +42,7 @@ let test_ev_construction () =
 let test_builtins_excluded_from_cwa () =
   let c = rules "p(X) :- q(X), X > 1. q(2)." in
   let ov = B.ov c in
-  let cwa = Ordered.Program.rules_of ov (Ordered.Program.component_id_exn ov "cwa") in
+  let cwa = local_rules ov (Ordered.Program.component_id_exn ov "cwa") in
   Alcotest.(check int) "no CWA rule for >" 2 (List.length cwa)
 
 (* ------------------------------------------------------------------ *)

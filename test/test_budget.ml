@@ -238,7 +238,7 @@ let test_fault_sweep_repair () =
   let run budget =
     match Inc.Reground.reground ?budget state1 ~program:p2 with
     | Error f ->
-      Alcotest.failf "unexpected fallback: %a" Inc.Reground.pp_fallback f
+      Alcotest.failf "unexpected fallback: %a" Helpers.pp_fallback f
     | Ok (state2, delta) -> (
       match
         Inc.Repair.least_model ?budget ~previous state2.Inc.Reground.gop
@@ -485,7 +485,7 @@ let test_grounding_ticks () =
   | (_ : Ordered.Gop.t) -> Alcotest.fail "14 steps cannot ground 15 candidates"
 
 let test_vfix_trip () =
-  (* exhaustion inside the fixpoint engine propagates from run_incremental *)
+  (* exhaustion inside the fixpoint engine propagates from Vfix.lfp *)
   let g = W.ground_at (W.chain 50) "main" in
   match Ordered.Vfix.least_model ~budget:(B.make ~max_steps:5 ()) g with
   | exception B.Exhausted B.Steps -> ()

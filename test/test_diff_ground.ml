@@ -1,11 +1,11 @@
 (* Differential testing of grounding by plans against the substitution
    grounder it replaced (Oracle.Ground, over Datalog.Grounder.instances):
 
-   - [Gop.ground] equals [Gop.of_view] over the oracle's deduplicated
-     instances, field by field (the diff-inc comparator): atoms in id
-     order, every ground rule and adjacency row; an evaluation error or
-     an instance-cap overflow is raised by both, with the same payload,
-     after the same number of budget ticks;
+   - [Gop.ground] equals [Oracle.Ground.of_view] over the oracle's
+     deduplicated instances, field by field (the diff-inc comparator):
+     atoms in id order, every ground rule and adjacency row; an
+     evaluation error or an instance-cap overflow is raised by both,
+     with the same payload, after the same number of budget ticks;
    - [Gop.ground_groups]' groups decode (keys over the gop's atoms) to
      exactly the oracle's instance lists, source-order bodies included,
      and its schema universe is that of the view rules' signature;
@@ -192,12 +192,23 @@ let same_outcome eq (r1, s1) (r2, s2) =
   | Error e1, Error e2 -> e1 = e2
   | _ -> false
 
-let views p = List.init (Ordered.Program.n_components p) Fun.id
+let n_components p = Array.length (Ordered.Program.component_names p)
+let views p = List.init (n_components p) Fun.id
 
+(* A key's ground rule: literal codes [2 * atom + (1 if positive)], the
+   head, then the body in source order, duplicates kept. *)
 let decode (g : G.t) (grp : G.group) =
+  let lit code = Literal.make (code land 1 = 1) g.G.atoms.(code lsr 1) in
   Array.to_list
     (Array.map
-       (Ground.Grounder.rule_of (fun a -> g.G.atoms.(a)) ~name:(Rule.name grp.G.src))
+       (fun (key : int array) ->
+         let r =
+           Rule.make (lit key.(0))
+             (List.init (Array.length key - 1) (fun k -> lit key.(k + 1)))
+         in
+         match Rule.name grp.G.src with
+         | Some n -> Rule.with_name n r
+         | None -> r)
        grp.G.keys)
 
 let groups_match (st : G.grounded) oracle =
@@ -277,7 +288,7 @@ let prop_reground_keys =
       match (program_of s, extra) with
       | None, _ | _, None -> QCheck2.assume_fail ()
       | Some (p, _), Some extra ->
-        let target = Hashtbl.hash s.src mod Ordered.Program.n_components p in
+        let target = Hashtbl.hash s.src mod n_components p in
         let p2 = Ordered.Program.add_rules p target [ extra ] in
         let agree c st p =
           let scratch = Inc.Reground.ground p c in

@@ -2,9 +2,8 @@
    ancestor cones built by a memoised walk) against the dense Warshall
    closure kept in [Oracle.Poset], on random pair lists that include
    cycles, self-pairs and out-of-range ids.  Both must agree on the
-   [Ok]/[Error] outcome and message, on every relation and listing, and
-   on the per-view ranks the flat compiler reads (against the rank
-   fixpoint it used to run over the whole order).  [Poset.extend] and
+   [Ok]/[Error] outcome and message, and on every relation and
+   listing.  [Poset.extend] and
    [Program.extend], which a knowledge base's define uses to grow the
    order one object at a time, must build exactly what [make] builds
    from all the pairs at once. *)
@@ -55,7 +54,6 @@ let agree n p o =
     (fun a ->
       P.above p a = O.above o a
       && P.below p a = O.below o a
-      && P.ranks_above p a = O.ranks_above o a
       && List.for_all
            (fun b ->
              P.lt p a b = O.lt o a b
@@ -102,7 +100,7 @@ let print_defines ds =
 let name i = Printf.sprintf "c%d" i
 
 (* Compared field by field: structural equality covers every row the
-   poset keeps (declared parents, ancestor cones, below-flags). *)
+   poset keeps (ancestor cones, below-flags). *)
 let prop_extend_equals_make =
   qcheck ~count:(iters 2000) ~print:print_defines
     "extend = make on random define sequences" gen_defines (fun ds ->
@@ -125,14 +123,13 @@ let prop_extend_equals_make =
         let ids = List.init n Fun.id in
         let ok =
           ok && p = made
-          && List.for_all (fun a -> P.ranks_above p a = P.ranks_above made a) ids
           && Pr.poset prog = Pr.poset made_prog
-          && Pr.n_components prog = n
+          && Array.length (Pr.component_names prog) = n
           && List.for_all
                (fun a ->
                  Pr.component_id prog (name a) = Some a
-                 && List.equal Logic.Rule.equal (Pr.rules_of prog a)
-                      (Pr.rules_of made_prog a))
+                 && List.equal Logic.Rule.equal (local_rules prog a)
+                      (local_rules made_prog a))
                ids
           && Pr.component_id prog "missing" = None
           && Result.is_error (Pr.extend prog (name 0) ~parents:[] [])

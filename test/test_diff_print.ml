@@ -96,7 +96,8 @@ let gen_interp =
   let* ls = list_size (int_range 0 60) gen_literal in
   return
     (List.fold_left
-       (fun i l -> Option.value ~default:i (Interp.add_lit_opt i l))
+       (fun i (l : Literal.t) ->
+         try Interp.set i l.atom l.pol with Invalid_argument _ -> i)
        Interp.empty ls)
 
 (* [pp] inside boxes with break hints around it, at a 12-column margin,

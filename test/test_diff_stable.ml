@@ -7,6 +7,8 @@
    - the compiled kernel reproduces the pruned enumeration {e order}
      exactly (list equality, not just set equality) and never visits
      more search nodes;
+   - the kernel's lists and counters do not depend on the order of the
+     flat program's suppressor rows;
    - same counts under [?limit] (assumption-free and total enumerate in
      different orders but both return min(limit, total) models);
    - each engine's [?limit:k] result is exactly the first k of its own
@@ -133,6 +135,51 @@ let prop_compiled_nodes =
       && comp.Ordered.Counters.models = pruned.Ordered.Counters.models
       && comp_tot.Ordered.Counters.nodes <= pruned_tot.Ordered.Counters.nodes
       && comp_tot.Ordered.Counters.models = pruned_tot.Ordered.Counters.models)
+
+(* The kernel reads a suppressor row as a set: the conflict analysis
+   collects the blockers of a whole row into a sorted nogood, and
+   propagation reads only a row's length.  So a flat program whose
+   suppressor rows are shuffled (each row in place, by a seeded RNG)
+   enumerates the same lists with the same counters, every field. *)
+let shuffle_sup_rows seed (f : Solve.Flat.t) =
+  let st = Random.State.make [| seed |] in
+  let rows = Array.copy f.sup_of_rule in
+  for i = 0 to f.n_rules - 1 do
+    let lo = f.sup_of_off.(i) in
+    for k = f.sup_of_off.(i + 1) - 1 downto lo + 1 do
+      let j = lo + Random.State.int st (k - lo + 1) in
+      let x = rows.(k) in
+      rows.(k) <- rows.(j);
+      rows.(j) <- x
+    done
+  done;
+  { f with sup_of_rule = rows }
+
+let prop_sup_row_order =
+  qcheck
+    ~count:(iters "sup-rows" 250)
+    ~print:(fun (p, seed) ->
+      Printf.sprintf "%s\nseed %d" (print_program p) seed)
+    "kernel lists and counters ignore the suppressor-row order"
+    Gen.(pair gen_program nat)
+    (fun (p, seed) ->
+      let g = gop_of p in
+      let runs flat =
+        List.map
+          (fun enum ->
+            let stats = Ordered.Counters.create () in
+            let models = B.value (enum ~stats ~flat g) in
+            (models, stats))
+          [ (fun ~stats ~flat g -> K.assumption_free_models ~stats ~flat g);
+            (fun ~stats ~flat g -> K.stable_models ~stats ~flat g);
+            (fun ~stats ~flat g -> K.total_models ~stats ~flat g)
+          ]
+      in
+      let f = Solve.Flat.compile g in
+      List.for_all2
+        (fun (m, c) (m', c') -> interp_list_equal m m' && c = c')
+        (runs f)
+        (runs (shuffle_sup_rows seed f)))
 
 (* OV transform of a random seminegative program: the -A axioms make every
    atom a head of both polarities, so the search genuinely branches three
@@ -473,6 +520,7 @@ let suite =
     prop_total_sets;
     prop_compiled_lists;
     prop_compiled_nodes;
+    prop_sup_row_order;
     prop_ov_sets;
     prop_limit_counts;
     prop_limit_prefix;

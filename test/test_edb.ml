@@ -4,11 +4,17 @@ open Logic
 open Helpers
 
 let test_parse_cells () =
-  Alcotest.check testable_term "int" (Term.Int 42) (Edb.parse_cell "42");
-  Alcotest.check testable_term "negative int" (Term.Int (-7)) (Edb.parse_cell "-7");
-  Alcotest.check testable_term "symbol" (Term.Sym "alice") (Edb.parse_cell "alice");
-  Alcotest.check testable_term "symbol with digits" (Term.Sym "a1b")
-    (Edb.parse_cell "a1b")
+  match Edb.facts_of_string ~rel:"r" "42\t-7\talice\ta1b\n" with
+  | Ok [ fact ] -> (
+    match (Rule.head fact).Literal.atom.Atom.args with
+    | [ a; b; c; d ] ->
+      Alcotest.check testable_term "int" (Term.Int 42) a;
+      Alcotest.check testable_term "negative int" (Term.Int (-7)) b;
+      Alcotest.check testable_term "symbol" (Term.Sym "alice") c;
+      Alcotest.check testable_term "symbol with digits" (Term.Sym "a1b") d
+    | _ -> Alcotest.fail "four cells expected")
+  | Ok _ -> Alcotest.fail "one fact expected"
+  | Error e -> Alcotest.fail e
 
 let test_facts_of_string () =
   match Edb.facts_of_string ~rel:"parent" "a\tb\n# a comment\n\nb\tc\n" with

@@ -24,7 +24,7 @@ let test_builtin_recognition () =
     (B.is_builtin_literal (lit "p(X)"));
   (* a user binary predicate named like nothing special *)
   Alcotest.(check bool) "lt/2 user predicate is not builtin" false
-    (B.is_builtin_atom (Atom.make "lt" [ term "X"; term "Y" ]))
+    (B.is_builtin_literal (Literal.pos (Atom.make "lt" [ term "X"; term "Y" ])))
 
 let test_eval_term_arith () =
   check_term "addition" (Term.Int 3) (B.eval_term (term "1 + 2"));
@@ -67,18 +67,19 @@ let test_eval_atom () =
 (* ------------------------------------------------------------------ *)
 
 let test_safety () =
-  Alcotest.(check bool) "safe rule" true
-    (Ground.Safety.is_safe (rule "p(X) :- q(X), X > 2."));
+  let is_safe src = Ground.Safety.check [ rule src ] = [] in
+  Alcotest.(check bool) "safe rule" true (is_safe "p(X) :- q(X), X > 2.");
   Alcotest.(check bool) "negative body literal binds (classical negation)" true
-    (Ground.Safety.is_safe (rule "p(X) :- -q(X)."));
+    (is_safe "p(X) :- -q(X).");
   Alcotest.(check bool) "head variable unbound" false
-    (Ground.Safety.is_safe (rule "p(X, Y) :- q(X)."));
+    (is_safe "p(X, Y) :- q(X).");
   Alcotest.(check bool) "builtin variable unbound" false
-    (Ground.Safety.is_safe (rule "p :- X > 2."));
-  Alcotest.(check bool) "non-ground fact is unsafe" false
-    (Ground.Safety.is_safe (rule "p(X)."));
-  Alcotest.(check (list string)) "unbound vars reported" [ "Y" ]
-    (Ground.Safety.unbound_vars (rule "p(X, Y) :- q(X)."));
+    (is_safe "p :- X > 2.");
+  Alcotest.(check bool) "non-ground fact is unsafe" false (is_safe "p(X).");
+  Alcotest.(check (list (list string))) "unbound vars reported" [ [ "Y" ] ]
+    (List.map
+       (fun (r : Ground.Safety.report) -> r.unbound)
+       (Ground.Safety.check [ rule "p(X, Y) :- q(X)." ]));
   Alcotest.(check int) "program check" 1
     (List.length (Ground.Safety.check (rules "p(X) :- q(X). r(Y).")))
 
@@ -218,7 +219,7 @@ let test_relevant_ordered_caveat () =
     Oracle.Ground.flatten (Oracle.Ground.groups ov id)
     |> List.filter (fun (_, r) -> Rule.Set.mem r relevant)
   in
-  let rel_m = Ordered.Vfix.least_model (Ordered.Gop.of_view ov id tagged) in
+  let rel_m = Ordered.Vfix.least_model (Oracle.Ground.of_view ov id tagged) in
   Alcotest.(check bool) "least models differ" false
     (Interp.equal naive_m rel_m);
   (* naive: q stays undefined (the CWA fact is overruled by the non-blocked
@@ -292,7 +293,7 @@ let test_write_allocation_gate () =
     for _ = 1 to runs do
       match Inc.Reground.reground st ~program:p2 with
       | Ok r -> ignore (Sys.opaque_identity r)
-      | Error f -> Alcotest.failf "%s: %a" cls Inc.Reground.pp_fallback f
+      | Error f -> Alcotest.failf "%s: %a" cls pp_fallback f
     done;
     let words = (Gc.minor_words () -. w0) /. float_of_int runs in
     Printf.printf "a write to %s: %.0f minor words per reground\n" cls words;

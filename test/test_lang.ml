@@ -108,7 +108,7 @@ let test_parse_comparison_literal () =
 let test_parse_rules () =
   let r = rule "p(X) :- q(X), -r(X), X > 2." in
   Alcotest.(check int) "body size" 3 (List.length (Rule.body r));
-  Alcotest.(check bool) "fact" true (Rule.is_fact (rule "p(a)."));
+  Alcotest.(check bool) "fact" true (Rule.body (rule "p(a).") = []);
   Alcotest.(check int) "parse_rules" 3
     (List.length (rules "p. q :- p. -r :- q."))
 

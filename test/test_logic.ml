@@ -125,11 +125,13 @@ let test_unify_shared_var () =
   | Some s -> check_term "Y via X" (term "a") (Subst.apply_term s (term "Y"))
 
 let test_match_one_way () =
-  (match Unify.match_term (term "f(X)") (term "f(g(Y))") with
+  (match Unify.match_literal (lit "p(f(X))") (lit "p(f(g(Y)))") with
   | None -> Alcotest.fail "should match"
   | Some s -> check_term "X bound" (term "g(Y)") (Subst.apply_term s (term "X")));
   Alcotest.(check bool) "subject vars are rigid" true
-    (Unify.match_term (term "f(a)") (term "f(X)") = None)
+    (Unify.match_literal (lit "p(f(a))") (lit "p(f(X))") = None);
+  Alcotest.(check bool) "polarities must agree" true
+    (Unify.match_literal (lit "p(X)") (lit "-p(a)") = None)
 
 let test_unify_literal_polarity () =
   Alcotest.(check bool) "opposite polarities never unify" true
@@ -154,7 +156,7 @@ let test_interp_values () =
 let test_interp_consistency () =
   Alcotest.check_raises "inconsistent add"
     (Invalid_argument "Interp.set: inconsistent assignment to p(a)")
-    (fun () -> ignore (Interp.add_lit (interp [ "p(a)" ]) (lit "-p(a)")))
+    (fun () -> ignore (Interp.set (interp [ "p(a)" ]) (lit "p(a)").atom false))
 
 let test_interp_set_ops () =
   let i = interp [ "p"; "-q" ] and j = interp [ "p"; "-q"; "r" ] in
@@ -192,7 +194,7 @@ let test_interp_total_undef () =
 (* ------------------------------------------------------------------ *)
 
 let test_rule_classification () =
-  Alcotest.(check bool) "fact" true (Rule.is_fact (rule "p(a)."));
+  Alcotest.(check bool) "fact" true (Rule.body (rule "p(a).") = []);
   Alcotest.(check bool) "positive" true (Rule.is_positive (rule "p :- q, r."));
   Alcotest.(check bool) "seminegative" true
     (Rule.is_seminegative (rule "p :- -q."));

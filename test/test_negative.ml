@@ -26,11 +26,11 @@ let test_three_level_construction () =
     (Ordered.Poset.lt poset (id "exceptions") (id "cwa"));
   (* C- holds exactly the negative rules. *)
   Alcotest.(check int) "one exception rule" 1
-    (List.length (Ordered.Program.rules_of p (id "exceptions")));
+    (List.length (local_rules p (id "exceptions")));
   (* C+ holds the seminegative rules plus one reflexive rule per
      predicate. *)
   Alcotest.(check int) "general: 2 rules + 3 reflexive" 5
-    (List.length (Ordered.Program.rules_of p (id "general")))
+    (List.length (local_rules p (id "general")))
 
 (* ------------------------------------------------------------------ *)
 (* Example 8                                                           *)

@@ -165,19 +165,13 @@ let test_vfix_monotone_rounds () =
   let p = program p1_src in
   let g = ground_at p "c1" in
   let v0 = Ordered.Gop.Values.create g in
-  let v1 = Ordered.Vfix.step g v0 in
-  let v2 = Ordered.Vfix.step g v1 in
+  let v1 = Oracle.Vfix.step g v0 in
+  let v2 = Oracle.Vfix.step g v1 in
   let subset a b =
     Interp.subset (Ordered.Gop.Values.to_interp g a) (Ordered.Gop.Values.to_interp g b)
   in
   Alcotest.(check bool) "v0 <= v1" true (subset v0 v1);
   Alcotest.(check bool) "v1 <= v2" true (subset v1 v2)
-
-let test_vfix_trace () =
-  let p = program "component main { a. b :- a. c :- b. }" in
-  let g = ground_at p "main" in
-  let tr = Ordered.Vfix.trace g in
-  Alcotest.(check int) "three firings" 3 (List.length tr)
 
 (* ------------------------------------------------------------------ *)
 (* Definition 3: models                                                *)
@@ -297,7 +291,6 @@ let suite =
     Alcotest.test_case "V engines agree" `Quick test_vfix_engines_agree;
     Alcotest.test_case "V is inflationary along Kleene iteration" `Quick
       test_vfix_monotone_rounds;
-    Alcotest.test_case "V trace" `Quick test_vfix_trace;
     Alcotest.test_case "models of P1" `Quick test_models_p1;
     Alcotest.test_case "free atoms in models" `Quick test_model_free_atoms;
     Alcotest.test_case "assumption sets: cycles" `Quick test_assumption_set_cycle;

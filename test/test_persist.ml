@@ -104,7 +104,25 @@ let sample_mutations : Store.mutation list =
     Store.Clear_preference { rule = "dflt"; over = "weak" }
   ]
 
-let mutation_repr m = Format.asprintf "%a" Store.pp_mutation m
+(* A mutation as text, for comparisons and failure messages. *)
+let mutation_repr (m : Store.mutation) =
+  let rule = Logic.Rule.to_string in
+  let rules rs = String.concat " " (List.map rule rs) in
+  match m with
+  | Define { name; isa; rules = rs } ->
+    Printf.sprintf "define %s isa [%s] { %s }" name (String.concat ", " isa)
+      (rules rs)
+  | Add_rule { obj; rule = r } -> Printf.sprintf "add_rule %s %s" obj (rule r)
+  | Remove_rule { obj; rule = r } ->
+    Printf.sprintf "remove_rule %s %s" obj (rule r)
+  | New_version { name; rules = None } -> "new_version " ^ name
+  | New_version { name; rules = Some rs } ->
+    Printf.sprintf "new_version %s { %s }" name (rules rs)
+  | Load { src } -> "load " ^ src
+  | Set_preference { rule = r; over } ->
+    Printf.sprintf "set_preference %s > %s" r over
+  | Clear_preference { rule = r; over } ->
+    Printf.sprintf "clear_preference %s > %s" r over
 
 let test_mutation_roundtrip () =
   List.iter

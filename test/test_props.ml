@@ -122,8 +122,8 @@ let prop_lemma1_monotone =
       in
       let vi, _ = Ordered.Gop.Values.of_interp g i in
       let vj, _ = Ordered.Gop.Values.of_interp g j in
-      let si = Ordered.Gop.Values.to_interp g (Ordered.Vfix.step g vi) in
-      let sj = Ordered.Gop.Values.to_interp g (Ordered.Vfix.step g vj) in
+      let si = Ordered.Gop.Values.to_interp g (Oracle.Vfix.step g vi) in
+      let sj = Ordered.Gop.Values.to_interp g (Oracle.Vfix.step g vj) in
       Interp.subset si sj)
 
 let prop_prop1_lfp_is_model =
@@ -284,7 +284,10 @@ let prop_gl_stable_via_ov =
       let base = Array.to_list np.Datalog.Nprog.atoms in
       let gl =
         List.map
-          (fun s -> Ordered.Bridge.interp_of_atom_set ~base s)
+          (fun s ->
+            List.fold_left
+              (fun m a -> Interp.set m a (Atom.Set.mem a s))
+              Interp.empty base)
           (Datalog.Stable.models np)
       in
       let ov = Ordered.Budget.value (Ordered.Stable.stable_models gov) in
@@ -412,7 +415,8 @@ let prop_match_sound =
     "matchers match"
     (Gen.pair gen_fo_term (gen_fo_term_with "Y"))
     (fun (pat, t) ->
-      match Unify.match_term pat t with
+      let wrap t = Literal.pos (Atom.make "w" [ t ]) in
+      match Unify.match_literal (wrap pat) (wrap t) with
       | None -> true
       | Some s -> Term.equal (Subst.apply_term s pat) t)
 

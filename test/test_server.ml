@@ -226,13 +226,29 @@ let test_line_framer () =
        [ ("a\r\nbb\n0123456789abc\nc\n0123456789", 4); ("xy\nd\n", 2);
          ("", 1) ])
 
+(* One batch frame out, the per-item responses unpacked from the single
+   reply envelope; a non-ok envelope comes back as [Error]. *)
+let request_batch ?id c items =
+  let frame =
+    W.Obj
+      ((("op", W.String "batch")
+       :: (match id with None -> [] | Some i -> [ ("id", W.Int i) ]))
+      @ [ ("requests", W.List items) ])
+  in
+  match Server.Client.request c frame with
+  | Error _ as e -> e
+  | Ok envelope -> (
+    match (W.status_of_response envelope, W.member "responses" envelope) with
+    | `Ok, Some (W.List responses) -> Ok responses
+    | _ -> Error ("batch refused: " ^ W.to_string envelope))
+
 let test_batch_verb () =
   with_daemon @@ fun address ->
   let c = connect_exn address in
   load_src c;
   let item fields = W.Obj fields in
   match
-    Server.Client.request_batch ~id:7 c
+    request_batch ~id:7 c
       [ item
           [ ("op", W.String "query"); ("obj", W.String "leaf");
             ("lit", W.String "p(1)"); ("id", W.Int 1)
@@ -322,7 +338,7 @@ let test_many_clients_smoke () =
         | Error e -> errors.(i) <- Some ("connect: " ^ e)
         | Ok c ->
           (match
-             Server.Client.request_batch c
+             request_batch c
                (List.init per_client (fun _ -> query_item))
            with
           | Error e -> errors.(i) <- Some e

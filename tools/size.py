@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print the size of lib/ and its settable-option count.
+"""Print the size of lib/, its settable-option count and its
+uncalled-export count.
 
 Usage: python3 tools/size.py [OLP_EXE]   (run from the repository root;
 `make size` builds the CLI and passes it)
@@ -13,6 +14,13 @@ Settable options, the sum of three counts:
     (a knowledge-base write, not an option);
   - per-subcommand CLI options: the options each `olp` subcommand lists
     under OPTIONS in its --help=plain page, --help and --version aside.
+
+Uncalled exports: the `val` names of lib/ .mli files that no .ml or .mli
+file under lib/, bin/, examples/, bench/ or servebench/ mentions outside
+their own module (the .ml/.mli pair of one name), comments stripped.  A
+name is matched as a bare identifier, so a value whose name some other
+module also uses is not counted: the count is a lower bound, and each
+listed name still needs checking by hand.
 """
 
 import pathlib
@@ -58,6 +66,30 @@ def cli_options(olp):
             for s in subs}
 
 
+CALLER_DIRS = ["lib", "bin", "examples", "bench", "servebench"]
+IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+
+
+def uncalled_exports():
+    """(module path, name) of every lib/ .mli value mentioned by no
+    caller file outside its own module."""
+    idents = {}
+    for d in CALLER_DIRS:
+        for p in pathlib.Path(d).glob("**/*.ml*"):
+            if p.suffix in (".ml", ".mli") and "_build" not in p.parts:
+                idents[p] = set(IDENT.findall(strip_comments(p.read_text())))
+    found = []
+    for mli in sorted(pathlib.Path("lib").glob("**/*.mli")):
+        own = {mli, mli.with_suffix(".ml")}
+        names = re.findall(r"\bval\s+([a-z_][A-Za-z0-9_']*)",
+                           strip_comments(mli.read_text()))
+        for name in sorted(set(names)):
+            if not any(name in ids
+                       for p, ids in idents.items() if p not in own):
+                found.append((mli.with_suffix(""), name))
+    return found
+
+
 def main():
     mlis = [strip_comments(p.read_text())
             for p in sorted(pathlib.Path("lib").glob("**/*.mli"))]
@@ -73,6 +105,11 @@ def main():
     if cli:
         print("  CLI options per subcommand: "
               + ", ".join(f"{s} {n}" for s, n in cli.items()))
+    uncalled = uncalled_exports()
+    print(f"uncalled exports: {len(uncalled)} .mli values no other lib/, bin/,"
+          " examples/, bench/ or servebench/ module mentions")
+    if uncalled:
+        print("  " + ", ".join(f"{mod}.{name}" for mod, name in uncalled))
 
 
 main()
