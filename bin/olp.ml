@@ -225,12 +225,12 @@ let ground_cmd =
       Format.printf "%a@." Ordered.Gop.pp_stats (Ordered.Gop.stats g)
     else
       Array.iteri
-        (fun i (r : Ordered.Gop.grule) ->
+        (fun i c ->
           Format.printf "[%s] %a@."
-            (Ordered.Program.component_name prog r.comp)
+            (Ordered.Program.component_name prog c)
             Logic.Rule.pp
             (Ordered.Gop.rule_src g i))
-        g.Ordered.Gop.rules
+        g.Ordered.Gop.rule_comp
   in
   Cmd.v
     (Cmd.info "ground" ~doc:"Print the ground instances of the view C*.")

@@ -19,9 +19,6 @@
     - Proposition 5: models of [EV(C)] in [C] = 3-valued models of [C];
       stable models of [OV] and [EV] versions coincide. *)
 
-val cwa_component : string
-(** Name of the closed-world component: ["cwa"]. *)
-
 val cwa_rules : Logic.Rule.t list -> Logic.Rule.t list
 (** The closed-world component's rules for a program: one non-ground
     negative fact per (non-builtin) predicate. *)

@@ -16,9 +16,6 @@
     checks both on the paper's examples and by property on random
     programs. *)
 
-val cwa_component : string
-(** ["cwa"] — the paper's [-B_C]. *)
-
 val three_level : Logic.Rule.t list -> Program.t
 (** The [3V(C)] construction. *)
 

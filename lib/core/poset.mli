@@ -24,8 +24,6 @@ val extend : t -> parents:int list -> t
     rows of the other ids are shared.  O(size + the new cone).  Raises
     [Invalid_argument] if a parent is out of range. *)
 
-val size : t -> int
-
 val lt : t -> int -> int -> bool
 (** Strict order [a < b] (transitively closed): a binary search in [a]'s
     cone. *)
@@ -41,11 +39,5 @@ val above : t -> int -> int list
     components whose rules are visible from [a] (used to form [C*]).
     O(cone of [a]). *)
 
-val below : t -> int -> int list
-(** All [b] with [b <= a], ascending (includes [a]). *)
-
 val minimal : t -> int list
 (** Ids with nothing below them (most specific components). *)
-
-val maximal : t -> int list
-(** Ids with nothing above them (most general components). *)

@@ -1,8 +1,5 @@
 open Logic
 
-(* Literal codes: 2 * atom + (1 if positive else 0). *)
-let code a pol = (2 * a) + if pol then 1 else 0
-
 type stats = {
   closure_literals : int;
   relevant_rules : int;
@@ -26,24 +23,23 @@ let closure ~budget (g : Gop.t) goal =
   while not (Queue.is_empty queue) do
     Budget.tick budget;
     let c = Queue.pop queue in
-    let a = c / 2 and pol = c mod 2 = 1 in
-    List.iter
-      (fun i ->
-        let r = g.Gop.rules.(i) in
-        if r.head_pol = pol && not rule_in.(i) then begin
-          rule_in.(i) <- true;
-          (* body literals *)
-          Array.iter (fun (b, bp) -> visit (code b bp)) r.body;
-          (* complements of suppressors' bodies *)
-          let suppressor j =
-            Array.iter
-              (fun (b, bp) -> visit (code b (not bp)))
-              g.Gop.rules.(j).body
-          in
-          List.iter suppressor g.Gop.overrulers.(i);
-          List.iter suppressor g.Gop.defeaters.(i)
-        end)
-      g.Gop.by_head.(a)
+    for x = g.head_off.(c lsr 1) to g.head_off.((c lsr 1) + 1) - 1 do
+      let i = g.by_head.(x) in
+      if g.head.(i) = c && not rule_in.(i) then begin
+        rule_in.(i) <- true;
+        (* body literals *)
+        for k = g.body_off.(i) to g.body_off.(i + 1) - 1 do
+          visit g.body.(k)
+        done;
+        (* complements of suppressors' bodies *)
+        for k = g.sup_off.(i) to g.sup_off.(i + 1) - 1 do
+          let j = g.sup.(k) in
+          for k = g.body_off.(j) to g.body_off.(j + 1) - 1 do
+            visit (g.body.(k) lxor 1)
+          done
+        done
+      end
+    done
   done;
   (seen, rule_in)
 
@@ -52,20 +48,15 @@ let closure ~budget (g : Gop.t) goal =
 let restricted_lfp ~budget (g : Gop.t) rule_in =
   let nr = Gop.n_rules g in
   let v = Gop.Values.create g in
-  let missing =
-    Array.init nr (fun i -> Array.length g.Gop.rules.(i).body)
-  in
+  let missing = Array.init nr (fun i -> g.body_off.(i + 1) - g.body_off.(i)) in
   let blocked = Array.make nr false in
-  let active_sup =
-    Array.init nr (fun i ->
-        List.length g.Gop.overrulers.(i) + List.length g.Gop.defeaters.(i))
-  in
+  let active_sup = Array.init nr (fun i -> g.sup_off.(i + 1) - g.sup_off.(i)) in
   let fired = Array.make nr false in
   let queue = Queue.create () in
-  let derive a pol =
-    if not (Gop.Values.defined v a) then begin
-      Gop.Values.set v a pol;
-      Queue.add (a, pol) queue
+  let derive c =
+    if not (Gop.Values.defined v (c lsr 1)) then begin
+      Gop.Values.set v (c lsr 1) (c land 1 = 1);
+      Queue.add c queue
     end
   in
   let try_fire i =
@@ -76,7 +67,7 @@ let restricted_lfp ~budget (g : Gop.t) rule_in =
       && active_sup.(i) = 0
     then begin
       fired.(i) <- true;
-      derive g.Gop.rules.(i).head g.Gop.rules.(i).head_pol
+      derive g.head.(i)
     end
   in
   (* Blocking must track *all* rules (a suppressor need not be relevant
@@ -84,11 +75,11 @@ let restricted_lfp ~budget (g : Gop.t) rule_in =
   let block j =
     if not blocked.(j) then begin
       blocked.(j) <- true;
-      List.iter
-        (fun i ->
-          active_sup.(i) <- active_sup.(i) - 1;
-          try_fire i)
-        g.Gop.suppresses.(j)
+      for k = g.suppresses_off.(j) to g.suppresses_off.(j + 1) - 1 do
+        let i = g.suppresses.(k) in
+        active_sup.(i) <- active_sup.(i) - 1;
+        try_fire i
+      done
     end
   in
   for i = 0 to nr - 1 do
@@ -96,13 +87,15 @@ let restricted_lfp ~budget (g : Gop.t) rule_in =
   done;
   while not (Queue.is_empty queue) do
     Budget.tick budget;
-    let a, pol = Queue.pop queue in
-    List.iter
-      (fun i ->
-        missing.(i) <- missing.(i) - 1;
-        try_fire i)
-      (if pol then g.Gop.by_body_pos.(a) else g.Gop.by_body_neg.(a));
-    List.iter block (if pol then g.Gop.by_body_neg.(a) else g.Gop.by_body_pos.(a))
+    let c = Queue.pop queue in
+    for k = g.occ_off.(c) to g.occ_off.(c + 1) - 1 do
+      let i = g.occ.(k) in
+      missing.(i) <- missing.(i) - 1;
+      try_fire i
+    done;
+    for k = g.occ_off.(c lxor 1) to g.occ_off.((c lxor 1) + 1) - 1 do
+      block g.occ.(k)
+    done
   done;
   v
 
@@ -136,7 +129,7 @@ let holds_with_stats ?(budget = Budget.unlimited) (g : Gop.t)
         relevant_rules = 0;
         total_rules = Gop.n_rules g
       } )
-  | Some a -> holds_code ~budget g (code a l.pol)
+  | Some a -> holds_code ~budget g (Gop.code a l.pol)
 
 let holds ?budget g l = fst (holds_with_stats ?budget g l)
 

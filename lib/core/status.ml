@@ -1,30 +1,32 @@
 open Logic
 
-let lit_value (v : Gop.Values.t) (a, pol) =
-  match Gop.Values.value v a, pol with
+let lit_value (v : Gop.Values.t) c =
+  match Gop.Values.value v (c lsr 1), c land 1 = 1 with
   | Interp.Undefined, _ -> Interp.Undefined
   | Interp.True, true | Interp.False, false -> Interp.True
   | Interp.True, false | Interp.False, true -> Interp.False
 
 let applicable (g : Gop.t) v i =
-  Array.for_all (fun l -> lit_value v l = Interp.True) g.rules.(i).body
+  not (Gop.exists_body g i (fun c -> lit_value v c <> Interp.True))
 
-let head_holds (g : Gop.t) v i =
-  let r = g.rules.(i) in
-  lit_value v (r.head, r.head_pol) = Interp.True
-
+let head_holds (g : Gop.t) v i = lit_value v g.head.(i) = Interp.True
 let applied g v i = applicable g v i && head_holds g v i
 
+(* a loop rather than [Gop.exists_body], so that the part split and
+   the part keys, which ask it of every rule, allocate no closure *)
 let blocked (g : Gop.t) v i =
-  Array.exists (fun l -> lit_value v l = Interp.False) g.rules.(i).body
+  let k = ref g.body_off.(i) and hit = ref false in
+  while (not !hit) && !k < g.body_off.(i + 1) do
+    hit := lit_value v g.body.(!k) = Interp.False;
+    incr k
+  done;
+  !hit
 
 let overruled (g : Gop.t) v i =
-  List.exists (fun j -> not (blocked g v j)) g.overrulers.(i)
+  Gop.exists_overruler g i (fun j -> not (blocked g v j))
 
 let defeated (g : Gop.t) v i =
-  List.exists (fun j -> not (blocked g v j)) g.defeaters.(i)
-
-let suppressed g v i = overruled g v i || defeated g v i
+  Gop.exists_defeater g i (fun j -> not (blocked g v j))
 
 type report = {
   rule : Rule.t;
@@ -38,7 +40,7 @@ type report = {
 
 let report g v i =
   { rule = Gop.rule_src g i;
-    component = Program.component_name g.Gop.program g.Gop.rules.(i).comp;
+    component = Program.component_name g.Gop.program g.Gop.rule_comp.(i);
     applicable = applicable g v i;
     applied = applied g v i;
     blocked = blocked g v i;

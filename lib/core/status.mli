@@ -11,18 +11,15 @@
     - {e defeated} if some non-blocked rule [r'] with [H(r') = -H(r)] has
       [C(r') <> C(r)] or [C(r') = C(r)]. *)
 
-val lit_value : Gop.Values.t -> int * bool -> Logic.Interp.value
-(** Truth value of an encoded body literal [(atom, polarity)] under an
-    encoded assignment. *)
+val lit_value : Gop.Values.t -> int -> Logic.Interp.value
+(** Truth value of a literal code ({!Gop.code}) under an encoded
+    assignment. *)
 
 val applicable : Gop.t -> Gop.Values.t -> int -> bool
 val applied : Gop.t -> Gop.Values.t -> int -> bool
 val blocked : Gop.t -> Gop.Values.t -> int -> bool
 val overruled : Gop.t -> Gop.Values.t -> int -> bool
 val defeated : Gop.t -> Gop.Values.t -> int -> bool
-
-val suppressed : Gop.t -> Gop.Values.t -> int -> bool
-(** Overruled or defeated — the rule cannot fire in [V] (Definition 4). *)
 
 type report = {
   rule : Logic.Rule.t;

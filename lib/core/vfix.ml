@@ -23,34 +23,34 @@ let run ?(budget = Budget.unlimited) ~frozen ~on_conflict (g : Gop.t) seed =
   let v = Gop.Values.copy seed in
   let missing = Array.make nr 0 in
   let blocked = Array.make nr false in
-  Array.iteri
-    (fun i (r : Gop.grule) ->
-      let m = ref 0 in
-      Array.iter
-        (fun l ->
-          match Status.lit_value v l with
-          | Logic.Interp.True -> ()
-          | Logic.Interp.Undefined -> incr m
-          | Logic.Interp.False ->
-            blocked.(i) <- true;
-            incr m)
-        r.body;
-      missing.(i) <- !m)
-    g.rules;
-  let count_active = List.fold_left (fun n j -> if blocked.(j) then n else n + 1) 0 in
+  for i = 0 to nr - 1 do
+    for k = g.body_off.(i) to g.body_off.(i + 1) - 1 do
+      match Status.lit_value v g.body.(k) with
+      | Logic.Interp.True -> ()
+      | Logic.Interp.Undefined -> missing.(i) <- missing.(i) + 1
+      | Logic.Interp.False ->
+        blocked.(i) <- true;
+        missing.(i) <- missing.(i) + 1
+    done
+  done;
   let active_sup =
     Array.init nr (fun i ->
-        count_active g.overrulers.(i) + count_active g.defeaters.(i))
+        let n = ref 0 in
+        for k = g.sup_off.(i) to g.sup_off.(i + 1) - 1 do
+          if not blocked.(g.sup.(k)) then incr n
+        done;
+        !n)
   in
   let fired = Array.make nr false in
   let queue = Queue.create () in
-  let derive a pol =
+  let derive c =
+    let a = c lsr 1 and pol = c land 1 = 1 in
     match Gop.Values.value v a with
     | Logic.Interp.Undefined ->
       if frozen a then on_conflict { atom = a; derived = pol }
       else begin
         Gop.Values.set v a pol;
-        Queue.add (a, pol) queue
+        Queue.add c queue
       end
     | Logic.Interp.True -> if not pol then on_conflict { atom = a; derived = pol }
     | Logic.Interp.False -> if pol then on_conflict { atom = a; derived = pol }
@@ -58,33 +58,39 @@ let run ?(budget = Budget.unlimited) ~frozen ~on_conflict (g : Gop.t) seed =
   let try_fire i =
     if (not fired.(i)) && missing.(i) = 0 && active_sup.(i) = 0 then begin
       fired.(i) <- true;
-      derive g.rules.(i).head g.rules.(i).head_pol
+      derive g.head.(i)
     end
   in
   let block j =
     if not blocked.(j) then begin
       blocked.(j) <- true;
-      List.iter
-        (fun i ->
-          active_sup.(i) <- active_sup.(i) - 1;
-          try_fire i)
-        g.suppresses.(j)
+      for k = g.suppresses_off.(j) to g.suppresses_off.(j + 1) - 1 do
+        let i = g.suppresses.(k) in
+        active_sup.(i) <- active_sup.(i) - 1;
+        try_fire i
+      done
     end
   in
   for i = 0 to nr - 1 do
     try_fire i
   done;
+  (* a derived literal satisfies the rules whose body holds it and
+     blocks those whose body holds its complement.  The fixpoint does not
+     depend on the order; walking each row from its last rule fixes
+     which conflict a search meets first, and the budget ticks before
+     it. *)
   while not (Queue.is_empty queue) do
     Budget.tick budget;
-    let a, pol = Queue.pop queue in
-    let sat_rules = if pol then g.by_body_pos.(a) else g.by_body_neg.(a) in
-    let blk_rules = if pol then g.by_body_neg.(a) else g.by_body_pos.(a) in
-    List.iter
-      (fun i ->
-        missing.(i) <- missing.(i) - 1;
-        try_fire i)
-      sat_rules;
-    List.iter block blk_rules
+    let c = Queue.pop queue in
+    for k = g.occ_off.(c + 1) - 1 downto g.occ_off.(c) do
+      let i = g.occ.(k) in
+      missing.(i) <- missing.(i) - 1;
+      try_fire i
+    done;
+    let c' = c lxor 1 in
+    for k = g.occ_off.(c' + 1) - 1 downto g.occ_off.(c') do
+      block g.occ.(k)
+    done
   done;
   v
 

@@ -76,11 +76,6 @@ type 'a anytime = Complete of 'a | Partial of 'a * reason
 
 let value = function Complete x | Partial (x, _) -> x
 let is_complete = function Complete _ -> true | Partial _ -> false
-let reason = function Complete _ -> None | Partial (_, r) -> Some r
-
-let map f = function
-  | Complete x -> Complete (f x)
-  | Partial (x, r) -> Partial (f x, r)
 
 let () =
   Printexc.register_printer (function

@@ -71,6 +71,3 @@ type 'a anytime =
 
 val value : 'a anytime -> 'a
 val is_complete : 'a anytime -> bool
-val reason : 'a anytime -> reason option
-
-val map : ('a -> 'b) -> 'a anytime -> 'b anytime

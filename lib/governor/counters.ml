@@ -24,30 +24,6 @@ let create () =
     restarts = 0
   }
 
-let reset c =
-  c.nodes <- 0;
-  c.leaves <- 0;
-  c.prunes <- 0;
-  c.forced <- 0;
-  c.models <- 0;
-  c.propagations <- 0;
-  c.conflicts <- 0;
-  c.learned <- 0;
-  c.evicted <- 0;
-  c.restarts <- 0
-
-let add ~into c =
-  into.nodes <- into.nodes + c.nodes;
-  into.leaves <- into.leaves + c.leaves;
-  into.prunes <- into.prunes + c.prunes;
-  into.forced <- into.forced + c.forced;
-  into.models <- into.models + c.models;
-  into.propagations <- into.propagations + c.propagations;
-  into.conflicts <- into.conflicts + c.conflicts;
-  into.learned <- into.learned + c.learned;
-  into.evicted <- into.evicted + c.evicted;
-  into.restarts <- into.restarts + c.restarts
-
 let has_solver c =
   c.propagations <> 0 || c.conflicts <> 0 || c.learned <> 0 || c.evicted <> 0
   || c.restarts <> 0

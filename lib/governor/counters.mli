@@ -44,11 +44,6 @@ type t = {
 val create : unit -> t
 (** All counters at zero. *)
 
-val reset : t -> unit
-
-val add : into:t -> t -> unit
-(** Accumulate [c] into [into] (used to total per-run counters). *)
-
 val has_solver : t -> bool
 (** Whether any compiled-kernel counter is nonzero. *)
 

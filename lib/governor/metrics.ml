@@ -58,9 +58,3 @@ let gauge_max m name level =
 let get m name = match find m name with Some c -> Atomic.get c | None -> 0
 
 let snapshot m = List.map (fun (n, c) -> (n, Atomic.get c)) m.entries
-
-let pp ppf m =
-  Format.pp_print_list
-    ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " ")
-    (fun ppf (n, v) -> Format.fprintf ppf "%s=%d" n v)
-    ppf (snapshot m)

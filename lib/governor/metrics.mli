@@ -41,6 +41,3 @@ val snapshot : t -> (string * int) list
     atomically; a snapshot taken while no updates are in flight (e.g.
     a sequential test driving the server one request at a time) is
     exact, which is what keeps the [stats] verb deterministic. *)
-
-val pp : Format.formatter -> t -> unit
-(** ["name=value name=value ..."] in snapshot order. *)

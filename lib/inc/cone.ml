@@ -17,8 +17,12 @@ let affected (g : Gop.t) (d : Delta.t) =
   let rec mark a =
     if not atoms.(a) then begin
       atoms.(a) <- true;
-      List.iter (fun i -> mark g.Gop.rules.(i).Gop.head) g.Gop.by_body_pos.(a);
-      List.iter (fun i -> mark g.Gop.rules.(i).Gop.head) g.Gop.by_body_neg.(a)
+      (* the body rows of both literal codes of [a], which are adjacent *)
+      let first = g.occ_off.(Gop.code a false)
+      and last = g.occ_off.(Gop.code a true + 1) in
+      for k = first to last - 1 do
+        mark (g.head.(g.occ.(k)) lsr 1)
+      done
     end
   in
   List.iter mark d.Delta.seeds;

@@ -69,20 +69,18 @@ module KeyMap = Map.Make (struct
 end)
 
 (* Everything a view caches for one (viewpoint object, program): the
-   grounding with provenance, its flat-array compile, the results
-   computed from them, and the certified lists of the residual parts of
-   its last stable-model listing, keyed by part content (so they stay
-   exact across every write). *)
+   grounding with provenance, the results computed from it, and the
+   certified lists of the residual parts of its last stable-model
+   listing, keyed by part content (so they stay exact across every
+   write). *)
 type vcache = {
   gstate : Inc.Reground.state option;
-  flat : Solve.Flat.t option;  (** compiled from [gstate] *)
   results : entry OpMap.t;
   parts : Ordered.Parts.table;
 }
 
 let empty_vcache =
-  { gstate = None; flat = None; results = OpMap.empty;
-    parts = Ordered.Parts.empty }
+  { gstate = None; results = OpMap.empty; parts = Ordered.Parts.empty }
 
 (* One published KB version.  [vstore] is a private copy nothing ever
    mutates, so any number of readers may ground and solve against it
@@ -137,7 +135,7 @@ let version t = (current t).version
 
 let inc_counter_names =
   [ "inc_repairs"; "inc_fallbacks"; "inc_evictions"; "cache_kept";
-    "flat_compiles"; "flat_cache_hits"; "part_hits"; "part_searches" ]
+    "part_hits"; "part_searches" ]
 
 (* Registering the counters up front keeps the server's [stats] output
    deterministic: the names are present (at 0) before the first
@@ -197,7 +195,7 @@ let repair_viewpoint t ~program vc =
     match Inc.Reground.reground st ~program with
     | Ok (st', d) when Inc.Delta.is_empty d ->
       (* the mutation did not change this viewpoint's grounding at all:
-         every plain entry (and the compiled flat) is still exact *)
+         every plain entry is still exact *)
       note t t.kept "cache_kept" (carried vc);
       Some { vc with gstate = Some st' }
     | Ok (st', d) ->
@@ -225,7 +223,7 @@ let repair_viewpoint t ~program vc =
               None)
           vc.results
       in
-      Some { vc with gstate = Some st'; flat = None; results }
+      Some { vc with gstate = Some st'; results }
     | Error _ | exception _ ->
       (* a repair failure must never fail the write: evict and recount *)
       note t t.fallbacks "inc_fallbacks" 1;
@@ -315,9 +313,6 @@ let define t ?(isa = []) name rules =
     (Store.Define { name; isa; rules })
     (fun s -> Store.define s ~isa name rules)
 
-let define_src t ?isa name src =
-  define t ?isa name (Lang.Parser.parse_rules src)
-
 let load t src = mutating t (Store.Load { src }) (fun s -> Store.load s src)
 
 let add_rule t ~obj r =
@@ -325,8 +320,6 @@ let add_rule t ~obj r =
       Store.add_rule s ~obj r)
 
 let add_rule_src t ~obj src = add_rule t ~obj (Lang.Parser.parse_rule src)
-let add_fact t ~obj l = add_rule t ~obj (Logic.Rule.fact l)
-
 let remove_rule t ~obj r =
   locked t (fun () ->
       let removed = Store.remove_rule t.master ~obj r in
@@ -396,7 +389,6 @@ let invalidate t = locked t (fun () -> publish t KeyMap.empty)
 let objects t = Store.objects (current t).vstore
 let parents t name = Store.parents (current t).vstore name
 let rules t name = Store.rules (current t).vstore name
-let latest_version t name = Store.latest_version (current t).vstore name
 let versions t name = Store.versions (current t).vstore name
 let preferences t = Store.preferences (current t).vstore
 let to_program t = Store.to_program (current t).vstore
@@ -476,21 +468,6 @@ let gop ?budget t ~obj =
   | None -> record_miss t);
   (gop_state ?budget t v (obj, Own)).Inc.Reground.gop
 
-(* Compiled flat program for a record's grounding, cached in the record
-   and invalidated through the same delta eviction. *)
-let flat_of t v key g =
-  match (find v key).flat with
-  | Some f ->
-    bump_metric t "flat_cache_hits";
-    f
-  | None ->
-    let f = Solve.Flat.compile g in
-    bump_metric t "flat_compiles";
-    update v key (fun vc ->
-        if Option.is_some vc.flat then None
-        else Some { vc with flat = Some f });
-    f
-
 (* Look up (key, op) in the pinned view; on a miss run [compute] against
    that same view and cache its result.  (Enumerations, which may come
    back partial, cache only complete results; see [enumerate].) *)
@@ -528,9 +505,6 @@ let query ?budget t ~obj l =
   let g, least = least ?budget t ~obj in
   Ordered.Gop.Values.value_lit g (Ordered.Parts.least_codes least) l
 
-let query_src ?budget t ~obj src =
-  query ?budget t ~obj (Lang.Parser.parse_literal src)
-
 (* Enumerations are anytime: only a complete result is cached, and a
    hit returns it as [Complete] with the entry's rendering slot; a
    partial result has no slot.  A preferred answer served from a cached
@@ -559,8 +533,8 @@ let enumerate t key op run =
     else (r, None)
 
 (* Stable models from the record's carried part lists and cached least
-   model (when it is over this very grounding): the flat program is
-   compiled only if some part has to be searched.  The lists this
+   model (when it is over this very grounding): the kernel's root state
+   is built only if some part has to be searched.  The lists this
    listing leaves replace the record's, a partial listing's included
    (every entry is a certified prefix). *)
 let stable_op ?limit ?budget ?stats t v key g =
@@ -572,9 +546,7 @@ let stable_op ?limit ?budget ?stats t v key g =
   in
   let carry = Ordered.Parts.carry vc.parts in
   let r =
-    Solve.Kernel.stable_models ?limit ?budget ?stats ?least ~carry
-      ~compile:(fun () -> flat_of t v key g)
-      g
+    Solve.Kernel.stable_models ?limit ?budget ?stats ?least ~carry g
   in
   (match t.metrics with
   | Some m ->
@@ -598,8 +570,7 @@ let models_op kind ?limit ?budget ?stats t ~obj =
       match kind with
       | `Stable -> stable_op ?limit ?budget ?stats t v key g
       | `Af ->
-        Solve.Kernel.assumption_free_models ?limit ?budget ?stats
-          ~flat:(flat_of t v key g) g)
+        Solve.Kernel.assumption_free_models ?limit ?budget ?stats g)
 
 let models kind ?limit ?budget ?stats t ~obj =
   fst (models_op kind ?limit ?budget ?stats t ~obj)

@@ -23,17 +23,17 @@
     {b Keying.}  A view holds one cache map, from (viewpoint object,
     program) to a record.  The program is the object's own view or the
     {!Prefer.Compile} translation of its preference spec, viewed from
-    [#view]; both records have one shape: the grounding, its flat-array
-    compile, and the results keyed by operation (including its
-    [limit]).  A preferred answer is thus the stable-model listing of
-    its record's program.  Every mutation publishes a new view, and a
-    lookup only reads the cache of the view it pinned, so a hit always
+    [#view]; both records have one shape: the grounding and the results
+    keyed by operation (including its [limit]).  A preferred answer is
+    thus the stable-model listing of its record's program.  Every
+    mutation publishes a new view, and a lookup only reads the cache of
+    the view it pinned, so a hit always
     answers from the store copy the entry was computed against (or from
     an entry the delta eviction below proved unaffected by the mutations
     since).  There is one engine per question — the least fixpoint for
     [query], the compiled kernel ({!Solve.Kernel}) on the record's
-    cached {!Solve.Flat} program for every enumeration — so no engine
-    choice enters the key.
+    cached grounding for every enumeration — so no engine choice enters
+    the key.
 
     {b Part lists.}  A record, plain or preferred, also holds the
     certified lists of the residual parts ({!Ordered.Parts}) its last
@@ -44,8 +44,8 @@
     keys").  Equal keys give positionally equal lists, so an entry never
     goes stale.  A stable-model miss lists every part the table covers
     from it, isomorphic parts sharing one list, and passes the record's
-    least model when it is over the current grounding; the flat program
-    is compiled only if some part has to be searched.  The listing's
+    least model when it is over the current grounding; the kernel's
+    root state is built only if some part has to be searched.  The listing's
     parts then replace the table (a [Partial] listing's too: every entry
     is a certified prefix).
 
@@ -142,10 +142,9 @@ val counters : t -> counters
 val use_metrics : t -> Governor.Metrics.t -> unit
 (** Mirror the delta-eviction counters into a metrics registry as
     [inc_repairs], [inc_fallbacks], [inc_evictions] and [cache_kept],
-    the flat-compile cache as [flat_compiles]/[flat_cache_hits], and
-    the carried part lists as [part_hits] (parts a stable-model miss
+    and the carried part lists as [part_hits] (parts a stable-model miss
     listed without a search) and [part_searches] (part enumerations it
-    ran), preferred records included; all eight are registered
+    ran), preferred records included; all six are registered
     immediately (at zero) so [stats] stays deterministic.
     Preferred-model queries also count: one [prefer_compilations] per
     grounding of a preferred record (a compilation of the preference
@@ -162,11 +161,9 @@ val version : t -> int
 (** {1 Mutating operations} (see {!Store} for their semantics) *)
 
 val define : t -> ?isa:string list -> string -> Logic.Rule.t list -> unit
-val define_src : t -> ?isa:string list -> string -> string -> unit
 val load : t -> string -> unit
 val add_rule : t -> obj:string -> Logic.Rule.t -> unit
 val add_rule_src : t -> obj:string -> string -> unit
-val add_fact : t -> obj:string -> Logic.Literal.t -> unit
 val remove_rule : t -> obj:string -> Logic.Rule.t -> bool
 val new_version : t -> ?rules:Logic.Rule.t list -> string -> string
 
@@ -207,7 +204,6 @@ val invalidate : t -> unit
 val objects : t -> string list
 val parents : t -> string -> string list
 val rules : t -> string -> Logic.Rule.t list
-val latest_version : t -> string -> string
 val versions : t -> string -> string list
 val preferences : t -> (string * string) list
 val to_program : t -> Ordered.Program.t
@@ -242,9 +238,6 @@ val query :
     distinguishes false from undefined.  [budget] governs grounding and
     the fixpoint; exhaustion raises [Ordered.Budget.Exhausted].  Raises
     [Invalid_argument] on a non-ground literal. *)
-
-val query_src :
-  ?budget:Ordered.Budget.t -> t -> obj:string -> string -> Logic.Interp.value
 
 val stable_models :
   ?limit:int ->
@@ -302,7 +295,6 @@ val preferred_models :
     pairs (with no pairs: exactly {!stable_models}): the stable models
     of the {!Prefer.Compile} translation of {!Store.prefer_spec},
     listed like {!stable_models} from the viewpoint's preferred record
-    (its grounding compiled once per view, its part lists carried, its
-    flat program compiled only for a part that must be searched).
+    (its grounding compiled once per view, its part lists carried).
     Raises {!Ordered.Diag.Error} if a preference names a rule absent
     from this view. *)

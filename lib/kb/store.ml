@@ -121,8 +121,6 @@ let add_rule kb ~obj r =
   o.rules <- o.rules @ [ r ];
   rules_changed kb o
 
-let add_fact kb ~obj l = add_rule kb ~obj (Rule.fact l)
-
 let remove_rule kb ~obj r =
   let o = find_exn kb obj in
   let before = List.length o.rules in

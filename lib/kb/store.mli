@@ -29,7 +29,6 @@ val load : t -> string -> unit
     load leaves the store as it was. *)
 
 val add_rule : t -> obj:string -> Logic.Rule.t -> unit
-val add_fact : t -> obj:string -> Logic.Literal.t -> unit
 
 val remove_rule : t -> obj:string -> Logic.Rule.t -> bool
 (** Remove one rule (syntactic equality); [false] if absent. *)

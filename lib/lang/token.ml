@@ -60,7 +60,5 @@ let to_string = function
   | KW_MOD -> "'mod'"
   | EOF -> "end of input"
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 type pos = { line : int; col : int }
 type located = { token : t; pos : pos }

@@ -31,7 +31,6 @@ type t =
   | KW_MOD
   | EOF
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 type pos = { line : int; col : int }

@@ -3,7 +3,6 @@ type value = True | False | Undefined
 type t = bool Atom.Map.t
 
 let empty = Atom.Map.empty
-let is_empty = Atom.Map.is_empty
 let cardinal = Atom.Map.cardinal
 
 let value i a =
@@ -67,7 +66,6 @@ let union i j =
 
 let fold = Atom.Map.fold
 let iter = Atom.Map.iter
-let for_all = Atom.Map.for_all
 let exists = Atom.Map.exists
 
 let compare_value v1 v2 =

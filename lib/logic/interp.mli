@@ -11,7 +11,6 @@ type value = True | False | Undefined
 type t
 
 val empty : t
-val is_empty : t -> bool
 val cardinal : t -> int
 (** Number of defined atoms (= number of literals in the set view). *)
 
@@ -59,7 +58,6 @@ val union : t -> t -> t option
 
 val fold : (Atom.t -> bool -> 'a -> 'a) -> t -> 'a -> 'a
 val iter : (Atom.t -> bool -> unit) -> t -> unit
-val for_all : (Atom.t -> bool -> bool) -> t -> bool
 val exists : (Atom.t -> bool -> bool) -> t -> bool
 
 val value_conj : t -> Literal.t list -> value

@@ -12,7 +12,6 @@ let compare a b =
   if c <> 0 then c else Bool.compare a.pol b.pol
 
 let equal a b = compare a b = 0
-let complementary a b = a.pol <> b.pol && Atom.equal a.atom b.atom
 let hash = Hashtbl.hash
 let is_ground l = Atom.is_ground l.atom
 let vars l = Atom.vars l.atom
@@ -36,10 +35,6 @@ module Ord = struct
   let compare = compare
 end
 
-module Set = struct
-  include Set.Make (Ord)
-
-  let consistent s = for_all (fun l -> not (mem (neg l) s)) s
-end
+module Set = Set.Make (Ord)
 
 module Map = Map.Make (Ord)

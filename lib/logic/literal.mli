@@ -19,9 +19,6 @@ val neg : t -> t
 val is_positive : t -> bool
 val is_negative : t -> bool
 
-val complementary : t -> t -> bool
-(** [complementary a b] is [true] iff [a = neg b]. *)
-
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
@@ -41,12 +38,6 @@ val to_string : t -> string
 val to_buffer : Buffer.t -> t -> unit
 (** Append the printed literal to the buffer. *)
 
-module Set : sig
-  include Set.S with type elt = t
-
-  val consistent : t -> bool
-  (** [consistent s] is [true] iff [s] contains no pair of complementary
-      literals (the paper's consistency of interpretations). *)
-end
+module Set : Set.S with type elt = t
 
 module Map : Map.S with type key = t

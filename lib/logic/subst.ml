@@ -3,7 +3,6 @@ module M = Map.Make (String)
 type t = Term.t M.t
 
 let empty = M.empty
-let is_empty = M.is_empty
 let singleton x t = M.singleton x t
 
 let bind x t s =
@@ -15,8 +14,6 @@ let bind x t s =
 
 let find x s = M.find_opt x s
 let of_list l = List.fold_left (fun s (x, t) -> bind x t s) empty l
-let bindings s = M.bindings s
-
 (* [busy] guards against self-referential bindings (e.g. X -> f(X), which
    one-way matching can produce when pattern and subject share variable
    names): a variable already being expanded is left as itself. *)
@@ -37,12 +34,3 @@ let apply_atom s (a : Atom.t) : Atom.t =
 
 let apply_literal s (l : Literal.t) : Literal.t =
   { l with atom = apply_atom s l.atom }
-
-let equal = M.equal Term.equal
-
-let pp ppf s =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-       (fun ppf (x, t) -> Format.fprintf ppf "%s -> %a" x Term.pp t))
-    (bindings s)

@@ -7,7 +7,6 @@
 type t
 
 val empty : t
-val is_empty : t -> bool
 
 val singleton : string -> Term.t -> t
 
@@ -18,7 +17,6 @@ val bind : string -> Term.t -> t -> t
 val find : string -> t -> Term.t option
 
 val of_list : (string * Term.t) list -> t
-val bindings : t -> (string * Term.t) list
 
 val apply_term : t -> Term.t -> Term.t
 (** Apply the substitution to a term.  Bindings are applied repeatedly (so
@@ -29,6 +27,3 @@ val apply_term : t -> Term.t -> Term.t
     subject share variable names). *)
 
 val apply_literal : t -> Literal.t -> Literal.t
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

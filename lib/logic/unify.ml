@@ -30,15 +30,10 @@ and unify_lists s l1 l2 =
     | Some s -> unify_lists s xs ys)
   | _ -> None
 
-let term ?(init = Subst.empty) t1 t2 = unify_terms init t1 t2
-
 let atom ?(init = Subst.empty) (a : Atom.t) (b : Atom.t) =
   if String.equal a.pred b.pred && List.length a.args = List.length b.args
   then unify_lists init a.args b.args
   else None
-
-let literal ?init (a : Literal.t) (b : Literal.t) =
-  if a.pol = b.pol then atom ?init a.atom b.atom else None
 
 let rec match_terms s pat t =
   match pat, t with

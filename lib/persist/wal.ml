@@ -38,7 +38,6 @@ let append ?budget ~fsync t payload =
   if fsync then Unix.fsync t.fd;
   String.length framed
 
-let fsync t = Unix.fsync t.fd
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
 let write_file ?budget ~fsync ~path image =

@@ -30,7 +30,6 @@ val append :
     bytes written.  [fsync] flushes to stable storage before
     returning. *)
 
-val fsync : t -> unit
 val close : t -> unit
 
 val write_file :

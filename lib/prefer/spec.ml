@@ -126,9 +126,3 @@ let make program viewpoint prefs =
   | Some c ->
     Ordered.Diag.fail (Ordered.Diag.Preference_cycle { cycle = List.map label c }));
   { program; viewpoint; prefs }
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%a@,%a@]" Ordered.Program.pp t.program
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut (fun ppf (a, b) ->
-         Format.fprintf ppf "prefer %s > %s." a b))
-    t.prefs

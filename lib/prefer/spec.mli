@@ -31,5 +31,3 @@ val check_pairs : (string * string) list -> unit
     self-preferences and cycles among the declared pairs with
     {!Ordered.Diag.Preference_cycle}.  Used by the KB mutation path,
     which accepts preferences before the named rules exist. *)
-
-val pp : Format.formatter -> t -> unit

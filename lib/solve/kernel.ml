@@ -55,7 +55,7 @@ module Diag = Ordered.Diag
 type mode = Af | Total
 
 type state = {
-  f : Flat.t;
+  g : Gop.t;
   mode : mode;
   budget : Budget.t;
   stats : Counters.t;
@@ -107,8 +107,7 @@ let assign s a pol r =
    the subtree.  At level 0 the assignment is seeded from [Vfix.lfp], so
    any disagreement there is an engine bug, not a search conflict. *)
 let derive s r =
-  let a = s.f.Flat.head.(r) in
-  let pol = s.f.Flat.head_pol.(r) in
+  let a = s.g.head.(r) lsr 1 and pol = s.g.head.(r) land 1 = 1 in
   match s.value.(a) with
   | 0 ->
     if s.frozen.(a) then begin
@@ -130,10 +129,12 @@ let derive s r =
       s.conflict_atom <- a
     end
 
+let body_len (g : Gop.t) r = g.body_off.(r + 1) - g.body_off.(r)
+
 let try_fire s r =
   if
     s.conflict_rule < 0
-    && s.sat.(r) = s.f.Flat.body_len.(r)
+    && s.sat.(r) = body_len s.g r
     && s.act_sup.(r) = 0
   then derive s r
 
@@ -148,7 +149,7 @@ let try_fire s r =
    [qhead] alone, whether to reverse an event's counter effects. *)
 let propagate s =
   Budget.check s.budget;
-  let f = s.f in
+  let g = s.g in
   while s.qhead < s.trail_len && s.conflict_rule < 0 do
     let ev = s.trail.(s.qhead) in
     if ev land 1 = 0 then begin
@@ -156,15 +157,15 @@ let propagate s =
       s.stats.Counters.propagations <- s.stats.Counters.propagations + 1;
       let a = ev lsr 1 in
       let pol = s.value.(a) = 1 in
-      let ct = Flat.code a pol in
-      for k = f.Flat.occ_off.(ct) to f.Flat.occ_off.(ct + 1) - 1 do
-        let r = f.Flat.occ_rule.(k) in
+      let ct = Gop.code a pol in
+      for k = g.occ_off.(ct) to g.occ_off.(ct + 1) - 1 do
+        let r = g.occ.(k) in
         s.sat.(r) <- s.sat.(r) + 1;
         try_fire s r
       done;
-      let cf = Flat.code a (not pol) in
-      for k = f.Flat.occ_off.(cf) to f.Flat.occ_off.(cf + 1) - 1 do
-        let r = f.Flat.occ_rule.(k) in
+      let cf = Gop.code a (not pol) in
+      for k = g.occ_off.(cf) to g.occ_off.(cf + 1) - 1 do
+        let r = g.occ.(k) in
         if s.blocker.(r) < 0 then begin
           s.blocker.(r) <- a;
           trail_push s ((r lsl 1) lor 1)
@@ -173,9 +174,9 @@ let propagate s =
     end
     else begin
       let r = ev lsr 1 in
-      for k = f.Flat.suppresses_off.(r) to f.Flat.suppresses_off.(r + 1) - 1
+      for k = g.suppresses_off.(r) to g.suppresses_off.(r + 1) - 1
       do
-        let i = f.Flat.suppresses_rule.(k) in
+        let i = g.suppresses.(k) in
         s.act_sup.(i) <- s.act_sup.(i) - 1;
         try_fire s i
       done
@@ -187,25 +188,25 @@ let propagate s =
    but never processed (propagation stopped at a conflict), so only their
    direct effect — the assignment or the blocker witness — is reversed. *)
 let undo_to s mark =
-  let f = s.f in
+  let g = s.g in
   for i = s.trail_len - 1 downto mark do
     let ev = s.trail.(i) in
     if ev land 1 = 1 then begin
       let r = ev lsr 1 in
       s.blocker.(r) <- -1;
       if i < s.qhead then
-        for k = f.Flat.suppresses_off.(r) to f.Flat.suppresses_off.(r + 1) - 1
+        for k = g.suppresses_off.(r) to g.suppresses_off.(r + 1) - 1
         do
-          let j = f.Flat.suppresses_rule.(k) in
+          let j = g.suppresses.(k) in
           s.act_sup.(j) <- s.act_sup.(j) + 1
         done
     end
     else begin
       let a = ev lsr 1 in
       if i < s.qhead then begin
-        let ct = Flat.code a (s.value.(a) = 1) in
-        for k = f.Flat.occ_off.(ct) to f.Flat.occ_off.(ct + 1) - 1 do
-          let r = f.Flat.occ_rule.(k) in
+        let ct = Gop.code a (s.value.(a) = 1) in
+        for k = g.occ_off.(ct) to g.occ_off.(ct + 1) - 1 do
+          let r = g.occ.(k) in
           s.sat.(r) <- s.sat.(r) - 1
         done
       end;
@@ -259,7 +260,7 @@ let backtrack s =
    unconditionally true and drop out, decisions enter the nogood, derived
    atoms resolve recursively through their deriving rule. *)
 let analyze s =
-  let f = s.f in
+  let g = s.g in
   let touched = ref [] in
   let acc = ref [] in
   let work = ref [] in
@@ -276,11 +277,11 @@ let analyze s =
     end
   in
   let antecedents r =
-    for k = f.Flat.body_off.(r) to f.Flat.body_off.(r + 1) - 1 do
-      add_atom f.Flat.body_atom.(k)
+    for k = g.body_off.(r) to g.body_off.(r + 1) - 1 do
+      add_atom (g.body.(k) lsr 1)
     done;
-    for k = f.Flat.sup_of_off.(r) to f.Flat.sup_of_off.(r + 1) - 1 do
-      add_atom s.blocker.(f.Flat.sup_of_rule.(k))
+    for k = g.sup_off.(r) to g.sup_off.(r + 1) - 1 do
+      add_atom s.blocker.(g.sup.(k))
     done
   in
   antecedents s.conflict_rule;
@@ -347,27 +348,26 @@ let restart s =
    rule about it that is not blocked and has no frozen-undefined body
    atom, or the subtree holds no assumption-free model. *)
 let rule_groundable s r =
-  let f = s.f in
+  let g = s.g in
   let rec lits k =
-    if k >= f.Flat.body_off.(r + 1) then true
+    if k >= g.body_off.(r + 1) then true
     else
-      let b = f.Flat.body_atom.(k) in
-      let bp = f.Flat.body_pol.(k) in
+      let b = g.body.(k) lsr 1 in
       match s.value.(b) with
       | 0 -> (not s.frozen.(b)) && lits (k + 1)
-      | v -> (v = 1) = bp && lits (k + 1)
+      | v -> (v = 1) = (g.body.(k) land 1 = 1) && lits (k + 1)
   in
-  lits f.Flat.body_off.(r)
+  lits g.body_off.(r)
 
 let groundable s a pol =
-  let f = s.f in
+  let g = s.g and c = Gop.code a pol in
   let rec go k =
-    if k >= f.Flat.by_head_off.(a + 1) then false
+    if k >= g.head_off.(a + 1) then false
     else
-      let r = f.Flat.by_head_rule.(k) in
-      (f.Flat.head_pol.(r) = pol && rule_groundable s r) || go (k + 1)
+      let r = g.by_head.(k) in
+      (g.head.(r) = c && rule_groundable s r) || go (k + 1)
   in
-  go f.Flat.by_head_off.(a)
+  go g.head_off.(a)
 
 let all_groundable s =
   let rec go k =
@@ -392,7 +392,7 @@ let all_groundable s =
    atom derived so has an enabled rule, which overrules every unblocked
    rule against it, so condition (a) holds for it too. *)
 let leaf_af s =
-  let f = s.f in
+  let g = s.g in
   let n_above = ref 0 and tail = ref 0 and touched = ref [] in
   let ground a =
     if not s.seen.(a) then begin
@@ -406,16 +406,16 @@ let leaf_af s =
     if ev land 1 = 0 then begin
       incr n_above;
       let a = ev lsr 1 in
-      for j = f.Flat.by_head_off.(a) to f.Flat.by_head_off.(a + 1) - 1 do
-        let r = f.Flat.by_head_rule.(j) in
+      for j = g.head_off.(a) to g.head_off.(a + 1) - 1 do
+        let r = g.by_head.(j) in
         if
-          f.Flat.head_pol.(r) = (s.value.(a) = 1)
-          && s.sat.(r) = f.Flat.body_len.(r)
+          g.head.(r) = Gop.code a (s.value.(a) = 1)
+          && s.sat.(r) = body_len g r
           && s.act_sup.(r) = 0
         then begin
           let m = ref 0 in
-          for k = f.Flat.body_off.(r) to f.Flat.body_off.(r + 1) - 1 do
-            if s.alevel.(f.Flat.body_atom.(k)) > 0 then incr m
+          for k = g.body_off.(r) to g.body_off.(r + 1) - 1 do
+            if s.alevel.(g.body.(k) lsr 1) > 0 then incr m
           done;
           if !m = 0 then ground a
           else begin
@@ -430,12 +430,12 @@ let leaf_af s =
   while !head < !tail do
     let b = s.queue.(!head) in
     incr head;
-    let c = Flat.code b (s.value.(b) = 1) in
-    for k = f.Flat.occ_off.(c) to f.Flat.occ_off.(c + 1) - 1 do
-      let r = f.Flat.occ_rule.(k) in
+    let c = Gop.code b (s.value.(b) = 1) in
+    for k = g.occ_off.(c) to g.occ_off.(c + 1) - 1 do
+      let r = g.occ.(k) in
       if s.miss.(r) > 0 then begin
         s.miss.(r) <- s.miss.(r) - 1;
-        if s.miss.(r) = 0 then ground f.Flat.head.(r)
+        if s.miss.(r) = 0 then ground (g.head.(r) lsr 1)
       end
     done
   done;
@@ -509,12 +509,12 @@ and branch s a dval j =
    [act_sup]) with it.  Every derivation this triggers lands on an
    already-equal seed value; anything else is caught in [derive].  Each
    search below starts from here and unwinds back to it. *)
-let root mode ~budget ~stats f seed =
-  let na = f.Flat.n_atoms in
-  let nr = f.Flat.n_rules in
+let root mode ~budget ~stats (g : Gop.t) seed =
+  let na = Gop.n_atoms g in
+  let nr = Gop.n_rules g in
   let value = Array.make na 0 in
   let s =
-    { f;
+    { g;
       mode;
       budget;
       stats;
@@ -525,7 +525,7 @@ let root mode ~budget ~stats f seed =
       alevel = Array.make (max 1 na) (-1);
       sat = Array.make (max 1 nr) 0;
       blocker = Array.make (max 1 nr) (-1);
-      act_sup = Array.copy f.Flat.n_sup;
+      act_sup = Array.init nr (fun i -> g.sup_off.(i + 1) - g.sup_off.(i));
       trail = Array.make (na + nr + 1) 0;
       trail_len = 0;
       qhead = 0;
@@ -563,19 +563,18 @@ let root mode ~budget ~stats f seed =
          { where = "Solve.Kernel: level-0 conflict after Vfix.lfp";
            atom = s.conflict_atom;
            existing = true;
-           derived = f.Flat.head_pol.(s.conflict_rule)
+           derived = g.head.(s.conflict_rule) land 1 = 1
          });
   s.root_mark <- s.trail_len;
   s
 
-let search mode ?limit ?(budget = Budget.unlimited) ?stats ?flat (g : Gop.t) =
+let search mode ?limit ?(budget = Budget.unlimited) ?stats (g : Gop.t) =
   let stats = match stats with Some s -> s | None -> Counters.create () in
   let acc = ref [] in
   let count = ref 0 in
   try
     let seed = Vfix.lfp ~budget g in
-    let f = match flat with Some f -> f | None -> Flat.compile g in
-    let s = root mode ~budget ~stats f seed in
+    let s = root mode ~budget ~stats g seed in
     s.full <- (fun () -> match limit with Some l -> !count >= l | None -> false);
     let accept =
       match mode with
@@ -600,11 +599,10 @@ let search mode ?limit ?(budget = Budget.unlimited) ?stats ?flat (g : Gop.t) =
     Budget.Complete (List.rev !acc)
   with Budget.Exhausted r -> Budget.Partial (List.rev !acc, r)
 
-let assumption_free_models ?limit ?budget ?stats ?flat g =
-  search Af ?limit ?budget ?stats ?flat g
+let assumption_free_models ?limit ?budget ?stats g =
+  search Af ?limit ?budget ?stats g
 
-let total_models ?limit ?budget ?stats ?flat g =
-  search Total ?limit ?budget ?stats ?flat g
+let total_models ?limit ?budget ?stats g = search Total ?limit ?budget ?stats g
 
 (* Decide the seed literals on an unwound state; [false] when they clash
    (no model extends them). *)
@@ -652,11 +650,9 @@ let part_search s : Ordered.Parts.search =
 
 (* Split [g] above [least] (its least fixpoint, computed when not
    given) and hand the parts and a kernel part search to [k].  All part
-   searches share one root state, built on the first search together
-   with the flat program — [flat], else [compile ()], else a fresh
-   compile — so a listing whose parts all come from a carried table
-   builds neither. *)
-let with_parts ?(budget = Budget.unlimited) ?stats ?least ?flat ?compile g k =
+   searches share one root state, built on the first search, so a
+   listing whose parts all come from a carried table builds none. *)
+let with_parts ?(budget = Budget.unlimited) ?stats ?least g k =
   let stats = match stats with Some s -> s | None -> Counters.create () in
   let least =
     match least with
@@ -664,26 +660,17 @@ let with_parts ?(budget = Budget.unlimited) ?stats ?least ?flat ?compile g k =
     | None -> Ordered.Parts.least (Vfix.lfp ~budget g)
   in
   let lfp = Ordered.Parts.least_codes least in
-  let s =
-    lazy
-      (let f =
-         match (flat, compile) with
-         | Some f, _ -> f
-         | None, Some c -> c ()
-         | None, None -> Flat.compile g
-       in
-       root Af ~budget ~stats f lfp)
-  in
+  let s = lazy (root Af ~budget ~stats g lfp) in
   k
     ~search:(fun ~branch ~seed ~on_model ->
       part_search (Lazy.force s) ~branch ~seed ~on_model)
     (Ordered.Parts.split g least)
 
-let stable_models ?limit ?(budget = Budget.unlimited) ?stats ?flat ?compile
-    ?least ?carry g =
+let stable_models ?limit ?(budget = Budget.unlimited) ?stats ?flat:_ ?least
+    ?carry g =
   let stats = match stats with Some s -> s | None -> Counters.create () in
   try
-    with_parts ~budget ~stats ?least ?flat ?compile g (fun ~search t ->
+    with_parts ~budget ~stats ?least g (fun ~search t ->
         Ordered.Parts.stable_models ?limit ~budget ~stats ?carry ~search t)
   with Budget.Exhausted r -> Budget.Partial ([], r)
 

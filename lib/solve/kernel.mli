@@ -8,9 +8,10 @@
     {!Ordered.Stable.stable_models}, and the test oracle's pruned
     total-model search), with the same [?limit] prefixes and anytime
     ([Partial]) semantics.
-    The difference is mechanical: the ground program is compiled once
-    into flat arrays ({!Flat}), propagation is maintained incrementally
-    across the search tree instead of re-run from scratch at every node,
+    The difference is mechanical: the kernel walks the ground program's
+    CSR rows ({!Ordered.Gop.t}) directly, propagation is maintained
+    incrementally across the search tree instead of re-run from scratch
+    at every node,
     and conflicts are analysed into nogoods that skip sibling subtrees
     which would conflict immediately.  Visited nodes are therefore never
     more than the pruned search's, and fewer on conflict-heavy programs.
@@ -29,18 +30,12 @@
 
     [?stats] exposes the shared search counters plus the solver-specific
     group ({!Ordered.Counters.t}: propagations, conflicts, learned and
-    evicted nogoods, restarts), which only this engine moves.
-
-    [?flat] supplies a precompiled {!Flat.t} for the given program (it
-    must be [Flat.compile] of the same gop) so a caller that enumerates
-    the same program repeatedly — the session cache — can skip the
-    compile step. *)
+    evicted nogoods, restarts), which only this engine moves. *)
 
 val assumption_free_models :
   ?limit:int ->
   ?budget:Ordered.Budget.t ->
   ?stats:Ordered.Counters.t ->
-  ?flat:Flat.t ->
   Ordered.Gop.t ->
   Logic.Interp.t list Ordered.Budget.anytime
 
@@ -49,23 +44,21 @@ val stable_models :
   ?budget:Ordered.Budget.t ->
   ?stats:Ordered.Counters.t ->
   ?flat:Flat.t ->
-  ?compile:(unit -> Flat.t) ->
   ?least:Ordered.Parts.least ->
   ?carry:Ordered.Parts.carry ->
   Ordered.Gop.t ->
   Logic.Interp.t list Ordered.Budget.anytime
 (** [?least] supplies the least model ([Vfix.lfp] of the same gop), so
-    it is not computed again, nor its [Interp] map once built; [?carry] is {!Ordered.Parts.stable_models}'
-    carried table of part lists.  The flat program and the root state
-    are built only when some part has to be searched: from [?flat] if
-    given, else by [?compile] (called at most once), else by
-    [Flat.compile]. *)
+    it is not computed again, nor its [Interp] map once built; [?carry]
+    is {!Ordered.Parts.stable_models}' carried table of part lists.  The
+    root state is built only when some part has to be searched.  [?flat]
+    is ignored: it exists only because servebench's traced run passes
+    it, and goes with {!Flat}. *)
 
 val total_models :
   ?limit:int ->
   ?budget:Ordered.Budget.t ->
   ?stats:Ordered.Counters.t ->
-  ?flat:Flat.t ->
   Ordered.Gop.t ->
   Logic.Interp.t list Ordered.Budget.anytime
 

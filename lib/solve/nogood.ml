@@ -40,8 +40,6 @@ let create ~cap =
     bump = 1.
   }
 
-let size t = t.n
-
 let occ_list t code =
   match Hashtbl.find_opt t.occ code with Some l -> l | None -> []
 

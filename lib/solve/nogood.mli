@@ -15,8 +15,6 @@ val create : cap:int -> t
 (** [cap] bounds the store size at maintenance points; between two calls
     to {!maintain} the store may transiently exceed it. *)
 
-val size : t -> int
-
 val add : t -> int array -> unit
 (** Record a learned nogood (sorted decision codes).  Precondition: every
     element is on the current decision stack — the kernel learns at the

@@ -37,7 +37,7 @@ let find_rule (g : Ordered.Gop.t) comp (r : Rule.t) =
     else
       let src = Ordered.Gop.rule_src g i in
       if
-        g.Ordered.Gop.rules.(i).Ordered.Gop.comp = comp
+        g.Ordered.Gop.rule_comp.(i) = comp
         && Literal.equal (Rule.head src) (Rule.head r)
         && Literal.Set.equal (Literal.Set.of_list (Rule.body src)) body
       then Some i

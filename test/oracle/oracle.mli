@@ -103,9 +103,7 @@ module Poset : sig
   val leq : t -> int -> int -> bool
   val incomparable : t -> int -> int -> bool
   val above : t -> int -> int list
-  val below : t -> int -> int list
   val minimal : t -> int list
-  val maximal : t -> int list
 end
 
 (** The [Format] printers of {!Logic.Term}, {!Logic.Atom},
@@ -172,12 +170,11 @@ module Ground : sig
   (** Intern an explicitly given tagged view of ground rules, with no
       [Ordered.Gop] code: atoms numbered by first occurrence (per rule
       the head, then the body deduplicated in {!Logic.Literal.compare}
-      order), the head and body rows listing rule indices descending,
-      and the overruling, defeating and suppression rows recomputed over
-      every pair of rules with one head atom.  The grounding
-      [Ordered.Gop.ground] and [Ordered.Gop.splice] must reproduce
-      field for field.  Raises [Invalid_argument] on a non-ground
-      rule. *)
+      order), every row built as a list and packed, and the overruling,
+      defeating and suppression rows recomputed over every pair of rules
+      with one head atom.  The grounding [Ordered.Gop.ground] and
+      [Ordered.Gop.splice] must reproduce array for array.  Raises
+      [Invalid_argument] on a non-ground rule. *)
 
   val gop :
     ?budget:Ordered.Budget.t ->

@@ -163,7 +163,7 @@ let prop_analysis_covers_ground_edges =
          literals, so exact rule equality would be too strict. *)
       let covered i j =
         let key idx =
-          ( g.Ordered.Gop.rules.(idx).Ordered.Gop.comp,
+          ( g.Ordered.Gop.rule_comp.(idx),
             Rule.head (Ordered.Gop.rule_src g idx) )
         in
         let ki = key i and kj = key j in
@@ -181,8 +181,10 @@ let prop_analysis_covers_ground_edges =
       List.for_all Fun.id
         (List.concat
            (List.init (Ordered.Gop.n_rules g) (fun i ->
-                List.map (fun j -> covered i j) g.Ordered.Gop.overrulers.(i)
-                @ List.map (fun j -> covered i j) g.Ordered.Gop.defeaters.(i)))))
+                let lo = g.Ordered.Gop.sup_off.(i) in
+                List.init
+                  (g.Ordered.Gop.sup_off.(i + 1) - lo)
+                  (fun k -> covered i g.Ordered.Gop.sup.(lo + k))))))
 
 let test_gop_stats () =
   let p = program p1_src in

@@ -168,7 +168,7 @@ let test_enabled_version_literal_fails () =
     (List.exists
        (fun i ->
          Rule.equal (Ordered.Gop.rule_src g i) (rule "-r.")
-         && g.Ordered.Gop.rules.(i).Ordered.Gop.comp
+         && g.Ordered.Gop.rule_comp.(i)
             = Ordered.Program.component_id_exn p "c1")
        (Ordered.Model.enabled_version g v));
   Alcotest.(check bool) "corrected reading: not assumption-free" false

@@ -53,7 +53,6 @@ let agree n p o =
   List.for_all
     (fun a ->
       P.above p a = O.above o a
-      && P.below p a = O.below o a
       && List.for_all
            (fun b ->
              P.lt p a b = O.lt o a b
@@ -62,8 +61,6 @@ let agree n p o =
            ids)
     ids
   && P.minimal p = O.minimal o
-  && P.maximal p = O.maximal o
-  && P.size p = n
 
 let prop_poset_equals_closure =
   qcheck ~count:(iters 2000) ~print:print_order

@@ -8,7 +8,7 @@
      exactly (list equality, not just set equality) and never visits
      more search nodes;
    - the kernel's lists and counters do not depend on the order of the
-     flat program's suppressor rows;
+     gop's suppressor rows;
    - same counts under [?limit] (assumption-free and total enumerate in
      different orders but both return min(limit, total) models);
    - each engine's [?limit:k] result is exactly the first k of its own
@@ -138,22 +138,26 @@ let prop_compiled_nodes =
 
 (* The kernel reads a suppressor row as a set: the conflict analysis
    collects the blockers of a whole row into a sorted nogood, and
-   propagation reads only a row's length.  So a flat program whose
-   suppressor rows are shuffled (each row in place, by a seeded RNG)
-   enumerates the same lists with the same counters, every field. *)
-let shuffle_sup_rows seed (f : Solve.Flat.t) =
+   propagation reads only a row's length.  So a gop whose overruler and
+   defeater rows are shuffled (each in place, by a seeded RNG, keeping
+   the split the model checks read) enumerates the same lists with the
+   same counters, every field. *)
+let shuffle_sup_rows seed (g : Ordered.Gop.t) =
   let st = Random.State.make [| seed |] in
-  let rows = Array.copy f.sup_of_rule in
-  for i = 0 to f.n_rules - 1 do
-    let lo = f.sup_of_off.(i) in
-    for k = f.sup_of_off.(i + 1) - 1 downto lo + 1 do
+  let sup = Array.copy g.sup in
+  let shuffle lo hi =
+    for k = hi - 1 downto lo + 1 do
       let j = lo + Random.State.int st (k - lo + 1) in
-      let x = rows.(k) in
-      rows.(k) <- rows.(j);
-      rows.(j) <- x
+      let x = sup.(k) in
+      sup.(k) <- sup.(j);
+      sup.(j) <- x
     done
+  in
+  for i = 0 to Ordered.Gop.n_rules g - 1 do
+    shuffle g.sup_off.(i) g.def_off.(i);
+    shuffle g.def_off.(i) g.sup_off.(i + 1)
   done;
-  { f with sup_of_rule = rows }
+  { g with sup }
 
 let prop_sup_row_order =
   qcheck
@@ -164,22 +168,21 @@ let prop_sup_row_order =
     Gen.(pair gen_program nat)
     (fun (p, seed) ->
       let g = gop_of p in
-      let runs flat =
+      let runs g =
         List.map
           (fun enum ->
             let stats = Ordered.Counters.create () in
-            let models = B.value (enum ~stats ~flat g) in
+            let models = B.value (enum ~stats g) in
             (models, stats))
-          [ (fun ~stats ~flat g -> K.assumption_free_models ~stats ~flat g);
-            (fun ~stats ~flat g -> K.stable_models ~stats ~flat g);
-            (fun ~stats ~flat g -> K.total_models ~stats ~flat g)
+          [ (fun ~stats g -> K.assumption_free_models ~stats g);
+            (fun ~stats g -> K.stable_models ~stats g);
+            (fun ~stats g -> K.total_models ~stats g)
           ]
       in
-      let f = Solve.Flat.compile g in
       List.for_all2
         (fun (m, c) (m', c') -> interp_list_equal m m' && c = c')
-        (runs f)
-        (runs (shuffle_sup_rows seed f)))
+        (runs g)
+        (runs (shuffle_sup_rows seed g)))
 
 (* OV transform of a random seminegative program: the -A axioms make every
    atom a head of both polarities, so the search genuinely branches three

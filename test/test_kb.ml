@@ -10,10 +10,10 @@ let check_q kb obj q expected =
 
 let basic_kb () =
   let kb = Kb.create () in
-  Kb.define_src kb "animal"
-    "moves(X) :- animal(X). -flies(X) :- animal(X).";
-  Kb.define_src kb ~isa:[ "animal" ] "bird"
-    "flies(X) :- bird(X), animal(X). animal(tweety). bird(tweety).";
+  Kb.define kb "animal"
+    (rules "moves(X) :- animal(X). -flies(X) :- animal(X).");
+  Kb.define kb ~isa:[ "animal" ] "bird"
+    (rules "flies(X) :- bird(X), animal(X). animal(tweety). bird(tweety).");
   kb
 
 let test_define_and_query () =
@@ -40,7 +40,7 @@ let test_mutation_invalidates_cache () =
   let kb = basic_kb () in
   check_q kb "bird" "moves(tweety)" Interp.True;
   Kb.add_rule_src kb ~obj:"bird" "-moves(X) :- sleeping(X).";
-  Kb.add_fact kb ~obj:"bird" (lit "sleeping(tweety)");
+  Kb.add_rule kb ~obj:"bird" (Rule.fact (lit "sleeping(tweety)"));
   check_q kb "bird" "moves(tweety)" Interp.False;
   Alcotest.(check bool) "remove rule" true
     (Kb.remove_rule kb ~obj:"bird" (rule "-moves(X) :- sleeping(X)."));
@@ -59,10 +59,12 @@ let test_load () =
 
 let test_versioning () =
   let kb = Kb.create () in
-  Kb.define_src kb "tax" "rate(10). deductible(X) :- donation(X). donation(church).";
+  Kb.define kb "tax"
+    (rules "rate(10). deductible(X) :- donation(X). donation(church).");
   let v2 = Kb.new_version kb ~rules:(rules "-rate(10). rate(12).") "tax" in
   Alcotest.(check string) "name" "tax@2" v2;
-  Alcotest.(check string) "latest" v2 (Kb.latest_version kb "tax");
+  Alcotest.(check string) "latest" v2
+    (Kb.Store.latest_version (Kb.store kb) "tax");
   check_q kb "tax" "rate(10)" Interp.True;
   check_q kb v2 "rate(10)" Interp.False;
   check_q kb v2 "rate(12)" Interp.True;
@@ -76,7 +78,7 @@ let test_versioning () =
 
 let test_stable_and_explain () =
   let kb = Kb.create () in
-  Kb.define_src kb "o" "a. -a.";
+  Kb.define kb "o" (rules "a. -a.");
   Alcotest.(check int) "one stable model" 1
     (List.length (Ordered.Budget.value (Kb.stable_models kb ~obj:"o")));
   match Kb.explain kb ~obj:"o" (lit "a") with
@@ -92,10 +94,10 @@ let test_query_requires_ground () =
 
 let test_diamond_inheritance () =
   let kb = Kb.create () in
-  Kb.define_src kb "top" "p.";
-  Kb.define_src kb ~isa:[ "top" ] "left" "-p.";
-  Kb.define_src kb ~isa:[ "top" ] "right" "q :- p.";
-  Kb.define_src kb ~isa:[ "left"; "right" ] "bottom" "";
+  Kb.define kb "top" (rules "p.");
+  Kb.define kb ~isa:[ "top" ] "left" (rules "-p.");
+  Kb.define kb ~isa:[ "top" ] "right" (rules "q :- p.");
+  Kb.define kb ~isa:[ "left"; "right" ] "bottom" (rules "");
   (* left's -p overrules top's p from bottom's viewpoint *)
   check_q kb "bottom" "p" Interp.False;
   (* right alone still sees p *)
@@ -106,8 +108,8 @@ let test_diamond_inheritance () =
 
 let test_to_source_roundtrip () =
   let kb = Kb.create () in
-  Kb.define_src kb "base" "p(a). q(X) :- p(X).";
-  Kb.define_src kb ~isa:[ "base" ] "derived" "-q(a).";
+  Kb.define kb "base" (rules "p(a). q(X) :- p(X).");
+  Kb.define kb ~isa:[ "base" ] "derived" (rules "-q(a).");
   let v = Kb.new_version kb ~rules:(rules "q(a).") "derived" in
   let src = Kb.to_source kb in
   let kb2 = Kb.create () in

@@ -234,7 +234,7 @@ let test_concurrent_history () =
   in
   Server.Client.close setup;
   let s = Kb.Session.create () in
-  Kb.Session.define_src s "kb" "seed.";
+  Kb.Session.define s "kb" (Helpers.rules "seed.");
   List.iteri
     (fun idx (writes, _) ->
       for k = 1 to writes do

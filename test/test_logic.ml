@@ -68,18 +68,7 @@ let test_atom_infix_pp () =
 let test_literal_complement () =
   let l = lit "p(a)" in
   check_lit "double negation" l (Literal.neg (Literal.neg l));
-  Alcotest.(check bool) "complementary" true
-    (Literal.complementary l (lit "-p(a)"));
-  Alcotest.(check bool) "not complementary (different atom)" false
-    (Literal.complementary l (lit "-p(b)"));
-  Alcotest.(check bool) "not complementary (same sign)" false
-    (Literal.complementary l (lit "p(a)"))
-
-let test_literal_set_consistency () =
-  let s = Literal.Set.of_list [ lit "p(a)"; lit "-p(b)"; lit "q" ] in
-  Alcotest.(check bool) "consistent" true (Literal.Set.consistent s);
-  let s' = Literal.Set.add (lit "-p(a)") s in
-  Alcotest.(check bool) "inconsistent" false (Literal.Set.consistent s')
+  check_lit "negation flips the sign" (lit "-p(a)") (Literal.neg l)
 
 (* ------------------------------------------------------------------ *)
 (* Substitutions                                                       *)
@@ -101,8 +90,11 @@ let test_subst_bind_conflict () =
 (* Unification                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* Terms unify as the arguments of one unary atom. *)
+let unify t1 t2 = Unify.atom (Atom.make "w" [ t1 ]) (Atom.make "w" [ t2 ])
+
 let test_unify_basic () =
-  match Unify.term (term "f(X, b)") (term "f(a, Y)") with
+  match unify (term "f(X, b)") (term "f(a, Y)") with
   | None -> Alcotest.fail "should unify"
   | Some s ->
     check_term "X" (term "a") (Subst.apply_term s (term "X"));
@@ -110,17 +102,17 @@ let test_unify_basic () =
 
 let test_unify_occurs_check () =
   Alcotest.(check bool) "occurs check" true
-    (Unify.term (term "X") (term "f(X)") = None)
+    (unify (term "X") (term "f(X)") = None)
 
 let test_unify_clash () =
   Alcotest.(check bool) "constant clash" true
-    (Unify.term (term "f(a)") (term "f(b)") = None);
+    (unify (term "f(a)") (term "f(b)") = None);
   Alcotest.(check bool) "arity clash" true
-    (Unify.term (term "f(a)") (term "f(a, b)") = None);
-  Alcotest.(check bool) "int vs sym" true (Unify.term (term "3") (term "a") = None)
+    (unify (term "f(a)") (term "f(a, b)") = None);
+  Alcotest.(check bool) "int vs sym" true (unify (term "3") (term "a") = None)
 
 let test_unify_shared_var () =
-  match Unify.term (term "f(X, X)") (term "f(a, Y)") with
+  match unify (term "f(X, X)") (term "f(a, Y)") with
   | None -> Alcotest.fail "should unify"
   | Some s -> check_term "Y via X" (term "a") (Subst.apply_term s (term "Y"))
 
@@ -132,12 +124,6 @@ let test_match_one_way () =
     (Unify.match_literal (lit "p(f(a))") (lit "p(f(X))") = None);
   Alcotest.(check bool) "polarities must agree" true
     (Unify.match_literal (lit "p(X)") (lit "-p(a)") = None)
-
-let test_unify_literal_polarity () =
-  Alcotest.(check bool) "opposite polarities never unify" true
-    (Unify.literal (lit "p(X)") (lit "-p(a)") = None);
-  Alcotest.(check bool) "same polarity unifies" true
-    (Unify.literal (lit "-p(X)") (lit "-p(a)") <> None)
 
 (* ------------------------------------------------------------------ *)
 (* Interpretations                                                     *)
@@ -256,7 +242,6 @@ let suite =
     Alcotest.test_case "atom basics" `Quick test_atom_basic;
     Alcotest.test_case "atom infix printing" `Quick test_atom_infix_pp;
     Alcotest.test_case "literal complement" `Quick test_literal_complement;
-    Alcotest.test_case "literal set consistency" `Quick test_literal_set_consistency;
     Alcotest.test_case "subst apply" `Quick test_subst_apply;
     Alcotest.test_case "subst bind conflict" `Quick test_subst_bind_conflict;
     Alcotest.test_case "unify basic" `Quick test_unify_basic;
@@ -264,8 +249,6 @@ let suite =
     Alcotest.test_case "unify clash" `Quick test_unify_clash;
     Alcotest.test_case "unify shared variable" `Quick test_unify_shared_var;
     Alcotest.test_case "one-way matching" `Quick test_match_one_way;
-    Alcotest.test_case "literal unification respects polarity" `Quick
-      test_unify_literal_polarity;
     Alcotest.test_case "interp values" `Quick test_interp_values;
     Alcotest.test_case "interp consistency" `Quick test_interp_consistency;
     Alcotest.test_case "interp set operations" `Quick test_interp_set_ops;

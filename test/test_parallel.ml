@@ -20,7 +20,7 @@ module M = Governor.Metrics
    Versions must also be monotone per reader. *)
 let test_snapshot_prefix () =
   let s = Kb.Session.create () in
-  Kb.Session.define_src s "acc" "seed.";
+  Kb.Session.define s "acc" (Helpers.rules "seed.");
   let total = 40 in
   let lit i = Lang.Parser.parse_literal (Printf.sprintf "m(%d)" i) in
   let reader () =
@@ -49,8 +49,8 @@ let test_snapshot_prefix () =
   in
   let readers = List.init 2 (fun _ -> Domain.spawn reader) in
   for i = 1 to total do
-    Kb.Session.add_fact s ~obj:"acc"
-      (Lang.Parser.parse_literal (Printf.sprintf "m(%d)" i))
+    Kb.Session.add_rule s ~obj:"acc"
+      (Logic.Rule.fact (Lang.Parser.parse_literal (Printf.sprintf "m(%d)" i)))
   done;
   let violations = List.concat_map Domain.join readers in
   (match violations with
@@ -63,7 +63,7 @@ let test_snapshot_prefix () =
    version lists only ever grow, and the base object keeps answering. *)
 let test_new_version_churn () =
   let s = Kb.Session.create () in
-  Kb.Session.define_src s "acc" "seed.";
+  Kb.Session.define s "acc" (Helpers.rules "seed.");
   let rounds = 30 in
   let reader () =
     let bad = ref [] in
@@ -73,7 +73,7 @@ let test_new_version_churn () =
       if vs < !last then
         bad := Printf.sprintf "version list shrank: %d -> %d" !last vs :: !bad;
       last := max !last vs;
-      (match Kb.Session.query_src s ~obj:"acc" "seed" with
+      (match Kb.Session.query s ~obj:"acc" (Helpers.lit "seed") with
       | Logic.Interp.True -> ()
       | v ->
         bad := ("base fact lost: " ^

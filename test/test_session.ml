@@ -35,8 +35,8 @@ let test_hit_after_repeat () =
   ignore (KS.assumption_free_models s ~obj:"bot");
   check_counters "other keys" ~hits:1 ~misses:4 s;
   (* query and explain memoize too *)
-  ignore (KS.query_src s ~obj:"bot" "fly(penguin)");
-  ignore (KS.query_src s ~obj:"bot" "fly(tweety)");
+  ignore (KS.query s ~obj:"bot" (Helpers.lit "fly(penguin)"));
+  ignore (KS.query s ~obj:"bot" (Helpers.lit "fly(tweety)"));
   check_counters "first queries (shared least model)" ~hits:2 ~misses:5 s;
   ignore (KS.explain s ~obj:"bot" (lit "-fly(penguin)"));
   ignore (KS.explain s ~obj:"bot" (lit "-fly(penguin)"));
@@ -54,7 +54,7 @@ let test_delta_eviction () =
 
   (* define: a fresh object is invisible to existing views — kept *)
   let before = KS.counters s in
-  KS.define_src s ~isa:[ "bot" ] "extra" "p.";
+  KS.define s ~isa:[ "bot" ] "extra" (Helpers.rules "p.");
   let after = KS.counters s in
   Alcotest.(check int)
     "define: one invalidation"
@@ -68,7 +68,7 @@ let test_delta_eviction () =
 
   (* add_rule on extra: bot cannot see extra, so bot's entries survive;
      extra's least model is repaired in place and keeps serving hits *)
-  ignore (KS.query_src s ~obj:"extra" "p");
+  ignore (KS.query s ~obj:"extra" (Helpers.lit "p"));
   let before = KS.counters s in
   KS.add_rule_src s ~obj:"extra" "q :- p.";
   let after = KS.counters s in
@@ -81,7 +81,7 @@ let test_delta_eviction () =
   let h = hits () in
   Alcotest.(check bool)
     "repaired least model is exact" true
-    (KS.query_src s ~obj:"extra" "q" = Interp.True);
+    (KS.query s ~obj:"extra" (Helpers.lit "q") = Interp.True);
   Alcotest.(check int) "repaired entry serves the hit" (h + 1) (hits ());
 
   (* a fresh constant changes the Herbrand universe: repair must refuse
@@ -95,7 +95,7 @@ let test_delta_eviction () =
   let m = (KS.counters s).KS.misses in
   Alcotest.(check bool)
     "recompute after fallback is exact" true
-    (KS.query_src s ~obj:"extra" "w(zed)" = Interp.True);
+    (KS.query s ~obj:"extra" (Helpers.lit "w(zed)") = Interp.True);
   Alcotest.(check int) "fallback evicted: recompute is a miss" (m + 1)
     (KS.counters s).KS.misses;
 
@@ -110,7 +110,7 @@ let test_delta_eviction () =
     (before.KS.repairs + 2) after.KS.repairs;
   Alcotest.(check bool)
     "repaired least model dropped the head" true
-    (KS.query_src s ~obj:"extra" "q" = Interp.Undefined);
+    (KS.query s ~obj:"extra" (Helpers.lit "q") = Interp.Undefined);
 
   (* new_version is a fresh object: carried *)
   let before = KS.counters s in
