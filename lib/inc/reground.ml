@@ -129,6 +129,20 @@ let heads map keys acc =
       if a >= 0 then a :: acc else acc)
     acc keys
 
+(* [steps] as a splice script, [edit] giving each step's edit: runs of
+   kept groups merge into one [Keep], so the script's length is the
+   number of edited groups, not the view's. *)
+let script edit steps =
+  let flush acc run = if run > 0 then Gop.Keep run :: acc else acc in
+  let rec go acc run = function
+    | [] -> List.rev (flush acc run)
+    | s :: rest -> (
+      match edit s with
+      | Gop.Keep k -> go acc (run + k) rest
+      | e -> go (e :: flush acc run) 0 rest)
+  in
+  go [] 0 steps
+
 let apply_deletion ~budget ~universe ~program state steps =
   let keeps = List.filter_map (function `Keep g -> Some g | _ -> None) steps in
   let drops = List.filter_map (function `Drop g -> Some g | _ -> None) steps in
@@ -150,7 +164,7 @@ let apply_deletion ~budget ~universe ~program state steps =
     if shared then Error `Shared_instance
     else
       let edits =
-        List.map
+        script
           (function
             | `Keep g -> Gop.Keep (Array.length g.keys)
             | `Drop g -> Gop.Drop (Array.length g.keys))
@@ -166,6 +180,15 @@ let apply_deletion ~budget ~universe ~program state steps =
                 (List.fold_left (fun acc g -> heads map g.keys acc) [] drops)
           } )
 
+(* Is [g] of the class (component, rule name) of some rule in [added]?
+   A recursive function rather than [List.exists], so that asking it of
+   every group allocates no closure. *)
+let rec same_class added g =
+  match added with
+  | [] -> false
+  | (c, r) :: rest ->
+    (c = g.comp && Rule.name r = Rule.name g.src) || same_class rest g
+
 let apply_insertion ~budget ~universe ~program state steps =
   (* Rebuild the group list in view order with the shared dedup
      discipline of [Gop.ground_groups]: existing groups feed the table
@@ -174,9 +197,7 @@ let apply_insertion ~budget ~universe ~program state steps =
      component and the rule name, so only the groups of an added rule's
      class can matter. *)
   let added = List.filter_map (function `Add a -> Some a | _ -> None) steps in
-  let relevant g =
-    List.exists (fun (c, r) -> c = g.comp && Rule.name r = Rule.name g.src) added
-  in
+  let relevant g = same_class added g in
   let s = scope universe state.gop in
   let seen = Keys.create () in
   let tagged =
@@ -199,22 +220,20 @@ let apply_insertion ~budget ~universe ~program state steps =
     let after = Keys.create () in
     List.fold_left
       (fun hit (g, is_add) ->
-        if not (relevant g) then hit
-        else begin
-          let hit =
-            hit || (is_add && Array.exists (Keys.mem after g.comp g.src) g.keys)
-          in
-          Array.iter (Keys.add after g.comp g.src) g.keys;
-          hit
-        end)
-      false (List.rev tagged)
+        let hit =
+          hit || (is_add && Array.exists (Keys.mem after g.comp g.src) g.keys)
+        in
+        Array.iter (Keys.add after g.comp g.src) g.keys;
+        hit)
+      false
+      (List.rev (List.filter (fun (g, _) -> relevant g) tagged))
   in
   if stolen then Error `Shared_instance
   else if List.for_all (fun (g, is_add) -> (not is_add) || g.keys = [||]) tagged
   then Ok ({ state with groups = List.map fst tagged }, Delta.empty)
   else
     let edits =
-      List.map
+      script
         (fun (g, is_add) ->
           if is_add then Gop.Insert g else Gop.Keep (Array.length g.keys))
         tagged
@@ -284,7 +303,9 @@ let reground ?(budget = Budget.unlimited) state ~program =
   let view = Program.view program comp in
   let universe = state.universe in
   let kept edit = universe_kept ~program ~comp state edit in
-  match del_diff [] state.groups view with
+  (* a view longer than the groups cannot be a deletion *)
+  let shorter = List.compare_lengths view state.groups <= 0 in
+  match if shorter then del_diff [] state.groups view else None with
   | Some steps ->
     let dropped = List.filter_map (function `Drop g -> Some g.src | _ -> None) steps in
     if not (kept (`Deleted dropped)) then Error `Universe_changed
